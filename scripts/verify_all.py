@@ -18,11 +18,11 @@ sys.path.insert(0, "src")
 
 from qact import (
     canonical_forms,
+    check_entry,
     parse_scalar,
     validate_q,
     verify_determinant_invariants,
     verify_distinctness,
-    verify_entry,
     verify_canonical_form,
 )
 from qact.catalog import ENTRY_ORDER
@@ -42,17 +42,22 @@ def run_for_q(q_text: str, skip_distinctness: bool) -> bool:
     print("table entries:")
     header = f"  {'entry':6s} {'time':>7s}  checks"
     print(header)
+    checks = []
     for eid in ENTRY_ORDER:
-        report = verify_entry(eid, q)
+        start = time.perf_counter()
+        check = check_entry(eid, q)
+        elapsed = time.perf_counter() - start
+        report = check.report
         status = "all pass" if report.ok else "FAIL " + ", ".join(
             c.name for c in report.checks if not c.passed
         )
-        print(f"  {eid:6s} {report.elapsed:6.2f}s  {status}")
+        print(f"  {eid:6s} {elapsed:6.2f}s  {status}")
         ok &= report.ok
+        checks.append(check)
 
     if not skip_distinctness:
         start = time.perf_counter()
-        report = verify_distinctness(q)
+        report = verify_distinctness({c.entry_id: c.rep for c in checks})
         bad = [c.name for c in report.checks if not c.passed]
         print(
             f"distinctness: {len(report.checks)} checks in {time.perf_counter() - start:.2f}s "
@@ -60,17 +65,17 @@ def run_for_q(q_text: str, skip_distinctness: bool) -> bool:
         )
         ok &= report.ok
 
-    report = verify_determinant_invariants(q)
+    report = verify_determinant_invariants(checks)
     print(f"invariants = span{{1, det_q}} on G entries: [{'ok' if report.ok else 'FAIL'}]")
     ok &= report.ok
     return ok
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--q", action="append", default=[], help="sample value, e.g. 2 or 1+1i")
     parser.add_argument("--skip-distinctness", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     q_values = args.q or ["2", "3", "1+1i"]
     ok = True
     for q_text in q_values:

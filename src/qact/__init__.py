@@ -11,10 +11,8 @@ from .action import (
     EquivalenceWitness,
     InnerAction,
     FixedPointMismatch,
-    ModuleAlgebraViolated,
     NotEquivalent,
     Unsupported,
-    UnexpectedEquivalence,
     action_fixed_points,
     build_action,
     decide_equivalence,
@@ -27,9 +25,12 @@ from .catalog import (
     ENTRIES,
     ENTRY_ORDER,
     ConstraintViolated,
+    EntryCheck,
+    TableCheck,
     TableEntry,
     UnknownEntry,
     canonical_determinants,
+    check_entry,
     connected_s_entry,
     get_entry,
     instantiate,
@@ -38,6 +39,7 @@ from .catalog import (
     verify_determinant_invariants,
     verify_distinctness,
     verify_entry,
+    verify_table,
 )
 from .clifford import (
     CliffordModel,
@@ -69,11 +71,9 @@ from .linalg import (
     rank,
     right_mul_operator,
     solve_homogeneous,
-    subspace_ops,
 )
 from .qrep import (
     A11Singular,
-    AntipodeIdentityFailed,
     DeterminantNotCentral,
     DeterminantSingular,
     DNotInvariant,
@@ -115,7 +115,6 @@ from .scalars import (
     as_scalar,
     format_scalar,
     parse_scalar,
-    scalar_arith,
     validate_q,
 )
 

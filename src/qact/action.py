@@ -32,7 +32,7 @@ from .linalg import (
     right_mul_operator,
     solve_homogeneous,
 )
-from .qrep import A11Singular, GLqRep, RelationViolated, schur_r22, verify_glq_relations
+from .qrep import A11Singular, GLqRep, RelationViolated, _relation_report, schur_r22, verify_glq_relations
 from .report import Report
 from .scalars import ZERO, Scalar
 
@@ -41,20 +41,12 @@ class MSingular(ValueError):
     """The 8x8 block matrix of a valid representation is always invertible."""
 
 
-class ModuleAlgebraViolated(ValueError):
-    """An instance of the module-algebra identity fails."""
-
-
 class FixedPointMismatch(AssertionError):
     """Centralizer and action fixed points disagree; implementation bug."""
 
 
 class Unsupported(ValueError):
     """Candidate scalars cannot be enumerated for these inputs."""
-
-
-class UnexpectedEquivalence(AssertionError):
-    """Two distinct table entries were found equivalent."""
 
 
 @dataclass(frozen=True)
@@ -128,21 +120,7 @@ def _action_operator(blocks, astar, i: int, j: int) -> Mat:
 
 def operator_relation_report(action: InnerAction) -> Report:
     """The six quantum-matrix relations for the 16x16 action operators."""
-    q = action.rep.q.q
-    qinv = action.rep.q.inv
-    l11 = action.operator(1, 1)
-    l12 = action.operator(1, 2)
-    l21 = action.operator(2, 1)
-    l22 = action.operator(2, 2)
-    report = Report("action-operator-relations")
-    report.add("a11_a12_spinor", (l11 * l12 - (l12 * l11).scale(q)).is_zero)
-    report.add("a11_a21_spinor", (l11 * l21 - (l21 * l11).scale(q)).is_zero)
-    report.add("a12_a22_spinor", (l12 * l22 - (l22 * l12).scale(q)).is_zero)
-    report.add("a21_a22_spinor", (l21 * l22 - (l22 * l21).scale(q)).is_zero)
-    report.add("a12_a21_commute", (l12 * l21 - l21 * l12).is_zero)
-    gap = l11 * l22 - l22 * l11 - (l12 * l21).scale(q - qinv)
-    report.add("diagonal_commutator", gap.is_zero)
-    return report
+    return _relation_report("action-operator-relations", *action.operators[0], *action.operators[1], action.rep.q)
 
 
 def verify_module_algebra(action: InnerAction) -> Report:
@@ -250,6 +228,7 @@ class EquivalenceWitness:
             "u": self.u.to_json(),
             "alpha1": self.alpha1.to_json(),
             "alpha2": self.alpha2.to_json(),
+            "candidates_tried": self.candidates_tried,
         }
 
 

@@ -16,9 +16,8 @@ cross-checks both reconstructions in the test suite.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .action import (
     action_fixed_points,
@@ -693,14 +692,37 @@ def connected_s_entry(entry_id: str) -> Optional[str]:
     return get_entry(entry_id).connected_to
 
 
-def verify_entry(
+@dataclass(frozen=True)
+class EntryCheck:
+    """One entry's battery: its parameters, representation and report.
+
+    invariants and detq are the centralizer and quantum determinant the
+    battery computed; both are None when the relations already fail.
+    """
+
+    entry_id: str
+    params: dict[str, Scalar]
+    rep: GLqRep
+    report: Report
+    invariants: Optional[Subspace] = None
+    detq: Optional[Mat] = None
+
+    def to_json(self) -> dict:
+        return {
+            "entry": self.entry_id,
+            "q": self.rep.q.q.to_json(),
+            "params": {name: value.to_json() for name, value in self.params.items()},
+            **self.report.to_json(),
+        }
+
+
+def check_entry(
     entry_id: str,
     q: DeformationParameter,
     params: Optional[Mapping[str, object]] = None,
     policy: Optional[Mapping[str, object]] = None,
-) -> Report:
-    """Run the full battery of checks for one table entry."""
-    start = time.perf_counter()
+) -> EntryCheck:
+    """Run the full battery of checks for one table entry, keeping its facts."""
     entry = get_entry(entry_id)
     p = resolve_params(entry, q, params, policy)
     rep = GLqRep(*entry.matrices(q.q, p), q=q)
@@ -709,8 +731,7 @@ def verify_entry(
     relations = verify_glq_relations(rep)
     report.add("relations", relations.ok, _first_bad(relations))
     if not relations.ok:
-        report.elapsed = time.perf_counter() - start
-        return report
+        return EntryCheck(entry.entry_id, p, rep, report)
 
     detq = quantum_determinant(rep)
     report.add("quantum_determinant", detq == entry.expected_detq(q.q, p))
@@ -753,8 +774,17 @@ def verify_entry(
     module = verify_module_algebra(action)
     report.add("module_algebra", module.ok, _first_bad(module))
 
-    report.elapsed = time.perf_counter() - start
-    return report
+    return EntryCheck(entry.entry_id, p, rep, report, cent, detq)
+
+
+def verify_entry(
+    entry_id: str,
+    q: DeformationParameter,
+    params: Optional[Mapping[str, object]] = None,
+    policy: Optional[Mapping[str, object]] = None,
+) -> Report:
+    """Run the full battery of checks for one table entry."""
+    return check_entry(entry_id, q, params, policy).report
 
 
 def _first_bad(report: Report) -> str:
@@ -768,15 +798,12 @@ def instantiate_all(
     return {eid: instantiate(eid, q, policy=policy) for eid in ENTRY_ORDER}
 
 
-def verify_distinctness(
-    q: DeformationParameter, policy: Optional[Mapping[str, object]] = None
-) -> Report:
-    """Pairwise non-equivalence of all 20 entries, plus self-witnesses."""
-    start = time.perf_counter()
-    reps = instantiate_all(q, policy)
+def verify_distinctness(reps: Mapping[str, GLqRep]) -> Report:
+    """Pairwise non-equivalence of the given entries, plus self-witnesses."""
+    ids = list(reps)
     report = Report("distinctness")
-    for i, e1 in enumerate(ENTRY_ORDER):
-        for e2 in ENTRY_ORDER[i:]:
+    for i, e1 in enumerate(ids):
+        for e2 in ids[i:]:
             verdict = decide_equivalence(reps[e1], reps[e2])
             if e1 == e2:
                 report.add(f"{e1} ~ {e1}", verdict.equivalent, "self-equivalence witness")
@@ -787,23 +814,55 @@ def verify_distinctness(
                     else "unexpected witness"
                 )
                 report.add(f"{e1} vs {e2}", not verdict.equivalent, detail)
-    report.elapsed = time.perf_counter() - start
     return report
 
 
-def verify_determinant_invariants(
-    q: DeformationParameter, policy: Optional[Mapping[str, object]] = None
-) -> Report:
-    """Every G entry's invariant algebra equals span{1, det_q}."""
+def verify_determinant_invariants(checks: Iterable[EntryCheck]) -> Report:
+    """Every checked G entry's invariant algebra equals span{1, det_q}."""
     report = Report("determinant_invariants")
-    for eid in ENTRY_ORDER:
-        if not eid.startswith("G"):
+    for check in checks:
+        if not check.entry_id.startswith("G"):
             continue
-        rep = instantiate(eid, q, policy=policy)
-        inv = centralizer(list(rep.matrices()))
-        expected = Subspace.span_of([_E4, quantum_determinant(rep)])
-        report.add(eid, inv == expected, f"dim {inv.dim}")
+        if check.invariants is None:
+            report.add(check.entry_id, False, "relations fail")
+            continue
+        expected = Subspace.span_of([_E4, check.detq])
+        report.add(check.entry_id, check.invariants == expected, f"dim {check.invariants.dim}")
     return report
+
+
+@dataclass(frozen=True)
+class TableCheck:
+    """The battery of every entry, pairwise distinctness, and the G-entry invariants."""
+
+    q: DeformationParameter
+    entries: tuple[EntryCheck, ...]
+    distinctness: Report
+    determinant_invariants: Report
+
+    @property
+    def ok(self) -> bool:
+        return all(e.report.ok for e in self.entries) and self.distinctness.ok and self.determinant_invariants.ok
+
+    def to_json(self) -> dict:
+        return {
+            "q": self.q.q.to_json(),
+            "entries": [e.to_json() for e in self.entries],
+            "distinctness": self.distinctness.to_json(),
+            "determinant_invariants": self.determinant_invariants.to_json(),
+            "ok": self.ok,
+        }
+
+
+def verify_table(q: DeformationParameter, policy: Optional[Mapping[str, object]] = None) -> TableCheck:
+    """The whole table in one pass: each entry is resolved, built and checked once.
+
+    Distinctness and the determinant invariants reuse the representations,
+    centralizers and quantum determinants that the battery computed.
+    """
+    entries = tuple(check_entry(eid, q, policy=policy) for eid in ENTRY_ORDER)
+    distinctness = verify_distinctness({e.entry_id: e.rep for e in entries})
+    return TableCheck(q, entries, distinctness, verify_determinant_invariants(entries))
 
 
 def canonical_determinants(

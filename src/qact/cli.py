@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from . import catalog
@@ -122,31 +120,6 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"invalid JSON in {path}: {exc.msg}", exc.pos) from exc
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("QACT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _report_doc(report: Report) -> dict:
-    return {"ok": report.ok, "checks": [c.to_json() for c in report.checks]}
-
-
-def _entry_doc(entry_id: str, q: DeformationParameter, params, report: Report) -> dict:
-    return {
-        "entry": entry_id,
-        "q": q.q.to_json(),
-        "params": {name: value.to_json() for name, value in params.items()},
-        "ok": report.ok,
-        "checks": [c.to_json() for c in report.checks],
-    }
-
-
-def _subspace_doc(space) -> dict:
-    return space.to_json()
-
 def _unit_name(i: int, j: int) -> str:
     return f"e{i}{j}"
 
@@ -185,44 +158,13 @@ def _cmd_verify_table(args) -> tuple[dict, int]:
     q = _parse_q(args.q)
     overrides = _parse_params(args.param)
     if args.entry is not None:
-        entry = catalog.get_entry(args.entry)
-        params = catalog.resolve_params(entry, q, overrides)
-        report = catalog.verify_entry(entry.entry_id, q, overrides)
-        doc = {
-            "q": q.q.to_json(),
-            "entries": [_entry_doc(entry.entry_id, q, params, report)],
-            "ok": report.ok,
-        }
-        return doc, 0 if report.ok else 1
-
-    cap = _thread_cap()
+        check = catalog.check_entry(args.entry, q, overrides)
+        doc = {"q": q.q.to_json(), "entries": [check.to_json()], "ok": check.report.ok}
+        return doc, 0 if check.report.ok else 1
     # Table-wide, --param values act as policy preferences: they apply only
     # to entries that declare the parameter.
-    policy = overrides or None
-
-    def one(eid: str):
-        entry = catalog.get_entry(eid)
-        params = catalog.resolve_params(entry, q, policy=policy)
-        report = catalog.verify_entry(eid, q, policy=policy)
-        return _entry_doc(eid, q, params, report)
-
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            entry_docs = list(pool.map(one, catalog.ENTRY_ORDER))
-    else:
-        entry_docs = [one(eid) for eid in catalog.ENTRY_ORDER]
-
-    distinctness = catalog.verify_distinctness(q, policy)
-    det_invariants = catalog.verify_determinant_invariants(q, policy)
-    ok = all(d["ok"] for d in entry_docs) and distinctness.ok and det_invariants.ok
-    doc = {
-        "q": q.q.to_json(),
-        "entries": entry_docs,
-        "distinctness": _report_doc(distinctness),
-        "determinant_invariants": _report_doc(det_invariants),
-        "ok": ok,
-    }
-    return doc, 0 if ok else 1
+    table = catalog.verify_table(q, policy=overrides or None)
+    return table.to_json(), 0 if table.ok else 1
 
 
 def _cmd_show_entry(args) -> tuple[dict, int]:
@@ -234,14 +176,9 @@ def _cmd_show_entry(args) -> tuple[dict, int]:
         "entry": entry.entry_id,
         "q": q.q.to_json(),
         "params": {name: value.to_json() for name, value in params.items()},
-        "matrices": {
-            "A11": rep.a11.to_json(),
-            "A12": rep.a12.to_json(),
-            "A21": rep.a21.to_json(),
-            "A22": rep.a22.to_json(),
-        },
+        "matrices": {name: m for name, m in rep.to_json().items() if name != "q"},
         "det_q": quantum_determinant(rep).to_json(),
-        "operator_algebra": _subspace_doc(operator_algebra(rep)),
+        "operator_algebra": operator_algebra(rep).to_json(),
         "invariants": _invariants_doc(rep),
     }
     return doc, 0
@@ -255,7 +192,7 @@ def _cmd_b_space(args) -> tuple[dict, int]:
     except (KeyError, TypeError, DimensionMismatch) as exc:
         raise UsageError(f"invalid matrix file: {exc}") from exc
     space = spinor_space(a, q)
-    return {"q": q.q.to_json(), **_subspace_doc(space)}, 0
+    return {"q": q.q.to_json(), **space.to_json()}, 0
 
 
 def _cmd_check_rep(args) -> tuple[dict, int]:
@@ -269,8 +206,7 @@ def _cmd_check_rep(args) -> tuple[dict, int]:
         except (DeterminantSingular, DeterminantNotCentral) as exc:
             report.add("antipode:determinant", False, str(exc))
         report.extend(verify_module_algebra(build_action(rep, verify=False)))
-    doc = _report_doc(report)
-    return doc, 0 if report.ok else 1
+    return report.to_json(), 0 if report.ok else 1
 
 
 def _cmd_invariants(args) -> tuple[dict, int]:
@@ -287,29 +223,12 @@ def _cmd_invariants(args) -> tuple[dict, int]:
 def _cmd_equiv(args) -> tuple[dict, int]:
     r1 = _rep_from_file(args.file1, require_valid=True)
     r2 = _rep_from_file(args.file2, require_valid=True)
-    verdict = decide_equivalence(r1, r2)
-    if verdict.equivalent:
-        doc = {
-            "equivalent": True,
-            "u": verdict.u.to_json(),
-            "alpha1": verdict.alpha1.to_json(),
-            "alpha2": verdict.alpha2.to_json(),
-            "candidates_tried": verdict.candidates_tried,
-        }
-    else:
-        doc = {
-            "equivalent": False,
-            "u": None,
-            "alpha1": None,
-            "alpha2": None,
-            "candidates_tried": verdict.candidates_tried,
-        }
-    return doc, 0
+    return decide_equivalence(r1, r2).to_json(), 0
 
 
 def _cmd_clifford_selftest(args) -> tuple[dict, int]:
     report = selftest(default_model())
-    return _report_doc(report), 0 if report.ok else 1
+    return report.to_json(), 0 if report.ok else 1
 
 
 def _cmd_export(args) -> tuple[dict, int]:
@@ -342,19 +261,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         doc, code = _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ParseError) as exc:
         _emit({"error": str(exc), "position": exc.position}, pretty=False)
-        return 2
-    except ParseError as exc:
-        _emit({"error": str(exc), "position": exc.position}, pretty=False)
-        return 2
-    except (InvalidQ, catalog.ConstraintViolated) as exc:
-        _emit({"error": str(exc), "position": None}, pretty=False)
         return 2
     except catalog.UnknownEntry as exc:
         _emit({"error": f"unknown table entry {exc.args[0]!r}", "position": None}, pretty=False)
         return 2
-    except (Unsupported, GridTooLarge, NotTriangular, Singular, DimensionMismatch) as exc:
+    except (
+        InvalidQ, catalog.ConstraintViolated, Unsupported, GridTooLarge, NotTriangular, Singular, DimensionMismatch
+    ) as exc:
         _emit({"error": str(exc), "position": None}, pretty=False)
         return 2
     _emit(doc, pretty=args.pretty)

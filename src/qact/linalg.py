@@ -411,19 +411,6 @@ def _matrix_side(ambient: int) -> int:
     return n
 
 
-def subspace_ops(s: Subspace, t: Subspace, op: str):
-    """Set operations on subspaces: equal, contains, sum, intersect."""
-    if op == "equal":
-        return s == t
-    if op == "contains":
-        return s.contains(t)
-    if op == "sum":
-        return s.sum_with(t)
-    if op == "intersect":
-        return s.intersect(t)
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def solve_homogeneous(rows: list[list[Scalar]], width: int) -> Subspace:
     """Kernel of a stacked linear system given by its rows."""
     m = [list(r) for r in rows]

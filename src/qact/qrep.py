@@ -29,10 +29,6 @@ class DeterminantNotCentral(ValueError):
     """The quantum determinant fails to commute with a generator."""
 
 
-class AntipodeIdentityFailed(ValueError):
-    """A counit identity for the antipode blocks fails."""
-
-
 class A11Singular(ValueError):
     """A11 must be invertible for this construction."""
 
@@ -106,19 +102,22 @@ GLQ_RELATIONS = (
 )
 
 
-def verify_glq_relations(rep: GLqRep) -> Report:
-    """Check the six quantum-matrix relations exactly; itemized report."""
-    q = rep.q.q
-    a11, a12, a21, a22 = rep.matrices()
-    report = Report("glq-relations")
-    report.add(GLQ_RELATIONS[0], _q_commutator(a11, a12, q).is_zero)
-    report.add(GLQ_RELATIONS[1], _q_commutator(a11, a21, q).is_zero)
-    report.add(GLQ_RELATIONS[2], _q_commutator(a12, a22, q).is_zero)
-    report.add(GLQ_RELATIONS[3], _q_commutator(a21, a22, q).is_zero)
-    report.add(GLQ_RELATIONS[4], (a12 * a21 - a21 * a12).is_zero)
-    gap = a11 * a22 - a22 * a11 - (a12 * a21).scale(q - rep.q.inv)
+def _relation_report(subject: str, x11: Mat, x12: Mat, x21: Mat, x22: Mat, q: DeformationParameter) -> Report:
+    """The six quantum-matrix relations, in GLQ_RELATIONS order, for any four matrices."""
+    report = Report(subject)
+    report.add(GLQ_RELATIONS[0], _q_commutator(x11, x12, q.q).is_zero)
+    report.add(GLQ_RELATIONS[1], _q_commutator(x11, x21, q.q).is_zero)
+    report.add(GLQ_RELATIONS[2], _q_commutator(x12, x22, q.q).is_zero)
+    report.add(GLQ_RELATIONS[3], _q_commutator(x21, x22, q.q).is_zero)
+    report.add(GLQ_RELATIONS[4], (x12 * x21 - x21 * x12).is_zero)
+    gap = x11 * x22 - x22 * x11 - (x12 * x21).scale(q.q - q.inv)
     report.add(GLQ_RELATIONS[5], gap.is_zero)
     return report
+
+
+def verify_glq_relations(rep: GLqRep) -> Report:
+    """Check the six quantum-matrix relations exactly; itemized report."""
+    return _relation_report("glq-relations", *rep.matrices(), rep.q)
 
 
 def require_representation(rep: GLqRep) -> GLqRep:

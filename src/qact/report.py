@@ -19,7 +19,6 @@ class Check:
 class Report:
     subject: str
     checks: list[Check] = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -48,9 +47,4 @@ class Report:
         return self
 
     def to_json(self) -> dict:
-        # Elapsed time is intentionally omitted: CLI output is byte-stable.
-        return {
-            "subject": self.subject,
-            "ok": self.ok,
-            "checks": [c.to_json() for c in self.checks],
-        }
+        return {"ok": self.ok, "checks": [c.to_json() for c in self.checks]}

@@ -230,21 +230,6 @@ def as_scalar(x) -> Scalar:
     raise TypeError(f"cannot interpret {x!r} as a scalar")
 
 
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Exact field arithmetic: op is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b.is_zero:
-            raise DivisionByZero("division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 # -- text format ---------------------------------------------------------------
 #
 # Grammar:  rational ( (+|-) rational? 'i' )?  |  sign? rational? 'i'

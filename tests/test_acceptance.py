@@ -20,12 +20,14 @@ from qact import (
     canonical_determinants,
     canonical_forms,
     centralizer,
+    check_entry,
     connected_s_entry,
     connected_slq,
     decide_equivalence,
     from_rq,
     get_entry,
     instantiate,
+    instantiate_all,
     is_slq,
     antipode_check,
     action_fixed_points,
@@ -209,7 +211,7 @@ def test_criterion_6_rq_round_trip():
 def test_criterion_7_distinctness():
     start = time.perf_counter()
     q = validate_q(2)
-    report = verify_distinctness(q)
+    report = verify_distinctness(instantiate_all(q))
     assert report.ok, [c.name for c in report.checks if not c.passed]
     assert len(report.checks) == 210  # 190 distinct pairs + 20 self checks
     rng = random.Random(707)
@@ -233,7 +235,7 @@ def test_criterion_7_distinctness():
 def test_criterion_8_invariant_determinant_span():
     start = time.perf_counter()
     q = validate_q(2)
-    report = verify_determinant_invariants(q)
+    report = verify_determinant_invariants(check_entry(eid, q) for eid in ENTRY_ORDER)
     assert report.ok
     for eid in ENTRY_ORDER:
         if not eid.startswith("G"):

@@ -7,6 +7,7 @@ from qact import (
     UnknownEntry,
     as_scalar,
     canonical_determinants,
+    check_entry,
     connected_s_entry,
     get_entry,
     instantiate,
@@ -147,7 +148,7 @@ def test_full_battery_at_second_sample_points(q3, qc):
 
 
 def test_g_entry_invariants_are_determinant_span(q2):
-    report = verify_determinant_invariants(q2)
+    report = verify_determinant_invariants(check_entry(eid, q2) for eid in ENTRY_ORDER)
     assert report.ok
     assert [c.name for c in report.checks] == [e for e in ENTRY_ORDER if e.startswith("G")]
 
@@ -170,9 +171,9 @@ def test_distinctness_spot_check(q2):
 
 
 def test_distinctness_at_complex_sample_point(qc):
-    from qact import verify_distinctness
+    from qact import instantiate_all, verify_distinctness
 
-    report = verify_distinctness(qc)
+    report = verify_distinctness(instantiate_all(qc))
     assert report.ok, [c.name for c in report.checks if not c.passed]
     assert len(report.checks) == 210
 

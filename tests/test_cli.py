@@ -1,6 +1,9 @@
 import json
+from pathlib import Path
 
 from qact.cli import main
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 
 def run(capsys, *argv):
@@ -30,20 +33,15 @@ def test_verify_single_entry(capsys):
 
 
 def test_verify_table_wide(capsys):
-    code, doc = run_json(capsys, "verify-table", "--q", "2")
+    code, out = run(capsys, "verify-table", "--q", "2")
     assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / "verify-table-q2.json").read_bytes()
+    doc = json.loads(out)
     assert doc["ok"] is True
     assert len(doc["entries"]) == 20
     assert doc["distinctness"]["ok"] is True
     assert len(doc["distinctness"]["checks"]) == 210
     assert doc["determinant_invariants"]["ok"] is True
-
-
-def test_verify_table_threaded_matches_sequential(capsys, monkeypatch):
-    code1, out1 = run(capsys, "verify-table", "--q", "2")
-    monkeypatch.setenv("QACT_THREADS", "4")
-    code2, out2 = run(capsys, "verify-table", "--q", "2")
-    assert (code1, out1) == (code2, out2)
 
 
 def test_show_entry(capsys):
@@ -96,6 +94,8 @@ def test_equiv(capsys, tmp_path):
     code, doc = run_json(capsys, "equiv", "--file1", str(tmp_path / "s1.json"), "--file2", str(tmp_path / "s3.json"))
     assert code == 0
     assert doc["equivalent"] is False
+    assert doc["obstruction"] == "spectrum"
+    assert "u" not in doc
     code, doc = run_json(capsys, "equiv", "--file1", str(tmp_path / "s1.json"), "--file2", str(tmp_path / "s1.json"))
     assert code == 0
     assert doc["equivalent"] is True

@@ -25,7 +25,6 @@ from qact import (
     mat_inverse,
     rank,
     right_mul_operator,
-    subspace_ops,
 )
 
 
@@ -103,13 +102,13 @@ def test_inverse_iff_trivial_kernel(rng):
 def test_subspace_examples():
     s = Subspace.span_of([u(1, 2) + u(2, 3)])
     t = Subspace.span_of([(u(1, 2) + u(2, 3)).scale(2)])
-    assert subspace_ops(s, t, "equal") is True
+    assert (s == t) is True
     full = Subspace(16, [Mat.unit(4, i, j).flatten() for i in range(1, 5) for j in range(1, 5)])
-    assert subspace_ops(full, s, "contains") is True
+    assert full.contains(s) is True
     left = Subspace.span_of([u(1, 2), u(2, 3)])
     right = Subspace.span_of([u(2, 3), u(3, 4)])
-    assert subspace_ops(left, right, "intersect") == Subspace.span_of([u(2, 3)])
-    assert subspace_ops(left, right, "sum").dim == 3
+    assert left.intersect(right) == Subspace.span_of([u(2, 3)])
+    assert left.sum_with(right).dim == 3
 
 
 def test_subspace_dimension_mismatch():

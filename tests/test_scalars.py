@@ -13,7 +13,6 @@ from qact import (
     as_scalar,
     format_scalar,
     parse_scalar,
-    scalar_arith,
     validate_q,
 )
 from qact.scalars import EXCLUDED_Q, I, ONE, ZERO
@@ -28,7 +27,7 @@ def test_spec_arithmetic_examples():
     one_plus_i = Scalar(1, 1)
     one_minus_i = Scalar(1, -1)
     assert one_plus_i * one_minus_i == Scalar(2)
-    assert scalar_arith(Scalar(2), Scalar(2), "div") == ONE
+    assert Scalar(2) / Scalar(2) == ONE
     assert Scalar(3, 1, 2) + Scalar(-3, -1, 2) == ZERO
 
 
@@ -42,7 +41,7 @@ def test_canonical_form():
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        scalar_arith(ONE, ZERO, "div")
+        ONE / ZERO
     with pytest.raises(DivisionByZero):
         ZERO.inv()
     with pytest.raises(DivisionByZero):
@@ -158,12 +157,10 @@ def test_validate_q_accepts_generic_rationals(num, den):
 
 def test_scalar_arith_dispatch():
     a, b = Scalar(3, 1, 2), Scalar(1, -1)
-    assert scalar_arith(a, b, "add") == a + b
-    assert scalar_arith(a, b, "sub") == a - b
-    assert scalar_arith(a, b, "mul") == a * b
-    assert scalar_arith(a, b, "div") == a / b
-    with pytest.raises(ValueError):
-        scalar_arith(a, b, "pow")
+    assert a + b == Scalar(5, -1, 2)
+    assert a - b == Scalar(1, 3, 2)
+    assert a * b == Scalar(2, -1)
+    assert a / b == Scalar(1, 2, 2)
 
 
 def test_int_and_fraction_coercion():
