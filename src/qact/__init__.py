@@ -57,13 +57,11 @@ from .linalg import (
     DimensionMismatch,
     GridTooLarge,
     Mat,
-    NotTriangular,
     Singular,
     Subspace,
     algebra_closure,
     centralizer,
     det,
-    diagonal_spectrum,
     invertible_element_in,
     kernel,
     left_mul_operator,

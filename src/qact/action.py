@@ -9,14 +9,16 @@ the same six quantum-matrix relations.
 Two representations define equivalent actions iff one is a conjugate of the
 other rescaled columnwise by nonzero scalars (alpha1 on the first column,
 alpha2 on the second).  decide_equivalence enumerates a complete candidate
-set for the two scalars, solves the simultaneous intertwiner system for
-each pair, and searches the solution space for an invertible element with a
-deterministic grid test, so a negative answer is a certificate.
+set for the two scalars from the power traces of A11 and A22, solves the
+intertwiner system for each pair, and searches the solution space for an
+invertible element with a deterministic grid test, so a negative answer is
+a certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional, Union
 
 from .linalg import (
@@ -25,16 +27,15 @@ from .linalg import (
     Subspace,
     algebra_closure,
     centralizer,
-    diagonal_spectrum,
     invertible_element_in,
     left_mul_operator,
     mat_inverse,
     right_mul_operator,
     solve_homogeneous,
 )
-from .qrep import A11Singular, GLqRep, RelationViolated, _relation_report, schur_r22, verify_glq_relations
+from .qrep import GLqRep, RelationViolated, _relation_report, verify_glq_relations
 from .report import Report
-from .scalars import ZERO, Scalar
+from .scalars import ZERO, Scalar, exact_sqrt
 
 
 class MSingular(ValueError):
@@ -254,61 +255,47 @@ class NotEquivalent:
 Verdict = Union[EquivalenceWitness, NotEquivalent]
 
 
-def _triangular_spectrum(m: Mat) -> Optional[tuple[Scalar, ...]]:
-    if m.is_upper_triangular() or m.is_lower_triangular():
-        return diagonal_spectrum(m)
-    return None
+def _power_traces(x: Mat) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """tr(x^k) for k = 1..4, from the single product x^2 and no division."""
+    x2 = x * x
+    p3 = p4 = ZERO
+    for i in range(4):
+        for j in range(4):
+            y = x2.rows[i][j]
+            if y:
+                p3 = p3 + y * x.rows[j][i]
+                p4 = p4 + y * x2.rows[j][i]
+    return x.trace(), x2.trace(), p3, p4
 
 
-def _scale_candidates(x: Mat, xp: Mat) -> tuple[list[Scalar], bool]:
-    """Complete candidates for alpha in x' = u x u^-1 alpha, if enumerable.
+def _scale_candidates(x: Mat, xp: Mat, name: str) -> list[Scalar]:
+    """Every alpha with spectrum(x') = alpha * spectrum(x), sorted.
 
-    Triangular pairs give the eigenvalue-ratio set filtered by multiset
-    equality; otherwise a nonzero trace pins alpha uniquely.  The boolean
-    reports whether the returned list is complete (a certificate basis).
+    Power traces p_k = tr(x^k), k = 1..4, fix a 4x4 spectrum (Newton's
+    identities), so alpha qualifies iff p_k(x') = alpha^k p_k(x) for all k.
+    That pins w = alpha^g, g = gcd{k : p_k(x) != 0}, and all g-th roots of w
+    qualify or none do; so [] is a certificate over every extension of Q(i).
     """
-    sx = _triangular_spectrum(x)
-    sxp = _triangular_spectrum(xp)
-    if sx is not None and sxp is not None:
-        ratios = set()
-        for lam_p in set(sxp):
-            for lam in set(sx):
-                if lam:
-                    ratios.add(lam_p / lam)
-        found = []
-        for alpha in sorted(ratios, key=Scalar.sort_key):
-            if not alpha:
-                continue
-            scaled = tuple(sorted((v * alpha for v in sx), key=Scalar.sort_key))
-            if scaled == sxp:
-                found.append(alpha)
-        return found, True
-    t = x.trace()
-    tp = xp.trace()
-    if t:
-        alpha = tp / t
-        return ([alpha] if alpha else []), True
-    if tp:
-        return [], True  # alpha * 0 can never equal a nonzero trace
-    return [], False
-
-
-def _alpha2_candidates(r1: GLqRep, r2: GLqRep) -> tuple[list[Scalar], bool]:
-    # A22 transforms with alpha2, and so does the Schur complement
-    # R22 = A22 - A12 A11^-1 A21; use whichever pair is triangular.
-    pairs = [(r1.a22, r2.a22)]
-    try:
-        pairs.append((schur_r22(r1), schur_r22(r2)))
-    except A11Singular:
-        pass
-    for x, xp in pairs:
-        if _triangular_spectrum(x) is not None and _triangular_spectrum(xp) is not None:
-            return _scale_candidates(x, xp)
-    for x, xp in pairs:
-        cands, complete = _scale_candidates(x, xp)
-        if complete:
-            return cands, True
-    return [], False
+    p, pp = _power_traces(x), _power_traces(xp)
+    if any(bool(a) != bool(b) for a, b in zip(p, pp)):
+        return []
+    ks = [k for k in range(1, 5) if p[k - 1]]
+    if not ks:
+        raise Unsupported(f"{name} is nilpotent: every scale passes the spectrum test")
+    ratio = {k: pp[k - 1] / p[k - 1] for k in ks}
+    g = gcd(*ks)
+    if g == 3:
+        raise Unsupported(f"{name} pins only alpha^3, whose roots are not all in Q(i)")
+    w = ratio[g] if g in ratio else next(ratio[k] / ratio[k - g] for k in ks if k - g in ratio)
+    if any(ratio[k] != w ** (k // g) for k in ks):
+        return []
+    roots = [w]
+    for _ in range(g.bit_length() - 1):
+        halves = [exact_sqrt(r) for r in roots]
+        if any(h is None for h in halves):
+            raise Unsupported(f"alpha^{g} = {w} has no root in Q(i)")
+        roots = [s for h in halves for s in (h, -h)]
+    return sorted(roots, key=Scalar.sort_key)
 
 
 def _intertwiner_space(r1: GLqRep, r2: GLqRep, alpha1: Scalar, alpha2: Scalar) -> Subspace:
@@ -324,21 +311,20 @@ def _intertwiner_space(r1: GLqRep, r2: GLqRep, alpha1: Scalar, alpha2: Scalar) -
 def decide_equivalence(r1: GLqRep, r2: GLqRep) -> Verdict:
     """Decide equivalence of the inner actions of two representations.
 
-    Returns an exact witness or a NotEquivalent certificate.  Candidate
-    scalars are enumerated completely (spectra of triangular matrices, or a
-    forced trace ratio); each candidate pair reduces to a linear intertwiner
-    system whose solution space is searched for an invertible element by a
-    deterministic grid evaluation.  Raises Unsupported when no complete
-    candidate enumeration is available for the inputs.
+    Returns an exact witness or a NotEquivalent certificate.  The candidate
+    scales are those under which the power traces of A11 (alpha1) and A22
+    (alpha2) match; none is a "spectrum" obstruction.  Each candidate pair
+    reduces to a linear intertwiner system whose solution space is searched
+    for an invertible element by a deterministic grid evaluation.  Raises
+    Unsupported for different q, a nilpotent A11 or A22 or one that pins only
+    alpha^3, and a scale outside Q(i).
     """
     if r1.q != r2.q:
         raise Unsupported("representations have different deformation parameters")
-    cands1, complete1 = _scale_candidates(r1.a11, r2.a11)
-    if not complete1:
-        raise Unsupported("cannot enumerate alpha1 candidates for A11")
-    cands2, complete2 = _alpha2_candidates(r1, r2)
-    if not complete2:
-        raise Unsupported("cannot enumerate alpha2 candidates for A22")
+    cands1 = _scale_candidates(r1.a11, r2.a11, "A11")
+    cands2 = _scale_candidates(r1.a22, r2.a22, "A22") if cands1 else []
+    if not cands2:
+        return NotEquivalent(0, obstruction="spectrum")
     tried = 0
     for alpha1 in cands1:
         for alpha2 in cands2:
@@ -353,6 +339,4 @@ def decide_equivalence(r1: GLqRep, r2: GLqRep) -> Verdict:
             if witness.apply(r1).matrices() != r2.matrices():
                 raise AssertionError("intertwiner solution failed exact verification")
             return witness
-    if not cands1 or not cands2:
-        return NotEquivalent(tried, obstruction="spectrum")
     return NotEquivalent(tried)

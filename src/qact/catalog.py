@@ -83,6 +83,10 @@ class TableEntry:
     connected_to: Optional[str] = None
     canonical_dets: Callable[[Scalar, Params], tuple[Mat, ...]] = lambda q, p: ()
 
+    def representation(self, q: DeformationParameter, params: Params) -> GLqRep:
+        """The entry's matrices at resolved parameters; relations are not checked."""
+        return GLqRep(*self.matrices(q.q, params), q=q)
+
 
 def _nonzero(q: Scalar, p: Params) -> tuple[Scalar, ...]:
     return (ZERO,)
@@ -683,9 +687,7 @@ def instantiate(
 ) -> GLqRep:
     """Concrete representation for a table entry; relations are verified."""
     entry = get_entry(entry_id)
-    p = resolve_params(entry, q, params, policy)
-    mats = entry.matrices(q.q, p)
-    return require_representation(GLqRep(*mats, q=q))
+    return require_representation(entry.representation(q, resolve_params(entry, q, params, policy)))
 
 
 def connected_s_entry(entry_id: str) -> Optional[str]:
@@ -725,7 +727,7 @@ def check_entry(
     """Run the full battery of checks for one table entry, keeping its facts."""
     entry = get_entry(entry_id)
     p = resolve_params(entry, q, params, policy)
-    rep = GLqRep(*entry.matrices(q.q, p), q=q)
+    rep = entry.representation(q, p)
     report = Report(entry.entry_id)
 
     relations = verify_glq_relations(rep)

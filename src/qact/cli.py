@@ -14,15 +14,16 @@ import sys
 from typing import Optional
 
 from . import catalog
-from .action import Unsupported, build_action, decide_equivalence, operator_algebra, verify_module_algebra
+from .action import MSingular, Unsupported, build_action, decide_equivalence, operator_algebra, verify_module_algebra
 from .clifford import default_model, express_in_units, selftest
-from .linalg import DimensionMismatch, GridTooLarge, Mat, NotTriangular, Singular, centralizer
+from .linalg import DimensionMismatch, GridTooLarge, Mat, Singular, centralizer
 from .qrep import (
     DeterminantNotCentral,
     DeterminantSingular,
     GLqRep,
     antipode_check,
     quantum_determinant,
+    require_representation,
     verify_glq_relations,
 )
 from .qspinor import spinor_space
@@ -171,7 +172,7 @@ def _cmd_show_entry(args) -> tuple[dict, int]:
     q = _parse_q(args.q)
     entry = catalog.get_entry(args.entry)
     params = catalog.resolve_params(entry, q, _parse_params(args.param))
-    rep = catalog.instantiate(entry.entry_id, q, params)
+    rep = require_representation(entry.representation(q, params))
     doc = {
         "entry": entry.entry_id,
         "q": q.q.to_json(),
@@ -205,7 +206,10 @@ def _cmd_check_rep(args) -> tuple[dict, int]:
             report.extend(antipode_check(rep), prefix="antipode:")
         except (DeterminantSingular, DeterminantNotCentral) as exc:
             report.add("antipode:determinant", False, str(exc))
-        report.extend(verify_module_algebra(build_action(rep, verify=False)))
+        try:
+            report.extend(verify_module_algebra(build_action(rep, verify=False)))
+        except MSingular as exc:
+            report.add("module_algebra", False, str(exc))
     return report.to_json(), 0 if report.ok else 1
 
 
@@ -233,8 +237,8 @@ def _cmd_clifford_selftest(args) -> tuple[dict, int]:
 
 def _cmd_export(args) -> tuple[dict, int]:
     q = _parse_q(args.q)
-    rep = catalog.instantiate(args.entry, q, _parse_params(args.param))
     entry = catalog.get_entry(args.entry)
+    rep = require_representation(entry.representation(q, catalog.resolve_params(entry, q, _parse_params(args.param))))
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(rep.to_json(), handle, indent=2)
@@ -268,7 +272,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         _emit({"error": f"unknown table entry {exc.args[0]!r}", "position": None}, pretty=False)
         return 2
     except (
-        InvalidQ, catalog.ConstraintViolated, Unsupported, GridTooLarge, NotTriangular, Singular, DimensionMismatch
+        InvalidQ, catalog.ConstraintViolated, Unsupported, GridTooLarge, Singular, DimensionMismatch
     ) as exc:
         _emit({"error": str(exc), "position": None}, pretty=False)
         return 2

@@ -23,10 +23,6 @@ class DimensionMismatch(ValueError):
     """Operands live in different ambient spaces."""
 
 
-class NotTriangular(ValueError):
-    """Spectrum extraction is supported for triangular matrices only."""
-
-
 class GridTooLarge(ValueError):
     """Grid search over the subspace would exceed the practical cap."""
 
@@ -514,13 +510,6 @@ def algebra_closure(generators: Sequence[Mat], include_identity: bool = True) ->
         if bigger.dim == space.dim:
             return space
         space = bigger
-
-
-def diagonal_spectrum(m: Mat) -> tuple[Scalar, ...]:
-    """Multiset (sorted tuple) of diagonal entries of a triangular matrix."""
-    if not (m.is_upper_triangular() or m.is_lower_triangular()):
-        raise NotTriangular("matrix is neither upper nor lower triangular")
-    return tuple(sorted((m.rows[i][i] for i in range(m.n)), key=Scalar.sort_key))
 
 
 GRID_POINTS = 5  # determinant has degree <= 4 in each coefficient for n = 4

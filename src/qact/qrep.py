@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Mat, Singular, centralizer, det, mat_inverse
+from .linalg import DimensionMismatch, Mat, Singular, centralizer, det, mat_inverse
 from .report import Report
 from .scalars import DeformationParameter, scalar_from_json
 
@@ -74,6 +74,8 @@ class GLqRep:
     def from_json(cls, data: dict) -> "GLqRep":
         q = DeformationParameter(scalar_from_json(data["q"]))
         mats = [Mat.from_json(data[key]) for key in ("A11", "A12", "A21", "A22")]
+        if any(m.n != 4 for m in mats):
+            raise DimensionMismatch("representation matrices must be 4x4")
         return cls(*mats, q=q)
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Union
+from math import gcd, isqrt
+from typing import Optional, Union
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -168,7 +168,8 @@ class Scalar:
         return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # A real scalar hashes as the int or Fraction it equals.
+        return hash((self.a, self.b, self.d)) if self.b else hash(Fraction(self.a, self.d))
 
     def sort_key(self):
         """Total order on Q(i) by (re, im); used only for canonical output."""
@@ -228,6 +229,18 @@ def as_scalar(x) -> Scalar:
     if isinstance(x, str):
         return parse_scalar(x)
     raise TypeError(f"cannot interpret {x!r} as a scalar")
+
+
+def exact_sqrt(z: Scalar) -> Optional[Scalar]:
+    """A square root of z in Q(i), or None if z has none.
+
+    For z = (m + n*i)/d^2 a root is (x + y*i)/d, x^2 = (|m+ni| + m)/2, y^2 = (|m+ni| - m)/2.
+    """
+    m, n = z.a * z.d, z.b * z.d
+    r = isqrt(m * m + n * n)
+    x, y = isqrt((r + m) // 2), isqrt((r - m) // 2)
+    root = Scalar(x, y if n >= 0 else -y, z.d)
+    return root if root * root == z else None
 
 
 # -- text format ---------------------------------------------------------------
@@ -312,14 +325,21 @@ def _parse_int(s: str, pos: int, end: int):
 
 
 def scalar_from_json(data) -> Scalar:
-    """Accepts {"re": "...", "im": "..."}, a scalar string, or an int."""
+    """Accepts {"re": ..., "im": ...} of ints or rational strings, a scalar string, or an int."""
     if isinstance(data, dict):
-        return Scalar.from_rationals(Fraction(data.get("re", 0)), Fraction(data.get("im", 0)))
+        return Scalar.from_rationals(_rational_from_json(data.get("re", 0)), _rational_from_json(data.get("im", 0)))
     if isinstance(data, str):
         return parse_scalar(data)
-    if isinstance(data, int):
+    if isinstance(data, int) and not isinstance(data, bool):
         return Scalar(data)
     raise ParseError(f"cannot decode scalar from {data!r}", 0)
+
+
+def _rational_from_json(value) -> Fraction:
+    s = scalar_from_json(value) if isinstance(value, (int, str)) else None
+    if s is None or s.b:
+        raise ParseError(f"expected an int or a rational string, got {value!r}", 0)
+    return s.re
 
 
 # -- deformation parameter -------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from qact import Mat, Scalar, as_scalar
+from qact import Mat, Scalar, as_scalar, det
 
 SMALL_DENOMS = (1, 1, 1, 2, 3)
 
@@ -59,6 +59,16 @@ def random_invertible_upper(rng: random.Random, n: int = 4) -> Mat:
         row.extend(random_scalar(rng, -2, 2) for _ in range(n - i - 1))
         rows.append(row)
     return Mat(rows)
+
+
+def random_dense_invertible(rng: random.Random, n: int = 4) -> Mat:
+    """An invertible, non-triangular matrix of small Gaussian integers with at most n zeros."""
+    while True:
+        m = Mat([[Scalar(rng.randint(-2, 2), rng.randint(-1, 1) if rng.random() < 0.2 else 0) for _ in range(n)]
+                 for _ in range(n)])
+        dense = sum(1 for row in m.rows for x in row if x) >= n * n - n
+        if dense and not m.is_upper_triangular() and not m.is_lower_triangular() and det(m):
+            return m
 
 
 def random_diag(rng: random.Random, values, n: int = 4) -> Mat:

@@ -1,6 +1,11 @@
-import pytest
+import random
+from functools import lru_cache
 
-from helpers import matvec, random_invertible_upper, random_nonzero_scalar
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import matvec, random_dense_invertible, random_invertible_upper, random_nonzero_scalar
 from qact import (
     EquivalenceWitness,
     GLqRep,
@@ -19,7 +24,9 @@ from qact import (
     mat_inverse,
     operator_algebra,
     operator_relation_report,
+    parse_scalar,
     quantum_determinant,
+    validate_q,
     verify_glq_relations,
     verify_module_algebra,
 )
@@ -138,7 +145,7 @@ def test_witness_recovery_spec_example(q2, rng):
 
 def test_witness_recovery_nontriangular_u(q2, rng):
     # Conjugation by a non-triangular u destroys triangularity of every
-    # block; the trace-ratio fallback still pins both scalars.
+    # block; the power traces still pin both scalars.
     rep = instantiate("S3", q2)
     uu = Mat([[as_scalar(1), as_scalar(0), as_scalar(0), as_scalar(0)],
               [as_scalar(2), as_scalar(1), as_scalar(0), as_scalar(1)],
@@ -153,8 +160,7 @@ def test_witness_recovery_nontriangular_u(q2, rng):
 
 
 def test_witness_recovery_nontriangular_a22(q2, rng):
-    # G1b's A22 is not triangular; conjugation also destroys triangularity of
-    # the Schur complement, so the trace-ratio fallback must engage.
+    # G1b's A22 is not triangular, and its power traces alone pin alpha2.
     rep = instantiate("G1b", q2)
     uu = random_invertible_upper(rng)
     w = EquivalenceWitness(uu, as_scalar(2), Scalar(1, 0, 2))
@@ -202,19 +208,90 @@ def test_equivalence_relation_on_conjugate_family(q2, rng):
 
 
 def test_unsupported_inputs_raise(q2):
-    # Traceless, non-triangular A11 defeats both candidate enumerations:
-    # conjugate diag(1, -1, 2, -2) by a non-monomial basis change.
+    # A11 has eigenvalues 1, -1, 2, -2, and A11', the companion matrix of
+    # x^4 - 10x^2 + 16, has them times sqrt(2): the power traces pin
+    # alpha1^2 = 2, which has no root in Q(i).
     v = Mat([[as_scalar(1), as_scalar(1), as_scalar(0), as_scalar(0)],
              [as_scalar(1), as_scalar(2), as_scalar(0), as_scalar(0)],
              [as_scalar(0), as_scalar(0), as_scalar(1), as_scalar(1)],
              [as_scalar(0), as_scalar(0), as_scalar(1), as_scalar(2)]])
     a11 = v * Mat.diag(1, -1, 2, -2) * mat_inverse(v)
     assert not a11.is_upper_triangular() and not a11.is_lower_triangular()
-    assert a11.trace().is_zero
-    rep = GLqRep(a11, Mat.zero(4), Mat.zero(4), E4, q2)
+    companion = u(2, 1) + u(3, 2) + u(4, 3) + u(1, 4).scale(-16) + u(3, 4).scale(10)
+    r1 = GLqRep(a11, Mat.zero(4), Mat.zero(4), E4, q2)
+    r2 = GLqRep(companion, Mat.zero(4), Mat.zero(4), E4, q2)
+    assert verify_glq_relations(r1).ok and verify_glq_relations(r2).ok
+    with pytest.raises(Unsupported, match="no root in Q"):
+        decide_equivalence(r1, r2)
+    # Two nilpotent A11 pass the spectrum test at every scale.
+    n1 = GLqRep(u(1, 2) + u(2, 3) + u(3, 4), Mat.zero(4), Mat.zero(4), E4, q2)
+    n2 = GLqRep(u(2, 1) + u(3, 2).scale(3) + u(4, 3), Mat.zero(4), Mat.zero(4), E4, q2)
+    assert verify_glq_relations(n1).ok and verify_glq_relations(n2).ok
+    with pytest.raises(Unsupported, match="nilpotent"):
+        decide_equivalence(n1, n2)
+    # The companion matrix of x^4 - x has eigenvalues 0 and the cube roots of
+    # unity: only p_3 is nonzero, which pins alpha1^3 alone.
+    c = GLqRep(u(2, 1) + u(3, 2) + u(4, 3) + u(2, 4), Mat.zero(4), Mat.zero(4), E4, q2)
+    assert verify_glq_relations(c).ok
+    with pytest.raises(Unsupported, match="alpha\\^3"):
+        decide_equivalence(c, c)
+
+
+def test_nilpotent_blocks(q2):
+    # (N, 0, 0, I) is equivalent to itself, so no NotEquivalent may come back.
+    rep = GLqRep(u(1, 2) + u(2, 3) + u(3, 4), Mat.zero(4), Mat.zero(4), E4, q2)
     assert verify_glq_relations(rep).ok
-    with pytest.raises(Unsupported):
-        decide_equivalence(rep, rep)
+    try:
+        assert decide_equivalence(rep, rep).equivalent
+    except Unsupported:
+        pass
+    # No scale maps a nilpotent block onto an invertible one, or back.
+    ident = GLqRep(E4, Mat.zero(4), Mat.zero(4), E4, q2)
+    for r1, r2 in ((rep, ident), (ident, rep)):
+        verdict = decide_equivalence(r1, r2)
+        assert isinstance(verdict, NotEquivalent) and verdict.obstruction == "spectrum"
+
+
+@pytest.mark.parametrize("spectrum, alpha1", [
+    ((1, -1, 2, -2), Scalar(-3)),  # p_1 = p_3 = 0: the power traces pin alpha1^2
+    ((1, Scalar(0, 1), -1, Scalar(0, -1)), Scalar(0, -2)),  # only p_4 != 0: they pin alpha1^4
+])
+def test_witness_needs_every_root(q2, spectrum, alpha1):
+    # Every root of alpha1^g scales the spectrum of A11 correctly, but the
+    # distinct eigenvalues of A22 leave only alpha1 itself.
+    rep = GLqRep(Mat.diag(*spectrum), Mat.zero(4), Mat.zero(4), Mat.diag(1, 2, 3, 5), q2)
+    uu = Mat([[as_scalar(x) for x in row] for row in ((1, 2, 0, 1), (1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 1))])
+    moved = EquivalenceWitness(uu, alpha1, as_scalar(2)).apply(rep)
+    verdict = decide_equivalence(rep, moved)
+    assert verdict.equivalent and verdict.alpha1 == alpha1
+    assert verdict.apply(rep) == moved
+
+
+@pytest.mark.parametrize("q_text", ["2", "3", "1+1i"])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dense_conjugates_are_equivalent(q_text, seed):
+    # Includes the traceless S5 (alpha = -(q^2 + q + 1)), which no trace
+    # ratio can scale.
+    rng = random.Random(seed)
+    for label, rep in _table_and_traceless(q_text):
+        w = EquivalenceWitness(
+            random_dense_invertible(rng), random_nonzero_scalar(rng), random_nonzero_scalar(rng)
+        )
+        moved = w.apply(rep)
+        verdict = decide_equivalence(rep, moved)
+        assert verdict.equivalent, label
+        assert verdict.apply(rep) == moved, label
+
+
+@lru_cache(maxsize=None)
+def _table_and_traceless(q_text):
+    q = validate_q(parse_scalar(q_text))
+    reps = [(eid, instantiate(eid, q)) for eid in ENTRY_ORDER]
+    qq = q.q
+    reps.append(("S5 traceless", instantiate("S5", q, {"alpha": -(qq * qq + qq + 1)})))
+    assert reps[-1][1].a11.trace().is_zero
+    return reps
 
 
 def test_different_q_is_unsupported(q2, q3):

@@ -1,7 +1,11 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from qact import EquivalenceWitness, GLqRep, Mat, Scalar, instantiate, validate_q
 from qact.cli import main
+from qact.scalars import scalar_from_json
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
@@ -32,10 +36,11 @@ def test_verify_single_entry(capsys):
     assert "quantum_determinant" in names and "module_algebra" in names
 
 
-def test_verify_table_wide(capsys):
-    code, out = run(capsys, "verify-table", "--q", "2")
+@pytest.mark.parametrize("q_text", ["2", "3", "1+1i"])
+def test_verify_table_wide(capsys, q_text):
+    code, out = run(capsys, "verify-table", "--q", q_text)
     assert code == 0
-    assert out.encode("utf-8") == (GOLDEN / "verify-table-q2.json").read_bytes()
+    assert out.encode("utf-8") == (GOLDEN / f"verify-table-q{q_text}.json").read_bytes()
     doc = json.loads(out)
     assert doc["ok"] is True
     assert len(doc["entries"]) == 20
@@ -101,6 +106,58 @@ def test_equiv(capsys, tmp_path):
     assert doc["equivalent"] is True
     assert doc["alpha1"] == {"re": "1", "im": "0"}
     assert doc["u"]["rows"][0][0] == "1"
+
+
+def test_equiv_traceless_dense_conjugate(capsys, tmp_path):
+    # trace A11 = alpha + q^2 + q + 1 = 0, and u leaves no block triangular.
+    rep = instantiate("S5", validate_q(2), {"alpha": -7})
+    u = Mat([[Scalar(x) for x in row] for row in ((1, 2, 0, 1), (1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 1))])
+    moved = EquivalenceWitness(u, Scalar(2), Scalar(1, 1)).apply(rep)
+    for rep_, name in ((rep, "s5.json"), (moved, "moved.json")):
+        (tmp_path / name).write_text(json.dumps(rep_.to_json()))
+    code, doc = run_json(capsys, "equiv", "--file1", str(tmp_path / "s5.json"), "--file2", str(tmp_path / "moved.json"))
+    assert code == 0
+    assert doc["equivalent"] is True
+    witness = EquivalenceWitness(Mat.from_json(doc["u"]), scalar_from_json(doc["alpha1"]), scalar_from_json(doc["alpha2"]))
+    assert witness.apply(rep) == moved
+
+
+def _two_by_two(data):
+    for key in ("A11", "A12", "A21", "A22"):
+        data[key] = {"n": 2, "rows": [row[:2] for row in data[key]["rows"][:2]]}
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda data: data.update(q={"re": "abc", "im": "0"}),
+    lambda data: data.update(q={"re": 0.1, "im": "0"}),
+    lambda data: data["A11"]["rows"][0].__setitem__(0, {"re": "4", "im": 0.5}),
+    _two_by_two,
+], ids=["q-text", "q-float", "entry-float", "2x2"])
+def test_malformed_representation_files_exit_2(capsys, tmp_path, mutate):
+    assert main(["export", "--entry", "S1", "--out", str(tmp_path / "s1.json")]) == 0
+    capsys.readouterr()
+    data = json.loads((tmp_path / "s1.json").read_text())
+    mutate(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for argv in (
+        ("check-rep", "--file", str(bad)),
+        ("equiv", "--file1", str(tmp_path / "s1.json"), "--file2", str(bad)),
+        ("invariants", "--file", str(bad)),
+    ):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2 and "error" in doc, argv
+
+
+def test_check_rep_singular_block_matrix(capsys, tmp_path):
+    zero = Mat.zero(4)
+    rep_file = tmp_path / "zero.json"
+    rep_file.write_text(json.dumps(GLqRep(zero, zero, zero, zero, validate_q(2)).to_json()))
+    code, doc = run_json(capsys, "check-rep", "--file", str(rep_file))
+    assert code == 1
+    assert doc["ok"] is False
+    failed = {c["name"] for c in doc["checks"] if not c["pass"]}
+    assert "module_algebra" in failed
 
 
 def test_invariants_subcommand(capsys, tmp_path):

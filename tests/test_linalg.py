@@ -9,7 +9,6 @@ from qact import (
     DimensionMismatch,
     GridTooLarge,
     Mat,
-    NotTriangular,
     Scalar,
     Singular,
     Subspace,
@@ -17,7 +16,6 @@ from qact import (
     as_scalar,
     centralizer,
     det,
-    diagonal_spectrum,
     instantiate,
     invertible_element_in,
     kernel,
@@ -204,15 +202,6 @@ def test_centralizer_against_elementwise_scan(rng):
         ]
         for v in brute:
             assert cent.contains_matrix(v)
-
-
-def test_diagonal_spectrum(q2):
-    q = q2.q
-    assert diagonal_spectrum(Mat.diag(q * q, q, 1, 1)) == (as_scalar(1), as_scalar(1), as_scalar(2), as_scalar(4))
-    m = Mat.diag(q * q, q * q, q, 1) + u(1, 2)
-    assert diagonal_spectrum(m) == (as_scalar(1), as_scalar(2), as_scalar(4), as_scalar(4))
-    with pytest.raises(NotTriangular):
-        diagonal_spectrum(u(2, 1) + u(1, 3))
 
 
 def test_invertible_element_examples():

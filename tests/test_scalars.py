@@ -15,7 +15,7 @@ from qact import (
     parse_scalar,
     validate_q,
 )
-from qact.scalars import EXCLUDED_Q, I, ONE, ZERO
+from qact.scalars import EXCLUDED_Q, I, ONE, ZERO, exact_sqrt
 
 ints = st.integers(min_value=-30, max_value=30)
 posints = st.integers(min_value=1, max_value=30)
@@ -169,3 +169,22 @@ def test_int_and_fraction_coercion():
     assert Scalar(1) / 2 == Scalar(1, 0, 2)
     assert Scalar(1) + Fraction(1, 2) == Scalar(3, 0, 2)
     assert 1 - Scalar(0, 1) == Scalar(1, -1)
+
+
+def test_hash_agrees_with_equality():
+    assert hash(Scalar(2)) == hash(2) and len({Scalar(2), 2}) == 1
+    assert hash(Scalar(-3, 0, 2)) == hash(Fraction(-3, 2)) and len({Scalar(-3, 0, 2), Fraction(-3, 2)}) == 1
+    assert hash(Scalar(1, 2, 3)) == hash((1, 2, 3))
+
+
+@given(scalars)
+def test_exact_sqrt_of_a_square(s):
+    root = exact_sqrt(s * s)
+    assert root is not None and root * root == s * s
+
+
+def test_exact_sqrt_examples():
+    assert exact_sqrt(Scalar(0, 2)) == Scalar(1, 1)
+    assert exact_sqrt(Scalar(-4)) == Scalar(0, 2)
+    for z in (Scalar(2), Scalar(-2), Scalar(0, 1), Scalar(1, 1), Scalar(3, 0, 4)):
+        assert exact_sqrt(z) is None
