@@ -55,7 +55,6 @@ from .clifford import (
 )
 from .linalg import (
     DimensionMismatch,
-    GridTooLarge,
     Mat,
     Singular,
     Subspace,

@@ -11,8 +11,9 @@ other rescaled columnwise by nonzero scalars (alpha1 on the first column,
 alpha2 on the second).  decide_equivalence enumerates a complete candidate
 set for the two scalars from the power traces of A11 and A22, solves the
 intertwiner system for each pair, and searches the solution space for an
-invertible element with a deterministic grid test, so a negative answer is
-a certificate.
+invertible element at the lattice points 1 <= |c| <= 4 of the degree-4
+simplex, which decide whether its determinant (total degree 4) vanishes
+identically; so a negative answer is a certificate.
 """
 
 from __future__ import annotations
@@ -313,15 +314,22 @@ def decide_equivalence(r1: GLqRep, r2: GLqRep) -> Verdict:
 
     Returns an exact witness or a NotEquivalent certificate.  The candidate
     scales are those under which the power traces of A11 (alpha1) and A22
-    (alpha2) match; none is a "spectrum" obstruction.  Each candidate pair
-    reduces to a linear intertwiner system whose solution space is searched
-    for an invertible element by a deterministic grid evaluation.  Raises
-    Unsupported for different q, a nilpotent A11 or A22 or one that pins only
-    alpha^3, and a scale outside Q(i).
+    (alpha2) match; none for either block is a "spectrum" obstruction.  Each
+    candidate pair reduces to a linear intertwiner system; the determinant on
+    its solution space has total degree 4, so it is evaluated at the lattice
+    points 1 <= |c| <= 4 of the degree-4 simplex, a complete identity test at
+    every dimension up to 16.  Raises Unsupported for different q, and for a
+    nilpotent A11 or A22, one that pins only alpha^3, or a scale outside Q(i),
+    unless the other block's spectrum already settles the pair.
     """
     if r1.q != r2.q:
         raise Unsupported("representations have different deformation parameters")
-    cands1 = _scale_candidates(r1.a11, r2.a11, "A11")
+    try:
+        cands1 = _scale_candidates(r1.a11, r2.a11, "A11")
+    except Unsupported:
+        if _scale_candidates(r1.a22, r2.a22, "A22"):
+            raise
+        return NotEquivalent(0, obstruction="spectrum")
     cands2 = _scale_candidates(r1.a22, r2.a22, "A22") if cands1 else []
     if not cands2:
         return NotEquivalent(0, obstruction="spectrum")

@@ -16,7 +16,7 @@ from typing import Optional
 from . import catalog
 from .action import MSingular, Unsupported, build_action, decide_equivalence, operator_algebra, verify_module_algebra
 from .clifford import default_model, express_in_units, selftest
-from .linalg import DimensionMismatch, GridTooLarge, Mat, Singular, centralizer
+from .linalg import DimensionMismatch, Mat, Singular, centralizer
 from .qrep import (
     DeterminantNotCentral,
     DeterminantSingular,
@@ -271,9 +271,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except catalog.UnknownEntry as exc:
         _emit({"error": f"unknown table entry {exc.args[0]!r}", "position": None}, pretty=False)
         return 2
-    except (
-        InvalidQ, catalog.ConstraintViolated, Unsupported, GridTooLarge, Singular, DimensionMismatch
-    ) as exc:
+    except (InvalidQ, catalog.ConstraintViolated, Unsupported, Singular, DimensionMismatch) as exc:
         _emit({"error": str(exc), "position": None}, pretty=False)
         return 2
     _emit(doc, pretty=args.pretty)

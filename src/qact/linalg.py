@@ -9,7 +9,7 @@ equality of the bases.  Flattening is row-major throughout: the matrix entry
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
 from .scalars import ONE, ZERO, Scalar, as_scalar, format_scalar, scalar_from_json
@@ -21,10 +21,6 @@ class Singular(ValueError):
 
 class DimensionMismatch(ValueError):
     """Operands live in different ambient spaces."""
-
-
-class GridTooLarge(ValueError):
-    """Grid search over the subspace would exceed the practical cap."""
 
 
 class Mat:
@@ -196,12 +192,13 @@ class Mat:
         return {"n": self.n, "rows": [[format_scalar(x) for x in r] for r in self.rows]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "Mat":
+    def from_json(cls, data: dict, field: str = "matrix") -> "Mat":
         n = data["n"]
         rows = data["rows"]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix JSON has inconsistent dimensions")
-        return cls([[scalar_from_json(x) for x in r] for r in rows])
+        return cls([[scalar_from_json(x, f"{field}.rows[{i}][{j}]") for j, x in enumerate(r)]
+                    for i, r in enumerate(rows)])
 
 
 def _try_scalar(x) -> Optional[Scalar]:
@@ -512,32 +509,22 @@ def algebra_closure(generators: Sequence[Mat], include_identity: bool = True) ->
         space = bigger
 
 
-GRID_POINTS = 5  # determinant has degree <= 4 in each coefficient for n = 4
-GRID_DIM_CAP = 8
-
-
 def invertible_element_in(s: Subspace) -> Optional[Mat]:
     """Some invertible element of the subspace, or None as a certificate.
 
-    The determinant of c1*b1 + ... + cd*bd has degree at most n in each ci,
-    so evaluating it on the full grid {0..max(4, n)}^d is a complete
-    polynomial identity test: None means the subspace contains no invertible
-    element over any extension of Q(i).
+    det(c1*b1 + ... + cd*bd) has total degree n in the ci, and the lattice
+    points {c in N^d : |c| <= n} are unisolvent for such polynomials (Chung-Yao
+    1977).  It vanishes at c = 0, so testing 1 <= |c| <= n is complete: None
+    holds over every extension of Q(i).  Points go by degree |c| = 1, ..., n,
+    each degree in descending lexicographic order.
     """
-    d = s.dim
-    if d == 0:
-        return None
-    if d > GRID_DIM_CAP:
-        raise GridTooLarge(f"subspace dimension {d} exceeds cap {GRID_DIM_CAP}")
     n = _matrix_side(s.ambient_dim)
     mats = s.matrices()
-    for coeffs in product(range(max(GRID_POINTS, n + 1)), repeat=d):
-        if not any(coeffs):
-            continue
-        combo = Mat.zero(n)
-        for c, b in zip(coeffs, mats):
-            if c:
-                combo = combo + (b if c == 1 else b.scale(c))
-        if det(combo):
-            return combo
+    for degree in range(1, n + 1):
+        for idx in combinations_with_replacement(range(s.dim), degree):
+            combo = mats[idx[0]]
+            for i in idx[1:]:
+                combo = combo + mats[i]
+            if det(combo):
+                return combo
     return None

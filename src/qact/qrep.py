@@ -72,8 +72,8 @@ class GLqRep:
 
     @classmethod
     def from_json(cls, data: dict) -> "GLqRep":
-        q = DeformationParameter(scalar_from_json(data["q"]))
-        mats = [Mat.from_json(data[key]) for key in ("A11", "A12", "A21", "A22")]
+        q = DeformationParameter(scalar_from_json(data["q"], "q"))
+        mats = [Mat.from_json(data[key], key) for key in ("A11", "A12", "A21", "A22")]
         if any(m.n != 4 for m in mats):
             raise DimensionMismatch("representation matrices must be 4x4")
         return cls(*mats, q=q)

@@ -24,10 +24,10 @@ class InvalidQ(ValueError):
 
 
 class ParseError(ValueError):
-    """Scalar text does not match the grammar; carries the failure position."""
+    """Scalar text does not match the grammar; carries the failure position, or None if unknown."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (position {position})")
+    def __init__(self, message: str, position: Optional[int] = None):
+        super().__init__(message if position is None else f"{message} (position {position})")
         self.position = position
 
 
@@ -324,21 +324,27 @@ def _parse_int(s: str, pos: int, end: int):
     return int(s[start:pos]), pos
 
 
-def scalar_from_json(data) -> Scalar:
-    """Accepts {"re": ..., "im": ...} of ints or rational strings, a scalar string, or an int."""
+def scalar_from_json(data, field: str = "scalar") -> Scalar:
+    """Accepts {"re": ..., "im": ...} of ints or rational strings, a scalar string, or an int.
+
+    A ParseError names the JSON field, e.g. "A11.rows[0][2].im", and has no position.
+    """
     if isinstance(data, dict):
-        return Scalar.from_rationals(_rational_from_json(data.get("re", 0)), _rational_from_json(data.get("im", 0)))
+        return Scalar.from_rationals(*(_rational_from_json(data.get(k, 0), f"{field}.{k}") for k in ("re", "im")))
     if isinstance(data, str):
-        return parse_scalar(data)
+        try:
+            return parse_scalar(data)
+        except ParseError as exc:
+            raise ParseError(f"{field}: {exc} in {data!r}") from None
     if isinstance(data, int) and not isinstance(data, bool):
         return Scalar(data)
-    raise ParseError(f"cannot decode scalar from {data!r}", 0)
+    raise ParseError(f"{field}: cannot decode scalar from {data!r}")
 
 
-def _rational_from_json(value) -> Fraction:
-    s = scalar_from_json(value) if isinstance(value, (int, str)) else None
+def _rational_from_json(value, field: str) -> Fraction:
+    s = scalar_from_json(value, field) if isinstance(value, (int, str)) else None
     if s is None or s.b:
-        raise ParseError(f"expected an int or a rational string, got {value!r}", 0)
+        raise ParseError(f"{field}: expected an int or a rational string, got {value!r}")
     return s.re
 
 

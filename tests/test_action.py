@@ -247,7 +247,12 @@ def test_nilpotent_blocks(q2):
         pass
     # No scale maps a nilpotent block onto an invertible one, or back.
     ident = GLqRep(E4, Mat.zero(4), Mat.zero(4), E4, q2)
-    for r1, r2 in ((rep, ident), (ident, rep)):
+    # A nilpotent A11 pins no alpha1, but A22 spectra that no scale matches
+    # (1, 1, 1, 2 against 1, 1, 1, 1) settle the pair.
+    n3 = u(1, 2) + u(2, 3)
+    unipotent, skewed = (GLqRep(n3, Mat.zero(4), Mat.zero(4), a22, q2) for a22 in (E4, Mat.diag(1, 1, 1, 2)))
+    assert verify_glq_relations(unipotent).ok and verify_glq_relations(skewed).ok
+    for r1, r2 in ((rep, ident), (ident, rep), (unipotent, skewed), (skewed, unipotent)):
         verdict = decide_equivalence(r1, r2)
         assert isinstance(verdict, NotEquivalent) and verdict.obstruction == "spectrum"
 

@@ -122,18 +122,35 @@ def test_equiv_traceless_dense_conjugate(capsys, tmp_path):
     assert witness.apply(rep) == moved
 
 
+def test_equiv_large_intertwiner_space(capsys, tmp_path):
+    # (J, 0, 0, I) with J unipotent of Jordan type (2, 1, 1): its intertwiner
+    # space with itself has dimension 10.
+    j = Mat.identity(4) + Mat.unit(4, 1, 2)
+    rep = GLqRep(j, Mat.zero(4), Mat.zero(4), Mat.identity(4), validate_q(2))
+    (tmp_path / "j211.json").write_text(json.dumps(rep.to_json()))
+    path = str(tmp_path / "j211.json")
+    code, doc = run_json(capsys, "equiv", "--file1", path, "--file2", path)
+    assert code == 0
+    assert doc["equivalent"] is True
+    witness = EquivalenceWitness(Mat.from_json(doc["u"]), scalar_from_json(doc["alpha1"]), scalar_from_json(doc["alpha2"]))
+    assert witness.apply(rep) == rep
+
+
 def _two_by_two(data):
     for key in ("A11", "A12", "A21", "A22"):
         data[key] = {"n": 2, "rows": [row[:2] for row in data[key]["rows"][:2]]}
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda data: data.update(q={"re": "abc", "im": "0"}),
-    lambda data: data.update(q={"re": 0.1, "im": "0"}),
-    lambda data: data["A11"]["rows"][0].__setitem__(0, {"re": "4", "im": 0.5}),
-    _two_by_two,
-], ids=["q-text", "q-float", "entry-float", "2x2"])
-def test_malformed_representation_files_exit_2(capsys, tmp_path, mutate):
+@pytest.mark.parametrize("mutate, names", [
+    (lambda data: data.update(q={"re": "abc", "im": "0"}), "q.re"),
+    (lambda data: data.update(q={"re": 0.1, "im": "0"}), "q.re"),
+    (lambda data: data.update(q={"re": "1/x"}), "q.re"),
+    (lambda data: data["A11"]["rows"][0].__setitem__(0, {"re": "4", "im": 0.5}), "A11.rows[0][0].im"),
+    (lambda data: data["A11"]["rows"][0].__setitem__(2, {"re": "1", "im": "1/x"}), "A11.rows[0][2].im"),
+    (lambda data: data["A22"]["rows"][3].__setitem__(1, "2+"), "A22.rows[3][1]"),
+    (_two_by_two, "4x4"),
+], ids=["q-text", "q-float", "q-digits", "entry-float", "entry-digits", "entry-string", "2x2"])
+def test_malformed_representation_files_exit_2(capsys, tmp_path, mutate, names):
     assert main(["export", "--entry", "S1", "--out", str(tmp_path / "s1.json")]) == 0
     capsys.readouterr()
     data = json.loads((tmp_path / "s1.json").read_text())
@@ -146,7 +163,8 @@ def test_malformed_representation_files_exit_2(capsys, tmp_path, mutate):
         ("invariants", "--file", str(bad)),
     ):
         code, doc = run_json(capsys, *argv)
-        assert code == 2 and "error" in doc, argv
+        assert code == 2 and names in doc["error"], argv
+        assert doc["position"] is None, argv  # an offset inside a field is no offset in the file
 
 
 def test_check_rep_singular_block_matrix(capsys, tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from helpers import random_low_rank, random_mat, random_scalar
 from qact import (
     DimensionMismatch,
-    GridTooLarge,
     Mat,
     Scalar,
     Singular,
@@ -208,12 +207,12 @@ def test_invertible_element_examples():
     assert invertible_element_in(Subspace.span_of([E4])) == E4
     assert invertible_element_in(Subspace.span_of([u(1, 2), u(1, 3)])) is None
     found = invertible_element_in(Subspace.span_of([u(1, 1) + u(2, 2), u(3, 3) + u(4, 4)]))
-    assert found == E4  # grid point (1, 1)
+    assert found == E4  # simplex point (1, 1)
 
 
 def test_invertible_element_matches_grid_scan(rng):
     for _ in range(15):
-        vecs = [random_mat(rng, 4).flatten() for _ in range(rng.randint(1, 3))]
+        vecs = [random_low_rank(rng, 4, rng.randint(1, 4)).flatten() for _ in range(rng.randint(1, 3))]
         space = Subspace(16, vecs)
         found = invertible_element_in(space)
         mats = space.matrices()
@@ -230,10 +229,19 @@ def test_invertible_element_matches_grid_scan(rng):
             assert det(found)
 
 
-def test_grid_cap():
-    nine = [Mat.unit(4, 1 + i % 4, 1 + i // 4) for i in range(9)]
-    with pytest.raises(GridTooLarge):
-        invertible_element_in(Subspace.span_of(nine))
+def test_large_spaces_are_decided():
+    def units(rows, cols):
+        return Subspace.span_of([Mat.unit(4, i, j) for i in rows for j in cols])
+
+    assert invertible_element_in(Subspace(16, [])) is None
+    everything = units(range(1, 5), range(1, 5))
+    assert everything.dim == 16 and det(invertible_element_in(everything))
+    zero_first_column = units(range(1, 5), range(2, 5))
+    assert zero_first_column.dim == 12 and invertible_element_in(zero_first_column) is None
+    rank_two = units(range(1, 5), (1, 2))
+    assert rank_two.dim == 8 and invertible_element_in(rank_two) is None
+    nine = Subspace.span_of([Mat.unit(4, 1 + i % 4, 1 + i // 4) for i in range(9)])
+    assert nine.dim == 9 and invertible_element_in(nine) is None
 
 
 def test_mat_json_round_trip(rng):
