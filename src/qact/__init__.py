@@ -10,13 +10,11 @@ table ships as executable data together with the full battery of checks.
 from .action import (
     EquivalenceWitness,
     InnerAction,
-    FixedPointMismatch,
     NotEquivalent,
     Unsupported,
     action_fixed_points,
     build_action,
     decide_equivalence,
-    invariants,
     operator_algebra,
     operator_relation_report,
     verify_module_algebra,

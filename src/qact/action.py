@@ -3,8 +3,9 @@
 A representation defines an action of each generator on the algebra by
 a_ij . v = sum_k A_ik v A*_kj, where the starred blocks come from the
 inverse of the 8x8 block matrix of the representation.  Flattening C(1,3)
-row-major turns each generator into a 16x16 operator, which must satisfy
-the same six quantum-matrix relations.
+row-major turns each generator into a 16x16 operator L_ij, which must
+satisfy the same six quantum-matrix relations; the operators are all that an
+InnerAction stores.
 
 Two representations define equivalent actions iff one is a conjugate of the
 other rescaled columnwise by nonzero scalars (alpha1 on the first column,
@@ -20,14 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Union
+from typing import Union
 
 from .linalg import (
     Mat,
     Singular,
     Subspace,
     algebra_closure,
-    centralizer,
     invertible_element_in,
     left_mul_operator,
     mat_inverse,
@@ -43,81 +43,51 @@ class MSingular(ValueError):
     """The 8x8 block matrix of a valid representation is always invertible."""
 
 
-class FixedPointMismatch(AssertionError):
-    """Centralizer and action fixed points disagree; implementation bug."""
-
-
 class Unsupported(ValueError):
     """Candidate scalars cannot be enumerated for these inputs."""
 
 
 @dataclass(frozen=True)
 class InnerAction:
-    """The action data of a representation: M, its inverse, and operators."""
+    """The action of a representation as its four 16x16 operators L_ij."""
 
     rep: GLqRep
-    m: Mat
-    minv: Mat
-    astar: tuple[tuple[Mat, Mat], tuple[Mat, Mat]]
     operators: tuple[tuple[Mat, Mat], tuple[Mat, Mat]]
 
     def operator(self, i: int, j: int) -> Mat:
         return self.operators[i - 1][j - 1]
 
     def apply(self, i: int, j: int, v: Mat) -> Mat:
-        """a_ij . v computed directly on 4x4 matrices."""
-        blocks = ((self.rep.a11, self.rep.a12), (self.rep.a21, self.rep.a22))
-        total = Mat.zero(4)
-        for k in range(2):
-            total = total + blocks[i - 1][k] * v * self.astar[k][j - 1]
-        return total
+        """a_ij . v, read off L_ij applied to the flattened v."""
+        flat = v.flatten()
+        return Mat.from_flat(4, [sum((x * y for x, y in zip(row, flat) if x and y), ZERO)
+                                 for row in self.operator(i, j).rows])
 
 
 def build_action(rep: GLqRep, verify: bool = True) -> InnerAction:
-    """Construct M, M^-1 and the four 16x16 operators for a representation.
+    """The four operators L_ij = sum_k Lmul(A_ik) Rmul(S_kj) of a representation.
 
-    With verify=True (the default) the representation relations are required
-    and the operators are asserted to satisfy the same six relations.
+    S_kj are the blocks of the inverse of M = [[A11, A12], [A21, A22]], and
+    X -> A X S acts on flattened matrices as Lmul(A) Rmul(S).  With
+    verify=True (the default) the representation relations are required and
+    the operators are asserted to satisfy the same six relations.
     """
     if verify:
         verify_glq_relations(rep).require(RelationViolated)
-    m = Mat.block2(rep.a11, rep.a12, rep.a21, rep.a22)
     try:
-        minv = mat_inverse(m)
+        minv = mat_inverse(Mat.block2(rep.a11, rep.a12, rep.a21, rep.a22))
     except Singular as exc:
         raise MSingular("block matrix M is singular") from exc
     s11, s12, s21, s22 = minv.blocks2()
-    astar = ((s11, s12), (s21, s22))
-    blocks = ((rep.a11, rep.a12), (rep.a21, rep.a22))
+    lmul = [[left_mul_operator(a) for a in row] for row in ((rep.a11, rep.a12), (rep.a21, rep.a22))]
+    rmul = [[right_mul_operator(s) for s in row] for row in ((s11, s12), (s21, s22))]
     operators = tuple(
-        tuple(_action_operator(blocks, astar, i, j) for j in range(2)) for i in range(2)
+        tuple(lmul[i][0] * rmul[0][j] + lmul[i][1] * rmul[1][j] for j in range(2)) for i in range(2)
     )
-    action = InnerAction(rep, m, minv, astar, operators)
+    action = InnerAction(rep, operators)
     if verify:
         operator_relation_report(action).require(RelationViolated)
     return action
-
-
-def _action_operator(blocks, astar, i: int, j: int) -> Mat:
-    # Column at flattened e_pq is flatten(sum_k A_ik e_pq A*_kj); each term is
-    # the outer product of column p of A_ik with row q of A*_kj.
-    rows = [[ZERO] * 16 for _ in range(16)]
-    for k in range(2):
-        aik = blocks[i][k]
-        skj = astar[k][j]
-        for p in range(4):
-            for q in range(4):
-                col = p * 4 + q
-                srow = skj.rows[q]
-                for r in range(4):
-                    f = aik.rows[r][p]
-                    if f:
-                        base = r * 4
-                        for c in range(4):
-                            g = srow[c]
-                            if g:
-                                rows[base + c][col] = rows[base + c][col] + f * g
-    return Mat(rows)
 
 
 def operator_relation_report(action: InnerAction) -> Report:
@@ -125,36 +95,34 @@ def operator_relation_report(action: InnerAction) -> Report:
     return _relation_report("action-operator-relations", *action.operators[0], *action.operators[1], action.rep.q)
 
 
+# The matrix units e12, e23, e34, e21, e32, e43 generate M4 (e_ii = e_i,i+1 e_i+1,i).
+_GENERATORS = ((1, 2), (2, 3), (3, 4), (2, 1), (3, 2), (4, 3))
+
+
 def verify_module_algebra(action: InnerAction) -> Report:
-    """a_ij . (vw) = sum_k (a_ik . v)(a_kj . w) on all 256 basis pairs."""
-    acted = [
-        [[action.apply(i, k, Mat.unit(4, p, q)) for p in range(1, 5) for q in range(1, 5)] for k in (1, 2)]
-        for i in (1, 2)
-    ]
+    """a_ij . 1 = delta_ij 1, and a_ij . (vw) = sum_k (a_ik . v)(a_kj . w) for all v, w.
+
+    For one v the second identity reads L_ij Lmul(v) = sum_k Lmul(a_ik . v) L_kj
+    on 16x16 operators, which covers every w at once.  If it holds at v and
+    at v', it holds at vv' (apply it twice), so checking it at the six
+    generators of M4 checks it everywhere.  A failure names v=1 or the
+    first failing generator.
+    """
+    one, zero = Mat.identity(4), Mat.zero(4)
+    gens = [Mat.unit(4, p, q) for p, q in _GENERATORS]
+    acted = {(i, k): [left_mul_operator(action.apply(i, k, v)) for v in gens] for i in (1, 2) for k in (1, 2)}
     report = Report("module-algebra")
     for i in (1, 2):
         for j in (1, 2):
-            ok = True
-            bad = ""
-            for p in range(1, 5):
-                for qq in range(1, 5):
-                    v_idx = (p - 1) * 4 + (qq - 1)
-                    for r in range(1, 5):
-                        for s in range(1, 5):
-                            w_idx = (r - 1) * 4 + (s - 1)
-                            # vw = e_pq e_rs = delta_qr e_ps
-                            if qq == r:
-                                lhs = acted[i - 1][j - 1][(p - 1) * 4 + (s - 1)]
-                            else:
-                                lhs = Mat.zero(4)
-                            rhs = (
-                                acted[i - 1][0][v_idx] * acted[0][j - 1][w_idx]
-                                + acted[i - 1][1][v_idx] * acted[1][j - 1][w_idx]
-                            )
-                            if lhs != rhs:
-                                ok = False
-                                bad = f"v=e{p}{qq}, w=e{r}{s}"
-            report.add(f"module_algebra_{i}{j}", ok, bad or "256 pairs")
+            lij, l1j, l2j = action.operator(i, j), action.operator(1, j), action.operator(2, j)
+            failures = (
+                f"v=e{p}{q}"
+                for (p, q), v, a1, a2 in zip(_GENERATORS, gens, acted[i, 1], acted[i, 2])
+                if lij * left_mul_operator(v) != a1 * l1j + a2 * l2j
+            )
+            unit_ok = action.apply(i, j, one) == (one if i == j else zero)
+            bad = next(failures, None) if unit_ok else "v=1"
+            report.add(f"module_algebra_{i}{j}", bad is None, bad or "v=1 and 6 generators")
     return report
 
 
@@ -166,28 +134,8 @@ def operator_algebra(rep: GLqRep) -> Subspace:
 def action_fixed_points(action: InnerAction) -> Subspace:
     """{v : a11.v = v, a12.v = 0, a21.v = 0, a22.v = v} as a subspace."""
     e16 = Mat.identity(16)
-    rows: list[list[Scalar]] = []
-    rows.extend(list(r) for r in (action.operator(1, 1) - e16).rows)
-    rows.extend(list(r) for r in action.operator(1, 2).rows)
-    rows.extend(list(r) for r in action.operator(2, 1).rows)
-    rows.extend(list(r) for r in (action.operator(2, 2) - e16).rows)
-    return solve_homogeneous(rows, 16)
-
-
-def invariants(rep: GLqRep, action: Optional[InnerAction] = None) -> Subspace:
-    """Invariant algebra, computed two independent ways and cross-checked.
-
-    The centralizer of the four generator matrices must coincide with the
-    fixed-point space of the action operators; a mismatch would falsify the
-    centralizer description of the invariants and raises FixedPointMismatch.
-    """
-    cent = centralizer(list(rep.matrices()))
-    if action is None:
-        action = build_action(rep, verify=False)
-    fixed = action_fixed_points(action)
-    if cent != fixed:
-        raise FixedPointMismatch("centralizer differs from action fixed points")
-    return cent
+    (l11, l12), (l21, l22) = action.operators
+    return solve_homogeneous([list(r) for op in (l11 - e16, l12, l21, l22 - e16) for r in op.rows], 16)
 
 
 # -- equivalence -----------------------------------------------------------------

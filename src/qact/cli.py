@@ -97,8 +97,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _parse_option(option: str, text: str) -> Scalar:
+    try:
+        return parse_scalar(text)
+    except ParseError as exc:
+        raise UsageError(f"{option}: {exc}", exc.position) from exc
+
+
 def _parse_q(text: str) -> DeformationParameter:
-    return validate_q(parse_scalar(text))
+    return validate_q(_parse_option("--q", text))
 
 
 def _parse_params(items: list[str]) -> dict[str, Scalar]:
@@ -107,7 +114,7 @@ def _parse_params(items: list[str]) -> dict[str, Scalar]:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise UsageError(f"expected NAME=VALUE, got {item!r}")
-        params[name] = parse_scalar(value)
+        params[name] = _parse_option(f"--param {name}", value)
     return params
 
 
@@ -119,6 +126,10 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON in {path}: {exc.msg}", exc.pos) from exc
+    except ValueError as exc:  # an int past the digit limit, or bytes that are not UTF-8
+        raise UsageError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError(f"invalid JSON in {path}: nested too deeply") from exc
 
 
 def _unit_name(i: int, j: int) -> str:
@@ -147,6 +158,8 @@ def _rep_from_file(path: str, require_valid: bool = False) -> GLqRep:
         rep = GLqRep.from_json(data)
     except (KeyError, TypeError) as exc:
         raise UsageError(f"representation file {path} is missing fields: {exc}") from exc
+    except (ParseError, DimensionMismatch) as exc:
+        raise UsageError(f"representation file {path}: {exc}") from exc
     if require_valid:
         report = verify_glq_relations(rep)
         if not report.ok:

@@ -9,6 +9,7 @@ plain Python ints, which is several times faster than a pair of Fractions.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -321,7 +322,10 @@ def _parse_int(s: str, pos: int, end: int):
         pos += 1
     if pos == start:
         raise ParseError("expected digits", start)
-    return int(s[start:pos]), pos
+    try:
+        return int(s[start:pos]), pos
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{pos - start} digits exceed the limit of {sys.get_int_max_str_digits()}", start) from None
 
 
 def scalar_from_json(data, field: str = "scalar") -> Scalar:

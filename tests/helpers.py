@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from qact import Mat, Scalar, as_scalar, det
+from qact import Mat, Scalar, as_scalar, det, mat_inverse
 
 SMALL_DENOMS = (1, 1, 1, 2, 3)
 
@@ -84,6 +84,34 @@ def matvec(m: Mat, vec) -> tuple:
                 total = total + entry * x
         out.append(total)
     return tuple(out)
+
+
+def reference_action(rep, i: int, j: int, v: Mat) -> Mat:
+    """a_ij . v = sum_k A_ik v S_kj on 4x4 matrices, S the blocks of M^-1; no operators involved."""
+    s11, s12, s21, s22 = mat_inverse(Mat.block2(rep.a11, rep.a12, rep.a21, rep.a22)).blocks2()
+    a = ((rep.a11, rep.a12), (rep.a21, rep.a22))
+    s = ((s11, s12), (s21, s22))
+    return a[i - 1][0] * v * s[0][j - 1] + a[i - 1][1] * v * s[1][j - 1]
+
+
+def module_algebra_on_all_pairs(action) -> bool:
+    """a_ij . (vw) = sum_k (a_ik . v)(a_kj . w) on all 4 x 256 pairs of matrix units, via action.apply."""
+    units = [Mat.unit(4, p, q) for p in range(1, 5) for q in range(1, 5)]
+    acted = {(i, k): [action.apply(i, k, v) for v in units] for i in (1, 2) for k in (1, 2)}
+    zero = Mat.zero(4)
+    for i in (1, 2):
+        for j in (1, 2):
+            for p in range(4):
+                for qq in range(4):
+                    for r in range(4):
+                        for s in range(4):
+                            # e_pq e_rs = delta_qr e_ps
+                            lhs = acted[i, j][p * 4 + s] if qq == r else zero
+                            rhs = (acted[i, 1][p * 4 + qq] * acted[1, j][r * 4 + s]
+                                   + acted[i, 2][p * 4 + qq] * acted[2, j][r * 4 + s])
+                            if lhs != rhs:
+                                return False
+    return True
 
 
 def frac(x) -> Fraction:

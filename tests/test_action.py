@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import matvec, random_dense_invertible, random_invertible_upper, random_nonzero_scalar
+from helpers import (
+    matvec,
+    module_algebra_on_all_pairs,
+    random_dense_invertible,
+    random_invertible_upper,
+    random_nonzero_scalar,
+    reference_action,
+)
 from qact import (
     EquivalenceWitness,
     GLqRep,
@@ -18,14 +25,16 @@ from qact import (
     action_fixed_points,
     as_scalar,
     build_action,
+    centralizer,
     decide_equivalence,
     instantiate,
-    invariants,
+    left_mul_operator,
     mat_inverse,
     operator_algebra,
     operator_relation_report,
     parse_scalar,
     quantum_determinant,
+    right_mul_operator,
     validate_q,
     verify_glq_relations,
     verify_module_algebra,
@@ -41,7 +50,6 @@ def u(i, j):
 
 def test_build_action_basics(q2):
     action = build_action(instantiate("S1", q2))
-    assert action.m * action.minv == Mat.identity(8)
     assert action.apply(1, 1, E4) == E4
     assert action.apply(1, 2, E4).is_zero
     assert action.apply(2, 1, E4).is_zero
@@ -49,16 +57,18 @@ def test_build_action_basics(q2):
 
 
 def test_operator_columns_match_apply(q2):
-    action = build_action(instantiate("S2a", q2))
-    flat_e = E4.flatten()
-    assert matvec(action.operator(1, 1), flat_e) == flat_e
-    for (i, j) in ((1, 2), (2, 1)):
-        assert all(x.is_zero for x in matvec(action.operator(i, j), flat_e))
-    for p, q in ((1, 2), (3, 4), (2, 2)):
-        unit_vec = Mat.unit(4, p, q).flatten()
-        for i in (1, 2):
-            for j in (1, 2):
-                assert matvec(action.operator(i, j), unit_vec) == action.apply(i, j, Mat.unit(4, p, q)).flatten()
+    # The reference computes sum_k A_ik v S_kj on 4x4 matrices, without the operators.
+    for eid in ENTRY_ORDER:
+        rep = instantiate(eid, q2)
+        action = build_action(rep, verify=False)
+        for p in range(1, 5):
+            for q in range(1, 5):
+                v = Mat.unit(4, p, q)
+                for i in (1, 2):
+                    for j in (1, 2):
+                        expected = reference_action(rep, i, j, v)
+                        assert matvec(action.operator(i, j), v.flatten()) == expected.flatten(), (eid, i, j, p, q)
+                        assert action.apply(i, j, v) == expected, (eid, i, j, p, q)
 
 
 def test_operator_relations_for_s4a(q2):
@@ -75,13 +85,48 @@ def test_module_algebra_passes(q2):
 
 
 def test_module_algebra_detects_corrupted_action(q2):
-    action = build_action(instantiate("S1", q2))
-    # Tampering with the starred blocks breaks the coproduct expansion; note
-    # that any coherent action data built from an invertible M satisfies the
-    # identity, so the corruption has to target the action data itself.
-    bad_astar = ((action.astar[0][0] + u(1, 2), action.astar[0][1]), action.astar[1])
-    bad = InnerAction(action.rep, action.m, action.m, bad_astar, action.operators)
-    assert not verify_module_algebra(bad).ok
+    rep = instantiate("S1", q2)
+    action = build_action(rep)
+    # The starred block S11 perturbed by e12, pushed through the definition
+    # L_ij = sum_k Lmul(A_ik) Rmul(S_kj): L_11 and L_21 gain their k = 1 term
+    # with e12 in place of S11.  Any action built from an invertible M
+    # satisfies the identity, so the corruption targets the operators.
+    (l11, l12), (l21, l22) = action.operators
+    extra = right_mul_operator(u(1, 2))
+    bad_ops = ((l11 + left_mul_operator(rep.a11) * extra, l12), (l21 + left_mul_operator(rep.a21) * extra, l22))
+    assert not verify_module_algebra(InnerAction(rep, bad_ops)).ok
+    # Zero operators satisfy the product identity (0 = 0) but not a_ii . 1 = 1.
+    zero = Mat.zero(16)
+    report = verify_module_algebra(InnerAction(rep, ((zero, zero), (zero, zero))))
+    assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
+        ("module_algebra_11", "v=1"),
+        ("module_algebra_22", "v=1"),
+    ]
+
+
+def test_module_algebra_agrees_with_all_pairs_oracle(q2):
+    for eid in ENTRY_ORDER:
+        action = build_action(instantiate(eid, q2), verify=False)
+        assert verify_module_algebra(action).ok, eid
+        assert module_algebra_on_all_pairs(action), eid
+
+
+def test_module_algebra_agrees_with_oracle_on_corruptions(q2):
+    rng = random.Random(0x5EED)
+    outcomes = set()
+    for trial in range(12):
+        action = build_action(instantiate(rng.choice(ENTRY_ORDER), q2), verify=False)
+        ops = [list(row) for row in action.operators]
+        if trial % 3:  # every third trial keeps the operators intact
+            i, j, r, c = rng.randrange(2), rng.randrange(2), rng.randrange(16), rng.randrange(16)
+            rows = [list(row) for row in ops[i][j].rows]
+            rows[r][c] = rows[r][c] + random_nonzero_scalar(rng)
+            ops[i][j] = Mat(rows)
+        tampered = InnerAction(action.rep, tuple(tuple(row) for row in ops))
+        verdict = verify_module_algebra(tampered).ok
+        assert verdict == module_algebra_on_all_pairs(tampered), trial
+        outcomes.add(verdict)
+    assert outcomes == {True, False}
 
 
 def test_operator_relations_detect_non_representation(q2):
@@ -91,15 +136,15 @@ def test_operator_relations_detect_non_representation(q2):
 
 
 def test_invariants_examples(q2):
-    assert invariants(instantiate("S1", q2)) == Subspace.span_of([E4, u(4, 4), u(4, 3)])
-    assert invariants(instantiate("S2b'", q2)) == Subspace.span_of([E4, u(3, 3)])
-    assert invariants(instantiate("S4a", q2)) == Subspace.span_of([E4])
+    assert centralizer(list(instantiate("S1", q2).matrices())) == Subspace.span_of([E4, u(4, 4), u(4, 3)])
+    assert centralizer(list(instantiate("S2b'", q2).matrices())) == Subspace.span_of([E4, u(3, 3)])
+    assert centralizer(list(instantiate("S4a", q2).matrices())) == Subspace.span_of([E4])
 
 
 def test_invariants_contain_identity_and_determinant(q2):
     for eid in ENTRY_ORDER:
         rep = instantiate(eid, q2)
-        inv = invariants(rep)
+        inv = centralizer(list(rep.matrices()))
         assert inv.contains_matrix(E4)
         assert inv.contains_matrix(quantum_determinant(rep))
 
@@ -108,7 +153,7 @@ def test_epsilon_consistency(q2):
     for eid in ("S1", "G3b", "S7"):
         rep = instantiate(eid, q2)
         action = build_action(rep, verify=False)
-        for v in invariants(rep, action).matrices():
+        for v in centralizer(list(rep.matrices())).matrices():
             assert action.apply(1, 1, v) == v
             assert action.apply(2, 2, v) == v
             assert action.apply(1, 2, v).is_zero
@@ -116,8 +161,6 @@ def test_epsilon_consistency(q2):
 
 
 def test_fixed_points_equal_centralizer(q2):
-    from qact import centralizer
-
     for eid in ("S1", "S2a", "G7"):
         rep = instantiate(eid, q2)
         action = build_action(rep, verify=False)

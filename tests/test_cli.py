@@ -1,7 +1,12 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qact import EquivalenceWitness, GLqRep, Mat, Scalar, instantiate, validate_q
 from qact.cli import main
@@ -149,7 +154,10 @@ def _two_by_two(data):
     (lambda data: data["A11"]["rows"][0].__setitem__(2, {"re": "1", "im": "1/x"}), "A11.rows[0][2].im"),
     (lambda data: data["A22"]["rows"][3].__setitem__(1, "2+"), "A22.rows[3][1]"),
     (_two_by_two, "4x4"),
-], ids=["q-text", "q-float", "q-digits", "entry-float", "entry-digits", "entry-string", "2x2"])
+    (lambda data: data.update(q={"re": "9" * 5000}), "q.re: 5000 digits"),
+    (lambda data: data["A11"]["rows"][0].__setitem__(0, "7" * 5000), "A11.rows[0][0]: 5000 digits"),
+], ids=["q-text", "q-float", "q-digits", "entry-float", "entry-digits", "entry-string", "2x2",
+        "q-long-digits", "entry-long-digits"])
 def test_malformed_representation_files_exit_2(capsys, tmp_path, mutate, names):
     assert main(["export", "--entry", "S1", "--out", str(tmp_path / "s1.json")]) == 0
     capsys.readouterr()
@@ -164,7 +172,36 @@ def test_malformed_representation_files_exit_2(capsys, tmp_path, mutate, names):
     ):
         code, doc = run_json(capsys, *argv)
         assert code == 2 and names in doc["error"], argv
+        assert str(bad) in doc["error"], argv  # named even as the second file of equiv
         assert doc["position"] is None, argv  # an offset inside a field is no offset in the file
+
+
+def test_long_digit_arguments_and_json_ints_exit_2(capsys, tmp_path):
+    digits = "7" * 5000
+    code, doc = run_json(capsys, "verify-table", "--entry", "S1", "--q", digits)
+    assert code == 2 and doc["error"].startswith("--q: 5000 digits") and doc["position"] == 0
+    code, doc = run_json(capsys, "verify-table", "--entry", "S1", "--param", f"alpha={digits}")
+    assert code == 2 and doc["error"].startswith("--param alpha: 5000 digits") and doc["position"] == 0
+    assert main(["export", "--entry", "S1", "--out", str(tmp_path / "s1.json")]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "s1.json").read_text()
+    bad = tmp_path / "bare-int.json"
+    bad.write_text(text.replace('"re": "2"', f'"re": {digits}', 1))
+    code, doc = run_json(capsys, "check-rep", "--file", str(bad))
+    assert code == 2 and f"invalid JSON in {bad}" in doc["error"] and "5000 digits" in doc["error"]
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for argv in (
+        ("check-rep", "--file", str(deep)),
+        ("invariants", "--file", str(deep)),
+        ("equiv", "--file1", str(deep), "--file2", str(deep)),
+        ("b-space", "--matrix", str(deep)),
+    ):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2 and doc["error"] == f"invalid JSON in {deep}: nested too deeply", argv
 
 
 def test_check_rep_singular_block_matrix(capsys, tmp_path):
@@ -197,7 +234,7 @@ def test_usage_errors(capsys, tmp_path):
     code, doc = run_json(capsys, "verify-table", "--q", "1")
     assert code == 2 and "error" in doc
     code, doc = run_json(capsys, "verify-table", "--entry", "S1", "--q", "2x")
-    assert code == 2 and doc["position"] >= 0
+    assert code == 2 and doc["position"] >= 0 and doc["error"].startswith("--q: ")
     code, doc = run_json(capsys, "show-entry", "--entry", "S1", "--param", "alpha")
     assert code == 2
     code, doc = run_json(capsys, "verify-table", "--entry", "S5", "--param", "alpha=2")
@@ -230,3 +267,63 @@ def test_output_is_deterministic(capsys):
     code2, out2 = run(capsys, "show-entry", "--entry", "G6", "--pretty")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# -- fuzzing the input boundary ---------------------------------------------------
+
+_S1 = instantiate("S1", validate_q(2)).to_json()
+_MATRIX = _S1["A11"]
+_DEEP = "__deep__"
+_JUNK = st.sampled_from([None, True, 0.5, -3, [], {}, "abc", "1/0", "", [[]], {"n": 4}, _DEEP])
+_LONG = st.sampled_from(["9" * 4300, "7" * 4301, "-1/" + "3" * 5000, "2+" + "1" * 6000 + "i"])
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """JSON text of doc with one to three paths deleted or replaced by junk, long digits or deep nesting."""
+    doc = json.loads(json.dumps(doc))
+    depth = draw(st.sampled_from([3, 500, 100_000]))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(_JUNK)
+            break
+        *head, last = path
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        if draw(st.booleans()) and isinstance(parent, dict):
+            del parent[last]
+        else:
+            parent[last] = draw(st.one_of(_JUNK, _LONG))
+    return json.dumps(doc).replace(json.dumps(_DEEP), "[" * depth + "]" * depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep_text=_mutated(_S1), matrix_text=_mutated(_MATRIX))
+def test_fuzzed_input_files_give_one_json_document(rep_text, matrix_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        good, rep, matrix = (Path(tmp) / name for name in ("good.json", "rep.json", "matrix.json"))
+        good.write_text(json.dumps(_S1))
+        rep.write_text(rep_text)
+        matrix.write_text(matrix_text)
+        for argv in (
+            ("check-rep", "--file", str(rep)),
+            ("invariants", "--file", str(rep)),
+            ("equiv", "--file1", str(good), "--file2", str(rep)),
+            ("b-space", "--matrix", str(matrix)),
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(list(argv))  # an escaping exception fails the test
+            assert code in (0, 1, 2), argv
+            assert out.getvalue().count("\n") == 1 and out.getvalue().endswith("\n"), argv
+            json.loads(out.getvalue())
+            assert "Traceback" not in err.getvalue(), argv
