@@ -1,11 +1,13 @@
 """Inner actions on C(1,3) and the equivalence decision procedure.
 
 A representation defines an action of each generator on the algebra by
-a_ij . v = sum_k A_ik v A*_kj, where the starred blocks come from the
-inverse of the 8x8 block matrix of the representation.  Flattening C(1,3)
-row-major turns each generator into a 16x16 operator L_ij, which must
-satisfy the same six quantum-matrix relations; the operators are all that an
-InnerAction stores.
+a_ij . v = sum_k A_ik v S_kj, where the starred blocks S_kj are the blocks of
+the inverse of the 8x8 block matrix M = [[A11, A12], [A21, A22]]; the
+starred blocks are what an InnerAction stores.  The action makes C(1,3) a
+module algebra exactly when M S = I_8 (see verify_module_algebra).
+Flattening C(1,3) row-major turns each generator into a 16x16 operator L_ij,
+built only where it is read: its six quantum-matrix relations and its fixed
+points.
 
 Two representations define equivalent actions iff one is a conjugate of the
 other rescaled columnwise by nonzero scalars (alpha1 on the first column,
@@ -20,6 +22,7 @@ identically; so a negative answer is a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Union
 
@@ -34,7 +37,7 @@ from .linalg import (
     right_mul_operator,
     solve_homogeneous,
 )
-from .qrep import GLqRep, RelationViolated, _relation_report, verify_glq_relations
+from .qrep import GLqRep, _relation_report
 from .report import Report
 from .scalars import ZERO, Scalar, exact_sqrt
 
@@ -47,47 +50,39 @@ class Unsupported(ValueError):
     """Candidate scalars cannot be enumerated for these inputs."""
 
 
+Blocks = tuple[tuple[Mat, Mat], tuple[Mat, Mat]]
+
+
 @dataclass(frozen=True)
 class InnerAction:
-    """The action of a representation as its four 16x16 operators L_ij."""
+    """The action a_ij . v = sum_k A_ik v S_kj, held as its starred blocks S_kj."""
 
     rep: GLqRep
-    operators: tuple[tuple[Mat, Mat], tuple[Mat, Mat]]
-
-    def operator(self, i: int, j: int) -> Mat:
-        return self.operators[i - 1][j - 1]
+    starred: Blocks
 
     def apply(self, i: int, j: int, v: Mat) -> Mat:
-        """a_ij . v, read off L_ij applied to the flattened v."""
-        flat = v.flatten()
-        return Mat.from_flat(4, [sum((x * y for x, y in zip(row, flat) if x and y), ZERO)
-                                 for row in self.operator(i, j).rows])
+        """a_ij . v = A_i1 v S_1j + A_i2 v S_2j."""
+        return self.rep.block(i, 1) * v * self.starred[0][j - 1] + self.rep.block(i, 2) * v * self.starred[1][j - 1]
+
+    @cached_property
+    def operators(self) -> Blocks:
+        """The 16x16 operators L_ij = sum_k Lmul(A_ik) Rmul(S_kj) on row-major flattened matrices."""
+        lmul = [[left_mul_operator(self.rep.block(i, k)) for k in (1, 2)] for i in (1, 2)]
+        rmul = [[right_mul_operator(s) for s in row] for row in self.starred]
+        return tuple(tuple(lmul[i][0] * rmul[0][j] + lmul[i][1] * rmul[1][j] for j in range(2)) for i in range(2))
 
 
-def build_action(rep: GLqRep, verify: bool = True) -> InnerAction:
-    """The four operators L_ij = sum_k Lmul(A_ik) Rmul(S_kj) of a representation.
+def build_action(rep: GLqRep) -> InnerAction:
+    """The action of a representation; its starred blocks are the blocks of M^-1.
 
-    S_kj are the blocks of the inverse of M = [[A11, A12], [A21, A22]], and
-    X -> A X S acts on flattened matrices as Lmul(A) Rmul(S).  With
-    verify=True (the default) the representation relations are required and
-    the operators are asserted to satisfy the same six relations.
+    Raises MSingular when M is singular.  The representation relations are
+    not checked here: verify_glq_relations and operator_relation_report do that.
     """
-    if verify:
-        verify_glq_relations(rep).require(RelationViolated)
     try:
-        minv = mat_inverse(Mat.block2(rep.a11, rep.a12, rep.a21, rep.a22))
+        s11, s12, s21, s22 = mat_inverse(Mat.block2(*rep.matrices())).blocks2()
     except Singular as exc:
         raise MSingular("block matrix M is singular") from exc
-    s11, s12, s21, s22 = minv.blocks2()
-    lmul = [[left_mul_operator(a) for a in row] for row in ((rep.a11, rep.a12), (rep.a21, rep.a22))]
-    rmul = [[right_mul_operator(s) for s in row] for row in ((s11, s12), (s21, s22))]
-    operators = tuple(
-        tuple(lmul[i][0] * rmul[0][j] + lmul[i][1] * rmul[1][j] for j in range(2)) for i in range(2)
-    )
-    action = InnerAction(rep, operators)
-    if verify:
-        operator_relation_report(action).require(RelationViolated)
-    return action
+    return InnerAction(rep, ((s11, s12), (s21, s22)))
 
 
 def operator_relation_report(action: InnerAction) -> Report:
@@ -95,34 +90,27 @@ def operator_relation_report(action: InnerAction) -> Report:
     return _relation_report("action-operator-relations", *action.operators[0], *action.operators[1], action.rep.q)
 
 
-# The matrix units e12, e23, e34, e21, e32, e43 generate M4 (e_ii = e_i,i+1 e_i+1,i).
-_GENERATORS = ((1, 2), (2, 3), (3, 4), (2, 1), (3, 2), (4, 3))
-
-
 def verify_module_algebra(action: InnerAction) -> Report:
-    """a_ij . 1 = delta_ij 1, and a_ij . (vw) = sum_k (a_ik . v)(a_kj . w) for all v, w.
+    """The module-algebra axioms, checked as M S = I_8 one 4x4 block at a time.
 
-    For one v the second identity reads L_ij Lmul(v) = sum_k Lmul(a_ik . v) L_kj
-    on 16x16 operators, which covers every w at once.  If it holds at v and
-    at v', it holds at vv' (apply it twice), so checking it at the six
-    generators of M4 checks it everywhere.  A failure names v=1 or the
-    first failing generator.
+    The axioms are the unit a_ij . 1 = delta_ij 1 and the product identity
+    a_ij . (vw) = sum_k (a_ik . v)(a_kj . w) for all v and w.
+    - The unit axiom reads sum_l A_il S_lj = delta_ij I, which is block ij
+      of M S = I_8.
+    - Then S = M^-1, so S M = I_8 as well: sum_k S_lk A_km = delta_lm I.
+      That collapses sum_k (a_ik . v)(a_kj . w)
+      = sum_{l,m} A_il v (sum_k S_lk A_km) w S_mj = sum_l A_il v w S_lj
+      = a_ij . (vw), for every v and w.
+    So the unit axiom and the product identity together hold iff M S = I_8,
+    for any S, including a corrupted one.  Check module_algebra_ij tests
+    block ij of M S, which is a_ij . 1.
     """
     one, zero = Mat.identity(4), Mat.zero(4)
-    gens = [Mat.unit(4, p, q) for p, q in _GENERATORS]
-    acted = {(i, k): [left_mul_operator(action.apply(i, k, v)) for v in gens] for i in (1, 2) for k in (1, 2)}
     report = Report("module-algebra")
     for i in (1, 2):
         for j in (1, 2):
-            lij, l1j, l2j = action.operator(i, j), action.operator(1, j), action.operator(2, j)
-            failures = (
-                f"v=e{p}{q}"
-                for (p, q), v, a1, a2 in zip(_GENERATORS, gens, acted[i, 1], acted[i, 2])
-                if lij * left_mul_operator(v) != a1 * l1j + a2 * l2j
-            )
-            unit_ok = action.apply(i, j, one) == (one if i == j else zero)
-            bad = next(failures, None) if unit_ok else "v=1"
-            report.add(f"module_algebra_{i}{j}", bad is None, bad or "v=1 and 6 generators")
+            unit = action.apply(i, j, one) == (one if i == j else zero)
+            report.add(f"module_algebra_{i}{j}", unit, f"(M S)_{i}{j} = {'I' if i == j else '0'}")
     return report
 
 

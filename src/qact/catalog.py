@@ -747,7 +747,7 @@ def check_entry(
     expected_r = Subspace.span_of(entry.expected_r_basis(q.q, p))
     report.add("operator_algebra_shape", algebra == expected_r)
 
-    action = build_action(rep, verify=False)
+    action = build_action(rep)
     op_rel = operator_relation_report(action)
     report.add("action_operator_relations", op_rel.ok, _first_bad(op_rel))
 

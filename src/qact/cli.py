@@ -152,14 +152,19 @@ def _invariants_doc(rep: GLqRep) -> dict:
     return {"ambient_dim": space.ambient_dim, "dim": space.dim, "basis": basis}
 
 
-def _rep_from_file(path: str, require_valid: bool = False) -> GLqRep:
+def _decode_file(kind: str, path: str, decode):
+    """decode(the JSON in path); every decoding error names the file."""
     data = _load_json(path)
     try:
-        rep = GLqRep.from_json(data)
+        return decode(data)
     except (KeyError, TypeError) as exc:
-        raise UsageError(f"representation file {path} is missing fields: {exc}") from exc
-    except (ParseError, DimensionMismatch) as exc:
-        raise UsageError(f"representation file {path}: {exc}") from exc
+        raise UsageError(f"{kind} file {path} is missing fields: {exc}") from exc
+    except (ParseError, DimensionMismatch, InvalidQ) as exc:
+        raise UsageError(f"{kind} file {path}: {exc}") from exc
+
+
+def _rep_from_file(path: str, require_valid: bool = False) -> GLqRep:
+    rep = _decode_file("representation", path, GLqRep.from_json)
     if require_valid:
         report = verify_glq_relations(rep)
         if not report.ok:
@@ -200,11 +205,7 @@ def _cmd_show_entry(args) -> tuple[dict, int]:
 
 def _cmd_b_space(args) -> tuple[dict, int]:
     q = _parse_q(args.q)
-    data = _load_json(args.matrix)
-    try:
-        a = Mat.from_json(data)
-    except (KeyError, TypeError, DimensionMismatch) as exc:
-        raise UsageError(f"invalid matrix file: {exc}") from exc
+    a = _decode_file("matrix", args.matrix, Mat.from_json)
     space = spinor_space(a, q)
     return {"q": q.q.to_json(), **space.to_json()}, 0
 
@@ -220,7 +221,7 @@ def _cmd_check_rep(args) -> tuple[dict, int]:
         except (DeterminantSingular, DeterminantNotCentral) as exc:
             report.add("antipode:determinant", False, str(exc))
         try:
-            report.extend(verify_module_algebra(build_action(rep, verify=False)))
+            report.extend(verify_module_algebra(build_action(rep)))
         except MSingular as exc:
             report.add("module_algebra", False, str(exc))
     return report.to_json(), 0 if report.ok else 1
@@ -252,10 +253,10 @@ def _cmd_export(args) -> tuple[dict, int]:
     q = _parse_q(args.q)
     entry = catalog.get_entry(args.entry)
     rep = require_representation(entry.representation(q, catalog.resolve_params(entry, q, _parse_params(args.param))))
+    text = json.dumps(rep.to_json(), indent=2) + "\n"  # before --out is opened, so a failure leaves no file
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(rep.to_json(), handle, indent=2)
-            handle.write("\n")
+            handle.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {args.out}: {exc}") from exc
     return {"entry": entry.entry_id, "out": args.out}, 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Union
@@ -183,7 +184,7 @@ class Scalar:
         return format_scalar(self)
 
     def to_json(self) -> dict:
-        return {"re": str(self.re), "im": str(self.im)}
+        return {"re": _frac_text(self.a, self.d), "im": _frac_text(self.b, self.d)}
 
 
 def _new(a: int, b: int, d: int) -> Scalar:
@@ -260,10 +261,11 @@ def format_scalar(s: Scalar) -> str:
 
 
 def _frac_text(num: int, den: int) -> str:
+    """num/den in lowest terms; str(Decimal(n)) is exact and has no int-to-text digit limit."""
     f = Fraction(num, den)
     if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+        return str(Decimal(f.numerator))
+    return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -94,6 +94,32 @@ def reference_action(rep, i: int, j: int, v: Mat) -> Mat:
     return a[i - 1][0] * v * s[0][j - 1] + a[i - 1][1] * v * s[1][j - 1]
 
 
+# The matrix units e12, e23, e34, e21, e32, e43 generate M4 (e_ii = e_i,i+1 e_i+1,i).
+GENERATORS = ((1, 2), (2, 3), (3, 4), (2, 1), (3, 2), (4, 3))
+
+
+def module_algebra_at_generators(action) -> bool:
+    """a_ij . 1 = delta_ij 1, and a_ij . (vw) = sum_k (a_ik . v)(a_kj . w) for v a generator, w a unit.
+
+    The identity is linear in w, and holding at v and v' it holds at vv'
+    (apply it twice), so the generators cover every v and w.  Via action.apply.
+    """
+    one, zero = Mat.identity(4), Mat.zero(4)
+    gens = [Mat.unit(4, p, q) for p, q in GENERATORS]
+    units = [Mat.unit(4, p, q) for p in range(1, 5) for q in range(1, 5)]
+    on_gens = {(i, k): [action.apply(i, k, v) for v in gens] for i in (1, 2) for k in (1, 2)}
+    on_units = {(k, j): [action.apply(k, j, w) for w in units] for k in (1, 2) for j in (1, 2)}
+    for i in (1, 2):
+        for j in (1, 2):
+            if action.apply(i, j, one) != (one if i == j else zero):
+                return False
+            for v, av1, av2 in zip(gens, on_gens[i, 1], on_gens[i, 2]):
+                for w, a1w, a2w in zip(units, on_units[1, j], on_units[2, j]):
+                    if action.apply(i, j, v * w) != av1 * a1w + av2 * a2w:
+                        return False
+    return True
+
+
 def module_algebra_on_all_pairs(action) -> bool:
     """a_ij . (vw) = sum_k (a_ik . v)(a_kj . w) on all 4 x 256 pairs of matrix units, via action.apply."""
     units = [Mat.unit(4, p, q) for p in range(1, 5) for q in range(1, 5)]

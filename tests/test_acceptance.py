@@ -167,7 +167,7 @@ def test_criterion_4_invariant_suite():
         for m in evaluated:
             assert inv.contains_matrix(m), eid
         assert Subspace.span_of([E4] + evaluated) == inv, eid
-        action = build_action(rep, verify=False)
+        action = build_action(rep)
         assert action_fixed_points(action) == inv, eid
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -179,7 +179,7 @@ def test_criterion_5_hopf_axioms():
     q = validate_q(2)
     for eid in ENTRY_ORDER:
         rep = instantiate(eid, q)
-        action = build_action(rep, verify=False)
+        action = build_action(rep)
         assert operator_relation_report(action).ok, eid
         assert antipode_check(rep).ok, eid
         assert verify_module_algebra(action).ok, eid

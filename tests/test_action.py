@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     matvec,
+    module_algebra_at_generators,
     module_algebra_on_all_pairs,
     random_dense_invertible,
     random_invertible_upper,
@@ -28,13 +29,11 @@ from qact import (
     centralizer,
     decide_equivalence,
     instantiate,
-    left_mul_operator,
     mat_inverse,
     operator_algebra,
     operator_relation_report,
     parse_scalar,
     quantum_determinant,
-    right_mul_operator,
     validate_q,
     verify_glq_relations,
     verify_module_algebra,
@@ -60,14 +59,14 @@ def test_operator_columns_match_apply(q2):
     # The reference computes sum_k A_ik v S_kj on 4x4 matrices, without the operators.
     for eid in ENTRY_ORDER:
         rep = instantiate(eid, q2)
-        action = build_action(rep, verify=False)
+        action = build_action(rep)
         for p in range(1, 5):
             for q in range(1, 5):
                 v = Mat.unit(4, p, q)
                 for i in (1, 2):
                     for j in (1, 2):
                         expected = reference_action(rep, i, j, v)
-                        assert matvec(action.operator(i, j), v.flatten()) == expected.flatten(), (eid, i, j, p, q)
+                        assert matvec(action.operators[i - 1][j - 1], v.flatten()) == expected.flatten(), (eid, i, j, p, q)
                         assert action.apply(i, j, v) == expected, (eid, i, j, p, q)
 
 
@@ -86,28 +85,24 @@ def test_module_algebra_passes(q2):
 
 def test_module_algebra_detects_corrupted_action(q2):
     rep = instantiate("S1", q2)
-    action = build_action(rep)
-    # The starred block S11 perturbed by e12, pushed through the definition
-    # L_ij = sum_k Lmul(A_ik) Rmul(S_kj): L_11 and L_21 gain their k = 1 term
-    # with e12 in place of S11.  Any action built from an invertible M
-    # satisfies the identity, so the corruption targets the operators.
-    (l11, l12), (l21, l22) = action.operators
-    extra = right_mul_operator(u(1, 2))
-    bad_ops = ((l11 + left_mul_operator(rep.a11) * extra, l12), (l21 + left_mul_operator(rep.a21) * extra, l22))
-    assert not verify_module_algebra(InnerAction(rep, bad_ops)).ok
-    # Zero operators satisfy the product identity (0 = 0) but not a_ii . 1 = 1.
-    zero = Mat.zero(16)
+    (s11, s12), (s21, s22) = build_action(rep).starred
+    bad = InnerAction(rep, ((s11 + u(1, 2), s12), (s21, s22)))
+    assert not verify_module_algebra(bad).ok
+    assert not module_algebra_at_generators(bad)
+    # Zero starred blocks satisfy the product identity (0 = 0) but not a_ii . 1 = 1.
+    zero = Mat.zero(4)
     report = verify_module_algebra(InnerAction(rep, ((zero, zero), (zero, zero))))
     assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
-        ("module_algebra_11", "v=1"),
-        ("module_algebra_22", "v=1"),
+        ("module_algebra_11", "(M S)_11 = I"),
+        ("module_algebra_22", "(M S)_22 = I"),
     ]
 
 
 def test_module_algebra_agrees_with_all_pairs_oracle(q2):
     for eid in ENTRY_ORDER:
-        action = build_action(instantiate(eid, q2), verify=False)
+        action = build_action(instantiate(eid, q2))
         assert verify_module_algebra(action).ok, eid
+        assert module_algebra_at_generators(action), eid
         assert module_algebra_on_all_pairs(action), eid
 
 
@@ -115,23 +110,23 @@ def test_module_algebra_agrees_with_oracle_on_corruptions(q2):
     rng = random.Random(0x5EED)
     outcomes = set()
     for trial in range(12):
-        action = build_action(instantiate(rng.choice(ENTRY_ORDER), q2), verify=False)
-        ops = [list(row) for row in action.operators]
-        if trial % 3:  # every third trial keeps the operators intact
-            i, j, r, c = rng.randrange(2), rng.randrange(2), rng.randrange(16), rng.randrange(16)
-            rows = [list(row) for row in ops[i][j].rows]
+        action = build_action(instantiate(rng.choice(ENTRY_ORDER), q2))
+        starred = [list(row) for row in action.starred]
+        if trial % 3:  # every third trial keeps the starred blocks intact
+            k, j, r, c = rng.randrange(2), rng.randrange(2), rng.randrange(4), rng.randrange(4)
+            rows = [list(row) for row in starred[k][j].rows]
             rows[r][c] = rows[r][c] + random_nonzero_scalar(rng)
-            ops[i][j] = Mat(rows)
-        tampered = InnerAction(action.rep, tuple(tuple(row) for row in ops))
+            starred[k][j] = Mat(rows)
+        tampered = InnerAction(action.rep, tuple(tuple(row) for row in starred))
         verdict = verify_module_algebra(tampered).ok
-        assert verdict == module_algebra_on_all_pairs(tampered), trial
+        assert verdict == module_algebra_at_generators(tampered) == module_algebra_on_all_pairs(tampered), trial
         outcomes.add(verdict)
     assert outcomes == {True, False}
 
 
 def test_operator_relations_detect_non_representation(q2):
     bad_rep = GLqRep(E4, u(1, 2), Mat.zero(4), E4, q2)
-    action = build_action(bad_rep, verify=False)
+    action = build_action(bad_rep)
     assert not operator_relation_report(action).ok
 
 
@@ -152,7 +147,7 @@ def test_invariants_contain_identity_and_determinant(q2):
 def test_epsilon_consistency(q2):
     for eid in ("S1", "G3b", "S7"):
         rep = instantiate(eid, q2)
-        action = build_action(rep, verify=False)
+        action = build_action(rep)
         for v in centralizer(list(rep.matrices())).matrices():
             assert action.apply(1, 1, v) == v
             assert action.apply(2, 2, v) == v
@@ -163,7 +158,7 @@ def test_epsilon_consistency(q2):
 def test_fixed_points_equal_centralizer(q2):
     for eid in ("S1", "S2a", "G7"):
         rep = instantiate(eid, q2)
-        action = build_action(rep, verify=False)
+        action = build_action(rep)
         assert action_fixed_points(action) == centralizer(list(rep.matrices()))
 
 

@@ -97,6 +97,37 @@ def test_export_and_check_rep(capsys, tmp_path):
     assert doc["ok"] is False
 
 
+# The full check-rep document of an exported S1 at q = 2, byte for byte.
+CHECK_REP_S1_Q2 = (
+    '{"ok":true,"checks":['
+    '{"name":"relation:a11_a12_spinor","pass":true,"detail":""},'
+    '{"name":"relation:a11_a21_spinor","pass":true,"detail":""},'
+    '{"name":"relation:a12_a22_spinor","pass":true,"detail":""},'
+    '{"name":"relation:a21_a22_spinor","pass":true,"detail":""},'
+    '{"name":"relation:a12_a21_commute","pass":true,"detail":""},'
+    '{"name":"relation:diagonal_commutator","pass":true,"detail":""},'
+    '{"name":"antipode:counit_left_11","pass":true,"detail":""},'
+    '{"name":"antipode:counit_right_11","pass":true,"detail":""},'
+    '{"name":"antipode:counit_left_12","pass":true,"detail":""},'
+    '{"name":"antipode:counit_right_12","pass":true,"detail":""},'
+    '{"name":"antipode:counit_left_21","pass":true,"detail":""},'
+    '{"name":"antipode:counit_right_21","pass":true,"detail":""},'
+    '{"name":"antipode:counit_left_22","pass":true,"detail":""},'
+    '{"name":"antipode:counit_right_22","pass":true,"detail":""},'
+    '{"name":"module_algebra_11","pass":true,"detail":"(M S)_11 = I"},'
+    '{"name":"module_algebra_12","pass":true,"detail":"(M S)_12 = 0"},'
+    '{"name":"module_algebra_21","pass":true,"detail":"(M S)_21 = 0"},'
+    '{"name":"module_algebra_22","pass":true,"detail":"(M S)_22 = I"}]}\n'
+)
+
+
+def test_check_rep_bytes(capsys, tmp_path):
+    rep_file = tmp_path / "s1.json"
+    assert main(["export", "--entry", "S1", "--q", "2", "--out", str(rep_file)]) == 0
+    capsys.readouterr()
+    assert run(capsys, "check-rep", "--file", str(rep_file)) == (0, CHECK_REP_S1_Q2)
+
+
 def test_equiv(capsys, tmp_path):
     for eid, name in (("S1", "s1.json"), ("S3", "s3.json")):
         assert main(["export", "--entry", eid, "--out", str(tmp_path / name)]) == 0
@@ -146,19 +177,29 @@ def _two_by_two(data):
         data[key] = {"n": 2, "rows": [row[:2] for row in data[key]["rows"][:2]]}
 
 
-@pytest.mark.parametrize("mutate, names", [
-    (lambda data: data.update(q={"re": "abc", "im": "0"}), "q.re"),
-    (lambda data: data.update(q={"re": 0.1, "im": "0"}), "q.re"),
-    (lambda data: data.update(q={"re": "1/x"}), "q.re"),
-    (lambda data: data["A11"]["rows"][0].__setitem__(0, {"re": "4", "im": 0.5}), "A11.rows[0][0].im"),
-    (lambda data: data["A11"]["rows"][0].__setitem__(2, {"re": "1", "im": "1/x"}), "A11.rows[0][2].im"),
-    (lambda data: data["A22"]["rows"][3].__setitem__(1, "2+"), "A22.rows[3][1]"),
-    (_two_by_two, "4x4"),
-    (lambda data: data.update(q={"re": "9" * 5000}), "q.re: 5000 digits"),
-    (lambda data: data["A11"]["rows"][0].__setitem__(0, "7" * 5000), "A11.rows[0][0]: 5000 digits"),
-], ids=["q-text", "q-float", "q-digits", "entry-float", "entry-digits", "entry-string", "2x2",
-        "q-long-digits", "entry-long-digits"])
-def test_malformed_representation_files_exit_2(capsys, tmp_path, mutate, names):
+# Each case: the mutation of an S1 representation file, what its error names,
+# and what b-space names for the mutated A11 as a matrix file (None: A11 intact
+# or a valid matrix).
+@pytest.mark.parametrize("mutate, names, matrix_names", [
+    (lambda data: data.update(q={"re": "abc", "im": "0"}), "q.re", None),
+    (lambda data: data.update(q={"re": 0.1, "im": "0"}), "q.re", None),
+    (lambda data: data.update(q={"re": "1/x"}), "q.re", None),
+    (lambda data: data.update(q={"im": "0"}), "q = 0 is zero", None),
+    (lambda data: data["A11"]["rows"][0].__setitem__(0, {"re": "4", "im": 0.5}), "A11.rows[0][0].im",
+     "matrix.rows[0][0].im"),
+    (lambda data: data["A11"]["rows"][0].__setitem__(2, {"re": "1", "im": "1/x"}), "A11.rows[0][2].im",
+     "matrix.rows[0][2].im"),
+    (lambda data: data["A11"]["rows"][1].__setitem__(1, "1/x"), "A11.rows[1][1]", "matrix.rows[1][1]"),
+    (lambda data: data["A22"]["rows"][3].__setitem__(1, "2+"), "A22.rows[3][1]", None),
+    (lambda data: data["A11"].pop("rows"), "missing fields: 'rows'", "missing fields: 'rows'"),
+    (lambda data: data["A11"]["rows"].pop(), "inconsistent dimensions", "inconsistent dimensions"),
+    (_two_by_two, "4x4", None),
+    (lambda data: data.update(q={"re": "9" * 5000}), "q.re: 5000 digits", None),
+    (lambda data: data["A11"]["rows"][0].__setitem__(0, "7" * 5000), "A11.rows[0][0]: 5000 digits",
+     "matrix.rows[0][0]: 5000 digits"),
+], ids=["q-text", "q-float", "q-digits", "q-zero", "entry-float", "entry-digits", "entry-fraction", "entry-string",
+        "no-rows", "three-rows", "2x2", "q-long-digits", "entry-long-digits"])
+def test_malformed_representation_files_exit_2(capsys, tmp_path, mutate, names, matrix_names):
     assert main(["export", "--entry", "S1", "--out", str(tmp_path / "s1.json")]) == 0
     capsys.readouterr()
     data = json.loads((tmp_path / "s1.json").read_text())
@@ -174,6 +215,38 @@ def test_malformed_representation_files_exit_2(capsys, tmp_path, mutate, names):
         assert code == 2 and names in doc["error"], argv
         assert str(bad) in doc["error"], argv  # named even as the second file of equiv
         assert doc["position"] is None, argv  # an offset inside a field is no offset in the file
+    if matrix_names is not None:
+        bad_matrix = tmp_path / "bad-a11.json"
+        bad_matrix.write_text(json.dumps(data["A11"]))
+        code, doc = run_json(capsys, "b-space", "--matrix", str(bad_matrix))
+        assert code == 2 and matrix_names in doc["error"]
+        assert doc["error"].startswith(f"matrix file {bad_matrix}") and doc["position"] is None
+
+
+def test_long_q_output_and_export(capsys, tmp_path):
+    # q = 10^2999 is a valid q, but A11 of S1 holds q^2, whose 5,999 digits
+    # exceed Python's int-to-text limit.
+    q = "1" + "0" * 2999
+    code, out = run(capsys, "show-entry", "--entry", "S1", "--q", q)
+    assert code == 0 and out.count("\n") == 1
+    assert json.loads(out)["matrices"]["A11"]["rows"][0][0] == "1" + "0" * 5998
+    rep_file = tmp_path / "s1.json"
+    code, out = run(capsys, "export", "--entry", "S1", "--q", q, "--out", str(rep_file))
+    assert code == 0 and out.count("\n") == 1 and json.loads(out)["out"] == str(rep_file)
+    assert json.loads(rep_file.read_text())["q"] == {"re": q, "im": "0"}
+    # Reading the file back hits the 4,300-digit input limit, which stays.
+    code, doc = run_json(capsys, "check-rep", "--file", str(rep_file))
+    assert code == 2 and doc["error"].startswith(f"representation file {rep_file}: A11.rows[0][0]: 5999 digits")
+
+
+def test_export_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("cannot serialize")
+    monkeypatch.setattr(json, "dumps", fail)
+    out = tmp_path / "s1.json"
+    with pytest.raises(ValueError):
+        main(["export", "--entry", "S1", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_long_digit_arguments_and_json_ints_exit_2(capsys, tmp_path):
@@ -314,16 +387,17 @@ def test_fuzzed_input_files_give_one_json_document(rep_text, matrix_text):
         good.write_text(json.dumps(_S1))
         rep.write_text(rep_text)
         matrix.write_text(matrix_text)
-        for argv in (
-            ("check-rep", "--file", str(rep)),
-            ("invariants", "--file", str(rep)),
-            ("equiv", "--file1", str(good), "--file2", str(rep)),
-            ("b-space", "--matrix", str(matrix)),
+        for argv, path in (
+            (("check-rep", "--file", str(rep)), rep),
+            (("invariants", "--file", str(rep)), rep),
+            (("equiv", "--file1", str(good), "--file2", str(rep)), rep),
+            (("b-space", "--matrix", str(matrix)), matrix),
         ):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 code = main(list(argv))  # an escaping exception fails the test
             assert code in (0, 1, 2), argv
             assert out.getvalue().count("\n") == 1 and out.getvalue().endswith("\n"), argv
-            json.loads(out.getvalue())
+            doc = json.loads(out.getvalue())
+            assert code != 2 or str(path) in doc["error"], argv
             assert "Traceback" not in err.getvalue(), argv
