@@ -77,6 +77,7 @@ from .qrep import (
     R22Singular,
     RelationViolated,
     RqRep,
+    antipode,
     antipode_check,
     attach_determinant,
     connected_slq,

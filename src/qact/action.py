@@ -1,10 +1,12 @@
 """Inner actions on C(1,3) and the equivalence decision procedure.
 
 A representation defines an action of each generator on the algebra by
-a_ij . v = sum_k A_ik v S_kj, where the starred blocks S_kj are the blocks of
-the inverse of the 8x8 block matrix M = [[A11, A12], [A21, A22]]; the
-starred blocks are what an InnerAction stores.  The action makes C(1,3) a
-module algebra exactly when M S = I_8 (see verify_module_algebra).
+a_ij . v = sum_k A_ik v S_kj, where the starred blocks S_kj = rho(S(a_kj))
+are the antipode blocks (qrep.antipode), which are also the blocks of the
+inverse of the 8x8 block matrix M = [[A11, A12], [A21, A22]] (see
+build_action); the starred blocks are what an InnerAction stores.  The
+action makes C(1,3) a module algebra exactly when M S = I_8 (see
+verify_module_algebra).
 Flattening C(1,3) row-major turns each generator into a 16x16 operator L_ij,
 built only where it is read: its six quantum-matrix relations and its fixed
 points.
@@ -28,7 +30,6 @@ from typing import Union
 
 from .linalg import (
     Mat,
-    Singular,
     Subspace,
     algebra_closure,
     invertible_element_in,
@@ -37,20 +38,13 @@ from .linalg import (
     right_mul_operator,
     solve_homogeneous,
 )
-from .qrep import GLqRep, _relation_report
+from .qrep import Blocks, GLqRep, _relation_report, antipode
 from .report import Report
 from .scalars import ZERO, Scalar, exact_sqrt
 
 
-class MSingular(ValueError):
-    """The 8x8 block matrix of a valid representation is always invertible."""
-
-
 class Unsupported(ValueError):
     """Candidate scalars cannot be enumerated for these inputs."""
-
-
-Blocks = tuple[tuple[Mat, Mat], tuple[Mat, Mat]]
 
 
 @dataclass(frozen=True)
@@ -73,16 +67,26 @@ class InnerAction:
 
 
 def build_action(rep: GLqRep) -> InnerAction:
-    """The action of a representation; its starred blocks are the blocks of M^-1.
+    """The action of a representation; its starred blocks are the antipode blocks.
 
-    Raises MSingular when M is singular.  The representation relations are
-    not checked here: verify_glq_relations and operator_relation_report do that.
+    For four matrices that satisfy the six relations, these are the blocks
+    of M^-1, with D = det_q:
+    - Let adj_q = [[A22, -q^-1 A12], [-q A21, A11]].  Then
+      adj_q M = M adj_q = diag(D, D), one relation per block: for example
+      A22 A11 - q^-1 A12 A21 = A11 A22 - q A12 A21 by the diagonal
+      commutator relation, and A22 A12 - q^-1 A12 A22 = 0.
+    - So if D is invertible, M^-1 = diag(D^-1, D^-1) adj_q, whose blocks are
+      exactly the antipode blocks.
+    - If D is singular, so is M.  D is central, so K = ker D != 0 is
+      invariant under every block, and adj_q M = 0 on K x K.  An invertible
+      M would map K x K onto itself, so adj_q would vanish on K x K, and so
+      would M, its blocks being those of adj_q up to sign and scale.
+    Raises DeterminantSingular when D is singular, and DeterminantNotCentral
+    when D is not central, which the relations rule out.  The relations are
+    not checked here: verify_glq_relations and operator_relation_report do
+    that.
     """
-    try:
-        s11, s12, s21, s22 = mat_inverse(Mat.block2(*rep.matrices())).blocks2()
-    except Singular as exc:
-        raise MSingular("block matrix M is singular") from exc
-    return InnerAction(rep, ((s11, s12), (s21, s22)))
+    return InnerAction(rep, antipode(rep))
 
 
 def operator_relation_report(action: InnerAction) -> Report:
@@ -116,7 +120,7 @@ def verify_module_algebra(action: InnerAction) -> Report:
 
 def operator_algebra(rep: GLqRep) -> Subspace:
     """The subalgebra of C(1,3) generated by the four matrices, with 1."""
-    return algebra_closure(list(rep.matrices()), include_identity=True)
+    return algebra_closure(list(rep.matrices()))
 
 
 def action_fixed_points(action: InnerAction) -> Subspace:

@@ -770,7 +770,7 @@ def check_entry(
     spanned = Subspace.span_of([_E4] + evaluated) == cent
     report.add("gamma_invariants", inside and spanned, f"{len(evaluated)} expressions")
 
-    antipode = antipode_check(rep)
+    antipode = antipode_check(rep, action.starred)
     report.add("antipode", antipode.ok, _first_bad(antipode))
 
     module = verify_module_algebra(action)

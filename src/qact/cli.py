@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import catalog
-from .action import MSingular, Unsupported, build_action, decide_equivalence, operator_algebra, verify_module_algebra
+from .action import Unsupported, build_action, decide_equivalence, operator_algebra, verify_module_algebra
 from .clifford import default_model, express_in_units, selftest
 from .linalg import DimensionMismatch, Mat, Singular, centralizer
 from .qrep import (
@@ -170,6 +170,10 @@ def _rep_from_file(path: str, require_valid: bool = False) -> GLqRep:
         if not report.ok:
             bad = report.first_failure
             raise UsageError(f"{path} is not a representation: {bad.name} fails")
+        try:
+            quantum_determinant(rep)  # central, by the relations
+        except DeterminantSingular as exc:
+            raise UsageError(f"{path} is not a GL_q representation: {exc}") from exc
     return rep
 
 
@@ -217,13 +221,13 @@ def _cmd_check_rep(args) -> tuple[dict, int]:
     report.extend(relations, prefix="relation:")
     if relations.ok:
         try:
-            report.extend(antipode_check(rep), prefix="antipode:")
+            action = build_action(rep)
         except (DeterminantSingular, DeterminantNotCentral) as exc:
             report.add("antipode:determinant", False, str(exc))
-        try:
-            report.extend(verify_module_algebra(build_action(rep)))
-        except MSingular as exc:
             report.add("module_algebra", False, str(exc))
+        else:
+            report.extend(antipode_check(rep, action.starred), prefix="antipode:")
+            report.extend(verify_module_algebra(action))
     return report.to_json(), 0 if report.ok else 1
 
 

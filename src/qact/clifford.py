@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import Mat, mat_inverse
+from .linalg import Mat
 from .report import Report
 from .scalars import I, ONE, ZERO, Scalar, as_scalar
 
@@ -74,16 +74,12 @@ UNIT_EXPRESSIONS = {
 class CliffordModel:
     """Gamma matrices, the 16 derived matrix units, and coordinate helpers."""
 
-    __slots__ = ("gamma", "units", "identity", "_coeff_solver")
+    __slots__ = ("gamma", "units", "identity")
 
     def __init__(self, gamma: tuple[Mat, Mat, Mat, Mat], units: dict):
         self.gamma = gamma
         self.units = units
         self.identity = Mat.identity(4)
-        basis = Mat([[units[(i, j)].flatten()[c] for c in range(16)] for i in range(1, 5) for j in range(1, 5)])
-        # Columns of basis^T are the flattened units; invert once to express
-        # arbitrary matrices in unit coordinates.
-        self._coeff_solver = mat_inverse(Mat(list(zip(*basis.rows))))
 
     def unit(self, i: int, j: int) -> Mat:
         return self.units[(i, j)]
@@ -279,18 +275,12 @@ def _eval(node: tuple, gamma) -> Mat:
 
 
 def express_in_units(m: Mat, model: CliffordModel) -> dict[tuple[int, int], Scalar]:
-    """Unique coefficients c_ij with m equal to the sum of c_ij e_ij."""
-    flat = m.flatten()
-    coeffs = {}
-    solver = model._coeff_solver
-    for idx in range(16):
-        row = solver.rows[idx]
-        total = ZERO
-        for c in range(16):
-            if row[c]:
-                total = total + row[c] * flat[c]
-        coeffs[(idx // 4 + 1, idx % 4 + 1)] = total
-    return coeffs
+    """Unique coefficients c_ij with m equal to the sum of c_ij e_ij.
+
+    build_model requires the model's units to be the standard matrix units
+    (units_are_standard), so c_ij is the entry (i, j) of m.
+    """
+    return {(i + 1, j + 1): m.rows[i][j] for i in range(4) for j in range(4)}
 
 
 def combine_units(coeffs: dict[tuple[int, int], Scalar], model: CliffordModel) -> Mat:

@@ -1,6 +1,6 @@
 """Dense exact matrix algebra and subspace computations over Q(i).
 
-Matrices are square (sizes 2, 4, 8, 16 arise), stored row-major as tuples of
+Matrices are square (sizes 2, 4, 16 arise), stored row-major as tuples of
 Scalar.  Linear subspaces of flattened matrices are kept in reduced
 row-echelon form with pivots equal to 1, so subspace equality is structural
 equality of the bases.  Flattening is row-major throughout: the matrix entry
@@ -65,23 +65,6 @@ class Mat:
         if len(vec) != n * n:
             raise DimensionMismatch("flattened length does not match dimension")
         return cls([vec[i * n : (i + 1) * n] for i in range(n)])
-
-    @classmethod
-    def block2(cls, a: "Mat", b: "Mat", c: "Mat", d: "Mat") -> "Mat":
-        """The 2x2 block matrix [[a, b], [c, d]] of equal-size blocks."""
-        n = a.n
-        rows = [a.rows[i] + b.rows[i] for i in range(n)]
-        rows += [c.rows[i] + d.rows[i] for i in range(n)]
-        return cls(rows)
-
-    def blocks2(self) -> tuple["Mat", "Mat", "Mat", "Mat"]:
-        """Split an even-size matrix into its four half-size blocks."""
-        h = self.n // 2
-        a = Mat([r[:h] for r in self.rows[:h]])
-        b = Mat([r[h:] for r in self.rows[:h]])
-        c = Mat([r[:h] for r in self.rows[h:]])
-        d = Mat([r[h:] for r in self.rows[h:]])
-        return a, b, c, d
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -196,7 +179,7 @@ class Mat:
         n = data["n"]
         rows = data["rows"]
         if len(rows) != n or any(len(r) != n for r in rows):
-            raise DimensionMismatch("matrix JSON has inconsistent dimensions")
+            raise DimensionMismatch(f"{field}: matrix JSON has inconsistent dimensions")
         return cls([[scalar_from_json(x, f"{field}.rows[{i}][{j}]") for j, x in enumerate(r)]
                     for i, r in enumerate(rows)])
 
@@ -483,8 +466,8 @@ def centralizer(generators: Sequence[Mat]) -> Subspace:
     return solve_homogeneous(rows, n * n)
 
 
-def algebra_closure(generators: Sequence[Mat], include_identity: bool = True) -> Subspace:
-    """Smallest subspace containing the generators and closed under products.
+def algebra_closure(generators: Sequence[Mat]) -> Subspace:
+    """Smallest subspace containing 1 and the generators and closed under products.
 
     Iterates pairwise products of the current RREF basis until the dimension
     stabilizes; terminates since the ambient dimension bounds the chain.
@@ -493,10 +476,7 @@ def algebra_closure(generators: Sequence[Mat], include_identity: bool = True) ->
     if not generators:
         raise ValueError("algebra_closure needs at least one generator")
     n = generators[0].n
-    seed = [g.flatten() for g in generators]
-    if include_identity:
-        seed.append(Mat.identity(n).flatten())
-    space = Subspace(n * n, seed)
+    space = Subspace(n * n, [g.flatten() for g in generators] + [Mat.identity(n).flatten()])
     while True:
         mats = space.matrices()
         vectors = list(space.basis)

@@ -1,11 +1,13 @@
 """Representations of GL_q(2,C), SL_q(2,C), and the auxiliary algebra R_q.
 
 A representation assigns 4x4 matrices A11, A12, A21, A22 to the four
-generators so that the six quantum-matrix relations hold exactly.  The
-quantum determinant A11*A22 - q*A12*A21 is then invertible and commutes
-with all four matrices.  R_q replaces the second diagonal generator with
-r22 -> R22 = A22 - A12*A11^-1*A21, which commutes with A11; the two
-presentations convert into each other losslessly.
+generators so that the six quantum-matrix relations hold exactly; the
+quantum determinant D = A11*A22 - q*A12*A21 then commutes with all four.
+A GL_q representation has D invertible, and its antipode blocks (antipode)
+are the blocks of M^-1, M = [[A11, A12], [A21, A22]], which define the inner
+action (see action.build_action).  R_q replaces the second diagonal
+generator with r22 -> R22 = A22 - A12*A11^-1*A21, which commutes with A11;
+the two presentations convert into each other losslessly.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from dataclasses import dataclass
 from .linalg import DimensionMismatch, Mat, Singular, centralizer, det, mat_inverse
 from .report import Report
 from .scalars import DeformationParameter, scalar_from_json
+
+
+Blocks = tuple[tuple[Mat, Mat], tuple[Mat, Mat]]
 
 
 class RelationViolated(ValueError):
@@ -73,10 +78,11 @@ class GLqRep:
     @classmethod
     def from_json(cls, data: dict) -> "GLqRep":
         q = DeformationParameter(scalar_from_json(data["q"], "q"))
-        mats = [Mat.from_json(data[key], key) for key in ("A11", "A12", "A21", "A22")]
-        if any(m.n != 4 for m in mats):
-            raise DimensionMismatch("representation matrices must be 4x4")
-        return cls(*mats, q=q)
+        mats = {key: Mat.from_json(data[key], key) for key in ("A11", "A12", "A21", "A22")}
+        for key, m in mats.items():
+            if m.n != 4:
+                raise DimensionMismatch(f"{key}: representation matrices must be 4x4")
+        return cls(*mats.values(), q=q)
 
 
 @dataclass(frozen=True)
@@ -138,15 +144,20 @@ def quantum_determinant(rep: GLqRep) -> Mat:
     return d
 
 
-def antipode_check(rep: GLqRep) -> Report:
-    """Both counit identities for the antipode blocks, all eight of them."""
-    q = rep.q.q
-    d = quantum_determinant(rep)
-    dinv = mat_inverse(d)
-    s = (
+def antipode(rep: GLqRep) -> Blocks:
+    """The antipode blocks rho(S(a_kj)): D^-1 A22, -q^-1 D^-1 A12, -q D^-1 A21, D^-1 A11.
+
+    Raises DeterminantSingular or DeterminantNotCentral (quantum_determinant).
+    """
+    dinv = mat_inverse(quantum_determinant(rep))
+    return (
         (dinv * rep.a22, (dinv * rep.a12).scale(-rep.q.inv)),
-        ((dinv * rep.a21).scale(-q), dinv * rep.a11),
+        ((dinv * rep.a21).scale(-rep.q.q), dinv * rep.a11),
     )
+
+
+def antipode_check(rep: GLqRep, s: Blocks) -> Report:
+    """Both counit identities, S M = I_8 and M S = I_8, for blocks s, all eight of them."""
     a = ((rep.a11, rep.a12), (rep.a21, rep.a22))
     e4 = Mat.identity(4)
     report = Report("antipode")

@@ -330,6 +330,13 @@ def _parse_int(s: str, pos: int, end: int):
         raise ParseError(f"{pos - start} digits exceed the limit of {sys.get_int_max_str_digits()}", start) from None
 
 
+def _quoted(value) -> str:
+    """repr(value), but a string of more than 40 characters is cut to 40 and its length given."""
+    if isinstance(value, str) and len(value) > 40:
+        return f"{value[:40]!r}... ({len(value)} characters)"
+    return repr(value)
+
+
 def scalar_from_json(data, field: str = "scalar") -> Scalar:
     """Accepts {"re": ..., "im": ...} of ints or rational strings, a scalar string, or an int.
 
@@ -341,16 +348,16 @@ def scalar_from_json(data, field: str = "scalar") -> Scalar:
         try:
             return parse_scalar(data)
         except ParseError as exc:
-            raise ParseError(f"{field}: {exc} in {data!r}") from None
+            raise ParseError(f"{field}: {exc} in {_quoted(data)}") from None
     if isinstance(data, int) and not isinstance(data, bool):
         return Scalar(data)
-    raise ParseError(f"{field}: cannot decode scalar from {data!r}")
+    raise ParseError(f"{field}: cannot decode scalar from {_quoted(data)}")
 
 
 def _rational_from_json(value, field: str) -> Fraction:
     s = scalar_from_json(value, field) if isinstance(value, (int, str)) else None
     if s is None or s.b:
-        raise ParseError(f"{field}: expected an int or a rational string, got {value!r}")
+        raise ParseError(f"{field}: expected an int or a rational string, got {_quoted(value)}")
     return s.re
 
 

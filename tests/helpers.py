@@ -86,11 +86,24 @@ def matvec(m: Mat, vec) -> tuple:
     return tuple(out)
 
 
+def block_matrix(rep) -> Mat:
+    """The 8x8 block matrix M = [[A11, A12], [A21, A22]]."""
+    top = [r1 + r2 for r1, r2 in zip(rep.a11.rows, rep.a12.rows)]
+    bottom = [r1 + r2 for r1, r2 in zip(rep.a21.rows, rep.a22.rows)]
+    return Mat(top + bottom)
+
+
+def inverse_blocks(rep):
+    """The 4x4 blocks ((S11, S12), (S21, S22)) of M^-1 by 8x8 elimination; raises Singular when M is."""
+    rows = mat_inverse(block_matrix(rep)).rows
+    block = lambda r, c: Mat([row[c : c + 4] for row in rows[r : r + 4]])
+    return ((block(0, 0), block(0, 4)), (block(4, 0), block(4, 4)))
+
+
 def reference_action(rep, i: int, j: int, v: Mat) -> Mat:
     """a_ij . v = sum_k A_ik v S_kj on 4x4 matrices, S the blocks of M^-1; no operators involved."""
-    s11, s12, s21, s22 = mat_inverse(Mat.block2(rep.a11, rep.a12, rep.a21, rep.a22)).blocks2()
     a = ((rep.a11, rep.a12), (rep.a21, rep.a22))
-    s = ((s11, s12), (s21, s22))
+    s = inverse_blocks(rep)
     return a[i - 1][0] * v * s[0][j - 1] + a[i - 1][1] * v * s[1][j - 1]
 
 

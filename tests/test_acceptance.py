@@ -181,7 +181,7 @@ def test_criterion_5_hopf_axioms():
         rep = instantiate(eid, q)
         action = build_action(rep)
         assert operator_relation_report(action).ok, eid
-        assert antipode_check(rep).ok, eid
+        assert antipode_check(rep, action.starred).ok, eid
         assert verify_module_algebra(action).ok, eid
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import tempfile
@@ -192,8 +193,9 @@ def _two_by_two(data):
     (lambda data: data["A11"]["rows"][1].__setitem__(1, "1/x"), "A11.rows[1][1]", "matrix.rows[1][1]"),
     (lambda data: data["A22"]["rows"][3].__setitem__(1, "2+"), "A22.rows[3][1]", None),
     (lambda data: data["A11"].pop("rows"), "missing fields: 'rows'", "missing fields: 'rows'"),
-    (lambda data: data["A11"]["rows"].pop(), "inconsistent dimensions", "inconsistent dimensions"),
-    (_two_by_two, "4x4", None),
+    (lambda data: data["A11"]["rows"].pop(), "A11: matrix JSON has inconsistent dimensions",
+     "matrix: matrix JSON has inconsistent dimensions"),
+    (_two_by_two, "A11: representation matrices must be 4x4", None),
     (lambda data: data.update(q={"re": "9" * 5000}), "q.re: 5000 digits", None),
     (lambda data: data["A11"]["rows"][0].__setitem__(0, "7" * 5000), "A11.rows[0][0]: 5000 digits",
      "matrix.rows[0][0]: 5000 digits"),
@@ -235,8 +237,10 @@ def test_long_q_output_and_export(capsys, tmp_path):
     assert code == 0 and out.count("\n") == 1 and json.loads(out)["out"] == str(rep_file)
     assert json.loads(rep_file.read_text())["q"] == {"re": q, "im": "0"}
     # Reading the file back hits the 4,300-digit input limit, which stays.
-    code, doc = run_json(capsys, "check-rep", "--file", str(rep_file))
+    code, out = run(capsys, "check-rep", "--file", str(rep_file))
+    doc = json.loads(out)
     assert code == 2 and doc["error"].startswith(f"representation file {rep_file}: A11.rows[0][0]: 5999 digits")
+    assert len(out.encode()) < 512 and doc["error"].endswith("... (5999 characters)")
 
 
 def test_export_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
@@ -284,8 +288,34 @@ def test_check_rep_singular_block_matrix(capsys, tmp_path):
     code, doc = run_json(capsys, "check-rep", "--file", str(rep_file))
     assert code == 1
     assert doc["ok"] is False
-    failed = {c["name"] for c in doc["checks"] if not c["pass"]}
-    assert "module_algebra" in failed
+    failed = {c["name"]: c["detail"] for c in doc["checks"] if not c["pass"]}
+    assert failed == {"antipode:determinant": "quantum determinant is singular",
+                      "module_algebra": "quantum determinant is singular"}
+
+
+def test_singular_determinant_files_are_not_gl_q(capsys, tmp_path):
+    # Each satisfies the six relations, but det_q is singular, so M is
+    # singular and there is no inner action to compare or to fix.
+    zero, one = Mat.zero(4), Mat.identity(4)
+    paths = {}
+    for name, a11 in (("d1", Mat.diag(1, 0, 0, 0)), ("d2", Mat.diag(2, 0, 0, 0)),
+                      ("nilpotent", Mat.unit(4, 1, 2) + Mat.unit(4, 2, 3))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(GLqRep(a11, zero, zero, one, validate_q(2)).to_json()))
+        code, doc = run_json(capsys, "check-rep", "--file", str(paths[name]))
+        assert code == 1 and {c["name"] for c in doc["checks"] if not c["pass"]} == {
+            "antipode:determinant", "module_algebra"}
+        code, doc = run_json(capsys, "invariants", "--file", str(paths[name]))
+        assert code == 2
+        assert doc["error"] == f"{paths[name]} is not a GL_q representation: quantum determinant is singular"
+    for first, second in (("d1", "d2"), ("nilpotent", "nilpotent"), ("d1", "nilpotent")):
+        code, doc = run_json(capsys, "equiv", "--file1", str(paths[first]), "--file2", str(paths[second]))
+        assert code == 2
+        assert doc["error"] == f"{paths[first]} is not a GL_q representation: quantum determinant is singular"
+    assert main(["export", "--entry", "S1", "--out", str(tmp_path / "s1.json")]) == 0
+    capsys.readouterr()
+    code, doc = run_json(capsys, "equiv", "--file1", str(tmp_path / "s1.json"), "--file2", str(paths["d2"]))
+    assert code == 2 and doc["error"].startswith(f"{paths['d2']} is not a GL_q representation")
 
 
 def test_invariants_subcommand(capsys, tmp_path):
@@ -347,7 +377,9 @@ def test_output_is_deterministic(capsys):
 _S1 = instantiate("S1", validate_q(2)).to_json()
 _MATRIX = _S1["A11"]
 _DEEP = "__deep__"
-_JUNK = st.sampled_from([None, True, 0.5, -3, [], {}, "abc", "1/0", "", [[]], {"n": 4}, _DEEP])
+# Fresh copies: a shared [] or {"n": 4} that one example mutates would change
+# later examples' draws, which Hypothesis reports as a flaky strategy.
+_JUNK = st.sampled_from([None, True, 0.5, -3, [], {}, "abc", "1/0", "", [[]], {"n": 4}, _DEEP]).map(copy.deepcopy)
 _LONG = st.sampled_from(["9" * 4300, "7" * 4301, "-1/" + "3" * 5000, "2+" + "1" * 6000 + "i"])
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_low_rank, random_mat, random_scalar
+from helpers import block_matrix, random_low_rank, random_mat, random_scalar
 from qact import (
     DimensionMismatch,
     Mat,
@@ -46,7 +46,7 @@ def test_inverse_unipotent():
 
 def test_inverse_of_s1_block_matrix(q2):
     rep = instantiate("S1", q2)
-    m = Mat.block2(rep.a11, rep.a12, rep.a21, rep.a22)
+    m = block_matrix(rep)
     assert m * mat_inverse(m) == Mat.identity(8)
 
 

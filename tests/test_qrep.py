@@ -1,14 +1,21 @@
+import random
+
 import pytest
 
+from helpers import inverse_blocks, random_dense_invertible
 from qact import (
     A11Singular,
+    DeterminantSingular,
     DNotInvariant,
     DSingular,
+    EquivalenceWitness,
     GLqRep,
     Mat,
     R22Singular,
     RelationViolated,
     RqRep,
+    Singular,
+    antipode,
     antipode_check,
     attach_determinant,
     connected_slq,
@@ -17,10 +24,12 @@ from qact import (
     instantiate,
     is_slq,
     mat_inverse,
+    parse_scalar,
     quantum_determinant,
     require_representation,
     schur_r22,
     to_rq,
+    validate_q,
     verify_glq_relations,
     verify_rq_relations,
 )
@@ -71,16 +80,41 @@ def test_determinant_commutes_for_all_entries(q2):
 
 
 def test_antipode_passes(q2):
-    assert antipode_check(instantiate("S3", q2)).ok
-    assert antipode_check(instantiate("G7", q2, {"alpha": 3, "xi": 5})).ok
+    for rep in (instantiate("S3", q2), instantiate("G7", q2, {"alpha": 3, "xi": 5})):
+        assert antipode_check(rep, antipode(rep)).ok
 
 
 def test_antipode_negative_control(q2):
     # Central invertible determinant but a broken spinor relation: the
     # off-diagonal counit identities pick it up.
     rep = GLqRep(E4, u(1, 2), Mat.zero(4), E4, q2)
-    report = antipode_check(rep)
+    report = antipode_check(rep, antipode(rep))
     assert not report.ok
+
+
+@pytest.mark.parametrize("q_text", ["2", "3", "1+i"])
+def test_antipode_is_the_block_inverse(q_text):
+    # The oracle inverts the 8x8 block matrix M by elimination; each entry is
+    # checked as tabulated and as one dense conjugate.
+    q = validate_q(parse_scalar(q_text))
+    rng = random.Random(0xA27)
+    for eid in ENTRY_ORDER:
+        rep = instantiate(eid, q)
+        conjugate = EquivalenceWitness(random_dense_invertible(rng), 1, 1).apply(rep)
+        for r in (rep, conjugate):
+            assert verify_glq_relations(r).ok, eid
+            assert antipode(r) == inverse_blocks(r), eid
+
+
+def test_singular_determinant_means_singular_block_matrix(q2):
+    zero = Mat.zero(4)
+    for a11, a22 in ((zero, zero), (u(1, 2) + u(2, 3), E4), (Mat.diag(1, 0, 0, 0), E4)):
+        rep = GLqRep(a11, zero, zero, a22, q2)
+        assert verify_glq_relations(rep).ok
+        with pytest.raises(Singular):
+            inverse_blocks(rep)
+        with pytest.raises(DeterminantSingular):
+            antipode(rep)
 
 
 def test_to_rq_examples(q2):
