@@ -38,7 +38,7 @@ from .linalg import (
     right_mul_operator,
     solve_homogeneous,
 )
-from .qrep import Blocks, GLqRep, _relation_report, antipode
+from .qrep import Blocks, GLqRep, _relation_report, antipode, quantum_determinant
 from .report import Report
 from .scalars import ZERO, Scalar, exact_sqrt
 
@@ -86,7 +86,7 @@ def build_action(rep: GLqRep) -> InnerAction:
     not checked here: verify_glq_relations and operator_relation_report do
     that.
     """
-    return InnerAction(rep, antipode(rep))
+    return InnerAction(rep, antipode(rep, quantum_determinant(rep)))
 
 
 def operator_relation_report(action: InnerAction) -> Report:
@@ -203,7 +203,7 @@ def _power_traces(x: Mat) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     for i in range(4):
         for j in range(4):
             y = x2.rows[i][j]
-            if y:
+            if y.a or y.b:
                 p3 = p3 + y * x.rows[j][i]
                 p4 = p4 + y * x2.rows[j][i]
     return x.trace(), x2.trace(), p3, p4
@@ -240,11 +240,11 @@ def _scale_candidates(x: Mat, xp: Mat, name: str) -> list[Scalar]:
 
 
 def _intertwiner_space(r1: GLqRep, r2: GLqRep, alpha1: Scalar, alpha2: Scalar) -> Subspace:
-    """Solutions u of the four equations u A = alpha^-1 A' u, stacked."""
+    """Solutions u of the four equations alpha u A = A' u, stacked (the same as u A = alpha^-1 A' u)."""
     scales = (alpha1, alpha2, alpha1, alpha2)
     rows: list[list[Scalar]] = []
     for x, xp, alpha in zip(r1.matrices(), r2.matrices(), scales):
-        op = right_mul_operator(x) - left_mul_operator(xp).scale(alpha.inv())
+        op = right_mul_operator(x.scale(alpha)) - left_mul_operator(xp)
         rows.extend(list(r) for r in op.rows)
     return solve_homogeneous(rows, 16)
 

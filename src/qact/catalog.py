@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
 from .action import (
+    InnerAction,
     action_fixed_points,
-    build_action,
     decide_equivalence,
     operator_algebra,
     operator_relation_report,
@@ -31,6 +31,7 @@ from .clifford import default_model, eval_gamma_expr, parse_gamma_expr
 from .linalg import Mat, Subspace, centralizer, mat_inverse
 from .qrep import (
     GLqRep,
+    antipode,
     antipode_check,
     quantum_determinant,
     require_representation,
@@ -747,7 +748,7 @@ def check_entry(
     expected_r = Subspace.span_of(entry.expected_r_basis(q.q, p))
     report.add("operator_algebra_shape", algebra == expected_r)
 
-    action = build_action(rep)
+    action = InnerAction(rep, antipode(rep, detq))
     op_rel = operator_relation_report(action)
     report.add("action_operator_relations", op_rel.ok, _first_bad(op_rel))
 
@@ -770,8 +771,8 @@ def check_entry(
     spanned = Subspace.span_of([_E4] + evaluated) == cent
     report.add("gamma_invariants", inside and spanned, f"{len(evaluated)} expressions")
 
-    antipode = antipode_check(rep, action.starred)
-    report.add("antipode", antipode.ok, _first_bad(antipode))
+    counit = antipode_check(rep, action.starred)
+    report.add("antipode", counit.ok, _first_bad(counit))
 
     module = verify_module_algebra(action)
     report.add("module_algebra", module.ok, _first_bad(module))

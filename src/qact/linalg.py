@@ -1,10 +1,11 @@
 """Dense exact matrix algebra and subspace computations over Q(i).
 
 Matrices are square (sizes 2, 4, 16 arise), stored row-major as tuples of
-Scalar.  Linear subspaces of flattened matrices are kept in reduced
-row-echelon form with pivots equal to 1, so subspace equality is structural
-equality of the bases.  Flattening is row-major throughout: the matrix entry
-(i, j) sits at index i*n + j of the flattened vector.
+Scalar.  Zero entries are skipped, never multiplied, so results may share
+immutable Scalar objects with their operands.  Linear subspaces of flattened
+matrices are kept in reduced row-echelon form with pivots equal to 1, so
+subspace equality is structural equality of the bases.  Flattening is
+row-major throughout: the matrix entry (i, j) sits at index i*n + j.
 """
 
 from __future__ import annotations
@@ -72,13 +73,15 @@ class Mat:
         if not isinstance(other, Mat):
             return NotImplemented
         self._same(other)
-        return Mat([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return Mat([[(x + y if x.a or x.b else y) if y.a or y.b else x for x, y in zip(r1, r2)]
+                    for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
             return NotImplemented
         self._same(other)
-        return Mat([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return Mat([[(x - y if x.a or x.b else -y) if y.a or y.b else x for x, y in zip(r1, r2)]
+                    for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Mat":
         return Mat([[-x for x in r] for r in self.rows])
@@ -114,7 +117,7 @@ class Mat:
 
     def scale(self, s) -> "Mat":
         s = as_scalar(s)
-        return Mat([[x * s for x in r] for r in self.rows])
+        return Mat([[x * s if x.a or x.b else x for x in r] for r in self.rows])
 
     def __pow__(self, k: int) -> "Mat":
         if k < 0:
@@ -200,7 +203,8 @@ def det(m: Mat) -> Scalar:
     for col in range(n):
         piv = None
         for r in range(col, n):
-            if rows[r][col]:
+            x = rows[r][col]
+            if x.a or x.b:
                 piv = r
                 break
         if piv is None:
@@ -213,13 +217,14 @@ def det(m: Mat) -> Scalar:
         pinv = p.inv()
         for r in range(col + 1, n):
             f = rows[r][col]
-            if f:
+            if f.a or f.b:
                 f = f * pinv
                 prow = rows[col]
                 rrow = rows[r]
                 for c in range(col, n):
-                    if prow[c]:
-                        rrow[c] = rrow[c] - prow[c] * f
+                    x = prow[c]
+                    if x.a or x.b:
+                        rrow[c] = rrow[c] - x * f
     return result * sign
 
 
@@ -244,7 +249,8 @@ def _rref_in_place(rows: list[list[Scalar]], width: int) -> list[int]:
     for col in range(width):
         piv = None
         for r in range(rank, nrows):
-            if rows[r][col]:
+            x = rows[r][col]
+            if x.a or x.b:
                 piv = r
                 break
         if piv is None:
@@ -255,16 +261,17 @@ def _rref_in_place(rows: list[list[Scalar]], width: int) -> list[int]:
         p = prow[col]
         if p.a != 1 or p.b != 0 or p.d != 1:
             pinv = p.inv()
-            prow = rows[rank] = prow[:col] + [x * pinv for x in prow[col:]]
+            prow = rows[rank] = prow[:col] + [x * pinv if x.a or x.b else x for x in prow[col:]]
         for r in range(nrows):
             if r == rank:
                 continue
             f = rows[r][col]
-            if f:
+            if f.a or f.b:
                 rrow = rows[r]
                 for c in range(col, width):
-                    if prow[c]:
-                        rrow[c] = rrow[c] - prow[c] * f
+                    x = prow[c]
+                    if x.a or x.b:
+                        rrow[c] = rrow[c] - x * f
         pivot_cols.append(col)
         rank += 1
         if rank == nrows:
@@ -317,10 +324,11 @@ class Subspace:
             raise DimensionMismatch("vector length does not match ambient dimension")
         for row, piv in zip(self.basis, self.pivot_columns):
             f = v[piv]
-            if f:
+            if f.a or f.b:
                 for c in range(piv, self.ambient_dim):
-                    if row[c]:
-                        v[c] = v[c] - row[c] * f
+                    x = row[c]
+                    if x.a or x.b:
+                        v[c] = v[c] - x * f
         return v
 
     def contains_vector(self, vector: Sequence[Scalar]) -> bool:
@@ -352,11 +360,12 @@ class Subspace:
             vec = [ZERO] * self.ambient_dim
             for r in range(k):
                 f = cv[r]
-                if f:
+                if f.a or f.b:
                     row = self.basis[r]
                     for c in range(self.ambient_dim):
-                        if row[c]:
-                            vec[c] = vec[c] + row[c] * f
+                        x = row[c]
+                        if x.a or x.b:
+                            vec[c] = vec[c] + x * f
             vectors.append(vec)
         return Subspace(self.ambient_dim, vectors)
 
@@ -400,7 +409,7 @@ def solve_homogeneous(rows: list[list[Scalar]], width: int) -> Subspace:
         v[free] = ONE
         for r, piv in enumerate(pivots):
             f = m[r][free]
-            if f:
+            if f.a or f.b:
                 v[piv] = -f
         basis.append(v)
     return Subspace(width, basis)
@@ -427,7 +436,7 @@ def left_mul_operator(a: Mat) -> Mat:
     for i in range(n):
         for k in range(n):
             f = a.rows[i][k]
-            if f:
+            if f.a or f.b:
                 for j in range(n):
                     rows[i * n + j][k * n + j] = f
     return Mat(rows)
@@ -441,7 +450,7 @@ def right_mul_operator(a: Mat) -> Mat:
     for l in range(n):
         for j in range(n):
             f = a.rows[l][j]
-            if f:
+            if f.a or f.b:
                 for i in range(n):
                     rows[i * n + j][i * n + l] = f
     return Mat(rows)

@@ -144,12 +144,12 @@ def quantum_determinant(rep: GLqRep) -> Mat:
     return d
 
 
-def antipode(rep: GLqRep) -> Blocks:
+def antipode(rep: GLqRep, detq: Mat) -> Blocks:
     """The antipode blocks rho(S(a_kj)): D^-1 A22, -q^-1 D^-1 A12, -q D^-1 A21, D^-1 A11.
 
-    Raises DeterminantSingular or DeterminantNotCentral (quantum_determinant).
+    detq is D as quantum_determinant(rep) returns it, already checked invertible.
     """
-    dinv = mat_inverse(quantum_determinant(rep))
+    dinv = mat_inverse(detq)
     return (
         (dinv * rep.a22, (dinv * rep.a12).scale(-rep.q.inv)),
         ((dinv * rep.a21).scale(-rep.q.q), dinv * rep.a11),

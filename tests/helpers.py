@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from qact import Mat, Scalar, as_scalar, det, mat_inverse
+from qact import Mat, Scalar, Subspace, as_scalar, det, left_mul_operator, mat_inverse, right_mul_operator, solve_homogeneous
 
 SMALL_DENOMS = (1, 1, 1, 2, 3)
 
@@ -155,3 +155,116 @@ def module_algebra_on_all_pairs(action) -> bool:
 
 def frac(x) -> Fraction:
     return Fraction(x)
+
+
+# -- dense reference kernels ---------------------------------------------------------
+#
+# Row lists of Scalars, every entry touched: no zero is skipped, so these are
+# the oracle for the zero-aware kernels in qact.linalg.
+
+_ZERO, _ONE = Scalar(0), Scalar(1)
+
+
+def dense_add(a: Mat, b: Mat) -> list:
+    return [[x + y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)]
+
+
+def dense_sub(a: Mat, b: Mat) -> list:
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)]
+
+
+def dense_scale(a: Mat, c: Scalar) -> list:
+    return [[x * c for x in r] for r in a.rows]
+
+
+def dense_mul(a: Mat, b: Mat) -> list:
+    n = a.n
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            total = _ZERO
+            for k in range(n):
+                total = total + a.rows[i][k] * b.rows[k][j]
+            row.append(total)
+        out.append(row)
+    return out
+
+
+def dense_kron(a: Mat, b: Mat) -> Mat:
+    """The Kronecker product: entry (i*m + k, j*m + l) is a_ij b_kl."""
+    m = b.n
+    return Mat([[a.rows[i][j] * b.rows[k][l] for j in range(a.n) for l in range(m)]
+                for i in range(a.n) for k in range(m)])
+
+
+def dense_rref(rows, width: int) -> tuple[list, list]:
+    """(nonzero RREF rows with pivots 1, pivot columns); every row operation runs on every entry."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(width):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != _ZERO), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][col].inv()
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank:
+                f = rows[r][col]
+                rows[r] = [x - y * f for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def dense_det(a: Mat) -> Scalar:
+    """Elimination below each pivot on every entry of every row, zero multipliers included."""
+    rows = [list(r) for r in a.rows]
+    result = _ONE
+    for col in range(a.n):
+        piv = next((r for r in range(col, a.n) if rows[r][col] != _ZERO), None)
+        if piv is None:
+            return _ZERO
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            result = -result
+        p = rows[col][col]
+        result = result * p
+        for r in range(col + 1, a.n):
+            f = rows[r][col] / p
+            rows[r] = [x - y * f for x, y in zip(rows[r], rows[col])]
+    return result
+
+
+def dense_inverse(a: Mat):
+    """Rows of a^-1, or None when a is singular."""
+    n = a.n
+    rows, pivots = dense_rref([list(r) + [_ONE if i == j else _ZERO for j in range(n)]
+                               for i, r in enumerate(a.rows)], 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [r[n:] for r in rows]
+
+
+def dense_kernel(rows, width: int) -> list:
+    """The RREF basis of {x : rows x = 0}."""
+    reduced, pivots = dense_rref(rows, width)
+    basis = []
+    for free in range(width):
+        if free not in pivots:
+            v = [_ZERO] * width
+            v[free] = _ONE
+            for r, piv in enumerate(pivots):
+                v[piv] = -reduced[r][free]
+            basis.append(v)
+    return dense_rref(basis, width)[0]
+
+
+def reference_intertwiner_space(r1, r2, alpha1: Scalar, alpha2: Scalar) -> Subspace:
+    """Solutions u of u A = alpha^-1 A' u: each 16x16 operator scaled by alpha^-1, as first written."""
+    rows = []
+    for x, xp, alpha in zip(r1.matrices(), r2.matrices(), (alpha1, alpha2, alpha1, alpha2)):
+        op = right_mul_operator(x) - left_mul_operator(xp).scale(alpha.inv())
+        rows.extend(list(r) for r in op.rows)
+    return solve_homogeneous(rows, 16)

@@ -13,6 +13,7 @@ from helpers import (
     random_invertible_upper,
     random_nonzero_scalar,
     reference_action,
+    reference_intertwiner_space,
 )
 from qact import (
     EquivalenceWitness,
@@ -38,6 +39,7 @@ from qact import (
     verify_glq_relations,
     verify_module_algebra,
 )
+from qact import action as action_module
 from qact.catalog import ENTRY_ORDER
 
 E4 = Mat.identity(4)
@@ -335,6 +337,30 @@ def _table_and_traceless(q_text):
     reps.append(("S5 traceless", instantiate("S5", q, {"alpha": -(qq * qq + qq + 1)})))
     assert reps[-1][1].a11.trace().is_zero
     return reps
+
+
+def test_intertwiner_space_matches_inverse_scaled_system(monkeypatch):
+    """alpha u A = A' u has the RREF basis of u A = alpha^-1 A' u, at every candidate pair tried."""
+    solve = action_module._intertwiner_space
+    tried = []
+
+    def checked(r1, r2, alpha1, alpha2):
+        space = solve(r1, r2, alpha1, alpha2)
+        assert space == reference_intertwiner_space(r1, r2, alpha1, alpha2)
+        tried.append(space.dim)
+        return space
+
+    monkeypatch.setattr(action_module, "_intertwiner_space", checked)
+    reps = [rep for _, rep in _table_and_traceless("2")[:20]]
+    for i, r1 in enumerate(reps):
+        for r2 in reps[i + 1:]:
+            assert not decide_equivalence(r1, r2).equivalent
+    rng = random.Random(0x1E7)
+    for q_text in ("3", "1+1i"):
+        for label, rep in _table_and_traceless(q_text)[::5]:
+            w = EquivalenceWitness(random_dense_invertible(rng), random_nonzero_scalar(rng), random_nonzero_scalar(rng))
+            assert decide_equivalence(rep, w.apply(rep)).equivalent, label
+    assert len(tried) >= 20 and any(tried)
 
 
 def test_different_q_is_unsupported(q2, q3):

@@ -9,7 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qact import EquivalenceWitness, GLqRep, Mat, Scalar, instantiate, validate_q
+from qact import (
+    EquivalenceWitness,
+    GLqRep,
+    Mat,
+    Scalar,
+    decide_equivalence,
+    instantiate,
+    parse_scalar,
+    quantum_determinant,
+    validate_q,
+    verify_glq_relations,
+)
 from qact.cli import main
 from qact.scalars import scalar_from_json
 
@@ -381,6 +392,10 @@ _DEEP = "__deep__"
 # later examples' draws, which Hypothesis reports as a flaky strategy.
 _JUNK = st.sampled_from([None, True, 0.5, -3, [], {}, "abc", "1/0", "", [[]], {"n": 4}, _DEEP]).map(copy.deepcopy)
 _LONG = st.sampled_from(["9" * 4300, "7" * 4301, "-1/" + "3" * 5000, "2+" + "1" * 6000 + "i"])
+# Option values: "1" is no valid q.  A valid q of 4,300 digits makes show-entry
+# take 0.3 s, so the long q that decodes has 1,001.
+_OPTION = st.sampled_from(["2", "-1/2", "1+i", "1", "abc", ""])
+_LONG_Q = st.sampled_from(["1" + "0" * 1000, "7" * 4301, "-1/" + "3" * 5000, "2+" + "1" * 6000 + "i"])
 
 
 def _paths(node, prefix=()):
@@ -411,25 +426,53 @@ def _mutated(draw, doc):
     return json.dumps(doc).replace(json.dumps(_DEEP), "[" * depth + "]" * depth)
 
 
+def _decoded(decode):
+    """decode(), or None when it raises as malformed input does."""
+    try:
+        return decode()
+    except (ValueError, KeyError, TypeError, RecursionError):
+        return None
+
+
 @settings(max_examples=60, deadline=None)
-@given(rep_text=_mutated(_S1), matrix_text=_mutated(_MATRIX))
-def test_fuzzed_input_files_give_one_json_document(rep_text, matrix_text):
+@given(
+    rep_text=_mutated(_S1),
+    matrix_text=_mutated(_MATRIX),
+    q_text=st.one_of(_OPTION, _LONG_Q),
+    alpha_text=st.one_of(_OPTION, _LONG),
+)
+def test_fuzzed_input_files_give_one_json_document(rep_text, matrix_text, q_text, alpha_text):
+    # The expected exit-2 cases, decoded here without the CLI: the file or
+    # option does not decode, or (invariants, equiv) the file is no GL_q
+    # representation, or (equiv) the decision is refused.
+    rep_data = _decoded(lambda: GLqRep.from_json(json.loads(rep_text)))
+    gl_q = (rep_data is not None and verify_glq_relations(rep_data).ok
+            and _decoded(lambda: quantum_determinant(rep_data)) is not None)
+    decided = gl_q and _decoded(lambda: decide_equivalence(GLqRep.from_json(_S1), rep_data)) is not None
+    matrix_bad = _decoded(lambda: Mat.from_json(json.loads(matrix_text))) is None
+    options_bad = _decoded(lambda: validate_q(parse_scalar(q_text))) is None or _decoded(
+        lambda: parse_scalar(alpha_text)) is None
     with tempfile.TemporaryDirectory() as tmp:
-        good, rep, matrix = (Path(tmp) / name for name in ("good.json", "rep.json", "matrix.json"))
+        good, rep, matrix, out_file = (Path(tmp) / name for name in ("good.json", "rep.json", "matrix.json", "out.json"))
         good.write_text(json.dumps(_S1))
         rep.write_text(rep_text)
         matrix.write_text(matrix_text)
-        for argv, path in (
-            (("check-rep", "--file", str(rep)), rep),
-            (("invariants", "--file", str(rep)), rep),
-            (("equiv", "--file1", str(good), "--file2", str(rep)), rep),
-            (("b-space", "--matrix", str(matrix)), matrix),
+        options = (f"--q={q_text}", "--param", f"alpha={alpha_text}")
+        for argv, path, refused in (
+            (("check-rep", "--file", str(rep)), rep, rep_data is None),
+            (("invariants", "--file", str(rep)), rep, not gl_q),
+            (("equiv", "--file1", str(good), "--file2", str(rep)), rep, not decided),
+            (("b-space", "--matrix", str(matrix)), matrix, matrix_bad),
+            (("show-entry", "--entry", "S1", *options), None, options_bad),
+            (("export", "--entry", "S1", *options, "--out", str(out_file)), None, options_bad),
         ):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 code = main(list(argv))  # an escaping exception fails the test
             assert code in (0, 1, 2), argv
+            assert (code == 2) == refused, argv
             assert out.getvalue().count("\n") == 1 and out.getvalue().endswith("\n"), argv
             doc = json.loads(out.getvalue())
-            assert code != 2 or str(path) in doc["error"], argv
+            assert code != 2 or path is None or str(path) in doc["error"], argv
             assert "Traceback" not in err.getvalue(), argv
+        assert out_file.exists() == (not options_bad)

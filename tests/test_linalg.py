@@ -4,7 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_matrix, random_low_rank, random_mat, random_scalar
+from helpers import (
+    block_matrix,
+    dense_add,
+    dense_det,
+    dense_inverse,
+    dense_kernel,
+    dense_kron,
+    dense_mul,
+    dense_rref,
+    dense_scale,
+    dense_sub,
+    random_low_rank,
+    random_mat,
+    random_scalar,
+)
 from qact import (
     DimensionMismatch,
     Mat,
@@ -22,6 +36,7 @@ from qact import (
     mat_inverse,
     rank,
     right_mul_operator,
+    solve_homogeneous,
 )
 
 
@@ -150,6 +165,74 @@ def test_subspace_lattice_properties(vs, ws):
     assert total.dim + meet.dim == s.dim + t.dim
     if s.contains(t) and t.contains(s):
         assert s == t
+
+
+# Sparse Gaussian rationals: about half the entries zero, small denominators.
+sparse_scalars = st.one_of(
+    st.just(Scalar(0)),
+    st.builds(Scalar, st.integers(-4, 4), st.sampled_from((0, 0, 1, -2)), st.sampled_from((1, 1, 2, 3))),
+)
+
+
+@st.composite
+def _sparse_mat(draw, n):
+    """An n x n matrix with at most 2n drawn entries off an optional unit-diagonal."""
+    one = Scalar(1) if draw(st.booleans()) else Scalar(0)
+    rows = [[one if i == j else Scalar(0) for j in range(n)] for i in range(n)]
+    for i, j, x in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), sparse_scalars),
+                                 max_size=2 * n)):
+        rows[i][j] = x
+    return Mat(rows)
+
+
+@st.composite
+def sparse_pairs(draw):
+    """(a, b): sparse of size 4 or 16, or 16x16 Kronecker products; b repeats or cancels some entries of a."""
+    if draw(st.booleans()):
+        n = draw(st.sampled_from((4, 16)))
+        a, b = draw(_sparse_mat(n)), draw(_sparse_mat(n))
+    else:
+        a = dense_kron(draw(_sparse_mat(4)), draw(_sparse_mat(4)))
+        b = dense_kron(draw(_sparse_mat(4)), draw(_sparse_mat(4)))
+    places = [(i, j) for i, r in enumerate(a.rows) for j, x in enumerate(r) if x]
+    rows = [list(r) for r in b.rows]
+    if places:
+        for k, sign in draw(st.lists(st.tuples(st.integers(0, len(places) - 1), st.sampled_from((1, -1))))):
+            i, j = places[k]
+            rows[i][j] = a.rows[i][j] if sign == 1 else -a.rows[i][j]
+    return a, Mat(rows)
+
+
+def _canonical(rows) -> list:
+    """rows, after checking every entry is a Scalar whose zeros are exactly (0, 0, 1)."""
+    rows = [list(r) for r in rows]
+    for r in rows:
+        for x in r:
+            assert type(x) is Scalar and (x.a or x.b or x.d == 1), x
+    return rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_pairs(), sparse_scalars)
+def test_zero_aware_kernels_match_dense_reference(pair, c):
+    a, b = pair
+    n = a.n
+    assert _canonical((a + b).rows) == dense_add(a, b)
+    assert _canonical((a - b).rows) == dense_sub(a, b)
+    assert _canonical(a.scale(c).rows) == dense_scale(a, c)
+    assert _canonical((a * b).rows) == dense_mul(a, b)
+    d = det(a)
+    assert _canonical([[d]]) == [[dense_det(a)]]
+    inverse = dense_inverse(a)
+    if inverse is None:
+        with pytest.raises(Singular):
+            mat_inverse(a)
+    else:
+        assert _canonical(mat_inverse(a).rows) == inverse
+    stacked = [list(r) for r in a.rows + (a - b).rows]
+    assert _canonical(solve_homogeneous(stacked, n).basis) == dense_kernel(stacked, n)
+    assert _canonical(Subspace(n, stacked).basis) == dense_rref(stacked, n)[0]
+    assert Subspace(n, stacked) == Subspace(n, dense_rref(stacked, n)[0] + [[Scalar(0)] * n])
 
 
 def test_closure_of_identity():

@@ -81,14 +81,14 @@ def test_determinant_commutes_for_all_entries(q2):
 
 def test_antipode_passes(q2):
     for rep in (instantiate("S3", q2), instantiate("G7", q2, {"alpha": 3, "xi": 5})):
-        assert antipode_check(rep, antipode(rep)).ok
+        assert antipode_check(rep, antipode(rep, quantum_determinant(rep))).ok
 
 
 def test_antipode_negative_control(q2):
     # Central invertible determinant but a broken spinor relation: the
     # off-diagonal counit identities pick it up.
     rep = GLqRep(E4, u(1, 2), Mat.zero(4), E4, q2)
-    report = antipode_check(rep, antipode(rep))
+    report = antipode_check(rep, antipode(rep, quantum_determinant(rep)))
     assert not report.ok
 
 
@@ -103,7 +103,7 @@ def test_antipode_is_the_block_inverse(q_text):
         conjugate = EquivalenceWitness(random_dense_invertible(rng), 1, 1).apply(rep)
         for r in (rep, conjugate):
             assert verify_glq_relations(r).ok, eid
-            assert antipode(r) == inverse_blocks(r), eid
+            assert antipode(r, quantum_determinant(r)) == inverse_blocks(r), eid
 
 
 def test_singular_determinant_means_singular_block_matrix(q2):
@@ -114,7 +114,7 @@ def test_singular_determinant_means_singular_block_matrix(q2):
         with pytest.raises(Singular):
             inverse_blocks(rep)
         with pytest.raises(DeterminantSingular):
-            antipode(rep)
+            quantum_determinant(rep)
 
 
 def test_to_rq_examples(q2):
