@@ -11,14 +11,14 @@ Flattening C(1,3) row-major turns each generator into a 16x16 operator L_ij,
 built only where it is read: its six quantum-matrix relations and its fixed
 points.
 
-Two representations define equivalent actions iff one is a conjugate of the
-other rescaled columnwise by nonzero scalars (alpha1 on the first column,
-alpha2 on the second).  decide_equivalence enumerates a complete candidate
-set for the two scalars from the power traces of A11 and A22, solves the
-intertwiner system for each pair, and searches the solution space for an
-invertible element at the lattice points 1 <= |c| <= 4 of the degree-4
-simplex, which decide whether its determinant (total degree 4) vanishes
-identically; so a negative answer is a certificate.
+Two GL_q representations define equivalent actions iff one is a conjugate
+of the other rescaled columnwise by nonzero scalars (alpha1 on the first
+column, alpha2 on the second).  decide_equivalence enumerates a complete
+candidate set for the two scalars from the power traces of A11 and A22,
+solves the intertwiner system for each pair, and searches the solution space
+for an invertible element at the lattice points 1 <= |c| <= 4 of the
+degree-4 simplex, which decide whether its determinant (total degree 4)
+vanishes identically; so a negative answer is a certificate.
 """
 
 from __future__ import annotations
@@ -32,19 +32,20 @@ from .linalg import (
     Mat,
     Subspace,
     algebra_closure,
+    det,
     invertible_element_in,
     left_mul_operator,
     mat_inverse,
     right_mul_operator,
     solve_homogeneous,
 )
-from .qrep import Blocks, GLqRep, _relation_report, antipode, quantum_determinant
+from .qrep import Blocks, DeterminantSingular, GLqRep, _relation_report, antipode, quantum_determinant
 from .report import Report
 from .scalars import ZERO, Scalar, exact_sqrt
 
 
 class Unsupported(ValueError):
-    """Candidate scalars cannot be enumerated for these inputs."""
+    """The pair is not decided: the deformation parameters differ, or both spectra match under a scale outside Q(i)."""
 
 
 @dataclass(frozen=True)
@@ -209,27 +210,30 @@ def _power_traces(x: Mat) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     return x.trace(), x2.trace(), p3, p4
 
 
-def _scale_candidates(x: Mat, xp: Mat, name: str) -> list[Scalar]:
-    """Every alpha with spectrum(x') = alpha * spectrum(x), sorted.
+def _spectral_pin(x: Mat, xp: Mat) -> tuple[int, Scalar] | None:
+    """The pin (g, w) such that spectrum(x') = alpha * spectrum(x) iff alpha^g = w; None if no alpha.
 
     Power traces p_k = tr(x^k), k = 1..4, fix a 4x4 spectrum (Newton's
     identities), so alpha qualifies iff p_k(x') = alpha^k p_k(x) for all k.
     That pins w = alpha^g, g = gcd{k : p_k(x) != 0}, and all g-th roots of w
-    qualify or none do; so [] is a certificate over every extension of Q(i).
+    qualify or none do; so None is a certificate over every extension of Q(i).
+    Raises DeterminantSingular when g is not 1, 2 or 4, since x is then
+    singular (see decide_equivalence).
     """
     p, pp = _power_traces(x), _power_traces(xp)
     if any(bool(a) != bool(b) for a, b in zip(p, pp)):
-        return []
+        return None
     ks = [k for k in range(1, 5) if p[k - 1]]
-    if not ks:
-        raise Unsupported(f"{name} is nilpotent: every scale passes the spectrum test")
-    ratio = {k: pp[k - 1] / p[k - 1] for k in ks}
     g = gcd(*ks)
-    if g == 3:
-        raise Unsupported(f"{name} pins only alpha^3, whose roots are not all in Q(i)")
+    if g not in (1, 2, 4):
+        raise DeterminantSingular("quantum determinant is singular")
+    ratio = {k: pp[k - 1] / p[k - 1] for k in ks}
     w = ratio[g] if g in ratio else next(ratio[k] / ratio[k - g] for k in ks if k - g in ratio)
-    if any(ratio[k] != w ** (k // g) for k in ks):
-        return []
+    return (g, w) if all(ratio[k] == w ** (k // g) for k in ks) else None
+
+
+def _roots(g: int, w: Scalar) -> list[Scalar]:
+    """Every g-th root of w in Q(i), sorted, for g in {1, 2, 4}; Unsupported if they lie outside."""
     roots = [w]
     for _ in range(g.bit_length() - 1):
         halves = [exact_sqrt(r) for r in roots]
@@ -250,7 +254,7 @@ def _intertwiner_space(r1: GLqRep, r2: GLqRep, alpha1: Scalar, alpha2: Scalar) -
 
 
 def decide_equivalence(r1: GLqRep, r2: GLqRep) -> Verdict:
-    """Decide equivalence of the inner actions of two representations.
+    """Decide equivalence of the inner actions of two GL_q representations.
 
     Returns an exact witness or a NotEquivalent certificate.  The candidate
     scales are those under which the power traces of A11 (alpha1) and A22
@@ -258,29 +262,48 @@ def decide_equivalence(r1: GLqRep, r2: GLqRep) -> Verdict:
     candidate pair reduces to a linear intertwiner system; the determinant on
     its solution space has total degree 4, so it is evaluated at the lattice
     points 1 <= |c| <= 4 of the degree-4 simplex, a complete identity test at
-    every dimension up to 16.  Raises Unsupported for different q, and for a
-    nilpotent A11 or A22, one that pins only alpha^3, or a scale outside Q(i),
-    unless the other block's spectrum already settles the pair.
+    every dimension up to 16.
+
+    Only a GL_q representation has an action (build_action), and for four
+    matrices that satisfy the relations that is a condition on A11 and A22.
+    Write a, b, c, d for A11, A12, A21, A22 and D = det_q = ad - q bc.
+    - bc is nilpotent.  The relations give a bc = q^2 bc a, d bc = q^-2 bc d,
+      ad = D + q bc and da = D + q^-1 bc, with D central.  So for
+      t(m, k) = tr(D^m (bc)^k), cyclicity turns tr(ad D^m (bc)^k) =
+      tr(d D^m (bc)^k a) = q^-2k tr(da D^m (bc)^k) into
+      (1 - q^-2k) t(m+1, k) = (q^(-2k-1) - q) t(m, k+1).  As q is not a root
+      of unity, induction on k gives t(m, k) = 0 for all m >= 0 and k >= 1,
+      and tr((bc)^k) = 0 for all k >= 1 means bc is nilpotent.
+    - ad commutes with bc, by the first two of those relations.
+    - So D = ad - q bc, ad plus a nilpotent that commutes with it, is
+      invertible iff ad is, that is iff A11 and A22 both are.
+    - An invertible 4x4 block has g = gcd{k : p_k != 0} in {1, 2, 4}: g = 0
+      means every power trace vanishes, a nilpotent block, and "only p_3 != 0"
+      forces det = 0 by Newton's identities.
+    So a block with g outside {1, 2, 4}, or a singular A11 or A22 of r1 once
+    both spectra match, raises DeterminantSingular; matched spectra are
+    nonzero multiples of each other, so r2's blocks are then singular too.
+    Every witness and every "exhausted" certificate is thus about two GL_q
+    representations, while a "spectrum" obstruction is a fact about the
+    matrices and needs no action.  Raises Unsupported for different q, and for
+    a scale outside Q(i) when both spectra match.
     """
     if r1.q != r2.q:
         raise Unsupported("representations have different deformation parameters")
-    try:
-        cands1 = _scale_candidates(r1.a11, r2.a11, "A11")
-    except Unsupported:
-        if _scale_candidates(r1.a22, r2.a22, "A22"):
-            raise
+    pin1 = _spectral_pin(r1.a11, r2.a11)
+    pin2 = _spectral_pin(r1.a22, r2.a22) if pin1 else None
+    if pin2 is None:
         return NotEquivalent(0, obstruction="spectrum")
-    cands2 = _scale_candidates(r1.a22, r2.a22, "A22") if cands1 else []
-    if not cands2:
-        return NotEquivalent(0, obstruction="spectrum")
+    if det(r1.a11).is_zero or det(r1.a22).is_zero:
+        raise DeterminantSingular("quantum determinant is singular")
+    # A22 first: when neither scale lies in Q(i), the A22 one is reported.
+    cands2, cands1 = _roots(*pin2), _roots(*pin1)
     tried = 0
     for alpha1 in cands1:
         for alpha2 in cands2:
             tried += 1
             space = _intertwiner_space(r1, r2, alpha1, alpha2)
-            if space.dim == 0:
-                continue
-            u = invertible_element_in(space)
+            u = invertible_element_in(space) if space.dim else None
             if u is None:
                 continue
             witness = EquivalenceWitness(u, alpha1, alpha2, candidates_tried=tried)

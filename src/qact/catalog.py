@@ -37,6 +37,7 @@ from .qrep import (
     require_representation,
     verify_glq_relations,
 )
+from .qspinor import form5_excluded
 from .report import Report
 from .scalars import ONE, ZERO, DeformationParameter, Scalar, as_scalar, format_scalar
 
@@ -269,12 +270,6 @@ def _build_g5(q: Scalar, p: Params):
 
 def _r_s5(q, p):
     return [_u(1, 1), _u(2, 2), _u(3, 3), _u(4, 4), _u(2, 3), _u(3, 4), _u(2, 4)]
-
-
-def _s5_alpha_excluded(q: Scalar, p: Params) -> tuple[Scalar, ...]:
-    # The strict exclusion list of the canonical-form classification,
-    # including q^3 (the table header omits it).
-    return (ZERO, q.inv(), ONE, q, q * q, q ** 3)
 
 
 # -- family S6 / G6: A11 = diag(q^2, q^2, q, 1) + e12 --------------------------
@@ -531,7 +526,7 @@ _register(TableEntry(
 _register(TableEntry(
     entry_id="S5",
     params=("alpha", "beta"),
-    exclusions={"alpha": _s5_alpha_excluded, "beta": _nonzero},
+    exclusions={"alpha": lambda q, p: form5_excluded(q), "beta": _nonzero},
     matrices=_build_s5,
     expected_detq=_det_one,
     expected_dim_r=7,
@@ -546,7 +541,7 @@ _register(TableEntry(
     entry_id="G5",
     params=("alpha", "beta", "gamma"),
     exclusions={
-        "alpha": _s5_alpha_excluded,
+        "alpha": lambda q, p: form5_excluded(q),
         "beta": _nonzero,
         "gamma": lambda q, p: (ZERO, -p["alpha"].inv()),
     },

@@ -278,10 +278,18 @@ _COMMANDS = {
 }
 
 
+def _attach_q_values(argv: list[str]) -> list[str]:
+    """Write `--q -1/2` as `--q=-1/2`: argparse takes a word such as -1/2 or -i for an option."""
+    joined = list(argv)
+    for k in reversed(range(1, len(joined))):
+        if joined[k - 1] == "--q" and joined[k].startswith("-") and not joined[k].startswith("--"):
+            joined[k - 1 : k + 1] = [f"--q={joined[k]}"]
+    return joined
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(_attach_q_values(sys.argv[1:] if argv is None else argv))
         doc, code = _COMMANDS[args.command](args)
     except (UsageError, ParseError) as exc:
         _emit({"error": str(exc), "position": exc.position}, pretty=False)

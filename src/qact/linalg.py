@@ -214,10 +214,11 @@ def det(m: Mat) -> Scalar:
             sign = -sign
         p = rows[col][col]
         result = result * p
-        pinv = p.inv()
+        pinv = None
         for r in range(col + 1, n):
             f = rows[r][col]
             if f.a or f.b:
+                pinv = p.inv() if pinv is None else pinv
                 f = f * pinv
                 prow = rows[col]
                 rrow = rows[r]

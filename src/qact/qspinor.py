@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .linalg import Mat, Subspace, kernel, left_mul_operator, right_mul_operator
 from .report import Report
-from .scalars import ONE, DeformationParameter, Scalar, as_scalar, format_scalar
+from .scalars import ONE, ZERO, DeformationParameter, Scalar, as_scalar, format_scalar
 
 FORM_IDS = (1, 2, 3, 4, 5, 6, 7)
 
@@ -63,13 +63,15 @@ class CanonicalForm:
         return len(self.expected_basis)
 
 
-def form5_excluded(q: DeformationParameter) -> tuple[Scalar, ...]:
-    qq = q.q
-    return (Scalar(), q.inv, ONE, qq, qq * qq, qq ** 3)
+def form5_excluded(q: Scalar) -> tuple[Scalar, ...]:
+    """The values the free diagonal entry of form 5 (and alpha of S5, G5) may not take."""
+    # The strict exclusion list of the canonical-form classification,
+    # including q^3 (the table header omits it).
+    return (ZERO, q.inv(), ONE, q, q * q, q ** 3)
 
 
 def _default_form5_alpha(q: DeformationParameter) -> Scalar:
-    excluded = set(form5_excluded(q))
+    excluded = set(form5_excluded(q.q))
     n = 2
     while as_scalar(n) in excluded:
         n += 1
@@ -88,7 +90,7 @@ def canonical_forms(q: DeformationParameter, alpha: Scalar | None = None) -> lis
         alpha = _default_form5_alpha(q)
     else:
         alpha = as_scalar(alpha)
-        if alpha in set(form5_excluded(q)):
+        if alpha in set(form5_excluded(qq)):
             raise InvalidFormParameter(f"alpha = {format_scalar(alpha)} is excluded for form 5")
     forms = [
         CanonicalForm(1, Mat.diag(qq * qq, qq, 1, 1), (u(1, 2), u(2, 3), u(2, 4))),

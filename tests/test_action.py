@@ -16,6 +16,7 @@ from helpers import (
     reference_intertwiner_space,
 )
 from qact import (
+    DeterminantSingular,
     EquivalenceWitness,
     GLqRep,
     InnerAction,
@@ -247,52 +248,68 @@ def test_equivalence_relation_on_conjugate_family(q2, rng):
             assert verdict.apply(a) == b
 
 
-def test_unsupported_inputs_raise(q2):
-    # A11 has eigenvalues 1, -1, 2, -2, and A11', the companion matrix of
-    # x^4 - 10x^2 + 16, has them times sqrt(2): the power traces pin
-    # alpha1^2 = 2, which has no root in Q(i).
+def _sqrt2_blocks():
+    """A11 with eigenvalues 1, -1, 2, -2, and the companion matrix of x^4 - 10x^2 + 16, which has them times sqrt(2)."""
     v = Mat([[as_scalar(1), as_scalar(1), as_scalar(0), as_scalar(0)],
              [as_scalar(1), as_scalar(2), as_scalar(0), as_scalar(0)],
              [as_scalar(0), as_scalar(0), as_scalar(1), as_scalar(1)],
              [as_scalar(0), as_scalar(0), as_scalar(1), as_scalar(2)]])
     a11 = v * Mat.diag(1, -1, 2, -2) * mat_inverse(v)
     assert not a11.is_upper_triangular() and not a11.is_lower_triangular()
-    companion = u(2, 1) + u(3, 2) + u(4, 3) + u(1, 4).scale(-16) + u(3, 4).scale(10)
-    r1 = GLqRep(a11, Mat.zero(4), Mat.zero(4), E4, q2)
-    r2 = GLqRep(companion, Mat.zero(4), Mat.zero(4), E4, q2)
-    assert verify_glq_relations(r1).ok and verify_glq_relations(r2).ok
-    with pytest.raises(Unsupported, match="no root in Q"):
+    return a11, u(2, 1) + u(3, 2) + u(4, 3) + u(1, 4).scale(-16) + u(3, 4).scale(10)
+
+
+def _diagonal_rep(a11, a22, q):
+    """(a11, 0, 0, a22), checked against the six relations."""
+    rep = GLqRep(a11, Mat.zero(4), Mat.zero(4), a22, q)
+    assert verify_glq_relations(rep).ok
+    return rep
+
+
+def test_unsupported_inputs_raise(q2):
+    # The power traces pin alpha1^2 = 2, which has no root in Q(i).
+    a11, companion = _sqrt2_blocks()
+    r1, r2 = _diagonal_rep(a11, E4, q2), _diagonal_rep(companion, E4, q2)
+    with pytest.raises(Unsupported) as refused:
         decide_equivalence(r1, r2)
-    # Two nilpotent A11 pass the spectrum test at every scale.
-    n1 = GLqRep(u(1, 2) + u(2, 3) + u(3, 4), Mat.zero(4), Mat.zero(4), E4, q2)
-    n2 = GLqRep(u(2, 1) + u(3, 2).scale(3) + u(4, 3), Mat.zero(4), Mat.zero(4), E4, q2)
-    assert verify_glq_relations(n1).ok and verify_glq_relations(n2).ok
-    with pytest.raises(Unsupported, match="nilpotent"):
-        decide_equivalence(n1, n2)
-    # The companion matrix of x^4 - x has eigenvalues 0 and the cube roots of
-    # unity: only p_3 is nonzero, which pins alpha1^3 alone.
-    c = GLqRep(u(2, 1) + u(3, 2) + u(4, 3) + u(2, 4), Mat.zero(4), Mat.zero(4), E4, q2)
-    assert verify_glq_relations(c).ok
-    with pytest.raises(Unsupported, match="alpha\\^3"):
-        decide_equivalence(c, c)
+    assert str(refused.value) == "alpha^2 = 2 has no root in Q(i)"
+    # Both spectra are filtered before any root is taken, so the refusal
+    # does not depend on which block holds the scale outside Q(i) ...
+    moved = _diagonal_rep(E4, companion, q2)
+    with pytest.raises(Unsupported) as refused:
+        decide_equivalence(_diagonal_rep(E4, a11, q2), moved)
+    assert str(refused.value) == "alpha^2 = 2 has no root in Q(i)"
+    # ... and an A22 spectrum that no scale matches (1, 1, 1, 1 against
+    # 2, 2, 8, 8) settles the pair without it.
+    skewed = _diagonal_rep(companion, companion * companion, q2)
+    verdict = decide_equivalence(r1, skewed)
+    assert isinstance(verdict, NotEquivalent) and verdict.obstruction == "spectrum"
+    # Nilpotent blocks pass the spectrum test at every scale, and the
+    # companion matrix of x^4 - x (eigenvalues 0 and the cube roots of unity)
+    # pins only alpha1^3: both are singular, so det_q is too.
+    n1 = _diagonal_rep(u(1, 2) + u(2, 3) + u(3, 4), E4, q2)
+    n2 = _diagonal_rep(u(2, 1) + u(3, 2).scale(3) + u(4, 3), E4, q2)
+    c = _diagonal_rep(u(2, 1) + u(3, 2) + u(4, 3) + u(2, 4), E4, q2)
+    for p1, p2 in ((n1, n2), (c, c)):
+        with pytest.raises(DeterminantSingular, match="^quantum determinant is singular$"):
+            decide_equivalence(p1, p2)
 
 
 def test_nilpotent_blocks(q2):
-    # (N, 0, 0, I) is equivalent to itself, so no NotEquivalent may come back.
-    rep = GLqRep(u(1, 2) + u(2, 3) + u(3, 4), Mat.zero(4), Mat.zero(4), E4, q2)
-    assert verify_glq_relations(rep).ok
-    try:
-        assert decide_equivalence(rep, rep).equivalent
-    except Unsupported:
-        pass
-    # No scale maps a nilpotent block onto an invertible one, or back.
-    ident = GLqRep(E4, Mat.zero(4), Mat.zero(4), E4, q2)
-    # A nilpotent A11 pins no alpha1, but A22 spectra that no scale matches
-    # (1, 1, 1, 2 against 1, 1, 1, 1) settle the pair.
-    n3 = u(1, 2) + u(2, 3)
-    unipotent, skewed = (GLqRep(n3, Mat.zero(4), Mat.zero(4), a22, q2) for a22 in (E4, Mat.diag(1, 1, 1, 2)))
-    assert verify_glq_relations(unipotent).ok and verify_glq_relations(skewed).ok
-    for r1, r2 in ((rep, ident), (ident, rep), (unipotent, skewed), (skewed, unipotent)):
+    # (N, 0, 0, I) has no action, so no verdict may come back.
+    rep = _diagonal_rep(u(1, 2) + u(2, 3) + u(3, 4), E4, q2)
+    unipotent, skewed = (_diagonal_rep(u(1, 2) + u(2, 3), a22, q2) for a22 in (E4, Mat.diag(1, 1, 1, 2)))
+    # The spectra match with alpha1 = 2 (or alpha2 = 3), but A11 (or A22) is
+    # singular.
+    a11_found = (_diagonal_rep(Mat.diag(1, 0, 0, 0), E4, q2), _diagonal_rep(Mat.diag(2, 0, 0, 0), E4, q2))
+    a22_found = (_diagonal_rep(E4, Mat.diag(1, 0, 0, 0), q2), _diagonal_rep(E4, Mat.diag(3, 0, 0, 0), q2))
+    for r1, r2 in ((rep, rep), (unipotent, skewed), (skewed, unipotent), a11_found, a22_found):
+        with pytest.raises(DeterminantSingular):
+            decide_equivalence(r1, r2)
+    # No scale maps a nilpotent block onto an invertible one, or back: that
+    # is a fact about the spectra, which needs no action.
+    ident = _diagonal_rep(E4, E4, q2)
+    for r1, r2 in ((rep, ident), (ident, rep)):
         verdict = decide_equivalence(r1, r2)
         assert isinstance(verdict, NotEquivalent) and verdict.obstruction == "spectrum"
 

@@ -363,6 +363,21 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("q_text, want", [("-1/2", {"re": "-1/2", "im": "0"}),
+                                           ("-1/2+1/2i", {"re": "-1/2", "im": "1/2"}),
+                                           ("-3/2", {"re": "-3/2", "im": "0"})])
+def test_negative_q_as_its_own_argument(capsys, q_text, want):
+    # argparse would read -1/2 as an option; both spellings must answer alike.
+    code, doc = run_json(capsys, "show-entry", "--entry", "S1", "--q", q_text)
+    assert code == 0 and doc["q"] == want
+    assert run(capsys, "show-entry", "--entry", "S1", f"--q={q_text}") == (0, json.dumps(doc, separators=(",", ":")) + "\n")
+
+
+def test_negative_root_of_unity_q_is_invalid(capsys):
+    code, doc = run_json(capsys, "verify-table", "--entry", "S1", "--q", "-i")
+    assert code == 2 and doc == {"error": "q = 0-1i is zero or a root of unity", "position": None}
+
+
 def test_equiv_rejects_non_representations(capsys, tmp_path):
     assert main(["export", "--entry", "S1", "--out", str(tmp_path / "s1.json")]) == 0
     capsys.readouterr()
@@ -394,7 +409,7 @@ _JUNK = st.sampled_from([None, True, 0.5, -3, [], {}, "abc", "1/0", "", [[]], {"
 _LONG = st.sampled_from(["9" * 4300, "7" * 4301, "-1/" + "3" * 5000, "2+" + "1" * 6000 + "i"])
 # Option values: "1" is no valid q.  A valid q of 4,300 digits makes show-entry
 # take 0.3 s, so the long q that decodes has 1,001.
-_OPTION = st.sampled_from(["2", "-1/2", "1+i", "1", "abc", ""])
+_OPTION = st.sampled_from(["2", "-1/2", "-i", "1+i", "1", "abc", ""])
 _LONG_Q = st.sampled_from(["1" + "0" * 1000, "7" * 4301, "-1/" + "3" * 5000, "2+" + "1" * 6000 + "i"])
 
 
@@ -440,8 +455,9 @@ def _decoded(decode):
     matrix_text=_mutated(_MATRIX),
     q_text=st.one_of(_OPTION, _LONG_Q),
     alpha_text=st.one_of(_OPTION, _LONG),
+    q_joined=st.booleans(),
 )
-def test_fuzzed_input_files_give_one_json_document(rep_text, matrix_text, q_text, alpha_text):
+def test_fuzzed_input_files_give_one_json_document(rep_text, matrix_text, q_text, alpha_text, q_joined):
     # The expected exit-2 cases, decoded here without the CLI: the file or
     # option does not decode, or (invariants, equiv) the file is no GL_q
     # representation, or (equiv) the decision is refused.
@@ -457,7 +473,8 @@ def test_fuzzed_input_files_give_one_json_document(rep_text, matrix_text, q_text
         good.write_text(json.dumps(_S1))
         rep.write_text(rep_text)
         matrix.write_text(matrix_text)
-        options = (f"--q={q_text}", "--param", f"alpha={alpha_text}")
+        q_option = (f"--q={q_text}",) if q_joined else ("--q", q_text)
+        options = (*q_option, "--param", f"alpha={alpha_text}")
         for argv, path, refused in (
             (("check-rep", "--file", str(rep)), rep, rep_data is None),
             (("invariants", "--file", str(rep)), rep, not gl_q),

@@ -117,6 +117,38 @@ def test_singular_determinant_means_singular_block_matrix(q2):
             quantum_determinant(rep)
 
 
+@pytest.mark.parametrize("q_text", ["2", "3", "1+i"])
+def test_determinant_singular_iff_a11_or_a22_is(q_text):
+    # Under the six relations bc is nilpotent and commutes with ad, so
+    # det_q = ad - q bc is invertible exactly when A11 and A22 both are (the
+    # proof is in the docstring of action.decide_equivalence).
+    q = validate_q(parse_scalar(q_text))
+    rng = random.Random(0xDE7)
+    zero = Mat.zero(4)
+    reps = [GLqRep(a11, a12, zero, a22, q) for a11, a12, a22 in (
+        (zero, zero, zero),
+        (u(1, 2) + u(2, 3), zero, E4),
+        (Mat.diag(1, 0, 0, 0), zero, E4),
+        (E4, zero, Mat.diag(1, 0, 0, 0)),
+        (zero, u(1, 2), Mat.diag(1, q.q, 1, 1)),
+    )]
+    for eid in ENTRY_ORDER:
+        rep = instantiate(eid, q)
+        reps += [rep, EquivalenceWitness(random_dense_invertible(rng), 1, 1).apply(rep)]
+    singular = 0
+    for rep in reps:
+        assert verify_glq_relations(rep).ok
+        blocks_singular = (det(rep.a11) * det(rep.a22)).is_zero
+        try:
+            quantum_determinant(rep)
+        except DeterminantSingular:
+            singular += 1
+            assert blocks_singular
+        else:
+            assert not blocks_singular
+    assert singular == 5
+
+
 def test_to_rq_examples(q2):
     s1 = instantiate("S1", q2)
     rq = to_rq(s1)

@@ -1,41 +1,54 @@
-"""Work-count guards: Scalar multiplications and subtractions for fixed inputs.
+"""Work-count guards: Scalar operations and determinants for fixed inputs.
 
 Exact arithmetic does the same work on every run, so these counts do not
-jitter.  Each bound is the count measured when the zero-aware kernels landed,
-plus 5%; a change that brings back arithmetic on zero entries fails here.
+jitter.  Each bound is a measured count plus 5%; a change that brings back
+arithmetic on zero entries, or determinants and inversions nobody reads,
+fails here.
 """
 
 import random
+import sys
 
 import pytest
 
 from helpers import random_dense_invertible
-from qact import EquivalenceWitness, Scalar, decide_equivalence, default_model, instantiate, verify_table
+from qact import EquivalenceWitness, Scalar, decide_equivalence, default_model, instantiate, linalg, verify_table
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counters of Scalar.__mul__ and Scalar.__sub__ calls while the test runs."""
-    tally = {"mul": 0, "sub": 0}
-    for name, key in (("__mul__", "mul"), ("__sub__", "sub")):
-        op = getattr(Scalar, name)
+    """Counters of Scalar.__mul__, __sub__ and inv calls, and of linalg.det calls, while the test runs."""
+    tally = {"mul": 0, "sub": 0, "inv": 0, "det": 0}
 
-        def counted(self, other, op=op, key=key):
+    def counted(op, key):
+        def call(*args):
             tally[key] += 1
-            return op(self, other)
+            return op(*args)
 
-        monkeypatch.setattr(Scalar, name, counted)
+        return call
+
+    for name, key in (("__mul__", "mul"), ("__sub__", "sub"), ("inv", "inv")):
+        monkeypatch.setattr(Scalar, name, counted(getattr(Scalar, name), key))
+    det = linalg.det
+    for name, module in list(sys.modules.items()):
+        if (name == "qact" or name.startswith("qact.")) and getattr(module, "det", None) is det:
+            monkeypatch.setattr(module, "det", counted(det, "det"))
     return tally
 
 
 def test_verify_table_work(q2, counts):
     default_model()  # built once per process, so kept out of the count
-    counts.update(mul=0, sub=0)
+    counts.update(mul=0, sub=0, inv=0, det=0)
     assert verify_table(q2).ok
     # Measured: 38,636 multiplications and 14,102 subtractions (115,120 and
     # 117,635 before zero entries were skipped).
     assert counts["mul"] <= 40_567
     assert counts["sub"] <= 14_807
+    # Measured: 268 determinants and 2,205 inversions (190 and 2,434 before
+    # decide_equivalence checked A11 and A22, and det inverted only the
+    # pivots it used).
+    assert counts["det"] <= 281
+    assert counts["inv"] <= 2_315
 
 
 def test_dense_conjugate_decision_work(q2, counts):
