@@ -61,10 +61,9 @@ from .linalg import (
     det,
     invertible_element_in,
     kernel,
-    left_mul_operator,
     mat_inverse,
+    mul_operator,
     rank,
-    right_mul_operator,
     solve_homogeneous,
 )
 from .qrep import (

@@ -7,18 +7,19 @@ inverse of the 8x8 block matrix M = [[A11, A12], [A21, A22]] (see
 build_action); the starred blocks are what an InnerAction stores.  The
 action makes C(1,3) a module algebra exactly when M S = I_8 (see
 verify_module_algebra).
-Flattening C(1,3) row-major turns each generator into a 16x16 operator L_ij,
-built only where it is read: its six quantum-matrix relations and its fixed
-points.
+Flattening C(1,3) row-major turns each generator into a 16x16 operator L_ij
+(linalg.mul_operator), built only where it is read: its six quantum-matrix
+relations and its fixed points.
 
 Two GL_q representations define equivalent actions iff one is a conjugate
 of the other rescaled columnwise by nonzero scalars (alpha1 on the first
 column, alpha2 on the second).  decide_equivalence enumerates a complete
 candidate set for the two scalars from the power traces of A11 and A22,
-solves the intertwiner system for each pair, and searches the solution space
-for an invertible element at the lattice points 1 <= |c| <= 4 of the
-degree-4 simplex, which decide whether its determinant (total degree 4)
-vanishes identically; so a negative answer is a certificate.
+which also give their determinants, solves the intertwiner system for each
+pair, and searches the solution space for an invertible element at the
+lattice points 1 <= |c| <= 4 of the degree-4 simplex, which decide whether
+its determinant (total degree 4) vanishes identically; so a negative answer
+is a certificate.
 """
 
 from __future__ import annotations
@@ -32,11 +33,9 @@ from .linalg import (
     Mat,
     Subspace,
     algebra_closure,
-    det,
     invertible_element_in,
-    left_mul_operator,
     mat_inverse,
-    right_mul_operator,
+    mul_operator,
     solve_homogeneous,
 )
 from .qrep import Blocks, DeterminantSingular, GLqRep, _relation_report, antipode, quantum_determinant
@@ -61,10 +60,9 @@ class InnerAction:
 
     @cached_property
     def operators(self) -> Blocks:
-        """The 16x16 operators L_ij = sum_k Lmul(A_ik) Rmul(S_kj) on row-major flattened matrices."""
-        lmul = [[left_mul_operator(self.rep.block(i, k)) for k in (1, 2)] for i in (1, 2)]
-        rmul = [[right_mul_operator(s) for s in row] for row in self.starred]
-        return tuple(tuple(lmul[i][0] * rmul[0][j] + lmul[i][1] * rmul[1][j] for j in range(2)) for i in range(2))
+        """The 16x16 operators L_ij of v -> A_i1 v S_1j + A_i2 v S_2j on row-major flattened matrices."""
+        a, s = self.rep.block, self.starred
+        return tuple(tuple(mul_operator([(a(i, 1), s[0][j]), (a(i, 2), s[1][j])]) for j in range(2)) for i in (1, 2))
 
 
 def build_action(rep: GLqRep) -> InnerAction:
@@ -217,19 +215,24 @@ def _spectral_pin(x: Mat, xp: Mat) -> tuple[int, Scalar] | None:
     identities), so alpha qualifies iff p_k(x') = alpha^k p_k(x) for all k.
     That pins w = alpha^g, g = gcd{k : p_k(x) != 0}, and all g-th roots of w
     qualify or none do; so None is a certificate over every extension of Q(i).
-    Raises DeterminantSingular when g is not 1, 2 or 4, since x is then
-    singular (see decide_equivalence).
+    Raises DeterminantSingular when the spectra match and x is singular:
+    24 det x = p1^4 - 6 p1^2 p2 + 3 p2^2 + 8 p1 p3 - 6 p4, again by Newton.
+    That leaves g in {1, 2, 4}, as g = 0 and g = 3 (only p3 != 0) give det 0.
     """
     p, pp = _power_traces(x), _power_traces(xp)
     if any(bool(a) != bool(b) for a, b in zip(p, pp)):
         return None
     ks = [k for k in range(1, 5) if p[k - 1]]
     g = gcd(*ks)
-    if g not in (1, 2, 4):
-        raise DeterminantSingular("quantum determinant is singular")
     ratio = {k: pp[k - 1] / p[k - 1] for k in ks}
-    w = ratio[g] if g in ratio else next(ratio[k] / ratio[k - g] for k in ks if k - g in ratio)
-    return (g, w) if all(ratio[k] == w ** (k // g) for k in ks) else None
+    w = ratio[g] if g in ratio else next((ratio[k] / ratio[k - g] for k in ks if k - g in ratio), None)
+    if not all(ratio[k] == w ** (k // g) for k in ks):
+        return None
+    p1, p2, p3, p4 = p
+    sq = p1 * p1
+    if not (sq * (sq - p2 * 6) + p2 * p2 * 3 + p1 * p3 * 8 - p4 * 6):
+        raise DeterminantSingular("quantum determinant is singular")
+    return g, w
 
 
 def _roots(g: int, w: Scalar) -> list[Scalar]:
@@ -245,11 +248,9 @@ def _roots(g: int, w: Scalar) -> list[Scalar]:
 
 def _intertwiner_space(r1: GLqRep, r2: GLqRep, alpha1: Scalar, alpha2: Scalar) -> Subspace:
     """Solutions u of the four equations alpha u A = A' u, stacked (the same as u A = alpha^-1 A' u)."""
-    scales = (alpha1, alpha2, alpha1, alpha2)
-    rows: list[list[Scalar]] = []
-    for x, xp, alpha in zip(r1.matrices(), r2.matrices(), scales):
-        op = right_mul_operator(x.scale(alpha)) - left_mul_operator(xp)
-        rows.extend(list(r) for r in op.rows)
+    one = Mat.identity(4)
+    rows = [r for x, xp, alpha in zip(r1.matrices(), r2.matrices(), (alpha1, alpha2, alpha1, alpha2))
+            for r in mul_operator([(one, x.scale(alpha)), (-xp, one)]).rows]
     return solve_homogeneous(rows, 16)
 
 
@@ -258,11 +259,13 @@ def decide_equivalence(r1: GLqRep, r2: GLqRep) -> Verdict:
 
     Returns an exact witness or a NotEquivalent certificate.  The candidate
     scales are those under which the power traces of A11 (alpha1) and A22
-    (alpha2) match; none for either block is a "spectrum" obstruction.  Each
-    candidate pair reduces to a linear intertwiner system; the determinant on
-    its solution space has total degree 4, so it is evaluated at the lattice
-    points 1 <= |c| <= 4 of the degree-4 simplex, a complete identity test at
-    every dimension up to 16.
+    (alpha2) match.  A11 is checked, then A22: a block whose spectra differ
+    is a "spectrum" obstruction, and a matched singular block raises
+    DeterminantSingular, its determinant taken from the same power traces.
+    Each candidate pair reduces to a linear intertwiner system; the
+    determinant on its solution space has total degree 4, so it is evaluated
+    at the lattice points 1 <= |c| <= 4 of the degree-4 simplex, a complete
+    identity test at every dimension up to 16.
 
     Only a GL_q representation has an action (build_action), and for four
     matrices that satisfy the relations that is a condition on A11 and A22.
@@ -277,12 +280,9 @@ def decide_equivalence(r1: GLqRep, r2: GLqRep) -> Verdict:
     - ad commutes with bc, by the first two of those relations.
     - So D = ad - q bc, ad plus a nilpotent that commutes with it, is
       invertible iff ad is, that is iff A11 and A22 both are.
-    - An invertible 4x4 block has g = gcd{k : p_k != 0} in {1, 2, 4}: g = 0
-      means every power trace vanishes, a nilpotent block, and "only p_3 != 0"
-      forces det = 0 by Newton's identities.
-    So a block with g outside {1, 2, 4}, or a singular A11 or A22 of r1 once
-    both spectra match, raises DeterminantSingular; matched spectra are
-    nonzero multiples of each other, so r2's blocks are then singular too.
+    So a singular A11 or A22 of r1 whose spectrum matches raises
+    DeterminantSingular; matched spectra are multiples of each other by a
+    nonzero scale, so r2's block is then singular too.
     Every witness and every "exhausted" certificate is thus about two GL_q
     representations, while a "spectrum" obstruction is a fact about the
     matrices and needs no action.  Raises Unsupported for different q, and for
@@ -294,8 +294,6 @@ def decide_equivalence(r1: GLqRep, r2: GLqRep) -> Verdict:
     pin2 = _spectral_pin(r1.a22, r2.a22) if pin1 else None
     if pin2 is None:
         return NotEquivalent(0, obstruction="spectrum")
-    if det(r1.a11).is_zero or det(r1.a22).is_zero:
-        raise DeterminantSingular("quantum determinant is singular")
     # A22 first: when neither scale lies in Q(i), the A22 one is reported.
     cands2, cands1 = _roots(*pin2), _roots(*pin1)
     tried = 0

@@ -210,6 +210,8 @@ def _cmd_show_entry(args) -> tuple[dict, int]:
 def _cmd_b_space(args) -> tuple[dict, int]:
     q = _parse_q(args.q)
     a = _decode_file("matrix", args.matrix, Mat.from_json)
+    if a.n != 4:  # the operator has n^4 entries
+        raise UsageError(f"matrix file {args.matrix}: b-space takes 4x4 matrices")
     space = spinor_space(a, q)
     return {"q": q.q.to_json(), **space.to_json()}, 0
 

@@ -5,12 +5,14 @@ Scalar.  Zero entries are skipped, never multiplied, so results may share
 immutable Scalar objects with their operands.  Linear subspaces of flattened
 matrices are kept in reduced row-echelon form with pivots equal to 1, so
 subspace equality is structural equality of the bases.  Flattening is
-row-major throughout: the matrix entry (i, j) sits at index i*n + j.
+row-major: the matrix entry (i, j) sits at index i*n + j, and mul_operator
+alone builds operators on flattened matrices.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 from .scalars import ONE, ZERO, Scalar, as_scalar, format_scalar, scalar_from_json
@@ -383,7 +385,7 @@ class Subspace:
 
     def to_json(self) -> dict:
         doc = {"ambient_dim": self.ambient_dim, "dim": self.dim}
-        if self.ambient_dim == _matrix_side(self.ambient_dim) ** 2:
+        if isqrt(self.ambient_dim) ** 2 == self.ambient_dim:
             doc["basis"] = [m.to_json() for m in self.matrices()]
         else:
             doc["basis"] = [[format_scalar(x) for x in v] for v in self.basis]
@@ -391,7 +393,7 @@ class Subspace:
 
 
 def _matrix_side(ambient: int) -> int:
-    n = int(round(ambient ** 0.5))
+    n = isqrt(ambient)
     if n * n != ambient:
         raise DimensionMismatch(f"ambient dimension {ambient} is not a perfect square")
     return n
@@ -429,37 +431,27 @@ def rank(m: Mat) -> int:
 # -- operators on flattened matrix space -------------------------------------------
 
 
-def left_mul_operator(a: Mat) -> Mat:
-    """Operator X -> A X on row-major flattened vectors."""
-    n = a.n
-    big = n * n
-    rows = [[ZERO] * big for _ in range(big)]
-    for i in range(n):
-        for k in range(n):
-            f = a.rows[i][k]
-            if f.a or f.b:
-                for j in range(n):
-                    rows[i * n + j][k * n + j] = f
+def mul_operator(terms: Sequence[tuple[Mat, Mat]]) -> Mat:
+    """The n^2 x n^2 operator X -> sum_t a_t X b_t on row-major flattened X.
+
+    (a X b)_ij = sum_kl a_ik X_kl b_lj, so entry (i*n + j, k*n + l) is
+    sum_t a_t[i][k] b_t[l][j].  A factor that is ONE is not multiplied.
+    """
+    n = terms[0][0].n
+    rows = [[ZERO] * (n * n) for _ in range(n * n)]
+    for a, b in terms:
+        if a.n != n or b.n != n:
+            raise DimensionMismatch("operator factors must share a size")
+        nonzero_b = [(l, j, g) for l, brow in enumerate(b.rows) for j, g in enumerate(brow) if g.a or g.b]
+        for i, arow in enumerate(a.rows):
+            for k, f in enumerate(arow):
+                if f.a or f.b:
+                    for l, j, g in nonzero_b:
+                        x = g if f is ONE else f if g is ONE else f * g
+                        row, c = rows[i * n + j], k * n + l
+                        y = row[c]
+                        row[c] = y + x if y.a or y.b else x
     return Mat(rows)
-
-
-def right_mul_operator(a: Mat) -> Mat:
-    """Operator X -> X A on row-major flattened vectors."""
-    n = a.n
-    big = n * n
-    rows = [[ZERO] * big for _ in range(big)]
-    for l in range(n):
-        for j in range(n):
-            f = a.rows[l][j]
-            if f.a or f.b:
-                for i in range(n):
-                    rows[i * n + j][i * n + l] = f
-    return Mat(rows)
-
-
-def commutator_rows(g: Mat) -> list[list[Scalar]]:
-    """Rows of the operator X -> g X - X g."""
-    return [list(r) for r in (left_mul_operator(g) - right_mul_operator(g)).rows]
 
 
 def centralizer(generators: Sequence[Mat]) -> Subspace:
@@ -468,11 +460,8 @@ def centralizer(generators: Sequence[Mat]) -> Subspace:
     if not generators:
         raise ValueError("centralizer needs at least one generator")
     n = generators[0].n
-    rows: list[list[Scalar]] = []
-    for g in generators:
-        if g.n != n:
-            raise DimensionMismatch("generators must share a dimension")
-        rows.extend(commutator_rows(g))
+    one = Mat.identity(n)
+    rows = [r for g in generators for r in mul_operator([(g, one), (one, -g)]).rows]
     return solve_homogeneous(rows, n * n)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Mat, Subspace, kernel, left_mul_operator, right_mul_operator
+from .linalg import Mat, Subspace, kernel, mul_operator
 from .report import Report
 from .scalars import ONE, ZERO, DeformationParameter, Scalar, as_scalar, format_scalar
 
@@ -41,8 +41,8 @@ def is_q_spinor(pair: SpinorPair) -> bool:
 
 def spinor_space(a: Mat, q: DeformationParameter) -> Subspace:
     """B(A): all B with AB = qBA, as an RREF subspace of flattened matrices."""
-    operator = left_mul_operator(a) - right_mul_operator(a).scale(q.q)
-    return kernel(operator)
+    one = Mat.identity(a.n)
+    return kernel(mul_operator([(a, one), (one, a.scale(-q.q))]))
 
 
 def space_square_nonzero(s: Subspace) -> bool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from qact import Mat, Scalar, Subspace, as_scalar, det, left_mul_operator, mat_inverse, right_mul_operator, solve_homogeneous
+from qact import Mat, Scalar, Subspace, as_scalar, det, mat_inverse, solve_homogeneous
 
 SMALL_DENOMS = (1, 1, 1, 2, 3)
 
@@ -198,6 +198,10 @@ def dense_kron(a: Mat, b: Mat) -> Mat:
                 for i in range(a.n) for k in range(m)])
 
 
+def transpose(a: Mat) -> Mat:
+    return Mat(zip(*a.rows))
+
+
 def dense_rref(rows, width: int) -> tuple[list, list]:
     """(nonzero RREF rows with pivots 1, pivot columns); every row operation runs on every entry."""
     rows = [list(r) for r in rows]
@@ -262,9 +266,12 @@ def dense_kernel(rows, width: int) -> list:
 
 
 def reference_intertwiner_space(r1, r2, alpha1: Scalar, alpha2: Scalar) -> Subspace:
-    """Solutions u of u A = alpha^-1 A' u: each 16x16 operator scaled by alpha^-1, as first written."""
+    """Solutions u of u A = alpha^-1 A' u, each 16x16 operator scaled by alpha^-1.
+
+    Built from Kronecker products, X -> a X as a (x) I and X -> X b as I (x) b^T.
+    """
+    e4 = Mat.identity(4)
     rows = []
     for x, xp, alpha in zip(r1.matrices(), r2.matrices(), (alpha1, alpha2, alpha1, alpha2)):
-        op = right_mul_operator(x) - left_mul_operator(xp).scale(alpha.inv())
-        rows.extend(list(r) for r in op.rows)
+        rows.extend(dense_sub(dense_kron(e4, transpose(x)), Mat(dense_scale(dense_kron(xp, e4), alpha.inv()))))
     return solve_homogeneous(rows, 16)

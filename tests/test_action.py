@@ -303,7 +303,11 @@ def test_nilpotent_blocks(q2):
     # singular.
     a11_found = (_diagonal_rep(Mat.diag(1, 0, 0, 0), E4, q2), _diagonal_rep(Mat.diag(2, 0, 0, 0), E4, q2))
     a22_found = (_diagonal_rep(E4, Mat.diag(1, 0, 0, 0), q2), _diagonal_rep(E4, Mat.diag(3, 0, 0, 0), q2))
-    for r1, r2 in ((rep, rep), (unipotent, skewed), (skewed, unipotent), a11_found, a22_found):
+    # A11 is checked before A22: its spectra match (alpha1 = 2) and it is
+    # singular, although the spectra of A22 differ.
+    a11_first = (_diagonal_rep(Mat.diag(1, 1, 2, 0), E4, q2),
+                 _diagonal_rep(Mat.diag(2, 2, 4, 0), Mat.diag(1, 1, 1, 2), q2))
+    for r1, r2 in ((rep, rep), (unipotent, skewed), (skewed, unipotent), a11_found, a22_found, a11_first):
         with pytest.raises(DeterminantSingular):
             decide_equivalence(r1, r2)
     # No scale maps a nilpotent block onto an invertible one, or back: that

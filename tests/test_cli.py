@@ -190,8 +190,8 @@ def _two_by_two(data):
 
 
 # Each case: the mutation of an S1 representation file, what its error names,
-# and what b-space names for the mutated A11 as a matrix file (None: A11 intact
-# or a valid matrix).
+# and what b-space names for the mutated A11 as a matrix file (None: A11
+# intact).
 @pytest.mark.parametrize("mutate, names, matrix_names", [
     (lambda data: data.update(q={"re": "abc", "im": "0"}), "q.re", None),
     (lambda data: data.update(q={"re": 0.1, "im": "0"}), "q.re", None),
@@ -206,7 +206,7 @@ def _two_by_two(data):
     (lambda data: data["A11"].pop("rows"), "missing fields: 'rows'", "missing fields: 'rows'"),
     (lambda data: data["A11"]["rows"].pop(), "A11: matrix JSON has inconsistent dimensions",
      "matrix: matrix JSON has inconsistent dimensions"),
-    (_two_by_two, "A11: representation matrices must be 4x4", None),
+    (_two_by_two, "A11: representation matrices must be 4x4", "b-space takes 4x4 matrices"),
     (lambda data: data.update(q={"re": "9" * 5000}), "q.re: 5000 digits", None),
     (lambda data: data["A11"]["rows"][0].__setitem__(0, "7" * 5000), "A11.rows[0][0]: 5000 digits",
      "matrix.rows[0][0]: 5000 digits"),

@@ -18,6 +18,7 @@ from helpers import (
     random_low_rank,
     random_mat,
     random_scalar,
+    transpose,
 )
 from qact import (
     DimensionMismatch,
@@ -32,10 +33,9 @@ from qact import (
     instantiate,
     invertible_element_in,
     kernel,
-    left_mul_operator,
     mat_inverse,
+    mul_operator,
     rank,
-    right_mul_operator,
     solve_homogeneous,
 )
 
@@ -78,8 +78,8 @@ def test_kernel_identity_and_zero():
 def test_kernel_of_spinor_operator(q2):
     q = q2.q
     a = Mat.diag(q ** 3, q * q, q, 1)
-    op = left_mul_operator(a) - right_mul_operator(a).scale(q)
-    space = kernel(op)
+    # X -> A X - q X A as A (x) I - q I (x) A^T, and A^T = A.
+    space = kernel(dense_kron(a, E4) - dense_kron(E4, a).scale(q))
     assert space == Subspace.span_of([u(1, 2), u(2, 3), u(3, 4)])
 
 
@@ -121,6 +121,13 @@ def test_subspace_examples():
     right = Subspace.span_of([u(2, 3), u(3, 4)])
     assert left.intersect(right) == Subspace.span_of([u(2, 3)])
     assert left.sum_with(right).dim == 3
+
+
+def test_subspace_json_for_square_and_other_ambient_dims():
+    assert Subspace(3, [[as_scalar(2), as_scalar(4), as_scalar(0)]]).to_json() == {
+        "ambient_dim": 3, "dim": 1, "basis": [["1", "2", "0"]]}
+    assert Subspace.span_of([u(1, 2, n=2)]).to_json() == {
+        "ambient_dim": 4, "dim": 1, "basis": [{"n": 2, "rows": [["0", "1"], ["0", "0"]]}]}
 
 
 def test_subspace_dimension_mismatch():
@@ -233,6 +240,40 @@ def test_zero_aware_kernels_match_dense_reference(pair, c):
     assert _canonical(solve_homogeneous(stacked, n).basis) == dense_kernel(stacked, n)
     assert _canonical(Subspace(n, stacked).basis) == dense_rref(stacked, n)[0]
     assert Subspace(n, stacked) == Subspace(n, dense_rref(stacked, n)[0] + [[Scalar(0)] * n])
+
+
+@st.composite
+def operator_terms(draw):
+    """1 to 3 terms (a, b) of size 2, 3 or 4: sparse, dense or identity factors; the last may cancel another."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    dense = st.lists(st.lists(sparse_scalars.filter(bool), min_size=n, max_size=n), min_size=n, max_size=n).map(Mat)
+    factor = st.one_of(_sparse_mat(n), dense, st.just(Mat.identity(n)))
+    terms = draw(st.lists(st.tuples(factor, factor), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(terms))
+        terms.append(draw(st.sampled_from(((-a, b), (a, -b)))))
+    return terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_terms())
+def test_mul_operator_is_a_sum_of_kronecker_products(terms):
+    # X -> a X b is a (x) b^T on row-major flattened X.
+    expected = Mat.zero(terms[0][0].n ** 2).rows
+    for a, b in terms:
+        expected = dense_add(Mat(expected), dense_kron(a, transpose(b)))
+    assert _canonical(mul_operator(terms).rows) == expected
+
+
+def test_mul_operator_multiplies_no_identity_factor(monkeypatch):
+    a, b = u(2, 3).scale(2), u(1, 2).scale(3)
+    expected = Mat(dense_add(dense_kron(E4, transpose(b)), dense_kron(a, E4)))
+    calls = []
+    monkeypatch.setattr(Scalar, "__mul__", lambda x, y: calls.append(1) or x)
+    assert mul_operator([(E4, b), (a, E4)]) == expected
+    assert calls == []
+    with pytest.raises(DimensionMismatch):
+        mul_operator([(E4, Mat.identity(2))])
 
 
 def test_closure_of_identity():
