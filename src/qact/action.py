@@ -19,7 +19,8 @@ which also give their determinants, solves the intertwiner system for each
 pair, and searches the solution space for an invertible element at the
 lattice points 1 <= |c| <= 4 of the degree-4 simplex, which decide whether
 its determinant (total degree 4) vanishes identically; so a negative answer
-is a certificate.
+is a certificate.  A witness u is checked as alpha u A = A' u on all four
+blocks, with no inverse: as det u != 0, that says alpha u A u^-1 = A'.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def action_fixed_points(action: InnerAction) -> Subspace:
     """{v : a11.v = v, a12.v = 0, a21.v = 0, a22.v = v} as a subspace."""
     e16 = Mat.identity(16)
     (l11, l12), (l21, l22) = action.operators
-    return solve_homogeneous([list(r) for op in (l11 - e16, l12, l21, l22 - e16) for r in op.rows], 16)
+    return solve_homogeneous([r for op in (l11 - e16, l12, l21, l22 - e16) for r in op.rows], 16)
 
 
 # -- equivalence -----------------------------------------------------------------
@@ -265,7 +266,10 @@ def decide_equivalence(r1: GLqRep, r2: GLqRep) -> Verdict:
     Each candidate pair reduces to a linear intertwiner system; the
     determinant on its solution space has total degree 4, so it is evaluated
     at the lattice points 1 <= |c| <= 4 of the degree-4 simplex, a complete
-    identity test at every dimension up to 16.
+    identity test at every dimension up to 16.  The u found is checked as
+    (u x) alpha = x' u for the four block pairs (x, x'), alpha being alpha1
+    for A11, A21 and alpha2 for A12, A22.  As det u != 0, that holds iff
+    EquivalenceWitness(u, alpha1, alpha2).apply(r1) == r2, with no inverse.
 
     Only a GL_q representation has an action (build_action), and for four
     matrices that satisfy the relations that is a condition on A11 and A22.
@@ -304,8 +308,8 @@ def decide_equivalence(r1: GLqRep, r2: GLqRep) -> Verdict:
             u = invertible_element_in(space) if space.dim else None
             if u is None:
                 continue
-            witness = EquivalenceWitness(u, alpha1, alpha2, candidates_tried=tried)
-            if witness.apply(r1).matrices() != r2.matrices():
+            pairs = zip(r1.matrices(), r2.matrices(), (alpha1, alpha2, alpha1, alpha2))
+            if any((u * x).scale(alpha) != xp * u for x, xp, alpha in pairs):
                 raise AssertionError("intertwiner solution failed exact verification")
-            return witness
+            return EquivalenceWitness(u, alpha1, alpha2, candidates_tried=tried)
     return NotEquivalent(tried)

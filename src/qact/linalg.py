@@ -352,25 +352,11 @@ class Subspace:
         self._same(other)
         # x in self lies in other iff its residual against other vanishes;
         # solve for combinations of self's basis with zero residual.
-        residuals = [other.reduce_vector(v) for v in self.basis]
-        k = len(residuals)
-        if k == 0:
+        if not self.basis:
             return self
-        system = [[residuals[r][c] for r in range(k)] for c in range(self.ambient_dim)]
-        coeffs = solve_homogeneous(system, k)
-        vectors = []
-        for cv in coeffs.basis:
-            vec = [ZERO] * self.ambient_dim
-            for r in range(k):
-                f = cv[r]
-                if f.a or f.b:
-                    row = self.basis[r]
-                    for c in range(self.ambient_dim):
-                        x = row[c]
-                        if x.a or x.b:
-                            vec[c] = vec[c] + x * f
-            vectors.append(vec)
-        return Subspace(self.ambient_dim, vectors)
+        residuals = [other.reduce_vector(v) for v in self.basis]
+        coeffs = solve_homogeneous(list(zip(*residuals)), len(residuals))
+        return Subspace(self.ambient_dim, _combine(coeffs.basis, self.basis, self.ambient_dim))
 
     def matrices(self) -> tuple[Mat, ...]:
         n = _matrix_side(self.ambient_dim)
@@ -399,15 +385,32 @@ def _matrix_side(ambient: int) -> int:
     return n
 
 
-def solve_homogeneous(rows: list[list[Scalar]], width: int) -> Subspace:
-    """Kernel of a stacked linear system given by its rows."""
-    m = [list(r) for r in rows]
+def solve_homogeneous(rows: Sequence[Sequence[Scalar]], width: int) -> Subspace:
+    """Kernel of a stacked linear system, imposing its rows width at a time.
+
+    The first block is reduced to RREF and its kernel basis b_1..b_d read off.
+    Then x = sum_k c_k b_k solves a later block iff sum_k c_k (r . b_k) = 0
+    for each of its rows r: a system in d unknowns whose kernel recombines the
+    basis.  The last basis spans the kernel of all the rows, and Subspace
+    reduces it to the same RREF basis a single reduction of all rows gives.
+    Zero entries and rows cost no product; solving stops once the kernel is {0}.
+    """
+    basis = _free_basis([list(r) for r in rows[:width]], width)
+    for start in range(width, len(rows), width):
+        if not basis:
+            break
+        entries = [[(c, x) for c, x in enumerate(r) if x.a or x.b] for r in rows[start : start + width]]
+        system = [[_dot(e, b) for b in basis] for e in entries if e]
+        if any(y.a or y.b for dots in system for y in dots):
+            basis = _combine(_free_basis(system, len(basis)), basis, width)
+    return Subspace(width, basis)
+
+
+def _free_basis(m: list[list[Scalar]], width: int) -> list[list[Scalar]]:
+    """Kernel basis of the rows m, one vector per free column of their RREF; m is reduced in place."""
     pivots = _rref_in_place(m, width)
-    pivot_set = set(pivots)
     basis = []
-    for free in range(width):
-        if free in pivot_set:
-            continue
+    for free in sorted(set(range(width)) - set(pivots)):
         v = [ZERO] * width
         v[free] = ONE
         for r, piv in enumerate(pivots):
@@ -415,12 +418,37 @@ def solve_homogeneous(rows: list[list[Scalar]], width: int) -> Subspace:
             if f.a or f.b:
                 v[piv] = -f
         basis.append(v)
-    return Subspace(width, basis)
+    return basis
+
+
+def _dot(entries: Sequence[tuple[int, Scalar]], v: Sequence[Scalar]) -> Scalar:
+    """sum x * v[c] over the (c, x) entries, skipping zero v[c]."""
+    s = ZERO
+    for c, x in entries:
+        y = v[c]
+        if y.a or y.b:
+            s = s + x * y if s.a or s.b else x * y
+    return s
+
+
+def _combine(coeffs: Iterable[Sequence[Scalar]], vectors: Sequence[Sequence[Scalar]], width: int) -> list[list[Scalar]]:
+    """The combinations sum_k c_k vectors[k], one per coefficient vector c."""
+    out = []
+    for cv in coeffs:
+        vec = [ZERO] * width
+        for f, row in zip(cv, vectors):
+            if f.a or f.b:
+                for c, x in enumerate(row):
+                    if x.a or x.b:
+                        x = x if f is ONE else x * f
+                        vec[c] = vec[c] + x if vec[c].a or vec[c].b else x
+        out.append(vec)
+    return out
 
 
 def kernel(operator: Mat) -> Subspace:
     """RREF basis of the null space of a square operator."""
-    return solve_homogeneous([list(r) for r in operator.rows], operator.n)
+    return solve_homogeneous(operator.rows, operator.n)
 
 
 def rank(m: Mat) -> int:

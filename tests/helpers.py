@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from qact import Mat, Scalar, Subspace, as_scalar, det, mat_inverse, solve_homogeneous
+from qact import Mat, Scalar, Subspace, as_scalar, det, mat_inverse
 
 SMALL_DENOMS = (1, 1, 1, 2, 3)
 
@@ -268,10 +268,11 @@ def dense_kernel(rows, width: int) -> list:
 def reference_intertwiner_space(r1, r2, alpha1: Scalar, alpha2: Scalar) -> Subspace:
     """Solutions u of u A = alpha^-1 A' u, each 16x16 operator scaled by alpha^-1.
 
-    Built from Kronecker products, X -> a X as a (x) I and X -> X b as I (x) b^T.
+    Built from Kronecker products, X -> a X as a (x) I and X -> X b as I (x) b^T,
+    and solved by the dense reference kernel, never by linalg.solve_homogeneous.
     """
     e4 = Mat.identity(4)
     rows = []
     for x, xp, alpha in zip(r1.matrices(), r2.matrices(), (alpha1, alpha2, alpha1, alpha2)):
         rows.extend(dense_sub(dense_kron(e4, transpose(x)), Mat(dense_scale(dense_kron(xp, e4), alpha.inv()))))
-    return solve_homogeneous(rows, 16)
+    return Subspace(16, dense_kernel(rows, 16))

@@ -30,6 +30,7 @@ from qact import (
     build_action,
     centralizer,
     decide_equivalence,
+    det,
     instantiate,
     mat_inverse,
     operator_algebra,
@@ -41,6 +42,8 @@ from qact import (
     verify_module_algebra,
 )
 from qact import action as action_module
+from qact import linalg as linalg_module
+from qact import qrep as qrep_module
 from qact.catalog import ENTRY_ORDER
 
 E4 = Mat.identity(4)
@@ -209,6 +212,27 @@ def test_witness_recovery_nontriangular_a22(q2, rng):
     verdict = decide_equivalence(rep, moved)
     assert verdict.equivalent
     assert verdict.apply(rep) == moved
+
+
+def test_witness_check_inverts_nothing(q2, monkeypatch):
+    """alpha u A = A' u is checked on products alone, and a non-intertwiner u fails it."""
+    rep = instantiate("S3", q2)
+    moved = EquivalenceWitness(random_dense_invertible(random.Random(0x11)), Scalar(2), Scalar(-1, 1)).apply(rep)
+    inversions = []
+    for module in (linalg_module, action_module, qrep_module):
+        monkeypatch.setattr(module, "mat_inverse", lambda m: inversions.append(m) or mat_inverse(m))
+    verdict = decide_equivalence(rep, moved)
+    assert inversions == []
+    assert verdict.equivalent and verdict.apply(rep) == moved
+    inversions.clear()
+
+    # An invertible u that intertwines no block pair: the exact check must reject it.
+    bogus = Mat([[as_scalar(x) for x in row] for row in ((1, 2, 0, 1), (0, 1, 1, 0), (3, 0, 1, 1), (1, 0, 0, 2))])
+    assert det(bogus) and bogus * rep.a11 != rep.a11 * bogus
+    monkeypatch.setattr(action_module, "invertible_element_in", lambda space: bogus)
+    with pytest.raises(AssertionError, match="^intertwiner solution failed exact verification$"):
+        decide_equivalence(rep, rep)
+    assert inversions == []
 
 
 def test_not_equivalent_table_pairs(q2):

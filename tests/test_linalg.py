@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -240,6 +240,72 @@ def test_zero_aware_kernels_match_dense_reference(pair, c):
     assert _canonical(solve_homogeneous(stacked, n).basis) == dense_kernel(stacked, n)
     assert _canonical(Subspace(n, stacked).basis) == dense_rref(stacked, n)[0]
     assert Subspace(n, stacked) == Subspace(n, dense_rref(stacked, n)[0] + [[Scalar(0)] * n])
+
+
+def _full_rank_block(width: int, diagonal: Scalar, above) -> list:
+    """A width x width upper triangular block with a nonzero diagonal, so of full rank."""
+    return [[diagonal if i == j else above[(i + j) % len(above)] if j > i else Scalar(0) for j in range(width)]
+            for i in range(width)]
+
+
+@st.composite
+def stacked_systems(draw):
+    """(rows, width) with width 2, 3, 4 or 16 and Gaussian entries.
+
+    0 to 3 * width rows, so none, whole blocks or a block cut short, of rank at
+    most the size of a drawn pool; one block may be zeroed, and a full-rank
+    block may go first, leaving the kernel {0} before the rest.
+    """
+    width = draw(st.sampled_from((2, 3, 4, 16)))
+    vector = st.lists(sparse_scalars, min_size=width, max_size=width)
+    pool = draw(st.lists(vector, min_size=1, max_size=width))
+    rows = []
+    for _ in range(draw(st.integers(0, 3 * width))):
+        a, b, c = draw(st.sampled_from(pool)), draw(st.sampled_from(pool)), draw(sparse_scalars)
+        rows.append([x + y * c for x, y in zip(a, b)])
+    if rows and draw(st.booleans()):
+        k = draw(st.integers(0, (len(rows) - 1) // width)) * width
+        rows[k : k + width] = [[Scalar(0)] * width for _ in rows[k : k + width]]
+    if draw(st.booleans()):
+        rows = _full_rank_block(width, draw(sparse_scalars.filter(bool)), draw(st.lists(sparse_scalars, min_size=1))) + rows
+    return rows, width
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacked_systems())
+@example(([], 3))
+@example(([[Scalar(1), Scalar(0, 1)]], 2))
+@example(([[Scalar(0)] * 4 for _ in range(4)] + [[Scalar(1), Scalar(2), Scalar(0), Scalar(-1, 1)]] * 5, 4))
+@example((_full_rank_block(16, Scalar(2, 1), [Scalar(1), Scalar(0), Scalar(0, -1, 2)]) + [[Scalar(1)] * 16] * 7, 16))
+def test_blockwise_solve_matches_dense_kernel(system):
+    rows, width = system
+    assert _canonical(solve_homogeneous(rows, width).basis) == dense_kernel(rows, width)
+
+
+def test_blockwise_solve_skips_zero_and_settled_blocks(monkeypatch):
+    """A zero block costs no product or difference, and no row after the kernel is {0} is read."""
+    first = _full_rank_block(16, Scalar(3), [Scalar(1), Scalar(0, 1), Scalar(0)])
+    partial = [[Scalar(k + 1) if j in (k, 15 - k) else Scalar(0) for j in range(16)] for k in range(8)]
+    zero = [[Scalar(0)] * 16 for _ in range(16)]
+    later = [[Scalar(i * j + 1, i - j) for j in range(16)] for i in range(16)]
+    calls = []
+    for name in ("__mul__", "__sub__"):
+        monkeypatch.setattr(Scalar, name, lambda x, y, op=getattr(Scalar, name): calls.append(1) or op(x, y))
+
+    def work(rows):
+        calls.clear()
+        solve_homogeneous(rows, 16)
+        return len(calls)
+
+    assert work(first + later) == work(first)
+
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("a row was read after the kernel became {0}")
+
+    assert solve_homogeneous(first + [Unread()] * 20, 16).dim == 0
+    assert work(partial + zero) == work(partial)
+    assert work(partial + zero + zero) == work(partial)
 
 
 @st.composite

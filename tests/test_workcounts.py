@@ -13,6 +13,7 @@ import pytest
 
 from helpers import random_dense_invertible
 from qact import EquivalenceWitness, Scalar, decide_equivalence, default_model, instantiate, linalg, verify_table
+from qact.catalog import ENTRY_ORDER
 
 
 @pytest.fixture
@@ -40,11 +41,12 @@ def test_verify_table_work(q2, counts):
     default_model()  # built once per process, so kept out of the count
     counts.update(mul=0, sub=0, inv=0, det=0)
     assert verify_table(q2).ok
-    # Measured: 38,884 multiplications and 12,400 subtractions (39,032 and
-    # 14,105 before linalg.mul_operator and the power-trace determinant test;
-    # 115,120 and 117,635 before zero entries were skipped).
-    assert counts["mul"] <= 40_567
-    assert counts["sub"] <= 13_020
+    # Measured: 34,741 multiplications and 7,063 subtractions (38,884 and
+    # 12,400 before solve_homogeneous imposed its rows one block at a time;
+    # 39,032 and 14,105 before linalg.mul_operator and the power-trace
+    # determinant test; 115,120 and 117,635 before zero entries were skipped).
+    assert counts["mul"] <= 36_478
+    assert counts["sub"] <= 7_416
     # Measured: 190 determinants and 2,202 inversions (268 and 2,205 while
     # decide_equivalence took det(A11) and det(A22) by elimination rather
     # than from the power traces).
@@ -57,8 +59,24 @@ def test_dense_conjugate_decision_work(q2, counts):
     moved = EquivalenceWitness(random_dense_invertible(random.Random(0x53)), Scalar(2), Scalar(-1, 1)).apply(rep)
     counts.update(mul=0, sub=0)
     assert decide_equivalence(rep, moved).equivalent
-    # Measured: 883 multiplications and 437 subtractions (877 and 465 before
-    # linalg.mul_operator and the power-trace determinant test; 2,004 and
-    # 1,457 before zero entries were skipped).
-    assert counts["mul"] <= 910
-    assert counts["sub"] <= 458
+    # Measured: 683 multiplications and 85 subtractions (883 and 437 before
+    # the block-wise kernel and the inverse-free witness check; 877 and 465
+    # before linalg.mul_operator and the power-trace determinant test; 2,004
+    # and 1,457 before zero entries were skipped).
+    assert counts["mul"] <= 717
+    assert counts["sub"] <= 89
+
+
+def test_dense_conjugate_of_every_entry_work(q2, counts):
+    rng = random.Random(0x20)
+    pairs = []
+    for entry in ENTRY_ORDER:
+        rep = instantiate(entry, q2)
+        pairs.append((rep, EquivalenceWitness(random_dense_invertible(rng), Scalar(2), Scalar(-1, 1)).apply(rep)))
+    counts.update(mul=0, sub=0)
+    assert all(decide_equivalence(rep, moved).equivalent for rep, moved in pairs)
+    # Measured: 19,681 multiplications and 2,918 subtractions (27,013 and
+    # 14,655 with the whole 64x16 intertwiner system in one reduction and the
+    # witness checked through u^-1).
+    assert counts["mul"] <= 20_665
+    assert counts["sub"] <= 3_063
