@@ -29,14 +29,11 @@ from .catalog import (
     UnknownEntry,
     canonical_determinants,
     check_entry,
-    connected_s_entry,
     get_entry,
     instantiate,
-    instantiate_all,
     resolve_params,
     verify_determinant_invariants,
     verify_distinctness,
-    verify_entry,
     verify_table,
 )
 from .clifford import (
@@ -44,10 +41,8 @@ from .clifford import (
     GammaExpr,
     MalformedExpression,
     build_model,
-    combine_units,
     default_model,
     eval_gamma_expr,
-    express_in_units,
     parse_gamma_expr,
     selftest,
 )
@@ -63,7 +58,6 @@ from .linalg import (
     kernel,
     mat_inverse,
     mul_operator,
-    rank,
     solve_homogeneous,
 )
 from .qrep import (
@@ -92,10 +86,8 @@ from .qrep import (
 from .qspinor import (
     CanonicalForm,
     InvalidFormParameter,
-    SpinorPair,
     VerificationFailure,
     canonical_forms,
-    is_q_spinor,
     space_square_nonzero,
     spinor_space,
     verify_canonical_form,

@@ -157,13 +157,6 @@ class EquivalenceWitness:
             rep.q,
         )
 
-    def inverse(self) -> "EquivalenceWitness":
-        return EquivalenceWitness(mat_inverse(self.u), self.alpha1.inv(), self.alpha2.inv())
-
-    def compose(self, inner: "EquivalenceWitness") -> "EquivalenceWitness":
-        """Witness applying inner first, then this one."""
-        return EquivalenceWitness(self.u * inner.u, self.alpha1 * inner.alpha1, self.alpha2 * inner.alpha2)
-
     def to_json(self) -> dict:
         return {
             "equivalent": True,

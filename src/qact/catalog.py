@@ -5,7 +5,7 @@ determinant-one representation (S...) and zero or more companions with a
 nontrivial quantum determinant (G...).  Every entry is stored fully
 resolved, carries its parameter exclusions, and knows the expected operator
 algebra, invariant algebra, gamma-form invariants, and quantum determinant,
-so a single verify_entry call replays the whole battery of checks.
+so a single check_entry call replays the whole battery of checks.
 
 The G3b and G6 cells are stored in the unique form consistent with their
 determinant column through the reconstruction identity
@@ -686,10 +686,6 @@ def instantiate(
     return require_representation(entry.representation(q, resolve_params(entry, q, params, policy)))
 
 
-def connected_s_entry(entry_id: str) -> Optional[str]:
-    return get_entry(entry_id).connected_to
-
-
 @dataclass(frozen=True)
 class EntryCheck:
     """One entry's battery: its parameters, representation and report.
@@ -775,25 +771,9 @@ def check_entry(
     return EntryCheck(entry.entry_id, p, rep, report, cent, detq)
 
 
-def verify_entry(
-    entry_id: str,
-    q: DeformationParameter,
-    params: Optional[Mapping[str, object]] = None,
-    policy: Optional[Mapping[str, object]] = None,
-) -> Report:
-    """Run the full battery of checks for one table entry."""
-    return check_entry(entry_id, q, params, policy).report
-
-
 def _first_bad(report: Report) -> str:
     bad = report.first_failure
     return "" if bad is None else bad.name
-
-
-def instantiate_all(
-    q: DeformationParameter, policy: Optional[Mapping[str, object]] = None
-) -> dict[str, GLqRep]:
-    return {eid: instantiate(eid, q, policy=policy) for eid in ENTRY_ORDER}
 
 
 def verify_distinctness(reps: Mapping[str, GLqRep]) -> Report:
@@ -856,8 +836,14 @@ def verify_table(q: DeformationParameter, policy: Optional[Mapping[str, object]]
     """The whole table in one pass: each entry is resolved, built and checked once.
 
     Distinctness and the determinant invariants reuse the representations,
-    centralizers and quantum determinants that the battery computed.
+    centralizers and quantum determinants that the battery computed.  A
+    policy value applies only to the entries that declare its name; a name
+    that no entry declares raises ConstraintViolated.
     """
+    declared = {name for entry in ENTRIES.values() for name in entry.params}
+    unknown = sorted(set(policy or {}) - declared)
+    if unknown:
+        raise ConstraintViolated(unknown[0], as_scalar(policy[unknown[0]]), "not a parameter of any table entry")
     entries = tuple(check_entry(eid, q, policy=policy) for eid in ENTRY_ORDER)
     distinctness = verify_distinctness({e.entry_id: e.rep for e in entries})
     return TableCheck(q, entries, distinctness, verify_determinant_invariants(entries))

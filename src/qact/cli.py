@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import catalog
 from .action import Unsupported, build_action, decide_equivalence, operator_algebra, verify_module_algebra
-from .clifford import default_model, express_in_units, selftest
+from .clifford import default_model, selftest
 from .linalg import DimensionMismatch, Mat, Singular, centralizer
 from .qrep import (
     DeterminantNotCentral,
@@ -132,22 +132,16 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"invalid JSON in {path}: nested too deeply") from exc
 
 
-def _unit_name(i: int, j: int) -> str:
-    return f"e{i}{j}"
-
-
 def _invariants_doc(rep: GLqRep) -> dict:
-    model = default_model()
+    """The centralizer basis, each matrix also as its coefficients on the units e_ij.
+
+    The Clifford model's units are the standard matrix units (its selftest
+    checks units_are_standard), so the coefficient of e_ij is entry (i, j).
+    """
     space = centralizer(list(rep.matrices()))
     basis = []
     for m in space.matrices():
-        coeffs = express_in_units(m, model)
-        units = {
-            _unit_name(i, j): format_scalar(coeffs[(i, j)])
-            for i in range(1, 5)
-            for j in range(1, 5)
-            if coeffs[(i, j)]
-        }
+        units = {f"e{i}{j}": format_scalar(x) for i, row in enumerate(m.rows, 1) for j, x in enumerate(row, 1) if x}
         basis.append({"matrix": m.to_json(), "units": units})
     return {"ambient_dim": space.ambient_dim, "dim": space.dim, "basis": basis}
 
@@ -185,7 +179,8 @@ def _cmd_verify_table(args) -> tuple[dict, int]:
         doc = {"q": q.q.to_json(), "entries": [check.to_json()], "ok": check.report.ok}
         return doc, 0 if check.report.ok else 1
     # Table-wide, --param values act as policy preferences: they apply only
-    # to entries that declare the parameter.
+    # to entries that declare the parameter, and a name no entry declares
+    # exits 2.
     table = catalog.verify_table(q, policy=overrides or None)
     return table.to_json(), 0 if table.ok else 1
 

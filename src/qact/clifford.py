@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .linalg import Mat
 from .report import Report
-from .scalars import I, ONE, ZERO, Scalar, as_scalar
+from .scalars import I, ONE, ZERO, Scalar
 
 METRIC = (1, -1, -1, -1)
 
@@ -273,21 +273,3 @@ def _eval(node: tuple, gamma) -> Mat:
         return gamma[1] * gamma[2]
     return gamma[int(name[1])]
 
-
-def express_in_units(m: Mat, model: CliffordModel) -> dict[tuple[int, int], Scalar]:
-    """Unique coefficients c_ij with m equal to the sum of c_ij e_ij.
-
-    build_model requires the model's units to be the standard matrix units
-    (units_are_standard), so c_ij is the entry (i, j) of m.
-    """
-    return {(i + 1, j + 1): m.rows[i][j] for i in range(4) for j in range(4)}
-
-
-def combine_units(coeffs: dict[tuple[int, int], Scalar], model: CliffordModel) -> Mat:
-    """Inverse of express_in_units."""
-    total = Mat.zero(4)
-    for (i, j), c in coeffs.items():
-        c = as_scalar(c)
-        if c:
-            total = total + model.unit(i, j).scale(c)
-    return total

@@ -88,50 +88,29 @@ class Mat:
     def __neg__(self) -> "Mat":
         return Mat([[-x for x in r] for r in self.rows])
 
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            self._same(other)
-            n = self.n
-            orows = other.rows
-            out = []
-            for arow in self.rows:
-                acc = [ZERO] * n
-                for k in range(n):
-                    f = arow[k]
-                    if f.a or f.b:
-                        brow = orows[k]
-                        for j in range(n):
-                            g = brow[j]
-                            if g.a or g.b:
-                                acc[j] = acc[j] + f * g
-                out.append(acc)
-            return Mat(out)
-        s = _try_scalar(other)
-        if s is None:
+    def __mul__(self, other: "Mat") -> "Mat":
+        if not isinstance(other, Mat):
             return NotImplemented
-        return self.scale(s)
-
-    def __rmul__(self, other):
-        s = _try_scalar(other)
-        if s is None:
-            return NotImplemented
-        return self.scale(s)
+        self._same(other)
+        n = self.n
+        orows = other.rows
+        out = []
+        for arow in self.rows:
+            acc = [ZERO] * n
+            for k in range(n):
+                f = arow[k]
+                if f.a or f.b:
+                    brow = orows[k]
+                    for j in range(n):
+                        g = brow[j]
+                        if g.a or g.b:
+                            acc[j] = acc[j] + f * g
+            out.append(acc)
+        return Mat(out)
 
     def scale(self, s) -> "Mat":
         s = as_scalar(s)
         return Mat([[x * s if x.a or x.b else x for x in r] for r in self.rows])
-
-    def __pow__(self, k: int) -> "Mat":
-        if k < 0:
-            return mat_inverse(self) ** (-k)
-        result = Mat.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     # -- predicates --------------------------------------------------------------
 
@@ -152,9 +131,6 @@ class Mat:
 
     def is_lower_triangular(self) -> bool:
         return all(self.rows[i][j].is_zero for i in range(self.n) for j in range(i + 1, self.n))
-
-    def is_nilpotent(self) -> bool:
-        return (self ** self.n).is_zero
 
     def commutes_with(self, other: "Mat") -> bool:
         return self * other == other * self
@@ -187,13 +163,6 @@ class Mat:
             raise DimensionMismatch(f"{field}: matrix JSON has inconsistent dimensions")
         return cls([[scalar_from_json(x, f"{field}.rows[{i}][{j}]") for j, x in enumerate(r)]
                     for i, r in enumerate(rows)])
-
-
-def _try_scalar(x) -> Optional[Scalar]:
-    try:
-        return as_scalar(x)
-    except TypeError:
-        return None
 
 
 def det(m: Mat) -> Scalar:
@@ -340,31 +309,9 @@ class Subspace:
     def contains_matrix(self, m: Mat) -> bool:
         return self.contains_vector(m.flatten())
 
-    def contains(self, other: "Subspace") -> bool:
-        self._same(other)
-        return all(self.contains_vector(v) for v in other.basis)
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        self._same(other)
-        return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._same(other)
-        # x in self lies in other iff its residual against other vanishes;
-        # solve for combinations of self's basis with zero residual.
-        if not self.basis:
-            return self
-        residuals = [other.reduce_vector(v) for v in self.basis]
-        coeffs = solve_homogeneous(list(zip(*residuals)), len(residuals))
-        return Subspace(self.ambient_dim, _combine(coeffs.basis, self.basis, self.ambient_dim))
-
     def matrices(self) -> tuple[Mat, ...]:
         n = _matrix_side(self.ambient_dim)
         return tuple(Mat.from_flat(n, v) for v in self.basis)
-
-    def _same(self, other: "Subspace"):
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -449,11 +396,6 @@ def _combine(coeffs: Iterable[Sequence[Scalar]], vectors: Sequence[Sequence[Scal
 def kernel(operator: Mat) -> Subspace:
     """RREF basis of the null space of a square operator."""
     return solve_homogeneous(operator.rows, operator.n)
-
-
-def rank(m: Mat) -> int:
-    rows = [list(r) for r in m.rows]
-    return len(_rref_in_place(rows, m.n))
 
 
 # -- operators on flattened matrix space -------------------------------------------

@@ -15,8 +15,6 @@ from .linalg import Mat, Subspace, kernel, mul_operator
 from .report import Report
 from .scalars import ONE, ZERO, DeformationParameter, Scalar, as_scalar, format_scalar
 
-FORM_IDS = (1, 2, 3, 4, 5, 6, 7)
-
 
 class InvalidFormParameter(ValueError):
     """The free diagonal entry of form 5 hits an excluded value."""
@@ -24,19 +22,6 @@ class InvalidFormParameter(ValueError):
 
 class VerificationFailure(AssertionError):
     """A canonical-form assertion failed."""
-
-
-@dataclass(frozen=True)
-class SpinorPair:
-    """A candidate representation x -> a, y -> b of the relation xy = qyx."""
-
-    a: Mat
-    b: Mat
-    q: DeformationParameter
-
-
-def is_q_spinor(pair: SpinorPair) -> bool:
-    return (pair.a * pair.b - (pair.b * pair.a).scale(pair.q.q)).is_zero
 
 
 def spinor_space(a: Mat, q: DeformationParameter) -> Subspace:

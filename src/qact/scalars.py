@@ -151,9 +151,6 @@ class Scalar:
         n = self.a * self.a + self.b * self.b
         return _make(self.a * self.d, -self.b * self.d, n)
 
-    def conj(self) -> "Scalar":
-        return _new(self.a, -self.b, self.d)
-
     # -- predicates and ordering ----------------------------------------------
 
     def __bool__(self) -> bool:

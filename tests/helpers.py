@@ -71,6 +71,14 @@ def random_dense_invertible(rng: random.Random, n: int = 4) -> Mat:
             return m
 
 
+def is_nilpotent(m: Mat) -> bool:
+    """m^n = 0, by repeated products."""
+    power = m
+    for _ in range(m.n - 1):
+        power = power * m
+    return power.is_zero
+
+
 def random_diag(rng: random.Random, values, n: int = 4) -> Mat:
     return Mat.diag(*[as_scalar(rng.choice(values)) for _ in range(n)])
 

@@ -21,13 +21,11 @@ from qact import (
     canonical_forms,
     centralizer,
     check_entry,
-    connected_s_entry,
     connected_slq,
     decide_equivalence,
     from_rq,
     get_entry,
     instantiate,
-    instantiate_all,
     is_slq,
     antipode_check,
     action_fixed_points,
@@ -42,7 +40,6 @@ from qact import (
     validate_q,
     verify_determinant_invariants,
     verify_distinctness,
-    verify_entry,
     verify_module_algebra,
     verify_canonical_form,
 )
@@ -136,7 +133,7 @@ def test_criterion_3_table_verification():
     start = time.perf_counter()
     q = validate_q(2)
     for eid in ENTRY_ORDER:
-        report = verify_entry(eid, q)
+        report = check_entry(eid, q).report
         assert report.ok, (eid, [c.name for c in report.checks if not c.passed])
         dim_detail = next(c.detail for c in report.checks if c.name == "operator_algebra_dim")
         assert dim_detail.startswith(f"dim {EXPECTED_DIM_R[eid]},")
@@ -196,7 +193,7 @@ def test_criterion_6_rq_round_trip():
         rq = to_rq(rep)
         assert from_rq(rq) == rep, eid
         assert quantum_determinant(rep) == rep.a11 * rq.r22, eid
-        sid = connected_s_entry(eid)
+        sid = get_entry(eid).connected_to
         if sid is not None:
             s_params = {
                 name: value
@@ -211,7 +208,7 @@ def test_criterion_6_rq_round_trip():
 def test_criterion_7_distinctness():
     start = time.perf_counter()
     q = validate_q(2)
-    report = verify_distinctness(instantiate_all(q))
+    report = verify_distinctness({eid: instantiate(eid, q) for eid in ENTRY_ORDER})
     assert report.ok, [c.name for c in report.checks if not c.passed]
     assert len(report.checks) == 210  # 190 distinct pairs + 20 self checks
     rng = random.Random(707)

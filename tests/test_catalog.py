@@ -8,13 +8,11 @@ from qact import (
     as_scalar,
     canonical_determinants,
     check_entry,
-    connected_s_entry,
     get_entry,
     instantiate,
     quantum_determinant,
     resolve_params,
     verify_determinant_invariants,
-    verify_entry,
 )
 from qact.catalog import DEFAULT_POLICY, ENTRY_ORDER
 
@@ -102,17 +100,17 @@ def test_default_policy_values():
 
 
 def test_verify_entry_examples(q2):
-    report = verify_entry("S4a", q2, {"alpha": 3})
+    report = check_entry("S4a", q2, {"alpha": 3}).report
     assert report.ok
     dim_check = next(c for c in report.checks if c.name == "operator_algebra_dim")
     assert "dim 10" in dim_check.detail
 
-    report = verify_entry("S2b'", q2, {"alpha": 3})
+    report = check_entry("S2b'", q2, {"alpha": 3}).report
     assert report.ok
     inv_check = next(c for c in report.checks if c.name == "invariant_dim")
     assert "dim 2" in inv_check.detail
 
-    report = verify_entry("G7", q2, {"alpha": 3, "xi": 5})
+    report = check_entry("G7", q2, {"alpha": 3, "xi": 5}).report
     assert report.ok
     rep = instantiate("G7", q2, {"alpha": 3, "xi": 5})
     assert quantum_determinant(rep) == E4 + u(3, 4).scale(5)
@@ -122,7 +120,7 @@ def test_inherited_blocks_match_base_entry(q2):
     pairs = [("G1a", "S1"), ("G1b", "S1"), ("G3a", "S3"), ("G3b", "S3"),
              ("G4b", "S4b"), ("G5", "S5"), ("G6", "S6"), ("G7", "S7"), ("G2b'", "S2b'")]
     for gid, sid in pairs:
-        assert connected_s_entry(gid) == sid
+        assert get_entry(gid).connected_to == sid
         g = instantiate(gid, q2)
         s = instantiate(sid, q2)
         assert g.a11 == s.a11
@@ -143,7 +141,7 @@ def test_a21_proportional_to_a12_except_s2_family(q2):
 def test_full_battery_at_second_sample_points(q3, qc):
     for q in (q3, qc):
         for eid in ENTRY_ORDER:
-            report = verify_entry(eid, q)
+            report = check_entry(eid, q).report
             assert report.ok, (eid, str(q), [c.name for c in report.checks if not c.passed])
 
 
@@ -171,9 +169,9 @@ def test_distinctness_spot_check(q2):
 
 
 def test_distinctness_at_complex_sample_point(qc):
-    from qact import instantiate_all, verify_distinctness
+    from qact import verify_distinctness
 
-    report = verify_distinctness(instantiate_all(qc))
+    report = verify_distinctness({eid: instantiate(eid, qc) for eid in ENTRY_ORDER})
     assert report.ok, [c.name for c in report.checks if not c.passed]
     assert len(report.checks) == 210
 
@@ -184,7 +182,7 @@ def test_g_entries_reconstructed_by_attachment(q2):
     from qact import attach_determinant, connected_slq
 
     for gid in ENTRY_ORDER:
-        sid = connected_s_entry(gid)
+        sid = get_entry(gid).connected_to
         if sid is None:
             continue
         g = instantiate(gid, q2)

@@ -21,7 +21,9 @@ from qact import (
     validate_q,
     verify_glq_relations,
 )
+from qact.catalog import ENTRY_ORDER
 from qact.cli import main
+from qact.clifford import default_model
 from qact.scalars import scalar_from_json
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
@@ -64,6 +66,12 @@ def test_verify_table_wide(capsys, q_text):
     assert doc["distinctness"]["ok"] is True
     assert len(doc["distinctness"]["checks"]) == 210
     assert doc["determinant_invariants"]["ok"] is True
+
+
+def test_table_wide_param_no_entry_declares_exits_2(capsys):
+    code, doc = run_json(capsys, "verify-table", "--param", "alpha=3", "--param", "alpah=3")
+    assert code == 2
+    assert doc == {"error": "parameter alpah = 3: not a parameter of any table entry", "position": None}
 
 
 def test_show_entry(capsys):
@@ -340,6 +348,23 @@ def test_invariants_subcommand(capsys, tmp_path):
     assert doc["dim"] == 2
     code, doc = run_json(capsys, "invariants")
     assert code == 2
+
+
+def test_invariants_units_are_nonzero_entries(capsys):
+    # The units of a basis matrix are its nonzero entries, e_ij in row-major
+    # order, and the Clifford model's units recombine them into the matrix.
+    model = default_model()
+    for eid in ENTRY_ORDER:
+        code, doc = run_json(capsys, "invariants", "--entry", eid, "--q", "2")
+        assert code == 0
+        for item in doc["basis"]:
+            rows = item["matrix"]["rows"]
+            want = {f"e{i}{j}": x for i, row in enumerate(rows, 1) for j, x in enumerate(row, 1) if x != "0"}
+            assert list(item["units"].items()) == list(want.items()), eid
+            total = Mat.zero(4)
+            for name, x in item["units"].items():
+                total = total + model.unit(int(name[1]), int(name[2])).scale(parse_scalar(x))
+            assert total == Mat.from_json(item["matrix"]), eid
 
 
 def test_usage_errors(capsys, tmp_path):

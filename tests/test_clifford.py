@@ -1,15 +1,11 @@
 import pytest
 
-from helpers import random_scalar
 from qact import (
     Mat,
     MalformedExpression,
     Scalar,
-    as_scalar,
     build_model,
-    combine_units,
     eval_gamma_expr,
-    express_in_units,
     parse_gamma_expr,
     selftest,
 )
@@ -86,30 +82,6 @@ def test_all_sixteen_unit_expressions(model):
 
     for (i, j), text in UNIT_EXPRESSIONS.items():
         assert ev(text, model) == Mat.unit(4, i, j), (i, j)
-
-
-def test_express_in_units(model):
-    coeffs = express_in_units(E4, model)
-    for i in range(1, 5):
-        for j in range(1, 5):
-            assert coeffs[(i, j)] == (as_scalar(1) if i == j else as_scalar(0))
-    coeffs = express_in_units(Mat.unit(4, 4, 3).scale(4), model)
-    assert coeffs[(4, 3)] == as_scalar(4)
-    assert sum(1 for v in coeffs.values() if v) == 1
-    coeffs = express_in_units(ev("(1-g0)*(-g1+i*g2)*g3", model), model)
-    assert coeffs[(4, 3)] == as_scalar(4)
-    assert sum(1 for v in coeffs.values() if v) == 1
-
-
-def test_express_combine_round_trip(model, rng):
-    for _ in range(20):
-        coeffs = {
-            (rng.randint(1, 4), rng.randint(1, 4)): random_scalar(rng)
-            for _ in range(rng.randint(1, 6))
-        }
-        m = combine_units(coeffs, model)
-        back = express_in_units(m, model)
-        assert combine_units(back, model) == m
 
 
 def test_scalar_coefficients_in_grammar(model):

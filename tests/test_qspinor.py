@@ -12,11 +12,9 @@ from qact import (
     Mat,
     Subspace,
     VerificationFailure,
-    SpinorPair,
     as_scalar,
     canonical_forms,
     centralizer,
-    is_q_spinor,
     mat_inverse,
     space_square_nonzero,
     spinor_space,
@@ -28,14 +26,6 @@ E4 = Mat.identity(4)
 
 def u(i, j):
     return Mat.unit(4, i, j)
-
-
-def test_is_q_spinor_examples(q2):
-    q = q2.q
-    a = Mat.diag(q * q, q, 1, 1)
-    assert is_q_spinor(SpinorPair(a, u(1, 2), q2))
-    assert not is_q_spinor(SpinorPair(E4, u(1, 2), q2))
-    assert is_q_spinor(SpinorPair(a + u(1, 2).scale(7), Mat.zero(4), q2))
 
 
 def test_spinor_space_examples(q2):

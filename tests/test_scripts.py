@@ -1,8 +1,12 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
 def load_script(name: str):
@@ -49,3 +53,14 @@ def test_bench_writes_one_document_per_label(tmp_path, monkeypatch, capsys):
     assert bench.main(["--label", "y", "--checkout", str(checkout)]) == 1
     assert not (tmp_path / "BENCH_y.json").exists()
     assert "table: perfbench exited 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["table", "witness", "certificate"])
+def test_perfbench_workloads_set_up_and_warm_up(name, monkeypatch):
+    # The benchmark calls qact by name; this fails when a name it calls is gone.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS[name]
+    workload.warm_up(workload.generate(1))
