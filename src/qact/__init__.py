@@ -62,7 +62,6 @@ from .linalg import (
 )
 from .qrep import (
     A11Singular,
-    DeterminantNotCentral,
     DeterminantSingular,
     DNotInvariant,
     DSingular,

@@ -5,8 +5,8 @@ a_ij . v = sum_k A_ik v S_kj, where the starred blocks S_kj = rho(S(a_kj))
 are the antipode blocks (qrep.antipode), which are also the blocks of the
 inverse of the 8x8 block matrix M = [[A11, A12], [A21, A22]] (see
 build_action); the starred blocks are what an InnerAction stores.  The
-action makes C(1,3) a module algebra exactly when M S = I_8 (see
-verify_module_algebra).
+action makes C(1,3) a module algebra exactly when M S = I_8, the blocks that
+qrep.antipode_check reports as counit_right_ij (see verify_module_algebra).
 Flattening C(1,3) row-major turns each generator into a 16x16 operator L_ij
 (linalg.mul_operator), built only where it is read: its six quantum-matrix
 relations and its fixed points.
@@ -81,8 +81,8 @@ def build_action(rep: GLqRep) -> InnerAction:
       invariant under every block, and adj_q M = 0 on K x K.  An invertible
       M would map K x K onto itself, so adj_q would vanish on K x K, and so
       would M, its blocks being those of adj_q up to sign and scale.
-    Raises DeterminantSingular when D is singular, and DeterminantNotCentral
-    when D is not central, which the relations rule out.  The relations are
+    Raises DeterminantSingular when D is singular, which the inversion of D
+    in antipode finds; this is the GL_q test of the CLI.  The relations are
     not checked here: verify_glq_relations and operator_relation_report do
     that.
     """
@@ -94,9 +94,10 @@ def operator_relation_report(action: InnerAction) -> Report:
     return _relation_report("action-operator-relations", *action.operators[0], *action.operators[1], action.rep.q)
 
 
-def verify_module_algebra(action: InnerAction) -> Report:
-    """The module-algebra axioms, checked as M S = I_8 one 4x4 block at a time.
+def verify_module_algebra(counit: Report) -> Report:
+    """The module-algebra axioms, read off the M S = I_8 blocks of an antipode report.
 
+    counit is antipode_check(rep, s) for the starred blocks s of the action.
     The axioms are the unit a_ij . 1 = delta_ij 1 and the product identity
     a_ij . (vw) = sum_k (a_ik . v)(a_kj . w) for all v and w.
     - The unit axiom reads sum_l A_il S_lj = delta_ij I, which is block ij
@@ -106,14 +107,14 @@ def verify_module_algebra(action: InnerAction) -> Report:
       = sum_{l,m} A_il v (sum_k S_lk A_km) w S_mj = sum_l A_il v w S_lj
       = a_ij . (vw), for every v and w.
     So the unit axiom and the product identity together hold iff M S = I_8,
-    for any S, including a corrupted one.  Check module_algebra_ij tests
-    block ij of M S, which is a_ij . 1.
+    for any S, including a corrupted one.  Check module_algebra_ij is the
+    counit_right_ij check of counit, block ij of M S, which is a_ij . 1.
     """
-    one, zero = Mat.identity(4), Mat.zero(4)
+    passed = {c.name: c.passed for c in counit.checks}
     report = Report("module-algebra")
     for i in (1, 2):
         for j in (1, 2):
-            unit = action.apply(i, j, one) == (one if i == j else zero)
+            unit = passed[f"counit_right_{i}{j}"]
             report.add(f"module_algebra_{i}{j}", unit, f"(M S)_{i}{j} = {'I' if i == j else '0'}")
     return report
 

@@ -39,7 +39,7 @@ from .qrep import (
 )
 from .qspinor import form5_excluded
 from .report import Report
-from .scalars import ONE, ZERO, DeformationParameter, Scalar, as_scalar, format_scalar
+from .scalars import ONE, ZERO, DeformationParameter, Scalar, as_scalar, format_scalar, smallest_admissible
 
 
 class ConstraintViolated(ValueError):
@@ -611,15 +611,7 @@ _register(TableEntry(
     connected_to="S7",
 ))
 
-ENTRY_ORDER = (
-    "S1", "G1a", "G1b",
-    "S2a", "S2a'", "S2b", "S2b'", "G2b'",
-    "S3", "G3a", "G3b",
-    "S4a", "S4b", "G4b",
-    "S5", "G5",
-    "S6", "G6",
-    "S7", "G7",
-)
+ENTRY_ORDER = tuple(ENTRIES)
 
 _ALIASES = {
     "S2a′": "S2a'", "S2b′": "S2b'", "G2b′": "G2b'",
@@ -667,10 +659,7 @@ def resolve_params(
         else:
             value = as_scalar(merged.get(name, 2))
             if value in excluded:
-                candidate = 2
-                while as_scalar(candidate) in excluded:
-                    candidate += 1
-                value = as_scalar(candidate)
+                value = smallest_admissible(excluded)
         params[name] = value
     return params
 
@@ -765,7 +754,7 @@ def check_entry(
     counit = antipode_check(rep, action.starred)
     report.add("antipode", counit.ok, _first_bad(counit))
 
-    module = verify_module_algebra(action)
+    module = verify_module_algebra(counit)
     report.add("module_algebra", module.ok, _first_bad(module))
 
     return EntryCheck(entry.entry_id, p, rep, report, cent, detq)

@@ -18,7 +18,6 @@ from .action import Unsupported, build_action, decide_equivalence, operator_alge
 from .clifford import default_model, selftest
 from .linalg import DimensionMismatch, Mat, Singular, centralizer
 from .qrep import (
-    DeterminantNotCentral,
     DeterminantSingular,
     GLqRep,
     antipode_check,
@@ -79,7 +78,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("invariants", help="invariant subspace of an entry or representation file", parents=[common])
     p.add_argument("--file", default=None)
     p.add_argument("--entry", default=None)
-    p.add_argument("--q", default="2")
+    p.add_argument("--q", default=None)  # 2 with --entry; a file holds its own q
     p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
 
     p = sub.add_parser("equiv", help="decide equivalence of two representation files", parents=[common])
@@ -114,6 +113,8 @@ def _parse_params(items: list[str]) -> dict[str, Scalar]:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise UsageError(f"expected NAME=VALUE, got {item!r}")
+        if name in params:
+            raise UsageError(f"--param {name}: given more than once")
         params[name] = _parse_option(f"--param {name}", value)
     return params
 
@@ -165,7 +166,7 @@ def _rep_from_file(path: str, require_valid: bool = False) -> GLqRep:
             bad = report.first_failure
             raise UsageError(f"{path} is not a representation: {bad.name} fails")
         try:
-            quantum_determinant(rep)  # central, by the relations
+            build_action(rep)  # its antipode inverts det_q
         except DeterminantSingular as exc:
             raise UsageError(f"{path} is not a GL_q representation: {exc}") from exc
     return rep
@@ -219,12 +220,13 @@ def _cmd_check_rep(args) -> tuple[dict, int]:
     if relations.ok:
         try:
             action = build_action(rep)
-        except (DeterminantSingular, DeterminantNotCentral) as exc:
+        except DeterminantSingular as exc:
             report.add("antipode:determinant", False, str(exc))
             report.add("module_algebra", False, str(exc))
         else:
-            report.extend(antipode_check(rep, action.starred), prefix="antipode:")
-            report.extend(verify_module_algebra(action))
+            counit = antipode_check(rep, action.starred)
+            report.extend(counit, prefix="antipode:")
+            report.extend(verify_module_algebra(counit))
     return report.to_json(), 0 if report.ok else 1
 
 
@@ -232,9 +234,11 @@ def _cmd_invariants(args) -> tuple[dict, int]:
     if (args.file is None) == (args.entry is None):
         raise UsageError("invariants needs exactly one of --file or --entry")
     if args.file is not None:
+        if args.q is not None or args.param:
+            raise UsageError("invariants --file takes no --q or --param: the file gives q and the matrices")
         rep = _rep_from_file(args.file, require_valid=True)
     else:
-        q = _parse_q(args.q)
+        q = _parse_q("2" if args.q is None else args.q)
         rep = catalog.instantiate(args.entry, q, _parse_params(args.param))
     return _invariants_doc(rep), 0
 

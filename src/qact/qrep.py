@@ -3,11 +3,11 @@
 A representation assigns 4x4 matrices A11, A12, A21, A22 to the four
 generators so that the six quantum-matrix relations hold exactly; the
 quantum determinant D = A11*A22 - q*A12*A21 then commutes with all four.
-A GL_q representation has D invertible, and its antipode blocks (antipode)
-are the blocks of M^-1, M = [[A11, A12], [A21, A22]], which define the inner
-action (see action.build_action).  R_q replaces the second diagonal
-generator with r22 -> R22 = A22 - A12*A11^-1*A21, which commutes with A11;
-the two presentations convert into each other losslessly.
+A GL_q representation has D invertible, which antipode decides as it inverts
+D; the antipode blocks are the blocks of M^-1, M = [[A11, A12], [A21, A22]],
+and define the inner action (see action.build_action).  R_q replaces the
+second diagonal generator with r22 -> R22 = A22 - A12*A11^-1*A21, which
+commutes with A11; the two presentations convert into each other losslessly.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ class RelationViolated(ValueError):
 
 class DeterminantSingular(ValueError):
     """The quantum determinant is not invertible."""
-
-
-class DeterminantNotCentral(ValueError):
-    """The quantum determinant fails to commute with a generator."""
 
 
 class A11Singular(ValueError):
@@ -134,22 +130,20 @@ def require_representation(rep: GLqRep) -> GLqRep:
 
 
 def quantum_determinant(rep: GLqRep) -> Mat:
-    """D = A11*A22 - q*A12*A21; asserts invertibility and centrality."""
-    d = rep.a11 * rep.a22 - (rep.a12 * rep.a21).scale(rep.q.q)
-    if det(d).is_zero:
-        raise DeterminantSingular("quantum determinant is singular")
-    for name, g in zip(("A11", "A12", "A21", "A22"), rep.matrices()):
-        if not d.commutes_with(g):
-            raise DeterminantNotCentral(f"determinant does not commute with {name}")
-    return d
+    """D = A11*A22 - q*A12*A21; the relations make it central, and antipode decides whether it is invertible."""
+    return rep.a11 * rep.a22 - (rep.a12 * rep.a21).scale(rep.q.q)
 
 
 def antipode(rep: GLqRep, detq: Mat) -> Blocks:
     """The antipode blocks rho(S(a_kj)): D^-1 A22, -q^-1 D^-1 A12, -q D^-1 A21, D^-1 A11.
 
-    detq is D as quantum_determinant(rep) returns it, already checked invertible.
+    detq is D as quantum_determinant(rep) returns it; DeterminantSingular
+    when it has no inverse.
     """
-    dinv = mat_inverse(detq)
+    try:
+        dinv = mat_inverse(detq)
+    except Singular as exc:
+        raise DeterminantSingular("quantum determinant is singular") from exc
     return (
         (dinv * rep.a22, (dinv * rep.a12).scale(-rep.q.inv)),
         ((dinv * rep.a21).scale(-rep.q.q), dinv * rep.a11),
@@ -171,13 +165,16 @@ def antipode_check(rep: GLqRep, s: Blocks) -> Report:
     return report
 
 
-def schur_r22(rep: GLqRep) -> Mat:
-    """R22 = A22 - A12*A11^-1*A21 without building a full RqRep."""
+def _a11_inverse(a11: Mat) -> Mat:
     try:
-        a11_inv = mat_inverse(rep.a11)
+        return mat_inverse(a11)
     except Singular as exc:
         raise A11Singular("A11 is singular") from exc
-    return rep.a22 - rep.a12 * a11_inv * rep.a21
+
+
+def schur_r22(rep: GLqRep) -> Mat:
+    """R22 = A22 - A12*A11^-1*A21 without building a full RqRep."""
+    return rep.a22 - rep.a12 * _a11_inverse(rep.a11) * rep.a21
 
 
 def verify_rq_relations(rep: RqRep) -> Report:
@@ -204,11 +201,10 @@ def to_rq(rep: GLqRep) -> RqRep:
 
 def from_rq(rep: RqRep) -> GLqRep:
     """Rebuild the GL_q presentation; relations are re-verified."""
-    if det(rep.a11).is_zero:
-        raise A11Singular("A11 is singular")
+    a11_inv = _a11_inverse(rep.a11)
     if det(rep.r22).is_zero:
         raise R22Singular("R22 is singular")
-    a22 = rep.r22 + rep.a12 * mat_inverse(rep.a11) * rep.a21
+    a22 = rep.r22 + rep.a12 * a11_inv * rep.a21
     return require_representation(GLqRep(rep.a11, rep.a12, rep.a21, a22, rep.q))
 
 
@@ -219,11 +215,7 @@ def is_slq(rep: GLqRep) -> bool:
 
 def connected_slq(rep: GLqRep) -> GLqRep:
     """Replace A22 by A11^-1 (1 + q A12 A21), forcing det_q = 1."""
-    try:
-        a11_inv = mat_inverse(rep.a11)
-    except Singular as exc:
-        raise A11Singular("A11 is singular") from exc
-    a22 = a11_inv * (Mat.identity(4) + (rep.a12 * rep.a21).scale(rep.q.q))
+    a22 = _a11_inverse(rep.a11) * (Mat.identity(4) + (rep.a12 * rep.a21).scale(rep.q.q))
     return require_representation(GLqRep(rep.a11, rep.a12, rep.a21, a22, rep.q))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .linalg import Mat, Subspace, kernel, mul_operator
 from .report import Report
-from .scalars import ONE, ZERO, DeformationParameter, Scalar, as_scalar, format_scalar
+from .scalars import ONE, ZERO, DeformationParameter, Scalar, as_scalar, format_scalar, smallest_admissible
 
 
 class InvalidFormParameter(ValueError):
@@ -55,14 +55,6 @@ def form5_excluded(q: Scalar) -> tuple[Scalar, ...]:
     return (ZERO, q.inv(), ONE, q, q * q, q ** 3)
 
 
-def _default_form5_alpha(q: DeformationParameter) -> Scalar:
-    excluded = set(form5_excluded(q.q))
-    n = 2
-    while as_scalar(n) in excluded:
-        n += 1
-    return as_scalar(n)
-
-
 def canonical_forms(q: DeformationParameter, alpha: Scalar | None = None) -> list[CanonicalForm]:
     """The seven canonical (A, basis of B(A)) pairs at the given q.
 
@@ -72,7 +64,7 @@ def canonical_forms(q: DeformationParameter, alpha: Scalar | None = None) -> lis
     qq = q.q
     u = lambda i, j: Mat.unit(4, i, j)
     if alpha is None:
-        alpha = _default_form5_alpha(q)
+        alpha = smallest_admissible(form5_excluded(qq))
     else:
         alpha = as_scalar(alpha)
         if alpha in set(form5_excluded(qq)):

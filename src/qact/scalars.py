@@ -230,6 +230,14 @@ def as_scalar(x) -> Scalar:
     raise TypeError(f"cannot interpret {x!r} as a scalar")
 
 
+def smallest_admissible(excluded) -> Scalar:
+    """The smallest integer n >= 2 that is not among the excluded scalars."""
+    n = 2
+    while as_scalar(n) in excluded:
+        n += 1
+    return as_scalar(n)
+
+
 def exact_sqrt(z: Scalar) -> Optional[Scalar]:
     """A square root of z in Q(i), or None if z has none.
 

@@ -178,8 +178,9 @@ def test_criterion_5_hopf_axioms():
         rep = instantiate(eid, q)
         action = build_action(rep)
         assert operator_relation_report(action).ok, eid
-        assert antipode_check(rep, action.starred).ok, eid
-        assert verify_module_algebra(action).ok, eid
+        counit = antipode_check(rep, action.starred)
+        assert counit.ok, eid
+        assert verify_module_algebra(counit).ok, eid
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     _report(5, "Hopf axioms", elapsed)

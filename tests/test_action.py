@@ -26,6 +26,7 @@ from qact import (
     Subspace,
     Unsupported,
     action_fixed_points,
+    antipode_check,
     as_scalar,
     build_action,
     centralizer,
@@ -47,6 +48,11 @@ from qact import qrep as qrep_module
 from qact.catalog import ENTRY_ORDER
 
 E4 = Mat.identity(4)
+
+
+def module_algebra(action):
+    """The module-algebra report of an action, read off its antipode report."""
+    return verify_module_algebra(antipode_check(action.rep, action.starred))
 
 
 def u(i, j):
@@ -85,7 +91,7 @@ def test_operator_relations_for_s4a(q2):
 def test_module_algebra_passes(q2):
     for eid in ("S1", "G6"):
         action = build_action(instantiate(eid, q2))
-        report = verify_module_algebra(action)
+        report = module_algebra(action)
         assert report.ok
 
 
@@ -93,11 +99,14 @@ def test_module_algebra_detects_corrupted_action(q2):
     rep = instantiate("S1", q2)
     (s11, s12), (s21, s22) = build_action(rep).starred
     bad = InnerAction(rep, ((s11 + u(1, 2), s12), (s21, s22)))
-    assert not verify_module_algebra(bad).ok
+    # Only block 11 of M S breaks; S M also breaks in block 12.
+    assert [c.name for c in module_algebra(bad).checks if not c.passed] == ["module_algebra_11"]
+    assert [c.name for c in antipode_check(rep, bad.starred).checks if not c.passed] == [
+        "counit_left_11", "counit_right_11", "counit_left_12"]
     assert not module_algebra_at_generators(bad)
     # Zero starred blocks satisfy the product identity (0 = 0) but not a_ii . 1 = 1.
     zero = Mat.zero(4)
-    report = verify_module_algebra(InnerAction(rep, ((zero, zero), (zero, zero))))
+    report = module_algebra(InnerAction(rep, ((zero, zero), (zero, zero))))
     assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
         ("module_algebra_11", "(M S)_11 = I"),
         ("module_algebra_22", "(M S)_22 = I"),
@@ -107,7 +116,7 @@ def test_module_algebra_detects_corrupted_action(q2):
 def test_module_algebra_agrees_with_all_pairs_oracle(q2):
     for eid in ENTRY_ORDER:
         action = build_action(instantiate(eid, q2))
-        assert verify_module_algebra(action).ok, eid
+        assert module_algebra(action).ok, eid
         assert module_algebra_at_generators(action), eid
         assert module_algebra_on_all_pairs(action), eid
 
@@ -124,7 +133,7 @@ def test_module_algebra_agrees_with_oracle_on_corruptions(q2):
             rows[r][c] = rows[r][c] + random_nonzero_scalar(rng)
             starred[k][j] = Mat(rows)
         tampered = InnerAction(action.rep, tuple(tuple(row) for row in starred))
-        verdict = verify_module_algebra(tampered).ok
+        verdict = module_algebra(tampered).ok
         assert verdict == module_algebra_at_generators(tampered) == module_algebra_on_all_pairs(tampered), trial
         outcomes.add(verdict)
     assert outcomes == {True, False}

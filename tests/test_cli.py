@@ -14,10 +14,10 @@ from qact import (
     GLqRep,
     Mat,
     Scalar,
+    build_action,
     decide_equivalence,
     instantiate,
     parse_scalar,
-    quantum_determinant,
     validate_q,
     verify_glq_relations,
 )
@@ -72,6 +72,24 @@ def test_table_wide_param_no_entry_declares_exits_2(capsys):
     code, doc = run_json(capsys, "verify-table", "--param", "alpha=3", "--param", "alpah=3")
     assert code == 2
     assert doc == {"error": "parameter alpah = 3: not a parameter of any table entry", "position": None}
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-table",),
+    ("verify-table", "--entry", "S1"),
+    ("show-entry", "--entry", "S1"),
+    ("invariants", "--entry", "S1"),
+    ("export", "--entry", "S1", "--out", "s1.json"),
+])
+def test_repeated_param_name_exits_2(capsys, tmp_path, argv):
+    # A second value for one name would silently win; it is refused instead,
+    # also when both values agree.
+    argv = tuple(str(tmp_path / x) if x.endswith(".json") else x for x in argv)
+    for values in (("alpha=3", "alpha=5"), ("alpha=3", "alpha=3")):
+        code, doc = run_json(capsys, *argv, "--param", values[0], "--param", "beta=5", "--param", values[1])
+        assert code == 2
+        assert doc == {"error": "--param alpha: given more than once", "position": None}
+    assert not (tmp_path / "s1.json").exists()
 
 
 def test_show_entry(capsys):
@@ -350,6 +368,19 @@ def test_invariants_subcommand(capsys, tmp_path):
     assert code == 2
 
 
+def test_invariants_file_takes_no_q_or_param(capsys, tmp_path):
+    # The file gives q and the matrices, so --q and --param would be ignored.
+    path = tmp_path / "s1.json"
+    assert main(["export", "--entry", "S1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    want = {"error": "invariants --file takes no --q or --param: the file gives q and the matrices", "position": None}
+    for extra in (("--q", "3"), ("--q=2",), ("--param", "alpah=1"), ("--q", "3", "--param", "alpha=1")):
+        code, doc = run_json(capsys, "invariants", "--file", str(path), *extra)
+        assert (code, doc) == (2, want), extra
+    # With --entry, --q still defaults to 2.
+    assert run(capsys, "invariants", "--entry", "S1") == run(capsys, "invariants", "--entry", "S1", "--q", "2")
+
+
 def test_invariants_units_are_nonzero_entries(capsys):
     # The units of a basis matrix are its nonzero entries, e_ij in row-major
     # order, and the Clifford model's units recombine them into the matrix.
@@ -488,7 +519,7 @@ def test_fuzzed_input_files_give_one_json_document(rep_text, matrix_text, q_text
     # representation, or (equiv) the decision is refused.
     rep_data = _decoded(lambda: GLqRep.from_json(json.loads(rep_text)))
     gl_q = (rep_data is not None and verify_glq_relations(rep_data).ok
-            and _decoded(lambda: quantum_determinant(rep_data)) is not None)
+            and _decoded(lambda: build_action(rep_data)) is not None)
     decided = gl_q and _decoded(lambda: decide_equivalence(GLqRep.from_json(_S1), rep_data)) is not None
     matrix_bad = _decoded(lambda: Mat.from_json(json.loads(matrix_text))) is None
     options_bad = _decoded(lambda: validate_q(parse_scalar(q_text))) is None or _decoded(
