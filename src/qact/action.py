@@ -9,7 +9,8 @@ action makes C(1,3) a module algebra exactly when M S = I_8, the blocks that
 qrep.antipode_check reports as counit_right_ij (see verify_module_algebra).
 Flattening C(1,3) row-major turns each generator into a 16x16 operator L_ij
 (linalg.mul_operator), built only where it is read: its six quantum-matrix
-relations and its fixed points.
+relations and its fixed points.  a_ij . v itself is only ever evaluated
+through these operators.
 
 Two GL_q representations define equivalent actions iff one is a conjugate
 of the other rescaled columnwise by nonzero scalars (alpha1 on the first
@@ -54,10 +55,6 @@ class InnerAction:
 
     rep: GLqRep
     starred: Blocks
-
-    def apply(self, i: int, j: int, v: Mat) -> Mat:
-        """a_ij . v = A_i1 v S_1j + A_i2 v S_2j."""
-        return self.rep.block(i, 1) * v * self.starred[0][j - 1] + self.rep.block(i, 2) * v * self.starred[1][j - 1]
 
     @cached_property
     def operators(self) -> Blocks:

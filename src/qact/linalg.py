@@ -196,7 +196,7 @@ def det(m: Mat) -> Scalar:
                 for c in range(col, n):
                     x = prow[c]
                     if x.a or x.b:
-                        rrow[c] = rrow[c] - x * f
+                        rrow[c] = rrow[c].minus_product(x, f)
     return result * sign
 
 
@@ -243,7 +243,7 @@ def _rref_in_place(rows: list[list[Scalar]], width: int) -> list[int]:
                 for c in range(col, width):
                     x = prow[c]
                     if x.a or x.b:
-                        rrow[c] = rrow[c] - x * f
+                        rrow[c] = rrow[c].minus_product(x, f)
         pivot_cols.append(col)
         rank += 1
         if rank == nrows:
@@ -300,7 +300,7 @@ class Subspace:
                 for c in range(piv, self.ambient_dim):
                     x = row[c]
                     if x.a or x.b:
-                        v[c] = v[c] - x * f
+                        v[c] = v[c].minus_product(x, f)
         return v
 
     def contains_vector(self, vector: Sequence[Scalar]) -> bool:
@@ -347,7 +347,7 @@ def solve_homogeneous(rows: Sequence[Sequence[Scalar]], width: int) -> Subspace:
         if not basis:
             break
         entries = [[(c, x) for c, x in enumerate(r) if x.a or x.b] for r in rows[start : start + width]]
-        system = [[_dot(e, b) for b in basis] for e in entries if e]
+        system = [[_dot(cols, xs, b) for b in basis] for cols, xs in (zip(*e) for e in entries if e)]
         if any(y.a or y.b for dots in system for y in dots):
             basis = _combine(_free_basis(system, len(basis)), basis, width)
     return Subspace(width, basis)
@@ -368,14 +368,9 @@ def _free_basis(m: list[list[Scalar]], width: int) -> list[list[Scalar]]:
     return basis
 
 
-def _dot(entries: Sequence[tuple[int, Scalar]], v: Sequence[Scalar]) -> Scalar:
-    """sum x * v[c] over the (c, x) entries, skipping zero v[c]."""
-    s = ZERO
-    for c, x in entries:
-        y = v[c]
-        if y.a or y.b:
-            s = s + x * y if s.a or s.b else x * y
-    return s
+def _dot(cols: Sequence[int], xs: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+    """sum xs[k] * v[cols[k]], one fused Scalar.dot that skips zero v[c]."""
+    return Scalar.dot(xs, [v[c] for c in cols])
 
 
 def _combine(coeffs: Iterable[Sequence[Scalar]], vectors: Sequence[Sequence[Scalar]], width: int) -> list[list[Scalar]]:

@@ -5,6 +5,12 @@ an integer triple (a, b, d) representing (a + b*i)/d with d > 0 and
 gcd(a, b, d) = 1, so equality is structural and nothing is ever rounded.
 The common-denominator layout keeps the hot loops of the linear algebra on
 plain Python ints, which is several times faster than a pair of Fractions.
+
+The operators +, -, * and == are one Python call deep: a Scalar operand is
+used as it is, and each result is reduced by one gcd(a, b, d) and allocated
+in place.  The eliminations of linalg update each entry by one fused
+x.minus_product(y, f) = x - y*f, and the intertwiner solve takes each dot
+product by one fused Scalar.dot; each normalizes its result once.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -44,14 +50,10 @@ class Scalar:
         if d < 0:
             a, b, d = -a, -b, -d
         if d != 1:
-            g = gcd(gcd(a, b), d)
-            if g > 1:
-                a //= g
-                b //= g
-                d //= g
-        self.a = a
-        self.b = b
-        self.d = d
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        self.a, self.b, self.d = a, b, d
 
     # -- construction helpers ------------------------------------------------
 
@@ -72,29 +74,43 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        d1, d2 = self.d, o.d
-        if d1 == d2:
-            if d1 == 1:
-                return _new(self.a + o.a, self.b + o.b, 1)
-            return _make(self.a + o.a, self.b + o.b, d1)
-        return _make(self.a * d2 + o.a * d1, self.b * d2 + o.b * d1, d1 * d2)
+    def __add__(self, o):
+        if o.__class__ is not Scalar:
+            o = _coerce(o)
+            if o is None:
+                return NotImplemented
+        d, d2 = self.d, o.d
+        if d == d2:
+            a, b = self.a + o.a, self.b + o.b
+        else:
+            a, b, d = self.a * d2 + o.a * d, self.b * d2 + o.b * d, d * d2
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        s = _alloc(Scalar)
+        s.a, s.b, s.d = a, b, d
+        return s
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        d1, d2 = self.d, o.d
-        if d1 == d2:
-            if d1 == 1:
-                return _new(self.a - o.a, self.b - o.b, 1)
-            return _make(self.a - o.a, self.b - o.b, d1)
-        return _make(self.a * d2 - o.a * d1, self.b * d2 - o.b * d1, d1 * d2)
+    def __sub__(self, o):
+        if o.__class__ is not Scalar:
+            o = _coerce(o)
+            if o is None:
+                return NotImplemented
+        d, d2 = self.d, o.d
+        if d == d2:
+            a, b = self.a - o.a, self.b - o.b
+        else:
+            a, b, d = self.a * d2 - o.a * d, self.b * d2 - o.b * d, d * d2
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        s = _alloc(Scalar)
+        s.a, s.b, s.d = a, b, d
+        return s
 
     def __rsub__(self, other):
         o = _coerce(other)
@@ -102,17 +118,63 @@ class Scalar:
             return NotImplemented
         return o - self
 
-    def __mul__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    def __mul__(self, o):
+        if o.__class__ is not Scalar:
+            o = _coerce(o)
+            if o is None:
+                return NotImplemented
         a1, b1, a2, b2 = self.a, self.b, o.a, o.b
-        d = self.d * o.d
-        if d == 1:
-            return _new(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1)
-        return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
+        a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * o.d
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        s = _alloc(Scalar)
+        s.a, s.b, s.d = a, b, d
+        return s
 
     __rmul__ = __mul__
+
+    def minus_product(self, y: "Scalar", f: "Scalar") -> "Scalar":
+        """self - y*f for Scalars y and f, normalized once: the update of an elimination step."""
+        ya, yb, fa, fb = y.a, y.b, f.a, f.b
+        pa, pb, pd = ya * fa - yb * fb, ya * fb + yb * fa, y.d * f.d
+        d = self.d
+        if d == pd:
+            a, b = self.a - pa, self.b - pb
+        else:
+            a, b, d = self.a * pd - pa * d, self.b * pd - pb * d, d * pd
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        s = _alloc(Scalar)
+        s.a, s.b, s.d = a, b, d
+        return s
+
+    @staticmethod
+    def dot(xs: Iterable["Scalar"], ys: Iterable["Scalar"]) -> "Scalar":
+        """sum x*y over paired Scalars, on a common denominator normalized once; a zero y costs nothing."""
+        a, b, d = 0, 0, 1
+        for x, y in zip(xs, ys):
+            ya, yb = y.a, y.b
+            if not (ya or yb):
+                continue
+            xa, xb = x.a, x.b
+            pd = x.d * y.d
+            if d == pd:
+                a, b = a + xa * ya - xb * yb, b + xa * yb + xb * ya
+            else:
+                g = gcd(d, pd)
+                m, k = pd // g, d // g  # d * m is the lcm of d and pd
+                a, b, d = a * m + (xa * ya - xb * yb) * k, b * m + (xa * yb + xb * ya) * k, d * m
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        s = _alloc(Scalar)
+        s.a, s.b, s.d = a, b, d
+        return s
 
     def __truediv__(self, other):
         o = _coerce(other)
@@ -160,10 +222,11 @@ class Scalar:
     def is_zero(self) -> bool:
         return not (self.a or self.b)
 
-    def __eq__(self, other) -> bool:
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    def __eq__(self, o) -> bool:
+        if o.__class__ is not Scalar:
+            o = _coerce(o)
+            if o is None:
+                return NotImplemented
         return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
@@ -184,12 +247,13 @@ class Scalar:
         return {"re": _frac_text(self.a, self.d), "im": _frac_text(self.b, self.d)}
 
 
+_alloc = object.__new__
+
+
 def _new(a: int, b: int, d: int) -> Scalar:
     # Fast path for values already in canonical form.
-    s = object.__new__(Scalar)
-    s.a = a
-    s.b = b
-    s.d = d
+    s = _alloc(Scalar)
+    s.a, s.b, s.d = a, b, d
     return s
 
 
@@ -197,11 +261,9 @@ def _make(a: int, b: int, d: int) -> Scalar:
     if d < 0:
         a, b, d = -a, -b, -d
     if d != 1:
-        g = gcd(gcd(a, b), d)
-        if g > 1:
-            a //= g
-            b //= g
-            d //= g
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
     return _new(a, b, d)
 
 

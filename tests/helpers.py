@@ -108,6 +108,12 @@ def inverse_blocks(rep):
     return ((block(0, 0), block(0, 4)), (block(4, 0), block(4, 4)))
 
 
+def act(action, i: int, j: int, v: Mat) -> Mat:
+    """a_ij . v = A_i1 v S_1j + A_i2 v S_2j, from the starred blocks the action stores."""
+    a, s = action.rep.block, action.starred
+    return a(i, 1) * v * s[0][j - 1] + a(i, 2) * v * s[1][j - 1]
+
+
 def reference_action(rep, i: int, j: int, v: Mat) -> Mat:
     """a_ij . v = sum_k A_ik v S_kj on 4x4 matrices, S the blocks of M^-1; no operators involved."""
     a = ((rep.a11, rep.a12), (rep.a21, rep.a22))
@@ -123,28 +129,28 @@ def module_algebra_at_generators(action) -> bool:
     """a_ij . 1 = delta_ij 1, and a_ij . (vw) = sum_k (a_ik . v)(a_kj . w) for v a generator, w a unit.
 
     The identity is linear in w, and holding at v and v' it holds at vv'
-    (apply it twice), so the generators cover every v and w.  Via action.apply.
+    (apply it twice), so the generators cover every v and w.  Via act.
     """
     one, zero = Mat.identity(4), Mat.zero(4)
     gens = [Mat.unit(4, p, q) for p, q in GENERATORS]
     units = [Mat.unit(4, p, q) for p in range(1, 5) for q in range(1, 5)]
-    on_gens = {(i, k): [action.apply(i, k, v) for v in gens] for i in (1, 2) for k in (1, 2)}
-    on_units = {(k, j): [action.apply(k, j, w) for w in units] for k in (1, 2) for j in (1, 2)}
+    on_gens = {(i, k): [act(action, i, k, v) for v in gens] for i in (1, 2) for k in (1, 2)}
+    on_units = {(k, j): [act(action, k, j, w) for w in units] for k in (1, 2) for j in (1, 2)}
     for i in (1, 2):
         for j in (1, 2):
-            if action.apply(i, j, one) != (one if i == j else zero):
+            if act(action, i, j, one) != (one if i == j else zero):
                 return False
             for v, av1, av2 in zip(gens, on_gens[i, 1], on_gens[i, 2]):
                 for w, a1w, a2w in zip(units, on_units[1, j], on_units[2, j]):
-                    if action.apply(i, j, v * w) != av1 * a1w + av2 * a2w:
+                    if act(action, i, j, v * w) != av1 * a1w + av2 * a2w:
                         return False
     return True
 
 
 def module_algebra_on_all_pairs(action) -> bool:
-    """a_ij . (vw) = sum_k (a_ik . v)(a_kj . w) on all 4 x 256 pairs of matrix units, via action.apply."""
+    """a_ij . (vw) = sum_k (a_ik . v)(a_kj . w) on all 4 x 256 pairs of matrix units, via act."""
     units = [Mat.unit(4, p, q) for p in range(1, 5) for q in range(1, 5)]
-    acted = {(i, k): [action.apply(i, k, v) for v in units] for i in (1, 2) for k in (1, 2)}
+    acted = {(i, k): [act(action, i, k, v) for v in units] for i in (1, 2) for k in (1, 2)}
     zero = Mat.zero(4)
     for i in (1, 2):
         for j in (1, 2):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,12 @@ ints = st.integers(min_value=-30, max_value=30)
 posints = st.integers(min_value=1, max_value=30)
 scalars = st.builds(Scalar, ints, ints, posints)
 nonzero_scalars = scalars.filter(bool)
+
+# Operands of the kernel test: numerators up to 2^70 in size, denominators
+# that share factors (6 and 4) or do not (2^35 and 3^40), and zero.
+huge = st.integers(min_value=-(2**70), max_value=2**70)
+mixed_denoms = st.sampled_from((1, 2, 3, 4, 6, 9, 2**35, 3**40)) | st.integers(min_value=1, max_value=2**70)
+wide_scalars = st.just(ZERO) | st.builds(Scalar, huge, huge, mixed_denoms) | st.builds(Scalar, ints, ints, posints)
 
 
 def test_spec_arithmetic_examples():
@@ -66,8 +73,6 @@ def test_multiplicative_inverse(x):
 @given(scalars)
 def test_result_is_canonical(x):
     y = x * Scalar(6, -4, 9) + Scalar(1, 0, 7)
-    from math import gcd
-
     assert y.d > 0
     assert gcd(gcd(abs(y.a), abs(y.b)), y.d) == 1
 
@@ -188,3 +193,80 @@ def test_exact_sqrt_examples():
     assert exact_sqrt(Scalar(-4)) == Scalar(0, 2)
     for z in (Scalar(2), Scalar(-2), Scalar(0, 1), Scalar(1, 1), Scalar(3, 0, 4)):
         assert exact_sqrt(z) is None
+
+
+# -- the one-call kernel against a reference in Fraction parts -------------------
+
+
+def parts(x):
+    return (x.re, x.im) if isinstance(x, Scalar) else (Fraction(x), Fraction(0))
+
+
+def ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def ref_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def assert_canonical(s):
+    assert s.d > 0 and gcd(s.a, s.b, s.d) == 1
+    if not (s.a or s.b):
+        assert (s.a, s.b, s.d) == (0, 0, 1)
+
+
+@given(wide_scalars, wide_scalars, wide_scalars)
+def test_kernel_matches_fraction_reference(x, y, f):
+    px, py, pf = parts(x), parts(y), parts(f)
+    for got, want in (
+        (x + y, ref_add(px, py)),
+        (x - y, ref_sub(px, py)),
+        (x * y, ref_mul(px, py)),
+        (x.minus_product(y, f), ref_sub(px, ref_mul(py, pf))),
+    ):
+        assert_canonical(got)
+        assert parts(got) == want
+    assert (x == y) is (px == py)
+    assert x == Scalar(x.a * 7, x.b * 7, x.d * 7)
+
+
+@given(st.lists(st.tuples(wide_scalars, wide_scalars), max_size=6))
+def test_fused_dot_matches_fraction_reference(pairs):
+    got = Scalar.dot([x for x, _ in pairs], [y for _, y in pairs])
+    want = (Fraction(0), Fraction(0))
+    for x, y in pairs:
+        want = ref_add(want, ref_mul(parts(x), parts(y)))
+    assert_canonical(got)
+    assert parts(got) == want
+
+
+@given(wide_scalars, huge | st.fractions(max_denominator=2**40))
+def test_int_and_fraction_operands_on_either_side(x, r):
+    px, pr = parts(x), parts(r)
+    for got, want in (
+        (x + r, ref_add(px, pr)),
+        (r + x, ref_add(px, pr)),
+        (x - r, ref_sub(px, pr)),
+        (r - x, ref_sub(pr, px)),
+        (x * r, ref_mul(px, pr)),
+        (r * x, ref_mul(px, pr)),
+    ):
+        assert isinstance(got, Scalar)
+        assert_canonical(got)
+        assert parts(got) == want
+    assert (x == r) is (r == x) is (px == pr)
+
+
+@pytest.mark.parametrize("other", ["1", 1.5])
+def test_str_and_float_operands_raise_type_error(other):
+    x = Scalar(1, 2, 3)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
