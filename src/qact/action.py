@@ -42,7 +42,7 @@ from .linalg import (
 )
 from .qrep import Blocks, DeterminantSingular, GLqRep, _relation_report, antipode, quantum_determinant
 from .report import Report
-from .scalars import ZERO, Scalar, exact_sqrt
+from .scalars import Scalar, exact_sqrt
 
 
 class Unsupported(ValueError):
@@ -188,15 +188,11 @@ Verdict = Union[EquivalenceWitness, NotEquivalent]
 
 
 def _power_traces(x: Mat) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    """tr(x^k) for k = 1..4, from the single product x^2 and no division."""
+    """tr(x^k) for k = 1..4 from the single product x^2, p3 and p4 as fused dot products; no division."""
     x2 = x * x
-    p3 = p4 = ZERO
-    for i in range(4):
-        for j in range(4):
-            y = x2.rows[i][j]
-            if y.a or y.b:
-                p3 = p3 + y * x.rows[j][i]
-                p4 = p4 + y * x2.rows[j][i]
+    flat2 = x2.flatten()
+    p3 = Scalar.dot([y for column in zip(*x.rows) for y in column], flat2)
+    p4 = Scalar.dot([y for column in zip(*x2.rows) for y in column], flat2)
     return x.trace(), x2.trace(), p3, p4
 
 

@@ -2,20 +2,22 @@
 
 Matrices are square (sizes 2, 4, 16 arise), stored row-major as tuples of
 Scalar.  Zero entries are skipped, never multiplied, so results may share
-immutable Scalar objects with their operands.  Linear subspaces of flattened
-matrices are kept in reduced row-echelon form with pivots equal to 1, so
-subspace equality is structural equality of the bases.  Flattening is
-row-major: the matrix entry (i, j) sits at index i*n + j, and mul_operator
-alone builds operators on flattened matrices.
+immutable Scalar objects with their operands.  The product sums each entry
+over its nonzero terms on plain-int (a, b, d) triples and normalizes it once,
+as Scalar.dot does; an entry that no term reaches is the shared ZERO.
+Linear subspaces of flattened matrices are kept in reduced row-echelon form
+with pivots equal to 1, so subspace equality is structural equality of the
+bases.  Flattening is row-major: the matrix entry (i, j) sits at index
+i*n + j, and mul_operator alone builds operators on flattened matrices.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
-from .scalars import ONE, ZERO, Scalar, as_scalar, format_scalar, scalar_from_json
+from .scalars import ONE, ZERO, Scalar, _alloc, as_scalar, format_scalar, scalar_from_json
 
 
 class Singular(ValueError):
@@ -94,19 +96,45 @@ class Mat:
         self._same(other)
         n = self.n
         orows = other.rows
+        terms = [None] * n  # the nonzero (j, a, b, d) of row k of other, listed when first read
+        zero_row = (ZERO,) * n
         out = []
         for arow in self.rows:
-            acc = [ZERO] * n
-            for k in range(n):
-                f = arow[k]
-                if f.a or f.b:
-                    brow = orows[k]
-                    for j in range(n):
-                        g = brow[j]
-                        if g.a or g.b:
-                            acc[j] = acc[j] + f * g
-            out.append(acc)
-        return Mat(out)
+            acc = {}  # j -> (a, b, d): entry j of this row so far, on a common denominator
+            for k, f in enumerate(arow):
+                fa, fb = f.a, f.b
+                if fa or fb:
+                    brow = terms[k]
+                    if brow is None:
+                        brow = terms[k] = [(j, g.a, g.b, g.d) for j, g in enumerate(orows[k]) if g.a or g.b]
+                    fd = f.d
+                    for j, ga, gb, gd in brow:
+                        a, b, d = fa * ga - fb * gb, fa * gb + fb * ga, fd * gd
+                        t = acc.get(j)
+                        if t is not None:
+                            ta, tb, td = t
+                            if td == d:
+                                a, b = ta + a, tb + b
+                            else:
+                                g = gcd(td, d)
+                                m, c = d // g, td // g  # td * m is the lcm of td and d
+                                a, b, d = ta * m + a * c, tb * m + b * c, td * m
+                        acc[j] = (a, b, d)
+            if not acc:
+                out.append(zero_row)
+                continue
+            row = [ZERO] * n
+            for j, (a, b, d) in acc.items():
+                if d != 1:
+                    g = gcd(a, b, d)
+                    if g != 1:
+                        a, b, d = a // g, b // g, d // g
+                s = row[j] = _alloc(Scalar)
+                s.a, s.b, s.d = a, b, d
+            out.append(tuple(row))
+        product = _alloc(Mat)
+        product.n, product.rows = n, tuple(out)
+        return product
 
     def scale(self, s) -> "Mat":
         s = as_scalar(s)
@@ -460,15 +488,20 @@ def invertible_element_in(s: Subspace) -> Optional[Mat]:
     points {c in N^d : |c| <= n} are unisolvent for such polynomials (Chung-Yao
     1977).  It vanishes at c = 0, so testing 1 <= |c| <= n is complete: None
     holds over every extension of Q(i).  Points go by degree |c| = 1, ..., n,
-    each degree in descending lexicographic order.
+    each degree in descending lexicographic order, and each is tested as it
+    is built.  A point of degree 1 is a basis matrix; one of degree k >= 2 is
+    its prefix point of degree k - 1 plus one basis matrix, so only the
+    points of the previous degree are kept.
     """
     n = _matrix_side(s.ambient_dim)
     mats = s.matrices()
+    prefixes = {(): None}
     for degree in range(1, n + 1):
+        points = {}
         for idx in combinations_with_replacement(range(s.dim), degree):
-            combo = mats[idx[0]]
-            for i in idx[1:]:
-                combo = combo + mats[i]
+            head = prefixes[idx[:-1]]
+            combo = points[idx] = mats[idx[-1]] if head is None else head + mats[idx[-1]]
             if det(combo):
                 return combo
+        prefixes = points
     return None

@@ -9,8 +9,10 @@ plain Python ints, which is several times faster than a pair of Fractions.
 The operators +, -, * and == are one Python call deep: a Scalar operand is
 used as it is, and each result is reduced by one gcd(a, b, d) and allocated
 in place.  The eliminations of linalg update each entry by one fused
-x.minus_product(y, f) = x - y*f, and the intertwiner solve takes each dot
-product by one fused Scalar.dot; each normalizes its result once.
+x.minus_product(y, f) = x - y*f, and the intertwiner solve and the power
+traces take each dot product by one fused Scalar.dot; linalg's matrix
+product sums each entry on plain ints in the same way.  Each normalizes its
+result once.
 """
 
 from __future__ import annotations

@@ -71,6 +71,19 @@ def random_dense_invertible(rng: random.Random, n: int = 4) -> Mat:
             return m
 
 
+def jordan(*parts: int) -> Mat:
+    """The unipotent 4x4 Jordan matrix with blocks of the given sizes."""
+    rows = [[Scalar(0)] * 4 for _ in range(4)]
+    start = 0
+    for size in parts:
+        for k in range(start, start + size):
+            rows[k][k] = Scalar(1)
+            if k + 1 < start + size:
+                rows[k][k + 1] = Scalar(1)
+        start += size
+    return Mat(rows)
+
+
 def is_nilpotent(m: Mat) -> bool:
     """m^n = 0, by repeated products."""
     power = m
@@ -277,6 +290,36 @@ def dense_kernel(rows, width: int) -> list:
                 v[piv] = -reduced[r][free]
             basis.append(v)
     return dense_rref(basis, width)[0]
+
+
+def simplex_exponents(dim: int, degree: int):
+    """Every c in N^dim with |c| = degree, in descending lexicographic order."""
+    if dim == 0:
+        if degree == 0:
+            yield ()
+        return
+    for first in range(degree, -1, -1):
+        for rest in simplex_exponents(dim - 1, degree - first):
+            yield (first,) + rest
+
+
+def reference_first_invertible(space: Subspace):
+    """The first point sum c_k b_k of the basis b of flattened 4x4 matrices with a nonzero determinant, or None.
+
+    Points go by degree |c| = 1, ..., 4 and each degree in descending
+    lexicographic order of c.  Each point is summed from the zero matrix by
+    dense_add, c_k copies of each b_k, and tested by dense_det.
+    """
+    mats = [Mat([v[i : i + 4] for i in range(0, 16, 4)]) for v in space.basis]
+    for degree in range(1, 5):
+        for c in simplex_exponents(len(mats), degree):
+            point = Mat([[_ZERO] * 4 for _ in range(4)])
+            for copies, b in zip(c, mats):
+                for _ in range(copies):
+                    point = Mat(dense_add(point, b))
+            if dense_det(point) != _ZERO:
+                return point
+    return None
 
 
 def reference_intertwiner_space(r1, r2, alpha1: Scalar, alpha2: Scalar) -> Subspace:

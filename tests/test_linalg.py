@@ -16,13 +16,17 @@ from helpers import (
     dense_scale,
     dense_sub,
     is_nilpotent,
+    jordan,
     random_low_rank,
     random_mat,
     random_scalar,
+    reference_first_invertible,
+    reference_intertwiner_space,
     transpose,
 )
 from qact import (
     DimensionMismatch,
+    GLqRep,
     Mat,
     Scalar,
     Singular,
@@ -208,6 +212,40 @@ def test_zero_aware_kernels_match_dense_reference(pair, c):
     assert Subspace(n, stacked) == Subspace(n, dense_rref(stacked, n)[0] + [[Scalar(0)] * n])
 
 
+# Dense Gaussian rationals on the denominators 1, 2, 3 and 6, zero included.
+mixed_scalars = st.builds(Scalar, st.integers(-6, 6), st.integers(-6, 6), st.sampled_from((1, 2, 3, 6)))
+dense_mats = st.lists(st.lists(mixed_scalars, min_size=4, max_size=4), min_size=4, max_size=4).map(Mat)
+
+
+@st.composite
+def mixed_denominator_pairs(draw):
+    """(a, b): dense 4x4 over mixed denominators, or b made so that entries of a b cancel exactly.
+
+    b cancels as a^-1, where every off-diagonal entry of a b is 0, or in some
+    columns c set to a[i][l] e_k - a[i][k] e_l for a drawn row i, where
+    (a b)[i][c] = a[i][k] a[i][l] - a[i][l] a[i][k] = 0.
+    """
+    a, b = draw(dense_mats), draw(dense_mats)
+    kind = draw(st.sampled_from(("dense", "inverse", "columns")))
+    if kind == "inverse" and dense_inverse(a) is not None:
+        return a, Mat(dense_inverse(a))
+    if kind == "dense":
+        return a, b
+    cols = [list(c) for c in zip(*b.rows)]
+    for c in draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True)):
+        i, (k, l) = draw(st.integers(0, 3)), draw(st.permutations(range(4)))[:2]
+        cols[c] = [a.rows[i][l] if r == k else -a.rows[i][k] if r == l else Scalar(0) for r in range(4)]
+    return a, Mat(zip(*cols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_denominator_pairs())
+@example((Mat([[Scalar(1, 0, 2), Scalar(1, 0, 3), Scalar(-5, 0, 6), Scalar(0, 1, 6)]] * 4), Mat([[Scalar(1)] * 4] * 4)))
+def test_fused_product_matches_dense_reference(pair):
+    a, b = pair
+    assert _canonical((a * b).rows) == dense_mul(a, b)
+
+
 def _full_rank_block(width: int, diagonal: Scalar, above) -> list:
     """A width x width upper triangular block with a nonzero diagonal, so of full rank."""
     return [[diagonal if i == j else above[(i + j) % len(above)] if j > i else Scalar(0) for j in range(width)]
@@ -383,6 +421,21 @@ def test_invertible_element_matches_grid_scan(rng):
         assert (found is None) == brute_all_zero
         if found is not None:
             assert det(found)
+
+
+def test_invertible_element_is_the_first_invertible_simplex_point(rng, q2):
+    """The same point as a from-scratch enumeration in the documented order, on random and Jordan spaces."""
+    spaces = []
+    for _ in range(30):
+        ranks = [rng.choice((1, 1, 2, 3)) for _ in range(rng.randint(1, 6))]
+        spaces.append(Subspace(16, [random_low_rank(rng, 4, k).flatten() for k in ranks]))
+    assert {s.dim for s in spaces} == set(range(1, 7))
+    zero, one = Mat.zero(4), Mat.identity(4)
+    reps = [GLqRep(jordan(*parts), zero, zero, one, q2) for parts in ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))]
+    spaces += [reference_intertwiner_space(r1, r2, Scalar(1), Scalar(1)) for r1 in reps for r2 in reps]
+    found = [reference_first_invertible(s) for s in spaces]
+    assert None in found and any(f is not None and f not in s.matrices() for f, s in zip(found, spaces))
+    assert [invertible_element_in(s) for s in spaces] == found
 
 
 def test_large_spaces_are_decided():
