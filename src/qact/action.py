@@ -187,7 +187,10 @@ class NotEquivalent:
 Verdict = Union[EquivalenceWitness, NotEquivalent]
 
 
-def _power_traces(x: Mat) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+PowerTraces = tuple[Scalar, Scalar, Scalar, Scalar]
+
+
+def _power_traces(x: Mat) -> PowerTraces:
     """tr(x^k) for k = 1..4 from the single product x^2, p3 and p4 as fused dot products; no division."""
     x2 = x * x
     flat2 = x2.flatten()
@@ -196,18 +199,47 @@ def _power_traces(x: Mat) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     return x.trace(), x2.trace(), p3, p4
 
 
-def _spectral_pin(x: Mat, xp: Mat) -> tuple[int, Scalar] | None:
+_ONE_24TH = Scalar(1, 0, 24)
+
+
+@dataclass(frozen=True)
+class SpectralData:
+    """The power traces p_k = tr(x^k), k = 1..4, of the diagonal blocks A11 and A22, in that order.
+
+    They fix each block's 4x4 spectrum, and with it the determinant (det).
+    """
+
+    traces: tuple[PowerTraces, PowerTraces]
+
+    def det(self, block: int) -> Scalar:
+        """det A11 (block 0) or det A22 (block 1): 24 det x = p1^4 - 6 p1^2 p2 + 3 p2^2 + 8 p1 p3 - 6 p4 (Newton)."""
+        p1, p2, p3, p4 = self.traces[block]
+        sq = p1 * p1
+        return (sq * (sq - p2 * 6) + p2 * p2 * 3 + p1 * p3 * 8 - p4 * 6) * _ONE_24TH
+
+    def to_json(self) -> dict:
+        return {name: {"power_traces": [p.to_json() for p in self.traces[block]], "det": self.det(block).to_json()}
+                for block, name in enumerate(("A11", "A22"))}
+
+
+def spectral_data(rep: GLqRep) -> SpectralData:
+    """The spectral data of a representation's diagonal blocks A11 and A22."""
+    return SpectralData((_power_traces(rep.a11), _power_traces(rep.a22)))
+
+
+def _spectral_pin(s1: SpectralData, s2: SpectralData, block: int) -> tuple[int, Scalar] | None:
     """The pin (g, w) such that spectrum(x') = alpha * spectrum(x) iff alpha^g = w; None if no alpha.
 
-    Power traces p_k = tr(x^k), k = 1..4, fix a 4x4 spectrum (Newton's
-    identities), so alpha qualifies iff p_k(x') = alpha^k p_k(x) for all k.
-    That pins w = alpha^g, g = gcd{k : p_k(x) != 0}, and all g-th roots of w
-    qualify or none do; so None is a certificate over every extension of Q(i).
-    Raises DeterminantSingular when the spectra match and x is singular:
-    24 det x = p1^4 - 6 p1^2 p2 + 3 p2^2 + 8 p1 p3 - 6 p4, again by Newton.
+    x and x' are the diagonal block of index block (0 for A11, 1 for A22) of
+    the representations whose spectral data are s1 and s2.  Power traces
+    p_k = tr(x^k), k = 1..4, fix a 4x4 spectrum (Newton's identities), so
+    alpha qualifies iff p_k(x') = alpha^k p_k(x) for all k.  That pins
+    w = alpha^g, g = gcd{k : p_k(x) != 0}, and all g-th roots of w qualify or
+    none do; so None is a certificate over every extension of Q(i).  Raises
+    DeterminantSingular when the spectra match and s1 gives det x = 0.
     That leaves g in {1, 2, 4}, as g = 0 and g = 3 (only p3 != 0) give det 0.
     """
-    p, pp = _power_traces(x), _power_traces(xp)
+    p, pp = s1.traces[block], s2.traces[block]
     if any(bool(a) != bool(b) for a, b in zip(p, pp)):
         return None
     ks = [k for k in range(1, 5) if p[k - 1]]
@@ -216,9 +248,7 @@ def _spectral_pin(x: Mat, xp: Mat) -> tuple[int, Scalar] | None:
     w = ratio[g] if g in ratio else next((ratio[k] / ratio[k - g] for k in ks if k - g in ratio), None)
     if not all(ratio[k] == w ** (k // g) for k in ks):
         return None
-    p1, p2, p3, p4 = p
-    sq = p1 * p1
-    if not (sq * (sq - p2 * 6) + p2 * p2 * 3 + p1 * p3 * 8 - p4 * 6):
+    if not s1.det(block):
         raise DeterminantSingular("quantum determinant is singular")
     return g, w
 
@@ -242,13 +272,17 @@ def _intertwiner_space(r1: GLqRep, r2: GLqRep, alpha1: Scalar, alpha2: Scalar) -
     return solve_homogeneous(rows, 16)
 
 
-def decide_equivalence(r1: GLqRep, r2: GLqRep) -> Verdict:
+def decide_equivalence(
+    r1: GLqRep, r2: GLqRep, spectra: tuple[SpectralData, SpectralData] | None = None
+) -> Verdict:
     """Decide equivalence of the inner actions of two GL_q representations.
 
-    Returns an exact witness or a NotEquivalent certificate.  The candidate
-    scales are those under which the power traces of A11 (alpha1) and A22
-    (alpha2) match.  A11 is checked, then A22: a block whose spectra differ
-    is a "spectrum" obstruction, and a matched singular block raises
+    Returns an exact witness or a NotEquivalent certificate.  spectra is
+    (spectral_data(r1), spectral_data(r2)), taken here when not given; a
+    caller that decides many pairs passes it to compute each once.  The
+    candidate scales are those under which the power traces of A11 (alpha1)
+    and A22 (alpha2) match.  A11 is checked, then A22: a block whose spectra
+    differ is a "spectrum" obstruction, and a matched singular block raises
     DeterminantSingular, its determinant taken from the same power traces.
     Each candidate pair reduces to a linear intertwiner system; the
     determinant on its solution space has total degree 4, so it is evaluated
@@ -281,8 +315,9 @@ def decide_equivalence(r1: GLqRep, r2: GLqRep) -> Verdict:
     """
     if r1.q != r2.q:
         raise Unsupported("representations have different deformation parameters")
-    pin1 = _spectral_pin(r1.a11, r2.a11)
-    pin2 = _spectral_pin(r1.a22, r2.a22) if pin1 else None
+    s1, s2 = spectra or (spectral_data(r1), spectral_data(r2))
+    pin1 = _spectral_pin(s1, s2, 0)
+    pin2 = _spectral_pin(s1, s2, 1) if pin1 else None
     if pin2 is None:
         return NotEquivalent(0, obstruction="spectrum")
     # A22 first: when neither scale lies in Q(i), the A22 one is reported.

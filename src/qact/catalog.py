@@ -25,6 +25,7 @@ from .action import (
     decide_equivalence,
     operator_algebra,
     operator_relation_report,
+    spectral_data,
     verify_module_algebra,
 )
 from .clifford import default_model, eval_gamma_expr, parse_gamma_expr
@@ -766,12 +767,13 @@ def _first_bad(report: Report) -> str:
 
 
 def verify_distinctness(reps: Mapping[str, GLqRep]) -> Report:
-    """Pairwise non-equivalence of the given entries, plus self-witnesses."""
+    """Pairwise non-equivalence of the given entries, plus self-witnesses; spectral data once per entry."""
     ids = list(reps)
+    spectra = {e: spectral_data(rep) for e, rep in reps.items()}
     report = Report("distinctness")
     for i, e1 in enumerate(ids):
         for e2 in ids[i:]:
-            verdict = decide_equivalence(reps[e1], reps[e2])
+            verdict = decide_equivalence(reps[e1], reps[e2], (spectra[e1], spectra[e2]))
             if e1 == e2:
                 report.add(f"{e1} ~ {e1}", verdict.equivalent, "self-equivalence witness")
             else:

@@ -152,13 +152,13 @@ class Mat:
 
     @property
     def is_zero(self) -> bool:
-        return all(x.is_zero for r in self.rows for x in r)
+        return all(map(_all_zero, self.rows))
 
     def is_upper_triangular(self) -> bool:
-        return all(self.rows[i][j].is_zero for i in range(self.n) for j in range(i))
+        return all(_all_zero(r[:i]) for i, r in enumerate(self.rows))
 
     def is_lower_triangular(self) -> bool:
-        return all(self.rows[i][j].is_zero for i in range(self.n) for j in range(i + 1, self.n))
+        return all(_all_zero(r[i + 1 :]) for i, r in enumerate(self.rows))
 
     def commutes_with(self, other: "Mat") -> bool:
         return self * other == other * self
@@ -191,6 +191,14 @@ class Mat:
             raise DimensionMismatch(f"{field}: matrix JSON has inconsistent dimensions")
         return cls([[scalar_from_json(x, f"{field}.rows[{i}][{j}]") for j, x in enumerate(r)]
                     for i, r in enumerate(rows)])
+
+
+def _all_zero(entries: Sequence[Scalar]) -> bool:
+    """Whether every entry is zero, each tested inline."""
+    for x in entries:
+        if x.a or x.b:
+            return False
+    return True
 
 
 def det(m: Mat) -> Scalar:
@@ -332,7 +340,7 @@ class Subspace:
         return v
 
     def contains_vector(self, vector: Sequence[Scalar]) -> bool:
-        return all(x.is_zero for x in self.reduce_vector(vector))
+        return _all_zero(self.reduce_vector(vector))
 
     def contains_matrix(self, m: Mat) -> bool:
         return self.contains_vector(m.flatten())
@@ -461,24 +469,33 @@ def centralizer(generators: Sequence[Mat]) -> Subspace:
 def algebra_closure(generators: Sequence[Mat]) -> Subspace:
     """Smallest subspace containing 1 and the generators and closed under products.
 
-    Iterates pairwise products of the current RREF basis until the dimension
-    stabilizes; terminates since the ambient dimension bounds the chain.
+    That is the span of all words in the generators.  Let V_0 = span{1, G}
+    and V_{k+1} = V_k + G V_k.  As V_{k-1} is in V_k, G V_{k-1} is in V_k
+    already, so only the directions N_k that V_k added over V_{k-1} need
+    left-multiplying (N_0 = V_0).  Each product g x is reduced against V_k;
+    the nonzero residuals, reduced among themselves, are N_{k+1}.  The chain
+    stops when N_{k+1} = 0: then G V_k is in V_k, and since 1 is in V_k and
+    every word is g times a shorter word, V_k holds every word.  The
+    ambient dimension bounds the chain, and the RREF basis is canonical.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("algebra_closure needs at least one generator")
     n = generators[0].n
     space = Subspace(n * n, [g.flatten() for g in generators] + [Mat.identity(n).flatten()])
+    new = space.matrices()
     while True:
-        mats = space.matrices()
-        vectors = list(space.basis)
-        for x in mats:
-            for y in mats:
-                vectors.append((x * y).flatten())
-        bigger = Subspace(n * n, vectors)
-        if bigger.dim == space.dim:
+        residuals = []
+        for x in new:
+            for g in generators:
+                r = space.reduce_vector((g * x).flatten())
+                if not _all_zero(r):
+                    residuals.append(r)
+        if not residuals:
             return space
-        space = bigger
+        added = Subspace(n * n, residuals)
+        space = Subspace(n * n, space.basis + added.basis)
+        new = added.matrices()
 
 
 def invertible_element_in(s: Subspace) -> Optional[Mat]:

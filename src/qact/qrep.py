@@ -92,10 +92,6 @@ class RqRep:
     q: DeformationParameter
 
 
-def _q_commutator(x: Mat, y: Mat, q) -> Mat:
-    return x * y - (y * x).scale(q)
-
-
 GLQ_RELATIONS = (
     "a11_a12_spinor",
     "a11_a21_spinor",
@@ -107,15 +103,23 @@ GLQ_RELATIONS = (
 
 
 def _relation_report(subject: str, x11: Mat, x12: Mat, x21: Mat, x22: Mat, q: DeformationParameter) -> Report:
-    """The six quantum-matrix relations, in GLQ_RELATIONS order, for any four matrices."""
+    """The six quantum-matrix relations, in GLQ_RELATIONS order, for any four matrices.
+
+    Each relation is tested as an exact comparison of two matrices: x y = q y x
+    for the four q-commutators, x12 x21 = x21 x12, and
+    x11 x22 - x22 x11 = (q - q^-1) x12 x21, the product x12 x21 taken once for
+    the last two.  The same function checks the 4x4 generator matrices and the
+    16x16 action operators.
+    """
+    qq = q.q
+    bc = x12 * x21
     report = Report(subject)
-    report.add(GLQ_RELATIONS[0], _q_commutator(x11, x12, q.q).is_zero)
-    report.add(GLQ_RELATIONS[1], _q_commutator(x11, x21, q.q).is_zero)
-    report.add(GLQ_RELATIONS[2], _q_commutator(x12, x22, q.q).is_zero)
-    report.add(GLQ_RELATIONS[3], _q_commutator(x21, x22, q.q).is_zero)
-    report.add(GLQ_RELATIONS[4], (x12 * x21 - x21 * x12).is_zero)
-    gap = x11 * x22 - x22 * x11 - (x12 * x21).scale(q.q - q.inv)
-    report.add(GLQ_RELATIONS[5], gap.is_zero)
+    report.add(GLQ_RELATIONS[0], x11 * x12 == (x12 * x11).scale(qq))
+    report.add(GLQ_RELATIONS[1], x11 * x21 == (x21 * x11).scale(qq))
+    report.add(GLQ_RELATIONS[2], x12 * x22 == (x22 * x12).scale(qq))
+    report.add(GLQ_RELATIONS[3], x21 * x22 == (x22 * x21).scale(qq))
+    report.add(GLQ_RELATIONS[4], bc == x21 * x12)
+    report.add(GLQ_RELATIONS[5], x11 * x22 - x22 * x11 == bc.scale(qq - q.inv))
     return report
 
 
@@ -180,11 +184,11 @@ def schur_r22(rep: GLqRep) -> Mat:
 def verify_rq_relations(rep: RqRep) -> Report:
     q = rep.q.q
     report = Report("rq-relations")
-    report.add("a11_a12_spinor", _q_commutator(rep.a11, rep.a12, q).is_zero)
-    report.add("a11_a21_spinor", _q_commutator(rep.a11, rep.a21, q).is_zero)
-    report.add("a12_a21_commute", (rep.a12 * rep.a21 - rep.a21 * rep.a12).is_zero)
-    report.add("a12_r22_spinor", _q_commutator(rep.a12, rep.r22, q).is_zero)
-    report.add("a21_r22_spinor", _q_commutator(rep.a21, rep.r22, q).is_zero)
+    report.add("a11_a12_spinor", rep.a11 * rep.a12 == (rep.a12 * rep.a11).scale(q))
+    report.add("a11_a21_spinor", rep.a11 * rep.a21 == (rep.a21 * rep.a11).scale(q))
+    report.add("a12_a21_commute", rep.a12.commutes_with(rep.a21))
+    report.add("a12_r22_spinor", rep.a12 * rep.r22 == (rep.r22 * rep.a12).scale(q))
+    report.add("a21_r22_spinor", rep.a21 * rep.r22 == (rep.r22 * rep.a21).scale(q))
     report.add("a11_r22_commute", rep.a11.commutes_with(rep.r22))
     return report
 

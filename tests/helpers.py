@@ -92,6 +92,24 @@ def is_nilpotent(m: Mat) -> bool:
     return power.is_zero
 
 
+def one_relation_broken(k: int) -> tuple[Mat, Mat, Mat, Mat]:
+    """(x11, x12, x21, x22) satisfying every quantum-matrix relation but the k-th (GLQ_RELATIONS order), for any q != 1.
+
+    Zero blocks turn the other five into 0 = 0; relation k compares
+    I e12 with q e12 (k < 4), e12 e11 = 0 with e11 e12 = e12 (k = 4), or
+    e11 e12 - e12 e11 = e12 with (q - q^-1) 0 (k = 5).
+    """
+    one, zero, e11, e12 = Mat.identity(4), Mat.zero(4), Mat.unit(4, 1, 1), Mat.unit(4, 1, 2)
+    return (
+        (one, e12, zero, zero),
+        (one, zero, e12, zero),
+        (zero, e12, zero, one),
+        (zero, zero, e12, one),
+        (zero, e12, e11, zero),
+        (e11, zero, zero, e12),
+    )[k]
+
+
 def random_diag(rng: random.Random, values, n: int = 4) -> Mat:
     return Mat.diag(*[as_scalar(rng.choice(values)) for _ in range(n)])
 
@@ -333,3 +351,21 @@ def reference_intertwiner_space(r1, r2, alpha1: Scalar, alpha2: Scalar) -> Subsp
     for x, xp, alpha in zip(r1.matrices(), r2.matrices(), (alpha1, alpha2, alpha1, alpha2)):
         rows.extend(dense_sub(dense_kron(e4, transpose(x)), Mat(dense_scale(dense_kron(xp, e4), alpha.inv()))))
     return Subspace(16, dense_kernel(rows, 16))
+
+
+def reference_algebra_closure(generators) -> list:
+    """The RREF basis, as flattened rows, of the algebra the matrices generate with 1.
+
+    Each round adds the products of all pairs of basis matrices by dense_mul
+    and reduces everything by dense_rref, until the dimension stops growing.
+    """
+    n = generators[0].n
+    flat = lambda rows: [x for r in rows for x in r]
+    identity = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+    basis = dense_rref([flat(g.rows) for g in generators] + [flat(identity)], n * n)[0]
+    while True:
+        mats = [Mat([v[i : i + n] for i in range(0, n * n, n)]) for v in basis]
+        bigger = dense_rref(basis + [flat(dense_mul(x, y)) for x in mats for y in mats], n * n)[0]
+        if len(bigger) == len(basis):
+            return basis
+        basis = bigger

@@ -10,6 +10,7 @@ from helpers import (
     matvec,
     module_algebra_at_generators,
     module_algebra_on_all_pairs,
+    one_relation_broken,
     random_dense_invertible,
     random_invertible_upper,
     random_nonzero_scalar,
@@ -46,7 +47,9 @@ from qact import (
 from qact import action as action_module
 from qact import linalg as linalg_module
 from qact import qrep as qrep_module
+from qact.action import spectral_data
 from qact.catalog import ENTRY_ORDER
+from qact.qrep import GLQ_RELATIONS
 
 E4 = Mat.identity(4)
 
@@ -144,6 +147,19 @@ def test_operator_relations_detect_non_representation(q2):
     bad_rep = GLqRep(E4, u(1, 2), Mat.zero(4), E4, q2)
     action = build_action(bad_rep)
     assert not operator_relation_report(action).ok
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_each_operator_relation_fails_alone(q2, qc, k):
+    # With identity starred blocks L_ij is X -> A_ij X, the operator A_ij (x) I,
+    # and products of such operators are those of the A_ij: the 16x16 report
+    # fails exactly the relation the 4x4 matrices fail.
+    zero = Mat.zero(4)
+    for q in (q2, qc):
+        action = InnerAction(GLqRep(*one_relation_broken(k), q), ((E4, zero), (zero, E4)))
+        report = operator_relation_report(action)
+        assert [c.name for c in report.checks] == list(GLQ_RELATIONS)
+        assert [c.passed for c in report.checks] == [i != k for i in range(6)]
 
 
 def test_invariants_examples(q2):
@@ -437,3 +453,42 @@ def test_operator_algebra_matches_closure(q2):
     rep = instantiate("S2a'", q2, {"alpha": 2})
     space = operator_algebra(rep)
     assert space.dim == 7
+
+
+@pytest.mark.parametrize("q_text", ["2", "3", "1+1i"])
+def test_given_spectral_data_changes_no_verdict(q_text):
+    reps = [rep for _, rep in _table_and_traceless(q_text)[:20]]
+    spectra = [spectral_data(rep) for rep in reps]
+    for i, r1 in enumerate(reps):
+        for j in range(i, len(reps)):
+            given = decide_equivalence(r1, reps[j], (spectra[i], spectra[j])).to_json()
+            assert given == decide_equivalence(r1, reps[j]).to_json(), (ENTRY_ORDER[i], ENTRY_ORDER[j])
+    # The data given is the data read: S1's traces set against S4a's are a spectrum obstruction.
+    verdict = decide_equivalence(reps[0], reps[0], (spectra[0], spectral_data(instantiate("S4a", reps[0].q))))
+    assert isinstance(verdict, NotEquivalent) and verdict.obstruction == "spectrum"
+
+
+def test_spectral_data_json(q2):
+    # p_k = 1 + 2^k + 3^k + 4^k, det 24; p_k = i^k + 2 + 2^-k, det i/2.
+    rep = GLqRep(Mat.diag(1, 2, 3, 4), Mat.zero(4), Mat.zero(4), Mat.diag(Scalar(0, 1), 1, 1, Scalar(1, 0, 2)), q2)
+    real = lambda text: {"re": text, "im": "0"}
+    assert spectral_data(rep).to_json() == {
+        "A11": {"power_traces": [real("10"), real("30"), real("100"), real("354")], "det": real("24")},
+        "A22": {
+            "power_traces": [{"re": "5/2", "im": "1"}, real("5/4"), {"re": "17/8", "im": "-1"}, real("49/16")],
+            "det": {"re": "0", "im": "1/2"},
+        },
+    }
+
+
+def test_spectral_determinants_match_elimination(q2, qc):
+    rng = random.Random(0x5D)
+    nilpotent = GLqRep(u(1, 2) + u(2, 3) + u(3, 4), Mat.zero(4), Mat.zero(4), Mat.diag(1, 1, 1, 0), q2)
+    reps = [nilpotent]
+    for q in (q2, qc):
+        for eid in ENTRY_ORDER:
+            rep = instantiate(eid, q)
+            reps += [rep, EquivalenceWitness(random_dense_invertible(rng), Scalar(2), Scalar(0, 1)).apply(rep)]
+    for rep in reps:
+        data = spectral_data(rep)
+        assert (data.det(0), data.det(1)) == (det(rep.a11), det(rep.a22))

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -20,6 +20,7 @@ from helpers import (
     random_low_rank,
     random_mat,
     random_scalar,
+    reference_algebra_closure,
     reference_first_invertible,
     reference_intertwiner_space,
     transpose,
@@ -40,8 +41,11 @@ from qact import (
     kernel,
     mat_inverse,
     mul_operator,
+    parse_scalar,
     solve_homogeneous,
+    validate_q,
 )
+from qact.catalog import ENTRY_ORDER
 
 
 def u(i, j, n=4):
@@ -180,16 +184,38 @@ def sparse_pairs(draw):
     return a, Mat(rows)
 
 
+# The inputs of the dense-reference tests have parts under 8 bits, and no
+# exact result from them needs more than about 230 bits (Hadamard's bound for
+# a ratio of 16x16 minors); the largest seen over 2,400 examples is 59.
+MAX_BITS = 512
+
+# Settings of every test that checks a kernel against the dense references.
+# One example of those costs a full dense pass over up to 16x16 matrices, and
+# Hypothesis's shrink and explain phases rerun it hundreds of times after a
+# failure, the explain phase under a line tracer: a wrong lcm in Mat.__mul__
+# ran for minutes that way.  Without those phases a fault fails on the first
+# example that shows it, which Hypothesis reports as it was drawn.  No
+# wall-clock deadline: the bound is the example count.
+DENSE_REFERENCE = dict(deadline=None, phases=[p for p in Phase if p not in (Phase.shrink, Phase.explain)])
+
+
 def _canonical(rows) -> list:
-    """rows, after checking every entry is a Scalar whose zeros are exactly (0, 0, 1)."""
+    """rows, after checking every entry is a Scalar whose zeros are exactly (0, 0, 1) and whose parts fit MAX_BITS.
+
+    Each test compares a kernel's result through this check before the dense
+    reference runs.  So a fault that makes numbers grow fails on its first
+    oversized entry, instead of stalling the run, and Hypothesis's shrinking
+    of it, on ever larger numbers.
+    """
     rows = [list(r) for r in rows]
     for r in rows:
         for x in r:
             assert type(x) is Scalar and (x.a or x.b or x.d == 1), x
+            assert max(x.a.bit_length(), x.b.bit_length(), x.d.bit_length()) <= MAX_BITS, "entry outgrew MAX_BITS"
     return rows
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, **DENSE_REFERENCE)
 @given(sparse_pairs(), sparse_scalars)
 def test_zero_aware_kernels_match_dense_reference(pair, c):
     a, b = pair
@@ -238,7 +264,7 @@ def mixed_denominator_pairs(draw):
     return a, Mat(zip(*cols))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, **DENSE_REFERENCE)
 @given(mixed_denominator_pairs())
 @example((Mat([[Scalar(1, 0, 2), Scalar(1, 0, 3), Scalar(-5, 0, 6), Scalar(0, 1, 6)]] * 4), Mat([[Scalar(1)] * 4] * 4)))
 def test_fused_product_matches_dense_reference(pair):
@@ -275,7 +301,7 @@ def stacked_systems(draw):
     return rows, width
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, **DENSE_REFERENCE)
 @given(stacked_systems())
 @example(([], 3))
 @example(([[Scalar(1), Scalar(0, 1)]], 2))
@@ -325,7 +351,7 @@ def operator_terms(draw):
     return terms
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, **DENSE_REFERENCE)
 @given(operator_terms())
 def test_mul_operator_is_a_sum_of_kronecker_products(terms):
     # X -> a X b is a (x) b^T on row-major flattened X.
@@ -367,6 +393,38 @@ def test_closure_is_closed(rng, q2):
         for x in mats:
             for y in mats:
                 assert space.contains_matrix(x * y)
+
+
+@pytest.mark.parametrize("q_text", ["2", "3", "1+1i"])
+def test_closure_matches_all_pairs_reference_on_the_table(q_text):
+    q = validate_q(parse_scalar(q_text))
+    for entry in ENTRY_ORDER:
+        generators = list(instantiate(entry, q).matrices())
+        assert _canonical(algebra_closure(generators).basis) == reference_algebra_closure(generators), entry
+
+
+@st.composite
+def generator_sets(draw):
+    """1 to 4 generators of size 4, each nilpotent (strictly upper), idempotent ([[I_k, X], [0, 0]]) or dense."""
+    zero, one = Scalar(0), Scalar(1)
+    generators = []
+    for kind in draw(st.lists(st.sampled_from(("nilpotent", "idempotent", "dense")), min_size=1, max_size=4)):
+        if kind == "nilpotent":
+            rows = [[draw(sparse_scalars) if j > i else zero for j in range(4)] for i in range(4)]
+        elif kind == "idempotent":
+            k = draw(st.integers(1, 3))
+            rows = [[(one if i == j else zero) if j < k else draw(sparse_scalars) for j in range(4)] if i < k
+                    else [zero] * 4 for i in range(4)]
+        else:
+            rows = [[draw(sparse_scalars) for _ in range(4)] for _ in range(4)]
+        generators.append(Mat(rows))
+    return generators
+
+
+@settings(max_examples=30, **DENSE_REFERENCE)
+@given(generator_sets())
+def test_closure_matches_all_pairs_reference(generators):
+    assert _canonical(algebra_closure(generators).basis) == reference_algebra_closure(generators)
 
 
 def test_centralizer_examples(q2):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import inverse_blocks, is_nilpotent, random_dense_invertible
+from helpers import inverse_blocks, is_nilpotent, one_relation_broken, random_dense_invertible
 from qact import (
     A11Singular,
     DeterminantSingular,
@@ -34,6 +34,7 @@ from qact import (
     verify_rq_relations,
 )
 from qact.catalog import ENTRY_ORDER
+from qact.qrep import GLQ_RELATIONS
 
 E4 = Mat.identity(4)
 
@@ -55,6 +56,14 @@ def test_perturbed_entry_fails(q2):
     assert not report.ok
     with pytest.raises(RelationViolated):
         require_representation(bad)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_each_relation_fails_alone(q2, qc, k):
+    for q in (q2, qc):
+        report = verify_glq_relations(GLqRep(*one_relation_broken(k), q))
+        assert [c.name for c in report.checks] == list(GLQ_RELATIONS)
+        assert [c.passed for c in report.checks] == [i != k for i in range(6)]
 
 
 def test_scalar_pair_representation(q2):

@@ -24,19 +24,21 @@ from qact import (
     linalg,
     verify_table,
 )
+from qact import action as action_module
 from qact.catalog import ENTRY_ORDER
 
 
 @pytest.fixture
 def counts(monkeypatch):
     """Counters of Scalar.__mul__, __sub__, inv, minus_product and dot calls, of Mat.__mul__
-    and __add__ calls, and of linalg.det calls.
+    and __add__ calls, of linalg.det calls, and of power-trace evaluations.
 
     The fused kernels minus_product (x - y*f) and dot (sum x*y) each hide
     products, and so does Mat.__mul__, which sums each entry on plain ints;
     so each is counted under its own key.
     """
-    tally = {"mul": 0, "sub": 0, "inv": 0, "minus_product": 0, "dot": 0, "mat_mul": 0, "mat_add": 0, "det": 0}
+    tally = {"mul": 0, "sub": 0, "inv": 0, "minus_product": 0, "dot": 0, "mat_mul": 0, "mat_add": 0, "det": 0,
+             "power_traces": 0}
 
     def counted(op, key):
         def call(*args):
@@ -54,6 +56,7 @@ def counts(monkeypatch):
     for name, module in list(sys.modules.items()):
         if (name == "qact" or name.startswith("qact.")) and getattr(module, "det", None) is det:
             monkeypatch.setattr(module, "det", counted(det, "det"))
+    monkeypatch.setattr(action_module, "_power_traces", counted(action_module._power_traces, "power_traces"))
     return tally
 
 
@@ -61,9 +64,14 @@ def test_verify_table_work(q2, counts):
     default_model()  # built once per process, so kept out of the count
     counts.update(dict.fromkeys(counts, 0))
     assert verify_table(q2).ok
-    # Measured: 10,904 multiplications and 4,438 subtractions, with 2,624
-    # fused x - y*f and 10,278 fused dot products; dot rose from 9,222 as the
-    # power traces p3 and p4 became two dot products each (29,450 and 4,438
+    # Measured: 10,994 multiplications and 1,726 subtractions, with 2,870
+    # fused x - y*f and 9,302 fused dot products.  The relations became
+    # comparisons and the power traces are taken once per representation
+    # (10,904, 4,438, 2,624 and 10,278 before).  minus_product rose, and its
+    # bound with it, because the operator-algebra closure reduces each new
+    # product against the basis, where it multiplied all pairs of the basis
+    # each round: Mat.__mul__ calls fell 44% for it.  Dot rose from 9,222 as
+    # the power traces p3 and p4 became two dot products each (29,450 and 4,438
     # while Mat.__mul__ took each term as one Scalar product and one sum;
     # 33,071 and 7,062 with neither fused kernel; 34,741 and
     # 7,063 while quantum_determinant also checked that det_q commutes with
@@ -73,19 +81,24 @@ def test_verify_table_work(q2, counts):
     # power-trace determinant test; 115,120 and 117,635 before zero entries
     # were skipped).
     assert counts["mul"] <= 11_449
-    assert counts["sub"] <= 4_659
-    assert counts["minus_product"] <= 2_755
-    assert counts["dot"] <= 10_791
-    # Measured: 3,120 matrix products and 384 matrix sums (492 sums while
-    # the simplex search rebuilt every point from scratch).
-    assert counts["mat_mul"] <= 3_276
+    assert counts["sub"] <= 1_812
+    assert counts["minus_product"] <= 3_014
+    assert counts["dot"] <= 9_767
+    # Measured: 1,738 matrix products and 384 matrix sums (3,120 products
+    # while every closure round multiplied all pairs of the basis and the
+    # relations took each q-commutator as a difference; 492 sums while the
+    # simplex search rebuilt every point from scratch).
+    assert counts["mat_mul"] <= 1_825
     assert counts["mat_add"] <= 403
-    # Measured: 170 determinants and 2,201 inversions (190 and 2,202 while
+    # Power traces of A11 and A22, once for each of the 20 representations
+    # (528 while every decided pair took them again).
+    assert counts["power_traces"] == 40
+    # Measured: 170 determinants and 2,199 inversions (190 and 2,202 while
     # quantum_determinant took det(det_q) before antipode inverted it; 268
     # and 2,205 while decide_equivalence took det(A11) and det(A22) by
     # elimination rather than from the power traces).
     assert counts["det"] <= 178
-    assert counts["inv"] <= 2_311
+    assert counts["inv"] <= 2_309
 
 
 def test_dense_conjugate_decision_work(q2, counts):
@@ -93,8 +106,10 @@ def test_dense_conjugate_decision_work(q2, counts):
     moved = EquivalenceWitness(random_dense_invertible(random.Random(0x53)), Scalar(2), Scalar(-1, 1)).apply(rep)
     counts.update(dict.fromkeys(counts, 0))
     assert decide_equivalence(rep, moved).equivalent
-    # Measured: 164 multiplications and 4 subtractions, with 81 fused
-    # x - y*f and 200 fused dot products (473, 4, 81 and 192 before the fused
+    # Measured: 166 multiplications and 4 subtractions, with 81 fused
+    # x - y*f and 200 fused dot products; the two determinants read off the
+    # power traces are now exact, one product by 1/24 each (164 before that;
+    # 473, 4, 81 and 192 before the fused
     # matrix product and the dot-based power traces; 683 and 85 with neither
     # fused kernel; 883 and 437 before
     # the block-wise kernel and the inverse-free witness check; 877 and 465
@@ -117,8 +132,9 @@ def test_dense_conjugate_of_every_entry_work(q2, counts):
         pairs.append((rep, EquivalenceWitness(random_dense_invertible(rng), Scalar(2), Scalar(-1, 1)).apply(rep)))
     counts.update(dict.fromkeys(counts, 0))
     assert all(decide_equivalence(rep, moved).equivalent for rep, moved in pairs)
-    # Measured: 3,636 multiplications and 80 subtractions, with 2,838 fused
-    # x - y*f and 3,152 fused dot products (12,881, 80, 2,838 and 2,992 before
+    # Measured: 3,676 multiplications and 80 subtractions, with 2,838 fused
+    # x - y*f and 3,152 fused dot products (3,636 before the determinants read
+    # off the power traces were scaled by 1/24; 12,881, 80, 2,838 and 2,992 before
     # the fused matrix product and the dot-based power traces; 19,681 and
     # 2,918 with neither
     # fused kernel; 27,013 and 14,655 with the whole 64x16 intertwiner system
@@ -144,7 +160,8 @@ def test_unipotent_certificate_work(q2, counts):
     # sums while every point was rebuilt from scratch).
     assert counts["det"] == 209
     assert counts["mat_add"] <= 213
-    # Measured: 64 multiplications and 8 fused dot products (131 and 0 before
+    # Measured: 66 multiplications and 8 fused dot products (64 before the
+    # determinants read off the power traces were scaled by 1/24; 131 and 0 before
     # the fused matrix product and the dot-based power traces).
     assert counts["mul"] <= 67
     assert counts["dot"] <= 8
