@@ -55,7 +55,6 @@ from .linalg import (
     centralizer,
     det,
     invertible_element_in,
-    kernel,
     mat_inverse,
     mul_operator,
     solve_homogeneous,

@@ -7,27 +7,30 @@ inverse of the 8x8 block matrix M = [[A11, A12], [A21, A22]] (see
 build_action); the starred blocks are what an InnerAction stores.  The
 action makes C(1,3) a module algebra exactly when M S = I_8, the blocks that
 qrep.antipode_check reports as counit_right_ij (see verify_module_algebra).
-Flattening C(1,3) row-major turns each generator into a 16x16 operator L_ij
-(linalg.mul_operator), built only where it is read: its six quantum-matrix
-relations and its fixed points.  a_ij . v itself is only ever evaluated
-through these operators.
+Flattening C(1,3) row-major turns each generator into the map
+L_ij: v -> A_i1 v S_1j + A_i2 v S_2j, given by those two terms.  The six
+quantum-matrix relations of the L_ij are checked on their 16x16 operators
+(linalg.mul_operator), and the fixed points of the action are the kernel of
+the maps L_11 - 1, L_12, L_21 and L_22 - 1 (linalg.solve_homogeneous); each
+is built from the terms where it is read.  a_ij . v itself is only ever
+evaluated through these maps.
 
 Two GL_q representations define equivalent actions iff one is a conjugate
 of the other rescaled columnwise by nonzero scalars (alpha1 on the first
 column, alpha2 on the second).  decide_equivalence enumerates a complete
 candidate set for the two scalars from the power traces of A11 and A22,
 which also give their determinants, solves the intertwiner system for each
-pair, and searches the solution space for an invertible element at the
-lattice points 1 <= |c| <= 4 of the degree-4 simplex, which decide whether
-its determinant (total degree 4) vanishes identically; so a negative answer
-is a certificate.  A witness u is checked as alpha u A = A' u on all four
+pair (the kernel of the four maps u -> alpha u A - A' u, one per block), and
+searches the solution space for an invertible element at the lattice points
+1 <= |c| <= 4 of the degree-4 simplex, which decide whether its determinant
+(total degree 4) vanishes identically; so a negative answer is a
+certificate.  A witness u is checked as alpha u A = A' u on all four
 blocks, with no inverse: as det u != 0, that says alpha u A u^-1 = A'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 from typing import Union
 
@@ -56,11 +59,11 @@ class InnerAction:
     rep: GLqRep
     starred: Blocks
 
-    @cached_property
-    def operators(self) -> Blocks:
-        """The 16x16 operators L_ij of v -> A_i1 v S_1j + A_i2 v S_2j on row-major flattened matrices."""
-        a, s = self.rep.block, self.starred
-        return tuple(tuple(mul_operator([(a(i, 1), s[0][j]), (a(i, 2), s[1][j])]) for j in range(2)) for i in (1, 2))
+
+def _operator_terms(action: InnerAction, i: int, j: int) -> list[tuple[Mat, Mat]]:
+    """The terms (A_i1, S_1j), (A_i2, S_2j) of L_ij, the map v -> A_i1 v S_1j + A_i2 v S_2j."""
+    a, s = action.rep.block, action.starred
+    return [(a(i, 1), s[0][j - 1]), (a(i, 2), s[1][j - 1])]
 
 
 def build_action(rep: GLqRep) -> InnerAction:
@@ -87,8 +90,9 @@ def build_action(rep: GLqRep) -> InnerAction:
 
 
 def operator_relation_report(action: InnerAction) -> Report:
-    """The six quantum-matrix relations for the 16x16 action operators."""
-    return _relation_report("action-operator-relations", *action.operators[0], *action.operators[1], action.rep.q)
+    """The six quantum-matrix relations for the 16x16 action operators L_11, L_12, L_21, L_22."""
+    operators = [mul_operator(_operator_terms(action, i, j)) for i in (1, 2) for j in (1, 2)]
+    return _relation_report("action-operator-relations", *operators, action.rep.q)
 
 
 def verify_module_algebra(counit: Report) -> Report:
@@ -122,10 +126,10 @@ def operator_algebra(rep: GLqRep) -> Subspace:
 
 
 def action_fixed_points(action: InnerAction) -> Subspace:
-    """{v : a11.v = v, a12.v = 0, a21.v = 0, a22.v = v} as a subspace."""
-    e16 = Mat.identity(16)
-    (l11, l12), (l21, l22) = action.operators
-    return solve_homogeneous([r for op in (l11 - e16, l12, l21, l22 - e16) for r in op.rows], 16)
+    """{v : a11.v = v, a12.v = 0, a21.v = 0, a22.v = v}: the kernel of L_11 - 1, L_12, L_21 and L_22 - 1."""
+    minus_one = [(Mat.identity(4), -Mat.identity(4))]
+    return solve_homogeneous([_operator_terms(action, i, j) + (minus_one if i == j else [])
+                              for i in (1, 2) for j in (1, 2)])
 
 
 # -- equivalence -----------------------------------------------------------------
@@ -267,9 +271,8 @@ def _roots(g: int, w: Scalar) -> list[Scalar]:
 def _intertwiner_space(r1: GLqRep, r2: GLqRep, alpha1: Scalar, alpha2: Scalar) -> Subspace:
     """Solutions u of the four equations alpha u A = A' u, stacked (the same as u A = alpha^-1 A' u)."""
     one = Mat.identity(4)
-    rows = [r for x, xp, alpha in zip(r1.matrices(), r2.matrices(), (alpha1, alpha2, alpha1, alpha2))
-            for r in mul_operator([(one, x.scale(alpha)), (-xp, one)]).rows]
-    return solve_homogeneous(rows, 16)
+    return solve_homogeneous([[(one, x.scale(alpha)), (-xp, one)]
+                              for x, xp, alpha in zip(r1.matrices(), r2.matrices(), (alpha1, alpha2, alpha1, alpha2))])
 
 
 def decide_equivalence(

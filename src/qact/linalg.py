@@ -8,7 +8,9 @@ as Scalar.dot does; an entry that no term reaches is the shared ZERO.
 Linear subspaces of flattened matrices are kept in reduced row-echelon form
 with pivots equal to 1, so subspace equality is structural equality of the
 bases.  Flattening is row-major: the matrix entry (i, j) sits at index
-i*n + j, and mul_operator alone builds operators on flattened matrices.
+i*n + j.  A map X -> sum_t a_t X b_t on flattened matrices is given by its
+terms (a_t, b_t), whose rows are built sparse in one place; solve_homogeneous,
+the one kernel solver, imposes maps through the product loop of Mat.__mul__.
 """
 
 from __future__ import annotations
@@ -94,46 +96,8 @@ class Mat:
         if not isinstance(other, Mat):
             return NotImplemented
         self._same(other)
-        n = self.n
-        orows = other.rows
-        terms = [None] * n  # the nonzero (j, a, b, d) of row k of other, listed when first read
-        zero_row = (ZERO,) * n
-        out = []
-        for arow in self.rows:
-            acc = {}  # j -> (a, b, d): entry j of this row so far, on a common denominator
-            for k, f in enumerate(arow):
-                fa, fb = f.a, f.b
-                if fa or fb:
-                    brow = terms[k]
-                    if brow is None:
-                        brow = terms[k] = [(j, g.a, g.b, g.d) for j, g in enumerate(orows[k]) if g.a or g.b]
-                    fd = f.d
-                    for j, ga, gb, gd in brow:
-                        a, b, d = fa * ga - fb * gb, fa * gb + fb * ga, fd * gd
-                        t = acc.get(j)
-                        if t is not None:
-                            ta, tb, td = t
-                            if td == d:
-                                a, b = ta + a, tb + b
-                            else:
-                                g = gcd(td, d)
-                                m, c = d // g, td // g  # td * m is the lcm of td and d
-                                a, b, d = ta * m + a * c, tb * m + b * c, td * m
-                        acc[j] = (a, b, d)
-            if not acc:
-                out.append(zero_row)
-                continue
-            row = [ZERO] * n
-            for j, (a, b, d) in acc.items():
-                if d != 1:
-                    g = gcd(a, b, d)
-                    if g != 1:
-                        a, b, d = a // g, b // g, d // g
-                s = row[j] = _alloc(Scalar)
-                s.a, s.b, s.d = a, b, d
-            out.append(tuple(row))
         product = _alloc(Mat)
-        product.n, product.rows = n, tuple(out)
+        product.n, product.rows = self.n, tuple(_product_rows(map(enumerate, self.rows), other.rows, self.n))
         return product
 
     def scale(self, s) -> "Mat":
@@ -191,6 +155,52 @@ class Mat:
             raise DimensionMismatch(f"{field}: matrix JSON has inconsistent dimensions")
         return cls([[scalar_from_json(x, f"{field}.rows[{i}][{j}]") for j, x in enumerate(r)]
                     for i, r in enumerate(rows)])
+
+
+def _product_rows(left: Iterable[Iterable[tuple[int, Scalar]]], right: Sequence[Sequence[Scalar]],
+                  width: int) -> list[tuple[Scalar, ...]]:
+    """The rows of L R, each entry summed on plain-int (a, b, d) triples and normalized once.
+
+    left yields each row of L as (k, L[r][k]) pairs, zeros allowed; right holds
+    the rows of R, width long.  An entry no term reaches is the shared ZERO.
+    """
+    terms = [None] * len(right)  # the nonzero (j, a, b, d) of row k of R, listed when first read
+    zero_row = (ZERO,) * width
+    out = []
+    for lrow in left:
+        acc = {}  # j -> (a, b, d): entry j of this row so far, on a common denominator
+        for k, f in lrow:
+            fa, fb = f.a, f.b
+            if fa or fb:
+                rrow = terms[k]
+                if rrow is None:
+                    rrow = terms[k] = [(j, g.a, g.b, g.d) for j, g in enumerate(right[k]) if g.a or g.b]
+                fd = f.d
+                for j, ga, gb, gd in rrow:
+                    a, b, d = fa * ga - fb * gb, fa * gb + fb * ga, fd * gd
+                    t = acc.get(j)
+                    if t is not None:
+                        ta, tb, td = t
+                        if td == d:
+                            a, b = ta + a, tb + b
+                        else:
+                            g = gcd(td, d)
+                            m, c = d // g, td // g  # td * m is the lcm of td and d
+                            a, b, d = ta * m + a * c, tb * m + b * c, td * m
+                    acc[j] = (a, b, d)
+        if not acc:
+            out.append(zero_row)
+            continue
+        row = [ZERO] * width
+        for j, (a, b, d) in acc.items():
+            if d != 1:
+                g = gcd(a, b, d)
+                if g != 1:
+                    a, b, d = a // g, b // g, d // g
+            s = row[j] = _alloc(Scalar)
+            s.a, s.b, s.d = a, b, d
+        out.append(tuple(row))
+    return out
 
 
 def _all_zero(entries: Sequence[Scalar]) -> bool:
@@ -368,24 +378,70 @@ def _matrix_side(ambient: int) -> int:
     return n
 
 
-def solve_homogeneous(rows: Sequence[Sequence[Scalar]], width: int) -> Subspace:
-    """Kernel of a stacked linear system, imposing its rows width at a time.
+# -- maps X -> sum_t a_t X b_t on flattened matrix space ----------------------------
 
-    The first block is reduced to RREF and its kernel basis b_1..b_d read off.
-    Then x = sum_k c_k b_k solves a later block iff sum_k c_k (r . b_k) = 0
-    for each of its rows r: a system in d unknowns whose kernel recombines the
-    basis.  The last basis spans the kernel of all the rows, and Subspace
-    reduces it to the same RREF basis a single reduction of all rows gives.
-    Zero entries and rows cost no product; solving stops once the kernel is {0}.
+
+Terms = Sequence[tuple[Mat, Mat]]
+
+
+def _operator_rows(terms: Terms, n: int) -> list[dict[int, Scalar]]:
+    """The n^2 rows of X -> sum_t a_t X b_t on row-major flattened n x n X, each as {column: nonzero entry}.
+
+    (a X b)_ij = sum_kl a_ik X_kl b_lj, so entry (i*n + j, k*n + l) is
+    sum_t a_t[i][k] b_t[l][j].  A factor that is ONE is not multiplied, and
+    an entry whose terms cancel is dropped, so a zero row is empty.
     """
-    basis = _free_basis([list(r) for r in rows[:width]], width)
-    for start in range(width, len(rows), width):
+    rows = [{} for _ in range(n * n)]
+    for a, b in terms:
+        if a.n != n or b.n != n:
+            raise DimensionMismatch("operator factors must share a size")
+        nonzero_b = [(l, j, g) for l, brow in enumerate(b.rows) for j, g in enumerate(brow) if g.a or g.b]
+        for i, arow in enumerate(a.rows):
+            for k, f in enumerate(arow):
+                if f.a or f.b:
+                    for l, j, g in nonzero_b:
+                        x = g if f is ONE else f if g is ONE else f * g
+                        row, c = rows[i * n + j], k * n + l
+                        y = row.get(c)
+                        if y is not None:
+                            x = y + x
+                            if not (x.a or x.b):
+                                del row[c]
+                                continue
+                        row[c] = x
+    return rows
+
+
+def mul_operator(terms: Terms) -> Mat:
+    """The n^2 x n^2 operator X -> sum_t a_t X b_t on row-major flattened X, its sparse rows made dense."""
+    n = terms[0][0].n
+    return Mat([[row.get(c, ZERO) for c in range(n * n)] for row in _operator_rows(terms, n)])
+
+
+def solve_homogeneous(maps: Sequence[Terms]) -> Subspace:
+    """The X on which every map X -> sum_t a_t X b_t vanishes; each map is its terms (a_t, b_t), all of one size.
+
+    The first map's rows are made dense (mul_operator) and reduced, and its
+    kernel basis b_1..b_d read off.  x = sum_k c_k b_k solves a later map iff
+    sum_k c_k (r . b_k) = 0 for each of its sparse rows r: a system in d
+    unknowns, the product of those rows with the transposed basis, whose
+    kernel recombines the basis by one more product.  The last basis spans
+    the common kernel, which Subspace reduces to the RREF basis one reduction
+    of all the rows gives.  Zero rows cost no product, and once the kernel is
+    {0} no later map is read.
+    """
+    n = maps[0][0][0].n
+    width = n * n
+    basis = _free_basis([list(r) for r in mul_operator(maps[0]).rows if not _all_zero(r)], width)
+    for terms in maps[1:]:
         if not basis:
             break
-        entries = [[(c, x) for c, x in enumerate(r) if x.a or x.b] for r in rows[start : start + width]]
-        system = [[_dot(cols, xs, b) for b in basis] for cols, xs in (zip(*e) for e in entries if e)]
-        if any(y.a or y.b for dots in system for y in dots):
-            basis = _combine(_free_basis(system, len(basis)), basis, width)
+        rows = [row.items() for row in _operator_rows(terms, n) if row]
+        if not rows:
+            continue
+        system = [list(r) for r in _product_rows(rows, list(zip(*basis)), len(basis)) if not _all_zero(r)]
+        if system:
+            basis = _product_rows(map(enumerate, _free_basis(system, len(basis))), basis, width)
     return Subspace(width, basis)
 
 
@@ -404,66 +460,13 @@ def _free_basis(m: list[list[Scalar]], width: int) -> list[list[Scalar]]:
     return basis
 
 
-def _dot(cols: Sequence[int], xs: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    """sum xs[k] * v[cols[k]], one fused Scalar.dot that skips zero v[c]."""
-    return Scalar.dot(xs, [v[c] for c in cols])
-
-
-def _combine(coeffs: Iterable[Sequence[Scalar]], vectors: Sequence[Sequence[Scalar]], width: int) -> list[list[Scalar]]:
-    """The combinations sum_k c_k vectors[k], one per coefficient vector c."""
-    out = []
-    for cv in coeffs:
-        vec = [ZERO] * width
-        for f, row in zip(cv, vectors):
-            if f.a or f.b:
-                for c, x in enumerate(row):
-                    if x.a or x.b:
-                        x = x if f is ONE else x * f
-                        vec[c] = vec[c] + x if vec[c].a or vec[c].b else x
-        out.append(vec)
-    return out
-
-
-def kernel(operator: Mat) -> Subspace:
-    """RREF basis of the null space of a square operator."""
-    return solve_homogeneous(operator.rows, operator.n)
-
-
-# -- operators on flattened matrix space -------------------------------------------
-
-
-def mul_operator(terms: Sequence[tuple[Mat, Mat]]) -> Mat:
-    """The n^2 x n^2 operator X -> sum_t a_t X b_t on row-major flattened X.
-
-    (a X b)_ij = sum_kl a_ik X_kl b_lj, so entry (i*n + j, k*n + l) is
-    sum_t a_t[i][k] b_t[l][j].  A factor that is ONE is not multiplied.
-    """
-    n = terms[0][0].n
-    rows = [[ZERO] * (n * n) for _ in range(n * n)]
-    for a, b in terms:
-        if a.n != n or b.n != n:
-            raise DimensionMismatch("operator factors must share a size")
-        nonzero_b = [(l, j, g) for l, brow in enumerate(b.rows) for j, g in enumerate(brow) if g.a or g.b]
-        for i, arow in enumerate(a.rows):
-            for k, f in enumerate(arow):
-                if f.a or f.b:
-                    for l, j, g in nonzero_b:
-                        x = g if f is ONE else f if g is ONE else f * g
-                        row, c = rows[i * n + j], k * n + l
-                        y = row[c]
-                        row[c] = y + x if y.a or y.b else x
-    return Mat(rows)
-
-
 def centralizer(generators: Sequence[Mat]) -> Subspace:
     """RREF basis of {X : XG = GX for every generator G}."""
     generators = list(generators)
     if not generators:
         raise ValueError("centralizer needs at least one generator")
-    n = generators[0].n
-    one = Mat.identity(n)
-    rows = [r for g in generators for r in mul_operator([(g, one), (one, -g)]).rows]
-    return solve_homogeneous(rows, n * n)
+    one = Mat.identity(generators[0].n)
+    return solve_homogeneous([[(g, one), (one, -g)] for g in generators])
 
 
 def algebra_closure(generators: Sequence[Mat]) -> Subspace:

@@ -1,17 +1,17 @@
 """q-spinor representations: the relation AB = qBA and its solution spaces.
 
 For a fixed 4x4 matrix A the set B(A) of all B with AB = qBA is a linear
-subspace, computed exactly as the kernel of the flattened operator
-X -> AX - qXA.  Seven canonical pairs (A, basis of B(A)) classify the
-invertible-A, B(A)^2 != 0 situation; verify_canonical_form recomputes each
-space and checks it against the stored basis.
+subspace, computed exactly as the kernel of the map X -> AX - qXA
+(linalg.solve_homogeneous).  Seven canonical pairs (A, basis of B(A))
+classify the invertible-A, B(A)^2 != 0 situation; verify_canonical_form
+recomputes each space and checks it against the stored basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Mat, Subspace, kernel, mul_operator
+from .linalg import Mat, Subspace, solve_homogeneous
 from .report import Report
 from .scalars import ONE, ZERO, DeformationParameter, Scalar, as_scalar, format_scalar, smallest_admissible
 
@@ -27,7 +27,7 @@ class VerificationFailure(AssertionError):
 def spinor_space(a: Mat, q: DeformationParameter) -> Subspace:
     """B(A): all B with AB = qBA, as an RREF subspace of flattened matrices."""
     one = Mat.identity(a.n)
-    return kernel(mul_operator([(a, one), (one, a.scale(-q.q))]))
+    return solve_homogeneous([[(a, one), (one, a.scale(-q.q))]])
 
 
 def space_square_nonzero(s: Subspace) -> bool:

@@ -247,6 +247,20 @@ def transpose(a: Mat) -> Mat:
     return Mat(zip(*a.rows))
 
 
+def dense_map_rows(terms) -> list:
+    """The rows of X -> sum_t a_t X b_t on row-major flattened X: the sum of the Kronecker products a_t (x) b_t^T."""
+    n = terms[0][0].n
+    rows = [[_ZERO] * (n * n) for _ in range(n * n)]
+    for a, b in terms:
+        rows = dense_add(Mat(rows), dense_kron(a, transpose(b)))
+    return rows
+
+
+def dense_stacked_kernel(maps) -> list:
+    """The RREF basis of the common kernel of the maps, each given by its terms, from their stacked dense rows."""
+    return dense_kernel([r for terms in maps for r in dense_map_rows(terms)], maps[0][0][0].n ** 2)
+
+
 def dense_rref(rows, width: int) -> tuple[list, list]:
     """(nonzero RREF rows with pivots 1, pivot columns); every row operation runs on every entry."""
     rows = [list(r) for r in rows]

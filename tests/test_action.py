@@ -36,6 +36,7 @@ from qact import (
     det,
     instantiate,
     mat_inverse,
+    mul_operator,
     operator_algebra,
     operator_relation_report,
     parse_scalar,
@@ -76,13 +77,14 @@ def test_operator_columns_match_apply(q2):
     for eid in ENTRY_ORDER:
         rep = instantiate(eid, q2)
         action = build_action(rep)
+        operators = {(i, j): mul_operator(action_module._operator_terms(action, i, j)) for i in (1, 2) for j in (1, 2)}
         for p in range(1, 5):
             for q in range(1, 5):
                 v = Mat.unit(4, p, q)
                 for i in (1, 2):
                     for j in (1, 2):
                         expected = reference_action(rep, i, j, v)
-                        assert matvec(action.operators[i - 1][j - 1], v.flatten()) == expected.flatten(), (eid, i, j, p, q)
+                        assert matvec(operators[i, j], v.flatten()) == expected.flatten(), (eid, i, j, p, q)
                         assert act(action, i, j, v) == expected, (eid, i, j, p, q)
 
 

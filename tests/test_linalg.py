@@ -11,9 +11,11 @@ from helpers import (
     dense_inverse,
     dense_kernel,
     dense_kron,
+    dense_map_rows,
     dense_mul,
     dense_rref,
     dense_scale,
+    dense_stacked_kernel,
     dense_sub,
     is_nilpotent,
     jordan,
@@ -38,7 +40,7 @@ from qact import (
     det,
     instantiate,
     invertible_element_in,
-    kernel,
+    linalg,
     mat_inverse,
     mul_operator,
     parse_scalar,
@@ -79,16 +81,22 @@ def test_singular_raises():
 
 
 def test_kernel_identity_and_zero():
-    assert kernel(Mat.identity(4)).dim == 0
-    assert kernel(Mat.zero(16)).dim == 16
+    # The kernel of an operator has the dimension of its width minus its row rank.
+    assert Subspace(4, Mat.identity(4).rows).dim == 4
+    assert Subspace(16, Mat.zero(16).rows).dim == 0
+    assert solve_homogeneous([[(E4, E4)]]).dim == 0
+    assert solve_homogeneous([[(Mat.zero(4), E4)]]) == Subspace(16, Mat.identity(16).rows)
 
 
 def test_kernel_of_spinor_operator(q2):
     q = q2.q
     a = Mat.diag(q ** 3, q * q, q, 1)
     # X -> A X - q X A as A (x) I - q I (x) A^T, and A^T = A.
-    space = kernel(dense_kron(a, E4) - dense_kron(E4, a).scale(q))
+    operator = dense_kron(a, E4) - dense_kron(E4, a).scale(q)
+    assert Subspace(16, operator.rows).dim == 13
+    space = solve_homogeneous([[(a, E4), (E4, a.scale(-q))]])
     assert space == Subspace.span_of([u(1, 2), u(2, 3), u(3, 4)])
+    assert space == Subspace(16, dense_kernel(operator.rows, 16))
 
 
 def test_rank_nullity(rng):
@@ -105,13 +113,14 @@ def test_rank_nullity(rng):
                 for _ in range(rng.randint(0, 3 * n)):
                     rows[rng.randrange(n)][rng.randrange(n)] = random_scalar(rng)
                 m = Mat(rows)
-            assert len(dense_rref(m.rows, n)[1]) + kernel(m).dim == n
+            # The row rank; the kernel of m has dimension n minus it.
+            assert Subspace(n, m.rows).dim == len(dense_rref(m.rows, n)[1])
 
 
 def test_inverse_iff_trivial_kernel(rng):
     for _ in range(50):
         m = random_mat(rng, 4)
-        if kernel(m).dim == 0:
+        if Subspace(4, m.rows).dim == 4:
             assert mat_inverse(m) * m == E4
         else:
             with pytest.raises(Singular):
@@ -215,8 +224,20 @@ def _canonical(rows) -> list:
     return rows
 
 
+# A row over the denominators 2, 3 and 6: any sum of its products with
+# nonzero entries adds terms over different denominators, so each test that
+# draws it as an explicit example takes an lcm on every run.
+MIXED_ROW = [Scalar(1, 0, 2), Scalar(1, 0, 3), Scalar(-5, 0, 6), Scalar(0, 1, 6)]
+
+
+def _corner(m: Mat) -> Mat:
+    """The top left 4x4 block of m."""
+    return Mat([r[:4] for r in m.rows[:4]])
+
+
 @settings(max_examples=30, **DENSE_REFERENCE)
 @given(sparse_pairs(), sparse_scalars)
+@example((Mat([MIXED_ROW] * 4), Mat([[Scalar(1)] * 4] * 4)), Scalar(1, 0, 2))
 def test_zero_aware_kernels_match_dense_reference(pair, c):
     a, b = pair
     n = a.n
@@ -232,8 +253,11 @@ def test_zero_aware_kernels_match_dense_reference(pair, c):
             mat_inverse(a)
     else:
         assert _canonical(mat_inverse(a).rows) == inverse
+    # Maps on 4x4 X from the corners of a and b; the second, X c - c X for the scalar matrix c, is zero.
+    x, y, cs = _corner(a), _corner(b), E4.scale(c)
+    maps = [[(x, y)], [(E4, cs), (-cs, E4)], [(x, E4), (E4, -y)], [(y, x)]]
+    assert _canonical(solve_homogeneous(maps).basis) == dense_stacked_kernel(maps)
     stacked = [list(r) for r in a.rows + (a - b).rows]
-    assert _canonical(solve_homogeneous(stacked, n).basis) == dense_kernel(stacked, n)
     assert _canonical(Subspace(n, stacked).basis) == dense_rref(stacked, n)[0]
     assert Subspace(n, stacked) == Subspace(n, dense_rref(stacked, n)[0] + [[Scalar(0)] * n])
 
@@ -266,7 +290,7 @@ def mixed_denominator_pairs(draw):
 
 @settings(max_examples=80, **DENSE_REFERENCE)
 @given(mixed_denominator_pairs())
-@example((Mat([[Scalar(1, 0, 2), Scalar(1, 0, 3), Scalar(-5, 0, 6), Scalar(0, 1, 6)]] * 4), Mat([[Scalar(1)] * 4] * 4)))
+@example((Mat([MIXED_ROW] * 4), Mat([[Scalar(1)] * 4] * 4)))
 def test_fused_product_matches_dense_reference(pair):
     a, b = pair
     assert _canonical((a * b).rows) == dense_mul(a, b)
@@ -279,71 +303,10 @@ def _full_rank_block(width: int, diagonal: Scalar, above) -> list:
 
 
 @st.composite
-def stacked_systems(draw):
-    """(rows, width) with width 2, 3, 4 or 16 and Gaussian entries.
-
-    0 to 3 * width rows, so none, whole blocks or a block cut short, of rank at
-    most the size of a drawn pool; one block may be zeroed, and a full-rank
-    block may go first, leaving the kernel {0} before the rest.
-    """
-    width = draw(st.sampled_from((2, 3, 4, 16)))
-    vector = st.lists(sparse_scalars, min_size=width, max_size=width)
-    pool = draw(st.lists(vector, min_size=1, max_size=width))
-    rows = []
-    for _ in range(draw(st.integers(0, 3 * width))):
-        a, b, c = draw(st.sampled_from(pool)), draw(st.sampled_from(pool)), draw(sparse_scalars)
-        rows.append([x + y * c for x, y in zip(a, b)])
-    if rows and draw(st.booleans()):
-        k = draw(st.integers(0, (len(rows) - 1) // width)) * width
-        rows[k : k + width] = [[Scalar(0)] * width for _ in rows[k : k + width]]
-    if draw(st.booleans()):
-        rows = _full_rank_block(width, draw(sparse_scalars.filter(bool)), draw(st.lists(sparse_scalars, min_size=1))) + rows
-    return rows, width
-
-
-@settings(max_examples=80, **DENSE_REFERENCE)
-@given(stacked_systems())
-@example(([], 3))
-@example(([[Scalar(1), Scalar(0, 1)]], 2))
-@example(([[Scalar(0)] * 4 for _ in range(4)] + [[Scalar(1), Scalar(2), Scalar(0), Scalar(-1, 1)]] * 5, 4))
-@example((_full_rank_block(16, Scalar(2, 1), [Scalar(1), Scalar(0), Scalar(0, -1, 2)]) + [[Scalar(1)] * 16] * 7, 16))
-def test_blockwise_solve_matches_dense_kernel(system):
-    rows, width = system
-    assert _canonical(solve_homogeneous(rows, width).basis) == dense_kernel(rows, width)
-
-
-def test_blockwise_solve_skips_zero_and_settled_blocks(monkeypatch):
-    """A zero block costs no product or difference, and no row after the kernel is {0} is read."""
-    first = _full_rank_block(16, Scalar(3), [Scalar(1), Scalar(0, 1), Scalar(0)])
-    partial = [[Scalar(k + 1) if j in (k, 15 - k) else Scalar(0) for j in range(16)] for k in range(8)]
-    zero = [[Scalar(0)] * 16 for _ in range(16)]
-    later = [[Scalar(i * j + 1, i - j) for j in range(16)] for i in range(16)]
-    calls = []
-    for name in ("__mul__", "__sub__"):
-        monkeypatch.setattr(Scalar, name, lambda x, y, op=getattr(Scalar, name): calls.append(1) or op(x, y))
-
-    def work(rows):
-        calls.clear()
-        solve_homogeneous(rows, 16)
-        return len(calls)
-
-    assert work(first + later) == work(first)
-
-    class Unread:
-        def __iter__(self):
-            raise AssertionError("a row was read after the kernel became {0}")
-
-    assert solve_homogeneous(first + [Unread()] * 20, 16).dim == 0
-    assert work(partial + zero) == work(partial)
-    assert work(partial + zero + zero) == work(partial)
-
-
-@st.composite
-def operator_terms(draw):
-    """1 to 3 terms (a, b) of size 2, 3 or 4: sparse, dense or identity factors; the last may cancel another."""
-    n = draw(st.sampled_from((2, 3, 4)))
+def map_terms(draw, n):
+    """1 to 3 terms (a, b) of size n: sparse, dense, zero or identity factors; the last may cancel another."""
     dense = st.lists(st.lists(sparse_scalars.filter(bool), min_size=n, max_size=n), min_size=n, max_size=n).map(Mat)
-    factor = st.one_of(_sparse_mat(n), dense, st.just(Mat.identity(n)))
+    factor = st.one_of(_sparse_mat(n), dense, st.just(Mat.identity(n)), st.just(Mat.zero(n)))
     terms = draw(st.lists(st.tuples(factor, factor), min_size=1, max_size=2))
     if draw(st.booleans()):
         a, b = draw(st.sampled_from(terms))
@@ -351,14 +314,111 @@ def operator_terms(draw):
     return terms
 
 
+@st.composite
+def stacked_maps(draw):
+    """1 to 4 maps X -> sum_t a_t X b_t on n x n X, n = 2, 3 or 4, each given by its terms.
+
+    A map may be X c - c X for a scalar matrix c, whose terms cancel exactly,
+    or X -> a X with a sparse and so often singular, which leaves a kernel
+    for the later maps to cut down.  A map X -> U X with U invertible may go
+    first, leaving the kernel {0} before the rest.
+    """
+    n = draw(st.sampled_from((2, 3, 4)))
+    e = Mat.identity(n)
+    maps = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("terms", "left", "left", "cancelling")))
+        if kind == "terms":
+            maps.append(draw(map_terms(n)))
+        elif kind == "left":
+            maps.append([(draw(_sparse_mat(n)), e)])
+        else:
+            c = e.scale(draw(sparse_scalars))
+            maps.append([(e, c), (-c, e)])
+    if draw(st.booleans()):
+        upper = _full_rank_block(n, draw(sparse_scalars.filter(bool)), draw(st.lists(sparse_scalars, min_size=1)))
+        maps.insert(0, [(Mat(upper), e)])
+    return maps
+
+
+@settings(max_examples=80, **DENSE_REFERENCE)
+@given(stacked_maps())
+@example([[(Mat.zero(3), Mat.identity(3))]])
+@example([[(Mat.identity(2), Mat.diag(2, 2)), (Mat.diag(-2, -2), Mat.identity(2))], [(Mat.unit(2, 1, 2), Mat.identity(2))]])
+@example([[(u(1, 2), E4)], [(E4, Mat.zero(4))], [(E4, u(2, 1)), (u(3, 4), E4)]])
+@example([[(Mat(_full_rank_block(4, Scalar(2, 1), [Scalar(1), Scalar(0), Scalar(0, -1, 2)])), E4)], [(E4, E4)]])
+def test_blockwise_solve_matches_dense_kernel(maps):
+    assert _canonical(solve_homogeneous(maps).basis) == dense_stacked_kernel(maps)
+
+
+@st.composite
+def mixed_denominator_maps(draw):
+    """X -> p X over mixed denominators, p of rank at most 2 so that it leaves a kernel, then 1 to 3 later maps.
+
+    A later map is X -> s X or X -> X s with s of rank 1, which cuts the
+    kernel down without always ending it, or X -> s X t with s and t dense.
+    """
+    def low_rank(rank):
+        rows = draw(st.lists(st.lists(mixed_scalars, min_size=4, max_size=4), min_size=1, max_size=rank))
+        return Mat(rows + [[Scalar(0)] * 4] * (4 - len(rows)))
+
+    maps = [[(low_rank(2), E4)]]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("left", "right", "dense")))
+        if kind == "dense":
+            maps.append([(draw(dense_mats), draw(dense_mats))])
+        else:
+            s = low_rank(1)
+            maps.append([(s, E4)] if kind == "left" else [(E4, s)])
+    return maps
+
+
+@settings(max_examples=40, **DENSE_REFERENCE)
+@given(mixed_denominator_maps())
+@example([[(Mat([MIXED_ROW] + [[Scalar(0)] * 4] * 3), E4)], [(Mat([MIXED_ROW[::-1]] * 4), E4)]])
+def test_fused_row_product_matches_dense_kernel(maps):
+    """Later maps meet the kernel basis through rows x basis products that sum over mixed denominators."""
+    assert _canonical(solve_homogeneous(maps).basis) == dense_stacked_kernel(maps)
+
+
+def test_blockwise_solve_skips_zero_and_settled_blocks(monkeypatch):
+    """A zero map costs no product or difference, and no map after the kernel is {0} is read."""
+    full = [(Mat(_full_rank_block(4, Scalar(3), [Scalar(1), Scalar(0, 1), Scalar(0)])), E4)]
+    partial = [(Mat.diag(1, 0, 2, 0), E4), (E4, u(1, 2))]
+    zero = [(Mat.zero(4), E4), (E4, Mat.zero(4))]
+    c = E4.scale(Scalar(2, -1, 3))
+    cancelling = [(E4, c), (-c, E4)]  # X c - c X
+    later = [(Mat([[Scalar(i * j + 1, i - j) for j in range(4)] for i in range(4)]), u(2, 3))]
+    calls = []
+    for name in ("__mul__", "__sub__", "minus_product"):
+        monkeypatch.setattr(Scalar, name, lambda x, *y, op=getattr(Scalar, name): calls.append(1) or op(x, *y))
+    monkeypatch.setattr(linalg, "_product_rows", lambda *args, op=linalg._product_rows: calls.append(1) or op(*args))
+
+    def work(maps):
+        calls.clear()
+        solve_homogeneous(maps)
+        return len(calls)
+
+    assert work([full, later]) == work([full])
+
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("a map was read after the kernel became {0}")
+
+    assert solve_homogeneous([full, Unread(), Unread()]).dim == 0
+    assert work([partial, zero]) == work([partial])
+    assert work([partial, zero, cancelling, zero]) == work([partial])
+    assert work([partial, later]) > work([partial])
+
+
+operator_terms = st.sampled_from((2, 3, 4)).flatmap(map_terms)
+
+
 @settings(max_examples=60, **DENSE_REFERENCE)
-@given(operator_terms())
+@given(operator_terms)
 def test_mul_operator_is_a_sum_of_kronecker_products(terms):
     # X -> a X b is a (x) b^T on row-major flattened X.
-    expected = Mat.zero(terms[0][0].n ** 2).rows
-    for a, b in terms:
-        expected = dense_add(Mat(expected), dense_kron(a, transpose(b)))
-    assert _canonical(mul_operator(terms).rows) == expected
+    assert _canonical(mul_operator(terms).rows) == dense_map_rows(terms)
 
 
 def test_mul_operator_multiplies_no_identity_factor(monkeypatch):

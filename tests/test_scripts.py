@@ -55,6 +55,51 @@ def test_bench_writes_one_document_per_label(tmp_path, monkeypatch, capsys):
     assert "table: perfbench exited 1" in capsys.readouterr().err
 
 
+def test_bench_runs_alternating_pairs_against_a_parent(tmp_path, monkeypatch, capsys):
+    bench = load_script("bench")
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "pass_s", "better": "lower"}, {"name": "ops_answered", "better": "higher"}]}))
+    checkout, parent = SCRIPTS.parent, tmp_path / "parent"
+    (parent / "src").mkdir(parents=True)
+    calls = []
+
+    def stub(root, workload, seed, seconds):
+        calls.append((root, workload))
+        k = sum(1 for r, w in calls if (r, w) == (root, workload))
+        # The change takes 0.40 s in its runs 1 to 9 and 0.60 s in run 10; the parent takes 0.50 to 0.59 s.
+        pass_s = (0.40 if k < 10 else 0.60) if root == checkout else 0.49 + k / 100
+        answered = 1.0 if root == checkout or workload != "witness" else 0.5
+        return {"correct": True, "attempted": 4, "failed": 0,
+                "metrics": {"pass_s": {"value": pass_s, "unit": "s"}, "ops_answered": {"value": answered, "unit": "ratio"}}}
+
+    monkeypatch.setattr(bench, "run_workload", stub)
+    argv = ["--label", "p", "--runs", "10", "--seconds", "0.5", "--checkout", str(checkout), "--parent", str(parent)]
+    assert bench.main(argv) == 0
+    # Alternating pairs of each workload, the parent first in the first pair.
+    assert calls[:4] == [(parent, "table"), (checkout, "table"), (checkout, "table"), (parent, "table")]
+    assert [w for _, w in calls] == [w for w in ("table", "witness", "certificate") for _ in range(20)]
+    change = json.loads((tmp_path / "BENCH_p.json").read_text())
+    before = json.loads((tmp_path / "BENCH_p-parent.json").read_text())
+    assert change["runs"] == before["runs"] == 10 and before["label"] == "p-parent"
+    assert before["src_sha256"] == bench.src_sha256(parent) != change["src_sha256"]
+    mine, theirs = change["results"]["witness"], before["results"]["witness"]
+    assert mine["attempted"] == 40 and mine["correct"]
+    assert mine["metrics"]["pass_s"]["runs"] == [0.40] * 9 + [0.60]
+    assert mine["metrics"]["pass_s"]["value"] == pytest.approx(0.40)
+    assert theirs["metrics"]["pass_s"]["value"] == pytest.approx(0.545)
+    assert (theirs["metrics"]["pass_s"]["q1"], theirs["metrics"]["pass_s"]["q3"]) == pytest.approx((0.5225, 0.5675))
+    pass_s = change["comparison"]["witness"]["pass_s"]
+    assert (pass_s["wins"], pass_s["losses"], pass_s["ties"]) == (9, 1, 0) and pass_s["gain"]
+    assert pass_s["median_gain"] == pytest.approx(0.145) and pass_s["parent_iqr"] == pytest.approx(0.045)
+    # Higher is better for ops_answered: ten wins on witness, ten ties elsewhere.
+    assert change["comparison"]["witness"]["ops_answered"]["wins"] == 10
+    assert change["comparison"]["table"]["ops_answered"] == {
+        "wins": 0, "losses": 0, "ties": 10, "median_gain": 0.0, "parent_iqr": 0.0, "gain": False}
+    out = capsys.readouterr().out
+    assert "witness pass_s: won 9, lost 1, tied 0" in out and "wrote BENCH_p-parent.json" in out
+
+
 @pytest.mark.parametrize("name", ["table", "witness", "certificate"])
 def test_perfbench_workloads_set_up_and_warm_up(name, monkeypatch):
     # The benchmark calls qact by name; this fails when a name it calls is gone.

@@ -31,14 +31,16 @@ from qact.catalog import ENTRY_ORDER
 @pytest.fixture
 def counts(monkeypatch):
     """Counters of Scalar.__mul__, __sub__, inv, minus_product and dot calls, of Mat.__mul__
-    and __add__ calls, of linalg.det calls, and of power-trace evaluations.
+    and __add__ calls, of linalg.det calls, of power-trace evaluations, and of
+    row products: linalg._product_rows, the loop of Mat.__mul__ and of the
+    kernel solve's rows x basis products.
 
     The fused kernels minus_product (x - y*f) and dot (sum x*y) each hide
-    products, and so does Mat.__mul__, which sums each entry on plain ints;
-    so each is counted under its own key.
+    products, and so does the row product, which sums each entry on plain
+    ints; so each is counted under its own key.
     """
     tally = {"mul": 0, "sub": 0, "inv": 0, "minus_product": 0, "dot": 0, "mat_mul": 0, "mat_add": 0, "det": 0,
-             "power_traces": 0}
+             "power_traces": 0, "row_products": 0}
 
     def counted(op, key):
         def call(*args):
@@ -57,6 +59,7 @@ def counts(monkeypatch):
         if (name == "qact" or name.startswith("qact.")) and getattr(module, "det", None) is det:
             monkeypatch.setattr(module, "det", counted(det, "det"))
     monkeypatch.setattr(action_module, "_power_traces", counted(action_module._power_traces, "power_traces"))
+    monkeypatch.setattr(linalg, "_product_rows", counted(linalg._product_rows, "row_products"))
     return tally
 
 
@@ -64,8 +67,16 @@ def test_verify_table_work(q2, counts):
     default_model()  # built once per process, so kept out of the count
     counts.update(dict.fromkeys(counts, 0))
     assert verify_table(q2).ok
-    # Measured: 10,994 multiplications and 1,726 subtractions, with 2,870
-    # fused x - y*f and 9,302 fused dot products.  The relations became
+    # Measured: 12,221 multiplications and 1,086 subtractions, with 2,870
+    # fused x - y*f and 80 fused dot products, the power traces' p3 and p4.
+    # The kernel solves take no dot product (9,302 before): each builds its
+    # maps' rows from their terms and meets the kernel basis found so far
+    # through one fused rows x basis product, summed as Mat.__mul__ sums.
+    # Multiplications rose from 10,994 because action_fixed_points builds
+    # the rows of L_ij from their terms A_ik (x) S_kj^T, the same products that
+    # operator_relation_report's 16x16 operators take, where both once read
+    # one cached set of operators; subtractions fell from 1,726 as no
+    # L_ii - I is taken as a matrix difference.  Before that, the relations became
     # comparisons and the power traces are taken once per representation
     # (10,904, 4,438, 2,624 and 10,278 before).  minus_product rose, and its
     # bound with it, because the operator-algebra closure reduces each new
@@ -80,16 +91,19 @@ def test_verify_table_work(q2, counts):
     # block at a time; 39,032 and 14,105 before linalg.mul_operator and the
     # power-trace determinant test; 115,120 and 117,635 before zero entries
     # were skipped).
-    assert counts["mul"] <= 11_449
-    assert counts["sub"] <= 1_812
+    assert counts["mul"] <= 12_832
+    assert counts["sub"] <= 1_140
     assert counts["minus_product"] <= 3_014
-    assert counts["dot"] <= 9_767
+    assert counts["dot"] <= 84
     # Measured: 1,738 matrix products and 384 matrix sums (3,120 products
     # while every closure round multiplied all pairs of the basis and the
     # relations took each q-commutator as a difference; 492 sums while the
     # simplex search rebuilt every point from scratch).
     assert counts["mat_mul"] <= 1_825
     assert counts["mat_add"] <= 403
+    # Measured: 2,084 row products, the 1,738 matrix products and 346 of the
+    # kernel solves.
+    assert counts["row_products"] <= 2_188
     # Power traces of A11 and A22, once for each of the 20 representations
     # (528 while every decided pair took them again).
     assert counts["power_traces"] == 40
@@ -106,8 +120,11 @@ def test_dense_conjugate_decision_work(q2, counts):
     moved = EquivalenceWitness(random_dense_invertible(random.Random(0x53)), Scalar(2), Scalar(-1, 1)).apply(rep)
     counts.update(dict.fromkeys(counts, 0))
     assert decide_equivalence(rep, moved).equivalent
-    # Measured: 166 multiplications and 4 subtractions, with 81 fused
-    # x - y*f and 200 fused dot products; the two determinants read off the
+    # Measured: 160 multiplications and 4 subtractions, with 79 fused
+    # x - y*f and 8 fused dot products, the power traces' (166, 81 and 200
+    # while the intertwiner solve took each row of a later block times each
+    # kernel vector as a dot product and recombined the basis by Scalar
+    # products; the two determinants read off the
     # power traces are now exact, one product by 1/24 each (164 before that;
     # 473, 4, 81 and 192 before the fused
     # matrix product and the dot-based power traces; 683 and 85 with neither
@@ -115,13 +132,15 @@ def test_dense_conjugate_decision_work(q2, counts):
     # the block-wise kernel and the inverse-free witness check; 877 and 465
     # before linalg.mul_operator and the power-trace determinant test; 2,004
     # and 1,457 before zero entries were skipped).
-    assert counts["mul"] <= 172
+    assert counts["mul"] <= 168
     assert counts["sub"] <= 4
-    assert counts["minus_product"] <= 85
-    assert counts["dot"] <= 210
-    # Measured: 12 matrix products and 2 matrix sums.
+    assert counts["minus_product"] <= 82
+    assert counts["dot"] <= 8
+    # Measured: 12 matrix products and 2 matrix sums, and 16 row products, 4
+    # of them the intertwiner solve's.
     assert counts["mat_mul"] <= 12
     assert counts["mat_add"] <= 2
+    assert counts["row_products"] <= 16
 
 
 def test_dense_conjugate_of_every_entry_work(q2, counts):
@@ -132,20 +151,24 @@ def test_dense_conjugate_of_every_entry_work(q2, counts):
         pairs.append((rep, EquivalenceWitness(random_dense_invertible(rng), Scalar(2), Scalar(-1, 1)).apply(rep)))
     counts.update(dict.fromkeys(counts, 0))
     assert all(decide_equivalence(rep, moved).equivalent for rep, moved in pairs)
-    # Measured: 3,676 multiplications and 80 subtractions, with 2,838 fused
-    # x - y*f and 3,152 fused dot products (3,636 before the determinants read
+    # Measured: 3,467 multiplications and 80 subtractions, with 2,838 fused
+    # x - y*f and 160 fused dot products, the power traces' (3,676 and 3,152
+    # while the intertwiner solve took one dot product per row of a later
+    # block and kernel vector; 3,636 before the determinants read
     # off the power traces were scaled by 1/24; 12,881, 80, 2,838 and 2,992 before
     # the fused matrix product and the dot-based power traces; 19,681 and
     # 2,918 with neither
     # fused kernel; 27,013 and 14,655 with the whole 64x16 intertwiner system
     # in one reduction and the witness checked through u^-1).
-    assert counts["mul"] <= 3_817
+    assert counts["mul"] <= 3_640
     assert counts["sub"] <= 84
     assert counts["minus_product"] <= 2_979
-    assert counts["dot"] <= 3_309
-    # Measured: 240 matrix products and 21 matrix sums.
+    assert counts["dot"] <= 168
+    # Measured: 240 matrix products and 21 matrix sums, and 327 row products,
+    # 87 of them the intertwiner solves'.
     assert counts["mat_mul"] <= 252
     assert counts["mat_add"] <= 22
+    assert counts["row_products"] <= 343
 
 
 def test_unipotent_certificate_work(q2, counts):
@@ -165,3 +188,7 @@ def test_unipotent_certificate_work(q2, counts):
     # the fused matrix product and the dot-based power traces).
     assert counts["mul"] <= 67
     assert counts["dot"] <= 8
+    # The A12 and A21 maps have zero terms, and the A22 map u I - I u cancels
+    # term by term, so only the A11 map's rows are reduced: the solve takes
+    # no row product, and every one is a matrix product.
+    assert counts["row_products"] == counts["mat_mul"]
