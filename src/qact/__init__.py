@@ -27,7 +27,6 @@ from .catalog import (
     TableCheck,
     TableEntry,
     UnknownEntry,
-    canonical_determinants,
     check_entry,
     get_entry,
     instantiate,

@@ -1,13 +1,17 @@
 """The classification table of inner actions, as executable data.
 
-Twenty entries: nine families by the value of A11, each with one
-determinant-one representation (S...) and zero or more companions with a
-nontrivial quantum determinant (G...).  Every entry is stored fully
-resolved, carries its parameter exclusions, and knows the expected operator
-algebra, invariant algebra, gamma-form invariants, and quantum determinant,
-so a single check_entry call replays the whole battery of checks.
+Twenty entries on the seven canonical q-spinor forms of qspinor.form_a,
+which give every A11: eleven determinant-one entries (S...), four of them
+on form 2, two on form 4 and one on each other form, and nine companions
+with a nontrivial quantum determinant (G...).  An S entry names its form
+and gives A12, A21 and A22 - A11^-1; a G entry is its connected S entry,
+at the parameters they share, plus one increment of A22.  Only form 5 (S5,
+G5) lets a parameter into A11.  Every entry carries its parameter
+exclusions and states its expected operator algebra, invariant algebra,
+gamma-form invariants, and quantum determinant, so a single check_entry
+call replays the whole battery of checks.
 
-The G3b and G6 cells are stored in the unique form consistent with their
+The G3b and G6 increments are the unique ones consistent with their
 determinant column through the reconstruction identity
 A22 = A22' + A11^-1 (D - 1): G3b adds q^-2 e12 to A22 (det_q = 1 + e12)
 and G6 adds xi e12 (det_q = 1 + q^2 xi e12).  attach_determinant
@@ -38,7 +42,7 @@ from .qrep import (
     require_representation,
     verify_glq_relations,
 )
-from .qspinor import form5_excluded
+from .qspinor import form5_excluded, form_a
 from .report import Report
 from .scalars import ONE, ZERO, DeformationParameter, Scalar, as_scalar, format_scalar, smallest_admissible
 
@@ -63,32 +67,49 @@ def _u(i: int, j: int) -> Mat:
 
 
 Params = Mapping[str, Scalar]
-MatBuilder = Callable[[Scalar, Params], tuple[Mat, Mat, Mat, Mat]]
 
 INVARIANT_DIMS = {"T2": 3, "C+C": 2, "T2'": 2, "C": 1}
-
-# Upper-triangular positions, for the full-triangular operator algebra of S4a.
-_UPPER = [(i, j) for i in range(1, 5) for j in range(i, 5)]
 
 
 @dataclass(frozen=True)
 class TableEntry:
+    """One entry of the table: how to build its representation, and what it claims.
+
+    An S entry names the canonical q-spinor form of its A11 (qspinor.form_a;
+    form 5's free diagonal entry is the entry's alpha) and gives its other
+    blocks as A12, A21 and A22 - A11^-1.  A G entry is its connected_to S
+    entry, at the parameters they share, with one increment added to A22.
+    The claimed determinant, operator algebra, invariants and gamma-form
+    invariants are stated for every entry, never derived from its blocks.
+    """
+
     entry_id: str
     params: tuple[str, ...]
     exclusions: Mapping[str, Callable[[Scalar, Params], tuple[Scalar, ...]]]
-    matrices: MatBuilder
     expected_detq: Callable[[Scalar, Params], Mat]
     expected_dim_r: int
-    expected_r_basis: Callable[[Scalar, Params], list[Mat]]
+    # A tuple, or a function of (q, params) for the one basis that reads alpha (S2a').
+    expected_r_basis: tuple[Mat, ...] | Callable[[Scalar, Params], tuple[Mat, ...]]
     expected_inv_basis: tuple[Mat, ...]
     invariant_type: str
     gamma_invariants: tuple[str, ...]
+    form: Optional[int] = None
+    blocks: Optional[Callable[[Scalar, Params], tuple[Mat, Mat, Mat]]] = None
     connected_to: Optional[str] = None
-    canonical_dets: Callable[[Scalar, Params], tuple[Mat, ...]] = lambda q, p: ()
+    a22_increment: Optional[Callable[[Scalar, Params], Mat]] = None
+    # S entries: sample canonical determinants, one per projective class shape
+    # of the invariants (a diagonal choice, and the unipotent one where they
+    # have a nilpotent part); empty where the invariants are the scalars.
+    canonical_dets: tuple[Mat, ...] = ()
 
     def representation(self, q: DeformationParameter, params: Params) -> GLqRep:
         """The entry's matrices at resolved parameters; relations are not checked."""
-        return GLqRep(*self.matrices(q.q, params), q=q)
+        if self.connected_to is not None:
+            s = ENTRIES[self.connected_to].representation(q, params)
+            return GLqRep(s.a11, s.a12, s.a21, s.a22 + self.a22_increment(q.q, params), q)
+        a11 = form_a(self.form, q.q, params.get("alpha"))
+        a12, a21, a22_rest = self.blocks(q.q, params)
+        return GLqRep(a11, a12, a21, mat_inverse(a11) + a22_rest, q)
 
 
 def _nonzero(q: Scalar, p: Params) -> tuple[Scalar, ...]:
@@ -99,223 +120,20 @@ def _det_one(q: Scalar, p: Params) -> Mat:
     return _E4
 
 
-# -- family S1 / G1a / G1b: A11 = diag(q^2, q, 1, 1) ---------------------------
+def _a21_scaled(a12: Mat, s: Scalar, a22_rest: Mat) -> tuple[Mat, Mat, Mat]:
+    """The blocks of an S entry whose A21 is s A12."""
+    return a12, a12.scale(s), a22_rest
 
 
-def _build_s1(q: Scalar, p: Params):
-    a11 = Mat.diag(q * q, q, 1, 1)
-    a12 = _u(1, 2) + _u(2, 3)
-    a21 = a12.scale(p["alpha"])
-    a22 = mat_inverse(a11) + _u(1, 3).scale(p["alpha"] / q)
-    return a11, a12, a21, a22
+def _s2a_blocks(q: Scalar, alpha: Scalar, beta: Scalar) -> tuple[Mat, Mat, Mat]:
+    a12 = _u(1, 2).scale(alpha) + _u(1, 3) + _u(2, 4)
+    return a12, _u(1, 2) + _u(1, 3).scale(beta) + _u(3, 4), _u(1, 4).scale(q.inv())
 
 
-def _build_g1a(q: Scalar, p: Params):
-    a11, a12, a21, a22 = _build_s1(q, p)
-    return a11, a12, a21, a22 + _u(4, 4).scale(p["beta"])
-
-
-def _build_g1b(q: Scalar, p: Params):
-    a11, a12, a21, a22 = _build_s1(q, p)
-    return a11, a12, a21, a22 + _u(4, 3)
-
-
-def _r_s1(q, p):
-    return [_u(1, 1), _u(1, 2), _u(1, 3), _u(2, 2), _u(2, 3), _u(3, 3) + _u(4, 4)]
-
-
-def _r_g1a(q, p):
-    return [_u(1, 1), _u(1, 2), _u(1, 3), _u(2, 2), _u(2, 3), _u(3, 3), _u(4, 4)]
-
-
-def _r_g1b(q, p):
-    return _r_s1(q, p) + [_u(4, 3)]
-
-
-# -- family S2 / G2: A11 = diag(q^2, q, q, 1) ----------------------------------
-
-
-def _build_s2a(q: Scalar, p: Params):
-    a11 = Mat.diag(q * q, q, q, 1)
-    a12 = _u(1, 2).scale(p["alpha"]) + _u(1, 3) + _u(2, 4)
-    a21 = _u(1, 2) + _u(1, 3).scale(p["beta"]) + _u(3, 4)
-    a22 = mat_inverse(a11) + _u(1, 4).scale(ONE / q)
-    return a11, a12, a21, a22
-
-
-def _build_s2ap(q: Scalar, p: Params):
-    return _build_s2a(q, {"alpha": p["alpha"], "beta": p["alpha"].inv()})
-
-
-def _build_s2b(q: Scalar, p: Params):
-    a11 = Mat.diag(q * q, q, q, 1)
+def _s2b_blocks(q: Scalar, p: Params) -> tuple[Mat, Mat, Mat]:
     a12 = _u(1, 2) + _u(2, 4)
-    a21 = a12.scale(p["alpha"]) + _u(1, 3)
-    a22 = mat_inverse(a11) + _u(1, 4).scale(p["alpha"] / q)
-    return a11, a12, a21, a22
+    return a12, a12.scale(p["alpha"]) + _u(1, 3), _u(1, 4).scale(p["alpha"] / q)
 
-
-def _build_s2bp(q: Scalar, p: Params):
-    a11, a12, _, a22 = _build_s2b(q, p)
-    return a11, a12, a12.scale(p["alpha"]), a22
-
-
-def _build_g2bp(q: Scalar, p: Params):
-    a11, a12, a21, a22 = _build_s2bp(q, p)
-    return a11, a12, a21, a22 + _u(3, 3).scale(p["beta"])
-
-
-def _r_s2a(q, p):
-    return [_u(1, 1), _u(1, 2), _u(1, 3), _u(1, 4), _u(2, 2) + _u(3, 3), _u(2, 4), _u(3, 4), _u(4, 4)]
-
-
-def _r_s2ap(q, p):
-    tied = _u(1, 2).scale(p["alpha"]) + _u(1, 3)
-    return [_u(1, 1), tied, _u(1, 4), _u(2, 2) + _u(3, 3), _u(2, 4), _u(3, 4), _u(4, 4)]
-
-
-def _r_s2b(q, p):
-    return [_u(1, 1), _u(1, 2), _u(1, 3), _u(1, 4), _u(2, 2) + _u(3, 3), _u(2, 4), _u(4, 4)]
-
-
-def _r_s2bp(q, p):
-    return [_u(1, 1), _u(1, 2), _u(1, 4), _u(2, 2) + _u(3, 3), _u(2, 4), _u(4, 4)]
-
-
-def _r_g2bp(q, p):
-    return [_u(1, 1), _u(1, 2), _u(1, 4), _u(2, 2), _u(3, 3), _u(2, 4), _u(4, 4)]
-
-
-# -- family S3 / G3a / G3b: A11 = diag(q^2, q^2, q, 1) -------------------------
-
-
-def _build_s3(q: Scalar, p: Params):
-    a11 = Mat.diag(q * q, q * q, q, 1)
-    a12 = _u(1, 3) + _u(3, 4)
-    a21 = a12.scale(p["alpha"])
-    a22 = mat_inverse(a11) + _u(1, 4).scale(p["alpha"] / q)
-    return a11, a12, a21, a22
-
-
-def _build_g3a(q: Scalar, p: Params):
-    a11, a12, a21, a22 = _build_s3(q, p)
-    return a11, a12, a21, a22 + _u(2, 2).scale(p["beta"])
-
-
-def _build_g3b(q: Scalar, p: Params):
-    a11, a12, a21, a22 = _build_s3(q, p)
-    # The determinant column 1 + e12 forces the increment q^-2 e12 through
-    # A22 = A22' + A11^-1 (D - 1).
-    return a11, a12, a21, a22 + _u(1, 2).scale((q * q).inv())
-
-
-def _r_s3(q, p):
-    return [_u(1, 1) + _u(2, 2), _u(1, 3), _u(1, 4), _u(3, 3), _u(3, 4), _u(4, 4)]
-
-
-def _r_g3a(q, p):
-    return [_u(1, 1), _u(2, 2), _u(1, 3), _u(1, 4), _u(3, 3), _u(3, 4), _u(4, 4)]
-
-
-def _r_g3b(q, p):
-    return _r_s3(q, p) + [_u(1, 2)]
-
-
-# -- family S4a / S4b / G4b: A11 = diag(q^3, q^2, q, 1) ------------------------
-
-
-def _build_s4a(q: Scalar, p: Params):
-    a11 = Mat.diag(q ** 3, q * q, q, 1)
-    a12 = _u(1, 2) + _u(2, 3) + _u(3, 4)
-    a21 = a12.scale(p["alpha"])
-    a22 = mat_inverse(a11) + _u(1, 3).scale(p["alpha"] / (q * q)) + _u(2, 4).scale(p["alpha"] / q)
-    return a11, a12, a21, a22
-
-
-def _build_s4b(q: Scalar, p: Params):
-    a11 = Mat.diag(q ** 3, q * q, q, 1)
-    a12 = _u(1, 2) + _u(2, 3)
-    a21 = a12.scale(p["alpha"])
-    a22 = mat_inverse(a11) + _u(1, 3).scale(p["alpha"] / (q * q))
-    return a11, a12, a21, a22
-
-
-def _build_g4b(q: Scalar, p: Params):
-    a11, a12, a21, a22 = _build_s4b(q, p)
-    return a11, a12, a21, a22 + _u(4, 4).scale(p["beta"])
-
-
-def _r_s4a(q, p):
-    return [_u(i, j) for i, j in _UPPER]
-
-
-def _r_s4b(q, p):
-    return [_u(1, 1), _u(2, 2), _u(3, 3), _u(4, 4), _u(1, 2), _u(2, 3), _u(1, 3)]
-
-
-# -- family S5 / G5: A11 = diag(alpha, q^2, q, 1) ------------------------------
-
-
-def _build_s5(q: Scalar, p: Params):
-    a11 = Mat.diag(p["alpha"], q * q, q, 1)
-    a12 = _u(2, 3) + _u(3, 4)
-    a21 = a12.scale(p["beta"])
-    a22 = mat_inverse(a11) + _u(2, 4).scale(p["beta"] / q)
-    return a11, a12, a21, a22
-
-
-def _build_g5(q: Scalar, p: Params):
-    a11, a12, a21, a22 = _build_s5(q, p)
-    return a11, a12, a21, a22 + _u(1, 1).scale(p["gamma"])
-
-
-def _r_s5(q, p):
-    return [_u(1, 1), _u(2, 2), _u(3, 3), _u(4, 4), _u(2, 3), _u(3, 4), _u(2, 4)]
-
-
-# -- family S6 / G6: A11 = diag(q^2, q^2, q, 1) + e12 --------------------------
-
-
-def _build_s6(q: Scalar, p: Params):
-    a11 = Mat.diag(q * q, q * q, q, 1) + _u(1, 2)
-    a12 = _u(1, 3) + _u(3, 4)
-    a21 = a12.scale(p["alpha"])
-    a22 = mat_inverse(a11) + _u(1, 4).scale(p["alpha"] / q)
-    return a11, a12, a21, a22
-
-
-def _build_g6(q: Scalar, p: Params):
-    a11, a12, a21, a22 = _build_s6(q, p)
-    # det_q = 1 + q^2 xi e12 forces the increment xi e12, i.e. the (1, 2)
-    # entry of A22 is xi - q^-4.
-    return a11, a12, a21, a22 + _u(1, 2).scale(p["xi"])
-
-
-def _r_s6(q, p):
-    return [_u(1, 1) + _u(2, 2), _u(1, 2), _u(1, 3), _u(1, 4), _u(3, 3), _u(3, 4), _u(4, 4)]
-
-
-# -- family S7 / G7: A11 = diag(q^2, q, 1, 1) + e34 ----------------------------
-
-
-def _build_s7(q: Scalar, p: Params):
-    a11 = Mat.diag(q * q, q, 1, 1) + _u(3, 4)
-    a12 = _u(1, 2) + _u(2, 4)
-    a21 = a12.scale(p["alpha"])
-    a22 = mat_inverse(a11) + _u(1, 4).scale(p["alpha"] / q)
-    return a11, a12, a21, a22
-
-
-def _build_g7(q: Scalar, p: Params):
-    a11, a12, a21, a22 = _build_s7(q, p)
-    return a11, a12, a21, a22 + _u(3, 4).scale(p["xi"])
-
-
-def _r_s7(q, p):
-    return [_u(1, 1), _u(1, 2), _u(1, 4), _u(2, 2), _u(2, 4), _u(3, 3) + _u(4, 4), _u(3, 4)]
-
-
-# -- the table -----------------------------------------------------------------
 
 _GAMMA_E44 = "(1-g0)*(1-i*g12)"
 _GAMMA_E43 = "(1-g0)*(-g1+i*g2)*g3"
@@ -332,56 +150,62 @@ def _register(entry: TableEntry):
     ENTRIES[entry.entry_id] = entry
 
 
+# -- form 1, A11 = diag(q^2, q, 1, 1): S1, G1a, G1b -----------------------------
+
 _register(TableEntry(
     entry_id="S1",
     params=("alpha",),
     exclusions={"alpha": _nonzero},
-    matrices=_build_s1,
+    form=1,
+    blocks=lambda q, p: _a21_scaled(_u(1, 2) + _u(2, 3), p["alpha"], _u(1, 3).scale(p["alpha"] / q)),
     expected_detq=_det_one,
     expected_dim_r=6,
-    expected_r_basis=_r_s1,
+    expected_r_basis=(_u(1, 1), _u(1, 2), _u(1, 3), _u(2, 2), _u(2, 3), _u(3, 3) + _u(4, 4)),
     expected_inv_basis=(_E4, _u(4, 4), _u(4, 3)),
     invariant_type="T2",
     gamma_invariants=(_GAMMA_E43, _GAMMA_E44),
-    canonical_dets=lambda q, p: (_E4 + _u(4, 4).scale(4), _E4 + _u(4, 3)),
+    canonical_dets=(_E4 + _u(4, 4).scale(4), _E4 + _u(4, 3)),
 ))
 
 _register(TableEntry(
     entry_id="G1a",
     params=("alpha", "beta"),
     exclusions={"alpha": _nonzero, "beta": lambda q, p: (ZERO, -ONE)},
-    matrices=_build_g1a,
+    connected_to="S1",
+    a22_increment=lambda q, p: _u(4, 4).scale(p["beta"]),
     expected_detq=lambda q, p: _E4 + _u(4, 4).scale(p["beta"]),
     expected_dim_r=7,
-    expected_r_basis=_r_g1a,
+    expected_r_basis=(_u(1, 1), _u(1, 2), _u(1, 3), _u(2, 2), _u(2, 3), _u(3, 3), _u(4, 4)),
     expected_inv_basis=(_E4, _u(4, 4)),
     invariant_type="C+C",
     gamma_invariants=(_GAMMA_E44,),
-    connected_to="S1",
 ))
 
 _register(TableEntry(
     entry_id="G1b",
     params=("alpha",),
     exclusions={"alpha": _nonzero},
-    matrices=_build_g1b,
+    connected_to="S1",
+    a22_increment=lambda q, p: _u(4, 3),
     expected_detq=lambda q, p: _E4 + _u(4, 3),
     expected_dim_r=7,
-    expected_r_basis=_r_g1b,
+    expected_r_basis=ENTRIES["S1"].expected_r_basis + (_u(4, 3),),
     expected_inv_basis=(_E4, _u(4, 3)),
     invariant_type="T2'",
     gamma_invariants=(_GAMMA_E43,),
-    connected_to="S1",
 ))
+
+# -- form 2, A11 = diag(q^2, q, q, 1): S2a, S2a', S2b, S2b', G2b' ---------------
 
 _register(TableEntry(
     entry_id="S2a",
     params=("alpha", "beta"),
     exclusions={"beta": lambda q, p: (p["alpha"].inv(),) if p["alpha"] else ()},
-    matrices=_build_s2a,
+    form=2,
+    blocks=lambda q, p: _s2a_blocks(q, p["alpha"], p["beta"]),
     expected_detq=_det_one,
     expected_dim_r=8,
-    expected_r_basis=_r_s2a,
+    expected_r_basis=(_u(1, 1), _u(1, 2), _u(1, 3), _u(1, 4), _u(2, 2) + _u(3, 3), _u(2, 4), _u(3, 4), _u(4, 4)),
     expected_inv_basis=(_E4,),
     invariant_type="C",
     gamma_invariants=(),
@@ -391,10 +215,12 @@ _register(TableEntry(
     entry_id="S2a'",
     params=("alpha",),
     exclusions={"alpha": _nonzero},
-    matrices=_build_s2ap,
+    form=2,
+    blocks=lambda q, p: _s2a_blocks(q, p["alpha"], p["alpha"].inv()),
     expected_detq=_det_one,
     expected_dim_r=7,
-    expected_r_basis=_r_s2ap,
+    expected_r_basis=lambda q, p: (_u(1, 1), _u(1, 2).scale(p["alpha"]) + _u(1, 3), _u(1, 4),
+                                   _u(2, 2) + _u(3, 3), _u(2, 4), _u(3, 4), _u(4, 4)),
     expected_inv_basis=(_E4,),
     invariant_type="C",
     gamma_invariants=(),
@@ -404,10 +230,11 @@ _register(TableEntry(
     entry_id="S2b",
     params=("alpha",),
     exclusions={"alpha": _nonzero},
-    matrices=_build_s2b,
+    form=2,
+    blocks=_s2b_blocks,
     expected_detq=_det_one,
     expected_dim_r=7,
-    expected_r_basis=_r_s2b,
+    expected_r_basis=(_u(1, 1), _u(1, 2), _u(1, 3), _u(1, 4), _u(2, 2) + _u(3, 3), _u(2, 4), _u(4, 4)),
     expected_inv_basis=(_E4,),
     invariant_type="C",
     gamma_invariants=(),
@@ -417,80 +244,91 @@ _register(TableEntry(
     entry_id="S2b'",
     params=("alpha",),
     exclusions={"alpha": _nonzero},
-    matrices=_build_s2bp,
+    form=2,
+    blocks=lambda q, p: _a21_scaled(_u(1, 2) + _u(2, 4), p["alpha"], _u(1, 4).scale(p["alpha"] / q)),
     expected_detq=_det_one,
     expected_dim_r=6,
-    expected_r_basis=_r_s2bp,
+    expected_r_basis=(_u(1, 1), _u(1, 2), _u(1, 4), _u(2, 2) + _u(3, 3), _u(2, 4), _u(4, 4)),
     expected_inv_basis=(_E4, _u(3, 3)),
     invariant_type="C+C",
     gamma_invariants=(_GAMMA_E33,),
-    canonical_dets=lambda q, p: (_E4 + _u(3, 3).scale(4),),
+    canonical_dets=(_E4 + _u(3, 3).scale(4),),
 ))
 
 _register(TableEntry(
     entry_id="G2b'",
     params=("alpha", "beta"),
     exclusions={"alpha": _nonzero, "beta": lambda q, p: (ZERO, -q.inv())},
-    matrices=_build_g2bp,
+    connected_to="S2b'",
+    a22_increment=lambda q, p: _u(3, 3).scale(p["beta"]),
     expected_detq=lambda q, p: _E4 + _u(3, 3).scale(q * p["beta"]),
     expected_dim_r=7,
-    expected_r_basis=_r_g2bp,
+    expected_r_basis=(_u(1, 1), _u(1, 2), _u(1, 4), _u(2, 2), _u(3, 3), _u(2, 4), _u(4, 4)),
     expected_inv_basis=(_E4, _u(3, 3)),
     invariant_type="C+C",
     gamma_invariants=(_GAMMA_E33,),
-    connected_to="S2b'",
 ))
+
+# -- form 3, A11 = diag(q^2, q^2, q, 1): S3, G3a, G3b ---------------------------
 
 _register(TableEntry(
     entry_id="S3",
     params=("alpha",),
     exclusions={"alpha": _nonzero},
-    matrices=_build_s3,
+    form=3,
+    blocks=lambda q, p: _a21_scaled(_u(1, 3) + _u(3, 4), p["alpha"], _u(1, 4).scale(p["alpha"] / q)),
     expected_detq=_det_one,
     expected_dim_r=6,
-    expected_r_basis=_r_s3,
+    expected_r_basis=(_u(1, 1) + _u(2, 2), _u(1, 3), _u(1, 4), _u(3, 3), _u(3, 4), _u(4, 4)),
     expected_inv_basis=(_E4, _u(2, 2), _u(1, 2)),
     invariant_type="T2",
     gamma_invariants=(_GAMMA_E22, _GAMMA_E12),
-    canonical_dets=lambda q, p: (_E4 + _u(2, 2).scale(4), _E4 + _u(1, 2)),
+    canonical_dets=(_E4 + _u(2, 2).scale(4), _E4 + _u(1, 2)),
 ))
 
 _register(TableEntry(
     entry_id="G3a",
     params=("alpha", "beta"),
     exclusions={"alpha": _nonzero, "beta": lambda q, p: (ZERO, -(q * q).inv())},
-    matrices=_build_g3a,
+    connected_to="S3",
+    a22_increment=lambda q, p: _u(2, 2).scale(p["beta"]),
     expected_detq=lambda q, p: _E4 + _u(2, 2).scale(q * q * p["beta"]),
     expected_dim_r=7,
-    expected_r_basis=_r_g3a,
+    expected_r_basis=(_u(1, 1), _u(2, 2), _u(1, 3), _u(1, 4), _u(3, 3), _u(3, 4), _u(4, 4)),
     expected_inv_basis=(_E4, _u(2, 2)),
     invariant_type="C+C",
     gamma_invariants=(_GAMMA_E22,),
-    connected_to="S3",
 ))
 
 _register(TableEntry(
     entry_id="G3b",
     params=("alpha",),
     exclusions={"alpha": _nonzero},
-    matrices=_build_g3b,
+    connected_to="S3",
+    # The determinant column 1 + e12 forces the increment q^-2 e12 through
+    # A22 = A22' + A11^-1 (D - 1).
+    a22_increment=lambda q, p: _u(1, 2).scale((q * q).inv()),
     expected_detq=lambda q, p: _E4 + _u(1, 2),
     expected_dim_r=7,
-    expected_r_basis=_r_g3b,
+    expected_r_basis=ENTRIES["S3"].expected_r_basis + (_u(1, 2),),
     expected_inv_basis=(_E4, _u(1, 2)),
     invariant_type="T2'",
     gamma_invariants=(_GAMMA_E12,),
-    connected_to="S3",
 ))
+
+# -- form 4, A11 = diag(q^3, q^2, q, 1): S4a, S4b, G4b --------------------------
 
 _register(TableEntry(
     entry_id="S4a",
     params=("alpha",),
     exclusions={"alpha": _nonzero},
-    matrices=_build_s4a,
+    form=4,
+    blocks=lambda q, p: _a21_scaled(_u(1, 2) + _u(2, 3) + _u(3, 4), p["alpha"],
+                                    _u(1, 3).scale(p["alpha"] / (q * q)) + _u(2, 4).scale(p["alpha"] / q)),
     expected_detq=_det_one,
     expected_dim_r=10,
-    expected_r_basis=_r_s4a,
+    # The full upper-triangular algebra.
+    expected_r_basis=tuple(_u(i, j) for i in range(1, 5) for j in range(i, 5)),
     expected_inv_basis=(_E4,),
     invariant_type="C",
     gamma_invariants=(),
@@ -500,42 +338,46 @@ _register(TableEntry(
     entry_id="S4b",
     params=("alpha",),
     exclusions={"alpha": _nonzero},
-    matrices=_build_s4b,
+    form=4,
+    blocks=lambda q, p: _a21_scaled(_u(1, 2) + _u(2, 3), p["alpha"], _u(1, 3).scale(p["alpha"] / (q * q))),
     expected_detq=_det_one,
     expected_dim_r=7,
-    expected_r_basis=_r_s4b,
+    expected_r_basis=(_u(1, 1), _u(2, 2), _u(3, 3), _u(4, 4), _u(1, 2), _u(2, 3), _u(1, 3)),
     expected_inv_basis=(_E4, _u(4, 4)),
     invariant_type="C+C",
     gamma_invariants=(_GAMMA_E44,),
-    canonical_dets=lambda q, p: (_E4 + _u(4, 4).scale(4),),
+    canonical_dets=(_E4 + _u(4, 4).scale(4),),
 ))
 
 _register(TableEntry(
     entry_id="G4b",
     params=("alpha", "beta"),
     exclusions={"alpha": _nonzero, "beta": lambda q, p: (ZERO, -ONE)},
-    matrices=_build_g4b,
+    connected_to="S4b",
+    a22_increment=lambda q, p: _u(4, 4).scale(p["beta"]),
     expected_detq=lambda q, p: _E4 + _u(4, 4).scale(p["beta"]),
     expected_dim_r=7,
-    expected_r_basis=_r_s4b,
+    expected_r_basis=ENTRIES["S4b"].expected_r_basis,
     expected_inv_basis=(_E4, _u(4, 4)),
     invariant_type="C+C",
     gamma_invariants=(_GAMMA_E44,),
-    connected_to="S4b",
 ))
+
+# -- form 5, A11 = diag(alpha, q^2, q, 1): S5, G5 ------------------------------
 
 _register(TableEntry(
     entry_id="S5",
     params=("alpha", "beta"),
     exclusions={"alpha": lambda q, p: form5_excluded(q), "beta": _nonzero},
-    matrices=_build_s5,
+    form=5,
+    blocks=lambda q, p: _a21_scaled(_u(2, 3) + _u(3, 4), p["beta"], _u(2, 4).scale(p["beta"] / q)),
     expected_detq=_det_one,
     expected_dim_r=7,
-    expected_r_basis=_r_s5,
+    expected_r_basis=(_u(1, 1), _u(2, 2), _u(3, 3), _u(4, 4), _u(2, 3), _u(3, 4), _u(2, 4)),
     expected_inv_basis=(_E4, _u(1, 1)),
     invariant_type="C+C",
     gamma_invariants=(_GAMMA_E11,),
-    canonical_dets=lambda q, p: (_E4 + _u(1, 1).scale(4),),
+    canonical_dets=(_E4 + _u(1, 1).scale(4),),
 ))
 
 _register(TableEntry(
@@ -546,70 +388,78 @@ _register(TableEntry(
         "beta": _nonzero,
         "gamma": lambda q, p: (ZERO, -p["alpha"].inv()),
     },
-    matrices=_build_g5,
+    connected_to="S5",
+    a22_increment=lambda q, p: _u(1, 1).scale(p["gamma"]),
     expected_detq=lambda q, p: _E4 + _u(1, 1).scale(p["alpha"] * p["gamma"]),
     expected_dim_r=7,
-    expected_r_basis=_r_s5,
+    expected_r_basis=ENTRIES["S5"].expected_r_basis,
     expected_inv_basis=(_E4, _u(1, 1)),
     invariant_type="C+C",
     gamma_invariants=(_GAMMA_E11,),
-    connected_to="S5",
 ))
+
+# -- form 6, A11 = diag(q^2, q^2, q, 1) + e12: S6, G6 --------------------------
 
 _register(TableEntry(
     entry_id="S6",
     params=("alpha",),
     exclusions={"alpha": _nonzero},
-    matrices=_build_s6,
+    form=6,
+    blocks=ENTRIES["S3"].blocks,
     expected_detq=_det_one,
     expected_dim_r=7,
-    expected_r_basis=_r_s6,
+    expected_r_basis=(_u(1, 1) + _u(2, 2), _u(1, 2), _u(1, 3), _u(1, 4), _u(3, 3), _u(3, 4), _u(4, 4)),
     expected_inv_basis=(_E4, _u(1, 2)),
     invariant_type="T2'",
     gamma_invariants=(_GAMMA_E12,),
-    canonical_dets=lambda q, p: (_E4 + _u(1, 2).scale(5),),
+    canonical_dets=(_E4 + _u(1, 2).scale(5),),
 ))
 
 _register(TableEntry(
     entry_id="G6",
     params=("alpha", "xi"),
     exclusions={"alpha": _nonzero, "xi": _nonzero},
-    matrices=_build_g6,
+    connected_to="S6",
+    # det_q = 1 + q^2 xi e12 forces the increment xi e12, i.e. the (1, 2)
+    # entry of A22 is xi - q^-4.
+    a22_increment=lambda q, p: _u(1, 2).scale(p["xi"]),
     expected_detq=lambda q, p: _E4 + _u(1, 2).scale(q * q * p["xi"]),
     expected_dim_r=7,
-    expected_r_basis=_r_s6,
+    expected_r_basis=ENTRIES["S6"].expected_r_basis,
     expected_inv_basis=(_E4, _u(1, 2)),
     invariant_type="T2'",
     gamma_invariants=(_GAMMA_E12,),
-    connected_to="S6",
 ))
+
+# -- form 7, A11 = diag(q^2, q, 1, 1) + e34: S7, G7 ----------------------------
 
 _register(TableEntry(
     entry_id="S7",
     params=("alpha",),
     exclusions={"alpha": _nonzero},
-    matrices=_build_s7,
+    form=7,
+    blocks=lambda q, p: _a21_scaled(_u(1, 2) + _u(2, 4), p["alpha"], _u(1, 4).scale(p["alpha"] / q)),
     expected_detq=_det_one,
     expected_dim_r=7,
-    expected_r_basis=_r_s7,
+    expected_r_basis=(_u(1, 1), _u(1, 2), _u(1, 4), _u(2, 2), _u(2, 4), _u(3, 3) + _u(4, 4), _u(3, 4)),
     expected_inv_basis=(_E4, _u(3, 4)),
     invariant_type="T2'",
     gamma_invariants=(_GAMMA_E34,),
-    canonical_dets=lambda q, p: (_E4 + _u(3, 4).scale(5),),
+    canonical_dets=(_E4 + _u(3, 4).scale(5),),
 ))
 
 _register(TableEntry(
     entry_id="G7",
     params=("alpha", "xi"),
     exclusions={"alpha": _nonzero, "xi": _nonzero},
-    matrices=_build_g7,
+    connected_to="S7",
+    a22_increment=lambda q, p: _u(3, 4).scale(p["xi"]),
     expected_detq=lambda q, p: _E4 + _u(3, 4).scale(p["xi"]),
     expected_dim_r=7,
-    expected_r_basis=_r_s7,
+    expected_r_basis=ENTRIES["S7"].expected_r_basis,
     expected_inv_basis=(_E4, _u(3, 4)),
     invariant_type="T2'",
     gamma_invariants=(_GAMMA_E34,),
-    connected_to="S7",
 ))
 
 ENTRY_ORDER = tuple(ENTRIES)
@@ -726,7 +576,8 @@ def check_entry(
         algebra.dim == entry.expected_dim_r,
         f"dim {algebra.dim}, expected {entry.expected_dim_r}",
     )
-    expected_r = Subspace.span_of(entry.expected_r_basis(q.q, p))
+    r_basis = entry.expected_r_basis
+    expected_r = Subspace.span_of(r_basis(q.q, p) if callable(r_basis) else r_basis)
     report.add("operator_algebra_shape", algebra == expected_r)
 
     action = InnerAction(rep, antipode(rep, detq))
@@ -839,18 +690,3 @@ def verify_table(q: DeformationParameter, policy: Optional[Mapping[str, object]]
     distinctness = verify_distinctness({e.entry_id: e.rep for e in entries})
     return TableCheck(q, entries, distinctness, verify_determinant_invariants(entries))
 
-
-def canonical_determinants(
-    entry_id: str,
-    q: DeformationParameter,
-    params: Optional[Mapping[str, object]] = None,
-) -> tuple[Mat, ...]:
-    """Sample canonical determinant choices for an S entry's invariant type.
-
-    One representative per projective class shape: a diagonal choice for the
-    two-diagonal types and the unipotent choice where the invariants contain
-    a nilpotent part.  Empty for entries with scalar invariants only.
-    """
-    entry = get_entry(entry_id)
-    p = resolve_params(entry, q, params)
-    return entry.canonical_dets(q.q, p)

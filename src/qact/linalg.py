@@ -102,6 +102,8 @@ class Mat:
 
     def scale(self, s) -> "Mat":
         s = as_scalar(s)
+        if s == ONE:
+            return self
         return Mat([[x * s if x.a or x.b else x for x in r] for r in self.rows])
 
     # -- predicates --------------------------------------------------------------

@@ -4,7 +4,9 @@ For a fixed 4x4 matrix A the set B(A) of all B with AB = qBA is a linear
 subspace, computed exactly as the kernel of the map X -> AX - qXA
 (linalg.solve_homogeneous).  Seven canonical pairs (A, basis of B(A))
 classify the invertible-A, B(A)^2 != 0 situation; verify_canonical_form
-recomputes each space and checks it against the stored basis.
+recomputes each space and checks it against the stored basis.  form_a is
+the one definition of the seven matrices A: the canonical forms and the A11
+block of every classification table entry are built from it.
 """
 
 from __future__ import annotations
@@ -55,30 +57,50 @@ def form5_excluded(q: Scalar) -> tuple[Scalar, ...]:
     return (ZERO, q.inv(), ONE, q, q * q, q ** 3)
 
 
+# A of each canonical form, as a function of q and of form 5's free diagonal
+# entry alpha, which no other form reads.
+_FORM_A = {
+    1: lambda q, alpha: Mat.diag(q * q, q, 1, 1),
+    2: lambda q, alpha: Mat.diag(q * q, q, q, 1),
+    3: lambda q, alpha: Mat.diag(q * q, q * q, q, 1),
+    4: lambda q, alpha: Mat.diag(q ** 3, q * q, q, 1),
+    5: lambda q, alpha: Mat.diag(alpha, q * q, q, 1),
+    6: lambda q, alpha: Mat.diag(q * q, q * q, q, 1) + Mat.unit(4, 1, 2),
+    7: lambda q, alpha: Mat.diag(q * q, q, 1, 1) + Mat.unit(4, 3, 4),
+}
+
+# The basis of B(A) for each form, as the (i, j) of its matrix units e_ij.
+_FORM_BASES = {
+    1: ((1, 2), (2, 3), (2, 4)),
+    2: ((1, 2), (1, 3), (2, 4), (3, 4)),
+    3: ((1, 3), (2, 3), (3, 4)),
+    4: ((1, 2), (2, 3), (3, 4)),
+    5: ((2, 3), (3, 4)),
+    6: ((1, 3), (3, 4)),
+    7: ((2, 4), (1, 2)),
+}
+
+
+def form_a(form_id: int, q: Scalar, alpha: Scalar | None = None) -> Mat:
+    """A of canonical form form_id (1 to 7) at q; only form 5 reads alpha."""
+    return _FORM_A[form_id](q, alpha)
+
+
 def canonical_forms(q: DeformationParameter, alpha: Scalar | None = None) -> list[CanonicalForm]:
-    """The seven canonical (A, basis of B(A)) pairs at the given q.
+    """The seven canonical (A, basis of B(A)) pairs at the given q, A from form_a.
 
     Form 5 carries a free diagonal entry; when alpha is omitted the smallest
     admissible integer >= 2 is chosen, deterministically in q.
     """
     qq = q.q
-    u = lambda i, j: Mat.unit(4, i, j)
     if alpha is None:
         alpha = smallest_admissible(form5_excluded(qq))
     else:
         alpha = as_scalar(alpha)
         if alpha in set(form5_excluded(qq)):
             raise InvalidFormParameter(f"alpha = {format_scalar(alpha)} is excluded for form 5")
-    forms = [
-        CanonicalForm(1, Mat.diag(qq * qq, qq, 1, 1), (u(1, 2), u(2, 3), u(2, 4))),
-        CanonicalForm(2, Mat.diag(qq * qq, qq, qq, 1), (u(1, 2), u(1, 3), u(2, 4), u(3, 4))),
-        CanonicalForm(3, Mat.diag(qq * qq, qq * qq, qq, 1), (u(1, 3), u(2, 3), u(3, 4))),
-        CanonicalForm(4, Mat.diag(qq ** 3, qq * qq, qq, 1), (u(1, 2), u(2, 3), u(3, 4))),
-        CanonicalForm(5, Mat.diag(alpha, qq * qq, qq, 1), (u(2, 3), u(3, 4)), alpha=alpha),
-        CanonicalForm(6, Mat.diag(qq * qq, qq * qq, qq, 1) + u(1, 2), (u(1, 3), u(3, 4))),
-        CanonicalForm(7, Mat.diag(qq * qq, qq, 1, 1) + u(3, 4), (u(2, 4), u(1, 2))),
-    ]
-    return forms
+    return [CanonicalForm(k, form_a(k, qq, alpha), tuple(Mat.unit(4, i, j) for i, j in units),
+                          alpha if k == 5 else None) for k, units in _FORM_BASES.items()]
 
 
 def verify_canonical_form(form: CanonicalForm, q: DeformationParameter) -> Report:

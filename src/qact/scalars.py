@@ -200,13 +200,14 @@ class Scalar:
         if exponent < 0:
             base = self.inv()
             exponent = -exponent
-        result = ONE
+        result = None
         while exponent:
             if exponent & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             exponent >>= 1
-        return result
+            if exponent:
+                base = base * base
+        return ONE if result is None else result
 
     def inv(self) -> "Scalar":
         """Multiplicative inverse; exists iff the scalar is nonzero."""

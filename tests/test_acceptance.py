@@ -17,7 +17,6 @@ from qact import (
     attach_determinant,
     build_action,
     build_model,
-    canonical_determinants,
     canonical_forms,
     centralizer,
     check_entry,
@@ -245,7 +244,7 @@ def test_criterion_8_invariant_determinant_span():
         if not eid.startswith("S"):
             continue
         rep = instantiate(eid, q)
-        for d in canonical_determinants(eid, q):
+        for d in get_entry(eid).canonical_dets:
             attached = attach_determinant(rep, d)
             assert quantum_determinant(attached) == d, eid
             assert connected_slq(attached) == rep, eid

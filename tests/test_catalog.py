@@ -6,7 +6,7 @@ from qact import (
     Scalar,
     UnknownEntry,
     as_scalar,
-    canonical_determinants,
+    canonical_forms,
     check_entry,
     get_entry,
     instantiate,
@@ -151,13 +151,44 @@ def test_g_entry_invariants_are_determinant_span(q2):
     assert [c.name for c in report.checks] == [e for e in ENTRY_ORDER if e.startswith("G")]
 
 
-def test_canonical_determinants_shapes(q2):
-    assert len(canonical_determinants("S1", q2)) == 2
-    assert len(canonical_determinants("S3", q2)) == 2
-    assert len(canonical_determinants("S5", q2)) == 1
-    assert len(canonical_determinants("S6", q2)) == 1
-    assert canonical_determinants("S4a", q2) == ()
-    assert canonical_determinants("S2a", q2) == ()
+def test_canonical_determinants_shapes():
+    assert len(get_entry("S1").canonical_dets) == 2
+    assert len(get_entry("S3").canonical_dets) == 2
+    assert len(get_entry("S5").canonical_dets) == 1
+    assert len(get_entry("S6").canonical_dets) == 1
+    assert get_entry("S4a").canonical_dets == ()
+    assert get_entry("S2a").canonical_dets == ()
+
+
+@pytest.mark.parametrize("qname", ["q2", "q3", "qc"])
+def test_a11_is_its_canonical_form_at_every_parameter_value(qname, request):
+    # Rebuilt from the entries at several admissible values of each
+    # parameter, A11 is always the matrix of the entry's canonical form and
+    # does not move with the parameters; form 5 (S5, G5) takes alpha as its
+    # free diagonal entry.
+    q = request.getfixturevalue(qname)
+    values = [as_scalar(v) for v in (2, 3, 5, Scalar(-7, 0, 3), Scalar(1, 2))] + [q.q]
+    fixed = canonical_forms(q)
+    assert sorted(get_entry(e).form for e in ENTRY_ORDER if e.startswith("S")) == [1, 2, 2, 2, 2, 3, 4, 4, 5, 6, 7]
+    for eid in ENTRY_ORDER:
+        entry = get_entry(eid)
+        form = get_entry(entry.connected_to or eid).form
+        seen = set()
+        for name in entry.params:
+            for value in values:
+                try:
+                    params = resolve_params(entry, q, {name: value})
+                    rep = instantiate(eid, q, params)
+                except ConstraintViolated:
+                    continue
+                if form == 5:
+                    assert rep.a11 == canonical_forms(q, params["alpha"])[4].a, (eid, params)
+                    assert rep.a11.rows[0][0] == params["alpha"]
+                else:
+                    assert rep.a11 == fixed[form - 1].a, (eid, params)
+                seen.add(rep.a11)
+        assert len(seen) >= (3 if form == 5 else 1), eid
+        assert len(seen) == 1 or form == 5, eid
 
 
 def test_distinctness_spot_check(q2):

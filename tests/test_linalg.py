@@ -128,6 +128,12 @@ def test_inverse_iff_trivial_kernel(rng):
             assert det(m).is_zero
 
 
+def test_scale_by_one_returns_the_matrix():
+    a = E4 + u(1, 2).scale(Scalar(3, 1, 2))
+    assert a.scale(1) is a and a.scale(Scalar(1)) is a
+    assert a.scale(2) == a + a
+
+
 def test_subspace_examples():
     s = Subspace.span_of([u(1, 2) + u(2, 3)])
     t = Subspace.span_of([(u(1, 2) + u(2, 3)).scale(2)])

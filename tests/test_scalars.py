@@ -96,6 +96,23 @@ def test_powers():
     assert I ** 2 == Scalar(-1)
 
 
+@pytest.mark.parametrize("x", [Scalar(2), Scalar(-3, 1, 2), Scalar(1, -2, 3), I], ids=str)
+def test_powers_match_repeated_multiplication(x, monkeypatch):
+    expected = {0: ONE}
+    for e in range(1, 10):
+        expected[e] = expected[e - 1] * x
+        expected[-e] = expected[1 - e] * x.inv()
+    products = []
+    mul = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: products.append((a, b)) or mul(a, b))
+    for e in range(-6, 10):
+        products.clear()
+        assert x ** e == expected[e], e
+        # One squaring per bit after the first and one product per further
+        # set bit: no product by one, and no squaring past the last bit.
+        assert len(products) == max(abs(e).bit_length() + bin(abs(e)).count("1") - 2, 0), e
+
+
 def test_parse_examples():
     assert parse_scalar("3/2-1/2i") == Scalar(3, -1, 2)
     assert parse_scalar("0") == ZERO

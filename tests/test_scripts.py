@@ -100,6 +100,36 @@ def test_bench_runs_alternating_pairs_against_a_parent(tmp_path, monkeypatch, ca
     assert "witness pass_s: won 9, lost 1, tied 0" in out and "wrote BENCH_p-parent.json" in out
 
 
+SRC_LINES_FIXTURE = '''"""Module docstring,
+on two lines."""
+
+# A comment line.
+import os
+
+
+class A:
+    """Class docstring."""
+
+    x = """a string that is not a docstring
+is code"""
+
+    def f(self):
+        """Function docstring."""
+        return os.sep  # a trailing comment
+'''
+
+
+def test_src_lines_counts_code_without_docstrings_comments_or_blanks(tmp_path, capsys):
+    src_lines = load_script("src_lines")
+    # Code: the import, the class line, the two lines of x, the def, the return.
+    assert src_lines.count(SRC_LINES_FIXTURE) == (16, 6)
+    (tmp_path / "a.py").write_text(SRC_LINES_FIXTURE)
+    (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
+    assert src_lines.main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["module", "lines", "code"], ["a.py", "16", "6"], ["b.py", "3", "1"], ["total", "19", "7"]]
+
+
 @pytest.mark.parametrize("name", ["table", "witness", "certificate"])
 def test_perfbench_workloads_set_up_and_warm_up(name, monkeypatch):
     # The benchmark calls qact by name; this fails when a name it calls is gone.
