@@ -37,12 +37,10 @@ from .catalog import (
 )
 from .clifford import (
     CliffordModel,
-    GammaExpr,
     MalformedExpression,
     build_model,
     default_model,
     eval_gamma_expr,
-    parse_gamma_expr,
     selftest,
 )
 from .linalg import (

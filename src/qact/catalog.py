@@ -32,7 +32,7 @@ from .action import (
     spectral_data,
     verify_module_algebra,
 )
-from .clifford import default_model, eval_gamma_expr, parse_gamma_expr
+from .clifford import default_model, eval_gamma_expr
 from .linalg import Mat, Subspace, centralizer, mat_inverse
 from .qrep import (
     GLqRep,
@@ -568,7 +568,9 @@ def check_entry(
         return EntryCheck(entry.entry_id, p, rep, report)
 
     detq = quantum_determinant(rep)
-    report.add("quantum_determinant", detq == entry.expected_detq(q.q, p))
+    want_detq = entry.expected_detq(q.q, p)
+    ok = detq == want_detq
+    report.add("quantum_determinant", ok, "" if ok else f"det_q = {detq!r}, expected {want_detq!r}")
 
     algebra = operator_algebra(rep)
     report.add(
@@ -578,7 +580,8 @@ def check_entry(
     )
     r_basis = entry.expected_r_basis
     expected_r = Subspace.span_of(r_basis(q.q, p) if callable(r_basis) else r_basis)
-    report.add("operator_algebra_shape", algebra == expected_r)
+    ok = algebra == expected_r
+    report.add("operator_algebra_shape", ok, "" if ok else f"dim {algebra.dim}, expected span of dim {expected_r.dim}")
 
     action = InnerAction(rep, antipode(rep, detq))
     op_rel = operator_relation_report(action)
@@ -586,7 +589,8 @@ def check_entry(
 
     cent = centralizer(list(rep.matrices()))
     fixed = action_fixed_points(action)
-    report.add("invariants_two_ways", cent == fixed)
+    ok = cent == fixed
+    report.add("invariants_two_ways", ok, "" if ok else f"centralizer dim {cent.dim}, fixed points dim {fixed.dim}")
 
     expected_inv = Subspace.span_of(list(entry.expected_inv_basis))
     report.add(
@@ -594,11 +598,13 @@ def check_entry(
         cent.dim == INVARIANT_DIMS[entry.invariant_type],
         f"dim {cent.dim}, type {entry.invariant_type}",
     )
-    report.add("invariant_subspace", cent == expected_inv)
-    report.add("detq_is_invariant", cent.contains_matrix(detq))
+    ok = cent == expected_inv
+    report.add("invariant_subspace", ok, "" if ok else f"dim {cent.dim}, expected span of dim {expected_inv.dim}")
+    ok = cent.contains_matrix(detq)
+    report.add("detq_is_invariant", ok, "" if ok else f"det_q = {detq!r} is not invariant")
 
-    model = default_model()
-    evaluated = [eval_gamma_expr(parse_gamma_expr(text), model) for text in entry.gamma_invariants]
+    gamma = default_model().gamma
+    evaluated = [eval_gamma_expr(text, gamma) for text in entry.gamma_invariants]
     inside = all(cent.contains_matrix(m) for m in evaluated)
     spanned = Subspace.span_of([_E4] + evaluated) == cent
     report.add("gamma_invariants", inside and spanned, f"{len(evaluated)} expressions")

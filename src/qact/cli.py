@@ -44,19 +44,19 @@ class UsageError(ValueError):
         self.position = position
 
 
-class _Parser(argparse.ArgumentParser):
+class _ArgParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="qact", description=__doc__)
+def _build_parser() -> _ArgParser:
+    parser = _ArgParser(prog="qact", description=__doc__)
     parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a subcommand-level flag from clobbering one given
     # before the subcommand.
     common.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgParser)
 
     p = sub.add_parser("verify-table", help="verify one entry or the whole table", parents=[common])
     p.add_argument("--entry", default=None)

@@ -5,12 +5,25 @@ with metric signature (1, -1, -1, -1).  Sixteen product expressions in the
 generators reproduce the standard matrix units e_11..e_44 exactly, which
 identifies C(1,3) with the full 4x4 matrix algebra; build_model validates
 all of this at construction time.
+
+Gamma expressions are read by Python's parser (ast.parse, "eval" mode; the
+text is never executed) and evaluated under a whitelist, with Python's
+precedence and left associativity:
+
+    expr := expr ('+' | '-' | '*') expr | '-' expr | expr '/' k | int
+          | 'g0' | 'g1' | 'g2' | 'g3' | 'g12' | 'i' | '(' expr ')'
+
+k is a positive int literal, g12 is g1*g2 and i the imaginary unit.  Any other
+node (unary '+', '**', '@', calls, other names, bool, float, complex) or syntax
+error raises MalformedExpression at its position.  Unlike the former hand-written
+grammar, x/(4), 0x10, 1_0, a comment and a backslash continuation are accepted,
+and a newline outside parentheses or a leading zero (01) is rejected; no
+constant uses any of these.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import ast
 from functools import lru_cache
 
 from .linalg import Mat
@@ -88,7 +101,7 @@ class CliffordModel:
 def build_model() -> CliffordModel:
     """Construct and validate the model; any failure is a build-breaking bug."""
     gamma = _gammas()
-    units = {key: eval_gamma_expr(parse_gamma_expr(text), gamma) for key, text in UNIT_EXPRESSIONS.items()}
+    units = {key: eval_gamma_expr(text, gamma) for key, text in UNIT_EXPRESSIONS.items()}
     model = CliffordModel(gamma, units)
     report = selftest(model)
     report.require(AssertionError)
@@ -138,138 +151,43 @@ def selftest(model: CliffordModel) -> Report:
     return report
 
 
-# -- gamma expression grammar ---------------------------------------------------
-#
-#   expr   := term (('+' | '-') term)*
-#   term   := factor (('*' factor) | ('/' posint))*
-#   factor := '-' factor | atom
-#   atom   := posint | 'i' | 'g0' | 'g1' | 'g2' | 'g3' | 'g12' | '(' expr ')'
+# -- gamma expressions -----------------------------------------------------------
+
+_BINARY = {ast.Add: Mat.__add__, ast.Sub: Mat.__sub__, ast.Mult: Mat.__mul__}
 
 
-@dataclass(frozen=True)
-class GammaExpr:
-    """Parsed abstract syntax tree of a gamma expression."""
+def eval_gamma_expr(text: str, gamma: tuple[Mat, Mat, Mat, Mat]) -> Mat:
+    """Evaluate a gamma expression to an exact 4x4 matrix over the given generators."""
+    try:
+        tree = ast.parse(text.strip(), mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        where = _position(text, getattr(exc, "lineno", None) or 1, (getattr(exc, "offset", None) or 1) - 1)
+        raise MalformedExpression(getattr(exc, "msg", str(exc)), where) from None
+    g0, g1, g2, g3 = gamma
+    atoms = {"g0": g0, "g1": g1, "g2": g2, "g3": g3, "g12": g1 * g2, "i": Mat.identity(4).scale(I)}
 
-    text: str
-    root: tuple
+    def walk(node: ast.expr) -> Mat:
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](walk(node.left), walk(node.right))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            k = node.right
+            if isinstance(k, ast.Constant) and type(k.value) is int and k.value > 0:
+                return walk(node.left).scale(Scalar(1, 0, k.value))
+            node = k  # report a bad divisor at its own position
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -walk(node.operand)
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            return Mat.identity(4).scale(node.value)
+        elif isinstance(node, ast.Name) and node.id in atoms:
+            return atoms[node.id]
+        where = _position(text, node.lineno, node.col_offset)
+        raise MalformedExpression(f"unexpected {type(node).__name__}", where)
 
-
-_ATOMS = ("g12", "g0", "g1", "g2", "g3", "i")
-
-
-def parse_gamma_expr(text: str) -> GammaExpr:
-    parser = _Parser(text)
-    root = parser.expr()
-    parser.skip_ws()
-    if parser.pos != len(parser.text):
-        raise MalformedExpression("unexpected trailing characters", parser.pos)
-    return GammaExpr(text, root)
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expr(self) -> tuple:
-        node = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                node = ("add", node, self.term())
-            elif ch == "-":
-                self.pos += 1
-                node = ("sub", node, self.term())
-            else:
-                return node
-
-    def term(self) -> tuple:
-        node = self.factor()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                node = ("mul", node, self.factor())
-            elif ch == "/":
-                self.pos += 1
-                mark = self.pos
-                divisor = self.integer()
-                if divisor == 0:
-                    raise MalformedExpression("division by zero", mark)
-                node = ("div", node, divisor)
-            else:
-                return node
-
-    def factor(self) -> tuple:
-        ch = self.peek()
-        if ch == "-":
-            self.pos += 1
-            return ("neg", self.factor())
-        return self.atom()
-
-    def atom(self) -> tuple:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            node = self.expr()
-            if self.peek() != ")":
-                raise MalformedExpression("expected ')'", self.pos)
-            self.pos += 1
-            return node
-        if ch.isdigit():
-            return ("int", self.integer())
-        for name in _ATOMS:
-            if self.text.startswith(name, self.pos):
-                self.pos += len(name)
-                return ("atom", name)
-        raise MalformedExpression("expected a factor", self.pos)
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise MalformedExpression("expected an integer", start)
-        return int(self.text[start : self.pos])
+    return walk(tree.body)
 
 
-def eval_gamma_expr(expr: GammaExpr, model) -> Mat:
-    """Evaluate an expression to an exact 4x4 matrix.
-
-    Accepts either a CliffordModel or a bare 4-tuple of gamma matrices.
-    """
-    gamma = model.gamma if isinstance(model, CliffordModel) else model
-    return _eval(expr.root, gamma)
-
-
-def _eval(node: tuple, gamma) -> Mat:
-    kind = node[0]
-    if kind == "add":
-        return _eval(node[1], gamma) + _eval(node[2], gamma)
-    if kind == "sub":
-        return _eval(node[1], gamma) - _eval(node[2], gamma)
-    if kind == "mul":
-        return _eval(node[1], gamma) * _eval(node[2], gamma)
-    if kind == "div":
-        return _eval(node[1], gamma).scale(Scalar.from_rationals(Fraction(1, node[2])))
-    if kind == "neg":
-        return -_eval(node[1], gamma)
-    if kind == "int":
-        return Mat.identity(4).scale(node[1])
-    name = node[1]
-    if name == "i":
-        return Mat.identity(4).scale(I)
-    if name == "g12":
-        return gamma[1] * gamma[2]
-    return gamma[int(name[1])]
-
+def _position(text: str, line: int, column: int) -> int:
+    """Index into text of a column (UTF-8 bytes for a node) on a 1-based line of the stripped text, clamped."""
+    body = text.lstrip()
+    before = sum(len(row) + 1 for row in body.split("\n")[: line - 1])
+    return min(max(len(text) - len(body) + before + column, 0), len(text))

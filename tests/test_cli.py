@@ -3,6 +3,7 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from qact import (
     validate_q,
     verify_glq_relations,
 )
-from qact.catalog import ENTRY_ORDER
+from qact.catalog import ENTRIES, ENTRY_ORDER
 from qact.cli import main
 from qact.clifford import default_model
 from qact.scalars import scalar_from_json
@@ -41,9 +42,28 @@ def run_json(capsys, *argv):
 
 
 def test_clifford_selftest(capsys):
-    code, doc = run_json(capsys, "clifford-selftest")
+    code, out = run(capsys, "clifford-selftest")
     assert code == 0
-    assert doc["ok"] is True
+    assert out == (
+        '{"ok":true,"checks":['
+        '{"name":"anticommutators","pass":true,"detail":"10 identities"},'
+        '{"name":"unit_products","pass":true,"detail":"256 identities"},'
+        '{"name":"unit_resolution","pass":true,"detail":"sum of e_ii"},'
+        '{"name":"units_are_standard","pass":true,"detail":"e_ij match the standard matrix units"}]}\n'
+    )
+
+
+def test_failed_determinant_check_names_both_matrices(capsys, monkeypatch):
+    # G3b's increment q^-2 e12 is the one its determinant column 1 + e12 forces;
+    # with e12 instead, det_q = 1 + q^2 e12.
+    g3b = replace(ENTRIES["G3b"], a22_increment=lambda q, p: Mat.unit(4, 1, 2))
+    monkeypatch.setitem(ENTRIES, "G3b", g3b)
+    code, doc = run_json(capsys, "verify-table", "--entry", "G3b", "--q", "2")
+    assert code == 1
+    failed = {c["name"]: c["detail"] for c in doc["entries"][0]["checks"] if not c["pass"]}
+    assert failed["quantum_determinant"] == (
+        "det_q = Mat[1 4 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1], expected Mat[1 1 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1]"
+    )
 
 
 def test_verify_single_entry(capsys):

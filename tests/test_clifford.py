@@ -1,12 +1,14 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qact import (
     Mat,
     MalformedExpression,
     Scalar,
     build_model,
+    default_model,
     eval_gamma_expr,
-    parse_gamma_expr,
     selftest,
 )
 
@@ -14,7 +16,7 @@ E4 = Mat.identity(4)
 
 
 def ev(text, model):
-    return eval_gamma_expr(parse_gamma_expr(text), model)
+    return eval_gamma_expr(text, model.gamma)
 
 
 def test_selftest_passes(model):
@@ -89,12 +91,70 @@ def test_scalar_coefficients_in_grammar(model):
     assert ev("2*g1*g2 - 2*g12", model).is_zero
     assert ev("i*i", model) == E4.scale(-1)
     assert ev("(1-g0)*(1-g0)", model) == ev("2*(1-g0)", model)
+    assert ev("g0/(4)", model) == ev("g0/4", model)
 
 
-@pytest.mark.parametrize("bad", ["", "(1-g0", "g4", "1++2", "g12*", "2/0i", "g 1", "*g0"])
+# Precedence levels of the generated expressions: an operand whose level is
+# below what its operator needs is parenthesised, and no other is.
+SUM, PRODUCT, UNARY, ATOM = range(4)
+G0, G1, G2, G3 = default_model().gamma
+ATOMS = {"g0": G0, "g1": G1, "g2": G2, "g3": G3, "g12": G1 * G2, "i": E4.scale(Scalar(0, 1))}
+BINARY = {"+": (SUM, Mat.__add__), "-": (SUM, Mat.__sub__), "*": (PRODUCT, Mat.__mul__)}
+
+
+def _wrap(part, needed):
+    text, level, _ = part
+    return f"({text})" if level < needed else text
+
+
+def _binary(parts):
+    left, op, right = parts
+    level, apply = BINARY[op]
+    # Left associative: a right operand at the operator's own level needs parentheses.
+    return f"{_wrap(left, level)}{op}{_wrap(right, level + 1)}", level, apply(left[2], right[2])
+
+
+def _compound(children):
+    return (
+        st.tuples(children, st.sampled_from(sorted(BINARY)), children).map(_binary)
+        | children.map(lambda c: (f"-{_wrap(c, UNARY)}", UNARY, -c[2]))
+        | st.tuples(children, st.integers(1, 9)).map(
+            lambda t: (f"{_wrap(t[0], PRODUCT)}/{t[1]}", PRODUCT, t[0][2].scale(Scalar(1, 0, t[1])))
+        )
+    )
+
+
+gamma_exprs = st.recursive(
+    st.sampled_from(sorted(ATOMS)).map(lambda name: (name, ATOM, ATOMS[name]))
+    | st.integers(0, 9).map(lambda k: (str(k), ATOM, E4.scale(k))),
+    _compound,
+    max_leaves=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma_exprs)
+@example(("g1-g2-g3", SUM, G1 - G2 - G3))
+@example(("-g0*g3", PRODUCT, (-G0) * G3))
+@example(("g0/2/3", PRODUCT, G0.scale(Scalar(1, 0, 6))))
+def test_evaluation_matches_generated_matrix(generated):
+    text, _, matrix = generated
+    assert eval_gamma_expr(text, default_model().gamma) == matrix, text
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "", "(1-g0", "g4", "1++2", "g12*", "2/0i", "g 1", "*g0",
+        "2**2", "g0/g1", "g0/0", "True", "1.5*g0", "1j", "+g0", "g0(1)", "g0 @ g1", "x", "\x00",
+        "(" * 300 + "g0" + ")" * 300, "g0\n+g1", "(g0\n+x)", "\uff470+x",
+    ],
+)
 def test_parser_errors(bad, model):
-    with pytest.raises(MalformedExpression):
-        parse_gamma_expr(bad)
+    with pytest.raises(MalformedExpression) as info:
+        eval_gamma_expr(bad, model.gamma)
+    position = info.value.position
+    assert type(position) is int and 0 <= position <= len(bad)
 
 
 def test_build_model_is_deterministic(model):
