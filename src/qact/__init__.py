@@ -60,9 +60,7 @@ from .qrep import (
     A11Singular,
     DeterminantSingular,
     DNotInvariant,
-    DSingular,
     GLqRep,
-    R22Singular,
     RelationViolated,
     RqRep,
     antipode,
@@ -73,10 +71,8 @@ from .qrep import (
     is_slq,
     quantum_determinant,
     require_representation,
-    schur_r22,
     to_rq,
     verify_glq_relations,
-    verify_rq_relations,
 )
 from .qspinor import (
     CanonicalForm,

@@ -92,7 +92,7 @@ def build_action(rep: GLqRep) -> InnerAction:
 def operator_relation_report(action: InnerAction) -> Report:
     """The six quantum-matrix relations for the 16x16 action operators L_11, L_12, L_21, L_22."""
     operators = [mul_operator(_operator_terms(action, i, j)) for i in (1, 2) for j in (1, 2)]
-    return _relation_report("action-operator-relations", *operators, action.rep.q)
+    return _relation_report(*operators, action.rep.q, action.rep.q.q - action.rep.q.inv)
 
 
 def verify_module_algebra(counit: Report) -> Report:
@@ -112,7 +112,7 @@ def verify_module_algebra(counit: Report) -> Report:
     counit_right_ij check of counit, block ij of M S, which is a_ij . 1.
     """
     passed = {c.name: c.passed for c in counit.checks}
-    report = Report("module-algebra")
+    report = Report()
     for i in (1, 2):
         for j in (1, 2):
             unit = passed[f"counit_right_{i}{j}"]

@@ -519,11 +519,10 @@ def instantiate(
     entry_id: str,
     q: DeformationParameter,
     params: Optional[Mapping[str, object]] = None,
-    policy: Optional[Mapping[str, object]] = None,
 ) -> GLqRep:
     """Concrete representation for a table entry; relations are verified."""
     entry = get_entry(entry_id)
-    return require_representation(entry.representation(q, resolve_params(entry, q, params, policy)))
+    return require_representation(entry.representation(q, resolve_params(entry, q, params)))
 
 
 @dataclass(frozen=True)
@@ -560,7 +559,7 @@ def check_entry(
     entry = get_entry(entry_id)
     p = resolve_params(entry, q, params, policy)
     rep = entry.representation(q, p)
-    report = Report(entry.entry_id)
+    report = Report()
 
     relations = verify_glq_relations(rep)
     report.add("relations", relations.ok, _first_bad(relations))
@@ -627,7 +626,7 @@ def verify_distinctness(reps: Mapping[str, GLqRep]) -> Report:
     """Pairwise non-equivalence of the given entries, plus self-witnesses; spectral data once per entry."""
     ids = list(reps)
     spectra = {e: spectral_data(rep) for e, rep in reps.items()}
-    report = Report("distinctness")
+    report = Report()
     for i, e1 in enumerate(ids):
         for e2 in ids[i:]:
             verdict = decide_equivalence(reps[e1], reps[e2], (spectra[e1], spectra[e2]))
@@ -645,7 +644,7 @@ def verify_distinctness(reps: Mapping[str, GLqRep]) -> Report:
 
 def verify_determinant_invariants(checks: Iterable[EntryCheck]) -> Report:
     """Every checked G entry's invariant algebra equals span{1, det_q}."""
-    report = Report("determinant_invariants")
+    report = Report()
     for check in checks:
         if not check.entry_id.startswith("G"):
             continue

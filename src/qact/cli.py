@@ -214,7 +214,7 @@ def _cmd_b_space(args) -> tuple[dict, int]:
 
 def _cmd_check_rep(args) -> tuple[dict, int]:
     rep = _rep_from_file(args.file)
-    report = Report("check-rep")
+    report = Report()
     relations = verify_glq_relations(rep)
     report.extend(relations, prefix="relation:")
     if relations.ok:

@@ -15,10 +15,11 @@ precedence and left associativity:
 
 k is a positive int literal, g12 is g1*g2 and i the imaginary unit.  Any other
 node (unary '+', '**', '@', calls, other names, bool, float, complex) or syntax
-error raises MalformedExpression at its position.  Unlike the former hand-written
-grammar, x/(4), 0x10, 1_0, a comment and a backslash continuation are accepted,
-and a newline outside parentheses or a leading zero (01) is rejected; no
-constant uses any of these.
+error raises MalformedExpression at its position; nesting too deep for the
+parser or the evaluator raises it at the start of the expression.  Unlike the
+former hand-written grammar, x/(4), 0x10, 1_0, a comment and a backslash
+continuation are accepted, and a newline outside parentheses or a leading zero
+(01) is rejected; no constant uses any of these.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def default_model() -> CliffordModel:
 
 def selftest(model: CliffordModel) -> Report:
     """Check the Clifford relations and all matrix-unit identities."""
-    report = Report("clifford-selftest")
+    report = Report()
     e4 = model.identity
     gamma = model.gamma
     ok = True
@@ -160,7 +161,7 @@ def eval_gamma_expr(text: str, gamma: tuple[Mat, Mat, Mat, Mat]) -> Mat:
     """Evaluate a gamma expression to an exact 4x4 matrix over the given generators."""
     try:
         tree = ast.parse(text.strip(), mode="eval")
-    except (SyntaxError, ValueError) as exc:
+    except (SyntaxError, ValueError, RecursionError) as exc:
         where = _position(text, getattr(exc, "lineno", None) or 1, (getattr(exc, "offset", None) or 1) - 1)
         raise MalformedExpression(getattr(exc, "msg", str(exc)), where) from None
     g0, g1, g2, g3 = gamma
@@ -183,7 +184,10 @@ def eval_gamma_expr(text: str, gamma: tuple[Mat, Mat, Mat, Mat]) -> Mat:
         where = _position(text, node.lineno, node.col_offset)
         raise MalformedExpression(f"unexpected {type(node).__name__}", where)
 
-    return walk(tree.body)
+    try:
+        return walk(tree.body)
+    except RecursionError:
+        raise MalformedExpression("expression nested too deeply", _position(text, 1, 0)) from None
 
 
 def _position(text: str, line: int, column: int) -> int:

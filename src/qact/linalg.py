@@ -126,9 +126,6 @@ class Mat:
     def is_lower_triangular(self) -> bool:
         return all(_all_zero(r[i + 1 :]) for i, r in enumerate(self.rows))
 
-    def commutes_with(self, other: "Mat") -> bool:
-        return self * other == other * self
-
     def trace(self) -> Scalar:
         t = ZERO
         for i in range(self.n):

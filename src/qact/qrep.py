@@ -6,8 +6,22 @@ quantum determinant D = A11*A22 - q*A12*A21 then commutes with all four.
 A GL_q representation has D invertible, which antipode decides as it inverts
 D; the antipode blocks are the blocks of M^-1, M = [[A11, A12], [A21, A22]],
 and define the inner action (see action.build_action).  R_q replaces the
-second diagonal generator with r22 -> R22 = A22 - A12*A11^-1*A21, which
-commutes with A11; the two presentations convert into each other losslessly.
+second diagonal generator with r22 -> R22 = A22 - A12*A11^-1*A21; its
+relations are the same six with x11 x22 - x22 x11 = c x12 x21 for c = 0,
+where GL_q has c = q - q^-1.  The two presentations convert into each other
+losslessly.
+
+Every A22 is rebuilt by one identity: for invertible A11 and d,
+A22 = A11^-1 (d + q A12 A21) gives det_q = A11 A22 - q A12 A21 = d exactly.
+connected_slq takes d = 1, attach_determinant the given d, and from_rq
+d = A11 R22, so that A22 = R22 + q A11^-1 A12 A21.  That is the Schur inverse
+R22 + A12 A11^-1 A21 whenever A11 A12 = q A12 A11, for then
+A12 A11^-1 = q A11^-1 A12.  When it fails, a result built with either A22
+keeps A11 and A12 and fails it first, so both refuse with the same
+RelationViolated.  The refusals come in order: A11Singular (A11 is inverted
+first), DeterminantSingular for a singular d, then RelationViolated;
+attach_determinant refuses an input with det_q != 1, then a d that is not
+invariant (DNotInvariant), before any of them.
 """
 
 from __future__ import annotations
@@ -16,7 +30,7 @@ from dataclasses import dataclass
 
 from .linalg import DimensionMismatch, Mat, Singular, centralizer, det, mat_inverse
 from .report import Report
-from .scalars import DeformationParameter, scalar_from_json
+from .scalars import ZERO, DeformationParameter, Scalar, scalar_from_json
 
 
 Blocks = tuple[tuple[Mat, Mat], tuple[Mat, Mat]]
@@ -32,14 +46,6 @@ class DeterminantSingular(ValueError):
 
 class A11Singular(ValueError):
     """A11 must be invertible for this construction."""
-
-
-class R22Singular(ValueError):
-    """R22 must be invertible for this construction."""
-
-
-class DSingular(ValueError):
-    """The attached determinant must be invertible."""
 
 
 class DNotInvariant(ValueError):
@@ -102,30 +108,30 @@ GLQ_RELATIONS = (
 )
 
 
-def _relation_report(subject: str, x11: Mat, x12: Mat, x21: Mat, x22: Mat, q: DeformationParameter) -> Report:
+def _relation_report(x11: Mat, x12: Mat, x21: Mat, x22: Mat, q: DeformationParameter, c: Scalar) -> Report:
     """The six quantum-matrix relations, in GLQ_RELATIONS order, for any four matrices.
 
     Each relation is tested as an exact comparison of two matrices: x y = q y x
     for the four q-commutators, x12 x21 = x21 x12, and
-    x11 x22 - x22 x11 = (q - q^-1) x12 x21, the product x12 x21 taken once for
-    the last two.  The same function checks the 4x4 generator matrices and the
-    16x16 action operators.
+    x11 x22 - x22 x11 = c x12 x21, the product x12 x21 taken once for the last
+    two.  c is q - q^-1 for the 4x4 generator matrices of GL_q and the 16x16
+    action operators, and 0 for R_q.
     """
     qq = q.q
     bc = x12 * x21
-    report = Report(subject)
+    report = Report()
     report.add(GLQ_RELATIONS[0], x11 * x12 == (x12 * x11).scale(qq))
     report.add(GLQ_RELATIONS[1], x11 * x21 == (x21 * x11).scale(qq))
     report.add(GLQ_RELATIONS[2], x12 * x22 == (x22 * x12).scale(qq))
     report.add(GLQ_RELATIONS[3], x21 * x22 == (x22 * x21).scale(qq))
     report.add(GLQ_RELATIONS[4], bc == x21 * x12)
-    report.add(GLQ_RELATIONS[5], x11 * x22 - x22 * x11 == bc.scale(qq - q.inv))
+    report.add(GLQ_RELATIONS[5], x11 * x22 - x22 * x11 == bc.scale(c))
     return report
 
 
 def verify_glq_relations(rep: GLqRep) -> Report:
     """Check the six quantum-matrix relations exactly; itemized report."""
-    return _relation_report("glq-relations", *rep.matrices(), rep.q)
+    return _relation_report(*rep.matrices(), rep.q, rep.q.q - rep.q.inv)
 
 
 def require_representation(rep: GLqRep) -> GLqRep:
@@ -158,7 +164,7 @@ def antipode_check(rep: GLqRep, s: Blocks) -> Report:
     """Both counit identities, S M = I_8 and M S = I_8, for blocks s, all eight of them."""
     a = ((rep.a11, rep.a12), (rep.a21, rep.a22))
     e4 = Mat.identity(4)
-    report = Report("antipode")
+    report = Report()
     for i in range(2):
         for j in range(2):
             want = e4 if i == j else Mat.zero(4)
@@ -176,40 +182,27 @@ def _a11_inverse(a11: Mat) -> Mat:
         raise A11Singular("A11 is singular") from exc
 
 
-def schur_r22(rep: GLqRep) -> Mat:
-    """R22 = A22 - A12*A11^-1*A21 without building a full RqRep."""
-    return rep.a22 - rep.a12 * _a11_inverse(rep.a11) * rep.a21
-
-
-def verify_rq_relations(rep: RqRep) -> Report:
-    q = rep.q.q
-    report = Report("rq-relations")
-    report.add("a11_a12_spinor", rep.a11 * rep.a12 == (rep.a12 * rep.a11).scale(q))
-    report.add("a11_a21_spinor", rep.a11 * rep.a21 == (rep.a21 * rep.a11).scale(q))
-    report.add("a12_a21_commute", rep.a12.commutes_with(rep.a21))
-    report.add("a12_r22_spinor", rep.a12 * rep.r22 == (rep.r22 * rep.a12).scale(q))
-    report.add("a21_r22_spinor", rep.a21 * rep.r22 == (rep.r22 * rep.a21).scale(q))
-    report.add("a11_r22_commute", rep.a11.commutes_with(rep.r22))
-    return report
+def _with_determinant(x: GLqRep | RqRep, d: Mat) -> GLqRep:
+    """x's A11, A12, A21 with A22 = A11^-1 (d + q A12 A21): det_q = d exactly; relations re-verified."""
+    a11_inv = _a11_inverse(x.a11)
+    if det(d).is_zero:
+        raise DeterminantSingular("quantum determinant is singular")
+    a22 = a11_inv * (d + (x.a12 * x.a21).scale(x.q.q))
+    return require_representation(GLqRep(x.a11, x.a12, x.a21, a22, x.q))
 
 
 def to_rq(rep: GLqRep) -> RqRep:
     """Convert to the R_q presentation and verify it, plus det_q = A11*R22."""
-    r22 = schur_r22(rep)
-    rq = RqRep(rep.a11, rep.a12, rep.a21, r22, rep.q)
-    report = verify_rq_relations(rq)
+    r22 = rep.a22 - rep.a12 * _a11_inverse(rep.a11) * rep.a21
+    report = _relation_report(rep.a11, rep.a12, rep.a21, r22, rep.q, ZERO)
     report.add("detq_equals_a11_r22", quantum_determinant(rep) == rep.a11 * r22)
     report.require(RelationViolated)
-    return rq
+    return RqRep(rep.a11, rep.a12, rep.a21, r22, rep.q)
 
 
 def from_rq(rep: RqRep) -> GLqRep:
-    """Rebuild the GL_q presentation; relations are re-verified."""
-    a11_inv = _a11_inverse(rep.a11)
-    if det(rep.r22).is_zero:
-        raise R22Singular("R22 is singular")
-    a22 = rep.r22 + rep.a12 * a11_inv * rep.a21
-    return require_representation(GLqRep(rep.a11, rep.a12, rep.a21, a22, rep.q))
+    """Rebuild the GL_q presentation, with det_q = A11*R22; relations are re-verified."""
+    return _with_determinant(rep, rep.a11 * rep.r22)
 
 
 def is_slq(rep: GLqRep) -> bool:
@@ -219,8 +212,7 @@ def is_slq(rep: GLqRep) -> bool:
 
 def connected_slq(rep: GLqRep) -> GLqRep:
     """Replace A22 by A11^-1 (1 + q A12 A21), forcing det_q = 1."""
-    a22 = _a11_inverse(rep.a11) * (Mat.identity(4) + (rep.a12 * rep.a21).scale(rep.q.q))
-    return require_representation(GLqRep(rep.a11, rep.a12, rep.a21, a22, rep.q))
+    return _with_determinant(rep, Mat.identity(4))
 
 
 def attach_determinant(slq: GLqRep, d: Mat) -> GLqRep:
@@ -231,14 +223,6 @@ def attach_determinant(slq: GLqRep, d: Mat) -> GLqRep:
     """
     if not is_slq(slq):
         raise ValueError("attach_determinant expects a representation with det_q = 1")
-    if det(d).is_zero:
-        raise DSingular("attached determinant is singular")
-    invariant_space = centralizer(list(slq.matrices()))
-    if not invariant_space.contains_matrix(d):
+    if not centralizer(list(slq.matrices())).contains_matrix(d):
         raise DNotInvariant("attached determinant is not an invariant of the action")
-    a11_inv = mat_inverse(slq.a11)
-    a22 = slq.a22 + a11_inv * (d - Mat.identity(4))
-    result = require_representation(GLqRep(slq.a11, slq.a12, slq.a21, a22, slq.q))
-    if quantum_determinant(result) != d:
-        raise AssertionError("attached determinant mismatch")
-    return result
+    return _with_determinant(slq, d)

@@ -109,7 +109,7 @@ def verify_canonical_form(form: CanonicalForm, q: DeformationParameter) -> Repor
     Raises VerificationFailure on the first failed assertion; on success the
     returned report itemizes the checks.
     """
-    report = Report(f"canonical-form-{form.form_id}")
+    report = Report()
     space = spinor_space(form.a, q)
     expected = Subspace.span_of(form.expected_basis)
     report.add(

@@ -17,7 +17,6 @@ class Check:
 
 @dataclass
 class Report:
-    subject: str
     checks: list[Check] = field(default_factory=list)
 
     @property

@@ -324,6 +324,18 @@ def dense_kernel(rows, width: int) -> list:
     return dense_rref(basis, width)[0]
 
 
+def reference_from_rq_a22(rq) -> Mat:
+    """The Schur inverse A22 = R22 + A12 A11^-1 A21 on the dense kernels; A11 must be invertible."""
+    a11_inv = Mat(dense_inverse(rq.a11))
+    return Mat(dense_add(rq.r22, Mat(dense_mul(Mat(dense_mul(rq.a12, a11_inv)), rq.a21))))
+
+
+def reference_attached_a22(slq, d: Mat) -> Mat:
+    """A22 + A11^-1 (d - 1) on the dense kernels, for slq with det_q = 1 and invertible A11."""
+    one = Mat([[_ONE if i == j else _ZERO for j in range(4)] for i in range(4)])
+    return Mat(dense_add(slq.a22, Mat(dense_mul(Mat(dense_inverse(slq.a11)), Mat(dense_sub(d, one))))))
+
+
 def simplex_exponents(dim: int, degree: int):
     """Every c in N^dim with |c| = degree, in descending lexicographic order."""
     if dim == 0:

@@ -207,18 +207,20 @@ def test_distinctness_at_complex_sample_point(qc):
     assert len(report.checks) == 210
 
 
-def test_g_entries_reconstructed_by_attachment(q2):
+@pytest.mark.parametrize("qname", ["q2", "q3", "qc"])
+def test_g_entries_reconstructed_by_attachment(qname, request):
     # Every G entry equals its connected S entry with the G determinant
     # attached; this pins the A22 increments against the det_q column.
     from qact import attach_determinant, connected_slq
 
+    q = request.getfixturevalue(qname)
     for gid in ENTRY_ORDER:
         sid = get_entry(gid).connected_to
         if sid is None:
             continue
-        g = instantiate(gid, q2)
-        g_params = resolve_params(get_entry(gid), q2)
+        g = instantiate(gid, q)
+        g_params = resolve_params(get_entry(gid), q)
         s_params = {k: v for k, v in g_params.items() if k in get_entry(sid).params}
-        s = instantiate(sid, q2, s_params)
+        s = instantiate(sid, q, s_params)
         assert connected_slq(g) == s, gid
         assert attach_determinant(s, quantum_determinant(g)) == g, gid

@@ -148,6 +148,7 @@ def test_evaluation_matches_generated_matrix(generated):
         "", "(1-g0", "g4", "1++2", "g12*", "2/0i", "g 1", "*g0",
         "2**2", "g0/g1", "g0/0", "True", "1.5*g0", "1j", "+g0", "g0(1)", "g0 @ g1", "x", "\x00",
         "(" * 300 + "g0" + ")" * 300, "g0\n+g1", "(g0\n+x)", "\uff470+x",
+        "-" * 5000 + "g0", "-" * 1000 + "g0", "+".join(["g0"] * 1000),
     ],
 )
 def test_parser_errors(bad, model):

@@ -2,16 +2,21 @@ import random
 
 import pytest
 
-from helpers import inverse_blocks, is_nilpotent, one_relation_broken, random_dense_invertible
+from helpers import (
+    inverse_blocks,
+    is_nilpotent,
+    one_relation_broken,
+    random_dense_invertible,
+    reference_attached_a22,
+    reference_from_rq_a22,
+)
 from qact import (
     A11Singular,
     DeterminantSingular,
     DNotInvariant,
-    DSingular,
     EquivalenceWitness,
     GLqRep,
     Mat,
-    R22Singular,
     RelationViolated,
     RqRep,
     Singular,
@@ -27,13 +32,11 @@ from qact import (
     parse_scalar,
     quantum_determinant,
     require_representation,
-    schur_r22,
     to_rq,
     validate_q,
     verify_glq_relations,
-    verify_rq_relations,
 )
-from qact.catalog import ENTRY_ORDER
+from qact.catalog import ENTRY_ORDER, get_entry, resolve_params
 from qact.qrep import GLQ_RELATIONS
 
 E4 = Mat.identity(4)
@@ -162,15 +165,22 @@ def test_to_rq_examples(q2):
     s1 = instantiate("S1", q2)
     rq = to_rq(s1)
     assert rq.r22 == mat_inverse(s1.a11)
-    assert verify_rq_relations(rq).ok
     g1a = instantiate("G1a", q2)
     assert g1a.a11 * to_rq(g1a).r22 == quantum_determinant(g1a)
 
 
-def test_rq_round_trip_all_entries(q2):
+@pytest.mark.parametrize("qname", ["q2", "q3", "qc"])
+def test_rq_round_trip_all_entries(qname, request):
+    q = request.getfixturevalue(qname)
     for eid in ENTRY_ORDER:
-        rep = instantiate(eid, q2)
-        assert from_rq(to_rq(rep)) == rep
+        rep = instantiate(eid, q)
+        assert from_rq(to_rq(rep)) == rep, eid
+
+
+def test_rq_relation_failure_is_named(q2):
+    # Only the commuting diagonal of R_q fails: A11 R22 - R22 A11 = -e12.
+    with pytest.raises(RelationViolated, match="^diagonal_commutator$"):
+        to_rq(GLqRep(Mat.diag(1, 2, 3, 4), Mat.zero(4), Mat.zero(4), u(1, 2), q2))
 
 
 def test_from_rq_rebuilds_a22(q2):
@@ -183,18 +193,20 @@ def test_from_rq_rebuilds_a22(q2):
 
 def test_from_rq_singular_errors(q2):
     s1 = instantiate("S1", q2)
-    with pytest.raises(R22Singular):
+    with pytest.raises(DeterminantSingular):
         from_rq(RqRep(s1.a11, s1.a12, s1.a21, u(1, 1), q2))
     with pytest.raises(A11Singular):
         from_rq(RqRep(u(1, 1), s1.a12, s1.a21, E4, q2))
     with pytest.raises(A11Singular):
-        schur_r22(GLqRep(u(1, 1), s1.a12, s1.a21, s1.a22, q2))
+        to_rq(GLqRep(u(1, 1), s1.a12, s1.a21, s1.a22, q2))
 
 
-def test_slq_split_and_connected(q2):
-    s5 = instantiate("S5", q2)
+@pytest.mark.parametrize("qname", ["q2", "q3", "qc"])
+def test_slq_split_and_connected(qname, request):
+    q = request.getfixturevalue(qname)
+    s5 = instantiate("S5", q)
     assert is_slq(s5)
-    g5 = instantiate("G5", q2)
+    g5 = instantiate("G5", q)
     assert not is_slq(g5)
     assert connected_slq(g5) == s5
     assert connected_slq(s5) == s5
@@ -211,13 +223,33 @@ def test_attach_determinant_examples(q2):
 
 def test_attach_determinant_errors(q2):
     s1 = instantiate("S1", q2)
-    with pytest.raises(DSingular):
+    with pytest.raises(DeterminantSingular):
         attach_determinant(s1, u(4, 4))
     with pytest.raises(DNotInvariant):
         attach_determinant(s1, E4 + u(1, 2))
     g1a = instantiate("G1a", q2)
     with pytest.raises(ValueError):
         attach_determinant(g1a, E4 + u(4, 4))
+
+
+@pytest.mark.parametrize("qname", ["q2", "q3", "qc"])
+def test_presentations_match_reference_formulas(qname, request):
+    # from_rq and attach_determinant build A22 by one identity; the references
+    # are the Schur inverse and the A22 + A11^-1 (d - 1) increment.
+    q = request.getfixturevalue(qname)
+    for eid in ENTRY_ORDER:
+        rep = instantiate(eid, q)
+        rq = to_rq(rep)
+        assert from_rq(rq).a22 == reference_from_rq_a22(rq) == rep.a22, eid
+        sid = get_entry(eid).connected_to
+        if sid is None:
+            for d in get_entry(eid).canonical_dets:
+                assert attach_determinant(rep, d).a22 == reference_attached_a22(rep, d), (eid, d)
+            continue
+        g_params = resolve_params(get_entry(eid), q)
+        s = instantiate(sid, q, {k: v for k, v in g_params.items() if k in get_entry(sid).params})
+        d = quantum_determinant(rep)
+        assert attach_determinant(s, d).a22 == reference_attached_a22(s, d) == rep.a22, eid
 
 
 def test_offdiagonal_nilpotent_diagonal_invertible(q2):
