@@ -53,7 +53,6 @@ from .linalg import (
     det,
     invertible_element_in,
     mat_inverse,
-    mul_operator,
     solve_homogeneous,
 )
 from .qrep import (

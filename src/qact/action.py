@@ -8,11 +8,12 @@ build_action); the starred blocks are what an InnerAction stores.  The
 action makes C(1,3) a module algebra exactly when M S = I_8, the blocks that
 qrep.antipode_check reports as counit_right_ij (see verify_module_algebra).
 Flattening C(1,3) row-major turns each generator into the map
-L_ij: v -> A_i1 v S_1j + A_i2 v S_2j, given by those two terms.  The six
-quantum-matrix relations of the L_ij are checked on their 16x16 operators
-(linalg.mul_operator), and the fixed points of the action are the kernel of
-the maps L_11 - 1, L_12, L_21 and L_22 - 1 (linalg.solve_homogeneous); each
-is built from the terms where it is read.  a_ij . v itself is only ever
+L_ij: v -> A_i1 v S_1j + A_i2 v S_2j, given by those two terms.  The sparse
+rows of the four 16x16 operators are built once (InnerAction.operators).
+The six quantum-matrix relations of the L_ij are tested on those rows
+(linalg.products_vanish, no 16x16 product is formed), and the fixed points of
+the action are the kernel of the maps L_11 - 1, L_12, L_21 and L_22 - 1
+(linalg.solve_rows) on the same rows.  a_ij . v itself is only ever
 evaluated through these maps.
 
 Two GL_q representations define equivalent actions iff one is a conjugate
@@ -24,28 +25,33 @@ pair (the kernel of the four maps u -> alpha u A - A' u, one per block), and
 searches the solution space for an invertible element at the lattice points
 1 <= |c| <= 4 of the degree-4 simplex, which decide whether its determinant
 (total degree 4) vanishes identically; so a negative answer is a
-certificate.  A witness u is checked as alpha u A = A' u on all four
-blocks, with no inverse: as det u != 0, that says alpha u A u^-1 = A'.
+certificate.  A witness u is checked as alpha u A - A' u = 0 on all four
+blocks (linalg.products_vanish), with no inverse: as det u != 0, that says
+alpha u A u^-1 = A'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Union
 
 from .linalg import (
     Mat,
     Subspace,
+    _operator_rows,
     algebra_closure,
     invertible_element_in,
     mat_inverse,
-    mul_operator,
+    products_vanish,
     solve_homogeneous,
+    solve_rows,
+    sparse_rows,
 )
 from .qrep import Blocks, DeterminantSingular, GLqRep, _relation_report, antipode, quantum_determinant
 from .report import Report
-from .scalars import Scalar, exact_sqrt
+from .scalars import ONE, ZERO, Scalar, exact_sqrt
 
 
 class Unsupported(ValueError):
@@ -58,6 +64,11 @@ class InnerAction:
 
     rep: GLqRep
     starred: Blocks
+
+    @cached_property
+    def operators(self) -> tuple[list[dict[int, Scalar]], ...]:
+        """The rows of L_11, L_12, L_21 and L_22 on flattened v, built once (linalg._operator_rows)."""
+        return tuple(_operator_rows(_operator_terms(self, i, j), 4) for i in (1, 2) for j in (1, 2))
 
 
 def _operator_terms(action: InnerAction, i: int, j: int) -> list[tuple[Mat, Mat]]:
@@ -90,8 +101,8 @@ def build_action(rep: GLqRep) -> InnerAction:
 
 
 def operator_relation_report(action: InnerAction) -> Report:
-    """The six quantum-matrix relations for the 16x16 action operators L_11, L_12, L_21, L_22."""
-    operators = [mul_operator(_operator_terms(action, i, j)) for i in (1, 2) for j in (1, 2)]
+    """The six quantum-matrix relations for the 16x16 action operators L_11, L_12, L_21, L_22, on their sparse rows."""
+    operators = [[[(c, x.a, x.b, x.d) for c, x in row.items()] for row in rows] for rows in action.operators]
     return _relation_report(*operators, action.rep.q, action.rep.q.q - action.rep.q.inv)
 
 
@@ -126,10 +137,12 @@ def operator_algebra(rep: GLqRep) -> Subspace:
 
 
 def action_fixed_points(action: InnerAction) -> Subspace:
-    """{v : a11.v = v, a12.v = 0, a21.v = 0, a22.v = v}: the kernel of L_11 - 1, L_12, L_21 and L_22 - 1."""
-    minus_one = [(Mat.identity(4), -Mat.identity(4))]
-    return solve_homogeneous([_operator_terms(action, i, j) + (minus_one if i == j else [])
-                              for i in (1, 2) for j in (1, 2)])
+    """{v : a11.v = v, a12.v = 0, a21.v = 0, a22.v = v}: the kernel of L_11 - 1, L_12, L_21 and L_22 - 1.
+
+    L_ii - 1 is the rows of L_ii with 1 subtracted on the diagonal, made only when solve_rows reads them.
+    """
+    return solve_rows(([{**row, r: row.get(r, ZERO) - ONE} for r, row in enumerate(rows)] if k in (0, 3) else rows
+                       for k, rows in enumerate(action.operators)), 16)
 
 
 # -- equivalence -----------------------------------------------------------------
@@ -333,8 +346,10 @@ def decide_equivalence(
             u = invertible_element_in(space) if space.dim else None
             if u is None:
                 continue
+            v = sparse_rows(u)
             pairs = zip(r1.matrices(), r2.matrices(), (alpha1, alpha2, alpha1, alpha2))
-            if any((u * x).scale(alpha) != xp * u for x, xp, alpha in pairs):
+            if not all(products_vanish([(alpha, v, sparse_rows(x)), (-ONE, sparse_rows(xp), v)])
+                       for x, xp, alpha in pairs):
                 raise AssertionError("intertwiner solution failed exact verification")
             return EquivalenceWitness(u, alpha1, alpha2, candidates_tried=tried)
     return NotEquivalent(tried)

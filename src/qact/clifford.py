@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 from functools import lru_cache
 
-from .linalg import Mat
+from .linalg import Mat, products_vanish, sparse_rows
 from .report import Report
 from .scalars import I, ONE, ZERO, Scalar
 
@@ -122,22 +122,24 @@ def selftest(model: CliffordModel) -> Report:
     gamma = model.gamma
     ok = True
     bad = ""
+    one, g = sparse_rows(e4), [sparse_rows(x) for x in gamma]
     for u in range(4):
         for v in range(u, 4):
-            want = e4.scale(2 * METRIC[u]) if u == v else Mat.zero(4)
-            if gamma[u] * gamma[v] + gamma[v] * gamma[u] != want:
+            want = [(Scalar(-2 * METRIC[u]), one, one)] if u == v else []
+            if not products_vanish([(ONE, g[u], g[v]), (ONE, g[v], g[u])] + want):
                 ok = False
                 bad = f"g{u} g{v} + g{v} g{u}"
     report.add("anticommutators", ok, bad or "10 identities")
 
     ok = True
     bad = ""
+    units = {(i, j): sparse_rows(model.unit(i, j)) for i in range(1, 5) for j in range(1, 5)}
     for i in range(1, 5):
         for j in range(1, 5):
             for k in range(1, 5):
                 for l in range(1, 5):
-                    want = model.unit(i, l) if j == k else Mat.zero(4)
-                    if model.unit(i, j) * model.unit(k, l) != want:
+                    want = [(-ONE, units[i, l], one)] if j == k else []
+                    if not products_vanish([(ONE, units[i, j], units[k, l])] + want):
                         ok = False
                         bad = f"e{i}{j} e{k}{l}"
     report.add("unit_products", ok, bad or "256 identities")

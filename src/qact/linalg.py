@@ -9,8 +9,11 @@ Linear subspaces of flattened matrices are kept in reduced row-echelon form
 with pivots equal to 1, so subspace equality is structural equality of the
 bases.  Flattening is row-major: the matrix entry (i, j) sits at index
 i*n + j.  A map X -> sum_t a_t X b_t on flattened matrices is given by its
-terms (a_t, b_t), whose rows are built sparse in one place; solve_homogeneous,
-the one kernel solver, imposes maps through the product loop of Mat.__mul__.
+terms (a_t, b_t), whose rows are built sparse in one place; solve_rows, the
+one kernel solver, imposes maps through the product loop of Mat.__mul__.
+An identity among products that is only checked is tested by products_vanish,
+which sums sum_t c_t X_t Y_t row by row on the same plain-int triples and
+stops at the first nonzero entry, without building any product.
 """
 
 from __future__ import annotations
@@ -200,6 +203,45 @@ def _product_rows(left: Iterable[Iterable[tuple[int, Scalar]]], right: Sequence[
             s.a, s.b, s.d = a, b, d
         out.append(tuple(row))
     return out
+
+
+SparseRows = list[list[tuple[int, int, int, int]]]  # each row's nonzero entries (j, a, b, d), (a + b i)/d at column j
+
+
+def sparse_rows(m: Mat) -> SparseRows:
+    return [[(j, x.a, x.b, x.d) for j, x in enumerate(r) if x.a or x.b] for r in m.rows]
+
+
+def products_vanish(terms: Iterable[tuple[Scalar, SparseRows, SparseRows]]) -> bool:
+    """Whether sum_t c_t X_t Y_t = 0 for terms (c_t, X_t, Y_t), the X_t all with one number of rows.
+
+    Row by row, as Gustavson's sparse product: each entry of a row of the sum
+    is summed on plain-int (a, b, d) triples as _product_rows sums it, and is
+    zero iff a = b = 0.  So no gcd is taken and no Scalar or Mat is made, and
+    no row after the first nonzero one is summed.
+    """
+    terms = [(c.a, c.b, c.d, x, y) for c, x, y in terms if c.a or c.b]
+    for r in range(len(terms[0][3]) if terms else 0):
+        acc = {}  # j -> (a, b, d): entry j of row r so far, on a common denominator
+        for ca, cb, cd, x, y in terms:
+            for k, xa, xb, xd in x[r]:
+                fa, fb, fd = ca * xa - cb * xb, ca * xb + cb * xa, cd * xd
+                for j, ga, gb, gd in y[k]:
+                    a, b, d = fa * ga - fb * gb, fa * gb + fb * ga, fd * gd
+                    t = acc.get(j)
+                    if t is not None:
+                        ta, tb, td = t
+                        if td == d:
+                            a, b = ta + a, tb + b
+                        else:
+                            g = gcd(td, d)
+                            m, c = d // g, td // g  # td * m is the lcm of td and d
+                            a, b, d = ta * m + a * c, tb * m + b * c, td * m
+                    acc[j] = (a, b, d)
+        for a, b, _ in acc.values():
+            if a or b:
+                return False
+    return True
 
 
 def _all_zero(entries: Sequence[Scalar]) -> bool:
@@ -411,36 +453,35 @@ def _operator_rows(terms: Terms, n: int) -> list[dict[int, Scalar]]:
     return rows
 
 
-def mul_operator(terms: Terms) -> Mat:
-    """The n^2 x n^2 operator X -> sum_t a_t X b_t on row-major flattened X, its sparse rows made dense."""
-    n = terms[0][0].n
-    return Mat([[row.get(c, ZERO) for c in range(n * n)] for row in _operator_rows(terms, n)])
-
-
 def solve_homogeneous(maps: Sequence[Terms]) -> Subspace:
     """The X on which every map X -> sum_t a_t X b_t vanishes; each map is its terms (a_t, b_t), all of one size.
 
-    The first map's rows are made dense (mul_operator) and reduced, and its
-    kernel basis b_1..b_d read off.  x = sum_k c_k b_k solves a later map iff
-    sum_k c_k (r . b_k) = 0 for each of its sparse rows r: a system in d
-    unknowns, the product of those rows with the transposed basis, whose
-    kernel recombines the basis by one more product.  The last basis spans
-    the common kernel, which Subspace reduces to the RREF basis one reduction
-    of all the rows gives.  Zero rows cost no product, and once the kernel is
-    {0} no later map is read.
+    solve_rows solves the maps' rows, each map's built when it is read.
     """
     n = maps[0][0][0].n
-    width = n * n
-    basis = _free_basis([list(r) for r in mul_operator(maps[0]).rows if not _all_zero(r)], width)
-    for terms in maps[1:]:
-        if not basis:
-            break
-        rows = [row.items() for row in _operator_rows(terms, n) if row]
-        if not rows:
-            continue
-        system = [list(r) for r in _product_rows(rows, list(zip(*basis)), len(basis)) if not _all_zero(r)]
-        if system:
-            basis = _product_rows(map(enumerate, _free_basis(system, len(basis))), basis, width)
+    return solve_rows((_operator_rows(terms, n) for terms in maps), n * n)
+
+
+def solve_rows(maps: Iterable[list[dict[int, Scalar]]], width: int) -> Subspace:
+    """The common kernel of linear maps, each given by its rows {column: entry}, width columns, zeros allowed.
+
+    The first map's rows are made dense and reduced, and its kernel basis
+    b_1..b_d read off.  x = sum_k c_k b_k solves a later map iff
+    sum_k c_k (r . b_k) = 0 for each of its rows r: a system in d unknowns,
+    the product of those rows with the transposed basis, whose kernel
+    recombines the basis by one more product.  The last basis spans the
+    common kernel, which Subspace reduces to the RREF basis one reduction of
+    all the rows gives.  Zero rows cost no product, and once the kernel is
+    {0} no later map is taken from maps.
+    """
+    maps = iter(maps)
+    basis = _free_basis([[row.get(c, ZERO) for c in range(width)] for row in next(maps) if row], width)
+    while basis and (rows := next(maps, None)) is not None:
+        rows = [row.items() for row in rows if row]
+        if rows:
+            system = [list(r) for r in _product_rows(rows, list(zip(*basis)), len(basis)) if not _all_zero(r)]
+            if system:
+                basis = _product_rows(map(enumerate, _free_basis(system, len(basis))), basis, width)
     return Subspace(width, basis)
 
 

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import DimensionMismatch, Mat, Singular, centralizer, det, mat_inverse
+from .linalg import (DimensionMismatch, Mat, Singular, SparseRows, centralizer, det, mat_inverse, products_vanish,
+                     sparse_rows)
 from .report import Report
-from .scalars import ZERO, DeformationParameter, Scalar, scalar_from_json
+from .scalars import ONE, ZERO, DeformationParameter, Scalar, scalar_from_json
 
 
 Blocks = tuple[tuple[Mat, Mat], tuple[Mat, Mat]]
@@ -108,30 +109,28 @@ GLQ_RELATIONS = (
 )
 
 
-def _relation_report(x11: Mat, x12: Mat, x21: Mat, x22: Mat, q: DeformationParameter, c: Scalar) -> Report:
-    """The six quantum-matrix relations, in GLQ_RELATIONS order, for any four matrices.
+def _relation_report(x11: SparseRows, x12: SparseRows, x21: SparseRows, x22: SparseRows, q: DeformationParameter,
+                     c: Scalar) -> Report:
+    """The six quantum-matrix relations, in GLQ_RELATIONS order, for any four matrices given as their sparse rows.
 
-    Each relation is tested as an exact comparison of two matrices: x y = q y x
-    for the four q-commutators, x12 x21 = x21 x12, and
-    x11 x22 - x22 x11 = c x12 x21, the product x12 x21 taken once for the last
-    two.  c is q - q^-1 for the 4x4 generator matrices of GL_q and the 16x16
-    action operators, and 0 for R_q.
+    Each relation is tested as one sum of products that must vanish
+    (linalg.products_vanish): x y - q y x for the four q-commutators,
+    x12 x21 - x21 x12, and x11 x22 - x22 x11 - c x12 x21.  c is q - q^-1
+    for the 4x4 generator matrices of GL_q and the 16x16 action operators,
+    and 0 for R_q.
     """
-    qq = q.q
-    bc = x12 * x21
+    mq = -q.q
     report = Report()
-    report.add(GLQ_RELATIONS[0], x11 * x12 == (x12 * x11).scale(qq))
-    report.add(GLQ_RELATIONS[1], x11 * x21 == (x21 * x11).scale(qq))
-    report.add(GLQ_RELATIONS[2], x12 * x22 == (x22 * x12).scale(qq))
-    report.add(GLQ_RELATIONS[3], x21 * x22 == (x22 * x21).scale(qq))
-    report.add(GLQ_RELATIONS[4], bc == x21 * x12)
-    report.add(GLQ_RELATIONS[5], x11 * x22 - x22 * x11 == bc.scale(c))
+    for name, (x, y) in zip(GLQ_RELATIONS, ((x11, x12), (x11, x21), (x12, x22), (x21, x22))):
+        report.add(name, products_vanish([(ONE, x, y), (mq, y, x)]))
+    report.add(GLQ_RELATIONS[4], products_vanish([(ONE, x12, x21), (-ONE, x21, x12)]))
+    report.add(GLQ_RELATIONS[5], products_vanish([(ONE, x11, x22), (-ONE, x22, x11), (-c, x12, x21)]))
     return report
 
 
 def verify_glq_relations(rep: GLqRep) -> Report:
     """Check the six quantum-matrix relations exactly; itemized report."""
-    return _relation_report(*rep.matrices(), rep.q, rep.q.q - rep.q.inv)
+    return _relation_report(*map(sparse_rows, rep.matrices()), rep.q, rep.q.q - rep.q.inv)
 
 
 def require_representation(rep: GLqRep) -> GLqRep:
@@ -161,17 +160,21 @@ def antipode(rep: GLqRep, detq: Mat) -> Blocks:
 
 
 def antipode_check(rep: GLqRep, s: Blocks) -> Report:
-    """Both counit identities, S M = I_8 and M S = I_8, for blocks s, all eight of them."""
-    a = ((rep.a11, rep.a12), (rep.a21, rep.a22))
-    e4 = Mat.identity(4)
+    """Both counit identities, S M = I_8 and M S = I_8, for blocks s, all eight of them.
+
+    Block ij of each is tested as sum_k X_ik Y_kj - delta_ij I = 0 (linalg.products_vanish).
+    """
+    a = [[sparse_rows(x) for x in row] for row in ((rep.a11, rep.a12), (rep.a21, rep.a22))]
+    s = [[sparse_rows(x) for x in row] for row in s]
+    e4 = sparse_rows(Mat.identity(4))
     report = Report()
     for i in range(2):
         for j in range(2):
-            want = e4 if i == j else Mat.zero(4)
-            left = s[i][0] * a[0][j] + s[i][1] * a[1][j]
-            right = a[i][0] * s[0][j] + a[i][1] * s[1][j]
-            report.add(f"counit_left_{i + 1}{j + 1}", left == want)
-            report.add(f"counit_right_{i + 1}{j + 1}", right == want)
+            unit = [(-ONE, e4, e4)] if i == j else []
+            left = [(ONE, s[i][k], a[k][j]) for k in range(2)] + unit
+            right = [(ONE, a[i][k], s[k][j]) for k in range(2)] + unit
+            report.add(f"counit_left_{i + 1}{j + 1}", products_vanish(left))
+            report.add(f"counit_right_{i + 1}{j + 1}", products_vanish(right))
     return report
 
 
@@ -194,8 +197,9 @@ def _with_determinant(x: GLqRep | RqRep, d: Mat) -> GLqRep:
 def to_rq(rep: GLqRep) -> RqRep:
     """Convert to the R_q presentation and verify it, plus det_q = A11*R22."""
     r22 = rep.a22 - rep.a12 * _a11_inverse(rep.a11) * rep.a21
-    report = _relation_report(rep.a11, rep.a12, rep.a21, r22, rep.q, ZERO)
-    report.add("detq_equals_a11_r22", quantum_determinant(rep) == rep.a11 * r22)
+    x11, x12, x21, x22, r = map(sparse_rows, rep.matrices() + (r22,))
+    report = _relation_report(x11, x12, x21, r, rep.q, ZERO)
+    report.add("detq_equals_a11_r22", products_vanish([(ONE, x11, x22), (-rep.q.q, x12, x21), (-ONE, x11, r)]))
     report.require(RelationViolated)
     return RqRep(rep.a11, rep.a12, rep.a21, r22, rep.q)
 
@@ -207,7 +211,8 @@ def from_rq(rep: RqRep) -> GLqRep:
 
 def is_slq(rep: GLqRep) -> bool:
     """Whether the quantum determinant equals the identity."""
-    return quantum_determinant(rep) == Mat.identity(4)
+    x11, x12, x21, x22, e4 = map(sparse_rows, rep.matrices() + (Mat.identity(4),))
+    return products_vanish([(ONE, x11, x22), (-rep.q.q, x12, x21), (-ONE, e4, e4)])
 
 
 def connected_slq(rep: GLqRep) -> GLqRep:

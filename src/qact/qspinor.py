@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Mat, Subspace, solve_homogeneous
+from .linalg import Mat, Subspace, products_vanish, solve_homogeneous, sparse_rows
 from .report import Report
 from .scalars import ONE, ZERO, DeformationParameter, Scalar, as_scalar, format_scalar, smallest_admissible
 
@@ -34,8 +34,8 @@ def spinor_space(a: Mat, q: DeformationParameter) -> Subspace:
 
 def space_square_nonzero(s: Subspace) -> bool:
     """Whether B(A)^2 != 0; checked on basis products, complete by bilinearity."""
-    mats = s.matrices()
-    return any(not (x * y).is_zero for x in mats for y in mats)
+    rows = [sparse_rows(x) for x in s.matrices()]
+    return not all(products_vanish([(ONE, x, y)]) for x in rows for y in rows)
 
 
 @dataclass(frozen=True)

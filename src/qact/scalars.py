@@ -12,7 +12,9 @@ in place.  The eliminations of linalg update each entry by one fused
 x.minus_product(y, f) = x - y*f, and the power traces take each dot product
 by one fused Scalar.dot; linalg's matrix product, and its kernel solver's
 products of rows with a basis, sum each entry on plain ints in the same way.
-Each normalizes its result once.
+Each normalizes its result once.  linalg.products_vanish, the zero test of
+every checked identity among products, sums the same way and normalizes
+nothing: an entry is zero iff its a and b are.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     act,
+    dense_add,
+    dense_map_rows,
+    dense_mul,
+    dense_scale,
+    dense_sub,
     matvec,
     module_algebra_at_generators,
     module_algebra_on_all_pairs,
@@ -28,6 +33,7 @@ from qact import (
     Subspace,
     Unsupported,
     action_fixed_points,
+    antipode,
     antipode_check,
     as_scalar,
     build_action,
@@ -36,7 +42,6 @@ from qact import (
     det,
     instantiate,
     mat_inverse,
-    mul_operator,
     operator_algebra,
     operator_relation_report,
     parse_scalar,
@@ -77,7 +82,8 @@ def test_operator_columns_match_apply(q2):
     for eid in ENTRY_ORDER:
         rep = instantiate(eid, q2)
         action = build_action(rep)
-        operators = {(i, j): mul_operator(action_module._operator_terms(action, i, j)) for i in (1, 2) for j in (1, 2)}
+        operators = {ij: Mat([[row.get(c, Scalar(0)) for c in range(16)] for row in rows])
+                     for ij, rows in zip(((1, 1), (1, 2), (2, 1), (2, 2)), action.operators)}
         for p in range(1, 5):
             for q in range(1, 5):
                 v = Mat.unit(4, p, q)
@@ -164,6 +170,75 @@ def test_each_operator_relation_fails_alone(q2, qc, k):
         assert [c.passed for c in report.checks] == [i != k for i in range(6)]
 
 
+def _is_zero(rows) -> bool:
+    return all(x == Scalar(0) for row in rows for x in row)
+
+
+def _dense_relations(x11: Mat, x12: Mat, x21: Mat, x22: Mat, q: Scalar, c: Scalar) -> list[bool]:
+    """The six relations in GLQ_RELATIONS order, each product by dense_mul and each difference by dense_sub."""
+    mul = lambda x, y: Mat(dense_mul(x, y))
+    bc = mul(x12, x21)
+    q_commute = lambda x, y: _is_zero(dense_sub(mul(x, y), Mat(dense_scale(mul(y, x), q))))
+    return [q_commute(x11, x12), q_commute(x11, x21), q_commute(x12, x22), q_commute(x21, x22),
+            _is_zero(dense_sub(bc, mul(x21, x12))),
+            _is_zero(dense_sub(Mat(dense_sub(mul(x11, x22), mul(x22, x11))), Mat(dense_scale(bc, c))))]
+
+
+def _dense_counits(a, s) -> list[bool]:
+    """counit_left_ij (sum_k S_ik A_kj = delta_ij I) then counit_right_ij (sum_k A_ik S_kj), for ij = 11, 12, 21, 22."""
+    passed = []
+    for i in range(2):
+        for j in range(2):
+            want = Mat.identity(4) if i == j else Mat.zero(4)
+            for x, y in ((s, a), (a, s)):
+                total = dense_add(Mat(dense_mul(x[i][0], y[0][j])), Mat(dense_mul(x[i][1], y[1][j])))
+                passed.append(_is_zero(dense_sub(Mat(total), want)))
+    return passed
+
+
+def _perturbed(rep: GLqRep, rng: random.Random):
+    """rep with one entry of one block moved by a small fraction, and its antipode blocks; det_q stays invertible."""
+    while True:
+        k, r, c = rng.randrange(4), rng.randrange(4), rng.randrange(4)
+        blocks = [[list(row) for row in m.rows] for m in rep.matrices()]
+        blocks[k][r][c] = blocks[k][r][c] + Scalar(1, rng.choice((0, 1)), rng.choice((5, 7, 12)))
+        bad = GLqRep(*map(Mat, blocks), rep.q)
+        try:
+            return bad, antipode(bad, quantum_determinant(bad))
+        except DeterminantSingular:
+            continue
+
+
+@pytest.mark.parametrize("qname", ["q2", "q3", "qc"])
+def test_relation_and_counit_reports_match_dense_reference(request, qname):
+    """Every table entry with one entry of one block perturbed, so that relations fail and the antipode is not 1.
+
+    verify_glq_relations, operator_relation_report on the action with the
+    perturbed representation's antipode blocks, and antipode_check report
+    exactly the pass/fail list of the dense reference: the 16x16 operators
+    from dense_map_rows, every product by dense_mul.
+    """
+    q = request.getfixturevalue(qname)
+    c = q.q - q.inv
+    rng = random.Random(qname)
+    failed = set()
+    for eid in ENTRY_ORDER:
+        bad, s = _perturbed(instantiate(eid, q), rng)
+        a = ((bad.a11, bad.a12), (bad.a21, bad.a22))
+        reports = {
+            "relations": (verify_glq_relations(bad), _dense_relations(*bad.matrices(), q.q, c)),
+            "operators": (operator_relation_report(InnerAction(bad, s)),
+                          _dense_relations(*(Mat(dense_map_rows([(a[i][0], s[0][j]), (a[i][1], s[1][j])]))
+                                             for i in range(2) for j in range(2)), q.q, c)),
+            "counit": (antipode_check(bad, s), _dense_counits(a, s)),
+        }
+        for kind, (report, expected) in reports.items():
+            assert [check.passed for check in report.checks] == expected, (eid, kind)
+            if not all(expected):
+                failed.add(kind)
+    assert failed == {"relations", "operators", "counit"}
+
+
 def test_invariants_examples(q2):
     assert centralizer(list(instantiate("S1", q2).matrices())) == Subspace.span_of([E4, u(4, 4), u(4, 3)])
     assert centralizer(list(instantiate("S2b'", q2).matrices())) == Subspace.span_of([E4, u(3, 3)])
@@ -194,6 +269,25 @@ def test_fixed_points_equal_centralizer(q2):
         rep = instantiate(eid, q2)
         action = build_action(rep)
         assert action_fixed_points(action) == centralizer(list(rep.matrices()))
+
+
+def test_operator_rows_are_built_once_and_read_lazily(q2, monkeypatch):
+    """The relation report and the fixed points read one set of L_ij rows; no map after a {0} kernel is made."""
+    action = build_action(instantiate("S1", q2))
+    built = []
+    monkeypatch.setattr(action_module, "_operator_rows", lambda *args, op=action_module._operator_rows:
+                        built.append(1) or op(*args))
+    assert operator_relation_report(action).ok
+    assert action_fixed_points(action) == centralizer(list(action.rep.matrices()))
+    assert len(built) == 4
+    # With zero starred blocks every L_ij is 0, so L_11 - 1 = -1 leaves the kernel {0}: of the
+    # diagonal copies L_ii - 1, only the first is made, one subtraction per diagonal entry.
+    zero = Mat.zero(4)
+    dead = InnerAction(action.rep, ((zero, zero), (zero, zero)))
+    subtractions = []
+    monkeypatch.setattr(Scalar, "__sub__", lambda x, y, op=Scalar.__sub__: subtractions.append(1) or op(x, y))
+    assert action_fixed_points(dead).dim == 0
+    assert len(subtractions) == 16
 
 
 def test_equivalence_reflexive(q2):

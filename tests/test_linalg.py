@@ -42,7 +42,6 @@ from qact import (
     invertible_element_in,
     linalg,
     mat_inverse,
-    mul_operator,
     parse_scalar,
     solve_homogeneous,
     validate_q,
@@ -420,22 +419,118 @@ def test_blockwise_solve_skips_zero_and_settled_blocks(monkeypatch):
 operator_terms = st.sampled_from((2, 3, 4)).flatmap(map_terms)
 
 
+def _dense_operator(terms) -> Mat:
+    """linalg._operator_rows of the terms, each row {column: entry} made dense."""
+    n = terms[0][0].n
+    return Mat([[row.get(c, Scalar(0)) for c in range(n * n)] for row in linalg._operator_rows(terms, n)])
+
+
 @settings(max_examples=60, **DENSE_REFERENCE)
 @given(operator_terms)
-def test_mul_operator_is_a_sum_of_kronecker_products(terms):
+def test_operator_rows_are_a_sum_of_kronecker_products(terms):
     # X -> a X b is a (x) b^T on row-major flattened X.
-    assert _canonical(mul_operator(terms).rows) == dense_map_rows(terms)
+    assert _canonical(_dense_operator(terms).rows) == dense_map_rows(terms)
 
 
-def test_mul_operator_multiplies_no_identity_factor(monkeypatch):
+def test_operator_rows_multiply_no_identity_factor(monkeypatch):
     a, b = u(2, 3).scale(2), u(1, 2).scale(3)
     expected = Mat(dense_add(dense_kron(E4, transpose(b)), dense_kron(a, E4)))
     calls = []
     monkeypatch.setattr(Scalar, "__mul__", lambda x, y: calls.append(1) or x)
-    assert mul_operator([(E4, b), (a, E4)]) == expected
+    assert _dense_operator([(E4, b), (a, E4)]) == expected
     assert calls == []
     with pytest.raises(DimensionMismatch):
-        mul_operator([(E4, Mat.identity(2))])
+        _dense_operator([(E4, Mat.identity(2))])
+
+
+# -- the zero test of sums of products --------------------------------------------------
+
+
+def _dense_sum(terms) -> list:
+    """sum_t c_t X_t Y_t on the dense reference kernels: each product by dense_mul, scaled, subtracted negated."""
+    n = terms[0][1].n
+    total = [[Scalar(0)] * n for _ in range(n)]
+    for c, x, y in terms:
+        total = dense_sub(Mat(total), Mat(dense_scale(Mat(dense_mul(x, y)), -c)))
+    return total
+
+
+def _vanishes(terms) -> bool:
+    return linalg.products_vanish([(c, linalg.sparse_rows(x), linalg.sparse_rows(y)) for c, x, y in terms])
+
+
+def _dense_16(entries) -> Mat:
+    return Mat([entries[i : i + 16] for i in range(0, 256, 16)])
+
+
+@st.composite
+def product_terms(draw):
+    """1 to 3 terms (c, X, Y) of size 4 or 16: X and Y sparse, or dense over the denominators 1, 2, 3 and 6."""
+    n = draw(st.sampled_from((4, 4, 4, 16)))
+    dense = dense_mats if n == 4 else st.lists(mixed_scalars, min_size=256, max_size=256).map(_dense_16)
+    factor = st.one_of(_sparse_mat(n), dense)
+    return draw(st.lists(st.tuples(mixed_scalars, factor, factor), min_size=1, max_size=3))
+
+
+@settings(max_examples=40, **DENSE_REFERENCE)
+@given(product_terms(), mixed_scalars.filter(bool), st.integers(0, 15))
+@example([(Scalar(1, 2, 3), Mat([MIXED_ROW] * 4), Mat([[Scalar(1)] * 4] * 4))], Scalar(1, 0, 6), 0)
+def test_products_vanish_matches_dense_reference(terms, nudge, col):
+    """The verdict on sum_t c_t X_t Y_t, on the sum with its own total T subtracted, and on a near miss.
+
+    sum_t c_t X_t Y_t - T I vanishes only as every entry's terms cancel over
+    the denominators of T and the X_t Y_t.  Adding nudge to one entry of the
+    last row of T leaves a sum that is zero on every row but that one.
+    """
+    n = terms[0][1].n
+    total = _dense_sum(terms)
+    assert _vanishes(terms) == all(x == Scalar(0) for row in total for x in row)
+    one = Mat.identity(n)
+    assert _vanishes(terms + [(Scalar(-1), Mat(total), one)])
+    total[-1][col % n] = total[-1][col % n] + nudge
+    assert not _vanishes(terms + [(Scalar(-1), Mat(total), one)])
+
+
+def test_products_vanish_cancels_across_denominators():
+    """Identities that hold only because terms over the denominators 2, 3 and 6 cancel, and their near misses."""
+    ones = Mat([[Scalar(1)] * 4] * 4)
+    halves_and_thirds = [Scalar(1, 0, 2), Scalar(1, 0, 3), Scalar(-5, 0, 6), Scalar(0)]
+    x = Mat([halves_and_thirds] * 4)
+    assert _vanishes([(Scalar(1, 2, 3), x, ones)])  # 1/2 + 1/3 - 5/6 = 0 in every entry
+    # The same with each fraction its own term: (1/2) I + (1/3) I - (5/6) I.
+    e4 = Mat.identity(4)
+    assert _vanishes([(Scalar(1, 0, 2), e4, e4), (Scalar(1, 0, 3), e4, e4), (Scalar(-5, 0, 6), e4, e4)])
+    assert not _vanishes([(Scalar(1, 0, 2), e4, e4), (Scalar(1, 0, 3), e4, e4), (Scalar(-5, 1, 6), e4, e4)])
+    # A near miss in the last row alone: that row sums to i/6.
+    assert not _vanishes([(Scalar(1), Mat([halves_and_thirds] * 3 + [MIXED_ROW]), ones)])
+    # 16 x 16: the Kronecker product with a dense unit-free 4 x 4 keeps the cancellation, and a near miss.
+    y = Mat([[Scalar(1, 1, 2), Scalar(2, 0, 3), Scalar(0, -1, 6), Scalar(1)]] * 4)
+    big, big_ones = dense_kron(x, y), dense_kron(ones, e4)
+    assert _vanishes([(Scalar(1), big, big_ones)])
+    missed = [list(r) for r in big.rows]
+    missed[15][15] = missed[15][15] + Scalar(1, 0, 6)
+    assert not _vanishes([(Scalar(1), Mat(missed), big_ones)])
+    # 1 x 16 rows meet zero rows of Y: no term at all reaches the sum.
+    assert _vanishes([(Scalar(1), big, Mat.zero(16))])
+    assert _vanishes([])
+
+
+def test_products_vanish_makes_no_scalar_and_no_matrix(monkeypatch):
+    """The zero test runs on plain ints: no Scalar arithmetic, no product loop and no Mat."""
+    a = Mat([MIXED_ROW] * 4)
+    terms = [(Scalar(1, 0, 2), linalg.sparse_rows(a), linalg.sparse_rows(a)),
+             (Scalar(-1, 0, 2), linalg.sparse_rows(a), linalg.sparse_rows(a))]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("products_vanish built a Scalar or a matrix")
+
+    for name in ("__mul__", "__add__", "__sub__", "__neg__", "__init__"):
+        monkeypatch.setattr(Scalar, name, forbidden)
+    monkeypatch.setattr(Mat, "__init__", forbidden)
+    monkeypatch.setattr(linalg, "_product_rows", forbidden)
+    monkeypatch.setattr(linalg, "_alloc", forbidden)
+    assert linalg.products_vanish(terms)
+    assert not linalg.products_vanish(terms[:1])
 
 
 def test_closure_of_identity():

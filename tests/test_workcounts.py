@@ -31,16 +31,17 @@ from qact.catalog import ENTRY_ORDER
 @pytest.fixture
 def counts(monkeypatch):
     """Counters of Scalar.__mul__, __sub__, inv, minus_product and dot calls, of Mat.__mul__
-    and __add__ calls, of linalg.det calls, of power-trace evaluations, and of
+    and __add__ calls, of linalg.det calls, of power-trace evaluations, of
     row products: linalg._product_rows, the loop of Mat.__mul__ and of the
-    kernel solve's rows x basis products.
+    kernel solve's rows x basis products, and of zero tests of sums of
+    products: linalg.products_vanish, one per identity checked.
 
     The fused kernels minus_product (x - y*f) and dot (sum x*y) each hide
-    products, and so does the row product, which sums each entry on plain
-    ints; so each is counted under its own key.
+    products, and so do the row product and the zero test, which sum each
+    entry on plain ints; so each is counted under its own key.
     """
     tally = {"mul": 0, "sub": 0, "inv": 0, "minus_product": 0, "dot": 0, "mat_mul": 0, "mat_add": 0, "det": 0,
-             "power_traces": 0, "row_products": 0}
+             "power_traces": 0, "row_products": 0, "vanish": 0}
 
     def counted(op, key):
         def call(*args):
@@ -54,10 +55,11 @@ def counts(monkeypatch):
     monkeypatch.setattr(Scalar, "dot", staticmethod(counted(Scalar.dot, "dot")))
     for name, key in (("__mul__", "mat_mul"), ("__add__", "mat_add")):
         monkeypatch.setattr(Mat, name, counted(getattr(Mat, name), key))
-    det = linalg.det
-    for name, module in list(sys.modules.items()):
-        if (name == "qact" or name.startswith("qact.")) and getattr(module, "det", None) is det:
-            monkeypatch.setattr(module, "det", counted(det, "det"))
+    for attr, key in (("det", "det"), ("products_vanish", "vanish")):
+        op = getattr(linalg, attr)
+        for name, module in list(sys.modules.items()):
+            if (name == "qact" or name.startswith("qact.")) and getattr(module, attr, None) is op:
+                monkeypatch.setattr(module, attr, counted(op, key))
     monkeypatch.setattr(action_module, "_power_traces", counted(action_module._power_traces, "power_traces"))
     monkeypatch.setattr(linalg, "_product_rows", counted(linalg._product_rows, "row_products"))
     return tally
@@ -67,9 +69,16 @@ def test_verify_table_work(q2, counts):
     default_model()  # built once per process, so kept out of the count
     counts.update(dict.fromkeys(counts, 0))
     assert verify_table(q2).ok
-    # Measured: 9,840 multiplications and 1,086 subtractions, with 2,870
+    # Measured: 6,027 multiplications and 951 subtractions, with 2,870
     # fused x - y*f and 80 fused dot products, the power traces' p3 and p4.
-    # Multiplications fell from 12,221 as Scalar.__pow__ starts from its
+    # Multiplications fell from 9,840 to 7,463, and subtractions from 1,086
+    # to 311, as every checked identity among products became one zero test
+    # that forms no product matrix.  Then action_fixed_points read the rows
+    # of L_ij that operator_relation_report reads, built once per action:
+    # 1,436 fewer multiplications (that duplicate is the 10,994 -> 9,840 rise
+    # below), and 640 more subtractions, the 16 diagonal entries of each
+    # L_ii - 1.
+    # Before that, multiplications fell from 12,221 as Scalar.__pow__ starts from its
     # first factor rather than from one and stops squaring after the last
     # bit, and Mat.scale(1) returns the matrix without a product per entry.
     # The kernel solves take no dot product (9,302 before): each builds its
@@ -94,20 +103,27 @@ def test_verify_table_work(q2, counts):
     # block at a time; 39,032 and 14,105 before linalg.mul_operator and the
     # power-trace determinant test; 115,120 and 117,635 before zero entries
     # were skipped).
-    assert counts["mul"] <= 10_332
-    assert counts["sub"] <= 1_140
+    assert counts["mul"] <= 6_328
+    assert counts["sub"] <= 999
     assert counts["minus_product"] <= 3_014
     assert counts["dot"] <= 84
-    # Measured: 1,738 matrix products and 371 matrix sums (3,120 products
-    # while every closure round multiplied all pairs of the basis and the
-    # relations took each q-commutator as a difference; 384 sums while the
-    # catalog rebuilt its operator-algebra bases on every call, 492 while the
-    # simplex search rebuilt every point from scratch).
-    assert counts["mat_mul"] <= 1_825
-    assert counts["mat_add"] <= 389
-    # Measured: 2,084 row products, the 1,738 matrix products and 346 of the
-    # kernel solves.
-    assert counts["row_products"] <= 2_188
+    # Measured: 742 matrix products and 191 matrix sums, none of them in a
+    # relation, counit or witness check: 564 are the operator-algebra
+    # closure's (1,702 and 351 while each relation compared two product
+    # matrices, 12 of them 16x16 per entry, and each counit identity summed
+    # two; 3,120 products while every closure
+    # round multiplied all pairs of the basis and the relations took each
+    # q-commutator as a difference; 384 sums while the catalog rebuilt its
+    # operator-algebra bases on every call, 492 while the simplex search
+    # rebuilt every point from scratch).
+    assert counts["mat_mul"] <= 779
+    assert counts["mat_add"] <= 201
+    # Measured: 1,132 row products, the 742 matrix products and 390 of the
+    # kernel solves (2,092 and 2,084 before).
+    assert counts["row_products"] <= 1_189
+    # 480 zero tests: for each of the 20 entries 6 relations, 6 operator
+    # relations and 8 counit identities, and 4 blocks of each self-witness.
+    assert counts["vanish"] == 480
     # Power traces of A11 and A22, once for each of the 20 representations
     # (528 while every decided pair took them again).
     assert counts["power_traces"] == 40
@@ -124,8 +140,9 @@ def test_dense_conjugate_decision_work(q2, counts):
     moved = EquivalenceWitness(random_dense_invertible(random.Random(0x53)), Scalar(2), Scalar(-1, 1)).apply(rep)
     counts.update(dict.fromkeys(counts, 0))
     assert decide_equivalence(rep, moved).equivalent
-    # Measured: 144 multiplications and 4 subtractions, with 79 fused
-    # x - y*f and 8 fused dot products, the power traces' (160 multiplications
+    # Measured: 106 multiplications and 4 subtractions, with 79 fused
+    # x - y*f and 8 fused dot products, the power traces' (144 multiplications
+    # while the witness check formed u x and x' u for each block; 160
     # while Scalar.__pow__ started from one and Mat.scale(1) multiplied every
     # entry by one; 166, 81 and 200
     # while the intertwiner solve took each row of a later block times each
@@ -138,15 +155,17 @@ def test_dense_conjugate_decision_work(q2, counts):
     # the block-wise kernel and the inverse-free witness check; 877 and 465
     # before linalg.mul_operator and the power-trace determinant test; 2,004
     # and 1,457 before zero entries were skipped).
-    assert counts["mul"] <= 151
+    assert counts["mul"] <= 111
     assert counts["sub"] <= 4
     assert counts["minus_product"] <= 82
     assert counts["dot"] <= 8
-    # Measured: 12 matrix products and 2 matrix sums, and 16 row products, 4
-    # of them the intertwiner solve's.
-    assert counts["mat_mul"] <= 12
+    # Measured: 4 matrix products and 2 matrix sums, and 8 row products, 4
+    # of them the intertwiner solve's (12 and 16 while the witness check
+    # formed its 8 products); the witness takes one zero test per block.
+    assert counts["mat_mul"] <= 4
     assert counts["mat_add"] <= 2
-    assert counts["row_products"] <= 16
+    assert counts["row_products"] <= 8
+    assert counts["vanish"] == 4
 
 
 def test_dense_conjugate_of_every_entry_work(q2, counts):
@@ -157,8 +176,9 @@ def test_dense_conjugate_of_every_entry_work(q2, counts):
         pairs.append((rep, EquivalenceWitness(random_dense_invertible(rng), Scalar(2), Scalar(-1, 1)).apply(rep)))
     counts.update(dict.fromkeys(counts, 0))
     assert all(decide_equivalence(rep, moved).equivalent for rep, moved in pairs)
-    # Measured: 3,147 multiplications and 80 subtractions, with 2,838 fused
-    # x - y*f and 160 fused dot products, the power traces' (3,467 while
+    # Measured: 2,313 multiplications and 80 subtractions, with 2,838 fused
+    # x - y*f and 160 fused dot products, the power traces' (3,147 while the
+    # witness check formed u x and x' u for each block; 3,467 while
     # Scalar.__pow__ started from one and Mat.scale(1) multiplied every entry
     # by one; 3,676 and 3,152
     # while the intertwiner solve took one dot product per row of a later
@@ -168,15 +188,17 @@ def test_dense_conjugate_of_every_entry_work(q2, counts):
     # 2,918 with neither
     # fused kernel; 27,013 and 14,655 with the whole 64x16 intertwiner system
     # in one reduction and the witness checked through u^-1).
-    assert counts["mul"] <= 3_304
+    assert counts["mul"] <= 2_429
     assert counts["sub"] <= 84
     assert counts["minus_product"] <= 2_979
     assert counts["dot"] <= 168
-    # Measured: 240 matrix products and 21 matrix sums, and 327 row products,
-    # 87 of them the intertwiner solves'.
-    assert counts["mat_mul"] <= 252
+    # Measured: 80 matrix products and 21 matrix sums, and 167 row products,
+    # 87 of them the intertwiner solves' (240 and 327 while the witness check
+    # formed its 160 products); 80 zero tests, 4 per witness.
+    assert counts["mat_mul"] <= 84
     assert counts["mat_add"] <= 22
-    assert counts["row_products"] <= 343
+    assert counts["row_products"] <= 175
+    assert counts["vanish"] == 80
 
 
 def test_unipotent_certificate_work(q2, counts):
@@ -202,3 +224,5 @@ def test_unipotent_certificate_work(q2, counts):
     # term by term, so only the A11 map's rows are reduced: the solve takes
     # no row product, and every one is a matrix product.
     assert counts["row_products"] == counts["mat_mul"]
+    # No witness, so no zero test.
+    assert counts["vanish"] == 0
