@@ -25,9 +25,12 @@ pair (the kernel of the four maps u -> alpha u A - A' u, one per block), and
 searches the solution space for an invertible element at the lattice points
 1 <= |c| <= 4 of the degree-4 simplex, which decide whether its determinant
 (total degree 4) vanishes identically; so a negative answer is a
-certificate.  A witness u is checked as alpha u A - A' u = 0 on all four
-blocks (linalg.products_vanish), with no inverse: as det u != 0, that says
-alpha u A u^-1 = A'.
+certificate.  A point is evaluated only when no row and no column is zero
+in every basis matrix of its support: otherwise the point has that zero row
+or column and is singular, so skipping it keeps the search complete and its
+first invertible point the same.  A witness u is checked as
+alpha u A - A' u = 0 on all four blocks (linalg.products_vanish), with no
+inverse: as det u != 0, that says alpha u A u^-1 = A'.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .scalars import ONE, ZERO, Scalar, exact_sqrt
 
 
 class Unsupported(ValueError):
-    """The pair is not decided: the deformation parameters differ, or both spectra match under a scale outside Q(i)."""
+    """The pair is not decided: both spectra match, but under a scale outside Q(i)."""
 
 
 @dataclass(frozen=True)
@@ -293,17 +296,22 @@ def decide_equivalence(
 ) -> Verdict:
     """Decide equivalence of the inner actions of two GL_q representations.
 
-    Returns an exact witness or a NotEquivalent certificate.  spectra is
-    (spectral_data(r1), spectral_data(r2)), taken here when not given; a
-    caller that decides many pairs passes it to compute each once.  The
-    candidate scales are those under which the power traces of A11 (alpha1)
-    and A22 (alpha2) match.  A11 is checked, then A22: a block whose spectra
+    Returns an exact witness or a NotEquivalent certificate.  Equivalence
+    relates two actions of one quantum group, so representations at
+    different q are not equivalent: a "q" obstruction, no candidate tried.
+    spectra is (spectral_data(r1), spectral_data(r2)), taken here when not
+    given; a caller that decides many pairs passes it to compute each once.
+    The candidate scales are those under which the power traces of A11
+    (alpha1) and A22 (alpha2) match.  A11 is checked, then A22: a block whose spectra
     differ is a "spectrum" obstruction, and a matched singular block raises
     DeterminantSingular, its determinant taken from the same power traces.
     Each candidate pair reduces to a linear intertwiner system; the
     determinant on its solution space has total degree 4, so it is evaluated
     at the lattice points 1 <= |c| <= 4 of the degree-4 simplex, a complete
-    identity test at every dimension up to 16.  The u found is checked as
+    identity test at every dimension up to 16; a point whose support leaves
+    a row or a column zero is singular and skipped unevaluated, which keeps
+    the test complete and the point found the same
+    (linalg.invertible_element_in).  The u found is checked as
     (u x) alpha = x' u for the four block pairs (x, x'), alpha being alpha1
     for A11, A21 and alpha2 for A12, A22.  As det u != 0, that holds iff
     EquivalenceWitness(u, alpha1, alpha2).apply(r1) == r2, with no inverse.
@@ -326,11 +334,11 @@ def decide_equivalence(
     nonzero scale, so r2's block is then singular too.
     Every witness and every "exhausted" certificate is thus about two GL_q
     representations, while a "spectrum" obstruction is a fact about the
-    matrices and needs no action.  Raises Unsupported for different q, and for
-    a scale outside Q(i) when both spectra match.
+    matrices and needs no action.  Raises Unsupported for a scale outside Q(i)
+    when both spectra match.
     """
     if r1.q != r2.q:
-        raise Unsupported("representations have different deformation parameters")
+        return NotEquivalent(0, obstruction="q")
     s1, s2 = spectra or (spectral_data(r1), spectral_data(r2))
     pin1 = _spectral_pin(s1, s2, 0)
     pin2 = _spectral_pin(s1, s2, 1) if pin1 else None

@@ -602,8 +602,8 @@ def check_entry(
     ok = cent.contains_matrix(detq)
     report.add("detq_is_invariant", ok, "" if ok else f"det_q = {detq!r} is not invariant")
 
-    gamma = default_model().gamma
-    evaluated = [eval_gamma_expr(text, gamma) for text in entry.gamma_invariants]
+    atoms = default_model().atoms
+    evaluated = [eval_gamma_expr(text, atoms) for text in entry.gamma_invariants]
     inside = all(cent.contains_matrix(m) for m in evaluated)
     spanned = Subspace.span_of([_E4] + evaluated) == cent
     report.add("gamma_invariants", inside and spanned, f"{len(evaluated)} expressions")

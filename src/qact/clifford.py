@@ -13,7 +13,8 @@ precedence and left associativity:
     expr := expr ('+' | '-' | '*') expr | '-' expr | expr '/' k | int
           | 'g0' | 'g1' | 'g2' | 'g3' | 'g12' | 'i' | '(' expr ')'
 
-k is a positive int literal, g12 is g1*g2 and i the imaginary unit.  Any other
+k is a positive int literal, g12 is g1*g2 and i the imaginary unit; these atoms
+are built once per model (CliffordModel.atoms).  Any other
 node (unary '+', '**', '@', calls, other names, bool, float, complex) or syntax
 error raises MalformedExpression at its position; nesting too deep for the
 parser or the evaluator raises it at the start of the expression.  Unlike the
@@ -86,12 +87,13 @@ UNIT_EXPRESSIONS = {
 
 
 class CliffordModel:
-    """Gamma matrices, the 16 derived matrix units, and coordinate helpers."""
+    """Gamma matrices, the atoms of gamma expressions, the 16 derived matrix units, and coordinate helpers."""
 
-    __slots__ = ("gamma", "units", "identity")
+    __slots__ = ("gamma", "atoms", "units", "identity")
 
-    def __init__(self, gamma: tuple[Mat, Mat, Mat, Mat], units: dict):
+    def __init__(self, gamma: tuple[Mat, Mat, Mat, Mat], atoms: dict[str, Mat], units: dict):
         self.gamma = gamma
+        self.atoms = atoms
         self.units = units
         self.identity = Mat.identity(4)
 
@@ -102,8 +104,10 @@ class CliffordModel:
 def build_model() -> CliffordModel:
     """Construct and validate the model; any failure is a build-breaking bug."""
     gamma = _gammas()
-    units = {key: eval_gamma_expr(text, gamma) for key, text in UNIT_EXPRESSIONS.items()}
-    model = CliffordModel(gamma, units)
+    g0, g1, g2, g3 = gamma
+    atoms = {"g0": g0, "g1": g1, "g2": g2, "g3": g3, "g12": g1 * g2, "i": Mat.identity(4).scale(I)}
+    units = {key: eval_gamma_expr(text, atoms) for key, text in UNIT_EXPRESSIONS.items()}
+    model = CliffordModel(gamma, atoms, units)
     report = selftest(model)
     report.require(AssertionError)
     return model
@@ -159,15 +163,13 @@ def selftest(model: CliffordModel) -> Report:
 _BINARY = {ast.Add: Mat.__add__, ast.Sub: Mat.__sub__, ast.Mult: Mat.__mul__}
 
 
-def eval_gamma_expr(text: str, gamma: tuple[Mat, Mat, Mat, Mat]) -> Mat:
-    """Evaluate a gamma expression to an exact 4x4 matrix over the given generators."""
+def eval_gamma_expr(text: str, atoms: dict[str, Mat]) -> Mat:
+    """Evaluate a gamma expression to an exact 4x4 matrix over a model's atoms (CliffordModel.atoms)."""
     try:
         tree = ast.parse(text.strip(), mode="eval")
     except (SyntaxError, ValueError, RecursionError) as exc:
         where = _position(text, getattr(exc, "lineno", None) or 1, (getattr(exc, "offset", None) or 1) - 1)
         raise MalformedExpression(getattr(exc, "msg", str(exc)), where) from None
-    g0, g1, g2, g3 = gamma
-    atoms = {"g0": g0, "g1": g1, "g2": g2, "g3": g3, "g12": g1 * g2, "i": Mat.identity(4).scale(I)}
 
     def walk(node: ast.expr) -> Mat:
         if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:

@@ -548,20 +548,49 @@ def invertible_element_in(s: Subspace) -> Optional[Mat]:
     points {c in N^d : |c| <= n} are unisolvent for such polynomials (Chung-Yao
     1977).  It vanishes at c = 0, so testing 1 <= |c| <= n is complete: None
     holds over every extension of Q(i).  Points go by degree |c| = 1, ..., n,
-    each degree in descending lexicographic order, and each is tested as it
-    is built.  A point of degree 1 is a basis matrix; one of degree k >= 2 is
-    its prefix point of degree k - 1 plus one basis matrix, so only the
-    points of the previous degree are kept.
+    each degree in descending lexicographic order.  Each bk has a bitmask of
+    its nonzero rows (low n bits) and of its nonzero columns (high n bits).
+    When the OR of the masks over the support S = {k : ck > 0} is not full,
+    some row or column is zero in every bk with k in S, so it is zero in the
+    point and det = 0: the point is skipped with no matrix arithmetic, and
+    None comes back at once when the OR over the whole basis is not full.
+    Only singular points are skipped, so None stays a certificate and the
+    point returned is the first invertible one in that order, as without the
+    skip.  A point is built only to be tested: one of degree 1 is a basis
+    matrix, one of degree k >= 2 its prefix point (last index dropped) plus
+    one basis matrix, and a built point of degree below n is kept, as a later
+    point may extend it, so each costs one matrix sum.
     """
     n = _matrix_side(s.ambient_dim)
+    full = (1 << 2 * n) - 1
+    masks, covered = [], 0
+    for v in s.basis:
+        mask = 0
+        for k, x in enumerate(v):
+            if x.a or x.b:
+                mask |= (1 << k // n) | (1 << n + k % n)
+        masks.append(mask)
+        covered |= mask
+    if covered != full:
+        return None
     mats = s.matrices()
-    prefixes = {(): None}
+    built = {(k,): m for k, m in enumerate(mats)}
+
+    def point(idx: tuple[int, ...]) -> Mat:
+        combo = built.get(idx)
+        if combo is None:
+            combo = point(idx[:-1]) + mats[idx[-1]]
+            if len(idx) < n:  # a point of top degree is the prefix of none
+                built[idx] = combo
+        return combo
+
     for degree in range(1, n + 1):
-        points = {}
         for idx in combinations_with_replacement(range(s.dim), degree):
-            head = prefixes[idx[:-1]]
-            combo = points[idx] = mats[idx[-1]] if head is None else head + mats[idx[-1]]
-            if det(combo):
-                return combo
-        prefixes = points
+            mask = 0
+            for k in idx:
+                mask |= masks[k]
+            if mask == full:
+                combo = point(idx)
+                if det(combo):
+                    return combo
     return None

@@ -96,7 +96,7 @@ def test_criterion_1_clifford_selftest():
                     products += 1
     assert products == 256
     for (i, j), text in UNIT_EXPRESSIONS.items():
-        assert eval_gamma_expr(text, model.gamma) == Mat.unit(4, i, j)
+        assert eval_gamma_expr(text, model.atoms) == Mat.unit(4, i, j)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(1, "clifford self-test", elapsed)
@@ -159,7 +159,7 @@ def test_criterion_4_invariant_suite():
         inv = centralizer(list(rep.matrices()))
         assert inv.dim == INVARIANT_DIMS[entry.invariant_type], eid
         assert inv == Subspace.span_of(list(entry.expected_inv_basis)), eid
-        evaluated = [eval_gamma_expr(t, model.gamma) for t in entry.gamma_invariants]
+        evaluated = [eval_gamma_expr(t, model.atoms) for t in entry.gamma_invariants]
         for m in evaluated:
             assert inv.contains_matrix(m), eid
         assert Subspace.span_of([E4] + evaluated) == inv, eid

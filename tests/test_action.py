@@ -532,9 +532,10 @@ def test_intertwiner_space_matches_inverse_scaled_system(monkeypatch):
     assert len(tried) >= 20 and any(tried)
 
 
-def test_different_q_is_unsupported(q2, q3):
-    with pytest.raises(Unsupported):
-        decide_equivalence(instantiate("S1", q2), instantiate("S1", q3))
+def test_different_q_is_a_q_obstruction(q2, q3):
+    verdict = decide_equivalence(instantiate("S1", q2), instantiate("S1", q3))
+    assert verdict == NotEquivalent(0, obstruction="q")
+    assert verdict.to_json() == {"equivalent": False, "candidates_tried": 0, "obstruction": "q"}
 
 
 def test_not_equivalent_json(q2):

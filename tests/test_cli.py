@@ -202,6 +202,33 @@ def test_equiv(capsys, tmp_path):
     assert doc["u"]["rows"][0][0] == "1"
 
 
+def test_equiv_different_q_is_an_answer(capsys, tmp_path):
+    for q, name in (("2", "s1q2.json"), ("3", "s1q3.json")):
+        assert main(["export", "--entry", "S1", "--q", q, "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    code, out = run(capsys, "equiv", "--file1", str(tmp_path / "s1q2.json"), "--file2", str(tmp_path / "s1q3.json"))
+    assert (code, out) == (0, '{"equivalent":false,"candidates_tried":0,"obstruction":"q"}\n')
+
+
+EQUIV_GOLDEN = Path(__file__).resolve().parent / "golden" / "equiv"
+
+
+def test_equiv_matches_golden_output(capsys):
+    """stdout and exit code of `qact equiv` as recorded in tests/golden/equiv/expected.json.
+
+    The cases are all 25 ordered pairs of the five unipotent Jordan types
+    (J, 0, 0, I) at q = 2, and S1 against a dense conjugate at q = 2, 3 and
+    1+i; the outputs were recorded before the simplex search skipped points
+    by support, so a witness here is still the first invertible point.
+    """
+    cases = json.loads((EQUIV_GOLDEN / "expected.json").read_text())
+    assert len(cases) == 28
+    for case in cases:
+        files = [str(EQUIV_GOLDEN / case[key]) for key in ("file1", "file2")]
+        got = run(capsys, "equiv", "--file1", files[0], "--file2", files[1])
+        assert got == (case["exit"], case["stdout"]), files
+
+
 def test_equiv_traceless_dense_conjugate(capsys, tmp_path):
     # trace A11 = alpha + q^2 + q + 1 = 0, and u leaves no block triangular.
     rep = instantiate("S5", validate_q(2), {"alpha": -7})

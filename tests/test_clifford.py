@@ -1,3 +1,5 @@
+import ast
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,12 +13,13 @@ from qact import (
     eval_gamma_expr,
     selftest,
 )
+from qact import clifford
 
 E4 = Mat.identity(4)
 
 
 def ev(text, model):
-    return eval_gamma_expr(text, model.gamma)
+    return eval_gamma_expr(text, model.atoms)
 
 
 def test_selftest_passes(model):
@@ -139,7 +142,7 @@ gamma_exprs = st.recursive(
 @example(("g0/2/3", PRODUCT, G0.scale(Scalar(1, 0, 6))))
 def test_evaluation_matches_generated_matrix(generated):
     text, _, matrix = generated
-    assert eval_gamma_expr(text, default_model().gamma) == matrix, text
+    assert eval_gamma_expr(text, default_model().atoms) == matrix, text
 
 
 @pytest.mark.parametrize(
@@ -153,7 +156,7 @@ def test_evaluation_matches_generated_matrix(generated):
 )
 def test_parser_errors(bad, model):
     with pytest.raises(MalformedExpression) as info:
-        eval_gamma_expr(bad, model.gamma)
+        eval_gamma_expr(bad, model.atoms)
     position = info.value.position
     assert type(position) is int and 0 <= position <= len(bad)
 
@@ -161,4 +164,23 @@ def test_parser_errors(bad, model):
 def test_build_model_is_deterministic(model):
     other = build_model()
     assert other.gamma == model.gamma
+    assert other.atoms == model.atoms
     assert other.units == model.units
+
+
+def test_atoms_are_built_once_per_model(model, monkeypatch):
+    g0, g1, g2, g3 = model.gamma
+    assert model.atoms == {"g0": g0, "g1": g1, "g2": g2, "g3": g3, "g12": g1 * g2, "i": E4.scale(Scalar(0, 1))}
+    products = []
+    multiply = Mat.__mul__
+
+    def counted(x, y):
+        products.append((x, y))
+        return multiply(x, y)
+
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    monkeypatch.setitem(clifford._BINARY, ast.Mult, counted)
+    assert ev("g12", model) is model.atoms["g12"]
+    assert ev("i*g12", model) == model.atoms["g12"].scale(Scalar(0, 1))
+    assert len(products) == 1  # the expression's own i*g12
+

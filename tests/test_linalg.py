@@ -1,4 +1,5 @@
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -21,6 +22,7 @@ from helpers import (
     jordan,
     random_low_rank,
     random_mat,
+    random_nonzero_scalar,
     random_scalar,
     reference_algebra_closure,
     reference_first_invertible,
@@ -642,8 +644,31 @@ def test_invertible_element_matches_grid_scan(rng):
             assert det(found)
 
 
-def test_invertible_element_is_the_first_invertible_simplex_point(rng, q2):
-    """The same point as a from-scratch enumeration in the documented order, on random and Jordan spaces."""
+def _sparse_low_rank(rng, rank: int) -> Mat:
+    """A sum of rank outer products x y^T, x and y each with one or two nonzero entries."""
+    rows = [[Scalar(0)] * 4 for _ in range(4)]
+    for _ in range(rank):
+        x = {i: random_nonzero_scalar(rng) for i in rng.sample(range(4), rng.randint(1, 2))}
+        y = {j: random_nonzero_scalar(rng) for j in rng.sample(range(4), rng.randint(1, 2))}
+        for i, xi in x.items():
+            for j, yj in y.items():
+                rows[i][j] = rows[i][j] + xi * yj
+    return Mat(rows)
+
+
+def _support(space: Subspace) -> tuple[set[int], set[int]]:
+    """The rows and the columns on which some basis matrix is nonzero."""
+    cells = [(k // 4, k % 4) for v in space.basis for k, x in enumerate(v) if x]
+    return {r for r, _ in cells}, {c for _, c in cells}
+
+
+def test_invertible_element_is_the_first_invertible_simplex_point(rng, q2, monkeypatch):
+    """The same point as a from-scratch enumeration in the documented order.
+
+    On random dense and Jordan spaces, and on sparse ones whose points the
+    search skips by support: random sets of matrix units, sparse low-rank
+    matrices, and spaces whose matrices share exactly one zero row or column.
+    """
     spaces = []
     for _ in range(30):
         ranks = [rng.choice((1, 1, 2, 3)) for _ in range(rng.randint(1, 6))]
@@ -652,9 +677,38 @@ def test_invertible_element_is_the_first_invertible_simplex_point(rng, q2):
     zero, one = Mat.zero(4), Mat.identity(4)
     reps = [GLqRep(jordan(*parts), zero, zero, one, q2) for parts in ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))]
     spaces += [reference_intertwiner_space(r1, r2, Scalar(1), Scalar(1)) for r1 in reps for r2 in reps]
+    units = [u(i, j) for i in range(1, 5) for j in range(1, 5)]
+    sparse = [Subspace.span_of(rng.sample(units, rng.randint(3, 8))) for _ in range(16)]
+    sparse += [Subspace.span_of([_sparse_low_rank(rng, rng.randint(1, 3)) for _ in range(rng.randint(2, 6))])
+               for _ in range(16)]
+    missing_one = []
+    for k in range(8):  # row k for k < 4, else column k - 4
+        while True:
+            mats = [_sparse_low_rank(rng, rng.randint(2, 3)) for _ in range(rng.randint(3, 6))]
+            space = Subspace.span_of([Mat([[Scalar(0) if (i, j)[k // 4] == k % 4 else x for j, x in enumerate(r)]
+                                           for i, r in enumerate(m.rows)]) for m in mats])
+            rows, cols = _support(space)
+            if sorted((len(rows), len(cols))) == [3, 4] and k % 4 not in (rows, cols)[k // 4]:
+                missing_one.append(space)
+                break
+    spaces += sparse + missing_one
     found = [reference_first_invertible(s) for s in spaces]
     assert None in found and any(f is not None and f not in s.matrices() for f, s in zip(found, spaces))
-    assert [invertible_element_in(s) for s in spaces] == found
+    evaluated = []
+    counted = linalg.det
+    monkeypatch.setattr(linalg, "det", lambda m: evaluated.append(m) or counted(m))
+    dets = {}
+    for s, want in zip(spaces, found):
+        evaluated.clear()
+        assert invertible_element_in(s) == want
+        dets[s] = len(evaluated)
+    # The skip runs: some sparse space has an invertible point, some sparse
+    # negative search evaluates a few of its C(d+4, 4) - 1 points but not
+    # all, and a missing row or column ends the search before any point.
+    found_in = dict(zip(spaces, found))
+    assert any(found_in[s] is not None for s in sparse)
+    assert any(found_in[s] is None and 0 < dets[s] < comb(s.dim + 4, 4) - 1 for s in sparse)
+    assert all(dets[s] == 0 for s in missing_one)
 
 
 def test_large_spaces_are_decided():

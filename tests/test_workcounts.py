@@ -69,8 +69,12 @@ def test_verify_table_work(q2, counts):
     default_model()  # built once per process, so kept out of the count
     counts.update(dict.fromkeys(counts, 0))
     assert verify_table(q2).ok
-    # Measured: 6,027 multiplications and 951 subtractions, with 2,870
+    # Measured: 5,880 multiplications and 951 subtractions, with 2,869
     # fused x - y*f and 80 fused dot products, the power traces' p3 and p4.
+    # Multiplications fell from 6,027 as the gamma atoms are built once per
+    # model, not per expression (72, the i of 18 expressions, each a scaled
+    # identity), and as the simplex search skips the points whose support
+    # leaves a zero row or column (75, the eliminations of 150 determinants).
     # Multiplications fell from 9,840 to 7,463, and subtractions from 1,086
     # to 311, as every checked identity among products became one zero test
     # that forms no product matrix.  Then action_fixed_points read the rows
@@ -103,11 +107,14 @@ def test_verify_table_work(q2, counts):
     # block at a time; 39,032 and 14,105 before linalg.mul_operator and the
     # power-trace determinant test; 115,120 and 117,635 before zero entries
     # were skipped).
-    assert counts["mul"] <= 6_328
+    assert counts["mul"] <= 6_174
     assert counts["sub"] <= 999
     assert counts["minus_product"] <= 3_014
     assert counts["dot"] <= 84
-    # Measured: 742 matrix products and 191 matrix sums, none of them in a
+    # Measured: 724 matrix products and 83 matrix sums.  The product bound is
+    # the count itself: 742 while each of the 18 gamma expressions built its
+    # own g12 = g1 g2, and 191 sums while the simplex search tested the
+    # points whose support leaves a zero row or column.  None is in a
     # relation, counit or witness check: 564 are the operator-algebra
     # closure's (1,702 and 351 while each relation compared two product
     # matrices, 12 of them 16x16 per entry, and each counit identity summed
@@ -116,22 +123,25 @@ def test_verify_table_work(q2, counts):
     # q-commutator as a difference; 384 sums while the catalog rebuilt its
     # operator-algebra bases on every call, 492 while the simplex search
     # rebuilt every point from scratch).
-    assert counts["mat_mul"] <= 779
-    assert counts["mat_add"] <= 201
-    # Measured: 1,132 row products, the 742 matrix products and 390 of the
-    # kernel solves (2,092 and 2,084 before).
-    assert counts["row_products"] <= 1_189
+    assert counts["mat_mul"] <= 724
+    assert counts["mat_add"] <= 87
+    # Measured: 1,114 row products, the 724 matrix products and 390 of the
+    # kernel solves (1,132 with a g12 product per gamma expression; 2,092
+    # and 2,084 before).
+    assert counts["row_products"] <= 1_169
     # 480 zero tests: for each of the 20 entries 6 relations, 6 operator
     # relations and 8 counit identities, and 4 blocks of each self-witness.
     assert counts["vanish"] == 480
     # Power traces of A11 and A22, once for each of the 20 representations
     # (528 while every decided pair took them again).
     assert counts["power_traces"] == 40
-    # Measured: 170 determinants and 2,199 inversions (190 and 2,202 while
+    # Measured: 20 determinants, one per self-witness, and 2,198 inversions
+    # (170 and 2,199 while the simplex search evaluated the points whose
+    # support leaves a zero row or column; 190 and 2,202 while
     # quantum_determinant took det(det_q) before antipode inverted it; 268
     # and 2,205 while decide_equivalence took det(A11) and det(A22) by
     # elimination rather than from the power traces).
-    assert counts["det"] <= 178
+    assert counts["det"] <= 21
     assert counts["inv"] <= 2_309
 
 
@@ -140,8 +150,10 @@ def test_dense_conjugate_decision_work(q2, counts):
     moved = EquivalenceWitness(random_dense_invertible(random.Random(0x53)), Scalar(2), Scalar(-1, 1)).apply(rep)
     counts.update(dict.fromkeys(counts, 0))
     assert decide_equivalence(rep, moved).equivalent
-    # Measured: 106 multiplications and 4 subtractions, with 79 fused
-    # x - y*f and 8 fused dot products, the power traces' (144 multiplications
+    # Measured: 98 multiplications and 4 subtractions, with 61 fused
+    # x - y*f and 8 fused dot products, the power traces' (106 and 79 while
+    # the simplex search took 5 determinants, not 1, testing points whose
+    # support leaves a zero row or column; 144 multiplications
     # while the witness check formed u x and x' u for each block; 160
     # while Scalar.__pow__ started from one and Mat.scale(1) multiplied every
     # entry by one; 166, 81 and 200
@@ -155,15 +167,16 @@ def test_dense_conjugate_decision_work(q2, counts):
     # the block-wise kernel and the inverse-free witness check; 877 and 465
     # before linalg.mul_operator and the power-trace determinant test; 2,004
     # and 1,457 before zero entries were skipped).
-    assert counts["mul"] <= 111
+    assert counts["mul"] <= 103
     assert counts["sub"] <= 4
-    assert counts["minus_product"] <= 82
+    assert counts["minus_product"] <= 64
     assert counts["dot"] <= 8
-    # Measured: 4 matrix products and 2 matrix sums, and 8 row products, 4
+    # Measured: 4 matrix products and 1 matrix sum (2 before the simplex
+    # search skipped by support), and 8 row products, 4
     # of them the intertwiner solve's (12 and 16 while the witness check
     # formed its 8 products); the witness takes one zero test per block.
     assert counts["mat_mul"] <= 4
-    assert counts["mat_add"] <= 2
+    assert counts["mat_add"] <= 1
     assert counts["row_products"] <= 8
     assert counts["vanish"] == 4
 
@@ -176,8 +189,10 @@ def test_dense_conjugate_of_every_entry_work(q2, counts):
         pairs.append((rep, EquivalenceWitness(random_dense_invertible(rng), Scalar(2), Scalar(-1, 1)).apply(rep)))
     counts.update(dict.fromkeys(counts, 0))
     assert all(decide_equivalence(rep, moved).equivalent for rep, moved in pairs)
-    # Measured: 2,313 multiplications and 80 subtractions, with 2,838 fused
-    # x - y*f and 160 fused dot products, the power traces' (3,147 while the
+    # Measured: 2,193 multiplications and 80 subtractions, with 2,687 fused
+    # x - y*f and 160 fused dot products, the power traces' (2,313 and 2,838
+    # while the simplex search took 53 determinants, not 20, testing points
+    # whose support leaves a zero row or column; 3,147 while the
     # witness check formed u x and x' u for each block; 3,467 while
     # Scalar.__pow__ started from one and Mat.scale(1) multiplied every entry
     # by one; 3,676 and 3,152
@@ -188,15 +203,16 @@ def test_dense_conjugate_of_every_entry_work(q2, counts):
     # 2,918 with neither
     # fused kernel; 27,013 and 14,655 with the whole 64x16 intertwiner system
     # in one reduction and the witness checked through u^-1).
-    assert counts["mul"] <= 2_429
+    assert counts["mul"] <= 2_303
     assert counts["sub"] <= 84
-    assert counts["minus_product"] <= 2_979
+    assert counts["minus_product"] <= 2_821
     assert counts["dot"] <= 168
-    # Measured: 80 matrix products and 21 matrix sums, and 167 row products,
+    # Measured: 80 matrix products and 10 matrix sums (21 before the simplex
+    # search skipped by support), and 167 row products,
     # 87 of them the intertwiner solves' (240 and 327 while the witness check
     # formed its 160 products); 80 zero tests, 4 per witness.
     assert counts["mat_mul"] <= 84
-    assert counts["mat_add"] <= 22
+    assert counts["mat_add"] <= 11
     assert counts["row_products"] <= 175
     assert counts["vanish"] == 80
 
@@ -207,12 +223,14 @@ def test_unipotent_certificate_work(q2, counts):
     counts.update(dict.fromkeys(counts, 0))
     verdict = decide_equivalence(r1, r2)
     assert isinstance(verdict, NotEquivalent) and verdict.candidates_tried == 1
-    # The intertwiner space has dimension 6, so the simplex has C(10, 4) - 1 =
-    # 209 points 1 <= |c| <= 4, each tested once, and its 203 points of degree
-    # >= 2 cost one matrix sum each, a prefix point plus a basis matrix (511
-    # sums while every point was rebuilt from scratch).
-    assert counts["det"] == 209
-    assert counts["mat_add"] <= 213
+    # The intertwiner space has dimension 6, and its basis matrices all have
+    # a zero first column, so every one of its C(10, 4) - 1 = 209 simplex
+    # points is singular by support and the search ends before any point
+    # (det == 209 and mat_add <= 213 while each point was tested: 203 sums,
+    # a prefix point plus a basis matrix; 511 sums while every point was
+    # rebuilt from scratch).
+    assert counts["det"] == 0
+    assert counts["mat_add"] == 0
     # Measured: 40 multiplications and 8 fused dot products (66 while
     # Scalar.__pow__ started from one and squared past its last bit and
     # Mat.scale(1) multiplied every entry by one; 64 before the
@@ -226,3 +244,34 @@ def test_unipotent_certificate_work(q2, counts):
     assert counts["row_products"] == counts["mat_mul"]
     # No witness, so no zero test.
     assert counts["vanish"] == 0
+
+
+# (type of J, type of J', equivalent, determinants, matrix sums) for (J, 0, 0, I)
+# against (J', 0, 0, I), a single candidate each.  Before the simplex search
+# skipped the points whose support leaves a row or a column zero, each of the
+# C(d+4, 4) - 1 points up to the first invertible one took a determinant and
+# all but the d of degree 1 a matrix sum.
+UNIPOTENT_SEARCHES = [
+    # dim 7, negative: every basis matrix has a zero first column (329
+    # determinants and 322 sums before).
+    ((3, 1), (2, 1, 1), False, 0, 0),
+    # dim 8, negative: the basis covers every row and column, and 4 of the
+    # 494 points have a support that does too; 11 sums build them and their
+    # prefix points (494 determinants and 486 sums before).
+    ((2, 1, 1), (2, 2), False, 4, 11),
+    # dim 16, positive: the basis is the 16 matrix units, and the first point
+    # whose support covers every row and column is e11 + e22 + e33 + e44, the
+    # identity, built by 3 sums (1,549 determinants and 1,533 sums before).
+    ((1, 1, 1, 1), (1, 1, 1, 1), True, 1, 3),
+]
+
+
+@pytest.mark.parametrize("first, second, equivalent, dets, sums", UNIPOTENT_SEARCHES)
+def test_unipotent_search_work(q2, counts, first, second, equivalent, dets, sums):
+    zero, one = Mat.zero(4), Mat.identity(4)
+    r1, r2 = (GLqRep(jordan(*parts), zero, zero, one, q2) for parts in (first, second))
+    counts.update(dict.fromkeys(counts, 0))
+    verdict = decide_equivalence(r1, r2)
+    assert verdict.equivalent is equivalent and verdict.candidates_tried == 1
+    assert counts["det"] == dets
+    assert counts["mat_add"] == sums
