@@ -20,10 +20,14 @@ Two GL_q representations define equivalent actions iff one is a conjugate
 of the other rescaled columnwise by nonzero scalars (alpha1 on the first
 column, alpha2 on the second).  decide_equivalence enumerates a complete
 candidate set for the two scalars from the power traces of A11 and A22,
-which also give their determinants, solves the intertwiner system for each
-pair (the kernel of the four maps u -> alpha u A - A' u, one per block), and
-searches the solution space for an invertible element at the lattice points
-1 <= |c| <= 4 of the degree-4 simplex, which decide whether its determinant
+taken on Gaussian integers, which also give their determinants.  Each block
+pins its scale by one division, w = alpha^g, and checks the other power
+traces against powers of w.  For each candidate pair it solves the
+intertwiner system, the Sylvester maps u -> A' u - u (alpha A), one per
+block (linalg.solve_homogeneous: the first map's rows are reduced and the
+others evaluated on its kernel basis), and searches the solution space for
+an invertible element at the lattice points 1 <= |c| <= 4 of the degree-4
+simplex, which decide whether its determinant
 (total degree 4) vanishes identically; so a negative answer is a
 certificate.  A point is evaluated only when no row and no column is zero
 in every basis matrix of its support: otherwise the point has that zero row
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
 from .linalg import (
@@ -45,6 +49,7 @@ from .linalg import (
     Subspace,
     _operator_rows,
     algebra_closure,
+    integer_rows,
     invertible_element_in,
     mat_inverse,
     products_vanish,
@@ -54,7 +59,7 @@ from .linalg import (
 )
 from .qrep import Blocks, DeterminantSingular, GLqRep, _relation_report, antipode, quantum_determinant
 from .report import Report
-from .scalars import ONE, ZERO, Scalar, exact_sqrt
+from .scalars import ONE, ZERO, Scalar, _make, exact_sqrt
 
 
 class Unsupported(ValueError):
@@ -211,12 +216,37 @@ PowerTraces = tuple[Scalar, Scalar, Scalar, Scalar]
 
 
 def _power_traces(x: Mat) -> PowerTraces:
-    """tr(x^k) for k = 1..4 from the single product x^2, p3 and p4 as fused dot products; no division."""
-    x2 = x * x
-    flat2 = x2.flatten()
-    p3 = Scalar.dot([y for column in zip(*x.rows) for y in column], flat2)
-    p4 = Scalar.dot([y for column in zip(*x2.rows) for y in column], flat2)
-    return x.trace(), x2.trace(), p3, p4
+    """tr(x^k) for k = 1..4 on Gaussian integers: X = D x for the lcm D of the denominators, X^2 formed once.
+
+    With p_k = tr(X^k), p3 = sum_ik X_ik (X^2)_ki and p4 = sum_ij (X^2)_ij (X^2)_ji;
+    tr(x^k) = p_k / D^k is normalized once, and no Scalar or Mat is made on the way.
+    """
+    n = x.n
+    den = lcm(*(e.d for row in x.rows for e in row))
+    rows = integer_rows(x.rows, den)
+    re2, im2 = [], []  # the real and imaginary parts of X^2
+    for row in rows:
+        re, im = [0] * n, [0] * n
+        for k, a, b in row:
+            for j, c, e in rows[k]:
+                re[j] += a * c - b * e
+                im[j] += a * e + b * c
+        re2.append(re)
+        im2.append(im)
+    p1a = p1b = p3a = p3b = p4a = p4b = 0
+    for i, row in enumerate(rows):
+        for k, a, b in row:
+            if k == i:
+                p1a, p1b = p1a + a, p1b + b
+            c, e = re2[k][i], im2[k][i]
+            p3a, p3b = p3a + a * c - b * e, p3b + a * e + b * c
+    for i in range(n):
+        for j in range(i, n):
+            a, b, c, e = re2[i][j], im2[i][j], re2[j][i], im2[j][i]
+            f = 1 if i == j else 2  # the terms ij and ji of p4 are equal
+            p4a, p4b = p4a + f * (a * c - b * e), p4b + f * (a * e + b * c)
+    p2a, p2b = sum(re2[i][i] for i in range(n)), sum(im2[i][i] for i in range(n))
+    return _make(p1a, p1b, den), _make(p2a, p2b, den ** 2), _make(p3a, p3b, den ** 3), _make(p4a, p4b, den ** 4)
 
 
 _ONE_24TH = Scalar(1, 0, 24)
@@ -264,10 +294,16 @@ def _spectral_pin(s1: SpectralData, s2: SpectralData, block: int) -> tuple[int, 
         return None
     ks = [k for k in range(1, 5) if p[k - 1]]
     g = gcd(*ks)
-    ratio = {k: pp[k - 1] / p[k - 1] for k in ks}
-    w = ratio[g] if g in ratio else next((ratio[k] / ratio[k - g] for k in ks if k - g in ratio), None)
-    if not all(ratio[k] == w ** (k // g) for k in ks):
-        return None
+    if g in ks:
+        w = pp[g - 1] / p[g - 1]
+    else:  # w = (p'_k / p_k) / (p'_(k-g) / p_(k-g)), in one division; no k when every p_k is 0
+        w = next((pp[k - 1] * p[k - g - 1] / (p[k - 1] * pp[k - g - 1]) for k in ks if k - g in ks), None)
+    powers = [w]  # w^1, w^2, ...
+    for k in ks:
+        while len(powers) < k // g:
+            powers.append(powers[-1] * w)
+        if k != g and pp[k - 1] != p[k - 1] * powers[k // g - 1]:
+            return None
     if not s1.det(block):
         raise DeterminantSingular("quantum determinant is singular")
     return g, w
@@ -285,9 +321,8 @@ def _roots(g: int, w: Scalar) -> list[Scalar]:
 
 
 def _intertwiner_space(r1: GLqRep, r2: GLqRep, alpha1: Scalar, alpha2: Scalar) -> Subspace:
-    """Solutions u of the four equations alpha u A = A' u, stacked (the same as u A = alpha^-1 A' u)."""
-    one = Mat.identity(4)
-    return solve_homogeneous([[(one, x.scale(alpha)), (-xp, one)]
+    """Solutions u of the four equations A' u = u (alpha A), stacked (the same as u A = alpha^-1 A' u)."""
+    return solve_homogeneous([(xp, x.scale(alpha))
                               for x, xp, alpha in zip(r1.matrices(), r2.matrices(), (alpha1, alpha2, alpha1, alpha2))])
 
 

@@ -3,24 +3,30 @@
 Matrices are square (sizes 2, 4, 16 arise), stored row-major as tuples of
 Scalar.  Zero entries are skipped, never multiplied, so results may share
 immutable Scalar objects with their operands.  The product sums each entry
-over its nonzero terms on plain-int (a, b, d) triples and normalizes it once,
-as Scalar.dot does; an entry that no term reaches is the shared ZERO.
+over its nonzero terms on plain-int (a, b, d) triples and normalizes it once;
+an entry that no term reaches is the shared ZERO.
 Linear subspaces of flattened matrices are kept in reduced row-echelon form
 with pivots equal to 1, so subspace equality is structural equality of the
 bases.  Flattening is row-major: the matrix entry (i, j) sits at index
-i*n + j.  A map X -> sum_t a_t X b_t on flattened matrices is given by its
-terms (a_t, b_t), whose rows are built sparse in one place; solve_rows, the
-one kernel solver, imposes maps through the product loop of Mat.__mul__.
-An identity among products that is only checked is tested by products_vanish,
-which sums sum_t c_t X_t Y_t row by row on the same plain-int triples and
-stops at the first nonzero entry, without building any product.
+i*n + j.  The rows of a map X -> sum_t a_t X b_t on flattened matrices are
+built sparse from its terms (a_t, b_t) in one place (_operator_rows).  One
+reduce-and-recombine loop finds every kernel: it reduces the first map's
+rows, and evaluates each later map on the kernel basis found so far.
+solve_rows takes maps as their rows, and solve_homogeneous takes Sylvester
+maps X -> L X - X R as the pairs (L, R); it builds the rows of the first
+one only, and evaluates each later one as L B - B R on Gaussian integers
+(_sylvester_system), with no row of it built.  An identity among products
+that is only checked is tested by products_vanish, which sums
+sum_t c_t X_t Y_t row by row on the same plain-int triples and stops at the
+first nonzero entry, without building any product.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations_with_replacement
-from math import gcd, isqrt
-from typing import Iterable, Optional, Sequence
+from math import gcd, isqrt, lcm
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .scalars import ONE, ZERO, Scalar, _alloc, as_scalar, format_scalar, scalar_from_json
 
@@ -93,7 +99,7 @@ class Mat:
                     for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Mat":
-        return Mat([[-x for x in r] for r in self.rows])
+        return Mat([[-x if x.a or x.b else x for x in r] for r in self.rows])
 
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
@@ -212,6 +218,14 @@ def sparse_rows(m: Mat) -> SparseRows:
     return [[(j, x.a, x.b, x.d) for j, x in enumerate(r) if x.a or x.b] for r in m.rows]
 
 
+IntegerRows = list[list[tuple[int, int, int]]]  # each row's nonzero entries (j, a, b), (a + b i)/den at column j
+
+
+def integer_rows(rows: Sequence[Sequence[Scalar]], den: int) -> IntegerRows:
+    """The rows as Gaussian integers over den, a multiple of every denominator: the nonzero (j, a, b) of each."""
+    return [[(j, x.a * (den // x.d), x.b * (den // x.d)) for j, x in enumerate(r) if x.a or x.b] for r in rows]
+
+
 def products_vanish(terms: Iterable[tuple[Scalar, SparseRows, SparseRows]]) -> bool:
     """Whether sum_t c_t X_t Y_t = 0 for terms (c_t, X_t, Y_t), the X_t all with one number of rows.
 
@@ -250,6 +264,12 @@ def _all_zero(entries: Sequence[Scalar]) -> bool:
         if x.a or x.b:
             return False
     return True
+
+
+def _is_scalar(m: Mat) -> bool:
+    """Whether m = c I for some scalar c."""
+    c = m.rows[0][0]
+    return all(x == c if i == j else not (x.a or x.b) for i, r in enumerate(m.rows) for j, x in enumerate(r))
 
 
 def det(m: Mat) -> Scalar:
@@ -318,9 +338,11 @@ def _rref_in_place(rows: list[list[Scalar]], width: int) -> list[int]:
             rows[rank], rows[piv] = rows[piv], rows[rank]
         prow = rows[rank]
         p = prow[col]
-        if p.a != 1 or p.b != 0 or p.d != 1:
+        if p.b or p.d != 1 or p.a not in (1, -1):
             pinv = p.inv()
             prow = rows[rank] = prow[:col] + [x * pinv if x.a or x.b else x for x in prow[col:]]
+        elif p.a == -1:  # dividing by -1 is a negation
+            prow = rows[rank] = prow[:col] + [-x if x.a or x.b else x for x in prow[col:]]
         for r in range(nrows):
             if r == rank:
                 continue
@@ -419,7 +441,7 @@ def _matrix_side(ambient: int) -> int:
     return n
 
 
-# -- maps X -> sum_t a_t X b_t on flattened matrix space ----------------------------
+# -- kernels of maps on flattened matrix space ---------------------------------------
 
 
 Terms = Sequence[tuple[Mat, Mat]]
@@ -453,36 +475,99 @@ def _operator_rows(terms: Terms, n: int) -> list[dict[int, Scalar]]:
     return rows
 
 
-def solve_homogeneous(maps: Sequence[Terms]) -> Subspace:
-    """The X on which every map X -> sum_t a_t X b_t vanishes; each map is its terms (a_t, b_t), all of one size.
+def solve_homogeneous(maps: Sequence[tuple[Mat, Mat]]) -> Subspace:
+    """The X with L X = X R for every map (L, R), all of one size: the common kernel of the maps X -> L X - X R.
 
-    solve_rows solves the maps' rows, each map's built when it is read.
+    A map with L = R = c I is zero and is skipped; the map X -> L X - X R is
+    zero only then.  The first other map's rows are built from its terms
+    (L, 1) and (1, -R) and reduced; each later map is evaluated on the kernel
+    basis found so far, L B - B R for each basis matrix B
+    (_sylvester_system), so none of its rows is built.  Maps are read one at
+    a time, and none after the kernel is {0}.
     """
-    n = maps[0][0][0].n
-    return solve_rows((_operator_rows(terms, n) for terms in maps), n * n)
+    n = maps[0][0].n
+    one = Mat.identity(n)
+    maps = ((l, r) for l, r in maps if not (_is_scalar(l) and l == r))
+    first = next(maps, None)
+    rows = [] if first is None else _operator_rows([(first[0], one), (one, -first[1])], n)
+    return _common_kernel(rows, (partial(_sylvester_system, l, r) for l, r in maps), n * n)
 
 
 def solve_rows(maps: Iterable[list[dict[int, Scalar]]], width: int) -> Subspace:
     """The common kernel of linear maps, each given by its rows {column: entry}, width columns, zeros allowed.
 
-    The first map's rows are made dense and reduced, and its kernel basis
-    b_1..b_d read off.  x = sum_k c_k b_k solves a later map iff
-    sum_k c_k (r . b_k) = 0 for each of its rows r: a system in d unknowns,
-    the product of those rows with the transposed basis, whose kernel
-    recombines the basis by one more product.  The last basis spans the
-    common kernel, which Subspace reduces to the RREF basis one reduction of
-    all the rows gives.  Zero rows cost no product, and once the kernel is
-    {0} no later map is taken from maps.
+    Each later map meets the kernel basis through the product of its rows
+    with the transposed basis, summed by the loop of Mat.__mul__.
     """
     maps = iter(maps)
-    basis = _free_basis([[row.get(c, ZERO) for c in range(width)] for row in next(maps) if row], width)
-    while basis and (rows := next(maps, None)) is not None:
-        rows = [row.items() for row in rows if row]
-        if rows:
-            system = [list(r) for r in _product_rows(rows, list(zip(*basis)), len(basis)) if not _all_zero(r)]
-            if system:
-                basis = _product_rows(map(enumerate, _free_basis(system, len(basis))), basis, width)
+    return _common_kernel(next(maps), (partial(_rows_times_basis, rows) for rows in maps), width)
+
+
+def _rows_times_basis(rows: list[dict[int, Scalar]], basis: list[Sequence[Scalar]]) -> list[list[Scalar]]:
+    """The products r . b_k of each nonzero row r with each basis vector b_k: a system in d = len(basis) unknowns."""
+    rows = [row.items() for row in rows if row]
+    return [list(r) for r in _product_rows(rows, list(zip(*basis)), len(basis))] if rows else []
+
+
+def _common_kernel(rows: list[dict[int, Scalar]], later: Iterator[Callable[[list], list[list[Scalar]]]],
+                   width: int) -> Subspace:
+    """The kernel of the map whose rows {column: entry} are given, cut down by each later map in turn.
+
+    The first map's rows are made dense and reduced, and its kernel basis
+    b_1..b_d read off.  Each later map is a function of the basis that gives
+    its system: row p is entry p of the map applied to b_1..b_d, so
+    x = sum_k c_k b_k solves the map iff c is in the system's kernel, which
+    recombines the basis by one product.  The last basis spans the common
+    kernel, which Subspace reduces to the RREF basis one reduction of all
+    the rows gives.  Zero rows of a system are dropped, and once the kernel
+    is {0} no later map is taken.
+    """
+    basis = _free_basis([[row.get(c, ZERO) for c in range(width)] for row in rows if row], width)
+    while basis and (system := next(later, None)) is not None:
+        system = [r for r in system(basis) if not _all_zero(r)]
+        if system:
+            basis = _product_rows(map(enumerate, _free_basis(system, len(basis))), basis, width)
     return Subspace(width, basis)
+
+
+def _sylvester_system(l: Mat, r: Mat, basis: list[Sequence[Scalar]]) -> list[list[Scalar]]:
+    """The system of X -> L X - X R on the basis: entry p of row-major L b_k - b_k R in row p, column k.
+
+    Each b_k is a flattened n x n matrix.  L and R are scaled to Gaussian
+    integers over the lcm D of their denominators, and b_k over the lcm D'
+    of its own.  Each nonzero entry b[m][j] adds b[m][j] times column m of L
+    to column j of L b, and b[m][j] times row j of R to row m of b R, on
+    plain ints; each nonzero entry of the difference, over D D', is then
+    normalized once.  No row of the map is built.
+    """
+    n, nn = l.n, l.n * l.n
+    den = lcm(*(x.d for row in l.rows + r.rows for x in row))
+    columns, r = integer_rows(list(zip(*l.rows)), den), integer_rows(r.rows, den)
+    system = [[ZERO] * len(basis) for _ in range(nn)]
+    for col, v in enumerate(basis):
+        entries = [(p, x) for p, x in enumerate(v) if x.a or x.b]
+        bd = lcm(*(x.d for _, x in entries))
+        re, im = [0] * nn, [0] * nn
+        for p, x in entries:
+            c = bd // x.d
+            xa, xb = x.a * c, x.b * c
+            m, j = divmod(p, n)
+            for i, fa, fb in columns[m]:  # L[i][m] b[m][j], at (i, j)
+                q = i * n + j
+                re[q] += fa * xa - fb * xb
+                im[q] += fa * xb + fb * xa
+            for k, ga, gb in r[j]:  # b[m][j] R[j][k], at (m, k)
+                q = p - j + k
+                re[q] -= xa * ga - xb * gb
+                im[q] -= xa * gb + xb * ga
+        d = den * bd
+        for q, a in enumerate(re):
+            b = im[q]
+            if a or b:
+                g = gcd(a, b, d)
+                s = system[q][col] = _alloc(Scalar)
+                s.a, s.b, s.d = a // g, b // g, d // g
+    return system
 
 
 def _free_basis(m: list[list[Scalar]], width: int) -> list[list[Scalar]]:
@@ -505,8 +590,7 @@ def centralizer(generators: Sequence[Mat]) -> Subspace:
     generators = list(generators)
     if not generators:
         raise ValueError("centralizer needs at least one generator")
-    one = Mat.identity(generators[0].n)
-    return solve_homogeneous([[(g, one), (one, -g)] for g in generators])
+    return solve_homogeneous([(g, g) for g in generators])
 
 
 def algebra_closure(generators: Sequence[Mat]) -> Subspace:

@@ -28,8 +28,7 @@ class VerificationFailure(AssertionError):
 
 def spinor_space(a: Mat, q: DeformationParameter) -> Subspace:
     """B(A): all B with AB = qBA, as an RREF subspace of flattened matrices."""
-    one = Mat.identity(a.n)
-    return solve_homogeneous([[(a, one), (one, a.scale(-q.q))]])
+    return solve_homogeneous([(a, a.scale(q.q))])
 
 
 def space_square_nonzero(s: Subspace) -> bool:

@@ -9,12 +9,14 @@ plain Python ints, which is several times faster than a pair of Fractions.
 The operators +, -, * and == are one Python call deep: a Scalar operand is
 used as it is, and each result is reduced by one gcd(a, b, d) and allocated
 in place.  The eliminations of linalg update each entry by one fused
-x.minus_product(y, f) = x - y*f, and the power traces take each dot product
-by one fused Scalar.dot; linalg's matrix product, and its kernel solver's
-products of rows with a basis, sum each entry on plain ints in the same way.
-Each normalizes its result once.  linalg.products_vanish, the zero test of
-every checked identity among products, sums the same way and normalizes
-nothing: an entry is zero iff its a and b are.
+x.minus_product(y, f) = x - y*f.  linalg's matrix product, and its kernel
+solver's products of rows with a basis, sum each entry on plain ints in the
+same way.  The kernel solver's Sylvester systems L B - B R and the power
+traces of action scale their operands to Gaussian integers over a common
+denominator and sum on plain ints with no denominator at all.  Each
+normalizes its result once.  linalg.products_vanish, the zero test of every
+checked identity among products, sums on plain ints and normalizes nothing:
+an entry is zero iff its a and b are.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -148,30 +150,6 @@ class Scalar:
             a, b = self.a - pa, self.b - pb
         else:
             a, b, d = self.a * pd - pa * d, self.b * pd - pb * d, d * pd
-        if d != 1:
-            g = gcd(a, b, d)
-            if g != 1:
-                a, b, d = a // g, b // g, d // g
-        s = _alloc(Scalar)
-        s.a, s.b, s.d = a, b, d
-        return s
-
-    @staticmethod
-    def dot(xs: Iterable["Scalar"], ys: Iterable["Scalar"]) -> "Scalar":
-        """sum x*y over paired Scalars, on a common denominator normalized once; a zero y costs nothing."""
-        a, b, d = 0, 0, 1
-        for x, y in zip(xs, ys):
-            ya, yb = y.a, y.b
-            if not (ya or yb):
-                continue
-            xa, xb = x.a, x.b
-            pd = x.d * y.d
-            if d == pd:
-                a, b = a + xa * ya - xb * yb, b + xa * yb + xb * ya
-            else:
-                g = gcd(d, pd)
-                m, k = pd // g, d // g  # d * m is the lcm of d and pd
-                a, b, d = a * m + (xa * ya - xb * yb) * k, b * m + (xa * yb + xb * ya) * k, d * m
         if d != 1:
             g = gcd(a, b, d)
             if g != 1:

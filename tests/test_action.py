@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -53,7 +54,7 @@ from qact import (
 from qact import action as action_module
 from qact import linalg as linalg_module
 from qact import qrep as qrep_module
-from qact.action import spectral_data
+from qact.action import SpectralData, spectral_data
 from qact.catalog import ENTRY_ORDER
 from qact.qrep import GLQ_RELATIONS
 
@@ -589,3 +590,71 @@ def test_spectral_determinants_match_elimination(q2, qc):
     for rep in reps:
         data = spectral_data(rep)
         assert (data.det(0), data.det(1)) == (det(rep.a11), det(rep.a22))
+
+
+# Gaussian rationals over the denominators 1, 2, 3 and 6, zero included.
+_mixed_scalars = st.builds(Scalar, st.integers(-6, 6), st.integers(-6, 6), st.sampled_from((1, 2, 3, 6)))
+
+
+@st.composite
+def _power_trace_inputs(draw):
+    """A 4x4 matrix: dense over mixed denominators, real, zero, or nilpotent (strictly upper triangular, conjugated)."""
+    kind = draw(st.sampled_from(("dense", "real", "zero", "nilpotent")))
+    if kind == "zero":
+        return Mat.zero(4)
+    entries = draw(st.lists(_mixed_scalars, min_size=16, max_size=16))
+    if kind == "real":
+        entries = [Scalar(x.a, 0, x.d) for x in entries]
+    x = Mat([entries[4 * i:4 * i + 4] for i in range(4)])
+    if kind == "nilpotent":
+        x = Mat([[e if j > i else Scalar(0) for j, e in enumerate(r)] for i, r in enumerate(x.rows)])
+        w = random_dense_invertible(random.Random(draw(st.integers(0, 2**16))))
+        x = w * x * mat_inverse(w)
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(_power_trace_inputs())
+def test_power_traces_match_dense_powers(x):
+    power, want = x, []
+    for _ in range(4):
+        want.append(sum((power.rows[i][i] for i in range(4)), Scalar(0)))
+        power = Mat(dense_mul(power, x))
+    got = action_module._power_traces(x)
+    assert list(got) == want
+    assert all(p.d > 0 and gcd(p.a, p.b, p.d) == 1 for p in got)
+
+
+def _pin(x, x2):
+    """The pin of A11 = x against A11 = x2, A22 = I on both sides."""
+    data = lambda a11: SpectralData((action_module._power_traces(a11), action_module._power_traces(E4)))
+    return action_module._spectral_pin(data(x), data(x2), 0)
+
+
+@pytest.mark.parametrize("x, x2, pin", [
+    (Mat.diag(1, 2, 3, 4), Mat.diag(2, 4, 6, 8), (1, Scalar(2))),  # p_1 != 0: g = 1, w = alpha
+    (Mat.diag(1, -1, 2, -2), Mat.diag(3, -3, 6, -6), (2, Scalar(9))),  # p_1 = p_3 = 0: g = 2, w = alpha^2
+    (Mat.diag(1, Scalar(0, 1), -1, Scalar(0, -1)), Mat.diag(2, Scalar(0, 2), -2, Scalar(0, -2)), (4, Scalar(16))),
+    # The traceless S5 at q = 2, A11 = diag(-7, 4, 2, 1): p_1 = 0 and the others are not, so g = 1 is no k,
+    # and w = (p'_3 / p_3) / (p'_2 / p_2).
+    (Mat.diag(-7, 4, 2, 1), Mat.diag(-21, 12, 6, 3), (1, Scalar(3))),
+    (Mat.diag(-7, 4, 2, 1), Mat.diag(-14, 8, 4, 2).scale(Scalar(0, 1, 2)), (1, Scalar(0, 1))),
+    # w is right at k = g, wrong at a k > g.
+    (Mat.diag(1, 2, 3, 4), Mat.diag(2, 2, 3, 3), None),  # p'_1 = p_1, p'_2 = 26 != 30
+    (Mat.diag(1, -1, 2, -2), Mat.diag(Scalar(11, 0, 5), Scalar(-11, 0, 5), Scalar(2, 0, 5), Scalar(-2, 0, 5)), None),
+])
+def test_spectral_pin(x, x2, pin, monkeypatch):
+    inversions = []
+    monkeypatch.setattr(Scalar, "inv", lambda s, op=Scalar.inv: inversions.append(1) or op(s))
+    assert _pin(x, x2) == pin
+    assert len(inversions) == 1  # w takes the one division
+
+
+def test_spectral_pin_fallback_checks_every_k():
+    # p_1 = 0, p'_2 = 4 p_2 and p'_3 = 8 p_3, so w = 2 by the fallback, but p'_4 != 16 p_4.
+    x = Mat.diag(-7, 4, 2, 1)
+    p = action_module._power_traces(x)
+    p4_wrong = (Scalar(0), p[1] * 4, p[2] * 8, p[3] * 15)
+    data = lambda a11_traces: SpectralData((a11_traces, action_module._power_traces(E4)))
+    assert action_module._spectral_pin(data(p), data(p4_wrong), 0) is None
+    assert action_module._spectral_pin(data(p), data((Scalar(0), p[1] * 4, p[2] * 8, p[3] * 16)), 0) == (1, Scalar(2))

@@ -85,8 +85,11 @@ def test_kernel_identity_and_zero():
     # The kernel of an operator has the dimension of its width minus its row rank.
     assert Subspace(4, Mat.identity(4).rows).dim == 4
     assert Subspace(16, Mat.zero(16).rows).dim == 0
-    assert solve_homogeneous([[(E4, E4)]]).dim == 0
-    assert solve_homogeneous([[(Mat.zero(4), E4)]]) == Subspace(16, Mat.identity(16).rows)
+    # Each map (L, R) is X -> L X - X R, which is zero iff L = R = c I.
+    assert solve_homogeneous([(E4, Mat.zero(4))]).dim == 0
+    everything = Subspace(16, Mat.identity(16).rows)
+    assert solve_homogeneous([(Mat.zero(4), Mat.zero(4))]) == everything
+    assert solve_homogeneous([(E4.scale(3), E4.scale(3)), (E4, E4)]) == everything
 
 
 def test_kernel_of_spinor_operator(q2):
@@ -95,7 +98,7 @@ def test_kernel_of_spinor_operator(q2):
     # X -> A X - q X A as A (x) I - q I (x) A^T, and A^T = A.
     operator = dense_kron(a, E4) - dense_kron(E4, a).scale(q)
     assert Subspace(16, operator.rows).dim == 13
-    space = solve_homogeneous([[(a, E4), (E4, a.scale(-q))]])
+    space = solve_homogeneous([(a, a.scale(q))])
     assert space == Subspace.span_of([u(1, 2), u(2, 3), u(3, 4)])
     assert space == Subspace(16, dense_kernel(operator.rows, 16))
 
@@ -260,10 +263,10 @@ def test_zero_aware_kernels_match_dense_reference(pair, c):
             mat_inverse(a)
     else:
         assert _canonical(mat_inverse(a).rows) == inverse
-    # Maps on 4x4 X from the corners of a and b; the second, X c - c X for the scalar matrix c, is zero.
+    # Maps on 4x4 X from the corners of a and b; the second, c X - X c for the scalar matrix c, is zero.
     x, y, cs = _corner(a), _corner(b), E4.scale(c)
-    maps = [[(x, y)], [(E4, cs), (-cs, E4)], [(x, E4), (E4, -y)], [(y, x)]]
-    assert _canonical(solve_homogeneous(maps).basis) == dense_stacked_kernel(maps)
+    maps = [(x, y), (cs, cs), (y, x), (x, Mat.zero(4))]
+    assert _canonical(solve_homogeneous(maps).basis) == dense_stacked_kernel(_terms(maps))
     stacked = [list(r) for r in a.rows + (a - b).rows]
     assert _canonical(Subspace(n, stacked).basis) == dense_rref(stacked, n)[0]
     assert Subspace(n, stacked) == Subspace(n, dense_rref(stacked, n)[0] + [[Scalar(0)] * n])
@@ -321,41 +324,50 @@ def map_terms(draw, n):
     return terms
 
 
+def _terms(maps) -> list:
+    """Each map (L, R) as the terms (L, 1) and (1, -R) of X -> L X - X R, the form dense_stacked_kernel reads."""
+    return [[(l, Mat.identity(l.n)), (Mat.identity(l.n), -r)] for l, r in maps]
+
+
 @st.composite
 def stacked_maps(draw):
-    """1 to 4 maps X -> sum_t a_t X b_t on n x n X, n = 2, 3 or 4, each given by its terms.
+    """1 to 4 maps (L, R), X -> L X - X R on n x n X, n = 2, 3 or 4.
 
-    A map may be X c - c X for a scalar matrix c, whose terms cancel exactly,
-    or X -> a X with a sparse and so often singular, which leaves a kernel
-    for the later maps to cut down.  A map X -> U X with U invertible may go
-    first, leaving the kernel {0} before the rest.
+    L and R are sparse, dense, zero or identity.  A map may be c X - X c for
+    a scalar matrix c, which is zero, or X -> a X with a sparse and so often
+    singular, which leaves a kernel for the later maps to cut down.  A map
+    X -> U X with U invertible may go first, leaving the kernel {0} before
+    the rest.
     """
     n = draw(st.sampled_from((2, 3, 4)))
-    e = Mat.identity(n)
+    e, zero = Mat.identity(n), Mat.zero(n)
+    dense = st.lists(st.lists(sparse_scalars.filter(bool), min_size=n, max_size=n), min_size=n, max_size=n).map(Mat)
+    factor = st.one_of(_sparse_mat(n), dense, st.just(e), st.just(zero))
     maps = []
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(("terms", "left", "left", "cancelling")))
-        if kind == "terms":
-            maps.append(draw(map_terms(n)))
+        kind = draw(st.sampled_from(("pair", "left", "left", "cancelling")))
+        if kind == "pair":
+            maps.append((draw(factor), draw(factor)))
         elif kind == "left":
-            maps.append([(draw(_sparse_mat(n)), e)])
+            maps.append((draw(_sparse_mat(n)), zero))
         else:
             c = e.scale(draw(sparse_scalars))
-            maps.append([(e, c), (-c, e)])
+            maps.append((c, c))
     if draw(st.booleans()):
         upper = _full_rank_block(n, draw(sparse_scalars.filter(bool)), draw(st.lists(sparse_scalars, min_size=1)))
-        maps.insert(0, [(Mat(upper), e)])
+        maps.insert(0, (Mat(upper), zero))
     return maps
 
 
 @settings(max_examples=80, **DENSE_REFERENCE)
 @given(stacked_maps())
-@example([[(Mat.zero(3), Mat.identity(3))]])
-@example([[(Mat.identity(2), Mat.diag(2, 2)), (Mat.diag(-2, -2), Mat.identity(2))], [(Mat.unit(2, 1, 2), Mat.identity(2))]])
-@example([[(u(1, 2), E4)], [(E4, Mat.zero(4))], [(E4, u(2, 1)), (u(3, 4), E4)]])
-@example([[(Mat(_full_rank_block(4, Scalar(2, 1), [Scalar(1), Scalar(0), Scalar(0, -1, 2)])), E4)], [(E4, E4)]])
+@example([(Mat.zero(3), Mat.zero(3))])
+@example([(Mat.diag(2, 2), Mat.diag(2, 2)), (Mat.unit(2, 1, 2), Mat.zero(2))])
+@example([(u(1, 2), Mat.zero(4)), (Mat.zero(4), Mat.zero(4)), (u(3, 4), -u(2, 1))])
+@example([(Mat(_full_rank_block(4, Scalar(2, 1), [Scalar(1), Scalar(0), Scalar(0, -1, 2)])), Mat.zero(4)),
+          (E4, Mat.zero(4))])
 def test_blockwise_solve_matches_dense_kernel(maps):
-    assert _canonical(solve_homogeneous(maps).basis) == dense_stacked_kernel(maps)
+    assert _canonical(solve_homogeneous(maps).basis) == dense_stacked_kernel(_terms(maps))
 
 
 @st.composite
@@ -363,43 +375,52 @@ def mixed_denominator_maps(draw):
     """X -> p X over mixed denominators, p of rank at most 2 so that it leaves a kernel, then 1 to 3 later maps.
 
     A later map is X -> s X or X -> X s with s of rank 1, which cuts the
-    kernel down without always ending it, or X -> s X t with s and t dense.
+    kernel down without always ending it, or X -> s X - X t with s and t dense.
     """
     def low_rank(rank):
         rows = draw(st.lists(st.lists(mixed_scalars, min_size=4, max_size=4), min_size=1, max_size=rank))
         return Mat(rows + [[Scalar(0)] * 4] * (4 - len(rows)))
 
-    maps = [[(low_rank(2), E4)]]
+    zero = Mat.zero(4)
+    maps = [(low_rank(2), zero)]
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(("left", "right", "dense")))
         if kind == "dense":
-            maps.append([(draw(dense_mats), draw(dense_mats))])
+            maps.append((draw(dense_mats), draw(dense_mats)))
         else:
             s = low_rank(1)
-            maps.append([(s, E4)] if kind == "left" else [(E4, s)])
+            maps.append((s, zero) if kind == "left" else (zero, -s))
     return maps
 
 
 @settings(max_examples=40, **DENSE_REFERENCE)
 @given(mixed_denominator_maps())
-@example([[(Mat([MIXED_ROW] + [[Scalar(0)] * 4] * 3), E4)], [(Mat([MIXED_ROW[::-1]] * 4), E4)]])
+@example([(Mat([MIXED_ROW] + [[Scalar(0)] * 4] * 3), Mat.zero(4)), (Mat([MIXED_ROW[::-1]] * 4), Mat.zero(4))])
 def test_fused_row_product_matches_dense_kernel(maps):
-    """Later maps meet the kernel basis through rows x basis products that sum over mixed denominators."""
-    assert _canonical(solve_homogeneous(maps).basis) == dense_stacked_kernel(maps)
+    """Later maps are evaluated on the kernel basis, each L B - B R summed over mixed denominators."""
+    assert _canonical(solve_homogeneous(maps).basis) == dense_stacked_kernel(_terms(maps))
+    # Each column of a later map's system is L B - B R for one basis matrix B, normalized.
+    first = solve_homogeneous(maps[:1])
+    for l, r in maps[1:]:
+        system = _canonical(linalg._sylvester_system(l, r, list(first.basis)))
+        for k, b in enumerate(first.matrices()):
+            image = dense_sub(Mat(dense_mul(l, b)), Mat(dense_mul(b, r)))
+            assert [row[k] for row in system] == [x for row in image for x in row]
 
 
 def test_blockwise_solve_skips_zero_and_settled_blocks(monkeypatch):
     """A zero map costs no product or difference, and no map after the kernel is {0} is read."""
-    full = [(Mat(_full_rank_block(4, Scalar(3), [Scalar(1), Scalar(0, 1), Scalar(0)])), E4)]
-    partial = [(Mat.diag(1, 0, 2, 0), E4), (E4, u(1, 2))]
-    zero = [(Mat.zero(4), E4), (E4, Mat.zero(4))]
+    zero = Mat.zero(4)
+    full = (Mat(_full_rank_block(4, Scalar(3), [Scalar(1), Scalar(0, 1), Scalar(0)])), zero)
+    partial = (Mat.diag(1, 0, 2, 0), -u(1, 2))  # X -> D X + X e12
     c = E4.scale(Scalar(2, -1, 3))
-    cancelling = [(E4, c), (-c, E4)]  # X c - c X
-    later = [(Mat([[Scalar(i * j + 1, i - j) for j in range(4)] for i in range(4)]), u(2, 3))]
+    cancelling = (c, c)  # c X - X c
+    later = (Mat([[Scalar(i * j + 1, i - j) for j in range(4)] for i in range(4)]), u(2, 3))
     calls = []
     for name in ("__mul__", "__sub__", "minus_product"):
         monkeypatch.setattr(Scalar, name, lambda x, *y, op=getattr(Scalar, name): calls.append(1) or op(x, *y))
-    monkeypatch.setattr(linalg, "_product_rows", lambda *args, op=linalg._product_rows: calls.append(1) or op(*args))
+    for name in ("_product_rows", "_sylvester_system"):
+        monkeypatch.setattr(linalg, name, lambda *args, op=getattr(linalg, name): calls.append(1) or op(*args))
 
     def work(maps):
         calls.clear()
@@ -413,8 +434,9 @@ def test_blockwise_solve_skips_zero_and_settled_blocks(monkeypatch):
             raise AssertionError("a map was read after the kernel became {0}")
 
     assert solve_homogeneous([full, Unread(), Unread()]).dim == 0
-    assert work([partial, zero]) == work([partial])
-    assert work([partial, zero, cancelling, zero]) == work([partial])
+    assert work([partial, (zero, zero)]) == work([partial])
+    assert work([(zero, zero), partial, cancelling, (zero, zero)]) == work([partial])
+    assert work([cancelling]) == work([(zero, zero)]) == 0
     assert work([partial, later]) > work([partial])
 
 

@@ -252,16 +252,6 @@ def test_kernel_matches_fraction_reference(x, y, f):
     assert x == Scalar(x.a * 7, x.b * 7, x.d * 7)
 
 
-@given(st.lists(st.tuples(wide_scalars, wide_scalars), max_size=6))
-def test_fused_dot_matches_fraction_reference(pairs):
-    got = Scalar.dot([x for x, _ in pairs], [y for _, y in pairs])
-    want = (Fraction(0), Fraction(0))
-    for x, y in pairs:
-        want = ref_add(want, ref_mul(parts(x), parts(y)))
-    assert_canonical(got)
-    assert parts(got) == want
-
-
 @given(wide_scalars, huge | st.fractions(max_denominator=2**40))
 def test_int_and_fraction_operands_on_either_side(x, r):
     px, pr = parts(x), parts(r)

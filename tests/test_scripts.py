@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +25,15 @@ def test_verify_all_smoke(capsys):
     assert "distinctness" not in out
     assert "invariants = span{1, det_q} on G entries: [ok]" in out
     assert "OVERALL: all checks passed" in out
+
+
+def test_verify_all_runs_outside_the_repository(tmp_path):
+    # The script finds src/ from its own path, not from the working directory.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(SCRIPTS / "verify_all.py"), "--q", "2", "--skip-distinctness"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert "OVERALL: all checks passed" in done.stdout
 
 
 def test_bench_writes_one_document_per_label(tmp_path, monkeypatch, capsys):

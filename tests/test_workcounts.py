@@ -30,18 +30,20 @@ from qact.catalog import ENTRY_ORDER
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counters of Scalar.__mul__, __sub__, inv, minus_product and dot calls, of Mat.__mul__
+    """Counters of Scalar.__mul__, __sub__, inv and minus_product calls, of Mat.__mul__
     and __add__ calls, of linalg.det calls, of power-trace evaluations, of
     row products: linalg._product_rows, the loop of Mat.__mul__ and of the
-    kernel solve's rows x basis products, and of zero tests of sums of
-    products: linalg.products_vanish, one per identity checked.
+    kernel solve's rows x basis products and recombinations, of Sylvester
+    systems: linalg._sylvester_system, a later map L X - X R of
+    solve_homogeneous evaluated on the kernel basis, and of zero tests of
+    sums of products: linalg.products_vanish, one per identity checked.
 
-    The fused kernels minus_product (x - y*f) and dot (sum x*y) each hide
-    products, and so do the row product and the zero test, which sum each
-    entry on plain ints; so each is counted under its own key.
+    The fused kernel minus_product (x - y*f) hides a product, and so do the
+    row product, the Sylvester system and the zero test, which sum each entry
+    on plain ints; so each is counted under its own key.
     """
-    tally = {"mul": 0, "sub": 0, "inv": 0, "minus_product": 0, "dot": 0, "mat_mul": 0, "mat_add": 0, "det": 0,
-             "power_traces": 0, "row_products": 0, "vanish": 0}
+    tally = {"mul": 0, "sub": 0, "inv": 0, "minus_product": 0, "mat_mul": 0, "mat_add": 0, "det": 0,
+             "power_traces": 0, "row_products": 0, "sylvester": 0, "vanish": 0}
 
     def counted(op, key):
         def call(*args):
@@ -52,7 +54,6 @@ def counts(monkeypatch):
 
     for name, key in (("__mul__", "mul"), ("__sub__", "sub"), ("inv", "inv"), ("minus_product", "minus_product")):
         monkeypatch.setattr(Scalar, name, counted(getattr(Scalar, name), key))
-    monkeypatch.setattr(Scalar, "dot", staticmethod(counted(Scalar.dot, "dot")))
     for name, key in (("__mul__", "mat_mul"), ("__add__", "mat_add")):
         monkeypatch.setattr(Mat, name, counted(getattr(Mat, name), key))
     for attr, key in (("det", "det"), ("products_vanish", "vanish")):
@@ -62,6 +63,7 @@ def counts(monkeypatch):
                 monkeypatch.setattr(module, attr, counted(op, key))
     monkeypatch.setattr(action_module, "_power_traces", counted(action_module._power_traces, "power_traces"))
     monkeypatch.setattr(linalg, "_product_rows", counted(linalg._product_rows, "row_products"))
+    monkeypatch.setattr(linalg, "_sylvester_system", counted(linalg._sylvester_system, "sylvester"))
     return tally
 
 
@@ -69,8 +71,12 @@ def test_verify_table_work(q2, counts):
     default_model()  # built once per process, so kept out of the count
     counts.update(dict.fromkeys(counts, 0))
     assert verify_table(q2).ok
-    # Measured: 5,880 multiplications and 951 subtractions, with 2,869
-    # fused x - y*f and 80 fused dot products, the power traces' p3 and p4.
+    # Measured: 5,060 multiplications and 951 subtractions, with 2,869 fused
+    # x - y*f.  Multiplications fell from 5,880 as each spectral pin divides
+    # once, for w, and checks the other power traces against powers of w
+    # (5,491), and as the row reduction negates a pivot row whose pivot is
+    # -1 rather than multiply it by the inverse.  The power traces are taken
+    # on Gaussian integers, not by 80 fused dot products.
     # Multiplications fell from 6,027 as the gamma atoms are built once per
     # model, not per expression (72, the i of 18 expressions, each a scaled
     # identity), and as the simplex search skips the points whose support
@@ -107,12 +113,12 @@ def test_verify_table_work(q2, counts):
     # block at a time; 39,032 and 14,105 before linalg.mul_operator and the
     # power-trace determinant test; 115,120 and 117,635 before zero entries
     # were skipped).
-    assert counts["mul"] <= 6_174
+    assert counts["mul"] <= 5_313
     assert counts["sub"] <= 999
     assert counts["minus_product"] <= 3_014
-    assert counts["dot"] <= 84
-    # Measured: 724 matrix products and 83 matrix sums.  The product bound is
-    # the count itself: 742 while each of the 18 gamma expressions built its
+    # Measured: 684 matrix products and 83 matrix sums.  The product bound is
+    # the count itself: 724 while the power traces formed x^2 as a matrix
+    # product, 742 while each of the 18 gamma expressions built its
     # own g12 = g1 g2, and 191 sums while the simplex search tested the
     # points whose support leaves a zero row or column.  None is in a
     # relation, counit or witness check: 564 are the operator-algebra
@@ -123,26 +129,30 @@ def test_verify_table_work(q2, counts):
     # q-commutator as a difference; 384 sums while the catalog rebuilt its
     # operator-algebra bases on every call, 492 while the simplex search
     # rebuilt every point from scratch).
-    assert counts["mat_mul"] <= 724
+    assert counts["mat_mul"] <= 684
     assert counts["mat_add"] <= 87
-    # Measured: 1,114 row products, the 724 matrix products and 390 of the
-    # kernel solves (1,132 with a g12 product per gamma expression; 2,092
-    # and 2,084 before).
-    assert counts["row_products"] <= 1_169
+    # Measured: 902 row products, the 684 matrix products and 218 of the
+    # kernel solves, and 172 Sylvester systems (1,114 row products, 390 of
+    # them the kernel solves', while each later map's rows were built and
+    # multiplied by the basis; 1,132 with a g12 product per gamma
+    # expression; 2,092 and 2,084 before).
+    assert counts["row_products"] <= 947
+    assert counts["sylvester"] <= 180
     # 480 zero tests: for each of the 20 entries 6 relations, 6 operator
     # relations and 8 counit identities, and 4 blocks of each self-witness.
     assert counts["vanish"] == 480
     # Power traces of A11 and A22, once for each of the 20 representations
     # (528 while every decided pair took them again).
     assert counts["power_traces"] == 40
-    # Measured: 20 determinants, one per self-witness, and 2,198 inversions
-    # (170 and 2,199 while the simplex search evaluated the points whose
+    # Measured: 20 determinants, one per self-witness, and 1,194 inversions
+    # (2,198 while the spectral pins divided once per nonzero power trace
+    # and the row reduction inverted a pivot -1; 170 and 2,199 while the simplex search evaluated the points whose
     # support leaves a zero row or column; 190 and 2,202 while
     # quantum_determinant took det(det_q) before antipode inverted it; 268
     # and 2,205 while decide_equivalence took det(A11) and det(A22) by
     # elimination rather than from the power traces).
     assert counts["det"] <= 21
-    assert counts["inv"] <= 2_309
+    assert counts["inv"] <= 1_253
 
 
 def test_dense_conjugate_decision_work(q2, counts):
@@ -150,8 +160,10 @@ def test_dense_conjugate_decision_work(q2, counts):
     moved = EquivalenceWitness(random_dense_invertible(random.Random(0x53)), Scalar(2), Scalar(-1, 1)).apply(rep)
     counts.update(dict.fromkeys(counts, 0))
     assert decide_equivalence(rep, moved).equivalent
-    # Measured: 98 multiplications and 4 subtractions, with 61 fused
-    # x - y*f and 8 fused dot products, the power traces' (106 and 79 while
+    # Measured: 94 multiplications and 4 subtractions, with 61 fused
+    # x - y*f (98 multiplications and 8 fused dot products, the power
+    # traces', while each spectral pin divided once per nonzero power trace
+    # and the power traces were not taken on Gaussian integers; 106 and 79 while
     # the simplex search took 5 determinants, not 1, testing points whose
     # support leaves a zero row or column; 144 multiplications
     # while the witness check formed u x and x' u for each block; 160
@@ -167,17 +179,21 @@ def test_dense_conjugate_decision_work(q2, counts):
     # the block-wise kernel and the inverse-free witness check; 877 and 465
     # before linalg.mul_operator and the power-trace determinant test; 2,004
     # and 1,457 before zero entries were skipped).
-    assert counts["mul"] <= 103
+    assert counts["mul"] <= 98
     assert counts["sub"] <= 4
     assert counts["minus_product"] <= 64
-    assert counts["dot"] <= 8
-    # Measured: 4 matrix products and 1 matrix sum (2 before the simplex
-    # search skipped by support), and 8 row products, 4
-    # of them the intertwiner solve's (12 and 16 while the witness check
-    # formed its 8 products); the witness takes one zero test per block.
-    assert counts["mat_mul"] <= 4
+    # Measured: no matrix product and 1 matrix sum (2 before the simplex
+    # search skipped by support), 1 row product, the recombination of the
+    # kernel basis by the one later map that cuts it down, and 3 Sylvester
+    # systems, one per later map (4 matrix products, the power traces' x^2,
+    # and 8 row products, 4 of them the intertwiner solve's, while each later
+    # map's rows were built and multiplied by the basis; 12 and 16 while the
+    # witness check formed its 8 products); the witness takes one zero test
+    # per block.
+    assert counts["mat_mul"] == 0
     assert counts["mat_add"] <= 1
-    assert counts["row_products"] <= 8
+    assert counts["row_products"] <= 1
+    assert counts["sylvester"] == 3
     assert counts["vanish"] == 4
 
 
@@ -189,8 +205,11 @@ def test_dense_conjugate_of_every_entry_work(q2, counts):
         pairs.append((rep, EquivalenceWitness(random_dense_invertible(rng), Scalar(2), Scalar(-1, 1)).apply(rep)))
     counts.update(dict.fromkeys(counts, 0))
     assert all(decide_equivalence(rep, moved).equivalent for rep, moved in pairs)
-    # Measured: 2,193 multiplications and 80 subtractions, with 2,687 fused
-    # x - y*f and 160 fused dot products, the power traces' (2,313 and 2,838
+    # Measured: 2,058 multiplications and 80 subtractions, with 2,687 fused
+    # x - y*f (2,193 multiplications and 160 fused dot products, the power
+    # traces', while each spectral pin divided once per nonzero power trace,
+    # the row reduction inverted a pivot -1 and the power traces were not
+    # taken on Gaussian integers; 2,313 and 2,838
     # while the simplex search took 53 determinants, not 20, testing points
     # whose support leaves a zero row or column; 3,147 while the
     # witness check formed u x and x' u for each block; 3,467 while
@@ -203,17 +222,20 @@ def test_dense_conjugate_of_every_entry_work(q2, counts):
     # 2,918 with neither
     # fused kernel; 27,013 and 14,655 with the whole 64x16 intertwiner system
     # in one reduction and the witness checked through u^-1).
-    assert counts["mul"] <= 2_303
+    assert counts["mul"] <= 2_160
     assert counts["sub"] <= 84
     assert counts["minus_product"] <= 2_821
-    assert counts["dot"] <= 168
-    # Measured: 80 matrix products and 10 matrix sums (21 before the simplex
-    # search skipped by support), and 167 row products,
-    # 87 of them the intertwiner solves' (240 and 327 while the witness check
+    # Measured: no matrix product and 10 matrix sums (21 before the simplex
+    # search skipped by support), 27 row products, the recombinations of
+    # the intertwiner solves, and 60 Sylvester systems, 3 per solve (80
+    # matrix products, the power traces' x^2, and 167 row products, 87 of
+    # them the intertwiner solves', while each later map's rows were built
+    # and multiplied by the basis; 240 and 327 while the witness check
     # formed its 160 products); 80 zero tests, 4 per witness.
-    assert counts["mat_mul"] <= 84
+    assert counts["mat_mul"] == 0
     assert counts["mat_add"] <= 11
-    assert counts["row_products"] <= 175
+    assert counts["row_products"] <= 28
+    assert counts["sylvester"] == 60
     assert counts["vanish"] == 80
 
 
@@ -231,17 +253,18 @@ def test_unipotent_certificate_work(q2, counts):
     # rebuilt from scratch).
     assert counts["det"] == 0
     assert counts["mat_add"] == 0
-    # Measured: 40 multiplications and 8 fused dot products (66 while
+    # Measured: 32 multiplications (40 and 8 fused dot products, the power
+    # traces', while each spectral pin divided once per nonzero power trace
+    # and the row reduction inverted a pivot -1; 66 while
     # Scalar.__pow__ started from one and squared past its last bit and
     # Mat.scale(1) multiplied every entry by one; 64 before the
     # determinants read off the power traces were scaled by 1/24; 131 and 0 before
     # the fused matrix product and the dot-based power traces).
-    assert counts["mul"] <= 42
-    assert counts["dot"] <= 8
-    # The A12 and A21 maps have zero terms, and the A22 map u I - I u cancels
-    # term by term, so only the A11 map's rows are reduced: the solve takes
-    # no row product, and every one is a matrix product.
-    assert counts["row_products"] == counts["mat_mul"]
+    assert counts["mul"] <= 33
+    # The A12 and A21 maps (0, 0) and the A22 map (I, I) are zero and skipped
+    # unread, so only the A11 map's rows are reduced: the solve takes no row
+    # product and no Sylvester system, and the power traces no matrix product.
+    assert counts["row_products"] == counts["sylvester"] == counts["mat_mul"] == 0
     # No witness, so no zero test.
     assert counts["vanish"] == 0
 
