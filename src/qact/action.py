@@ -215,11 +215,12 @@ Verdict = Union[EquivalenceWitness, NotEquivalent]
 PowerTraces = tuple[Scalar, Scalar, Scalar, Scalar]
 
 
-def _power_traces(x: Mat) -> PowerTraces:
-    """tr(x^k) for k = 1..4 on Gaussian integers: X = D x for the lcm D of the denominators, X^2 formed once.
+def _power_traces(x: Mat) -> tuple[PowerTraces, Scalar]:
+    """tr(x^k) for k = 1..4 and det x, on Gaussian integers: X = D x for the lcm D of the denominators, X^2 formed once.
 
-    With p_k = tr(X^k), p3 = sum_ik X_ik (X^2)_ki and p4 = sum_ij (X^2)_ij (X^2)_ji;
-    tr(x^k) = p_k / D^k is normalized once, and no Scalar or Mat is made on the way.
+    With P_k = tr(X^k), P3 = sum_ik X_ik (X^2)_ki and P4 = sum_ij (X^2)_ij (X^2)_ji,
+    and 24 D^4 det x = P1^4 - 6 P1^2 P2 + 3 P2^2 + 8 P1 P3 - 6 P4 (Newton's identities);
+    tr(x^k) = P_k / D^k and det x are normalized once, and no Scalar or Mat is made on the way.
     """
     n = x.n
     den = lcm(*(e.d for row in x.rows for e in row))
@@ -246,35 +247,33 @@ def _power_traces(x: Mat) -> PowerTraces:
             f = 1 if i == j else 2  # the terms ij and ji of p4 are equal
             p4a, p4b = p4a + f * (a * c - b * e), p4b + f * (a * e + b * c)
     p2a, p2b = sum(re2[i][i] for i in range(n)), sum(im2[i][i] for i in range(n))
-    return _make(p1a, p1b, den), _make(p2a, p2b, den ** 2), _make(p3a, p3b, den ** 3), _make(p4a, p4b, den ** 4)
-
-
-_ONE_24TH = Scalar(1, 0, 24)
+    sa, sb = p1a * p1a - p1b * p1b, 2 * p1a * p1b  # P1^2
+    ta, tb = sa - 6 * p2a, sb - 6 * p2b  # P1^2 - 6 P2
+    da = sa * ta - sb * tb + 3 * (p2a * p2a - p2b * p2b) + 8 * (p1a * p3a - p1b * p3b) - 6 * p4a
+    db = sa * tb + sb * ta + 6 * p2a * p2b + 8 * (p1a * p3b + p1b * p3a) - 6 * p4b
+    traces = _make(p1a, p1b, den), _make(p2a, p2b, den ** 2), _make(p3a, p3b, den ** 3), _make(p4a, p4b, den ** 4)
+    return traces, _make(da, db, 24 * den ** 4)
 
 
 @dataclass(frozen=True)
 class SpectralData:
-    """The power traces p_k = tr(x^k), k = 1..4, of the diagonal blocks A11 and A22, in that order.
+    """The power traces p_k = tr(x^k), k = 1..4, and the determinants of the diagonal blocks A11 and A22, in that order.
 
-    They fix each block's 4x4 spectrum, and with it the determinant (det).
+    The power traces fix each block's 4x4 spectrum, and with it the determinant.
     """
 
     traces: tuple[PowerTraces, PowerTraces]
-
-    def det(self, block: int) -> Scalar:
-        """det A11 (block 0) or det A22 (block 1): 24 det x = p1^4 - 6 p1^2 p2 + 3 p2^2 + 8 p1 p3 - 6 p4 (Newton)."""
-        p1, p2, p3, p4 = self.traces[block]
-        sq = p1 * p1
-        return (sq * (sq - p2 * 6) + p2 * p2 * 3 + p1 * p3 * 8 - p4 * 6) * _ONE_24TH
+    dets: tuple[Scalar, Scalar]
 
     def to_json(self) -> dict:
-        return {name: {"power_traces": [p.to_json() for p in self.traces[block]], "det": self.det(block).to_json()}
+        return {name: {"power_traces": [p.to_json() for p in self.traces[block]], "det": self.dets[block].to_json()}
                 for block, name in enumerate(("A11", "A22"))}
 
 
 def spectral_data(rep: GLqRep) -> SpectralData:
     """The spectral data of a representation's diagonal blocks A11 and A22."""
-    return SpectralData((_power_traces(rep.a11), _power_traces(rep.a22)))
+    (t11, d11), (t22, d22) = _power_traces(rep.a11), _power_traces(rep.a22)
+    return SpectralData((t11, t22), (d11, d22))
 
 
 def _spectral_pin(s1: SpectralData, s2: SpectralData, block: int) -> tuple[int, Scalar] | None:
@@ -304,7 +303,7 @@ def _spectral_pin(s1: SpectralData, s2: SpectralData, block: int) -> tuple[int, 
             powers.append(powers[-1] * w)
         if k != g and pp[k - 1] != p[k - 1] * powers[k // g - 1]:
             return None
-    if not s1.det(block):
+    if not s1.dets[block]:
         raise DeterminantSingular("quantum determinant is singular")
     return g, w
 

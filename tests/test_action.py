@@ -588,8 +588,7 @@ def test_spectral_determinants_match_elimination(q2, qc):
             rep = instantiate(eid, q)
             reps += [rep, EquivalenceWitness(random_dense_invertible(rng), Scalar(2), Scalar(0, 1)).apply(rep)]
     for rep in reps:
-        data = spectral_data(rep)
-        assert (data.det(0), data.det(1)) == (det(rep.a11), det(rep.a22))
+        assert spectral_data(rep).dets == (det(rep.a11), det(rep.a22))
 
 
 # Gaussian rationals over the denominators 1, 2, 3 and 6, zero included.
@@ -620,14 +619,15 @@ def test_power_traces_match_dense_powers(x):
     for _ in range(4):
         want.append(sum((power.rows[i][i] for i in range(4)), Scalar(0)))
         power = Mat(dense_mul(power, x))
-    got = action_module._power_traces(x)
+    got, got_det = action_module._power_traces(x)
     assert list(got) == want
-    assert all(p.d > 0 and gcd(p.a, p.b, p.d) == 1 for p in got)
+    assert got_det == det(x)
+    assert all(p.d > 0 and gcd(p.a, p.b, p.d) == 1 for p in (*got, got_det))
 
 
 def _pin(x, x2):
     """The pin of A11 = x against A11 = x2, A22 = I on both sides."""
-    data = lambda a11: SpectralData((action_module._power_traces(a11), action_module._power_traces(E4)))
+    data = lambda a11: SpectralData(*zip(action_module._power_traces(a11), action_module._power_traces(E4)))
     return action_module._spectral_pin(data(x), data(x2), 0)
 
 
@@ -653,8 +653,8 @@ def test_spectral_pin(x, x2, pin, monkeypatch):
 def test_spectral_pin_fallback_checks_every_k():
     # p_1 = 0, p'_2 = 4 p_2 and p'_3 = 8 p_3, so w = 2 by the fallback, but p'_4 != 16 p_4.
     x = Mat.diag(-7, 4, 2, 1)
-    p = action_module._power_traces(x)
+    p, d = action_module._power_traces(x)
     p4_wrong = (Scalar(0), p[1] * 4, p[2] * 8, p[3] * 15)
-    data = lambda a11_traces: SpectralData((a11_traces, action_module._power_traces(E4)))
+    data = lambda a11_traces: SpectralData((a11_traces, action_module._power_traces(E4)[0]), (d, Scalar(1)))
     assert action_module._spectral_pin(data(p), data(p4_wrong), 0) is None
     assert action_module._spectral_pin(data(p), data((Scalar(0), p[1] * 4, p[2] * 8, p[3] * 16)), 0) == (1, Scalar(2))

@@ -71,8 +71,12 @@ def test_verify_table_work(q2, counts):
     default_model()  # built once per process, so kept out of the count
     counts.update(dict.fromkeys(counts, 0))
     assert verify_table(q2).ok
-    # Measured: 5,060 multiplications and 951 subtractions, with 2,869 fused
-    # x - y*f.  Multiplications fell from 5,880 as each spectral pin divides
+    # Measured: 4,223 multiplications and 765 subtractions, with 2,869 fused
+    # x - y*f.  Multiplications fell from 5,060 and subtractions from 951 as
+    # the determinants of A11 and A22 are taken once per representation with
+    # its power traces, on Gaussian integers, not by Newton's identity on
+    # Scalars at each of the 93 spectral pins that match (9 products and 2
+    # differences each).  Multiplications fell from 5,880 as each spectral pin divides
     # once, for w, and checks the other power traces against powers of w
     # (5,491), and as the row reduction negates a pivot row whose pivot is
     # -1 rather than multiply it by the inverse.  The power traces are taken
@@ -113,8 +117,8 @@ def test_verify_table_work(q2, counts):
     # block at a time; 39,032 and 14,105 before linalg.mul_operator and the
     # power-trace determinant test; 115,120 and 117,635 before zero entries
     # were skipped).
-    assert counts["mul"] <= 5_313
-    assert counts["sub"] <= 999
+    assert counts["mul"] <= 4_435
+    assert counts["sub"] <= 804
     assert counts["minus_product"] <= 3_014
     # Measured: 684 matrix products and 83 matrix sums.  The product bound is
     # the count itself: 724 while the power traces formed x^2 as a matrix
@@ -160,8 +164,9 @@ def test_dense_conjugate_decision_work(q2, counts):
     moved = EquivalenceWitness(random_dense_invertible(random.Random(0x53)), Scalar(2), Scalar(-1, 1)).apply(rep)
     counts.update(dict.fromkeys(counts, 0))
     assert decide_equivalence(rep, moved).equivalent
-    # Measured: 94 multiplications and 4 subtractions, with 61 fused
-    # x - y*f (98 multiplications and 8 fused dot products, the power
+    # Measured: 76 multiplications and no subtraction, with 61 fused
+    # x - y*f (94 and 4 while the two determinants were taken from the power
+    # traces by Newton's identity on Scalars; 98 multiplications and 8 fused dot products, the power
     # traces', while each spectral pin divided once per nonzero power trace
     # and the power traces were not taken on Gaussian integers; 106 and 79 while
     # the simplex search took 5 determinants, not 1, testing points whose
@@ -179,8 +184,8 @@ def test_dense_conjugate_decision_work(q2, counts):
     # the block-wise kernel and the inverse-free witness check; 877 and 465
     # before linalg.mul_operator and the power-trace determinant test; 2,004
     # and 1,457 before zero entries were skipped).
-    assert counts["mul"] <= 98
-    assert counts["sub"] <= 4
+    assert counts["mul"] <= 80
+    assert counts["sub"] == 0
     assert counts["minus_product"] <= 64
     # Measured: no matrix product and 1 matrix sum (2 before the simplex
     # search skipped by support), 1 row product, the recombination of the
@@ -205,8 +210,9 @@ def test_dense_conjugate_of_every_entry_work(q2, counts):
         pairs.append((rep, EquivalenceWitness(random_dense_invertible(rng), Scalar(2), Scalar(-1, 1)).apply(rep)))
     counts.update(dict.fromkeys(counts, 0))
     assert all(decide_equivalence(rep, moved).equivalent for rep, moved in pairs)
-    # Measured: 2,058 multiplications and 80 subtractions, with 2,687 fused
-    # x - y*f (2,193 multiplications and 160 fused dot products, the power
+    # Measured: 1,698 multiplications and no subtraction, with 2,687 fused
+    # x - y*f (2,058 and 80 while the determinants were taken from the power
+    # traces by Newton's identity on Scalars; 2,193 multiplications and 160 fused dot products, the power
     # traces', while each spectral pin divided once per nonzero power trace,
     # the row reduction inverted a pivot -1 and the power traces were not
     # taken on Gaussian integers; 2,313 and 2,838
@@ -222,8 +228,8 @@ def test_dense_conjugate_of_every_entry_work(q2, counts):
     # 2,918 with neither
     # fused kernel; 27,013 and 14,655 with the whole 64x16 intertwiner system
     # in one reduction and the witness checked through u^-1).
-    assert counts["mul"] <= 2_160
-    assert counts["sub"] <= 84
+    assert counts["mul"] <= 1_783
+    assert counts["sub"] == 0
     assert counts["minus_product"] <= 2_821
     # Measured: no matrix product and 10 matrix sums (21 before the simplex
     # search skipped by support), 27 row products, the recombinations of
@@ -253,14 +259,15 @@ def test_unipotent_certificate_work(q2, counts):
     # rebuilt from scratch).
     assert counts["det"] == 0
     assert counts["mat_add"] == 0
-    # Measured: 32 multiplications (40 and 8 fused dot products, the power
+    # Measured: 14 multiplications (32 while the determinants were taken
+    # from the power traces by Newton's identity on Scalars; 40 and 8 fused dot products, the power
     # traces', while each spectral pin divided once per nonzero power trace
     # and the row reduction inverted a pivot -1; 66 while
     # Scalar.__pow__ started from one and squared past its last bit and
     # Mat.scale(1) multiplied every entry by one; 64 before the
     # determinants read off the power traces were scaled by 1/24; 131 and 0 before
     # the fused matrix product and the dot-based power traces).
-    assert counts["mul"] <= 33
+    assert counts["mul"] <= 15
     # The A12 and A21 maps (0, 0) and the A22 map (I, I) are zero and skipped
     # unread, so only the A11 map's rows are reduced: the solve takes no row
     # product and no Sylvester system, and the power traces no matrix product.
