@@ -58,7 +58,7 @@ def run_for_q(q_text: str, skip_distinctness: bool) -> bool:
 
     if not skip_distinctness:
         start = time.perf_counter()
-        report = verify_distinctness({c.entry_id: c.rep for c in checks})
+        report = verify_distinctness({c.entry_id: c.rep for c in checks}, {c.entry_id: c.invariants for c in checks})
         bad = [c.name for c in report.checks if not c.passed]
         print(
             f"distinctness: {len(report.checks)} checks in {time.perf_counter() - start:.2f}s "

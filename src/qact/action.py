@@ -326,7 +326,8 @@ def _intertwiner_space(r1: GLqRep, r2: GLqRep, alpha1: Scalar, alpha2: Scalar) -
 
 
 def decide_equivalence(
-    r1: GLqRep, r2: GLqRep, spectra: tuple[SpectralData, SpectralData] | None = None
+    r1: GLqRep, r2: GLqRep, spectra: tuple[SpectralData, SpectralData] | None = None,
+    centralizer: Subspace | None = None,
 ) -> Verdict:
     """Decide equivalence of the inner actions of two GL_q representations.
 
@@ -335,6 +336,13 @@ def decide_equivalence(
     different q are not equivalent: a "q" obstruction, no candidate tried.
     spectra is (spectral_data(r1), spectral_data(r2)), taken here when not
     given; a caller that decides many pairs passes it to compute each once.
+    centralizer, when given and r2 == r1, is read as the intertwiner space of
+    the candidate (1, 1): its maps u -> x u - u x are those of the
+    centralizer of r1's four matrices.  Every other candidate is solved.
+    The space is trusted for a negative answer: a wrong one can turn a self
+    pair into NotEquivalent, but never into a wrong witness, which the
+    witness check meets with AssertionError.  So only a caller that has
+    cross-checked it passes it (catalog.verify_distinctness).
     The candidate scales are those under which the power traces of A11
     (alpha1) and A22 (alpha2) match.  A11 is checked, then A22: a block whose spectra
     differ is a "spectrum" obstruction, and a matched singular block raises
@@ -380,11 +388,13 @@ def decide_equivalence(
         return NotEquivalent(0, obstruction="spectrum")
     # A22 first: when neither scale lies in Q(i), the A22 one is reported.
     cands2, cands1 = _roots(*pin2), _roots(*pin1)
+    given = centralizer if centralizer is not None and r2 == r1 else None
     tried = 0
     for alpha1 in cands1:
         for alpha2 in cands2:
             tried += 1
-            space = _intertwiner_space(r1, r2, alpha1, alpha2)
+            space = (given if given is not None and alpha1 == alpha2 == ONE
+                     else _intertwiner_space(r1, r2, alpha1, alpha2))
             u = invertible_element_in(space) if space.dim else None
             if u is None:
                 continue

@@ -530,7 +530,10 @@ class EntryCheck:
     """One entry's battery: its parameters, representation and report.
 
     invariants and detq are the centralizer and quantum determinant the
-    battery computed; both are None when the relations already fail.
+    battery computed; both are None when the relations already fail.  The
+    centralizer is checked against the action's fixed points and the
+    stated invariants, and verify_distinctness reads it as the entry's
+    self-intertwiner space.
     """
 
     entry_id: str
@@ -622,14 +625,24 @@ def _first_bad(report: Report) -> str:
     return "" if bad is None else bad.name
 
 
-def verify_distinctness(reps: Mapping[str, GLqRep]) -> Report:
-    """Pairwise non-equivalence of the given entries, plus self-witnesses; spectral data once per entry."""
+def verify_distinctness(
+    reps: Mapping[str, GLqRep], centralizers: Optional[Mapping[str, Optional[Subspace]]] = None
+) -> Report:
+    """Pairwise non-equivalence of the given entries, plus self-witnesses; spectral data once per entry.
+
+    centralizers maps an entry to the centralizer its battery computed and
+    cross-checked (EntryCheck.invariants); a self pair reads it as its
+    intertwiner space under the scales (1, 1) rather than solve it again.
+    An entry that has none, or None, is decided from its matrices alone.
+    """
     ids = list(reps)
     spectra = {e: spectral_data(rep) for e, rep in reps.items()}
+    centralizers = centralizers or {}
     report = Report()
     for i, e1 in enumerate(ids):
         for e2 in ids[i:]:
-            verdict = decide_equivalence(reps[e1], reps[e2], (spectra[e1], spectra[e2]))
+            given = centralizers.get(e1) if e1 == e2 else None
+            verdict = decide_equivalence(reps[e1], reps[e2], (spectra[e1], spectra[e2]), given)
             if e1 == e2:
                 report.add(f"{e1} ~ {e1}", verdict.equivalent, "self-equivalence witness")
             else:
@@ -683,15 +696,18 @@ def verify_table(q: DeformationParameter, policy: Optional[Mapping[str, object]]
     """The whole table in one pass: each entry is resolved, built and checked once.
 
     Distinctness and the determinant invariants reuse the representations,
-    centralizers and quantum determinants that the battery computed.  A
-    policy value applies only to the entries that declare its name; a name
-    that no entry declares raises ConstraintViolated.
+    centralizers and quantum determinants that the battery computed: each
+    self pair's intertwiner space under the scales (1, 1) is its entry's
+    centralizer, so it is not solved twice.  A policy value applies only to
+    the entries that declare its name; a name that no entry declares raises
+    ConstraintViolated.
     """
     declared = {name for entry in ENTRIES.values() for name in entry.params}
     unknown = sorted(set(policy or {}) - declared)
     if unknown:
         raise ConstraintViolated(unknown[0], as_scalar(policy[unknown[0]]), "not a parameter of any table entry")
     entries = tuple(check_entry(eid, q, policy=policy) for eid in ENTRY_ORDER)
-    distinctness = verify_distinctness({e.entry_id: e.rep for e in entries})
+    distinctness = verify_distinctness({e.entry_id: e.rep for e in entries},
+                                       {e.entry_id: e.invariants for e in entries})
     return TableCheck(q, entries, distinctness, verify_determinant_invariants(entries))
 

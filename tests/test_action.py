@@ -566,6 +566,56 @@ def test_given_spectral_data_changes_no_verdict(q_text):
     assert isinstance(verdict, NotEquivalent) and verdict.obstruction == "spectrum"
 
 
+def _odd_traces_vanish(q):
+    """(J_2(1) + diag(-1, -1), 0, 0, 1): A11 has p1 = p3 = 0, so its pin is g = 2 and alpha1 = -1 is tried
+    before 1, and no invertible u realizes -1, as -A11 has a 2x2 Jordan block at -1, not at 1."""
+    return _diagonal_rep(Mat.diag(1, 1, -1, -1) + u(1, 2), E4, q)
+
+
+@pytest.mark.parametrize("q_text", ["2", "3", "1+1i"])
+def test_given_centralizer_changes_no_verdict(q_text, monkeypatch):
+    q = validate_q(parse_scalar(q_text))
+    solve, solved = action_module._intertwiner_space, []
+    monkeypatch.setattr(action_module, "_intertwiner_space", lambda *args: solved.append(args[2:]) or solve(*args))
+    reps = [rep for _, rep in _table_and_traceless(q_text)[:20]] + [_odd_traces_vanish(q)]
+    one = Scalar(1)
+    for rep in reps:
+        solved.clear()
+        verdict = decide_equivalence(rep, rep)
+        without = solved[:]
+        solved.clear()
+        given = decide_equivalence(rep, rep, None, centralizer(list(rep.matrices())))
+        assert given.to_json() == verdict.to_json()
+        # The space of (1, 1) is read, and every other candidate is still solved.
+        assert (one, one) in without and solved == [pair for pair in without if pair != (one, one)]
+    assert verdict.candidates_tried == 2 and verdict.alpha1 == 1 and solved == [(Scalar(-1), one)]
+    # A space given for two different representations is not read, even at the scales (1, 1).
+    moved = EquivalenceWitness(random_dense_invertible(random.Random(0xCE)), one, one).apply(reps[0])
+    solved.clear()
+    verdict = decide_equivalence(reps[0], moved, None, Subspace(16, []))
+    assert verdict.equivalent and solved == [(one, one)]
+    assert verdict.to_json() == decide_equivalence(reps[0], moved).to_json()
+
+
+def test_a_wrong_centralizer_never_gives_a_wrong_witness(q2):
+    """The given centralizer is trusted for a negative answer only.
+
+    The zero space turns each self pair into NotEquivalent: that is why only
+    verify_distinctness passes it, from a battery that has checked it against
+    the fixed points and the stated invariants.  The span of an invertible u
+    that commutes with not every block yields u, which the witness check
+    refuses, so no witness that fails apply(r) == r comes back.
+    """
+    rng = random.Random(0xC3)
+    for rep in [instantiate(eid, q2) for eid in ENTRY_ORDER] + [_odd_traces_vanish(q2)]:
+        verdict = decide_equivalence(rep, rep, None, Subspace(16, []))
+        assert isinstance(verdict, NotEquivalent) and verdict.obstruction == "exhausted"
+        stranger = random_dense_invertible(rng)
+        assert any(stranger * x != x * stranger for x in rep.matrices())
+        with pytest.raises(AssertionError, match="failed exact verification"):
+            decide_equivalence(rep, rep, None, Subspace.span_of([stranger]))
+
+
 def test_spectral_data_json(q2):
     # p_k = 1 + 2^k + 3^k + 4^k, det 24; p_k = i^k + 2 + 2^-k, det i/2.
     rep = GLqRep(Mat.diag(1, 2, 3, 4), Mat.zero(4), Mat.zero(4), Mat.diag(Scalar(0, 1), 1, 1, Scalar(1, 0, 2)), q2)

@@ -7,6 +7,7 @@ from qact import (
     UnknownEntry,
     as_scalar,
     canonical_forms,
+    centralizer,
     check_entry,
     get_entry,
     instantiate,
@@ -202,9 +203,14 @@ def test_distinctness_spot_check(q2):
 def test_distinctness_at_complex_sample_point(qc):
     from qact import verify_distinctness
 
-    report = verify_distinctness({eid: instantiate(eid, qc) for eid in ENTRY_ORDER})
+    reps = {eid: instantiate(eid, qc) for eid in ENTRY_ORDER}
+    report = verify_distinctness(reps)
     assert report.ok, [c.name for c in report.checks if not c.passed]
     assert len(report.checks) == 210
+    # Each self pair reads its entry's centralizer as given; an entry given None is decided from its matrices.
+    centralizers = {eid: centralizer(list(rep.matrices())) for eid, rep in reps.items()}
+    centralizers["S1"] = None
+    assert verify_distinctness(reps, centralizers).to_json() == report.to_json()
 
 
 @pytest.mark.parametrize("qname", ["q2", "q3", "qc"])

@@ -27,6 +27,15 @@ def test_verify_all_smoke(capsys):
     assert "OVERALL: all checks passed" in out
 
 
+def test_verify_all_checks_distinctness(capsys):
+    verify_all = load_script("verify_all")
+    assert verify_all.main(["--q", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "distinctness: 210 checks in " in out
+    assert next(line for line in out.splitlines() if line.startswith("distinctness:")).endswith("[ok]")
+    assert "OVERALL: all checks passed" in out
+
+
 def test_verify_all_runs_outside_the_repository(tmp_path):
     # The script finds src/ from its own path, not from the working directory.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

@@ -35,15 +35,16 @@ def counts(monkeypatch):
     row products: linalg._product_rows, the loop of Mat.__mul__ and of the
     kernel solve's rows x basis products and recombinations, of Sylvester
     systems: linalg._sylvester_system, a later map L X - X R of
-    solve_homogeneous evaluated on the kernel basis, and of zero tests of
-    sums of products: linalg.products_vanish, one per identity checked.
+    solve_homogeneous evaluated on the kernel basis, of kernel solves:
+    linalg.solve_homogeneous, and of zero tests of sums of products:
+    linalg.products_vanish, one per identity checked.
 
     The fused kernel minus_product (x - y*f) hides a product, and so do the
     row product, the Sylvester system and the zero test, which sum each entry
     on plain ints; so each is counted under its own key.
     """
     tally = {"mul": 0, "sub": 0, "inv": 0, "minus_product": 0, "mat_mul": 0, "mat_add": 0, "det": 0,
-             "power_traces": 0, "row_products": 0, "sylvester": 0, "vanish": 0}
+             "power_traces": 0, "row_products": 0, "sylvester": 0, "solve": 0, "vanish": 0}
 
     def counted(op, key):
         def call(*args):
@@ -56,7 +57,7 @@ def counts(monkeypatch):
         monkeypatch.setattr(Scalar, name, counted(getattr(Scalar, name), key))
     for name, key in (("__mul__", "mat_mul"), ("__add__", "mat_add")):
         monkeypatch.setattr(Mat, name, counted(getattr(Mat, name), key))
-    for attr, key in (("det", "det"), ("products_vanish", "vanish")):
+    for attr, key in (("det", "det"), ("products_vanish", "vanish"), ("solve_homogeneous", "solve")):
         op = getattr(linalg, attr)
         for name, module in list(sys.modules.items()):
             if (name == "qact" or name.startswith("qact.")) and getattr(module, attr, None) is op:
@@ -71,8 +72,11 @@ def test_verify_table_work(q2, counts):
     default_model()  # built once per process, so kept out of the count
     counts.update(dict.fromkeys(counts, 0))
     assert verify_table(q2).ok
-    # Measured: 4,223 multiplications and 765 subtractions, with 2,869 fused
-    # x - y*f.  Multiplications fell from 5,060 and subtractions from 951 as
+    # Measured: 4,053 multiplications and 765 subtractions, with 2,761 fused
+    # x - y*f.  Multiplications fell from 4,223 and fused x - y*f from 2,869
+    # as each self pair reads its entry's centralizer as its intertwiner
+    # space under the scales (1, 1), where it solved that system again.
+    # Multiplications fell from 5,060 and subtractions from 951 as
     # the determinants of A11 and A22 are taken once per representation with
     # its power traces, on Gaussian integers, not by Newton's identity on
     # Scalars at each of the 93 spectral pins that match (9 products and 2
@@ -117,9 +121,13 @@ def test_verify_table_work(q2, counts):
     # block at a time; 39,032 and 14,105 before linalg.mul_operator and the
     # power-trace determinant test; 115,120 and 117,635 before zero entries
     # were skipped).
-    assert counts["mul"] <= 4_435
+    assert counts["mul"] <= 4_256
     assert counts["sub"] <= 804
-    assert counts["minus_product"] <= 3_014
+    assert counts["minus_product"] <= 2_900
+    # 39 kernel solves: the 20 centralizers and the 19 pairs whose spectra
+    # match and whose one candidate leaves no invertible intertwiner (59
+    # while each of the 20 self pairs solved its centralizer again).
+    assert counts["solve"] == 39
     # Measured: 684 matrix products and 83 matrix sums.  The product bound is
     # the count itself: 724 while the power traces formed x^2 as a matrix
     # product, 742 while each of the 18 gamma expressions built its
@@ -135,28 +143,29 @@ def test_verify_table_work(q2, counts):
     # rebuilt every point from scratch).
     assert counts["mat_mul"] <= 684
     assert counts["mat_add"] <= 87
-    # Measured: 902 row products, the 684 matrix products and 218 of the
-    # kernel solves, and 172 Sylvester systems (1,114 row products, 390 of
+    # Measured: 875 row products, the 684 matrix products and 191 of the
+    # kernel solves, and 112 Sylvester systems (902 and 172 while the self
+    # pairs solved their centralizers again; 1,114 row products, 390 of
     # them the kernel solves', while each later map's rows were built and
     # multiplied by the basis; 1,132 with a g12 product per gamma
     # expression; 2,092 and 2,084 before).
-    assert counts["row_products"] <= 947
-    assert counts["sylvester"] <= 180
+    assert counts["row_products"] <= 919
+    assert counts["sylvester"] <= 118
     # 480 zero tests: for each of the 20 entries 6 relations, 6 operator
     # relations and 8 counit identities, and 4 blocks of each self-witness.
     assert counts["vanish"] == 480
     # Power traces of A11 and A22, once for each of the 20 representations
     # (528 while every decided pair took them again).
     assert counts["power_traces"] == 40
-    # Measured: 20 determinants, one per self-witness, and 1,194 inversions
-    # (2,198 while the spectral pins divided once per nonzero power trace
+    # Measured: 20 determinants, one per self-witness, and 1,043 inversions
+    # (1,194 while the self pairs solved their centralizers again; 2,198 while the spectral pins divided once per nonzero power trace
     # and the row reduction inverted a pivot -1; 170 and 2,199 while the simplex search evaluated the points whose
     # support leaves a zero row or column; 190 and 2,202 while
     # quantum_determinant took det(det_q) before antipode inverted it; 268
     # and 2,205 while decide_equivalence took det(A11) and det(A22) by
     # elimination rather than from the power traces).
     assert counts["det"] <= 21
-    assert counts["inv"] <= 1_253
+    assert counts["inv"] <= 1_096
 
 
 def test_dense_conjugate_decision_work(q2, counts):
