@@ -1,86 +1,67 @@
 #!/usr/bin/env python3
 """Run the whole verification battery and print a human-readable summary.
 
-Covers all twenty table entries (relations, determinant, operator algebra,
-invariants, antipode, module algebra, the fixed-point cross-check), the
-seven canonical q-spinor forms, pairwise distinctness, and the invariant-determinant
-identities, at one or more sample values of q.
+Covers the seven canonical q-spinor forms and `verify_table`, the table
+battery that `qact verify-table` runs: all twenty table entries (relations,
+determinant, operator algebra, invariants, antipode, module algebra, the
+fixed-point cross-check), pairwise distinctness, and the
+invariant-determinant identities, at one or more sample values of q.
+Exits 0 when every check passes, 1 when one fails, and 2 on a bad --q.
 
 Usage:
-    python scripts/verify_all.py [--q 2] [--q 3] [--q 1+1i] [--skip-distinctness]
+    python scripts/verify_all.py [--q 2] [--q 3] [--q 1+1i]
 """
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qact import (
-    canonical_forms,
-    check_entry,
-    parse_scalar,
-    validate_q,
-    verify_determinant_invariants,
-    verify_distinctness,
-    verify_canonical_form,
-)
-from qact.catalog import ENTRY_ORDER
+from qact import (InvalidQ, ParseError, VerificationFailure, canonical_forms, parse_scalar, validate_q,
+                  verify_canonical_form, verify_table)
 
 
-def run_for_q(q_text: str, skip_distinctness: bool) -> bool:
-    q = validate_q(parse_scalar(q_text))
+def _verdict(report, ok_text: str) -> str:
+    return ok_text if report.ok else "FAIL " + ", ".join(c.name for c in report.checks if not c.passed)
+
+
+def run_for_q(q) -> bool:
     print(f"\n=== q = {q} ===")
     ok = True
 
     print("canonical q-spinor forms:")
     for form in canonical_forms(q):
-        report = verify_canonical_form(form, q)
-        print(f"  form {form.form_id}: dim B(A) = {form.expected_dim}  [{'ok' if report.ok else 'FAIL'}]")
-        ok &= report.ok
+        try:
+            verify_canonical_form(form, q)
+            status = "ok"
+        except VerificationFailure as failure:
+            status, ok = f"FAIL {failure}", False
+        print(f"  form {form.form_id}: dim B(A) = {form.expected_dim}  [{status}]")
 
+    table = verify_table(q)
     print("table entries:")
-    header = f"  {'entry':6s} {'time':>7s}  checks"
-    print(header)
-    checks = []
-    for eid in ENTRY_ORDER:
-        start = time.perf_counter()
-        check = check_entry(eid, q)
-        elapsed = time.perf_counter() - start
-        report = check.report
-        status = "all pass" if report.ok else "FAIL " + ", ".join(
-            c.name for c in report.checks if not c.passed
-        )
-        print(f"  {eid:6s} {elapsed:6.2f}s  {status}")
-        ok &= report.ok
-        checks.append(check)
-
-    if not skip_distinctness:
-        start = time.perf_counter()
-        report = verify_distinctness({c.entry_id: c.rep for c in checks}, {c.entry_id: c.invariants for c in checks})
-        bad = [c.name for c in report.checks if not c.passed]
-        print(
-            f"distinctness: {len(report.checks)} checks in {time.perf_counter() - start:.2f}s "
-            f"[{'ok' if report.ok else 'FAIL ' + ', '.join(bad)}]"
-        )
-        ok &= report.ok
-
-    report = verify_determinant_invariants(checks)
-    print(f"invariants = span{{1, det_q}} on G entries: [{'ok' if report.ok else 'FAIL'}]")
-    ok &= report.ok
-    return ok
+    print(f"  {'entry':6s}  checks")
+    for entry in table.entries:
+        print(f"  {entry.entry_id:6s}  {_verdict(entry.report, 'all pass')}")
+    print(f"distinctness: {len(table.distinctness.checks)} checks [{_verdict(table.distinctness, 'ok')}]")
+    print(f"invariants = span{{1, det_q}} on G entries: [{_verdict(table.determinant_invariants, 'ok')}]")
+    return ok and table.ok
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--q", action="append", default=[], help="sample value, e.g. 2 or 1+1i")
-    parser.add_argument("--skip-distinctness", action="store_true")
     args = parser.parse_args(argv)
-    q_values = args.q or ["2", "3", "1+1i"]
+    q_values = []
+    for text in args.q or ["2", "3", "1+1i"]:
+        try:
+            q_values.append(validate_q(parse_scalar(text)))
+        except (InvalidQ, ParseError) as exc:
+            parser.error(f"--q {text}: {exc}")
     ok = True
-    for q_text in q_values:
-        ok &= run_for_q(q_text, args.skip_distinctness)
+    for q in q_values:
+        ok &= run_for_q(q)
     print("\nOVERALL:", "all checks passed" if ok else "FAILURES above")
     return 0 if ok else 1
 

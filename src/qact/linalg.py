@@ -135,12 +135,6 @@ class Mat:
     def is_lower_triangular(self) -> bool:
         return all(_all_zero(r[i + 1 :]) for i, r in enumerate(self.rows))
 
-    def trace(self) -> Scalar:
-        t = ZERO
-        for i in range(self.n):
-            t = t + self.rows[i][i]
-        return t
-
     def flatten(self) -> tuple[Scalar, ...]:
         return tuple(x for r in self.rows for x in r)
 
@@ -640,10 +634,8 @@ def invertible_element_in(s: Subspace) -> Optional[Mat]:
     None comes back at once when the OR over the whole basis is not full.
     Only singular points are skipped, so None stays a certificate and the
     point returned is the first invertible one in that order, as without the
-    skip.  A point is built only to be tested: one of degree 1 is a basis
-    matrix, one of degree k >= 2 its prefix point (last index dropped) plus
-    one basis matrix, and a built point of degree below n is kept, as a later
-    point may extend it, so each costs one matrix sum.
+    skip.  A point is built only to be tested, as the sum of its basis
+    matrices.
     """
     n = _matrix_side(s.ambient_dim)
     full = (1 << 2 * n) - 1
@@ -658,23 +650,13 @@ def invertible_element_in(s: Subspace) -> Optional[Mat]:
     if covered != full:
         return None
     mats = s.matrices()
-    built = {(k,): m for k, m in enumerate(mats)}
-
-    def point(idx: tuple[int, ...]) -> Mat:
-        combo = built.get(idx)
-        if combo is None:
-            combo = point(idx[:-1]) + mats[idx[-1]]
-            if len(idx) < n:  # a point of top degree is the prefix of none
-                built[idx] = combo
-        return combo
-
     for degree in range(1, n + 1):
         for idx in combinations_with_replacement(range(s.dim), degree):
             mask = 0
             for k in idx:
                 mask |= masks[k]
             if mask == full:
-                combo = point(idx)
+                combo = sum((mats[k] for k in idx[1:]), mats[idx[0]])
                 if det(combo):
                     return combo
     return None

@@ -84,6 +84,10 @@ def jordan(*parts: int) -> Mat:
     return Mat(rows)
 
 
+def trace(m: Mat) -> Scalar:
+    return sum((m.rows[i][i] for i in range(m.n)), as_scalar(0))
+
+
 def is_nilpotent(m: Mat) -> bool:
     """m^n = 0, by repeated products."""
     power = m

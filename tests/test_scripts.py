@@ -3,9 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+import qact.qspinor as qspinor
+from qact import Mat
+from qact.catalog import ENTRIES
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 PERFBENCH = SCRIPTS.parent / "perfbench"
@@ -20,9 +25,8 @@ def load_script(name: str):
 
 def test_verify_all_smoke(capsys):
     verify_all = load_script("verify_all")
-    assert verify_all.main(["--q", "2", "--skip-distinctness"]) == 0
+    assert verify_all.main(["--q", "2"]) == 0
     out = capsys.readouterr().out
-    assert "distinctness" not in out
     assert "invariants = span{1, det_q} on G entries: [ok]" in out
     assert "OVERALL: all checks passed" in out
 
@@ -31,7 +35,7 @@ def test_verify_all_checks_distinctness(capsys):
     verify_all = load_script("verify_all")
     assert verify_all.main(["--q", "2"]) == 0
     out = capsys.readouterr().out
-    assert "distinctness: 210 checks in " in out
+    assert "distinctness: 210 checks " in out
     assert next(line for line in out.splitlines() if line.startswith("distinctness:")).endswith("[ok]")
     assert "OVERALL: all checks passed" in out
 
@@ -39,10 +43,43 @@ def test_verify_all_checks_distinctness(capsys):
 def test_verify_all_runs_outside_the_repository(tmp_path):
     # The script finds src/ from its own path, not from the working directory.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run([sys.executable, str(SCRIPTS / "verify_all.py"), "--q", "2", "--skip-distinctness"],
+    done = subprocess.run([sys.executable, str(SCRIPTS / "verify_all.py"), "--q", "2"],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     assert "OVERALL: all checks passed" in done.stdout
+
+
+@pytest.mark.parametrize("q_text", ["1", "x"])
+def test_verify_all_rejects_a_bad_q(q_text, capsys):
+    verify_all = load_script("verify_all")
+    with pytest.raises(SystemExit) as exit_info:
+        verify_all.main(["--q", "2", "--q", q_text])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: --q {q_text}: " in err
+
+
+def test_verify_all_reports_a_failing_canonical_form(capsys, monkeypatch):
+    # Form 1's B(A) has dim 3; a stored basis of two of its units fails b_space_matches.
+    monkeypatch.setitem(qspinor._FORM_BASES, 1, ((1, 2), (2, 3)))
+    verify_all = load_script("verify_all")
+    assert verify_all.main(["--q", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  form 1: dim B(A) = 2  [FAIL b_space_matches: dim 3, expected 2]" in lines
+    assert sum(line.startswith("  form ") and line.endswith("[ok]") for line in lines) == 6
+    assert lines[-1] == "OVERALL: FAILURES above"
+
+
+def test_verify_all_reports_a_failing_table_entry(capsys, monkeypatch):
+    # G3b's increment q^-2 e12 is the one its determinant column 1 + e12 forces.
+    g3b = replace(ENTRIES["G3b"], a22_increment=lambda q, p: Mat.unit(4, 1, 2))
+    monkeypatch.setitem(ENTRIES, "G3b", g3b)
+    verify_all = load_script("verify_all")
+    assert verify_all.main(["--q", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  G3b     FAIL quantum_determinant" in lines
+    assert sum(line.endswith("all pass") for line in lines) == 19
+    assert lines[-1] == "OVERALL: FAILURES above"
 
 
 def test_bench_writes_one_document_per_label(tmp_path, monkeypatch, capsys):

@@ -295,9 +295,10 @@ UNIPOTENT_SEARCHES = [
     # determinants and 322 sums before).
     ((3, 1), (2, 1, 1), False, 0, 0),
     # dim 8, negative: the basis covers every row and column, and 4 of the
-    # 494 points have a support that does too; 11 sums build them and their
-    # prefix points (494 determinants and 486 sums before).
-    ((2, 1, 1), (2, 2), False, 4, 11),
+    # 494 points have a support that does too; 12 sums build them, each point
+    # from its own basis matrices (494 determinants and 486 sums before; 11
+    # sums when built points were kept as prefixes of later ones).
+    ((2, 1, 1), (2, 2), False, 4, 12),
     # dim 16, positive: the basis is the 16 matrix units, and the first point
     # whose support covers every row and column is e11 + e22 + e33 + e44, the
     # identity, built by 3 sums (1,549 determinants and 1,533 sums before).
