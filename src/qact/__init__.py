@@ -81,8 +81,8 @@ _LAZY = {name: module for module, names in {
     ),
     "clifford": ("CliffordModel", "MalformedExpression", "build_model", "default_model", "eval_gamma_expr", "selftest"),
     "qspinor": (
-        "CanonicalForm", "InvalidFormParameter", "VerificationFailure", "canonical_forms", "space_square_nonzero",
-        "spinor_space", "verify_canonical_form",
+        "CanonicalForm", "VerificationFailure", "canonical_forms", "space_square_nonzero", "spinor_space",
+        "verify_canonical_form",
     ),
 }.items() for name in names}
 _SUBMODULES = ("catalog", "clifford", "qspinor", "cli")

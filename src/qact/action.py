@@ -59,7 +59,7 @@ from .linalg import (
 )
 from .qrep import Blocks, DeterminantSingular, GLqRep, _relation_report, antipode, quantum_determinant
 from .report import Report
-from .scalars import ONE, ZERO, Scalar, _make, exact_sqrt
+from .scalars import ONE, ZERO, Scalar, exact_sqrt
 
 
 class Unsupported(ValueError):
@@ -75,14 +75,12 @@ class InnerAction:
 
     @cached_property
     def operators(self) -> tuple[list[dict[int, Scalar]], ...]:
-        """The rows of L_11, L_12, L_21 and L_22 on flattened v, built once (linalg._operator_rows)."""
-        return tuple(_operator_rows(_operator_terms(self, i, j), 4) for i in (1, 2) for j in (1, 2))
+        """The rows of L_11, L_12, L_21 and L_22 on flattened v, built once (linalg._operator_rows).
 
-
-def _operator_terms(action: InnerAction, i: int, j: int) -> list[tuple[Mat, Mat]]:
-    """The terms (A_i1, S_1j), (A_i2, S_2j) of L_ij, the map v -> A_i1 v S_1j + A_i2 v S_2j."""
-    a, s = action.rep.block, action.starred
-    return [(a(i, 1), s[0][j - 1]), (a(i, 2), s[1][j - 1])]
+        L_ij is the map v -> A_i1 v S_1j + A_i2 v S_2j, given by its terms (A_i1, S_1j), (A_i2, S_2j).
+        """
+        a, s = self.rep.blocks, self.starred
+        return tuple(_operator_rows([(a[i][0], s[0][j]), (a[i][1], s[1][j])], 4) for i in (0, 1) for j in (0, 1))
 
 
 def build_action(rep: GLqRep) -> InnerAction:
@@ -251,8 +249,8 @@ def _power_traces(x: Mat) -> tuple[PowerTraces, Scalar]:
     ta, tb = sa - 6 * p2a, sb - 6 * p2b  # P1^2 - 6 P2
     da = sa * ta - sb * tb + 3 * (p2a * p2a - p2b * p2b) + 8 * (p1a * p3a - p1b * p3b) - 6 * p4a
     db = sa * tb + sb * ta + 6 * p2a * p2b + 8 * (p1a * p3b + p1b * p3a) - 6 * p4b
-    traces = _make(p1a, p1b, den), _make(p2a, p2b, den ** 2), _make(p3a, p3b, den ** 3), _make(p4a, p4b, den ** 4)
-    return traces, _make(da, db, 24 * den ** 4)
+    traces = Scalar(p1a, p1b, den), Scalar(p2a, p2b, den ** 2), Scalar(p3a, p3b, den ** 3), Scalar(p4a, p4b, den ** 4)
+    return traces, Scalar(da, db, 24 * den ** 4)
 
 
 @dataclass(frozen=True)
@@ -395,7 +393,7 @@ def decide_equivalence(
             tried += 1
             space = (given if given is not None and alpha1 == alpha2 == ONE
                      else _intertwiner_space(r1, r2, alpha1, alpha2))
-            u = invertible_element_in(space) if space.dim else None
+            u = invertible_element_in(space)
             if u is None:
                 continue
             v = sparse_rows(u)

@@ -55,7 +55,8 @@ class ConstraintViolated(ValueError):
 
 
 class UnknownEntry(KeyError):
-    pass
+    def __str__(self):
+        return f"unknown table entry {self.args[0]!r}"
 
 
 _E4 = Mat.identity(4)

@@ -292,14 +292,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(_attach_q_values(sys.argv[1:] if argv is None else argv))
         doc, code = _COMMANDS[args.command](args)
-    except (UsageError, ParseError) as exc:
-        _emit({"error": str(exc), "position": exc.position}, pretty=False)
-        return 2
-    except catalog.UnknownEntry as exc:
-        _emit({"error": f"unknown table entry {exc.args[0]!r}", "position": None}, pretty=False)
-        return 2
-    except (InvalidQ, catalog.ConstraintViolated, Unsupported, Singular, DimensionMismatch) as exc:
-        _emit({"error": str(exc), "position": None}, pretty=False)
+    except (UsageError, ParseError, catalog.UnknownEntry, InvalidQ, catalog.ConstraintViolated, Unsupported, Singular,
+            DimensionMismatch) as exc:
+        _emit({"error": str(exc), "position": getattr(exc, "position", None)}, pretty=False)
         return 2
     _emit(doc, pretty=args.pretty)
     return code

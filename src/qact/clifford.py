@@ -17,10 +17,7 @@ k is a positive int literal, g12 is g1*g2 and i the imaginary unit; these atoms
 are built once per model (CliffordModel.atoms).  Any other
 node (unary '+', '**', '@', calls, other names, bool, float, complex) or syntax
 error raises MalformedExpression at its position; nesting too deep for the
-parser or the evaluator raises it at the start of the expression.  Unlike the
-former hand-written grammar, x/(4), 0x10, 1_0, a comment and a backslash
-continuation are accepted, and a newline outside parentheses or a leading zero
-(01) is rejected; no constant uses any of these.
+parser or the evaluator raises it at the start of the expression.
 """
 
 from __future__ import annotations

@@ -125,10 +125,6 @@ class Mat:
     def __hash__(self):
         return hash(self.rows)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(map(_all_zero, self.rows))
-
     def is_upper_triangular(self) -> bool:
         return all(_all_zero(r[:i]) for i, r in enumerate(self.rows))
 
@@ -420,12 +416,7 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
     def to_json(self) -> dict:
-        doc = {"ambient_dim": self.ambient_dim, "dim": self.dim}
-        if isqrt(self.ambient_dim) ** 2 == self.ambient_dim:
-            doc["basis"] = [m.to_json() for m in self.matrices()]
-        else:
-            doc["basis"] = [[format_scalar(x) for x in v] for v in self.basis]
-        return doc
+        return {"ambient_dim": self.ambient_dim, "dim": self.dim, "basis": [m.to_json() for m in self.matrices()]}
 
 
 def _matrix_side(ambient: int) -> int:

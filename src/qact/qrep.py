@@ -66,8 +66,10 @@ class GLqRep:
     def matrices(self) -> tuple[Mat, Mat, Mat, Mat]:
         return (self.a11, self.a12, self.a21, self.a22)
 
-    def block(self, i: int, j: int) -> Mat:
-        return self.matrices()[2 * (i - 1) + (j - 1)]
+    @property
+    def blocks(self) -> Blocks:
+        """((A11, A12), (A21, A22)), the blocks of M."""
+        return (self.a11, self.a12), (self.a21, self.a22)
 
     def to_json(self) -> dict:
         return {
@@ -164,7 +166,7 @@ def antipode_check(rep: GLqRep, s: Blocks) -> Report:
 
     Block ij of each is tested as sum_k X_ik Y_kj - delta_ij I = 0 (linalg.products_vanish).
     """
-    a = [[sparse_rows(x) for x in row] for row in ((rep.a11, rep.a12), (rep.a21, rep.a22))]
+    a = [[sparse_rows(x) for x in row] for row in rep.blocks]
     s = [[sparse_rows(x) for x in row] for row in s]
     e4 = sparse_rows(Mat.identity(4))
     report = Report()

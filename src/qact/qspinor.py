@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 from .linalg import Mat, Subspace, products_vanish, solve_homogeneous, sparse_rows
 from .report import Report
-from .scalars import ONE, ZERO, DeformationParameter, Scalar, as_scalar, format_scalar, smallest_admissible
-
-
-class InvalidFormParameter(ValueError):
-    """The free diagonal entry of form 5 hits an excluded value."""
+from .scalars import ONE, ZERO, DeformationParameter, Scalar, smallest_admissible
 
 
 class VerificationFailure(AssertionError):
@@ -42,7 +38,6 @@ class CanonicalForm:
     form_id: int
     a: Mat
     expected_basis: tuple[Mat, ...]
-    alpha: Scalar | None = None
 
     @property
     def expected_dim(self) -> int:
@@ -85,21 +80,15 @@ def form_a(form_id: int, q: Scalar, alpha: Scalar | None = None) -> Mat:
     return _FORM_A[form_id](q, alpha)
 
 
-def canonical_forms(q: DeformationParameter, alpha: Scalar | None = None) -> list[CanonicalForm]:
+def canonical_forms(q: DeformationParameter) -> list[CanonicalForm]:
     """The seven canonical (A, basis of B(A)) pairs at the given q, A from form_a.
 
-    Form 5 carries a free diagonal entry; when alpha is omitted the smallest
-    admissible integer >= 2 is chosen, deterministically in q.
+    Form 5 carries a free diagonal entry, the smallest admissible integer
+    >= 2, chosen deterministically in q.
     """
-    qq = q.q
-    if alpha is None:
-        alpha = smallest_admissible(form5_excluded(qq))
-    else:
-        alpha = as_scalar(alpha)
-        if alpha in set(form5_excluded(qq)):
-            raise InvalidFormParameter(f"alpha = {format_scalar(alpha)} is excluded for form 5")
-    return [CanonicalForm(k, form_a(k, qq, alpha), tuple(Mat.unit(4, i, j) for i, j in units),
-                          alpha if k == 5 else None) for k, units in _FORM_BASES.items()]
+    alpha = smallest_admissible(form5_excluded(q.q))
+    return [CanonicalForm(k, form_a(k, q.q, alpha), tuple(Mat.unit(4, i, j) for i, j in units))
+            for k, units in _FORM_BASES.items()]
 
 
 def verify_canonical_form(form: CanonicalForm, q: DeformationParameter) -> Report:

@@ -194,7 +194,7 @@ class Scalar:
         if not (self.a or self.b):
             raise DivisionByZero("inverse of zero")
         n = self.a * self.a + self.b * self.b
-        return _make(self.a * self.d, -self.b * self.d, n)
+        return Scalar(self.a * self.d, -self.b * self.d, n)
 
     # -- predicates and ordering ----------------------------------------------
 
@@ -238,16 +238,6 @@ def _new(a: int, b: int, d: int) -> Scalar:
     s = _alloc(Scalar)
     s.a, s.b, s.d = a, b, d
     return s
-
-
-def _make(a: int, b: int, d: int) -> Scalar:
-    if d < 0:
-        a, b, d = -a, -b, -d
-    if d != 1:
-        g = gcd(a, b, d)
-        if g != 1:
-            a, b, d = a // g, b // g, d // g
-    return _new(a, b, d)
 
 
 def _coerce(x) -> Union[Scalar, None]:
@@ -390,9 +380,13 @@ def _quoted(value) -> str:
 def scalar_from_json(data, field: str = "scalar") -> Scalar:
     """Accepts {"re": ..., "im": ...} of ints or rational strings, a scalar string, or an int.
 
-    A ParseError names the JSON field, e.g. "A11.rows[0][2].im", and has no position.
+    A missing re or im is 0, and any other key is refused.  A ParseError names
+    the JSON field, e.g. "A11.rows[0][2].im", and has no position.
     """
     if isinstance(data, dict):
+        unknown = [key for key in data if key not in ("re", "im")]
+        if unknown:
+            raise ParseError(f"{field}: unknown key {_quoted(unknown[0])}, expected re and im")
         return Scalar.from_rationals(*(_rational_from_json(data.get(k, 0), f"{field}.{k}") for k in ("re", "im")))
     if isinstance(data, str):
         try:

@@ -88,12 +88,25 @@ def trace(m: Mat) -> Scalar:
     return sum((m.rows[i][i] for i in range(m.n)), as_scalar(0))
 
 
+def is_zero_matrix(m: Mat) -> bool:
+    return not any(x for row in m.rows for x in row)
+
+
 def is_nilpotent(m: Mat) -> bool:
     """m^n = 0, by repeated products."""
     power = m
     for _ in range(m.n - 1):
         power = power * m
-    return power.is_zero
+    return is_zero_matrix(power)
+
+
+def sqrt2_blocks() -> tuple[Mat, Mat]:
+    """A11 with eigenvalues 1, -1, 2, -2, and the companion matrix of x^4 - 10x^2 + 16, which has them times sqrt(2)."""
+    v = Mat([[as_scalar(x) for x in row] for row in ((1, 1, 0, 0), (1, 2, 0, 0), (0, 0, 1, 1), (0, 0, 1, 2))])
+    a11 = v * Mat.diag(1, -1, 2, -2) * mat_inverse(v)
+    assert not a11.is_upper_triangular() and not a11.is_lower_triangular()
+    unit = lambda i, j: Mat.unit(4, i, j)
+    return a11, unit(2, 1) + unit(3, 2) + unit(4, 3) + unit(1, 4).scale(-16) + unit(3, 4).scale(10)
 
 
 def one_relation_broken(k: int) -> tuple[Mat, Mat, Mat, Mat]:
@@ -145,13 +158,13 @@ def inverse_blocks(rep):
 
 def act(action, i: int, j: int, v: Mat) -> Mat:
     """a_ij . v = A_i1 v S_1j + A_i2 v S_2j, from the starred blocks the action stores."""
-    a, s = action.rep.block, action.starred
-    return a(i, 1) * v * s[0][j - 1] + a(i, 2) * v * s[1][j - 1]
+    a, s = action.rep.blocks[i - 1], action.starred
+    return a[0] * v * s[0][j - 1] + a[1] * v * s[1][j - 1]
 
 
 def reference_action(rep, i: int, j: int, v: Mat) -> Mat:
     """a_ij . v = sum_k A_ik v S_kj on 4x4 matrices, S the blocks of M^-1; no operators involved."""
-    a = ((rep.a11, rep.a12), (rep.a21, rep.a22))
+    a = rep.blocks
     s = inverse_blocks(rep)
     return a[i - 1][0] * v * s[0][j - 1] + a[i - 1][1] * v * s[1][j - 1]
 

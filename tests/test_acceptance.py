@@ -10,6 +10,7 @@ import time
 
 from helpers import random_invertible_upper, random_nonzero_scalar, random_strictly_upper
 from qact import (
+    CanonicalForm,
     EquivalenceWitness,
     Mat,
     Subspace,
@@ -44,6 +45,7 @@ from qact import (
 )
 from qact.catalog import ENTRY_ORDER, INVARIANT_DIMS
 from qact.clifford import METRIC, UNIT_EXPRESSIONS, eval_gamma_expr, default_model
+from qact.qspinor import form_a
 from qact.scalars import Scalar
 
 E4 = Mat.identity(4)
@@ -106,7 +108,8 @@ def test_criterion_2_canonical_form_suite():
     start = time.perf_counter()
     for q_value in Q_SAMPLES:
         q = validate_q(q_value)
-        forms = canonical_forms(q, alpha=as_scalar(5))
+        forms = canonical_forms(q)
+        forms[4] = CanonicalForm(5, form_a(5, q.q, as_scalar(5)), forms[4].expected_basis)
         assert [f.expected_dim for f in forms] == [3, 4, 3, 3, 2, 2, 2]
         for form in forms:
             report = verify_canonical_form(form, q)

@@ -16,6 +16,7 @@ from qact import (
     verify_determinant_invariants,
 )
 from qact.catalog import DEFAULT_POLICY, ENTRY_ORDER
+from qact.qspinor import form_a
 
 E4 = Mat.identity(4)
 
@@ -183,7 +184,7 @@ def test_a11_is_its_canonical_form_at_every_parameter_value(qname, request):
                 except ConstraintViolated:
                     continue
                 if form == 5:
-                    assert rep.a11 == canonical_forms(q, params["alpha"])[4].a, (eid, params)
+                    assert rep.a11 == form_a(5, q.q, params["alpha"]), (eid, params)
                     assert rep.a11.rows[0][0] == params["alpha"]
                 else:
                     assert rep.a11 == fixed[form - 1].a, (eid, params)

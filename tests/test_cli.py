@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import sqrt2_blocks
 from qact import (
     EquivalenceWitness,
     GLqRep,
@@ -283,8 +284,11 @@ def _two_by_two(data):
     (lambda data: data.update(q={"re": "9" * 5000}), "q.re: 5000 digits", None),
     (lambda data: data["A11"]["rows"][0].__setitem__(0, "7" * 5000), "A11.rows[0][0]: 5000 digits",
      "matrix.rows[0][0]: 5000 digits"),
+    (lambda data: data.update(q={"re": "2", "IM": "1"}), "q: unknown key 'IM'", None),
+    (lambda data: data["A11"]["rows"][0].__setitem__(0, {"re": "4", "Im": "1"}), "A11.rows[0][0]: unknown key 'Im'",
+     "matrix.rows[0][0]: unknown key 'Im'"),
 ], ids=["q-text", "q-float", "q-digits", "q-zero", "entry-float", "entry-digits", "entry-fraction", "entry-string",
-        "no-rows", "three-rows", "2x2", "q-long-digits", "entry-long-digits"])
+        "no-rows", "three-rows", "2x2", "q-long-digits", "entry-long-digits", "q-unknown-key", "entry-unknown-key"])
 def test_malformed_representation_files_exit_2(capsys, tmp_path, mutate, names, matrix_names):
     assert main(["export", "--entry", "S1", "--out", str(tmp_path / "s1.json")]) == 0
     capsys.readouterr()
@@ -464,6 +468,38 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
     code, doc = run_json(capsys, "frobnicate")
     assert code == 2
+
+
+def _write_refusal_files(directory: Path) -> None:
+    """bad.json, which is not JSON, and sqrt2-1.json and sqrt2-2.json, whose scales square to 2."""
+    (directory / "bad.json").write_text("{not json")
+    zero, q = Mat.zero(4), validate_q(2)
+    for k, a11 in enumerate(sqrt2_blocks(), 1):
+        (directory / f"sqrt2-{k}.json").write_text(json.dumps(GLqRep(a11, zero, zero, Mat.identity(4), q).to_json()))
+
+
+# Each refusal that a command reaches: its argv ({dir} is where
+# _write_refusal_files wrote), and the exact error and position it prints.
+@pytest.mark.parametrize("argv, error, position", [
+    (("invariants",), "invariants needs exactly one of --file or --entry", None),
+    (("check-rep", "--file", "{dir}/bad.json"),
+     "invalid JSON in {dir}/bad.json: Expecting property name enclosed in double quotes", 1),
+    (("verify-table", "--q", "2x"), "--q: unexpected trailing characters (position 1)", 1),
+    (("verify-table", "--entry", "NOPE"), "unknown table entry 'NOPE'", None),
+    (("show-entry", "--entry", "NOPE"), "unknown table entry 'NOPE'", None),
+    (("export", "--entry", "NOPE", "--out", "{dir}/out.json"), "unknown table entry 'NOPE'", None),
+    (("verify-table", "--q", "1"), "q = 1 is zero or a root of unity", None),
+    (("verify-table", "--entry", "S5", "--param", "alpha=2"), "parameter alpha = 2: excluded value for this entry",
+     None),
+    (("equiv", "--file1", "{dir}/sqrt2-1.json", "--file2", "{dir}/sqrt2-2.json"), "alpha^2 = 2 has no root in Q(i)",
+     None),
+], ids=["usage", "usage-position", "q-scalar", "unknown-entry", "show-unknown-entry", "export-unknown-entry",
+        "invalid-q", "constraint", "unsupported"])
+def test_error_documents(capsys, tmp_path, argv, error, position):
+    _write_refusal_files(tmp_path)
+    fill = lambda text: text.replace("{dir}", str(tmp_path))
+    code, out = run(capsys, *map(fill, argv))
+    assert (code, out) == (2, json.dumps({"error": fill(error), "position": position}, separators=(",", ":")) + "\n")
 
 
 @pytest.mark.parametrize("q_text, want", [("-1/2", {"re": "-1/2", "im": "0"}),

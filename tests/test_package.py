@@ -17,8 +17,8 @@ LAZY_NAMES = {
     ],
     "clifford": ["CliffordModel", "MalformedExpression", "build_model", "default_model", "eval_gamma_expr", "selftest"],
     "qspinor": [
-        "CanonicalForm", "InvalidFormParameter", "VerificationFailure", "canonical_forms", "space_square_nonzero",
-        "spinor_space", "verify_canonical_form",
+        "CanonicalForm", "VerificationFailure", "canonical_forms", "space_square_nonzero", "spinor_space",
+        "verify_canonical_form",
     ],
 }
 

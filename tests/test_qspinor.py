@@ -8,7 +8,6 @@ from helpers import (
 )
 from qact import (
     CanonicalForm,
-    InvalidFormParameter,
     Mat,
     Subspace,
     VerificationFailure,
@@ -20,6 +19,7 @@ from qact import (
     spinor_space,
     verify_canonical_form,
 )
+from qact.qspinor import form_a
 
 E4 = Mat.identity(4)
 
@@ -62,16 +62,14 @@ def test_canonical_form_data(q2):
 
 
 def test_form5_parameter_validation(q2):
-    q = q2.q
-    with pytest.raises(InvalidFormParameter):
-        canonical_forms(q2, alpha=q ** 3)
-    with pytest.raises(InvalidFormParameter):
-        canonical_forms(q2, alpha=0)
-    forms = canonical_forms(q2, alpha=as_scalar(7))
-    assert forms[4].a.rows[0][0] == as_scalar(7)
+    forms = canonical_forms(q2)
     # Default alpha avoids the exclusion list deterministically: 2 = q is
     # excluded at q = 2, so 3 is picked.
-    assert canonical_forms(q2)[4].alpha == as_scalar(3)
+    assert forms[4].a.rows[0][0] == as_scalar(3)
+    # Form 5 at another admissible alpha has the same B(A).
+    form = CanonicalForm(5, form_a(5, q2.q, as_scalar(7)), forms[4].expected_basis)
+    assert form.a.rows[0][0] == as_scalar(7)
+    assert verify_canonical_form(form, q2).ok
 
 
 @pytest.mark.parametrize("qname", ["q2", "q3"])

@@ -154,6 +154,18 @@ def test_json_round_trip():
     assert scalar_from_json(5) == Scalar(5)
 
 
+def test_json_object_refuses_unknown_keys():
+    from qact.scalars import scalar_from_json
+
+    assert scalar_from_json({"re": "2"}) == Scalar(2)  # a missing key is 0
+    assert scalar_from_json({}) == Scalar(0)
+    for data, key in (({"re": "1", "IM": "2"}, "'IM'"), ({"real": "1"}, "'real'"), ({"im": "1", "x": 0}, "'x'")):
+        with pytest.raises(ParseError) as refused:
+            scalar_from_json(data, "q")
+        assert str(refused.value) == f"q: unknown key {key}, expected re and im"
+        assert refused.value.position is None
+
+
 def test_validate_q_accepts_and_rejects():
     assert validate_q(2).q == Scalar(2)
     assert validate_q(Scalar(1, 1)).q == Scalar(1, 1)
