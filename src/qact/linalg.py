@@ -1,21 +1,27 @@
-"""Dense exact matrix algebra and subspace computations over Q(i).
+"""Exact matrix algebra and subspace computations over Q(i).
 
 Matrices are square (sizes 2, 4, 16 arise), stored row-major as tuples of
 Scalar.  Zero entries are skipped, never multiplied, so results may share
 immutable Scalar objects with their operands.  The product sums each entry
 over its nonzero terms on plain-int (a, b, d) triples and normalizes it once;
 an entry that no term reaches is the shared ZERO.
-Linear subspaces of flattened matrices are kept in reduced row-echelon form
-with pivots equal to 1, so subspace equality is structural equality of the
-bases.  Flattening is row-major: the matrix entry (i, j) sits at index
-i*n + j.  The rows of a map X -> sum_t a_t X b_t on flattened matrices are
-built sparse from its terms (a_t, b_t) in one place (_operator_rows).  One
+Every elimination but det's goes through one sparse Gauss-Jordan reducer,
+_reduce_into (Gustavson's row-wise form): a vector, given as its nonzero
+entries {column: entry}, is reduced by the rows whose pivots it touches, and
+a nonzero residual becomes a row of an RREF with pivots 1.  Subspaces keep
+their basis that way, so subspace equality is structural equality of the
+bases; the inverse, the kernels and the closure under products use it too.
+Flattening is row-major: the matrix entry (i, j) sits at index i*n + j.  The
+rows of a map X -> sum_t a_t X b_t on flattened matrices are built sparse
+from its terms (a_t, b_t) in one place (_operator_rows).  One
 reduce-and-recombine loop finds every kernel: it reduces the first map's
 rows, and evaluates each later map on the kernel basis found so far.
 solve_rows takes maps as their rows, and solve_homogeneous takes Sylvester
 maps X -> L X - X R as the pairs (L, R); it builds the rows of the first
 one only, and evaluates each later one as L B - B R on Gaussian integers
-(_sylvester_system), with no row of it built.  An identity among products
+(_sylvester_system), with no row of it built.  The algebra a set of
+matrices generates is spun from 1 by a queue of words, each product reduced
+once (algebra_closure).  An identity among products
 that is only checked is tested by products_vanish, which sums
 sum_t c_t X_t Y_t row by row on the same plain-int triples and stops at the
 first nonzero entry, without building any product.
@@ -28,7 +34,7 @@ from itertools import combinations_with_replacement
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .scalars import ONE, ZERO, Scalar, _alloc, as_scalar, format_scalar, scalar_from_json
+from .scalars import ONE, ZERO, ParseError, Scalar, _alloc, as_scalar, format_scalar, scalar_from_json
 
 
 class Singular(ValueError):
@@ -147,8 +153,11 @@ class Mat:
 
     @classmethod
     def from_json(cls, data: dict, field: str = "matrix") -> "Mat":
-        n = data["n"]
-        rows = data["rows"]
+        if not isinstance(data, dict):
+            raise ParseError(f"{field} must be a JSON object")
+        n, rows = data["n"], data["rows"]
+        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+            raise ParseError(f"{field}.rows must be a JSON array of arrays")
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DimensionMismatch(f"{field}: matrix JSON has inconsistent dimensions")
         return cls([[scalar_from_json(x, f"{field}.rows[{i}][{j}]") for j, x in enumerate(r)]
@@ -298,75 +307,102 @@ def det(m: Mat) -> Scalar:
 
 
 def mat_inverse(m: Mat) -> Mat:
-    """Inverse by Gauss-Jordan with first-nonzero pivot selection."""
+    """Inverse by reducing the rows of [m | 1] into their RREF, which is [1 | m^-1] iff m is invertible."""
     n = m.n
-    aug = [list(m.rows[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    pivots = _rref_in_place(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise Singular(f"matrix of size {n} has rank {len([p for p in pivots if p < n])}")
-    return Mat([row[n:] for row in aug])
+    echelon = {}
+    for i, r in enumerate(m.rows):
+        row = {c: x for c, x in enumerate(r) if x.a or x.b}
+        row[n + i] = ONE
+        _reduce_into(echelon, row)
+    rank = sum(p < n for p in echelon)
+    if rank < n:
+        raise Singular(f"matrix of size {n} has rank {rank}")
+    return Mat([[echelon[i].get(n + j, ZERO) for j in range(n)] for i in range(n)])
 
 
-def _rref_in_place(rows: list[list[Scalar]], width: int) -> list[int]:
-    """Reduce to RREF (pivots 1, fully reduced); returns pivot columns.
+Row = dict[int, Scalar]  # a vector's nonzero entries {column: entry}
 
-    Rows are modified in place; zero rows are dropped from the tail.
+
+def _subtract(v: Row, f: Scalar, row: Row) -> None:
+    """v -= f row in place, each entry by one fused minus_product; an entry that cancels is dropped."""
+    for c, x in row.items():
+        y = v.get(c)
+        if y is None:
+            v[c] = ZERO.minus_product(x, f)
+        else:
+            y = y.minus_product(x, f)
+            if y.a or y.b:
+                v[c] = y
+            else:
+                del v[c]
+
+
+def _reduce(echelon: dict[int, Row], v: Row) -> Row:
+    """v reduced in place by the rows of echelon whose pivots it touches, and returned: zero at every pivot.
+
+    A row is zero at every other pivot, so subtracting it changes no other
+    pivot entry of v, and one pass in any order reduces v.
     """
-    nrows = len(rows)
-    rank = 0
-    pivot_cols = []
-    for col in range(width):
-        piv = None
-        for r in range(rank, nrows):
-            x = rows[r][col]
-            if x.a or x.b:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        p = prow[col]
-        if p.b or p.d != 1 or p.a not in (1, -1):
-            pinv = p.inv()
-            prow = rows[rank] = prow[:col] + [x * pinv if x.a or x.b else x for x in prow[col:]]
-        elif p.a == -1:  # dividing by -1 is a negation
-            prow = rows[rank] = prow[:col] + [-x if x.a or x.b else x for x in prow[col:]]
-        for r in range(nrows):
-            if r == rank:
-                continue
-            f = rows[r][col]
-            if f.a or f.b:
-                rrow = rows[r]
-                for c in range(col, width):
-                    x = prow[c]
-                    if x.a or x.b:
-                        rrow[c] = rrow[c].minus_product(x, f)
-        pivot_cols.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    del rows[rank:]
-    return pivot_cols
+    for p in [c for c in v if c in echelon]:
+        _subtract(v, v[p], echelon[p])
+    return v
+
+
+def _reduce_into(echelon: dict[int, Row], v: Row) -> bool:
+    """Reduce v by echelon and add the residual, if any, as a row; whether v was independent of the rows.
+
+    echelon maps each pivot column to its row, and is kept in RREF with
+    pivots 1: a row leads with its pivot, and every other row is zero there.
+    The residual leads at its smallest column p, and is scaled to a pivot of 1
+    (a pivot of 1 as it is, a pivot of -1 by a negation).  Then column p is
+    cleared from the other rows: each gains entries only right of p, which is
+    right of its own pivot, as it was not zero at p only if its pivot is left
+    of p.  So the RREF of rows added one at a time is the canonical RREF of
+    all of them, whatever their order.  v becomes the row; it is not copied.
+    """
+    _reduce(echelon, v)
+    if not v:
+        return False
+    p = min(v)
+    s = v[p]
+    if s.b or s.d != 1 or s.a not in (1, -1):
+        s = s.inv()
+        for c, x in v.items():
+            v[c] = x * s
+    elif s.a == -1:
+        for c, x in v.items():
+            v[c] = -x
+    for row in echelon.values():
+        f = row.get(p)
+        if f is not None:
+            _subtract(row, f, v)
+    echelon[p] = v
+    return True
 
 
 class Subspace:
-    """A linear subspace of Q(i)^ambient_dim with a canonical RREF basis."""
+    """A linear subspace of Q(i)^ambient_dim with a canonical RREF basis.
 
-    __slots__ = ("ambient_dim", "basis", "pivot_columns")
+    echelon holds the basis rows, the only copy, sparse: it maps each pivot
+    column, in increasing order, to its row's nonzero entries.
+    """
+
+    __slots__ = ("ambient_dim", "echelon")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence[Scalar]]):
-        rows = []
+        echelon = {}
         for v in vectors:
-            v = list(v)
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector length does not match ambient dimension")
-            rows.append(v)
-        pivots = _rref_in_place(rows, ambient_dim)
-        self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(r) for r in rows)
-        self.pivot_columns = tuple(pivots)
+            _reduce_into(echelon, {c: x for c, x in enumerate(v) if x.a or x.b})
+        self.ambient_dim, self.echelon = ambient_dim, dict(sorted(echelon.items()))
+
+    @classmethod
+    def _of_echelon(cls, ambient_dim: int, echelon: dict[int, Row]) -> "Subspace":
+        """The subspace whose RREF rows, by pivot, are echelon's (as _reduce_into keeps them)."""
+        space = _alloc(cls)
+        space.ambient_dim, space.echelon = ambient_dim, dict(sorted(echelon.items()))
+        return space
 
     @classmethod
     def span_of(cls, mats: Iterable[Mat]) -> "Subspace":
@@ -378,32 +414,35 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.echelon)
+
+    @property
+    def basis(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The RREF basis vectors, dense, in pivot order."""
+        basis = []
+        for row in self.echelon.values():
+            v = [ZERO] * self.ambient_dim
+            for c, x in row.items():
+                v[c] = x
+            basis.append(tuple(v))
+        return tuple(basis)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self.echelon == other.echelon
 
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
 
-    def reduce_vector(self, vector: Sequence[Scalar]) -> list[Scalar]:
-        """Residual of a vector after eliminating all pivot coordinates."""
-        v = list(vector)
-        if len(v) != self.ambient_dim:
+    def reduce_vector(self, vector: Sequence[Scalar]) -> Row:
+        """Residual of a vector after eliminating all pivot coordinates, as its nonzero entries {column: entry}."""
+        if len(vector) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        for row, piv in zip(self.basis, self.pivot_columns):
-            f = v[piv]
-            if f.a or f.b:
-                for c in range(piv, self.ambient_dim):
-                    x = row[c]
-                    if x.a or x.b:
-                        v[c] = v[c].minus_product(x, f)
-        return v
+        return _reduce(self.echelon, {c: x for c, x in enumerate(vector) if x.a or x.b})
 
     def contains_vector(self, vector: Sequence[Scalar]) -> bool:
-        return _all_zero(self.reduce_vector(vector))
+        return not self.reduce_vector(vector)
 
     def contains_matrix(self, m: Mat) -> bool:
         return self.contains_vector(m.flatten())
@@ -488,35 +527,34 @@ def solve_rows(maps: Iterable[list[dict[int, Scalar]]], width: int) -> Subspace:
     return _common_kernel(next(maps), (partial(_rows_times_basis, rows) for rows in maps), width)
 
 
-def _rows_times_basis(rows: list[dict[int, Scalar]], basis: list[Sequence[Scalar]]) -> list[list[Scalar]]:
+def _rows_times_basis(rows: list[Row], basis: list[Sequence[Scalar]]) -> list[Row]:
     """The products r . b_k of each nonzero row r with each basis vector b_k: a system in d = len(basis) unknowns."""
-    rows = [row.items() for row in rows if row]
-    return [list(r) for r in _product_rows(rows, list(zip(*basis)), len(basis))] if rows else []
+    return [{c: x for c, x in enumerate(r) if x.a or x.b}
+            for r in _product_rows([row.items() for row in rows if row], list(zip(*basis)), len(basis))]
 
 
-def _common_kernel(rows: list[dict[int, Scalar]], later: Iterator[Callable[[list], list[list[Scalar]]]],
-                   width: int) -> Subspace:
+def _common_kernel(rows: list[Row], later: Iterator[Callable[[list], list[Row]]], width: int) -> Subspace:
     """The kernel of the map whose rows {column: entry} are given, cut down by each later map in turn.
 
-    The first map's rows are made dense and reduced, and its kernel basis
-    b_1..b_d read off.  Each later map is a function of the basis that gives
-    its system: row p is entry p of the map applied to b_1..b_d, so
-    x = sum_k c_k b_k solves the map iff c is in the system's kernel, which
-    recombines the basis by one product.  The last basis spans the common
-    kernel, which Subspace reduces to the RREF basis one reduction of all
-    the rows gives.  Zero rows of a system are dropped, and once the kernel
-    is {0} no later map is taken.
+    The first map's rows are reduced, and its kernel basis b_1..b_d read
+    off.  Each later map is a function of the basis that gives its system:
+    row p is entry p of the map applied to b_1..b_d, so x = sum_k c_k b_k
+    solves the map iff c is in the system's kernel, which recombines the
+    basis by one product, unless the system is zero.  The last basis spans
+    the common kernel, which Subspace reduces to the RREF basis one
+    reduction of all the rows gives.  Once the kernel is {0} no later map is
+    taken.
     """
-    basis = _free_basis([[row.get(c, ZERO) for c in range(width)] for row in rows if row], width)
+    basis = _free_basis(rows, width)
     while basis and (system := next(later, None)) is not None:
-        system = [r for r in system(basis) if not _all_zero(r)]
-        if system:
-            basis = _product_rows(map(enumerate, _free_basis(system, len(basis))), basis, width)
+        kernel = _free_basis(system(basis), len(basis))
+        if len(kernel) < len(basis):
+            basis = _product_rows(map(enumerate, kernel), basis, width)
     return Subspace(width, basis)
 
 
-def _sylvester_system(l: Mat, r: Mat, basis: list[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """The system of X -> L X - X R on the basis: entry p of row-major L b_k - b_k R in row p, column k.
+def _sylvester_system(l: Mat, r: Mat, basis: list[Sequence[Scalar]]) -> list[Row]:
+    """The system of X -> L X - X R on the basis: entry p of row-major L b_k - b_k R in row p, column k, sparse.
 
     Each b_k is a flattened n x n matrix.  L and R are scaled to Gaussian
     integers over the lcm D of their denominators, and b_k over the lcm D'
@@ -528,7 +566,7 @@ def _sylvester_system(l: Mat, r: Mat, basis: list[Sequence[Scalar]]) -> list[lis
     n, nn = l.n, l.n * l.n
     den = lcm(*(x.d for row in l.rows + r.rows for x in row))
     columns, r = integer_rows(list(zip(*l.rows)), den), integer_rows(r.rows, den)
-    system = [[ZERO] * len(basis) for _ in range(nn)]
+    system = [{} for _ in range(nn)]
     for col, v in enumerate(basis):
         entries = [(p, x) for p, x in enumerate(v) if x.a or x.b]
         bd = lcm(*(x.d for _, x in entries))
@@ -555,19 +593,25 @@ def _sylvester_system(l: Mat, r: Mat, basis: list[Sequence[Scalar]]) -> list[lis
     return system
 
 
-def _free_basis(m: list[list[Scalar]], width: int) -> list[list[Scalar]]:
-    """Kernel basis of the rows m, one vector per free column of their RREF; m is reduced in place."""
-    pivots = _rref_in_place(m, width)
-    basis = []
-    for free in sorted(set(range(width)) - set(pivots)):
-        v = [ZERO] * width
-        v[free] = ONE
-        for r, piv in enumerate(pivots):
-            f = m[r][free]
-            if f.a or f.b:
-                v[piv] = -f
-        basis.append(v)
-    return basis
+def _free_basis(rows: Iterable[Row], width: int) -> list[list[Scalar]]:
+    """Kernel basis of the rows {column: entry}, zero entries allowed: one vector per free column.
+
+    The rows are reduced into their RREF (_reduce_into), and the vector of a
+    free column c is e_c minus sum_p R_p[c] e_p over the rows R_p, p being
+    each row's pivot.  A row's column other than its pivot is free.
+    """
+    echelon = {}
+    for row in rows:
+        if row:
+            _reduce_into(echelon, {c: x for c, x in row.items() if x.a or x.b})
+    basis = {c: [ZERO] * width for c in range(width) if c not in echelon}
+    for c, v in basis.items():
+        v[c] = ONE
+    for p, row in echelon.items():
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = -x
+    return list(basis.values())
 
 
 def centralizer(generators: Sequence[Mat]) -> Subspace:
@@ -581,33 +625,75 @@ def centralizer(generators: Sequence[Mat]) -> Subspace:
 def algebra_closure(generators: Sequence[Mat]) -> Subspace:
     """Smallest subspace containing 1 and the generators and closed under products.
 
-    That is the span of all words in the generators.  Let V_0 = span{1, G}
-    and V_{k+1} = V_k + G V_k.  As V_{k-1} is in V_k, G V_{k-1} is in V_k
-    already, so only the directions N_k that V_k added over V_{k-1} need
-    left-multiplying (N_0 = V_0).  Each product g x is reduced against V_k;
-    the nonzero residuals, reduced among themselves, are N_{k+1}.  The chain
-    stops when N_{k+1} = 0: then G V_k is in V_k, and since 1 is in V_k and
-    every word is g times a shorter word, V_k holds every word.  The
-    ambient dimension bounds the chain, and the RREF basis is canonical.
+    That is the span of all words in the generators, found as the spin of 1
+    under them (Parker 1984) by a queue of words.  1 and the generators are
+    reduced into one RREF; the generators G' that are independent of 1 and
+    of the ones before them are the first words.  For each word x in the
+    queue and each g in G', the product g x (_left_product) is reduced into
+    the RREF, and is queued as a new word only if it was not in the span.
+    The queue ends after dim - 1 words, having formed |G'| (dim - 1)
+    products, and no RREF is recomputed.  Let V be the span of 1 and the
+    words.  g x is in V for every g in G' and every word x, so G' V is in V.
+    Every other generator is c 1 + sum_h c_h h over h in G', so G V is in V.
+    V holds 1 and G, and every word in G is g times a shorter word, so V
+    holds every word; and V lies in the algebra, as each word does.  The
+    RREF basis is canonical.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("algebra_closure needs at least one generator")
     n = generators[0].n
-    space = Subspace(n * n, [g.flatten() for g in generators] + [Mat.identity(n).flatten()])
-    new = space.matrices()
-    while True:
-        residuals = []
-        for x in new:
-            for g in generators:
-                r = space.reduce_vector((g * x).flatten())
-                if not _all_zero(r):
-                    residuals.append(r)
-        if not residuals:
-            return space
-        added = Subspace(n * n, residuals)
-        space = Subspace(n * n, space.basis + added.basis)
-        new = added.matrices()
+    echelon = {}
+    _reduce_into(echelon, {k * (n + 1): ONE for k in range(n)})
+    words, columns = [], []
+    for g in generators:
+        x = {k: e for k, e in enumerate(g.flatten()) if e.a or e.b}
+        if _reduce_into(echelon, dict(x)):
+            words.append(x)
+            columns.append([[(i, e.a, e.b, e.d) for i, r in enumerate(g.rows) if (e := r[k]).a or e.b]
+                            for k in range(n)])
+    for x in words:
+        for g in columns:
+            y = _left_product(g, x, n)
+            if _reduce_into(echelon, dict(y)):
+                words.append(y)
+    return Subspace._of_echelon(n * n, echelon)
+
+
+def _left_product(columns: list[list[tuple[int, int, int, int]]], x: Row, n: int) -> Row:
+    """g x for a flattened n x n matrix x, g given by the nonzero (i, a, b, d) of each of its columns.
+
+    Entry (i, j) is summed over the nonzero x[k][j] on plain-int (a, b, d)
+    triples, as _product_rows sums, and normalized once; an entry whose
+    terms cancel is dropped.
+    """
+    acc = {}  # i * n + j -> (a, b, d): entry (i, j) so far, on a common denominator
+    for p, s in x.items():
+        k = p // n
+        sa, sb, sd = s.a, s.b, s.d
+        for i, ga, gb, gd in columns[k]:
+            a, b, d = ga * sa - gb * sb, ga * sb + gb * sa, gd * sd
+            q = p + (i - k) * n
+            t = acc.get(q)
+            if t is not None:
+                ta, tb, td = t
+                if td == d:
+                    a, b = ta + a, tb + b
+                else:
+                    g = gcd(td, d)
+                    m, c = d // g, td // g  # td * m is the lcm of td and d
+                    a, b, d = ta * m + a * c, tb * m + b * c, td * m
+            acc[q] = (a, b, d)
+    y = {}
+    for q, (a, b, d) in acc.items():
+        if a or b:
+            if d != 1:
+                g = gcd(a, b, d)
+                if g != 1:
+                    a, b, d = a // g, b // g, d // g
+            s = y[q] = _alloc(Scalar)
+            s.a, s.b, s.d = a, b, d
+    return y
 
 
 def invertible_element_in(s: Subspace) -> Optional[Mat]:
@@ -631,11 +717,10 @@ def invertible_element_in(s: Subspace) -> Optional[Mat]:
     n = _matrix_side(s.ambient_dim)
     full = (1 << 2 * n) - 1
     masks, covered = [], 0
-    for v in s.basis:
+    for row in s.echelon.values():
         mask = 0
-        for k, x in enumerate(v):
-            if x.a or x.b:
-                mask |= (1 << k // n) | (1 << n + k % n)
+        for k in row:
+            mask |= (1 << k // n) | (1 << n + k % n)
         masks.append(mask)
         covered |= mask
     if covered != full:

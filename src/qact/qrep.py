@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .linalg import (DimensionMismatch, Mat, Singular, SparseRows, centralizer, det, mat_inverse, products_vanish,
                      sparse_rows)
 from .report import Report
-from .scalars import ONE, ZERO, DeformationParameter, Scalar, scalar_from_json
+from .scalars import ONE, ZERO, DeformationParameter, ParseError, Scalar, scalar_from_json
 
 
 Blocks = tuple[tuple[Mat, Mat], tuple[Mat, Mat]]
@@ -82,6 +82,8 @@ class GLqRep:
 
     @classmethod
     def from_json(cls, data: dict) -> "GLqRep":
+        if not isinstance(data, dict):
+            raise ParseError("representation must be a JSON object")
         q = DeformationParameter(scalar_from_json(data["q"], "q"))
         mats = {key: Mat.from_json(data[key], key) for key in ("A11", "A12", "A21", "A22")}
         for key, m in mats.items():

@@ -287,8 +287,14 @@ def _two_by_two(data):
     (lambda data: data.update(q={"re": "2", "IM": "1"}), "q: unknown key 'IM'", None),
     (lambda data: data["A11"]["rows"][0].__setitem__(0, {"re": "4", "Im": "1"}), "A11.rows[0][0]: unknown key 'Im'",
      "matrix.rows[0][0]: unknown key 'Im'"),
+    (lambda data: data.update(A11=[1, 2]), "A11 must be a JSON object", "matrix must be a JSON object"),
+    (lambda data: data["A11"].update(rows=5), "A11.rows must be a JSON array of arrays",
+     "matrix.rows must be a JSON array of arrays"),
+    (lambda data: data["A11"]["rows"].__setitem__(0, 7), "A11.rows must be a JSON array of arrays",
+     "matrix.rows must be a JSON array of arrays"),
 ], ids=["q-text", "q-float", "q-digits", "q-zero", "entry-float", "entry-digits", "entry-fraction", "entry-string",
-        "no-rows", "three-rows", "2x2", "q-long-digits", "entry-long-digits", "q-unknown-key", "entry-unknown-key"])
+        "no-rows", "three-rows", "2x2", "q-long-digits", "entry-long-digits", "q-unknown-key", "entry-unknown-key",
+        "matrix-array", "rows-number", "row-number"])
 def test_malformed_representation_files_exit_2(capsys, tmp_path, mutate, names, matrix_names):
     assert main(["export", "--entry", "S1", "--out", str(tmp_path / "s1.json")]) == 0
     capsys.readouterr()
@@ -471,8 +477,14 @@ def test_usage_errors(capsys, tmp_path):
 
 
 def _write_refusal_files(directory: Path) -> None:
-    """bad.json, which is not JSON, and sqrt2-1.json and sqrt2-2.json, whose scales square to 2."""
+    """The files of the refusal cases.
+
+    bad.json is not JSON, list.json and text.json hold JSON that is not an
+    object, and the scales of sqrt2-1.json and sqrt2-2.json square to 2.
+    """
     (directory / "bad.json").write_text("{not json")
+    (directory / "list.json").write_text("[]")
+    (directory / "text.json").write_text('"x"')
     zero, q = Mat.zero(4), validate_q(2)
     for k, a11 in enumerate(sqrt2_blocks(), 1):
         (directory / f"sqrt2-{k}.json").write_text(json.dumps(GLqRep(a11, zero, zero, Mat.identity(4), q).to_json()))
@@ -493,8 +505,13 @@ def _write_refusal_files(directory: Path) -> None:
      None),
     (("equiv", "--file1", "{dir}/sqrt2-1.json", "--file2", "{dir}/sqrt2-2.json"), "alpha^2 = 2 has no root in Q(i)",
      None),
+    (("check-rep", "--file", "{dir}/list.json"),
+     "representation file {dir}/list.json: representation must be a JSON object", None),
+    (("check-rep", "--file", "{dir}/text.json"),
+     "representation file {dir}/text.json: representation must be a JSON object", None),
+    (("b-space", "--matrix", "{dir}/list.json"), "matrix file {dir}/list.json: matrix must be a JSON object", None),
 ], ids=["usage", "usage-position", "q-scalar", "unknown-entry", "show-unknown-entry", "export-unknown-entry",
-        "invalid-q", "constraint", "unsupported"])
+        "invalid-q", "constraint", "unsupported", "document-array", "document-string", "matrix-document-array"])
 def test_error_documents(capsys, tmp_path, argv, error, position):
     _write_refusal_files(tmp_path)
     fill = lambda text: text.replace("{dir}", str(tmp_path))

@@ -273,6 +273,50 @@ def test_zero_aware_kernels_match_dense_reference(pair, c):
     assert Subspace(n, stacked) == Subspace(n, dense_rref(stacked, n)[0] + [[Scalar(0)] * n])
 
 
+# Pivots that take each path of the reducer: 1 as it is, -1 by a negation,
+# and every other value, Gaussian ones included, by a multiplication.
+pivot_scalars = st.sampled_from((Scalar(1), Scalar(-1), Scalar(0, 1), Scalar(1, 1), Scalar(0, -2, 3), Scalar(3, 0, 2)))
+
+
+@st.composite
+def reducer_rows(draw):
+    """(width, rows): up to 8 rows of width 1-10, each new, zero, or a multiple of an earlier one, zero included.
+
+    A new row has at most 3 entries drawn from sparse_scalars and pivot_scalars, so some rows share their pivots.
+    """
+    width = draw(st.integers(1, 10))
+    entries = st.one_of(pivot_scalars, sparse_scalars)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("new", "zero", "multiple")))
+        if kind == "multiple" and rows:
+            c = draw(entries)
+            rows.append([x * c for x in draw(st.sampled_from(rows))])
+        elif kind == "zero":
+            rows.append([Scalar(0)] * width)
+        else:
+            row = [Scalar(0)] * width
+            for j, x in draw(st.lists(st.tuples(st.integers(0, width - 1), entries), max_size=3)):
+                row[j] = x
+            rows.append(row)
+    return width, rows
+
+
+@settings(max_examples=200, **DENSE_REFERENCE)
+@given(reducer_rows())
+def test_sparse_reducer_matches_dense_reference(drawn):
+    """Subspace's basis is the dense RREF of its vectors, and _free_basis spans the dense kernel of its rows."""
+    width, rows = drawn
+    reduced, pivots = dense_rref(rows, width)
+    space = Subspace(width, rows)
+    assert _canonical(space.basis) == reduced and list(space.echelon) == pivots
+    kernel = _canonical(linalg._free_basis([dict(enumerate(r)) for r in rows], width))
+    assert len(kernel) == width - len(pivots)
+    zero = Scalar(0)
+    assert all(sum((x * y for x, y in zip(r, v)), zero) == zero for r in rows for v in kernel)
+    assert Subspace(width, kernel) == Subspace(width, dense_kernel(rows, width))
+
+
 # Dense Gaussian rationals on the denominators 1, 2, 3 and 6, zero included.
 mixed_scalars = st.builds(Scalar, st.integers(-6, 6), st.integers(-6, 6), st.sampled_from((1, 2, 3, 6)))
 dense_mats = st.lists(st.lists(mixed_scalars, min_size=4, max_size=4), min_size=4, max_size=4).map(Mat)
@@ -400,10 +444,12 @@ def mixed_denominator_maps(draw):
 def test_fused_row_product_matches_dense_kernel(maps):
     """Later maps are evaluated on the kernel basis, each L B - B R summed over mixed denominators."""
     assert _canonical(solve_homogeneous(maps).basis) == dense_stacked_kernel(_terms(maps))
-    # Each column of a later map's system is L B - B R for one basis matrix B, normalized.
+    # Each column of a later map's system is L B - B R for one basis matrix B, normalized; its rows are sparse.
     first = solve_homogeneous(maps[:1])
     for l, r in maps[1:]:
-        system = _canonical(linalg._sylvester_system(l, r, list(first.basis)))
+        rows = linalg._sylvester_system(l, r, list(first.basis))
+        assert all(x for row in rows for x in row.values())
+        system = _canonical([[row.get(k, Scalar(0)) for k in range(first.dim)] for row in rows])
         for k, b in enumerate(first.matrices()):
             image = dense_sub(Mat(dense_mul(l, b)), Mat(dense_mul(b, r)))
             assert [row[k] for row in system] == [x for row in image for x in row]

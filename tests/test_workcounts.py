@@ -36,15 +36,16 @@ def counts(monkeypatch):
     kernel solve's rows x basis products and recombinations, of Sylvester
     systems: linalg._sylvester_system, a later map L X - X R of
     solve_homogeneous evaluated on the kernel basis, of kernel solves:
-    linalg.solve_homogeneous, and of zero tests of sums of products:
-    linalg.products_vanish, one per identity checked.
+    linalg.solve_homogeneous, of zero tests of sums of products:
+    linalg.products_vanish, one per identity checked, and of the operator
+    algebra closure's products g x: linalg._left_product.
 
     The fused kernel minus_product (x - y*f) hides a product, and so do the
-    row product, the Sylvester system and the zero test, which sum each entry
-    on plain ints; so each is counted under its own key.
+    row product, the Sylvester system, the zero test and the closure product,
+    which sum each entry on plain ints; so each is counted under its own key.
     """
     tally = {"mul": 0, "sub": 0, "inv": 0, "minus_product": 0, "mat_mul": 0, "mat_add": 0, "det": 0,
-             "power_traces": 0, "row_products": 0, "sylvester": 0, "solve": 0, "vanish": 0}
+             "power_traces": 0, "row_products": 0, "sylvester": 0, "solve": 0, "vanish": 0, "closure": 0}
 
     def counted(op, key):
         def call(*args):
@@ -65,6 +66,7 @@ def counts(monkeypatch):
     monkeypatch.setattr(action_module, "_power_traces", counted(action_module._power_traces, "power_traces"))
     monkeypatch.setattr(linalg, "_product_rows", counted(linalg._product_rows, "row_products"))
     monkeypatch.setattr(linalg, "_sylvester_system", counted(linalg._sylvester_system, "sylvester"))
+    monkeypatch.setattr(linalg, "_left_product", counted(linalg._left_product, "closure"))
     return tally
 
 
@@ -72,36 +74,44 @@ def test_verify_table_work(q2, counts):
     default_model()  # built once per process, so kept out of the count
     counts.update(dict.fromkeys(counts, 0))
     assert verify_table(q2).ok
-    # Measured: 4,053 multiplications and 765 subtractions, with 2,761 fused
-    # x - y*f.  Each checked identity among products is one zero test that
+    # Measured: 3,898 multiplications and 765 subtractions, with 2,428 fused
+    # x - y*f (4,053 and 2,761 with dense eliminations and the closure by
+    # rounds).  Each checked identity among products is one zero test that
     # forms no product matrix, the power traces and the determinants of A11
     # and A22 are summed on Gaussian integers once per representation, and
     # each self pair reads its entry's centralizer as its intertwiner space
     # under the scales (1, 1).  640 of the subtractions are the 16 diagonal
     # entries of each L_ii - 1.
-    assert counts["mul"] <= 4_256
+    assert counts["mul"] <= 4_093
     assert counts["sub"] <= 804
-    assert counts["minus_product"] <= 2_900
+    assert counts["minus_product"] <= 2_550
     # 39 kernel solves: the 20 centralizers and the 19 pairs whose spectra
     # match and whose one candidate leaves no invertible intertwiner.
     assert counts["solve"] == 39
-    # Measured: 684 matrix products and 83 matrix sums.  The product bound is
-    # the count itself.  None is in a relation, counit or witness check: 564
-    # are the operator-algebra closure's.
-    assert counts["mat_mul"] <= 684
+    # Measured: 120 matrix products and 83 matrix sums.  The product bound is
+    # the count itself.  None is in a relation, counit or witness check, and
+    # none is the closure's (684 when the closure formed its 564 products as
+    # matrices).
+    assert counts["mat_mul"] <= 120
     assert counts["mat_add"] <= 87
-    # Measured: 875 row products, the 684 matrix products and 191 of the
-    # kernel solves, and 112 Sylvester systems.
-    assert counts["row_products"] <= 919
+    # The closure forms |G'| (dim R - 1) products g x, G' being the
+    # generators independent of 1 and of those before them: A21 is in the
+    # span of 1, A11 and A12 for 17 entries, so 3 sum(dim R - 1) = 363, and
+    # 19 more for S2a, S2a' and S2b, whose 4 generators are independent.
+    assert counts["closure"] == 382
+    # Measured: 311 row products, the 120 matrix products and 191 of the
+    # kernel solves (875 with the closure's 564), and 112 Sylvester systems.
+    assert counts["row_products"] <= 327
     assert counts["sylvester"] <= 118
     # 480 zero tests: for each of the 20 entries 6 relations, 6 operator
     # relations and 8 counit identities, and 4 blocks of each self-witness.
     assert counts["vanish"] == 480
     # Power traces of A11 and A22, once for each of the 20 representations.
     assert counts["power_traces"] == 40
-    # Measured: 20 determinants, one per self-witness, and 1,043 inversions.
+    # Measured: 20 determinants, one per self-witness, and 1,001 inversions
+    # (1,043 with dense eliminations).
     assert counts["det"] <= 21
-    assert counts["inv"] <= 1_096
+    assert counts["inv"] <= 1_052
 
 
 def test_dense_conjugate_decision_work(q2, counts):
@@ -109,11 +119,12 @@ def test_dense_conjugate_decision_work(q2, counts):
     moved = EquivalenceWitness(random_dense_invertible(random.Random(0x53)), Scalar(2), Scalar(-1, 1)).apply(rep)
     counts.update(dict.fromkeys(counts, 0))
     assert decide_equivalence(rep, moved).equivalent
-    # Measured: 76 multiplications and no subtraction, with 61 fused x - y*f;
-    # the simplex search takes 1 determinant.
-    assert counts["mul"] <= 80
+    # Measured: 73 multiplications and no subtraction, with 59 fused x - y*f
+    # (76 and 61 with dense eliminations); the simplex search takes 1
+    # determinant.
+    assert counts["mul"] <= 77
     assert counts["sub"] == 0
-    assert counts["minus_product"] <= 64
+    assert counts["minus_product"] <= 62
     # Measured: no matrix product and 1 matrix sum, 1 row product, the
     # recombination of the kernel basis by the one later map that cuts it
     # down, and 3 Sylvester systems, one per later map; the witness takes one
@@ -133,11 +144,12 @@ def test_dense_conjugate_of_every_entry_work(q2, counts):
         pairs.append((rep, EquivalenceWitness(random_dense_invertible(rng), Scalar(2), Scalar(-1, 1)).apply(rep)))
     counts.update(dict.fromkeys(counts, 0))
     assert all(decide_equivalence(rep, moved).equivalent for rep, moved in pairs)
-    # Measured: 1,698 multiplications and no subtraction, with 2,687 fused
-    # x - y*f; the simplex search takes 20 determinants, one per pair.
-    assert counts["mul"] <= 1_783
+    # Measured: 1,693 multiplications and no subtraction, with 2,410 fused
+    # x - y*f (1,698 and 2,687 with dense eliminations); the simplex search
+    # takes 20 determinants, one per pair.
+    assert counts["mul"] <= 1_778
     assert counts["sub"] == 0
-    assert counts["minus_product"] <= 2_821
+    assert counts["minus_product"] <= 2_531
     # Measured: no matrix product and 10 matrix sums, 27 row products, the
     # recombinations of the intertwiner solves, and 60 Sylvester systems, 3
     # per solve; 80 zero tests, 4 per witness.
