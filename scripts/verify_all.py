@@ -18,8 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qact import (InvalidQ, ParseError, VerificationFailure, canonical_forms, parse_scalar, validate_q,
-                  verify_canonical_form, verify_table)
+from qact import InvalidQ, ParseError, canonical_forms, parse_scalar, validate_q, verify_canonical_form, verify_table
 
 
 def _verdict(report, ok_text: str) -> str:
@@ -32,11 +31,9 @@ def run_for_q(q) -> bool:
 
     print("canonical q-spinor forms:")
     for form in canonical_forms(q):
-        try:
-            verify_canonical_form(form, q)
-            status = "ok"
-        except VerificationFailure as failure:
-            status, ok = f"FAIL {failure}", False
+        bad = verify_canonical_form(form, q).first_failure
+        status = "ok" if bad is None else f"FAIL {bad.name}: {bad.detail}" if bad.detail else f"FAIL {bad.name}"
+        ok &= bad is None
         print(f"  form {form.form_id}: dim B(A) = {form.expected_dim}  [{status}]")
 
     table = verify_table(q)

@@ -80,10 +80,7 @@ _LAZY = {name: module for module, names in {
         "verify_distinctness", "verify_table",
     ),
     "clifford": ("CliffordModel", "MalformedExpression", "build_model", "default_model", "eval_gamma_expr", "selftest"),
-    "qspinor": (
-        "CanonicalForm", "VerificationFailure", "canonical_forms", "space_square_nonzero", "spinor_space",
-        "verify_canonical_form",
-    ),
+    "qspinor": ("CanonicalForm", "canonical_forms", "space_square_nonzero", "spinor_space", "verify_canonical_form"),
 }.items() for name in names}
 _SUBMODULES = ("catalog", "clifford", "qspinor", "cli")
 

@@ -4,12 +4,12 @@ Twenty entries on the seven canonical q-spinor forms of qspinor.form_a,
 which give every A11: eleven determinant-one entries (S...), four of them
 on form 2, two on form 4 and one on each other form, and nine companions
 with a nontrivial quantum determinant (G...).  An S entry names its form
-and gives A12, A21 and A22 - A11^-1; a G entry is its connected S entry,
-at the parameters they share, plus one increment of A22.  Only form 5 (S5,
-G5) lets a parameter into A11.  Every entry carries its parameter
-exclusions and states its expected operator algebra, invariant algebra,
-gamma-form invariants, and quantum determinant, so a single check_entry
-call replays the whole battery of checks.
+and gives A12, A21 and A22 - A11^-1; a G entry is its connected S entry
+plus one increment of A22, and declares only the parameter the increment
+adds, if any.  Only form 5 (S5, G5) lets a parameter into A11.  Every entry
+carries its parameter exclusions and states its expected operator algebra,
+invariant algebra, gamma-form invariants, and quantum determinant, so a
+single check_entry call replays the whole battery of checks.
 
 The G3b and G6 increments are the unique ones consistent with their
 determinant column through the reconstruction identity
@@ -20,7 +20,7 @@ cross-checks both reconstructions in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Optional
 
 from .action import (
@@ -79,14 +79,13 @@ class TableEntry:
     An S entry names the canonical q-spinor form of its A11 (qspinor.form_a;
     form 5's free diagonal entry is the entry's alpha) and gives its other
     blocks as A12, A21 and A22 - A11^-1.  A G entry is its connected_to S
-    entry, at the parameters they share, with one increment added to A22.
+    entry with one increment added to A22; it declares only the parameter
+    and exclusion it adds, and _register puts the S entry's first.
     The claimed determinant, operator algebra, invariants and gamma-form
     invariants are stated for every entry, never derived from its blocks.
     """
 
     entry_id: str
-    params: tuple[str, ...]
-    exclusions: Mapping[str, Callable[[Scalar, Params], tuple[Scalar, ...]]]
     expected_detq: Callable[[Scalar, Params], Mat]
     expected_dim_r: int
     # A tuple, or a function of (q, params) for the one basis that reads alpha (S2a').
@@ -94,6 +93,8 @@ class TableEntry:
     expected_inv_basis: tuple[Mat, ...]
     invariant_type: str
     gamma_invariants: tuple[str, ...]
+    params: tuple[str, ...] = ()
+    exclusions: Mapping[str, Callable[[Scalar, Params], tuple[Scalar, ...]]] = field(default_factory=dict)
     form: Optional[int] = None
     blocks: Optional[Callable[[Scalar, Params], tuple[Mat, Mat, Mat]]] = None
     connected_to: Optional[str] = None
@@ -148,6 +149,9 @@ ENTRIES: dict[str, TableEntry] = {}
 
 
 def _register(entry: TableEntry):
+    if entry.connected_to is not None:
+        base = ENTRIES[entry.connected_to]
+        entry = replace(entry, params=base.params + entry.params, exclusions={**base.exclusions, **entry.exclusions})
     ENTRIES[entry.entry_id] = entry
 
 
@@ -170,8 +174,8 @@ _register(TableEntry(
 
 _register(TableEntry(
     entry_id="G1a",
-    params=("alpha", "beta"),
-    exclusions={"alpha": _nonzero, "beta": lambda q, p: (ZERO, -ONE)},
+    params=("beta",),
+    exclusions={"beta": lambda q, p: (ZERO, -ONE)},
     connected_to="S1",
     a22_increment=lambda q, p: _u(4, 4).scale(p["beta"]),
     expected_detq=lambda q, p: _E4 + _u(4, 4).scale(p["beta"]),
@@ -184,8 +188,6 @@ _register(TableEntry(
 
 _register(TableEntry(
     entry_id="G1b",
-    params=("alpha",),
-    exclusions={"alpha": _nonzero},
     connected_to="S1",
     a22_increment=lambda q, p: _u(4, 3),
     expected_detq=lambda q, p: _E4 + _u(4, 3),
@@ -258,8 +260,8 @@ _register(TableEntry(
 
 _register(TableEntry(
     entry_id="G2b'",
-    params=("alpha", "beta"),
-    exclusions={"alpha": _nonzero, "beta": lambda q, p: (ZERO, -q.inv())},
+    params=("beta",),
+    exclusions={"beta": lambda q, p: (ZERO, -q.inv())},
     connected_to="S2b'",
     a22_increment=lambda q, p: _u(3, 3).scale(p["beta"]),
     expected_detq=lambda q, p: _E4 + _u(3, 3).scale(q * p["beta"]),
@@ -289,8 +291,8 @@ _register(TableEntry(
 
 _register(TableEntry(
     entry_id="G3a",
-    params=("alpha", "beta"),
-    exclusions={"alpha": _nonzero, "beta": lambda q, p: (ZERO, -(q * q).inv())},
+    params=("beta",),
+    exclusions={"beta": lambda q, p: (ZERO, -(q * q).inv())},
     connected_to="S3",
     a22_increment=lambda q, p: _u(2, 2).scale(p["beta"]),
     expected_detq=lambda q, p: _E4 + _u(2, 2).scale(q * q * p["beta"]),
@@ -303,8 +305,6 @@ _register(TableEntry(
 
 _register(TableEntry(
     entry_id="G3b",
-    params=("alpha",),
-    exclusions={"alpha": _nonzero},
     connected_to="S3",
     # The determinant column 1 + e12 forces the increment q^-2 e12 through
     # A22 = A22' + A11^-1 (D - 1).
@@ -352,8 +352,8 @@ _register(TableEntry(
 
 _register(TableEntry(
     entry_id="G4b",
-    params=("alpha", "beta"),
-    exclusions={"alpha": _nonzero, "beta": lambda q, p: (ZERO, -ONE)},
+    params=("beta",),
+    exclusions={"beta": lambda q, p: (ZERO, -ONE)},
     connected_to="S4b",
     a22_increment=lambda q, p: _u(4, 4).scale(p["beta"]),
     expected_detq=lambda q, p: _E4 + _u(4, 4).scale(p["beta"]),
@@ -383,12 +383,8 @@ _register(TableEntry(
 
 _register(TableEntry(
     entry_id="G5",
-    params=("alpha", "beta", "gamma"),
-    exclusions={
-        "alpha": lambda q, p: form5_excluded(q),
-        "beta": _nonzero,
-        "gamma": lambda q, p: (ZERO, -p["alpha"].inv()),
-    },
+    params=("gamma",),
+    exclusions={"gamma": lambda q, p: (ZERO, -p["alpha"].inv())},
     connected_to="S5",
     a22_increment=lambda q, p: _u(1, 1).scale(p["gamma"]),
     expected_detq=lambda q, p: _E4 + _u(1, 1).scale(p["alpha"] * p["gamma"]),
@@ -418,8 +414,8 @@ _register(TableEntry(
 
 _register(TableEntry(
     entry_id="G6",
-    params=("alpha", "xi"),
-    exclusions={"alpha": _nonzero, "xi": _nonzero},
+    params=("xi",),
+    exclusions={"xi": _nonzero},
     connected_to="S6",
     # det_q = 1 + q^2 xi e12 forces the increment xi e12, i.e. the (1, 2)
     # entry of A22 is xi - q^-4.
@@ -451,8 +447,8 @@ _register(TableEntry(
 
 _register(TableEntry(
     entry_id="G7",
-    params=("alpha", "xi"),
-    exclusions={"alpha": _nonzero, "xi": _nonzero},
+    params=("xi",),
+    exclusions={"xi": _nonzero},
     connected_to="S7",
     a22_increment=lambda q, p: _u(3, 4).scale(p["xi"]),
     expected_detq=lambda q, p: _E4 + _u(3, 4).scale(p["xi"]),
@@ -660,7 +656,7 @@ def verify_determinant_invariants(checks: Iterable[EntryCheck]) -> Report:
     """Every checked G entry's invariant algebra equals span{1, det_q}."""
     report = Report()
     for check in checks:
-        if not check.entry_id.startswith("G"):
+        if ENTRIES[check.entry_id].connected_to is None:
             continue
         if check.invariants is None:
             report.add(check.entry_id, False, "relations fail")

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import catalog
 from .action import Unsupported, build_action, decide_equivalence, operator_algebra, verify_module_algebra
-from .clifford import default_model, selftest
+from .clifford import build_model, selftest
 from .linalg import DimensionMismatch, Mat, Singular, centralizer
 from .qrep import (
     DeterminantSingular,
@@ -250,7 +250,7 @@ def _cmd_equiv(args) -> tuple[dict, int]:
 
 
 def _cmd_clifford_selftest(args) -> tuple[dict, int]:
-    report = selftest(default_model())
+    report = selftest(build_model())
     return report.to_json(), 0 if report.ok else 1
 
 

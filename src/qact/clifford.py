@@ -3,8 +3,8 @@
 The four generators gamma_0..gamma_3 satisfy g_u g_v + g_v g_u = 2 g_uv E
 with metric signature (1, -1, -1, -1).  Sixteen product expressions in the
 generators reproduce the standard matrix units e_11..e_44 exactly, which
-identifies C(1,3) with the full 4x4 matrix algebra; build_model validates
-all of this at construction time.
+identifies C(1,3) with the full 4x4 matrix algebra; selftest checks all of
+this, once for the shared default_model and once per `qact clifford-selftest`.
 
 Gamma expressions are read by Python's parser (ast.parse, "eval" mode; the
 text is never executed) and evaluated under a whitelist, with Python's
@@ -99,21 +99,20 @@ class CliffordModel:
 
 
 def build_model() -> CliffordModel:
-    """Construct and validate the model; any failure is a build-breaking bug."""
+    """Construct the model from the gamma matrices and UNIT_EXPRESSIONS; selftest validates it."""
     gamma = _gammas()
     g0, g1, g2, g3 = gamma
     atoms = {"g0": g0, "g1": g1, "g2": g2, "g3": g3, "g12": g1 * g2, "i": Mat.identity(4).scale(I)}
     units = {key: eval_gamma_expr(text, atoms) for key, text in UNIT_EXPRESSIONS.items()}
-    model = CliffordModel(gamma, atoms, units)
-    report = selftest(model)
-    report.require(AssertionError)
-    return model
+    return CliffordModel(gamma, atoms, units)
 
 
 @lru_cache(maxsize=1)
 def default_model() -> CliffordModel:
-    """The shared validated model; construction is deterministic."""
-    return build_model()
+    """The shared model, built and self-tested once; a failed self-test raises AssertionError."""
+    model = build_model()
+    selftest(model).require(AssertionError)
+    return model
 
 
 def selftest(model: CliffordModel) -> Report:

@@ -8,17 +8,7 @@ plain Python ints, which is several times faster than a pair of Fractions.
 
 The operators +, -, * and == are one Python call deep: a Scalar operand is
 used as it is, and each result is reduced by one gcd(a, b, d) and allocated
-in place.  linalg's two eliminations, det and the sparse Gauss-Jordan
-reducer under every subspace, update each entry by one fused
-x.minus_product(y, f) = x - y*f.  linalg's matrix product, its kernel
-solver's products of rows with a basis, and the closure's products g x, sum
-each entry on plain ints in the same way.  The kernel solver's Sylvester
-systems L B - B R and the power traces of action scale their operands to
-Gaussian integers over a common denominator and sum on plain ints with no
-denominator at all.  Each normalizes its result once.
-linalg.products_vanish, the zero test of every checked identity among
-products, sums on plain ints and normalizes nothing: an entry is zero iff
-its a and b are.
+in place.
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from qact import Mat, Scalar, Subspace, as_scalar, det, mat_inverse
 
@@ -127,10 +126,6 @@ def one_relation_broken(k: int) -> tuple[Mat, Mat, Mat, Mat]:
     )[k]
 
 
-def random_diag(rng: random.Random, values, n: int = 4) -> Mat:
-    return Mat.diag(*[as_scalar(rng.choice(values)) for _ in range(n)])
-
-
 def matvec(m: Mat, vec) -> tuple:
     out = []
     for row in m.rows:
@@ -213,10 +208,6 @@ def module_algebra_on_all_pairs(action) -> bool:
                             if lhs != rhs:
                                 return False
     return True
-
-
-def frac(x) -> Fraction:
-    return Fraction(x)
 
 
 # -- dense reference kernels ---------------------------------------------------------

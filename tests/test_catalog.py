@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from qact import (
@@ -16,6 +18,7 @@ from qact import (
     verify_determinant_invariants,
 )
 from qact.catalog import DEFAULT_POLICY, ENTRY_ORDER
+from qact.cli import main
 from qact.qspinor import form_a
 
 E4 = Mat.identity(4)
@@ -129,6 +132,19 @@ def test_inherited_blocks_match_base_entry(q2):
         assert g.a12 == s.a12
         assert g.a21 == s.a21
         assert g.a22 != s.a22
+
+
+def test_g_entry_params_extend_the_base_entry(capsys):
+    for gid in ENTRY_ORDER:
+        g = get_entry(gid)
+        if g.connected_to is None:
+            continue
+        s = get_entry(g.connected_to)
+        assert g.params[: len(s.params)] == s.params and len(g.params) - len(s.params) <= 1, gid
+        for name in s.params:
+            assert g.exclusions.get(name) is s.exclusions.get(name), (gid, name)
+    assert main(["show-entry", "--entry", "G5"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["params"]) == ["alpha", "beta", "gamma"]
 
 
 def test_a21_proportional_to_a12_except_s2_family(q2):

@@ -25,6 +25,7 @@ from qact import (
 )
 from qact.catalog import ENTRIES, ENTRY_ORDER
 from qact.cli import main
+from qact import clifford
 from qact.clifford import default_model
 from qact.scalars import scalar_from_json
 
@@ -52,6 +53,19 @@ def test_clifford_selftest(capsys):
         '{"name":"unit_resolution","pass":true,"detail":"sum of e_ii"},'
         '{"name":"units_are_standard","pass":true,"detail":"e_ij match the standard matrix units"}]}\n'
     )
+
+
+def test_clifford_selftest_reports_a_broken_model(capsys, monkeypatch):
+    # e12 at half its value breaks its products and its match with the
+    # standard unit; the command builds its own model, so the cached
+    # default_model is never touched.
+    monkeypatch.setitem(clifford.UNIT_EXPRESSIONS, (1, 2), "(1+g0)*(g1+i*g2)*g3/2")
+    code, out = run(capsys, "clifford-selftest")
+    assert code == 1
+    assert out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["unit_products", "units_are_standard"]
 
 
 def test_failed_determinant_check_names_both_matrices(capsys, monkeypatch):

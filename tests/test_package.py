@@ -16,10 +16,7 @@ LAZY_NAMES = {
         "verify_distinctness", "verify_table",
     ],
     "clifford": ["CliffordModel", "MalformedExpression", "build_model", "default_model", "eval_gamma_expr", "selftest"],
-    "qspinor": [
-        "CanonicalForm", "VerificationFailure", "canonical_forms", "space_square_nonzero", "spinor_space",
-        "verify_canonical_form",
-    ],
+    "qspinor": ["CanonicalForm", "canonical_forms", "space_square_nonzero", "spinor_space", "verify_canonical_form"],
 }
 
 PROBE = """

@@ -10,7 +10,6 @@ from qact import (
     CanonicalForm,
     Mat,
     Subspace,
-    VerificationFailure,
     as_scalar,
     canonical_forms,
     centralizer,
@@ -82,8 +81,10 @@ def test_all_canonical_forms_pass(qname, request):
 
 def test_canonical_form_failure_is_detected(q2):
     fake = CanonicalForm(1, Mat.diag(q2.q * q2.q, q2.q, 1, 1), (u(1, 2), u(2, 3)))
-    with pytest.raises(VerificationFailure):
-        verify_canonical_form(fake, q2)
+    report = verify_canonical_form(fake, q2)
+    assert not report.ok
+    bad = report.first_failure
+    assert (bad.name, bad.detail) == ("b_space_matches", "dim 3, expected 2")
 
 
 def test_commutant_closure_property(q2, rng):
