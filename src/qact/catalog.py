@@ -1,4 +1,4 @@
-"""The classification table of inner actions, as executable data.
+"""The classification table of inner actions, as text.
 
 Twenty entries on the seven canonical q-spinor forms of qspinor.form_a,
 which give every A11: eleven determinant-one entries (S...), four of them
@@ -11,6 +11,12 @@ carries its parameter exclusions and states its expected operator algebra,
 invariant algebra, gamma-form invariants, and quantum determinant, so a
 single check_entry call replays the whole battery of checks.
 
+Every fact of an entry is a text, read by the one expression evaluator of
+clifford (eval_expr and eval_gamma_expr).  A table text may name the matrix
+units e11..e44, q and the entry's parameters (table_names); A21 may also
+name A12.  A parameter's exclusion is a polynomial in q and the parameters
+before it, which vanishes exactly at the values the parameter may not take.
+
 The G3b and G6 increments are the unique ones consistent with their
 determinant column through the reconstruction identity
 A22 = A22' + A11^-1 (D - 1): G3b adds q^-2 e12 to A22 (det_q = 1 + e12)
@@ -21,7 +27,7 @@ cross-checks both reconstructions in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .action import (
     InnerAction,
@@ -32,7 +38,7 @@ from .action import (
     spectral_data,
     verify_module_algebra,
 )
-from .clifford import default_model, eval_gamma_expr
+from .clifford import default_model, eval_expr, eval_gamma_expr
 from .linalg import Mat, Subspace, centralizer, mat_inverse
 from .qrep import (
     GLqRep,
@@ -42,9 +48,9 @@ from .qrep import (
     require_representation,
     verify_glq_relations,
 )
-from .qspinor import form5_excluded, form_a
+from .qspinor import FORM5_EXCLUSION, form_a
 from .report import Report
-from .scalars import ONE, ZERO, DeformationParameter, Scalar, as_scalar, format_scalar, smallest_admissible
+from .scalars import DeformationParameter, Scalar, as_scalar, format_scalar, smallest_admissible
 
 
 class ConstraintViolated(ValueError):
@@ -60,81 +66,68 @@ class UnknownEntry(KeyError):
 
 
 _E4 = Mat.identity(4)
-_UNITS = {(i, j): Mat.unit(4, i, j) for i in range(1, 5) for j in range(1, 5)}
-
-
-def _u(i: int, j: int) -> Mat:
-    return _UNITS[(i, j)]
-
+_UNITS = {f"e{i}{j}": Mat.unit(4, i, j) for i in range(1, 5) for j in range(1, 5)}
 
 Params = Mapping[str, Scalar]
 
 INVARIANT_DIMS = {"T2": 3, "C+C": 2, "T2'": 2, "C": 1}
 
 
+def table_names(q: Scalar, params: Params) -> dict[str, Scalar | Mat]:
+    """The names a table text reads: the matrix units e11..e44, q and the entry's parameters."""
+    return {**_UNITS, "q": q, **params}
+
+
 @dataclass(frozen=True)
 class TableEntry:
-    """One entry of the table: how to build its representation, and what it claims.
+    """One entry of the table: how to build its representation, and what it claims, all as text.
 
     An S entry names the canonical q-spinor form of its A11 (qspinor.form_a;
-    form 5's free diagonal entry is the entry's alpha) and gives its other
-    blocks as A12, A21 and A22 - A11^-1.  A G entry is its connected_to S
-    entry with one increment added to A22; it declares only the parameter
-    and exclusion it adds, and _register puts the S entry's first.
-    The claimed determinant, operator algebra, invariants and gamma-form
-    invariants are stated for every entry, never derived from its blocks.
+    form 5's free diagonal entry is the entry's alpha) and gives the texts
+    of its other blocks as A12, A21 and A22 - A11^-1; the A21 text may name
+    A12.  A G entry is its connected_to S entry with the a22_increment text
+    added to A22; it declares only the parameter and exclusion it adds, and
+    _register puts the S entry's first.  Each block, determinant and basis
+    text names e11..e44, q and the entry's parameters (table_names) and
+    evaluates to a matrix, a scalar standing for that multiple of 1; the
+    gamma_invariants name the Clifford atoms g0..g3, g12 and i instead.
+    exclusions maps a parameter to a polynomial in q and the parameters
+    before it: a value is admissible where it is nonzero.  The claimed determinant, operator algebra,
+    invariants and gamma-form invariants are stated for every entry, never
+    derived from its blocks.
     """
 
     entry_id: str
-    expected_detq: Callable[[Scalar, Params], Mat]
+    expected_detq: str
     expected_dim_r: int
-    # A tuple, or a function of (q, params) for the one basis that reads alpha (S2a').
-    expected_r_basis: tuple[Mat, ...] | Callable[[Scalar, Params], tuple[Mat, ...]]
-    expected_inv_basis: tuple[Mat, ...]
+    expected_r_basis: tuple[str, ...]
+    expected_inv_basis: tuple[str, ...]
     invariant_type: str
-    gamma_invariants: tuple[str, ...]
+    # Gamma expressions that span the invariants with 1; none where the
+    # invariants are the scalars.
+    gamma_invariants: tuple[str, ...] = ()
     params: tuple[str, ...] = ()
-    exclusions: Mapping[str, Callable[[Scalar, Params], tuple[Scalar, ...]]] = field(default_factory=dict)
+    exclusions: Mapping[str, str] = field(default_factory=dict)
     form: Optional[int] = None
-    blocks: Optional[Callable[[Scalar, Params], tuple[Mat, Mat, Mat]]] = None
+    # S entries: the texts of A12, A21 and A22 - A11^-1.
+    blocks: tuple[str, ...] = ()
     connected_to: Optional[str] = None
-    a22_increment: Optional[Callable[[Scalar, Params], Mat]] = None
+    a22_increment: Optional[str] = None
     # S entries: sample canonical determinants, one per projective class shape
     # of the invariants (a diagonal choice, and the unipotent one where they
     # have a nilpotent part); empty where the invariants are the scalars.
-    canonical_dets: tuple[Mat, ...] = ()
+    canonical_dets: tuple[str, ...] = ()
 
     def representation(self, q: DeformationParameter, params: Params) -> GLqRep:
         """The entry's matrices at resolved parameters; relations are not checked."""
+        names = table_names(q.q, params)
         if self.connected_to is not None:
             s = ENTRIES[self.connected_to].representation(q, params)
-            return GLqRep(s.a11, s.a12, s.a21, s.a22 + self.a22_increment(q.q, params), q)
+            return GLqRep(s.a11, s.a12, s.a21, s.a22 + eval_gamma_expr(self.a22_increment, names), q)
         a11 = form_a(self.form, q.q, params.get("alpha"))
-        a12, a21, a22_rest = self.blocks(q.q, params)
-        return GLqRep(a11, a12, a21, mat_inverse(a11) + a22_rest, q)
-
-
-def _nonzero(q: Scalar, p: Params) -> tuple[Scalar, ...]:
-    return (ZERO,)
-
-
-def _det_one(q: Scalar, p: Params) -> Mat:
-    return _E4
-
-
-def _a21_scaled(a12: Mat, s: Scalar, a22_rest: Mat) -> tuple[Mat, Mat, Mat]:
-    """The blocks of an S entry whose A21 is s A12."""
-    return a12, a12.scale(s), a22_rest
-
-
-def _s2a_blocks(q: Scalar, alpha: Scalar, beta: Scalar) -> tuple[Mat, Mat, Mat]:
-    a12 = _u(1, 2).scale(alpha) + _u(1, 3) + _u(2, 4)
-    return a12, _u(1, 2) + _u(1, 3).scale(beta) + _u(3, 4), _u(1, 4).scale(q.inv())
-
-
-def _s2b_blocks(q: Scalar, p: Params) -> tuple[Mat, Mat, Mat]:
-    a12 = _u(1, 2) + _u(2, 4)
-    return a12, a12.scale(p["alpha"]) + _u(1, 3), _u(1, 4).scale(p["alpha"] / q)
+        a12, a21, a22_rest = self.blocks
+        names["A12"] = a12 = eval_gamma_expr(a12, names)
+        return GLqRep(a11, a12, eval_gamma_expr(a21, names), mat_inverse(a11) + eval_gamma_expr(a22_rest, names), q)
 
 
 _GAMMA_E44 = "(1-g0)*(1-i*g12)"
@@ -160,28 +153,28 @@ def _register(entry: TableEntry):
 _register(TableEntry(
     entry_id="S1",
     params=("alpha",),
-    exclusions={"alpha": _nonzero},
+    exclusions={"alpha": "alpha"},
     form=1,
-    blocks=lambda q, p: _a21_scaled(_u(1, 2) + _u(2, 3), p["alpha"], _u(1, 3).scale(p["alpha"] / q)),
-    expected_detq=_det_one,
+    blocks=("e12 + e23", "alpha*A12", "alpha/q*e13"),
+    expected_detq="1",
     expected_dim_r=6,
-    expected_r_basis=(_u(1, 1), _u(1, 2), _u(1, 3), _u(2, 2), _u(2, 3), _u(3, 3) + _u(4, 4)),
-    expected_inv_basis=(_E4, _u(4, 4), _u(4, 3)),
+    expected_r_basis=("e11", "e12", "e13", "e22", "e23", "e33 + e44"),
+    expected_inv_basis=("1", "e44", "e43"),
     invariant_type="T2",
     gamma_invariants=(_GAMMA_E43, _GAMMA_E44),
-    canonical_dets=(_E4 + _u(4, 4).scale(4), _E4 + _u(4, 3)),
+    canonical_dets=("1 + 4*e44", "1 + e43"),
 ))
 
 _register(TableEntry(
     entry_id="G1a",
     params=("beta",),
-    exclusions={"beta": lambda q, p: (ZERO, -ONE)},
+    exclusions={"beta": "beta*(beta + 1)"},
     connected_to="S1",
-    a22_increment=lambda q, p: _u(4, 4).scale(p["beta"]),
-    expected_detq=lambda q, p: _E4 + _u(4, 4).scale(p["beta"]),
+    a22_increment="beta*e44",
+    expected_detq="1 + beta*e44",
     expected_dim_r=7,
-    expected_r_basis=(_u(1, 1), _u(1, 2), _u(1, 3), _u(2, 2), _u(2, 3), _u(3, 3), _u(4, 4)),
-    expected_inv_basis=(_E4, _u(4, 4)),
+    expected_r_basis=("e11", "e12", "e13", "e22", "e23", "e33", "e44"),
+    expected_inv_basis=("1", "e44"),
     invariant_type="C+C",
     gamma_invariants=(_GAMMA_E44,),
 ))
@@ -189,11 +182,11 @@ _register(TableEntry(
 _register(TableEntry(
     entry_id="G1b",
     connected_to="S1",
-    a22_increment=lambda q, p: _u(4, 3),
-    expected_detq=lambda q, p: _E4 + _u(4, 3),
+    a22_increment="e43",
+    expected_detq="1 + e43",
     expected_dim_r=7,
-    expected_r_basis=ENTRIES["S1"].expected_r_basis + (_u(4, 3),),
-    expected_inv_basis=(_E4, _u(4, 3)),
+    expected_r_basis=ENTRIES["S1"].expected_r_basis + ("e43",),
+    expected_inv_basis=("1", "e43"),
     invariant_type="T2'",
     gamma_invariants=(_GAMMA_E43,),
 ))
@@ -203,71 +196,68 @@ _register(TableEntry(
 _register(TableEntry(
     entry_id="S2a",
     params=("alpha", "beta"),
-    exclusions={"beta": lambda q, p: (p["alpha"].inv(),) if p["alpha"] else ()},
+    # beta = 1/alpha is S2a'; at alpha = 0 no beta is excluded.
+    exclusions={"beta": "alpha*beta - 1"},
     form=2,
-    blocks=lambda q, p: _s2a_blocks(q, p["alpha"], p["beta"]),
-    expected_detq=_det_one,
+    blocks=("alpha*e12 + e13 + e24", "e12 + beta*e13 + e34", "e14/q"),
+    expected_detq="1",
     expected_dim_r=8,
-    expected_r_basis=(_u(1, 1), _u(1, 2), _u(1, 3), _u(1, 4), _u(2, 2) + _u(3, 3), _u(2, 4), _u(3, 4), _u(4, 4)),
-    expected_inv_basis=(_E4,),
+    expected_r_basis=("e11", "e12", "e13", "e14", "e22 + e33", "e24", "e34", "e44"),
+    expected_inv_basis=("1",),
     invariant_type="C",
-    gamma_invariants=(),
 ))
 
 _register(TableEntry(
     entry_id="S2a'",
     params=("alpha",),
-    exclusions={"alpha": _nonzero},
+    exclusions={"alpha": "alpha"},
     form=2,
-    blocks=lambda q, p: _s2a_blocks(q, p["alpha"], p["alpha"].inv()),
-    expected_detq=_det_one,
+    blocks=("alpha*e12 + e13 + e24", "e12 + e13/alpha + e34", "e14/q"),
+    expected_detq="1",
     expected_dim_r=7,
-    expected_r_basis=lambda q, p: (_u(1, 1), _u(1, 2).scale(p["alpha"]) + _u(1, 3), _u(1, 4),
-                                   _u(2, 2) + _u(3, 3), _u(2, 4), _u(3, 4), _u(4, 4)),
-    expected_inv_basis=(_E4,),
+    expected_r_basis=("e11", "alpha*e12 + e13", "e14", "e22 + e33", "e24", "e34", "e44"),
+    expected_inv_basis=("1",),
     invariant_type="C",
-    gamma_invariants=(),
 ))
 
 _register(TableEntry(
     entry_id="S2b",
     params=("alpha",),
-    exclusions={"alpha": _nonzero},
+    exclusions={"alpha": "alpha"},
     form=2,
-    blocks=_s2b_blocks,
-    expected_detq=_det_one,
+    blocks=("e12 + e24", "alpha*A12 + e13", "alpha/q*e14"),
+    expected_detq="1",
     expected_dim_r=7,
-    expected_r_basis=(_u(1, 1), _u(1, 2), _u(1, 3), _u(1, 4), _u(2, 2) + _u(3, 3), _u(2, 4), _u(4, 4)),
-    expected_inv_basis=(_E4,),
+    expected_r_basis=("e11", "e12", "e13", "e14", "e22 + e33", "e24", "e44"),
+    expected_inv_basis=("1",),
     invariant_type="C",
-    gamma_invariants=(),
 ))
 
 _register(TableEntry(
     entry_id="S2b'",
     params=("alpha",),
-    exclusions={"alpha": _nonzero},
+    exclusions={"alpha": "alpha"},
     form=2,
-    blocks=lambda q, p: _a21_scaled(_u(1, 2) + _u(2, 4), p["alpha"], _u(1, 4).scale(p["alpha"] / q)),
-    expected_detq=_det_one,
+    blocks=("e12 + e24", "alpha*A12", "alpha/q*e14"),
+    expected_detq="1",
     expected_dim_r=6,
-    expected_r_basis=(_u(1, 1), _u(1, 2), _u(1, 4), _u(2, 2) + _u(3, 3), _u(2, 4), _u(4, 4)),
-    expected_inv_basis=(_E4, _u(3, 3)),
+    expected_r_basis=("e11", "e12", "e14", "e22 + e33", "e24", "e44"),
+    expected_inv_basis=("1", "e33"),
     invariant_type="C+C",
     gamma_invariants=(_GAMMA_E33,),
-    canonical_dets=(_E4 + _u(3, 3).scale(4),),
+    canonical_dets=("1 + 4*e33",),
 ))
 
 _register(TableEntry(
     entry_id="G2b'",
     params=("beta",),
-    exclusions={"beta": lambda q, p: (ZERO, -q.inv())},
+    exclusions={"beta": "beta*(q*beta + 1)"},
     connected_to="S2b'",
-    a22_increment=lambda q, p: _u(3, 3).scale(p["beta"]),
-    expected_detq=lambda q, p: _E4 + _u(3, 3).scale(q * p["beta"]),
+    a22_increment="beta*e33",
+    expected_detq="1 + q*beta*e33",
     expected_dim_r=7,
-    expected_r_basis=(_u(1, 1), _u(1, 2), _u(1, 4), _u(2, 2), _u(3, 3), _u(2, 4), _u(4, 4)),
-    expected_inv_basis=(_E4, _u(3, 3)),
+    expected_r_basis=("e11", "e12", "e14", "e22", "e33", "e24", "e44"),
+    expected_inv_basis=("1", "e33"),
     invariant_type="C+C",
     gamma_invariants=(_GAMMA_E33,),
 ))
@@ -277,28 +267,28 @@ _register(TableEntry(
 _register(TableEntry(
     entry_id="S3",
     params=("alpha",),
-    exclusions={"alpha": _nonzero},
+    exclusions={"alpha": "alpha"},
     form=3,
-    blocks=lambda q, p: _a21_scaled(_u(1, 3) + _u(3, 4), p["alpha"], _u(1, 4).scale(p["alpha"] / q)),
-    expected_detq=_det_one,
+    blocks=("e13 + e34", "alpha*A12", "alpha/q*e14"),
+    expected_detq="1",
     expected_dim_r=6,
-    expected_r_basis=(_u(1, 1) + _u(2, 2), _u(1, 3), _u(1, 4), _u(3, 3), _u(3, 4), _u(4, 4)),
-    expected_inv_basis=(_E4, _u(2, 2), _u(1, 2)),
+    expected_r_basis=("e11 + e22", "e13", "e14", "e33", "e34", "e44"),
+    expected_inv_basis=("1", "e22", "e12"),
     invariant_type="T2",
     gamma_invariants=(_GAMMA_E22, _GAMMA_E12),
-    canonical_dets=(_E4 + _u(2, 2).scale(4), _E4 + _u(1, 2)),
+    canonical_dets=("1 + 4*e22", "1 + e12"),
 ))
 
 _register(TableEntry(
     entry_id="G3a",
     params=("beta",),
-    exclusions={"beta": lambda q, p: (ZERO, -(q * q).inv())},
+    exclusions={"beta": "beta*(q*q*beta + 1)"},
     connected_to="S3",
-    a22_increment=lambda q, p: _u(2, 2).scale(p["beta"]),
-    expected_detq=lambda q, p: _E4 + _u(2, 2).scale(q * q * p["beta"]),
+    a22_increment="beta*e22",
+    expected_detq="1 + q*q*beta*e22",
     expected_dim_r=7,
-    expected_r_basis=(_u(1, 1), _u(2, 2), _u(1, 3), _u(1, 4), _u(3, 3), _u(3, 4), _u(4, 4)),
-    expected_inv_basis=(_E4, _u(2, 2)),
+    expected_r_basis=("e11", "e22", "e13", "e14", "e33", "e34", "e44"),
+    expected_inv_basis=("1", "e22"),
     invariant_type="C+C",
     gamma_invariants=(_GAMMA_E22,),
 ))
@@ -308,11 +298,11 @@ _register(TableEntry(
     connected_to="S3",
     # The determinant column 1 + e12 forces the increment q^-2 e12 through
     # A22 = A22' + A11^-1 (D - 1).
-    a22_increment=lambda q, p: _u(1, 2).scale((q * q).inv()),
-    expected_detq=lambda q, p: _E4 + _u(1, 2),
+    a22_increment="e12/(q*q)",
+    expected_detq="1 + e12",
     expected_dim_r=7,
-    expected_r_basis=ENTRIES["S3"].expected_r_basis + (_u(1, 2),),
-    expected_inv_basis=(_E4, _u(1, 2)),
+    expected_r_basis=ENTRIES["S3"].expected_r_basis + ("e12",),
+    expected_inv_basis=("1", "e12"),
     invariant_type="T2'",
     gamma_invariants=(_GAMMA_E12,),
 ))
@@ -322,44 +312,42 @@ _register(TableEntry(
 _register(TableEntry(
     entry_id="S4a",
     params=("alpha",),
-    exclusions={"alpha": _nonzero},
+    exclusions={"alpha": "alpha"},
     form=4,
-    blocks=lambda q, p: _a21_scaled(_u(1, 2) + _u(2, 3) + _u(3, 4), p["alpha"],
-                                    _u(1, 3).scale(p["alpha"] / (q * q)) + _u(2, 4).scale(p["alpha"] / q)),
-    expected_detq=_det_one,
+    blocks=("e12 + e23 + e34", "alpha*A12", "alpha/(q*q)*e13 + alpha/q*e24"),
+    expected_detq="1",
     expected_dim_r=10,
     # The full upper-triangular algebra.
-    expected_r_basis=tuple(_u(i, j) for i in range(1, 5) for j in range(i, 5)),
-    expected_inv_basis=(_E4,),
+    expected_r_basis=tuple(f"e{i}{j}" for i in range(1, 5) for j in range(i, 5)),
+    expected_inv_basis=("1",),
     invariant_type="C",
-    gamma_invariants=(),
 ))
 
 _register(TableEntry(
     entry_id="S4b",
     params=("alpha",),
-    exclusions={"alpha": _nonzero},
+    exclusions={"alpha": "alpha"},
     form=4,
-    blocks=lambda q, p: _a21_scaled(_u(1, 2) + _u(2, 3), p["alpha"], _u(1, 3).scale(p["alpha"] / (q * q))),
-    expected_detq=_det_one,
+    blocks=("e12 + e23", "alpha*A12", "alpha/(q*q)*e13"),
+    expected_detq="1",
     expected_dim_r=7,
-    expected_r_basis=(_u(1, 1), _u(2, 2), _u(3, 3), _u(4, 4), _u(1, 2), _u(2, 3), _u(1, 3)),
-    expected_inv_basis=(_E4, _u(4, 4)),
+    expected_r_basis=("e11", "e22", "e33", "e44", "e12", "e23", "e13"),
+    expected_inv_basis=("1", "e44"),
     invariant_type="C+C",
     gamma_invariants=(_GAMMA_E44,),
-    canonical_dets=(_E4 + _u(4, 4).scale(4),),
+    canonical_dets=("1 + 4*e44",),
 ))
 
 _register(TableEntry(
     entry_id="G4b",
     params=("beta",),
-    exclusions={"beta": lambda q, p: (ZERO, -ONE)},
+    exclusions={"beta": "beta*(beta + 1)"},
     connected_to="S4b",
-    a22_increment=lambda q, p: _u(4, 4).scale(p["beta"]),
-    expected_detq=lambda q, p: _E4 + _u(4, 4).scale(p["beta"]),
+    a22_increment="beta*e44",
+    expected_detq="1 + beta*e44",
     expected_dim_r=7,
     expected_r_basis=ENTRIES["S4b"].expected_r_basis,
-    expected_inv_basis=(_E4, _u(4, 4)),
+    expected_inv_basis=("1", "e44"),
     invariant_type="C+C",
     gamma_invariants=(_GAMMA_E44,),
 ))
@@ -369,28 +357,28 @@ _register(TableEntry(
 _register(TableEntry(
     entry_id="S5",
     params=("alpha", "beta"),
-    exclusions={"alpha": lambda q, p: form5_excluded(q), "beta": _nonzero},
+    exclusions={"alpha": FORM5_EXCLUSION, "beta": "beta"},
     form=5,
-    blocks=lambda q, p: _a21_scaled(_u(2, 3) + _u(3, 4), p["beta"], _u(2, 4).scale(p["beta"] / q)),
-    expected_detq=_det_one,
+    blocks=("e23 + e34", "beta*A12", "beta/q*e24"),
+    expected_detq="1",
     expected_dim_r=7,
-    expected_r_basis=(_u(1, 1), _u(2, 2), _u(3, 3), _u(4, 4), _u(2, 3), _u(3, 4), _u(2, 4)),
-    expected_inv_basis=(_E4, _u(1, 1)),
+    expected_r_basis=("e11", "e22", "e33", "e44", "e23", "e34", "e24"),
+    expected_inv_basis=("1", "e11"),
     invariant_type="C+C",
     gamma_invariants=(_GAMMA_E11,),
-    canonical_dets=(_E4 + _u(1, 1).scale(4),),
+    canonical_dets=("1 + 4*e11",),
 ))
 
 _register(TableEntry(
     entry_id="G5",
     params=("gamma",),
-    exclusions={"gamma": lambda q, p: (ZERO, -p["alpha"].inv())},
+    exclusions={"gamma": "gamma*(alpha*gamma + 1)"},
     connected_to="S5",
-    a22_increment=lambda q, p: _u(1, 1).scale(p["gamma"]),
-    expected_detq=lambda q, p: _E4 + _u(1, 1).scale(p["alpha"] * p["gamma"]),
+    a22_increment="gamma*e11",
+    expected_detq="1 + alpha*gamma*e11",
     expected_dim_r=7,
     expected_r_basis=ENTRIES["S5"].expected_r_basis,
-    expected_inv_basis=(_E4, _u(1, 1)),
+    expected_inv_basis=("1", "e11"),
     invariant_type="C+C",
     gamma_invariants=(_GAMMA_E11,),
 ))
@@ -400,30 +388,30 @@ _register(TableEntry(
 _register(TableEntry(
     entry_id="S6",
     params=("alpha",),
-    exclusions={"alpha": _nonzero},
+    exclusions={"alpha": "alpha"},
     form=6,
     blocks=ENTRIES["S3"].blocks,
-    expected_detq=_det_one,
+    expected_detq="1",
     expected_dim_r=7,
-    expected_r_basis=(_u(1, 1) + _u(2, 2), _u(1, 2), _u(1, 3), _u(1, 4), _u(3, 3), _u(3, 4), _u(4, 4)),
-    expected_inv_basis=(_E4, _u(1, 2)),
+    expected_r_basis=("e11 + e22", "e12", "e13", "e14", "e33", "e34", "e44"),
+    expected_inv_basis=("1", "e12"),
     invariant_type="T2'",
     gamma_invariants=(_GAMMA_E12,),
-    canonical_dets=(_E4 + _u(1, 2).scale(5),),
+    canonical_dets=("1 + 5*e12",),
 ))
 
 _register(TableEntry(
     entry_id="G6",
     params=("xi",),
-    exclusions={"xi": _nonzero},
+    exclusions={"xi": "xi"},
     connected_to="S6",
     # det_q = 1 + q^2 xi e12 forces the increment xi e12, i.e. the (1, 2)
     # entry of A22 is xi - q^-4.
-    a22_increment=lambda q, p: _u(1, 2).scale(p["xi"]),
-    expected_detq=lambda q, p: _E4 + _u(1, 2).scale(q * q * p["xi"]),
+    a22_increment="xi*e12",
+    expected_detq="1 + q*q*xi*e12",
     expected_dim_r=7,
     expected_r_basis=ENTRIES["S6"].expected_r_basis,
-    expected_inv_basis=(_E4, _u(1, 2)),
+    expected_inv_basis=("1", "e12"),
     invariant_type="T2'",
     gamma_invariants=(_GAMMA_E12,),
 ))
@@ -433,28 +421,28 @@ _register(TableEntry(
 _register(TableEntry(
     entry_id="S7",
     params=("alpha",),
-    exclusions={"alpha": _nonzero},
+    exclusions={"alpha": "alpha"},
     form=7,
-    blocks=lambda q, p: _a21_scaled(_u(1, 2) + _u(2, 4), p["alpha"], _u(1, 4).scale(p["alpha"] / q)),
-    expected_detq=_det_one,
+    blocks=("e12 + e24", "alpha*A12", "alpha/q*e14"),
+    expected_detq="1",
     expected_dim_r=7,
-    expected_r_basis=(_u(1, 1), _u(1, 2), _u(1, 4), _u(2, 2), _u(2, 4), _u(3, 3) + _u(4, 4), _u(3, 4)),
-    expected_inv_basis=(_E4, _u(3, 4)),
+    expected_r_basis=("e11", "e12", "e14", "e22", "e24", "e33 + e44", "e34"),
+    expected_inv_basis=("1", "e34"),
     invariant_type="T2'",
     gamma_invariants=(_GAMMA_E34,),
-    canonical_dets=(_E4 + _u(3, 4).scale(5),),
+    canonical_dets=("1 + 5*e34",),
 ))
 
 _register(TableEntry(
     entry_id="G7",
     params=("xi",),
-    exclusions={"xi": _nonzero},
+    exclusions={"xi": "xi"},
     connected_to="S7",
-    a22_increment=lambda q, p: _u(3, 4).scale(p["xi"]),
-    expected_detq=lambda q, p: _E4 + _u(3, 4).scale(p["xi"]),
+    a22_increment="xi*e34",
+    expected_detq="1 + xi*e34",
     expected_dim_r=7,
     expected_r_basis=ENTRIES["S7"].expected_r_basis,
-    expected_inv_basis=(_E4, _u(3, 4)),
+    expected_inv_basis=("1", "e34"),
     invariant_type="T2'",
     gamma_invariants=(_GAMMA_E34,),
 ))
@@ -488,8 +476,9 @@ def resolve_params(
 
     Explicit overrides are validated and never altered; missing parameters
     take the policy value, falling back deterministically to the smallest
-    admissible integer >= 2 when the policy value is excluded (this happens,
-    for instance, to alpha = 3 of S5 at q = 3).
+    admissible integer >= 2 when the policy value is excluded, a root of the
+    parameter's exclusion polynomial (this happens, for instance, to
+    alpha = 3 of S5 at q = 3).
     """
     overrides = {k: as_scalar(v) for k, v in (overrides or {}).items()}
     unknown = sorted(set(overrides) - set(entry.params))
@@ -499,15 +488,19 @@ def resolve_params(
     merged.update(policy or {})
     params: dict[str, Scalar] = {}
     for name in entry.params:
-        excluded = set(entry.exclusions[name](q.q, params)) if name in entry.exclusions else set()
+        exclusion = entry.exclusions.get(name, "1")
+
+        def admissible(value: Scalar) -> bool:
+            return bool(eval_expr(exclusion, {"q": q.q, **params, name: value}))
+
         if name in overrides:
             value = overrides[name]
-            if value in excluded:
+            if not admissible(value):
                 raise ConstraintViolated(name, format_scalar(value), "excluded value for this entry")
         else:
             value = as_scalar(merged.get(name, 2))
-            if value in excluded:
-                value = smallest_admissible(excluded)
+            if not admissible(value):
+                value = smallest_admissible(admissible)
         params[name] = value
     return params
 
@@ -566,8 +559,9 @@ def check_entry(
     if not relations.ok:
         return EntryCheck(entry.entry_id, p, rep, report)
 
+    names = table_names(q.q, p)
     detq = quantum_determinant(rep)
-    want_detq = entry.expected_detq(q.q, p)
+    want_detq = eval_gamma_expr(entry.expected_detq, names)
     ok = detq == want_detq
     report.add("quantum_determinant", ok, "" if ok else f"det_q = {detq!r}, expected {want_detq!r}")
 
@@ -577,8 +571,7 @@ def check_entry(
         algebra.dim == entry.expected_dim_r,
         f"dim {algebra.dim}, expected {entry.expected_dim_r}",
     )
-    r_basis = entry.expected_r_basis
-    expected_r = Subspace.span_of(r_basis(q.q, p) if callable(r_basis) else r_basis)
+    expected_r = Subspace.span_of([eval_gamma_expr(text, names) for text in entry.expected_r_basis])
     ok = algebra == expected_r
     report.add("operator_algebra_shape", ok, "" if ok else f"dim {algebra.dim}, expected span of dim {expected_r.dim}")
 
@@ -591,7 +584,7 @@ def check_entry(
     ok = cent == fixed
     report.add("invariants_two_ways", ok, "" if ok else f"centralizer dim {cent.dim}, fixed points dim {fixed.dim}")
 
-    expected_inv = Subspace.span_of(list(entry.expected_inv_basis))
+    expected_inv = Subspace.span_of([eval_gamma_expr(text, names) for text in entry.expected_inv_basis])
     report.add(
         "invariant_dim",
         cent.dim == INVARIANT_DIMS[entry.invariant_type],

@@ -6,24 +6,35 @@ generators reproduce the standard matrix units e_11..e_44 exactly, which
 identifies C(1,3) with the full 4x4 matrix algebra; selftest checks all of
 this, once for the shared default_model and once per `qact clifford-selftest`.
 
-Gamma expressions are read by Python's parser (ast.parse, "eval" mode; the
-text is never executed) and evaluated under a whitelist, with Python's
-precedence and left associativity:
+Expressions (the gamma expressions here, and every text of the table in
+catalog) are read by Python's parser (ast.parse, "eval" mode; the text is
+never executed; the trees of up to 1,024 texts are cached, so each table
+text is parsed once per process) and evaluated
+under a whitelist, with Python's precedence and left associativity:
 
-    expr := expr ('+' | '-' | '*') expr | '-' expr | expr '/' k | int
-          | 'g0' | 'g1' | 'g2' | 'g3' | 'g12' | 'i' | '(' expr ')'
+    expr := expr ('+' | '-' | '*' | '/') expr | '-' expr | int | name | '(' expr ')'
 
-k is a positive int literal, g12 is g1*g2 and i the imaginary unit; these atoms
-are built once per model (CliffordModel.atoms).  Any other
-node (unary '+', '**', '@', calls, other names, bool, float, complex) or syntax
-error raises MalformedExpression at its position; nesting too deep for the
-parser or the evaluator raises it at the start of the expression.
+A value has one of two sorts, a Scalar or a 4x4 Mat.  Int literals and the
+names bound to Scalars are scalars, and an operation on two scalars gives a
+scalar.  A scalar times a matrix scales it, and a scalar in a sum with a
+matrix stands for that multiple of the identity.  '/' divides by a nonzero
+scalar only.  The caller binds the names: a model's atoms g0 g1 g2 g3 g12 i
+(CliffordModel.atoms, built once per model; g12 is g1*g2 and i the imaginary
+unit times the identity), or the table's e11..e44, q and parameters
+(catalog.table_names).  eval_expr returns the value in its sort;
+eval_gamma_expr returns a matrix.  Any other node (unary '+', '**', '@',
+calls, unbound names, bool, float, complex), a divisor that is a matrix or
+zero, or a syntax error raises MalformedExpression at its position; nesting
+too deep for the parser or the evaluator raises it at the start of the
+expression.
 """
 
 from __future__ import annotations
 
 import ast
+import operator
 from functools import lru_cache
+from typing import Mapping
 
 from .linalg import Mat, products_vanish, sparse_rows
 from .report import Report
@@ -154,40 +165,56 @@ def selftest(model: CliffordModel) -> Report:
     return report
 
 
-# -- gamma expressions -----------------------------------------------------------
+# -- expressions -------------------------------------------------------------------
 
-_BINARY = {ast.Add: Mat.__add__, ast.Sub: Mat.__sub__, ast.Mult: Mat.__mul__}
+_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+_E4 = Mat.identity(4)
 
 
-def eval_gamma_expr(text: str, atoms: dict[str, Mat]) -> Mat:
-    """Evaluate a gamma expression to an exact 4x4 matrix over a model's atoms (CliffordModel.atoms)."""
+def eval_gamma_expr(text: str, atoms: Mapping[str, Scalar | Mat]) -> Mat:
+    """Evaluate an expression to an exact 4x4 matrix over the given names; a scalar value is that multiple of 1."""
+    value = eval_expr(text, atoms)
+    return value if isinstance(value, Mat) else _E4.scale(value)
+
+
+def eval_expr(text: str, names: Mapping[str, Scalar | Mat]) -> Scalar | Mat:
+    """Evaluate an expression over the given names to its Scalar or 4x4 Mat, whichever sort it has."""
     try:
-        tree = ast.parse(text.strip(), mode="eval")
+        return _walk(_parse(text).body, names, text)
+    except RecursionError:
+        raise MalformedExpression("expression nested too deeply", _position(text, 1, 0)) from None
+
+
+@lru_cache(maxsize=1024)
+def _parse(text: str) -> ast.Expression:
+    try:
+        return ast.parse(text.strip(), mode="eval")
     except (SyntaxError, ValueError, RecursionError) as exc:
         where = _position(text, getattr(exc, "lineno", None) or 1, (getattr(exc, "offset", None) or 1) - 1)
         raise MalformedExpression(getattr(exc, "msg", str(exc)), where) from None
 
-    def walk(node: ast.expr) -> Mat:
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-            return _BINARY[type(node.op)](walk(node.left), walk(node.right))
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-            k = node.right
-            if isinstance(k, ast.Constant) and type(k.value) is int and k.value > 0:
-                return walk(node.left).scale(Scalar(1, 0, k.value))
-            node = k  # report a bad divisor at its own position
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return -walk(node.operand)
-        elif isinstance(node, ast.Constant) and type(node.value) is int:
-            return Mat.identity(4).scale(node.value)
-        elif isinstance(node, ast.Name) and node.id in atoms:
-            return atoms[node.id]
-        where = _position(text, node.lineno, node.col_offset)
-        raise MalformedExpression(f"unexpected {type(node).__name__}", where)
 
-    try:
-        return walk(tree.body)
-    except RecursionError:
-        raise MalformedExpression("expression nested too deeply", _position(text, 1, 0)) from None
+def _walk(node: ast.expr, names: Mapping[str, Scalar | Mat], text: str) -> Scalar | Mat:
+    if isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
+        x, y = _walk(node.left, names, text), _walk(node.right, names, text)
+        if isinstance(x, Mat) is not isinstance(y, Mat):
+            if isinstance(node.op, ast.Mult):
+                return x.scale(y) if isinstance(x, Mat) else y.scale(x)
+            x, y = (x, _E4.scale(y)) if isinstance(x, Mat) else (_E4.scale(x), y)
+        return _ARITHMETIC[type(node.op)](x, y)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        x, k = _walk(node.left, names, text), _walk(node.right, names, text)
+        if isinstance(k, Scalar) and k:
+            return x.scale(k.inv()) if isinstance(x, Mat) else x / k
+        node = node.right
+        raise MalformedExpression("divisor is not a nonzero scalar", _position(text, node.lineno, node.col_offset))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_walk(node.operand, names, text)
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return Scalar(node.value)
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    raise MalformedExpression(f"unexpected {type(node).__name__}", _position(text, node.lineno, node.col_offset))
 
 
 def _position(text: str, line: int, column: int) -> int:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .clifford import eval_expr
 from .linalg import Mat, Subspace, products_vanish, solve_homogeneous, sparse_rows
 from .report import Report
-from .scalars import ONE, ZERO, DeformationParameter, Scalar, smallest_admissible
+from .scalars import ONE, DeformationParameter, Scalar, smallest_admissible
 
 
 def spinor_space(a: Mat, q: DeformationParameter) -> Subspace:
@@ -41,11 +42,10 @@ class CanonicalForm:
         return len(self.expected_basis)
 
 
-def form5_excluded(q: Scalar) -> tuple[Scalar, ...]:
-    """The values the free diagonal entry of form 5 (and alpha of S5, G5) may not take."""
-    # The strict exclusion list of the canonical-form classification,
-    # including q^3 (the table header omits it).
-    return (ZERO, q.inv(), ONE, q, q * q, q ** 3)
+# The free diagonal entry alpha of form 5 (and alpha of S5, G5) may take no
+# root of this polynomial: the strict exclusion list of the canonical-form
+# classification, 0, 1/q, 1, q, q^2 and q^3 (the table header omits q^3).
+FORM5_EXCLUSION = "alpha*(q*alpha - 1)*(alpha - 1)*(alpha - q)*(alpha - q*q)*(alpha - q*q*q)"
 
 
 # A of each canonical form, as a function of q and of form 5's free diagonal
@@ -83,7 +83,7 @@ def canonical_forms(q: DeformationParameter) -> list[CanonicalForm]:
     Form 5 carries a free diagonal entry, the smallest admissible integer
     >= 2, chosen deterministically in q.
     """
-    alpha = smallest_admissible(form5_excluded(q.q))
+    alpha = smallest_admissible(lambda a: bool(eval_expr(FORM5_EXCLUSION, {"q": q.q, "alpha": a})))
     return [CanonicalForm(k, form_a(k, q.q, alpha), tuple(Mat.unit(4, i, j) for i, j in units))
             for k, units in _FORM_BASES.items()]
 

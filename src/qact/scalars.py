@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -260,10 +260,10 @@ def as_scalar(x) -> Scalar:
     raise TypeError(f"cannot interpret {x!r} as a scalar")
 
 
-def smallest_admissible(excluded) -> Scalar:
-    """The smallest integer n >= 2 that is not among the excluded scalars."""
+def smallest_admissible(admissible: Callable[[Scalar], bool]) -> Scalar:
+    """The smallest integer n >= 2 at which admissible holds."""
     n = 2
-    while as_scalar(n) in excluded:
+    while not admissible(as_scalar(n)):
         n += 1
     return as_scalar(n)
 

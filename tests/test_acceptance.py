@@ -43,7 +43,7 @@ from qact import (
     verify_module_algebra,
     verify_canonical_form,
 )
-from qact.catalog import ENTRY_ORDER, INVARIANT_DIMS
+from qact.catalog import ENTRY_ORDER, INVARIANT_DIMS, table_names
 from qact.clifford import METRIC, UNIT_EXPRESSIONS, eval_gamma_expr, default_model
 from qact.qspinor import form_a
 from qact.scalars import Scalar
@@ -161,7 +161,8 @@ def test_criterion_4_invariant_suite():
         rep = instantiate(eid, q)
         inv = centralizer(list(rep.matrices()))
         assert inv.dim == INVARIANT_DIMS[entry.invariant_type], eid
-        assert inv == Subspace.span_of(list(entry.expected_inv_basis)), eid
+        names = table_names(q.q, resolve_params(entry, q))
+        assert inv == Subspace.span_of([eval_gamma_expr(t, names) for t in entry.expected_inv_basis]), eid
         evaluated = [eval_gamma_expr(t, model.atoms) for t in entry.gamma_invariants]
         for m in evaluated:
             assert inv.contains_matrix(m), eid
@@ -247,7 +248,8 @@ def test_criterion_8_invariant_determinant_span():
         if not eid.startswith("S"):
             continue
         rep = instantiate(eid, q)
-        for d in get_entry(eid).canonical_dets:
+        for text in get_entry(eid).canonical_dets:
+            d = eval_gamma_expr(text, table_names(q.q, {}))
             attached = attach_determinant(rep, d)
             assert quantum_determinant(attached) == d, eid
             assert connected_slq(attached) == rep, eid

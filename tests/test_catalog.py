@@ -142,7 +142,7 @@ def test_g_entry_params_extend_the_base_entry(capsys):
         s = get_entry(g.connected_to)
         assert g.params[: len(s.params)] == s.params and len(g.params) - len(s.params) <= 1, gid
         for name in s.params:
-            assert g.exclusions.get(name) is s.exclusions.get(name), (gid, name)
+            assert g.exclusions.get(name) == s.exclusions.get(name), (gid, name)
     assert main(["show-entry", "--entry", "G5"]) == 0
     assert list(json.loads(capsys.readouterr().out)["params"]) == ["alpha", "beta", "gamma"]
 

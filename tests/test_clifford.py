@@ -1,5 +1,3 @@
-import ast
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +12,7 @@ from qact import (
     eval_gamma_expr,
     selftest,
 )
-from qact import clifford
+from qact.clifford import eval_expr
 
 E4 = Mat.identity(4)
 
@@ -180,8 +178,30 @@ def test_atoms_are_built_once_per_model(model, monkeypatch):
         return multiply(x, y)
 
     monkeypatch.setattr(Mat, "__mul__", counted)
-    monkeypatch.setitem(clifford._BINARY, ast.Mult, counted)
     assert ev("g12", model) is model.atoms["g12"]
     assert ev("i*g12", model) == model.atoms["g12"].scale(Scalar(0, 1))
     assert len(products) == 1  # the expression's own i*g12
+
+
+def test_division_by_a_scalar(model):
+    atoms = {**model.atoms, "t": Scalar(3, 1)}
+    assert ev("(1-g0)/2", model) == (E4 - model.gamma[0]).scale(Scalar(1, 0, 2))
+    assert eval_gamma_expr("g0/t", atoms) == model.gamma[0].scale(Scalar(3, 1).inv())
+    assert eval_gamma_expr("t/t*g0", atoms) == model.gamma[0]
+
+
+def test_scalar_texts_keep_their_sort(model):
+    atoms = {**model.atoms, "t": Scalar(3, 1)}
+    assert eval_expr("t*(t - 1)/2", atoms) == Scalar(3, 1) * Scalar(2, 1) / 2
+    assert eval_expr("1", atoms) == Scalar(1)
+    assert eval_expr("2*g0", atoms) == model.gamma[0].scale(2)
+    assert ev("1", model) == E4
+    assert eval_gamma_expr("t", atoms) == E4.scale(Scalar(3, 1))
+
+
+@pytest.mark.parametrize("bad, where", [("2**2", 0), ("g0/g1", 3), ("g0/0", 3), ("g0/z", 3), ("t/(t-t)", 3)])
+def test_bad_divisors_and_powers(bad, where, model):
+    with pytest.raises(MalformedExpression) as info:
+        eval_expr(bad, {**model.atoms, "t": Scalar(2), "z": Scalar(0)})
+    assert info.value.position == where
 

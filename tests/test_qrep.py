@@ -36,7 +36,8 @@ from qact import (
     validate_q,
     verify_glq_relations,
 )
-from qact.catalog import ENTRY_ORDER, get_entry, resolve_params
+from qact.catalog import ENTRY_ORDER, get_entry, resolve_params, table_names
+from qact.clifford import eval_gamma_expr
 from qact.qrep import GLQ_RELATIONS
 
 E4 = Mat.identity(4)
@@ -243,7 +244,8 @@ def test_presentations_match_reference_formulas(qname, request):
         assert from_rq(rq).a22 == reference_from_rq_a22(rq) == rep.a22, eid
         sid = get_entry(eid).connected_to
         if sid is None:
-            for d in get_entry(eid).canonical_dets:
+            for text in get_entry(eid).canonical_dets:
+                d = eval_gamma_expr(text, table_names(q.q, {}))
                 assert attach_determinant(rep, d).a22 == reference_attached_a22(rep, d), (eid, d)
             continue
         g_params = resolve_params(get_entry(eid), q)

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import qact.qspinor as qspinor
-from qact import Mat
 from qact.catalog import ENTRIES
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -72,7 +71,7 @@ def test_verify_all_reports_a_failing_canonical_form(capsys, monkeypatch):
 
 def test_verify_all_reports_a_failing_table_entry(capsys, monkeypatch):
     # G3b's increment q^-2 e12 is the one its determinant column 1 + e12 forces.
-    g3b = replace(ENTRIES["G3b"], a22_increment=lambda q, p: Mat.unit(4, 1, 2))
+    g3b = replace(ENTRIES["G3b"], a22_increment="e12")
     monkeypatch.setitem(ENTRIES, "G3b", g3b)
     verify_all = load_script("verify_all")
     assert verify_all.main(["--q", "2"]) == 1
