@@ -38,7 +38,7 @@ from .action import (
     spectral_data,
     verify_module_algebra,
 )
-from .clifford import default_model, eval_expr, eval_gamma_expr
+from .clifford import UNIT_NAMES, default_model, eval_expr, eval_gamma_expr
 from .linalg import Mat, Subspace, centralizer, mat_inverse
 from .qrep import (
     GLqRep,
@@ -66,7 +66,6 @@ class UnknownEntry(KeyError):
 
 
 _E4 = Mat.identity(4)
-_UNITS = {f"e{i}{j}": Mat.unit(4, i, j) for i in range(1, 5) for j in range(1, 5)}
 
 Params = Mapping[str, Scalar]
 
@@ -75,7 +74,7 @@ INVARIANT_DIMS = {"T2": 3, "C+C": 2, "T2'": 2, "C": 1}
 
 def table_names(q: Scalar, params: Params) -> dict[str, Scalar | Mat]:
     """The names a table text reads: the matrix units e11..e44, q and the entry's parameters."""
-    return {**_UNITS, "q": q, **params}
+    return {**UNIT_NAMES, "q": q, **params}
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,17 @@
 """Concrete model of the spacetime Clifford algebra C(1,3).
 
-The four generators gamma_0..gamma_3 satisfy g_u g_v + g_v g_u = 2 g_uv E
-with metric signature (1, -1, -1, -1).  Sixteen product expressions in the
-generators reproduce the standard matrix units e_11..e_44 exactly, which
-identifies C(1,3) with the full 4x4 matrix algebra; selftest checks all of
-this, once for the shared default_model and once per `qact clifford-selftest`.
+The four generators gamma_0..gamma_3, given as texts in the matrix units,
+satisfy g_u g_v + g_v g_u = 2 g_uv E with metric signature (1, -1, -1, -1).
+Sixteen product expressions in the generators reproduce the standard matrix
+units e_11..e_44 exactly, which identifies C(1,3) with the full 4x4 matrix
+algebra; selftest checks all of this, once for the shared default_model and
+once per `qact clifford-selftest`.
 
-Expressions (the gamma expressions here, and every text of the table in
-catalog) are read by Python's parser (ast.parse, "eval" mode; the text is
-never executed; the trees of up to 1,024 texts are cached, so each table
-text is parsed once per process) and evaluated
-under a whitelist, with Python's precedence and left associativity:
+Expressions (the generators and gamma expressions here, and every text of
+the table in catalog) are read by Python's parser (ast.parse, "eval" mode;
+the text is never executed; the trees of up to 1,024 texts are cached, so
+each table text is parsed once per process) and evaluated under a
+whitelist, with Python's precedence and left associativity:
 
     expr := expr ('+' | '-' | '*' | '/') expr | '-' expr | int | name | '(' expr ')'
 
@@ -18,9 +19,10 @@ A value has one of two sorts, a Scalar or a 4x4 Mat.  Int literals and the
 names bound to Scalars are scalars, and an operation on two scalars gives a
 scalar.  A scalar times a matrix scales it, and a scalar in a sum with a
 matrix stands for that multiple of the identity.  '/' divides by a nonzero
-scalar only.  The caller binds the names: a model's atoms g0 g1 g2 g3 g12 i
-(CliffordModel.atoms, built once per model; g12 is g1*g2 and i the imaginary
-unit times the identity), or the table's e11..e44, q and parameters
+scalar only.  The caller binds the names: UNIT_NAMES and the scalar i for
+the generators, a model's atoms g0 g1 g2 g3 g12 i (CliffordModel.atoms,
+built once per model; g12 is g1*g2 and i the imaginary unit times the
+identity), or UNIT_NAMES, q and the parameters for the table
 (catalog.table_names).  eval_expr returns the value in its sort;
 eval_gamma_expr returns a matrix.  Any other node (unary '+', '**', '@',
 calls, unbound names, bool, float, complex), a divisor that is a matrix or
@@ -38,7 +40,7 @@ from typing import Mapping
 
 from .linalg import Mat, products_vanish, sparse_rows
 from .report import Report
-from .scalars import I, ONE, ZERO, Scalar
+from .scalars import I, ONE, Scalar
 
 METRIC = (1, -1, -1, -1)
 
@@ -51,26 +53,19 @@ class MalformedExpression(ValueError):
         self.position = position
 
 
-def _pauli():
-    s1 = Mat([[ZERO, ONE], [ONE, ZERO]])
-    s2 = Mat([[ZERO, -I], [I, ZERO]])
-    s3 = Mat([[ONE, ZERO], [ZERO, -ONE]])
-    return s1, s2, s3
+# The sixteen matrix units by name, e11..e44: the names the generator texts
+# and the table's texts read.
+UNIT_NAMES = {f"e{i}{j}": Mat.unit(4, i, j) for i in range(1, 5) for j in range(1, 5)}
 
-
-def _gammas() -> tuple[Mat, Mat, Mat, Mat]:
-    g0 = Mat.diag(1, 1, -1, -1)
-    spatial = []
-    for s in _pauli():
-        rows = []
-        for i in range(2):
-            rows.append([ZERO, ZERO] + [-s.rows[i][j] for j in range(2)])
-        for i in range(2):
-            rows.append([s.rows[i][j] for j in range(2)] + [ZERO, ZERO])
-        spatial.append(Mat(rows))
-    # Spatial blocks are [[0, -sigma], [sigma, 0]]: the opposite sign choice
-    # flips every cross-block unit expression below to minus the unit.
-    return (g0, *spatial)
+# gamma_0..gamma_3 as texts in the matrix units and i.  Spatial blocks are
+# [[0, -sigma], [sigma, 0]] for the Pauli matrices sigma: the opposite sign
+# choice flips every cross-block unit expression below to minus the unit.
+GAMMA_TEXTS = (
+    "e11 + e22 - e33 - e44",
+    "e32 + e41 - e14 - e23",
+    "i*(e14 - e23 - e32 + e41)",
+    "e24 + e31 - e13 - e42",
+)
 
 
 # The sixteen matrix units as products of the generators; g12 denotes g1*g2.
@@ -110,8 +105,9 @@ class CliffordModel:
 
 
 def build_model() -> CliffordModel:
-    """Construct the model from the gamma matrices and UNIT_EXPRESSIONS; selftest validates it."""
-    gamma = _gammas()
+    """Construct the model from GAMMA_TEXTS and UNIT_EXPRESSIONS; selftest validates it."""
+    names = {**UNIT_NAMES, "i": I}
+    gamma = tuple(eval_gamma_expr(text, names) for text in GAMMA_TEXTS)
     g0, g1, g2, g3 = gamma
     atoms = {"g0": g0, "g1": g1, "g2": g2, "g3": g3, "g12": g1 * g2, "i": Mat.identity(4).scale(I)}
     units = {key: eval_gamma_expr(text, atoms) for key, text in UNIT_EXPRESSIONS.items()}

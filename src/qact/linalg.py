@@ -1,8 +1,9 @@
 """Exact matrix algebra and subspace computations over Q(i).
 
-Matrices are square (sizes 2, 4, 16 arise), stored row-major as tuples of
-Scalar.  Zero entries are skipped, never multiplied, so results may share
-immutable Scalar objects with their operands.  The product sums each entry
+Matrices are square, stored row-major as tuples of Scalar; every Mat a
+command or benchmark workload builds is 4x4, and the kernels work on its
+flattened 16-vectors.  Zero entries are skipped, never multiplied, so
+results may share immutable Scalar objects with their operands.  The product sums each entry
 over its nonzero terms on plain-int (a, b, d) triples and normalizes it once;
 an entry that no term reaches is the shared ZERO.
 Every elimination but det's goes through one sparse Gauss-Jordan reducer,

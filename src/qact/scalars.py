@@ -56,23 +56,6 @@ class Scalar:
                 a, b, d = a // g, b // g, d // g
         self.a, self.b, self.d = a, b, d
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_rationals(cls, re: Union[int, Fraction], im: Union[int, Fraction] = 0) -> "Scalar":
-        re = Fraction(re)
-        im = Fraction(im)
-        d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
-        return cls(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.a, self.d)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.b, self.d)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, o):
@@ -213,7 +196,7 @@ class Scalar:
 
     def sort_key(self):
         """Total order on Q(i) by (re, im); used only for canonical output."""
-        return (self.re, self.im)
+        return (Fraction(self.a, self.d), Fraction(self.b, self.d))
 
     def __repr__(self):
         return f"Scalar({format_scalar(self)!r})"
@@ -283,8 +266,9 @@ def exact_sqrt(z: Scalar) -> Optional[Scalar]:
 # -- text format ---------------------------------------------------------------
 #
 # Grammar:  rational ( (+|-) rational? 'i' )?  |  sign? rational? 'i'
-# with rational = sign? int ('/' posint)?.  A missing coefficient before 'i'
-# means 1.  Canonical output always prints an explicit coefficient.
+# with rational = sign? int ('/' posint)?, where int and posint are ASCII
+# digits 0-9.  A missing coefficient before 'i' means 1.  Canonical output
+# always prints an explicit coefficient.
 
 
 def format_scalar(s: Scalar) -> str:
@@ -315,47 +299,40 @@ def parse_scalar(text: str) -> Scalar:
     if pos >= end:
         raise ParseError("empty scalar", pos)
 
-    first, imag1, pos = _parse_term(s, pos, end)
-    if imag1:
-        re, im = Fraction(0), first
-    else:
-        re = first
-        im = Fraction(0)
-        if pos < end and s[pos] in "+-":
-            second, imag2, pos = _parse_term(s, pos, end)
-            if not imag2:
-                raise ParseError("expected imaginary part", pos)
-            im = second
+    value, imag, pos = _parse_term(s, pos, end)
+    if not imag and pos < end and s[pos] in "+-":
+        im, imag, pos = _parse_term(s, pos, end)
+        if not imag:
+            raise ParseError("expected imaginary part", pos)
+        value = value + im
     if pos != end:
         raise ParseError("unexpected trailing characters", pos)
-    return Scalar.from_rationals(re, im)
+    return value
 
 
 def _parse_term(s: str, pos: int, end: int):
-    """One signed term: a rational, optionally followed by 'i', or a bare 'i'."""
+    """One signed term as (Scalar, is imaginary, end): a rational, optionally followed by 'i', or a bare 'i'."""
     sign = 1
     if pos < end and s[pos] in "+-":
         if s[pos] == "-":
             sign = -1
         pos += 1
     if pos < end and s[pos] == "i":
-        return Fraction(sign), True, pos + 1
+        return Scalar(0, sign), True, pos + 1
     num, pos = _parse_int(s, pos, end)
     den = 1
     if pos < end and s[pos] == "/":
         den, pos = _parse_int(s, pos + 1, end)
         if den <= 0:
             raise ParseError("denominator must be positive", pos)
-    imag = False
     if pos < end and s[pos] == "i":
-        imag = True
-        pos += 1
-    return Fraction(sign * num, den), imag, pos
+        return Scalar(0, sign * num, den), True, pos + 1
+    return Scalar(sign * num, 0, den), False, pos
 
 
 def _parse_int(s: str, pos: int, end: int):
     start = pos
-    while pos < end and s[pos].isdigit():
+    while pos < end and "0" <= s[pos] <= "9":
         pos += 1
     if pos == start:
         raise ParseError("expected digits", start)
@@ -382,7 +359,8 @@ def scalar_from_json(data, field: str = "scalar") -> Scalar:
         unknown = [key for key in data if key not in ("re", "im")]
         if unknown:
             raise ParseError(f"{field}: unknown key {_quoted(unknown[0])}, expected re and im")
-        return Scalar.from_rationals(*(_rational_from_json(data.get(k, 0), f"{field}.{k}") for k in ("re", "im")))
+        re, im = (_rational_from_json(data.get(k, 0), f"{field}.{k}") for k in ("re", "im"))
+        return re + im * I
     if isinstance(data, str):
         try:
             return parse_scalar(data)
@@ -393,11 +371,11 @@ def scalar_from_json(data, field: str = "scalar") -> Scalar:
     raise ParseError(f"{field}: cannot decode scalar from {_quoted(data)}")
 
 
-def _rational_from_json(value, field: str) -> Fraction:
+def _rational_from_json(value, field: str) -> Scalar:
     s = scalar_from_json(value, field) if isinstance(value, (int, str)) else None
     if s is None or s.b:
         raise ParseError(f"{field}: expected an int or a rational string, got {_quoted(value)}")
-    return s.re
+    return s
 
 
 # -- deformation parameter -------------------------------------------------------

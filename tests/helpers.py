@@ -83,6 +83,18 @@ def jordan(*parts: int) -> Mat:
     return Mat(rows)
 
 
+def reference_gammas() -> tuple[Mat, Mat, Mat, Mat]:
+    """gamma_0 = diag(1, 1, -1, -1) and gamma_k = [[0, -sigma_k], [sigma_k, 0]], from the 2x2 Pauli matrices."""
+    zero, one, i = Scalar(0), Scalar(1), Scalar(0, 1)
+    pauli = (Mat([[zero, one], [one, zero]]), Mat([[zero, -i], [i, zero]]), Mat([[one, zero], [zero, -one]]))
+    spatial = []
+    for s in pauli:
+        top = [[zero, zero, -x, -y] for x, y in s.rows]
+        bottom = [[x, y, zero, zero] for x, y in s.rows]
+        spatial.append(Mat(top + bottom))
+    return (Mat.diag(1, 1, -1, -1), *spatial)
+
+
 def trace(m: Mat) -> Scalar:
     return sum((m.rows[i][i] for i in range(m.n)), as_scalar(0))
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import is_zero_matrix
+from helpers import is_zero_matrix, reference_gammas
 from qact import (
     Mat,
     MalformedExpression,
@@ -26,6 +26,10 @@ def test_selftest_passes(model):
     assert report.ok
     names = [c.name for c in report.checks]
     assert names == ["anticommutators", "unit_products", "unit_resolution", "units_are_standard"]
+
+
+def test_gamma_texts_give_the_pauli_generators():
+    assert build_model().gamma == reference_gammas()
 
 
 def test_metric_relations(model):
@@ -99,7 +103,7 @@ def test_scalar_coefficients_in_grammar(model):
 # Precedence levels of the generated expressions: an operand whose level is
 # below what its operator needs is parenthesised, and no other is.
 SUM, PRODUCT, UNARY, ATOM = range(4)
-G0, G1, G2, G3 = default_model().gamma
+G0, G1, G2, G3 = build_model().gamma  # not self-tested, so a wrong generator fails tests, not collection
 ATOMS = {"g0": G0, "g1": G1, "g2": G2, "g3": G3, "g12": G1 * G2, "i": E4.scale(Scalar(0, 1))}
 BINARY = {"+": (SUM, Mat.__add__), "-": (SUM, Mat.__sub__), "*": (PRODUCT, Mat.__mul__)}
 

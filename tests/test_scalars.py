@@ -126,11 +126,32 @@ def test_parse_lenient_imaginary():
     assert parse_scalar("2i") == Scalar(0, 2)
 
 
-@pytest.mark.parametrize("bad", ["", "3//2", "1+", "abc", "1+2", "1/0", "2x", "1+1i3"])
+# Digits are ASCII 0-9 only: Arabic-Indic two, mathematical double-struck
+# two, N'Ko two and superscript two are no digits of the grammar.
+NON_ASCII_DIGITS = ["\u0662", "\U0001d7da", "\u07c2", "\u00b2"]
+
+
+@pytest.mark.parametrize("bad", ["", "3//2", "1+", "abc", "1+2", "1/0", "2x", "1+1i3"] + NON_ASCII_DIGITS)
 def test_parse_errors(bad):
     with pytest.raises(ParseError) as err:
         parse_scalar(bad)
     assert err.value.position >= 0
+
+
+@pytest.mark.parametrize("digit", NON_ASCII_DIGITS)
+def test_non_ascii_digits_are_expected_digits(digit):
+    from qact.scalars import scalar_from_json
+
+    for text, position in ((digit, 0), (f" {digit}", 1), (f"1/{digit}", 2), (f"1+{digit}i", 2), (f"-{digit}i", 1)):
+        with pytest.raises(ParseError) as err:
+            parse_scalar(text)
+        assert (str(err.value), err.value.position) == (f"expected digits (position {position})", position), text
+    for data, error in ((digit, f"q: expected digits (position 0) in {digit!r}"),
+                        ({"re": digit}, f"q.re: expected digits (position 0) in {digit!r}"),
+                        ({"im": f"1/{digit}"}, f"q.im: expected digits (position 2) in {f'1/{digit}'!r}")):
+        with pytest.raises(ParseError) as err:
+            scalar_from_json(data, "q")
+        assert str(err.value) == error
 
 
 @given(scalars)
@@ -164,6 +185,61 @@ def test_json_object_refuses_unknown_keys():
             scalar_from_json(data, "q")
         assert str(refused.value) == f"q: unknown key {key}, expected re and im"
         assert refused.value.position is None
+
+
+# -- decoding against a Fraction reference ------------------------------------------
+
+wide_fractions = st.fractions(max_denominator=30) | st.builds(
+    Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+
+
+def _rational_text(draw, f: Fraction) -> str:
+    """f as sign? int ('/' posint)?, possibly unreduced, with '+' or '/1' drawn."""
+    k = draw(st.integers(1, 6))
+    num, den = f.numerator * k, f.denominator * k
+    sign = "-" if num < 0 else draw(st.sampled_from(("", "+")))
+    tail = "" if den == 1 and draw(st.booleans()) else f"/{den}"
+    return f"{sign}{abs(num)}{tail}"
+
+
+@st.composite
+def scalar_texts(draw):
+    """(text, re, im): re and im in each form of the grammar, with whitespace around."""
+    re, im = draw(wide_fractions), draw(wide_fractions)
+    form = draw(st.sampled_from(("a/b", "a/b+c/di", "c/di", "i")))
+    if form == "a/b":
+        text, im = _rational_text(draw, re), Fraction(0)
+    elif form == "a/b+c/di":
+        text = _rational_text(draw, re) + ("-" if im < 0 else "+") + _rational_text(draw, abs(im)).lstrip("+") + "i"
+    elif form == "c/di":
+        text, re = _rational_text(draw, im) + "i", Fraction(0)
+    else:
+        text = draw(st.sampled_from(("i", "+i", "-i")))
+        re, im = Fraction(0), Fraction(-1 if text == "-i" else 1)
+    pad = st.text(" \t\n", max_size=2)
+    return draw(pad) + text + draw(pad), re, im
+
+
+@st.composite
+def scalar_objects(draw):
+    """(object, re, im): {"re": ..., "im": ...} of ints or rational strings, a zero part sometimes left out."""
+    re, im = draw(wide_fractions), draw(wide_fractions)
+    data = {}
+    for key, f in (("re", re), ("im", im)):
+        if f or draw(st.booleans()):
+            whole = f.denominator == 1 and draw(st.booleans())
+            data[key] = f.numerator if whole else _rational_text(draw, f)
+    return data, re, im
+
+
+@given(scalar_texts() | scalar_objects())
+def test_decoding_matches_fraction_reference(case):
+    from qact.scalars import scalar_from_json
+
+    data, re, im = case
+    decoded = [scalar_from_json(data)] + ([parse_scalar(data)] if isinstance(data, str) else [])
+    for s in decoded:
+        assert (Fraction(s.a, s.d), Fraction(s.b, s.d)) == (re, im), data
 
 
 def test_validate_q_accepts_and_rejects():
@@ -228,7 +304,7 @@ def test_exact_sqrt_examples():
 
 
 def parts(x):
-    return (x.re, x.im) if isinstance(x, Scalar) else (Fraction(x), Fraction(0))
+    return (Fraction(x.a, x.d), Fraction(x.b, x.d)) if isinstance(x, Scalar) else (Fraction(x), Fraction(0))
 
 
 def ref_add(x, y):
