@@ -45,6 +45,7 @@ from math import gcd, lcm
 from typing import Union
 
 from .linalg import (
+    Kernels,
     Mat,
     Subspace,
     _operator_rows,
@@ -317,15 +318,17 @@ def _roots(g: int, w: Scalar) -> list[Scalar]:
     return sorted(roots, key=Scalar.sort_key)
 
 
-def _intertwiner_space(r1: GLqRep, r2: GLqRep, alpha1: Scalar, alpha2: Scalar) -> Subspace:
+def _intertwiner_space(r1: GLqRep, r2: GLqRep, alpha1: Scalar, alpha2: Scalar,
+                       kernels: Kernels | None = None) -> Subspace:
     """Solutions u of the four equations A' u = u (alpha A), stacked (the same as u A = alpha^-1 A' u)."""
     return solve_homogeneous([(xp, x.scale(alpha))
-                              for x, xp, alpha in zip(r1.matrices(), r2.matrices(), (alpha1, alpha2, alpha1, alpha2))])
+                              for x, xp, alpha in zip(r1.matrices(), r2.matrices(), (alpha1, alpha2, alpha1, alpha2))],
+                             kernels=kernels)
 
 
 def decide_equivalence(
-    r1: GLqRep, r2: GLqRep, spectra: tuple[SpectralData, SpectralData] | None = None,
-    centralizer: Subspace | None = None,
+    r1: GLqRep, r2: GLqRep, spectra: tuple[SpectralData, SpectralData] | None = None, *,
+    kernels: Kernels | None = None,
 ) -> Verdict:
     """Decide equivalence of the inner actions of two GL_q representations.
 
@@ -334,13 +337,11 @@ def decide_equivalence(
     different q are not equivalent: a "q" obstruction, no candidate tried.
     spectra is (spectral_data(r1), spectral_data(r2)), taken here when not
     given; a caller that decides many pairs passes it to compute each once.
-    centralizer, when given and r2 == r1, is read as the intertwiner space of
-    the candidate (1, 1): its maps u -> x u - u x are those of the
-    centralizer of r1's four matrices.  Every other candidate is solved.
-    The space is trusted for a negative answer: a wrong one can turn a self
-    pair into NotEquivalent, but never into a wrong witness, which the
-    witness check meets with AssertionError.  So only a caller that has
-    cross-checked it passes it (catalog.verify_distinctness).
+    kernels, when given, is passed to every intertwiner solve
+    (linalg.solve_homogeneous), so a caller that decides many pairs solves
+    each shared prefix of maps once: a self pair's candidate (1, 1) has the
+    maps u -> x u - u x of its centralizer.  It holds only kernels that
+    solve_homogeneous computed, so it changes no answer.
     The candidate scales are those under which the power traces of A11
     (alpha1) and A22 (alpha2) match.  A11 is checked, then A22: a block whose spectra
     differ is a "spectrum" obstruction, and a matched singular block raises
@@ -386,14 +387,11 @@ def decide_equivalence(
         return NotEquivalent(0, obstruction="spectrum")
     # A22 first: when neither scale lies in Q(i), the A22 one is reported.
     cands2, cands1 = _roots(*pin2), _roots(*pin1)
-    given = centralizer if centralizer is not None and r2 == r1 else None
     tried = 0
     for alpha1 in cands1:
         for alpha2 in cands2:
             tried += 1
-            space = (given if given is not None and alpha1 == alpha2 == ONE
-                     else _intertwiner_space(r1, r2, alpha1, alpha2))
-            u = invertible_element_in(space)
+            u = invertible_element_in(_intertwiner_space(r1, r2, alpha1, alpha2, kernels))
             if u is None:
                 continue
             v = sparse_rows(u)

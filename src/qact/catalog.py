@@ -31,6 +31,8 @@ from typing import Iterable, Mapping, Optional
 
 from .action import (
     InnerAction,
+    NotEquivalent,
+    _spectral_pin,
     action_fixed_points,
     decide_equivalence,
     operator_algebra,
@@ -39,7 +41,7 @@ from .action import (
     verify_module_algebra,
 )
 from .clifford import UNIT_NAMES, default_model, eval_expr, eval_gamma_expr
-from .linalg import Mat, Subspace, centralizer, mat_inverse
+from .linalg import Kernels, Mat, Subspace, centralizer, mat_inverse
 from .qrep import (
     GLqRep,
     antipode,
@@ -521,8 +523,7 @@ class EntryCheck:
     invariants and detq are the centralizer and quantum determinant the
     battery computed; both are None when the relations already fail.  The
     centralizer is checked against the action's fixed points and the
-    stated invariants, and verify_distinctness reads it as the entry's
-    self-intertwiner space.
+    stated invariants, and verify_determinant_invariants reads it again.
     """
 
     entry_id: str
@@ -546,8 +547,10 @@ def check_entry(
     q: DeformationParameter,
     params: Optional[Mapping[str, object]] = None,
     policy: Optional[Mapping[str, object]] = None,
+    *,
+    kernels: Optional[Kernels] = None,
 ) -> EntryCheck:
-    """Run the full battery of checks for one table entry, keeping its facts."""
+    """Run the full battery of checks for one table entry, keeping its facts; kernels goes to its centralizer."""
     entry = get_entry(entry_id)
     p = resolve_params(entry, q, params, policy)
     rep = entry.representation(q, p)
@@ -578,7 +581,7 @@ def check_entry(
     op_rel = operator_relation_report(action)
     report.add("action_operator_relations", op_rel.ok, _first_bad(op_rel))
 
-    cent = centralizer(list(rep.matrices()))
+    cent = centralizer(list(rep.matrices()), kernels=kernels)
     fixed = action_fixed_points(action)
     ok = cent == fixed
     report.add("invariants_two_ways", ok, "" if ok else f"centralizer dim {cent.dim}, fixed points dim {fixed.dim}")
@@ -614,24 +617,33 @@ def _first_bad(report: Report) -> str:
     return "" if bad is None else bad.name
 
 
-def verify_distinctness(
-    reps: Mapping[str, GLqRep], centralizers: Optional[Mapping[str, Optional[Subspace]]] = None
-) -> Report:
+def verify_distinctness(reps: Mapping[str, GLqRep], *, kernels: Optional[Kernels] = None) -> Report:
     """Pairwise non-equivalence of the given entries, plus self-witnesses; spectral data once per entry.
 
-    centralizers maps an entry to the centralizer its battery computed and
-    cross-checked (EntryCheck.invariants); a self pair reads it as its
-    intertwiner space under the scales (1, 1) rather than solve it again.
-    An entry that has none, or None, is decided from its matrices alone.
+    The entries fall into classes: an entry joins the first class whose
+    leader's A11 spectrum, times some scale, is its own
+    (action._spectral_pin), and leads a new class otherwise.  "spectrum(x')
+    = alpha spectrum(x) for some alpha != 0" is an equivalence relation on
+    the spectra of invertible matrices: alpha = 1 gives reflexivity,
+    1/alpha symmetry and alpha beta transitivity.  So the A11 spectra of two entries in different classes
+    differ under every scale, and decide_equivalence would give the pair the
+    "spectrum" obstruction, or "q", with no candidate tried; only the pairs
+    inside a class are decided.  A matched singular A11 raises
+    DeterminantSingular at the leader comparison, as it would at the
+    leader's self pair.  kernels goes to every decision.
     """
     ids = list(reps)
     spectra = {e: spectral_data(rep) for e, rep in reps.items()}
-    centralizers = centralizers or {}
+    leaders, leader_of = [], {}
+    for e in ids:
+        leader_of[e] = next((lead for lead in leaders if _spectral_pin(spectra[lead], spectra[e], 0)), e)
+        if leader_of[e] == e:
+            leaders.append(e)
     report = Report()
     for i, e1 in enumerate(ids):
         for e2 in ids[i:]:
-            given = centralizers.get(e1) if e1 == e2 else None
-            verdict = decide_equivalence(reps[e1], reps[e2], (spectra[e1], spectra[e2]), given)
+            verdict = (decide_equivalence(reps[e1], reps[e2], (spectra[e1], spectra[e2]), kernels=kernels)
+                       if leader_of[e1] == leader_of[e2] else NotEquivalent(0, obstruction="spectrum"))
             if e1 == e2:
                 report.add(f"{e1} ~ {e1}", verdict.equivalent, "self-equivalence witness")
             else:
@@ -685,18 +697,20 @@ def verify_table(q: DeformationParameter, policy: Optional[Mapping[str, object]]
     """The whole table in one pass: each entry is resolved, built and checked once.
 
     Distinctness and the determinant invariants reuse the representations,
-    centralizers and quantum determinants that the battery computed: each
-    self pair's intertwiner space under the scales (1, 1) is its entry's
-    centralizer, so it is not solved twice.  A policy value applies only to
-    the entries that declare its name; a name that no entry declares raises
-    ConstraintViolated.
+    centralizers and quantum determinants that the battery computed.  One
+    kernels dict (linalg.solve_homogeneous) serves every centralizer and
+    intertwiner solve of this call and is dropped on return: each shared
+    prefix of maps is solved once, so a self pair's intertwiner space under
+    the scales (1, 1) is its entry's centralizer, and a G entry's solves
+    begin with its S entry's A11, A12 and A21.  A policy value applies only
+    to the entries that declare its name; a name that no entry declares
+    raises ConstraintViolated.
     """
     declared = {name for entry in ENTRIES.values() for name in entry.params}
     unknown = sorted(set(policy or {}) - declared)
     if unknown:
         raise ConstraintViolated(unknown[0], as_scalar(policy[unknown[0]]), "not a parameter of any table entry")
-    entries = tuple(check_entry(eid, q, policy=policy) for eid in ENTRY_ORDER)
-    distinctness = verify_distinctness({e.entry_id: e.rep for e in entries},
-                                       {e.entry_id: e.invariants for e in entries})
+    kernels = {}
+    entries = tuple(check_entry(eid, q, policy=policy, kernels=kernels) for eid in ENTRY_ORDER)
+    distinctness = verify_distinctness({e.entry_id: e.rep for e in entries}, kernels=kernels)
     return TableCheck(q, entries, distinctness, verify_determinant_invariants(entries))
-

@@ -20,7 +20,10 @@ rows, and evaluates each later map on the kernel basis found so far.
 solve_rows takes maps as their rows, and solve_homogeneous takes Sylvester
 maps X -> L X - X R as the pairs (L, R); it builds the rows of the first
 one only, and evaluates each later one as L B - B R on Gaussian integers
-(_sylvester_system), with no row of it built.  The algebra a set of
+(_sylvester_system), with no row of it built.  A caller that makes many
+solves may pass solve_homogeneous one kernels dict, which keeps the basis
+after each prefix of maps, keyed by the maps' exact entries, so a prefix two
+solves share is solved once (_shared_kernel).  The algebra a set of
 matrices generates is spun from 1 by a queue of words, each product reduced
 once (algebra_closure).  An identity among products
 that is only checked is tested by products_vanish, which sums
@@ -500,7 +503,15 @@ def _operator_rows(terms: Terms, n: int) -> list[dict[int, Scalar]]:
     return rows
 
 
-def solve_homogeneous(maps: Sequence[tuple[Mat, Mat]]) -> Subspace:
+# The kernels a caller shares between solves (solve_homogeneous).  A prefix
+# of maps (L1, R1, L2, R2, ...) not skipped, keyed by one tuple of the exact
+# (a, b, d) entries of each matrix, holds [its kernel basis, the Subspace it
+# spans once a solve has ended there, or None].  id(m) holds (m, the entries
+# of m), so each matrix is read once; m is kept, so no id is reused.
+Kernels = dict
+
+
+def solve_homogeneous(maps: Sequence[tuple[Mat, Mat]], *, kernels: Optional[Kernels] = None) -> Subspace:
     """The X with L X = X R for every map (L, R), all of one size: the common kernel of the maps X -> L X - X R.
 
     A map with L = R = c I is zero and is skipped; the map X -> L X - X R is
@@ -508,14 +519,56 @@ def solve_homogeneous(maps: Sequence[tuple[Mat, Mat]]) -> Subspace:
     (L, 1) and (1, -R) and reduced; each later map is evaluated on the kernel
     basis found so far, L B - B R for each basis matrix B
     (_sylvester_system), so none of its rows is built.  Maps are read one at
-    a time, and none after the kernel is {0}.
+    a time, and none after the kernel is {0}.  With kernels, the basis after
+    each prefix of the maps not skipped is looked up there and stored when
+    computed (_shared_kernel).
     """
     n = maps[0][0].n
     one = Mat.identity(n)
     maps = ((l, r) for l, r in maps if not (_is_scalar(l) and l == r))
+    if kernels is not None:
+        return _shared_kernel(maps, one, kernels)
     first = next(maps, None)
     rows = [] if first is None else _operator_rows([(first[0], one), (one, -first[1])], n)
     return _common_kernel(rows, (partial(_sylvester_system, l, r) for l, r in maps), n * n)
+
+
+def _shared_kernel(maps: Iterator[tuple[Mat, Mat]], one: Mat, kernels: Kernels) -> Subspace:
+    """The common kernel of the Sylvester maps, each basis after a prefix read from kernels or stored there.
+
+    A basis is a function of its prefix alone: the first map's free basis,
+    cut down by each later map in turn as _common_kernel cuts it.  So a basis
+    stored by one solve is the one any other solve with that prefix computes,
+    and a prefix that holds its Subspace rebuilds nothing.  The key is the
+    exact entries, not Mat: Scalar's hash builds a Fraction.
+    """
+    n, key, entry = one.n, (), None
+    width = n * n
+    for l, r in maps:
+        key += (_entries(l, kernels), _entries(r, kernels))
+        hit = kernels.get(key)
+        if hit is None:
+            if entry is None:
+                basis = _free_basis(_operator_rows([(l, one), (one, -r)], n), width)
+            else:
+                basis = _cut_down(entry[0], _sylvester_system(l, r, entry[0]), width)
+            hit = kernels[key] = [basis, None]
+        entry = hit
+        if not entry[0]:
+            break
+    if entry is None:
+        return Subspace(width, _free_basis([], width))
+    if entry[1] is None:
+        entry[1] = Subspace(width, entry[0])
+    return entry[1]
+
+
+def _entries(m: Mat, kernels: Kernels) -> tuple[int, ...]:
+    """The exact entries of m, row-major, as a, b, d of each: read once per matrix object and kept in kernels."""
+    hit = kernels.get(id(m))
+    if hit is None:
+        hit = kernels[id(m)] = (m, tuple([v for row in m.rows for x in row for v in (x.a, x.b, x.d)]))
+    return hit[1]
 
 
 def solve_rows(maps: Iterable[list[dict[int, Scalar]]], width: int) -> Subspace:
@@ -548,10 +601,14 @@ def _common_kernel(rows: list[Row], later: Iterator[Callable[[list], list[Row]]]
     """
     basis = _free_basis(rows, width)
     while basis and (system := next(later, None)) is not None:
-        kernel = _free_basis(system(basis), len(basis))
-        if len(kernel) < len(basis):
-            basis = _product_rows(map(enumerate, kernel), basis, width)
+        basis = _cut_down(basis, system(basis), width)
     return Subspace(width, basis)
+
+
+def _cut_down(basis: list[Sequence[Scalar]], system: list[Row], width: int) -> list[Sequence[Scalar]]:
+    """The basis recombined by the kernel of the system, row p of which is entry p of a map on each basis vector."""
+    kernel = _free_basis(system, len(basis))
+    return basis if len(kernel) == len(basis) else _product_rows(map(enumerate, kernel), basis, width)
 
 
 def _sylvester_system(l: Mat, r: Mat, basis: list[Sequence[Scalar]]) -> list[Row]:
@@ -615,12 +672,12 @@ def _free_basis(rows: Iterable[Row], width: int) -> list[list[Scalar]]:
     return list(basis.values())
 
 
-def centralizer(generators: Sequence[Mat]) -> Subspace:
-    """RREF basis of {X : XG = GX for every generator G}."""
+def centralizer(generators: Sequence[Mat], *, kernels: Optional[Kernels] = None) -> Subspace:
+    """RREF basis of {X : XG = GX for every generator G}; kernels is solve_homogeneous's."""
     generators = list(generators)
     if not generators:
         raise ValueError("centralizer needs at least one generator")
-    return solve_homogeneous([(g, g) for g in generators])
+    return solve_homogeneous([(g, g) for g in generators], kernels=kernels)
 
 
 def algebra_closure(generators: Sequence[Mat]) -> Subspace:

@@ -267,8 +267,12 @@ def exact_sqrt(z: Scalar) -> Optional[Scalar]:
 #
 # Grammar:  rational ( (+|-) rational? 'i' )?  |  sign? rational? 'i'
 # with rational = sign? int ('/' posint)?, where int and posint are ASCII
-# digits 0-9.  A missing coefficient before 'i' means 1.  Canonical output
-# always prints an explicit coefficient.
+# digits 0-9.  A missing coefficient before 'i' means 1.  Space, tab, LF and
+# CR may lead or trail the scalar; no other character, Unicode whitespace
+# included, is trimmed.  Canonical output always prints an explicit
+# coefficient.
+
+_SPACE = " \t\n\r"
 
 
 def format_scalar(s: Scalar) -> str:
@@ -291,10 +295,10 @@ def parse_scalar(text: str) -> Scalar:
     s = text
     n = len(s)
     pos = 0
-    while pos < n and s[pos].isspace():
+    while pos < n and s[pos] in _SPACE:
         pos += 1
     end = n
-    while end > pos and s[end - 1].isspace():
+    while end > pos and s[end - 1] in _SPACE:
         end -= 1
     if pos >= end:
         raise ParseError("empty scalar", pos)

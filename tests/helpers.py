@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from qact import Mat, Scalar, Subspace, as_scalar, det, mat_inverse
+from qact import Mat, Report, Scalar, Subspace, as_scalar, decide_equivalence, det, mat_inverse
 
 SMALL_DENOMS = (1, 1, 1, 2, 3)
 
@@ -397,6 +397,26 @@ def reference_intertwiner_space(r1, r2, alpha1: Scalar, alpha2: Scalar) -> Subsp
     for x, xp, alpha in zip(r1.matrices(), r2.matrices(), (alpha1, alpha2, alpha1, alpha2)):
         rows.extend(dense_sub(dense_kron(e4, transpose(x)), Mat(dense_scale(dense_kron(xp, e4), alpha.inv()))))
     return Subspace(16, dense_kernel(rows, 16))
+
+
+def reference_distinctness(reps) -> Report:
+    """verify_distinctness by its definition: decide_equivalence on every pair and self pair, in order.
+
+    No spectral class and no shared kernel: each pair is decided from its two
+    representations alone.
+    """
+    ids = list(reps)
+    report = Report()
+    for i, e1 in enumerate(ids):
+        for e2 in ids[i:]:
+            verdict = decide_equivalence(reps[e1], reps[e2])
+            if e1 == e2:
+                report.add(f"{e1} ~ {e1}", verdict.equivalent, "self-equivalence witness")
+            elif verdict.equivalent:
+                report.add(f"{e1} vs {e2}", False, "unexpected witness")
+            else:
+                report.add(f"{e1} vs {e2}", True, f"candidates tried: {verdict.candidates_tried}")
+    return report
 
 
 def reference_algebra_closure(generators) -> list:

@@ -22,6 +22,7 @@ from helpers import (
     random_invertible_upper,
     random_nonzero_scalar,
     reference_action,
+    reference_distinctness,
     reference_intertwiner_space,
     sqrt2_blocks,
     trace,
@@ -52,6 +53,7 @@ from qact import (
     quantum_determinant,
     validate_q,
     verify_glq_relations,
+    verify_distinctness,
     verify_module_algebra,
 )
 from qact import action as action_module
@@ -506,8 +508,8 @@ def test_intertwiner_space_matches_inverse_scaled_system(monkeypatch):
     solve = action_module._intertwiner_space
     tried = []
 
-    def checked(r1, r2, alpha1, alpha2):
-        space = solve(r1, r2, alpha1, alpha2)
+    def checked(r1, r2, alpha1, alpha2, kernels=None):
+        space = solve(r1, r2, alpha1, alpha2, kernels)
         assert space == reference_intertwiner_space(r1, r2, alpha1, alpha2)
         tried.append(space.dim)
         return space
@@ -566,46 +568,89 @@ def _odd_traces_vanish(q):
 
 @pytest.mark.parametrize("q_text", ["2", "3", "1+1i"])
 def test_given_centralizer_changes_no_verdict(q_text, monkeypatch):
+    """A centralizer solved into a kernels dict is read as a self pair's space under the scales (1, 1).
+
+    The dict holds only what solve_homogeneous computed, so the verdict is the
+    one without it; the candidate (1, 1) is not solved again, and every other
+    candidate still is.
+    """
     q = validate_q(parse_scalar(q_text))
+    work = []  # one mark per first map reduced or later map evaluated
+    for name in ("_operator_rows", "_sylvester_system"):
+        op = getattr(linalg_module, name)
+        monkeypatch.setattr(linalg_module, name, lambda *args, op=op: work.append(1) or op(*args))
     solve, solved = action_module._intertwiner_space, []
-    monkeypatch.setattr(action_module, "_intertwiner_space", lambda *args: solved.append(args[2:]) or solve(*args))
+
+    def recorded(r1, r2, alpha1, alpha2, kernels=None):
+        before = len(work)
+        space = solve(r1, r2, alpha1, alpha2, kernels)
+        solved.append(((alpha1, alpha2), len(work) > before))
+        return space
+
+    monkeypatch.setattr(action_module, "_intertwiner_space", recorded)
     reps = [rep for _, rep in _table_and_traceless(q_text)[:20]] + [_odd_traces_vanish(q)]
     one = Scalar(1)
     for rep in reps:
         solved.clear()
         verdict = decide_equivalence(rep, rep)
         without = solved[:]
+        kernels = {}
+        centralizer(list(rep.matrices()), kernels=kernels)
         solved.clear()
-        given = decide_equivalence(rep, rep, None, centralizer(list(rep.matrices())))
-        assert given.to_json() == verdict.to_json()
-        # The space of (1, 1) is read, and every other candidate is still solved.
-        assert (one, one) in without and solved == [pair for pair in without if pair != (one, one)]
-    assert verdict.candidates_tried == 2 and verdict.alpha1 == 1 and solved == [(Scalar(-1), one)]
-    # A space given for two different representations is not read, even at the scales (1, 1).
+        shared = decide_equivalence(rep, rep, kernels=kernels)
+        assert shared.to_json() == verdict.to_json()
+        # The same candidates are tried: (1, 1) is read from the dict, and every other one is solved.
+        assert [pair for pair, _ in solved] == [pair for pair, _ in without]
+        assert (one, one) in dict(solved) and all(worked == (pair != (one, one)) for pair, worked in solved)
+    assert verdict.candidates_tried == 2 and verdict.alpha1 == 1 and solved == [((Scalar(-1), one), True),
+                                                                                  ((one, one), False)]
+    # A centralizer in the dict is not read for two different representations, even at the scales (1, 1).
     moved = EquivalenceWitness(random_dense_invertible(random.Random(0xCE)), one, one).apply(reps[0])
+    kernels = {}
+    centralizer(list(reps[0].matrices()), kernels=kernels)
     solved.clear()
-    verdict = decide_equivalence(reps[0], moved, None, Subspace(16, []))
-    assert verdict.equivalent and solved == [(one, one)]
+    verdict = decide_equivalence(reps[0], moved, kernels=kernels)
+    assert verdict.equivalent and solved == [((one, one), True)]
     assert verdict.to_json() == decide_equivalence(reps[0], moved).to_json()
 
 
-def test_a_wrong_centralizer_never_gives_a_wrong_witness(q2):
-    """The given centralizer is trusted for a negative answer only.
+def test_a_wrong_centralizer_never_gives_a_wrong_witness(q2, monkeypatch):
+    """A wrong intertwiner space never gives a wrong witness.
 
-    The zero space turns each self pair into NotEquivalent: that is why only
-    verify_distinctness passes it, from a battery that has checked it against
-    the fixed points and the stated invariants.  The span of an invertible u
-    that commutes with not every block yields u, which the witness check
-    refuses, so no witness that fails apply(r) == r comes back.
+    The span of an invertible u that commutes with not every block, read as a
+    self pair's space, yields u, which the witness check refuses: no witness
+    that fails apply(r) == r comes back.
     """
     rng = random.Random(0xC3)
     for rep in [instantiate(eid, q2) for eid in ENTRY_ORDER] + [_odd_traces_vanish(q2)]:
-        verdict = decide_equivalence(rep, rep, None, Subspace(16, []))
-        assert isinstance(verdict, NotEquivalent) and verdict.obstruction == "exhausted"
         stranger = random_dense_invertible(rng)
         assert any(stranger * x != x * stranger for x in rep.matrices())
+        monkeypatch.setattr(action_module, "_intertwiner_space", lambda *args: Subspace.span_of([stranger]))
         with pytest.raises(AssertionError, match="failed exact verification"):
-            decide_equivalence(rep, rep, None, Subspace.span_of([stranger]))
+            decide_equivalence(rep, rep)
+
+
+@pytest.mark.parametrize("q_text", ["2", "3", "1+1i", "-1/2"])
+def test_distinctness_matches_every_pair_decided(q_text):
+    """verify_distinctness, with its spectral classes and shared kernels, equals deciding every pair alone.
+
+    The set adds the traceless S5, whose A11 has p1 = 0, and a representation
+    whose A11 has p1 = p3 = 0 (pin g = 2), to the twenty entries.
+    """
+    q = validate_q(parse_scalar(q_text))
+    reps = {**dict(_table_and_traceless(q_text)), "odd traces": _odd_traces_vanish(q)}
+    want = reference_distinctness(reps).to_json()
+    assert verify_distinctness(reps).to_json() == want
+    assert verify_distinctness(reps, kernels={}).to_json() == want
+    table = dict(list(reps.items())[:20])
+    assert verify_distinctness(table).to_json() == reference_distinctness(table).to_json()
+    # A singular A11 raises as every pair decided would: here at the leader comparison, or alone at its self pair.
+    singular = _diagonal_rep(Mat.diag(1, 1, 2, 0), E4, q)
+    for bad in ({"S1": reps["S1"], "singular": singular, "scaled": _diagonal_rep(Mat.diag(2, 2, 4, 0), E4, q)},
+                {"S1": reps["S1"], "singular": singular}):
+        for decide in (verify_distinctness, reference_distinctness):
+            with pytest.raises(DeterminantSingular):
+                decide(bad)
 
 
 def test_spectral_data_json(q2):

@@ -224,10 +224,11 @@ def test_distinctness_at_complex_sample_point(qc):
     report = verify_distinctness(reps)
     assert report.ok, [c.name for c in report.checks if not c.passed]
     assert len(report.checks) == 210
-    # Each self pair reads its entry's centralizer as given; an entry given None is decided from its matrices.
-    centralizers = {eid: centralizer(list(rep.matrices())) for eid, rep in reps.items()}
-    centralizers["S1"] = None
-    assert verify_distinctness(reps, centralizers).to_json() == report.to_json()
+    # A kernels dict that already holds every centralizer changes no line.
+    kernels = {}
+    for rep in reps.values():
+        centralizer(list(rep.matrices()), kernels=kernels)
+    assert verify_distinctness(reps, kernels=kernels).to_json() == report.to_json()
 
 
 @pytest.mark.parametrize("qname", ["q2", "q3", "qc"])

@@ -513,6 +513,9 @@ def _write_refusal_files(directory: Path) -> None:
     (("verify-table", "--q", "2x"), "--q: unexpected trailing characters (position 1)", 1),
     (("verify-table", "--q", "\u0662", "--entry", "S1"), "--q: expected digits (position 0)", 0),
     (("verify-table", "--entry", "S1", "--param", "alpha=1/\u00b2"), "--param alpha: expected digits (position 2)", 2),
+    (("verify-table", "--q", "\u00a02", "--entry", "S1"), "--q: expected digits (position 0)", 0),
+    (("verify-table", "--entry", "S1", "--param", "alpha=2\u3000"),
+     "--param alpha: unexpected trailing characters (position 1)", 1),
     (("verify-table", "--entry", "NOPE"), "unknown table entry 'NOPE'", None),
     (("show-entry", "--entry", "NOPE"), "unknown table entry 'NOPE'", None),
     (("export", "--entry", "NOPE", "--out", "{dir}/out.json"), "unknown table entry 'NOPE'", None),
@@ -526,7 +529,8 @@ def _write_refusal_files(directory: Path) -> None:
     (("check-rep", "--file", "{dir}/text.json"),
      "representation file {dir}/text.json: representation must be a JSON object", None),
     (("b-space", "--matrix", "{dir}/list.json"), "matrix file {dir}/list.json: matrix must be a JSON object", None),
-], ids=["usage", "usage-position", "q-scalar", "q-non-ascii-digit", "param-non-ascii-digit", "unknown-entry",
+], ids=["usage", "usage-position", "q-scalar", "q-non-ascii-digit", "param-non-ascii-digit", "q-no-break-space",
+        "param-ideographic-space", "unknown-entry",
         "show-unknown-entry", "export-unknown-entry", "invalid-q", "constraint", "unsupported", "document-array",
         "document-string", "matrix-document-array"])
 def test_error_documents(capsys, tmp_path, argv, error, position):

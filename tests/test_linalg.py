@@ -1,3 +1,5 @@
+import random
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -22,6 +24,7 @@ from helpers import (
     jordan,
     random_low_rank,
     random_mat,
+    random_dense_invertible,
     random_nonzero_scalar,
     random_scalar,
     reference_algebra_closure,
@@ -481,10 +484,60 @@ def test_blockwise_solve_skips_zero_and_settled_blocks(monkeypatch):
             raise AssertionError("a map was read after the kernel became {0}")
 
     assert solve_homogeneous([full, Unread(), Unread()]).dim == 0
+    assert solve_homogeneous([full, Unread(), Unread()], kernels={}).dim == 0
     assert work([partial, (zero, zero)]) == work([partial])
     assert work([(zero, zero), partial, cancelling, (zero, zero)]) == work([partial])
     assert work([cancelling]) == work([(zero, zero)]) == 0
     assert work([partial, later]) > work([partial])
+
+
+@lru_cache(maxsize=None)
+def _block_pairs() -> tuple:
+    """(r1, r2) pairs whose intertwiner maps share prefixes: each table entry at q = 2 with itself, S1 with
+    G1b, S3 with G3b, and S6 with G6 in both orders, and each of 8 entries with its dense conjugate under the
+    scales (2, i)."""
+    from qact import EquivalenceWitness
+
+    q = validate_q(2)
+    reps = {eid: instantiate(eid, q) for eid in ENTRY_ORDER}
+    pairs = [(rep, rep) for rep in reps.values()]
+    pairs += [(reps[a], reps[b]) for s, g in (("S1", "G1b"), ("S3", "G3b"), ("S6", "G6")) for a, b in ((s, g), (g, s))]
+    rng = random.Random(0x5AE)
+    for eid in ENTRY_ORDER[::3]:
+        moved = EquivalenceWitness(random_dense_invertible(rng), Scalar(2), Scalar(0, 1)).apply(reps[eid])
+        pairs += [(reps[eid], moved), (moved, moved)]
+    return tuple(pairs)
+
+
+@st.composite
+def shared_prefix_solves(draw):
+    """2 to 6 map sequences that share prefixes, as intertwiner and centralizer solves form them.
+
+    Each is the maps (x', alpha x) of one drawn pair (r1, r2) over the blocks
+    x of r1 and x' of r2 in order, alpha being alpha1 for A11, A21 and alpha2
+    for A12, A22, from 1, 2, i and -1, cut to its first 1 to 4 maps.  Pairs
+    and scales come from a few drawn ones, so sequences repeat prefixes.
+    """
+    pairs = draw(st.lists(st.sampled_from(_block_pairs()), min_size=1, max_size=3))
+    scales = draw(st.lists(st.sampled_from((Scalar(1), Scalar(2), Scalar(0, 1), Scalar(-1))), min_size=1, max_size=2))
+    solves = []
+    for _ in range(draw(st.integers(2, 6))):
+        r1, r2 = draw(st.sampled_from(pairs))
+        a1, a2 = draw(st.sampled_from(scales)), draw(st.sampled_from(scales))
+        maps = [(xp, x.scale(a)) for x, xp, a in zip(r1.matrices(), r2.matrices(), (a1, a2, a1, a2))]
+        solves.append(maps[:draw(st.integers(1, 4))])
+    return solves
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_prefix_solves())
+def test_shared_kernels_give_the_unshared_solve(solves):
+    """One kernels dict across every solve of the draw, and across the draws, gives each solve's own space."""
+    for maps in solves:
+        assert solve_homogeneous(maps, kernels=_SHARED_KERNELS) == solve_homogeneous(maps)
+
+
+_SHARED_KERNELS = {}  # kept across the examples of test_shared_kernels_give_the_unshared_solve
 
 
 operator_terms = st.sampled_from((2, 3, 4)).flatmap(map_terms)

@@ -131,11 +131,37 @@ def test_parse_lenient_imaginary():
 NON_ASCII_DIGITS = ["\u0662", "\U0001d7da", "\u07c2", "\u00b2"]
 
 
-@pytest.mark.parametrize("bad", ["", "3//2", "1+", "abc", "1+2", "1/0", "2x", "1+1i3"] + NON_ASCII_DIGITS)
+# Only space, tab, LF and CR are trimmed: a file separator, NEL, an
+# ideographic space or a no-break space is read as a character of the scalar.
+UNICODE_SPACES = ["\x1c3\x85", "  2\u3000", "\xa02", "2\x0b", "\u20283"]
+
+
+@pytest.mark.parametrize("bad", ["", "3//2", "1+", "abc", "1+2", "1/0", "2x", "1+1i3"] + NON_ASCII_DIGITS
+                         + UNICODE_SPACES)
 def test_parse_errors(bad):
     with pytest.raises(ParseError) as err:
         parse_scalar(bad)
     assert err.value.position >= 0
+
+
+def test_only_ascii_whitespace_is_trimmed():
+    from qact.scalars import scalar_from_json
+
+    assert parse_scalar(" \t\n\r3/2-1/2i\r\n\t ") == Scalar(3, -1, 2)
+    for text, error, position in (("\x1c3\x85", "expected digits", 0),
+                                  ("  2\u3000", "unexpected trailing characters", 3),
+                                  ("\xa02", "expected digits", 0),
+                                  ("2\x0b", "unexpected trailing characters", 1),
+                                  (" \u20283", "expected digits", 1)):
+        with pytest.raises(ParseError) as err:
+            parse_scalar(text)
+        assert (str(err.value), err.value.position) == (f"{error} (position {position})", position), repr(text)
+    for data, field, text, error in (("\xa02", "q", "\xa02", "expected digits (position 0)"),
+                                     ({"re": "2\u3000"}, "q.re", "2\u3000",
+                                      "unexpected trailing characters (position 1)")):
+        with pytest.raises(ParseError) as err:
+            scalar_from_json(data, "q")
+        assert str(err.value) == f"{field}: {error} in {text!r}"
 
 
 @pytest.mark.parametrize("digit", NON_ASCII_DIGITS)

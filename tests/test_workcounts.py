@@ -36,22 +36,25 @@ def counts(monkeypatch):
     row products: linalg._product_rows, the loop of Mat.__mul__ and of the
     kernel solve's rows x basis products and recombinations, of Sylvester
     systems: linalg._sylvester_system, a later map L X - X R of
-    solve_homogeneous evaluated on the kernel basis, of kernel solves:
+    solve_homogeneous evaluated on the kernel basis, of first maps reduced:
+    linalg._operator_rows as the kernel solve calls it, of kernel solves:
     linalg.solve_homogeneous, of zero tests of sums of products:
-    linalg.products_vanish, one per identity checked, and of the operator
-    algebra closure's products g x: linalg._left_product.
+    linalg.products_vanish, one per identity checked, of the operator
+    algebra closure's products g x: linalg._left_product, and of spectral
+    pins: action._spectral_pin, wherever it is called.
 
     The fused kernel minus_product (x - y*f) hides a product, and so do the
     row product, the Sylvester system, the zero test and the closure product,
     which sum each entry on plain ints; so each is counted under its own key.
     """
     tally = {"mul": 0, "sub": 0, "inv": 0, "minus_product": 0, "mat_mul": 0, "mat_add": 0, "det": 0,
-             "power_traces": 0, "row_products": 0, "sylvester": 0, "solve": 0, "vanish": 0, "closure": 0}
+             "power_traces": 0, "row_products": 0, "sylvester": 0, "first": 0, "solve": 0, "vanish": 0, "closure": 0,
+             "pins": 0}
 
     def counted(op, key):
-        def call(*args):
+        def call(*args, **kwargs):
             tally[key] += 1
-            return op(*args)
+            return op(*args, **kwargs)
 
         return call
 
@@ -59,14 +62,16 @@ def counts(monkeypatch):
         monkeypatch.setattr(Scalar, name, counted(getattr(Scalar, name), key))
     for name, key in (("__mul__", "mat_mul"), ("__add__", "mat_add")):
         monkeypatch.setattr(Mat, name, counted(getattr(Mat, name), key))
-    for attr, key in (("det", "det"), ("products_vanish", "vanish"), ("solve_homogeneous", "solve")):
-        op = getattr(linalg, attr)
+    for owner, attr, key in ((linalg, "det", "det"), (linalg, "products_vanish", "vanish"),
+                             (linalg, "solve_homogeneous", "solve"), (action_module, "_spectral_pin", "pins")):
+        op = getattr(owner, attr)
         for name, module in list(sys.modules.items()):
             if (name == "qact" or name.startswith("qact.")) and getattr(module, attr, None) is op:
                 monkeypatch.setattr(module, attr, counted(op, key))
     monkeypatch.setattr(action_module, "_power_traces", counted(action_module._power_traces, "power_traces"))
     monkeypatch.setattr(linalg, "_product_rows", counted(linalg._product_rows, "row_products"))
     monkeypatch.setattr(linalg, "_sylvester_system", counted(linalg._sylvester_system, "sylvester"))
+    monkeypatch.setattr(linalg, "_operator_rows", counted(linalg._operator_rows, "first"))
     monkeypatch.setattr(linalg, "_left_product", counted(linalg._left_product, "closure"))
     return tally
 
@@ -75,20 +80,28 @@ def test_verify_table_work(q2, counts):
     default_model()  # built once per process, so kept out of the count
     counts.update(dict.fromkeys(counts, 0))
     assert verify_table(q2).ok
-    # Measured: 3,898 multiplications and 765 subtractions, with 2,428 fused
-    # x - y*f (4,053 and 2,761 with dense eliminations and the closure by
-    # rounds).  Each checked identity among products is one zero test that
-    # forms no product matrix, the power traces and the determinants of A11
-    # and A22 are summed on Gaussian integers once per representation, and
-    # each self pair reads its entry's centralizer as its intertwiner space
-    # under the scales (1, 1).  640 of the subtractions are the 16 diagonal
-    # entries of each L_ii - 1.
-    assert counts["mul"] <= 4_093
+    # Measured: 3,397 multiplications and 776 subtractions, with 2,285 fused
+    # x - y*f (3,919 and 2,428 when each solve reduced its own first map;
+    # 4,053 and 2,761 with dense eliminations and the closure by rounds).
+    # Each checked identity among products is one zero test that forms no
+    # product matrix, and the power traces and the determinants of A11 and
+    # A22 are summed on Gaussian integers once per representation.  640 of
+    # the subtractions are the 16 diagonal entries of each L_ii - 1.
+    assert counts["mul"] <= 3_567
     assert counts["sub"] <= 804
-    assert counts["minus_product"] <= 2_550
-    # 39 kernel solves: the 20 centralizers and the 19 pairs whose spectra
-    # match and whose one candidate leaves no invertible intertwiner.
-    assert counts["solve"] == 39
+    assert counts["minus_product"] <= 2_399
+    # The call's kernels dict solves each shared prefix of maps once: the 59
+    # kernel solves (the 20 centralizers, the 20 self pairs and the 19 pairs
+    # whose spectra match and whose one candidate leaves no invertible
+    # intertwiner) reduce 9 distinct first maps, not 39, and evaluate 67
+    # later maps, not 112.  A self pair's candidate (1, 1) is its entry's
+    # centralizer, and a G entry's maps begin with its S entry's.
+    assert counts["first"] == 9
+    assert counts["sylvester"] == 67
+    # The entries fall into 5 classes of A11 spectra up to scale: each is
+    # pinned against one leader per class found so far, and only the 54
+    # pairs inside a class take their two pins (264 with every pair decided).
+    assert counts["pins"] <= 155
     # Measured: 164 matrix products and 114 matrix sums, the evaluator's
     # included.  The product bound is the count itself.  None is in a
     # relation, counit or witness check, and none is the closure's (728 when
@@ -103,19 +116,31 @@ def test_verify_table_work(q2, counts):
     # span of 1, A11 and A12 for 17 entries, so 3 sum(dim R - 1) = 363, and
     # 19 more for S2a, S2a' and S2b, whose 4 generators are independent.
     assert counts["closure"] == 382
-    # Measured: 311 row products, the 120 matrix products and 191 of the
-    # kernel solves (875 with the closure's 564), and 112 Sylvester systems.
-    assert counts["row_products"] <= 327
-    assert counts["sylvester"] <= 118
+    # Measured: 285 row products, the 120 matrix products and 165 of the
+    # kernel solves (849 with the closure's 564; 311 when each solve reduced
+    # its own first map).
+    assert counts["row_products"] <= 299
     # 480 zero tests: for each of the 20 entries 6 relations, 6 operator
     # relations and 8 counit identities, and 4 blocks of each self-witness.
     assert counts["vanish"] == 480
     # Power traces of A11 and A22, once for each of the 20 representations.
     assert counts["power_traces"] == 40
-    # Measured: 20 determinants, one per self-witness, and 1,001 inversions
-    # (1,043 with dense eliminations).
+    # Measured: 20 determinants, one per self-witness, and 665 inversions
+    # (995 when each solve reduced its own first map, 1,043 with dense
+    # eliminations).
     assert counts["det"] <= 21
-    assert counts["inv"] <= 1_052
+    assert counts["inv"] <= 698
+
+
+def test_no_kernel_is_shared_between_calls(q2, counts):
+    """A second verify_table does the work of the first: its kernels dict dies with the call."""
+    assert verify_table(q2).ok  # texts parsed and the Clifford model built, which later calls reuse
+    work = []
+    for _ in range(2):
+        counts.update(dict.fromkeys(counts, 0))
+        assert verify_table(q2).ok
+        work.append(dict(counts))
+    assert work[0] == work[1] and work[0]["first"] == 9
 
 
 def test_table_texts_are_parsed_once(q2, monkeypatch):
