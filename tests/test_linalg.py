@@ -22,9 +22,9 @@ from helpers import (
     dense_sub,
     is_nilpotent,
     jordan,
+    random_dense_invertible,
     random_low_rank,
     random_mat,
-    random_dense_invertible,
     random_nonzero_scalar,
     random_scalar,
     reference_algebra_closure,
@@ -34,6 +34,7 @@ from helpers import (
 )
 from qact import (
     DimensionMismatch,
+    EquivalenceWitness,
     GLqRep,
     Mat,
     Scalar,
@@ -494,10 +495,8 @@ def test_blockwise_solve_skips_zero_and_settled_blocks(monkeypatch):
 @lru_cache(maxsize=None)
 def _block_pairs() -> tuple:
     """(r1, r2) pairs whose intertwiner maps share prefixes: each table entry at q = 2 with itself, S1 with
-    G1b, S3 with G3b, and S6 with G6 in both orders, and each of 8 entries with its dense conjugate under the
+    G1b, S3 with G3b, and S6 with G6 in both orders, and each of 7 entries with its dense conjugate under the
     scales (2, i)."""
-    from qact import EquivalenceWitness
-
     q = validate_q(2)
     reps = {eid: instantiate(eid, q) for eid in ENTRY_ORDER}
     pairs = [(rep, rep) for rep in reps.values()]
@@ -529,15 +528,15 @@ def shared_prefix_solves(draw):
     return solves
 
 
+_SHARED_KERNELS = {}  # kept across the examples of test_shared_kernels_give_the_unshared_solve
+
+
 @settings(max_examples=60, deadline=None)
 @given(shared_prefix_solves())
 def test_shared_kernels_give_the_unshared_solve(solves):
     """One kernels dict across every solve of the draw, and across the draws, gives each solve's own space."""
     for maps in solves:
         assert solve_homogeneous(maps, kernels=_SHARED_KERNELS) == solve_homogeneous(maps)
-
-
-_SHARED_KERNELS = {}  # kept across the examples of test_shared_kernels_give_the_unshared_solve
 
 
 operator_terms = st.sampled_from((2, 3, 4)).flatmap(map_terms)
