@@ -39,10 +39,8 @@ inverse: as det u != 0, that says alpha u A u^-1 = A'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from typing import Union
 
 from .linalg import (
     Kernels,
@@ -60,19 +58,21 @@ from .linalg import (
 )
 from .qrep import Blocks, DeterminantSingular, GLqRep, _relation_report, antipode, quantum_determinant
 from .report import Report
-from .scalars import ONE, ZERO, Scalar, exact_sqrt
+from .scalars import ONE, ZERO, Record, Scalar, exact_sqrt
 
 
 class Unsupported(ValueError):
     """The pair is not decided: both spectra match, but under a scale outside Q(i)."""
 
 
-@dataclass(frozen=True)
 class InnerAction:
-    """The action a_ij . v = sum_k A_ik v S_kj, held as its starred blocks S_kj."""
+    """The action a_ij . v = sum_k A_ik v S_kj, held as its starred blocks S_kj.
 
-    rep: GLqRep
-    starred: Blocks
+    It has no __slots__: cached_property keeps operators in the instance __dict__.
+    """
+
+    def __init__(self, rep: GLqRep, starred: Blocks):
+        self.rep, self.starred = rep, starred
 
     @cached_property
     def operators(self) -> tuple[list[dict[int, Scalar]], ...]:
@@ -155,18 +155,14 @@ def action_fixed_points(action: InnerAction) -> Subspace:
 # -- equivalence -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EquivalenceWitness:
     """Data (u, alpha1, alpha2) realizing the equivalence of two actions."""
 
-    u: Mat
-    alpha1: Scalar
-    alpha2: Scalar
-    candidates_tried: int = 0
+    __slots__ = ("u", "alpha1", "alpha2", "candidates_tried")
+    equivalent = True
 
-    @property
-    def equivalent(self) -> bool:
-        return True
+    def __init__(self, u: Mat, alpha1: Scalar, alpha2: Scalar, candidates_tried: int = 0):
+        self.u, self.alpha1, self.alpha2, self.candidates_tried = u, alpha1, alpha2, candidates_tried
 
     def apply(self, rep: GLqRep) -> GLqRep:
         uinv = mat_inverse(self.u)
@@ -189,16 +185,14 @@ class EquivalenceWitness:
         }
 
 
-@dataclass(frozen=True)
-class NotEquivalent:
+class NotEquivalent(Record):
     """Certificate that no equivalence exists; counts the candidates ruled out."""
 
-    candidates_tried: int
-    obstruction: str = "exhausted"
+    __slots__ = ("candidates_tried", "obstruction")
+    equivalent = False
 
-    @property
-    def equivalent(self) -> bool:
-        return False
+    def __init__(self, candidates_tried: int, obstruction: str = "exhausted"):
+        self.candidates_tried, self.obstruction = candidates_tried, obstruction
 
     def to_json(self) -> dict:
         return {
@@ -208,7 +202,7 @@ class NotEquivalent:
         }
 
 
-Verdict = Union[EquivalenceWitness, NotEquivalent]
+Verdict = EquivalenceWitness | NotEquivalent
 
 
 PowerTraces = tuple[Scalar, Scalar, Scalar, Scalar]
@@ -254,15 +248,16 @@ def _power_traces(x: Mat) -> tuple[PowerTraces, Scalar]:
     return traces, Scalar(da, db, 24 * den ** 4)
 
 
-@dataclass(frozen=True)
 class SpectralData:
     """The power traces p_k = tr(x^k), k = 1..4, and the determinants of the diagonal blocks A11 and A22, in that order.
 
     The power traces fix each block's 4x4 spectrum, and with it the determinant.
     """
 
-    traces: tuple[PowerTraces, PowerTraces]
-    dets: tuple[Scalar, Scalar]
+    __slots__ = ("traces", "dets")
+
+    def __init__(self, traces: tuple[PowerTraces, PowerTraces], dets: tuple[Scalar, Scalar]):
+        self.traces, self.dets = traces, dets
 
     def to_json(self) -> dict:
         return {name: {"power_traces": [p.to_json() for p in self.traces[block]], "det": self.dets[block].to_json()}

@@ -26,8 +26,7 @@ cross-checks both reconstructions in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional
+from collections.abc import Iterable, Mapping
 
 from .action import (
     InnerAction,
@@ -79,7 +78,6 @@ def table_names(q: Scalar, params: Params) -> dict[str, Scalar | Mat]:
     return {**UNIT_NAMES, "q": q, **params}
 
 
-@dataclass(frozen=True)
 class TableEntry:
     """One entry of the table: how to build its representation, and what it claims, all as text.
 
@@ -98,26 +96,32 @@ class TableEntry:
     derived from its blocks.
     """
 
-    entry_id: str
-    expected_detq: str
-    expected_dim_r: int
-    expected_r_basis: tuple[str, ...]
-    expected_inv_basis: tuple[str, ...]
-    invariant_type: str
-    # Gamma expressions that span the invariants with 1; none where the
-    # invariants are the scalars.
-    gamma_invariants: tuple[str, ...] = ()
-    params: tuple[str, ...] = ()
-    exclusions: Mapping[str, str] = field(default_factory=dict)
-    form: Optional[int] = None
-    # S entries: the texts of A12, A21 and A22 - A11^-1.
-    blocks: tuple[str, ...] = ()
-    connected_to: Optional[str] = None
-    a22_increment: Optional[str] = None
-    # S entries: sample canonical determinants, one per projective class shape
-    # of the invariants (a diagonal choice, and the unipotent one where they
-    # have a nilpotent part); empty where the invariants are the scalars.
-    canonical_dets: tuple[str, ...] = ()
+    __slots__ = ("entry_id", "expected_detq", "expected_dim_r", "expected_r_basis", "expected_inv_basis",
+                 "invariant_type", "gamma_invariants", "params", "exclusions", "form", "blocks", "connected_to",
+                 "a22_increment", "canonical_dets")
+
+    def __init__(self, entry_id: str, expected_detq: str, expected_dim_r: int, expected_r_basis: tuple[str, ...],
+                 expected_inv_basis: tuple[str, ...], invariant_type: str, gamma_invariants: tuple[str, ...] = (),
+                 params: tuple[str, ...] = (), exclusions: Mapping[str, str] | None = None, form: int | None = None,
+                 blocks: tuple[str, ...] = (), connected_to: str | None = None, a22_increment: str | None = None,
+                 canonical_dets: tuple[str, ...] = ()):
+        self.entry_id, self.expected_detq, self.expected_dim_r = entry_id, expected_detq, expected_dim_r
+        self.expected_r_basis, self.expected_inv_basis = expected_r_basis, expected_inv_basis
+        self.invariant_type = invariant_type
+        # Gamma expressions that span the invariants with 1; none where the
+        # invariants are the scalars.
+        self.gamma_invariants = gamma_invariants
+        self.params, self.exclusions, self.form = params, {} if exclusions is None else exclusions, form
+        # S entries: the texts of A12, A21 and A22 - A11^-1.
+        self.blocks, self.connected_to, self.a22_increment = blocks, connected_to, a22_increment
+        # S entries: sample canonical determinants, one per projective class shape
+        # of the invariants (a diagonal choice, and the unipotent one where they
+        # have a nilpotent part); empty where the invariants are the scalars.
+        self.canonical_dets = canonical_dets
+
+    def replace(self, **changes) -> TableEntry:
+        """A copy with the given fields changed; TypeError for a name that is not a field."""
+        return TableEntry(**{**{name: getattr(self, name) for name in self.__slots__}, **changes})
 
     def representation(self, q: DeformationParameter, params: Params) -> GLqRep:
         """The entry's matrices at resolved parameters; relations are not checked."""
@@ -145,7 +149,7 @@ ENTRIES: dict[str, TableEntry] = {}
 def _register(entry: TableEntry):
     if entry.connected_to is not None:
         base = ENTRIES[entry.connected_to]
-        entry = replace(entry, params=base.params + entry.params, exclusions={**base.exclusions, **entry.exclusions})
+        entry = entry.replace(params=base.params + entry.params, exclusions={**base.exclusions, **entry.exclusions})
     ENTRIES[entry.entry_id] = entry
 
 
@@ -470,8 +474,8 @@ def get_entry(entry_id: str) -> TableEntry:
 def resolve_params(
     entry: TableEntry,
     q: DeformationParameter,
-    overrides: Optional[Mapping[str, object]] = None,
-    policy: Optional[Mapping[str, object]] = None,
+    overrides: Mapping[str, object] | None = None,
+    policy: Mapping[str, object] | None = None,
 ) -> dict[str, Scalar]:
     """A full, constraint-checked parameter assignment for an entry.
 
@@ -509,14 +513,13 @@ def resolve_params(
 def instantiate(
     entry_id: str,
     q: DeformationParameter,
-    params: Optional[Mapping[str, object]] = None,
+    params: Mapping[str, object] | None = None,
 ) -> GLqRep:
     """Concrete representation for a table entry; relations are verified."""
     entry = get_entry(entry_id)
     return require_representation(entry.representation(q, resolve_params(entry, q, params)))
 
 
-@dataclass(frozen=True)
 class EntryCheck:
     """One entry's battery: its parameters, representation and report.
 
@@ -526,12 +529,12 @@ class EntryCheck:
     stated invariants, and verify_determinant_invariants reads it again.
     """
 
-    entry_id: str
-    params: dict[str, Scalar]
-    rep: GLqRep
-    report: Report
-    invariants: Optional[Subspace] = None
-    detq: Optional[Mat] = None
+    __slots__ = ("entry_id", "params", "rep", "report", "invariants", "detq")
+
+    def __init__(self, entry_id: str, params: dict[str, Scalar], rep: GLqRep, report: Report,
+                 invariants: Subspace | None = None, detq: Mat | None = None):
+        self.entry_id, self.params, self.rep, self.report = entry_id, params, rep, report
+        self.invariants, self.detq = invariants, detq
 
     def to_json(self) -> dict:
         return {
@@ -545,10 +548,10 @@ class EntryCheck:
 def check_entry(
     entry_id: str,
     q: DeformationParameter,
-    params: Optional[Mapping[str, object]] = None,
-    policy: Optional[Mapping[str, object]] = None,
+    params: Mapping[str, object] | None = None,
+    policy: Mapping[str, object] | None = None,
     *,
-    kernels: Optional[Kernels] = None,
+    kernels: Kernels | None = None,
 ) -> EntryCheck:
     """Run the full battery of checks for one table entry, keeping its facts; kernels goes to its centralizer."""
     entry = get_entry(entry_id)
@@ -617,7 +620,7 @@ def _first_bad(report: Report) -> str:
     return "" if bad is None else bad.name
 
 
-def verify_distinctness(reps: Mapping[str, GLqRep], *, kernels: Optional[Kernels] = None) -> Report:
+def verify_distinctness(reps: Mapping[str, GLqRep], *, kernels: Kernels | None = None) -> Report:
     """Pairwise non-equivalence of the given entries, plus self-witnesses; spectral data once per entry.
 
     The entries fall into classes: an entry joins the first class whose
@@ -670,14 +673,15 @@ def verify_determinant_invariants(checks: Iterable[EntryCheck]) -> Report:
     return report
 
 
-@dataclass(frozen=True)
 class TableCheck:
     """The battery of every entry, pairwise distinctness, and the G-entry invariants."""
 
-    q: DeformationParameter
-    entries: tuple[EntryCheck, ...]
-    distinctness: Report
-    determinant_invariants: Report
+    __slots__ = ("q", "entries", "distinctness", "determinant_invariants")
+
+    def __init__(self, q: DeformationParameter, entries: tuple[EntryCheck, ...], distinctness: Report,
+                 determinant_invariants: Report):
+        self.q, self.entries = q, entries
+        self.distinctness, self.determinant_invariants = distinctness, determinant_invariants
 
     @property
     def ok(self) -> bool:
@@ -693,7 +697,7 @@ class TableCheck:
         }
 
 
-def verify_table(q: DeformationParameter, policy: Optional[Mapping[str, object]] = None) -> TableCheck:
+def verify_table(q: DeformationParameter, policy: Mapping[str, object] | None = None) -> TableCheck:
     """The whole table in one pass: each entry is resolved, built and checked once.
 
     Distinctness and the determinant invariants reuse the representations,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from . import catalog
 from .action import Unsupported, build_action, decide_equivalence, operator_algebra, verify_module_algebra
@@ -39,7 +38,7 @@ from .scalars import (
 
 
 class UsageError(ValueError):
-    def __init__(self, message: str, position: Optional[int] = None):
+    def __init__(self, message: str, position: int | None = None):
         super().__init__(message)
         self.position = position
 
@@ -288,7 +287,7 @@ def _attach_q_values(argv: list[str]) -> list[str]:
     return joined
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(_attach_q_values(sys.argv[1:] if argv is None else argv))
         doc, code = _COMMANDS[args.command](args)

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import ast
 import operator
+from collections.abc import Mapping
 from functools import lru_cache
-from typing import Mapping
 
 from .linalg import Mat, products_vanish, sparse_rows
 from .report import Report

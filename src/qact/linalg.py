@@ -33,10 +33,10 @@ first nonzero entry, without building any product.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from itertools import combinations_with_replacement
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .scalars import ONE, ZERO, ParseError, Scalar, _alloc, as_scalar, format_scalar, scalar_from_json
 
@@ -511,7 +511,7 @@ def _operator_rows(terms: Terms, n: int) -> list[dict[int, Scalar]]:
 Kernels = dict
 
 
-def solve_homogeneous(maps: Sequence[tuple[Mat, Mat]], *, kernels: Optional[Kernels] = None) -> Subspace:
+def solve_homogeneous(maps: Sequence[tuple[Mat, Mat]], *, kernels: Kernels | None = None) -> Subspace:
     """The X with L X = X R for every map (L, R), all of one size: the common kernel of the maps X -> L X - X R.
 
     A map with L = R = c I is zero and is skipped; the map X -> L X - X R is
@@ -672,7 +672,7 @@ def _free_basis(rows: Iterable[Row], width: int) -> list[list[Scalar]]:
     return list(basis.values())
 
 
-def centralizer(generators: Sequence[Mat], *, kernels: Optional[Kernels] = None) -> Subspace:
+def centralizer(generators: Sequence[Mat], *, kernels: Kernels | None = None) -> Subspace:
     """RREF basis of {X : XG = GX for every generator G}; kernels is solve_homogeneous's."""
     generators = list(generators)
     if not generators:
@@ -754,7 +754,7 @@ def _left_product(columns: list[list[tuple[int, int, int, int]]], x: Row, n: int
     return y
 
 
-def invertible_element_in(s: Subspace) -> Optional[Mat]:
+def invertible_element_in(s: Subspace) -> Mat | None:
     """Some invertible element of the subspace, or None as a certificate.
 
     det(c1*b1 + ... + cd*bd) has total degree n in the ci, and the lattice

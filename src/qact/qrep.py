@@ -26,12 +26,10 @@ invariant (DNotInvariant), before any of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import (DimensionMismatch, Mat, Singular, SparseRows, centralizer, det, mat_inverse, products_vanish,
                      sparse_rows)
 from .report import Report
-from .scalars import ONE, ZERO, DeformationParameter, ParseError, Scalar, scalar_from_json
+from .scalars import ONE, ZERO, DeformationParameter, ParseError, Record, Scalar, scalar_from_json
 
 
 Blocks = tuple[tuple[Mat, Mat], tuple[Mat, Mat]]
@@ -53,15 +51,16 @@ class DNotInvariant(ValueError):
     """The attached determinant must commute with all four generators."""
 
 
-@dataclass(frozen=True)
-class GLqRep:
-    """Matrices of the four generators, with the deformation parameter."""
+class GLqRep(Record):
+    """Matrices of the four generators, all 4x4, with the deformation parameter; DimensionMismatch otherwise."""
 
-    a11: Mat
-    a12: Mat
-    a21: Mat
-    a22: Mat
-    q: DeformationParameter
+    __slots__ = ("a11", "a12", "a21", "a22", "q")
+
+    def __init__(self, a11: Mat, a12: Mat, a21: Mat, a22: Mat, q: DeformationParameter):
+        if not a11.n == a12.n == a21.n == a22.n == 4:
+            key = next(k for k, m in zip(("A11", "A12", "A21", "A22"), (a11, a12, a21, a22)) if m.n != 4)
+            raise DimensionMismatch(f"{key}: representation matrices must be 4x4")
+        self.a11, self.a12, self.a21, self.a22, self.q = a11, a12, a21, a22, q
 
     def matrices(self) -> tuple[Mat, Mat, Mat, Mat]:
         return (self.a11, self.a12, self.a21, self.a22)
@@ -85,22 +84,16 @@ class GLqRep:
         if not isinstance(data, dict):
             raise ParseError("representation must be a JSON object")
         q = DeformationParameter(scalar_from_json(data["q"], "q"))
-        mats = {key: Mat.from_json(data[key], key) for key in ("A11", "A12", "A21", "A22")}
-        for key, m in mats.items():
-            if m.n != 4:
-                raise DimensionMismatch(f"{key}: representation matrices must be 4x4")
-        return cls(*mats.values(), q=q)
+        return cls(*(Mat.from_json(data[key], key) for key in ("A11", "A12", "A21", "A22")), q=q)
 
 
-@dataclass(frozen=True)
 class RqRep:
     """Representation of R_q: the same spinor system with commuting diagonal."""
 
-    a11: Mat
-    a12: Mat
-    a21: Mat
-    r22: Mat
-    q: DeformationParameter
+    __slots__ = ("a11", "a12", "a21", "r22", "q")
+
+    def __init__(self, a11: Mat, a12: Mat, a21: Mat, r22: Mat, q: DeformationParameter):
+        self.a11, self.a12, self.a21, self.r22, self.q = a11, a12, a21, r22, q
 
 
 GLQ_RELATIONS = (

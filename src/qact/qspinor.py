@@ -12,8 +12,6 @@ entry are built from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .clifford import eval_expr
 from .linalg import Mat, Subspace, products_vanish, solve_homogeneous, sparse_rows
 from .report import Report
@@ -31,11 +29,11 @@ def space_square_nonzero(s: Subspace) -> bool:
     return not all(products_vanish([(ONE, x, y)]) for x in rows for y in rows)
 
 
-@dataclass(frozen=True)
 class CanonicalForm:
-    form_id: int
-    a: Mat
-    expected_basis: tuple[Mat, ...]
+    __slots__ = ("form_id", "a", "expected_basis")
+
+    def __init__(self, form_id: int, a: Mat, expected_basis: tuple[Mat, ...]):
+        self.form_id, self.a, self.expected_basis = form_id, a, expected_basis
 
     @property
     def expected_dim(self) -> int:

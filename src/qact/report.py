@@ -2,22 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
 class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name, self.passed, self.detail = name, passed, detail
 
     def to_json(self) -> dict:
         return {"name": self.name, "pass": self.passed, "detail": self.detail}
 
 
-@dataclass
 class Report:
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[Check] | None = None):
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:

@@ -14,11 +14,10 @@ in place.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Callable, Optional, Union
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -35,7 +34,7 @@ class ParseError(ValueError):
     Carries the failure position in the text, or None if unknown.
     """
 
-    def __init__(self, message: str, position: Optional[int] = None):
+    def __init__(self, message: str, position: int | None = None):
         super().__init__(message if position is None else f"{message} (position {position})")
         self.position = position
 
@@ -218,7 +217,7 @@ def _new(a: int, b: int, d: int) -> Scalar:
     return s
 
 
-def _coerce(x) -> Union[Scalar, None]:
+def _coerce(x) -> Scalar | None:
     if x.__class__ is Scalar:
         return x
     if isinstance(x, int):
@@ -251,7 +250,7 @@ def smallest_admissible(admissible: Callable[[Scalar], bool]) -> Scalar:
     return as_scalar(n)
 
 
-def exact_sqrt(z: Scalar) -> Optional[Scalar]:
+def exact_sqrt(z: Scalar) -> Scalar | None:
     """A square root of z in Q(i), or None if z has none.
 
     For z = (m + n*i)/d^2 a root is (x + y*i)/d, x^2 = (|m+ni| + m)/2, y^2 = (|m+ni| - m)/2.
@@ -382,6 +381,27 @@ def _rational_from_json(value, field: str) -> Scalar:
     return s
 
 
+class Record:
+    """Equality and hash field by field, over __slots__, for the records that callers compare.
+
+    qact's records are plain classes with __slots__, immutable by
+    convention as Mat is.  Records of different classes are never equal.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
 # -- deformation parameter -------------------------------------------------------
 
 # The only roots of unity in Q(i) are 1, -1, i, -i, so excluding these five
@@ -389,15 +409,15 @@ def _rational_from_json(value, field: str) -> Scalar:
 EXCLUDED_Q = (ZERO, ONE, _new(-1, 0, 1), I, _new(0, -1, 1))
 
 
-@dataclass(frozen=True)
-class DeformationParameter:
+class DeformationParameter(Record):
     """A validated deformation parameter q with q^m != 1 for all m >= 1."""
 
-    q: Scalar
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        if self.q in EXCLUDED_Q:
-            raise InvalidQ(f"q = {format_scalar(self.q)} is zero or a root of unity")
+    def __init__(self, q: Scalar):
+        if q in EXCLUDED_Q:
+            raise InvalidQ(f"q = {format_scalar(q)} is zero or a root of unity")
+        self.q = q
 
     @property
     def inv(self) -> Scalar:

@@ -533,6 +533,11 @@ def test_different_q_is_a_q_obstruction(q2, q3):
     assert verdict.to_json() == {"equivalent": False, "candidates_tried": 0, "obstruction": "q"}
 
 
+def test_certificates_compare_field_by_field():
+    assert NotEquivalent(3) == NotEquivalent(3, "exhausted") and hash(NotEquivalent(3)) == hash(NotEquivalent(3))
+    assert NotEquivalent(3) != NotEquivalent(3, "spectrum") and NotEquivalent(3) != NotEquivalent(4)
+
+
 def test_not_equivalent_json(q2):
     verdict = decide_equivalence(instantiate("S1", q2), instantiate("S4a", q2))
     assert isinstance(verdict, NotEquivalent)

@@ -5,6 +5,7 @@ import pytest
 from qact import (
     ConstraintViolated,
     Mat,
+    TableEntry,
     Scalar,
     UnknownEntry,
     as_scalar,
@@ -32,6 +33,17 @@ def test_entry_order_and_count():
     assert len(ENTRY_ORDER) == 20
     assert sum(1 for e in ENTRY_ORDER if e.startswith("S")) == 11
     assert sum(1 for e in ENTRY_ORDER if e.startswith("G")) == 9
+
+
+def test_entry_replace_keeps_the_other_fields():
+    g3b = get_entry("G3b")
+    changed = g3b.replace(a22_increment="e12", params=("xi",))
+    assert (changed.a22_increment, changed.params) == ("e12", ("xi",))
+    assert (g3b.a22_increment, g3b.params) == ("e12/(q*q)", ("alpha",))
+    assert all(getattr(changed, name) is getattr(g3b, name) for name in TableEntry.__slots__
+               if name not in ("a22_increment", "params"))
+    with pytest.raises(TypeError):
+        g3b.replace(a22_incremnt="e12")
 
 
 def test_s1_instantiation_example(q2):

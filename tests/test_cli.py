@@ -3,7 +3,6 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -71,7 +70,7 @@ def test_clifford_selftest_reports_a_broken_model(capsys, monkeypatch):
 def test_failed_determinant_check_names_both_matrices(capsys, monkeypatch):
     # G3b's increment q^-2 e12 is the one its determinant column 1 + e12 forces;
     # with e12 instead, det_q = 1 + q^2 e12.
-    g3b = replace(ENTRIES["G3b"], a22_increment="e12")
+    g3b = ENTRIES["G3b"].replace(a22_increment="e12")
     monkeypatch.setitem(ENTRIES, "G3b", g3b)
     code, doc = run_json(capsys, "verify-table", "--entry", "G3b", "--q", "2")
     assert code == 1

@@ -13,6 +13,7 @@ from helpers import (
 from qact import (
     A11Singular,
     DeterminantSingular,
+    DimensionMismatch,
     DNotInvariant,
     EquivalenceWitness,
     GLqRep,
@@ -288,3 +289,31 @@ def test_det_attach_round_trip_on_invariants(q2, rng):
 def test_rep_json_round_trip(q2):
     rep = instantiate("G6", q2)
     assert GLqRep.from_json(rep.to_json()) == rep
+
+
+@pytest.mark.parametrize("a11, a22", [(Mat.diag(2, 3), Mat.diag(5, 7)), (Mat.diag(2, 3, 5), Mat.diag(5, 7, 11))],
+                         ids=["2x2", "3x3"])
+def test_representation_matrices_must_be_4x4(q2, a11, a22):
+    """Another size is refused where the record is made, naming the first such block of A11, A12, A21, A22.
+
+    The action and the power traces of decide_equivalence are 4x4 only: (diag(2, 3), 0, 0, diag(5, 7))
+    satisfies the six relations at q = 2 with det A11 = 6, yet its determinants were read as 0.
+    """
+    zero = Mat.zero(a11.n)
+    with pytest.raises(DimensionMismatch, match=r"^A11: representation matrices must be 4x4$"):
+        GLqRep(a11, zero, zero, a22, q2)
+    for k, key in enumerate(("A11", "A12", "A21", "A22")):
+        blocks = [E4, E4, E4, E4]
+        blocks[k] = a11
+        with pytest.raises(DimensionMismatch, match=rf"^{key}: representation matrices must be 4x4$"):
+            GLqRep(*blocks, q2)
+
+
+def test_representations_compare_field_by_field(q2, q3):
+    rep = instantiate("S1", q2)
+    same = GLqRep(*rep.matrices(), validate_q(2))
+    assert same == rep and hash(same) == hash(rep)
+    assert GLqRep(*rep.matrices(), q3) != rep
+    assert GLqRep(rep.a11, rep.a12, rep.a21, rep.a22.scale(2), q2) != rep
+    rq = RqRep(*rep.matrices(), q2)
+    assert rq != rep and rep != rq

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qact import (
+    DeformationParameter,
     DivisionByZero,
     InvalidQ,
     ParseError,
@@ -276,6 +277,12 @@ def test_validate_q_accepts_and_rejects():
     for bad in (0, 1, -1, I, -I):
         with pytest.raises(InvalidQ):
             validate_q(bad)
+
+
+def test_deformation_parameters_compare_by_value():
+    assert DeformationParameter(2) == DeformationParameter(Scalar(2)) == validate_q("2")
+    assert hash(DeformationParameter(2)) == hash(DeformationParameter(Scalar(2))) == hash(validate_q("2"))
+    assert validate_q(2) != validate_q(3) and validate_q(2) != Scalar(2)
 
 
 def test_validate_q_rejects_exactly_the_roots_of_unity():

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -71,7 +70,7 @@ def test_verify_all_reports_a_failing_canonical_form(capsys, monkeypatch):
 
 def test_verify_all_reports_a_failing_table_entry(capsys, monkeypatch):
     # G3b's increment q^-2 e12 is the one its determinant column 1 + e12 forces.
-    g3b = replace(ENTRIES["G3b"], a22_increment="e12")
+    g3b = ENTRIES["G3b"].replace(a22_increment="e12")
     monkeypatch.setitem(ENTRIES, "G3b", g3b)
     verify_all = load_script("verify_all")
     assert verify_all.main(["--q", "2"]) == 1

@@ -3,8 +3,6 @@ the mutants of its stated facts that check_entry must fail, and the mutants
 it still passes, each listed with the ROADMAP item that will close it.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from qact import Scalar, check_entry, resolve_params
@@ -79,18 +77,18 @@ def test_s2a_at_alpha_zero_excludes_no_beta(q2):
 def _mutants(entry):
     """Each stated fact changed: a block or increment doubled, a determinant off, a basis one short."""
     for k, text in enumerate(entry.blocks):
-        yield f"block {k} * 2", replace(entry, blocks=entry.blocks[:k] + (f"2*({text})",) + entry.blocks[k + 1:])
+        yield f"block {k} * 2", entry.replace(blocks=entry.blocks[:k] + (f"2*({text})",) + entry.blocks[k + 1:])
     if entry.a22_increment is not None:
-        yield "increment * 2", replace(entry, a22_increment=f"2*({entry.a22_increment})")
-    yield "det_q + e14", replace(entry, expected_detq=f"{entry.expected_detq} + e14")
-    yield "dim R + 1", replace(entry, expected_dim_r=entry.expected_dim_r + 1)
+        yield "increment * 2", entry.replace(a22_increment=f"2*({entry.a22_increment})")
+    yield "det_q + e14", entry.replace(expected_detq=f"{entry.expected_detq} + e14")
+    yield "dim R + 1", entry.replace(expected_dim_r=entry.expected_dim_r + 1)
     basis = entry.expected_r_basis
     for k, text in enumerate(basis):
-        yield f"R without {text}", replace(entry, expected_r_basis=basis[:k] + basis[k + 1:])
+        yield f"R without {text}", entry.replace(expected_r_basis=basis[:k] + basis[k + 1:])
     basis = entry.expected_inv_basis
     for k, text in enumerate(basis):
         if text != "1":
-            yield f"invariants without {text}", replace(entry, expected_inv_basis=basis[:k] + basis[k + 1:])
+            yield f"invariants without {text}", entry.replace(expected_inv_basis=basis[:k] + basis[k + 1:])
 
 
 @pytest.mark.parametrize("entry_id", ENTRY_ORDER)
@@ -108,15 +106,15 @@ def _surviving_families(entry):
     for name in entry.params:
         exclusion = entry.exclusions.get(name)
         if exclusion is not None:
-            yield f"{name} nowhere", replace(entry, exclusions={**entry.exclusions, name: "1"})
+            yield f"{name} nowhere", entry.replace(exclusions={**entry.exclusions, name: "1"})
         extra = f"({exclusion or '1'})*({name} - q*q*q*q*q*q*q)"
-        yield f"{name} at q^7", replace(entry, exclusions={**entry.exclusions, name: extra})
+        yield f"{name} at q^7", entry.replace(exclusions={**entry.exclusions, name: extra})
     dets = entry.canonical_dets
     for k, text in enumerate(dets):
-        yield f"{text} + e14", replace(entry, canonical_dets=dets[:k] + (f"{text} + e14",) + dets[k + 1:])
+        yield f"{text} + e14", entry.replace(canonical_dets=dets[:k] + (f"{text} + e14",) + dets[k + 1:])
     gammas = entry.gamma_invariants
     for k, text in enumerate(gammas):
-        yield f"2*({text})", replace(entry, gamma_invariants=gammas[:k] + (f"2*({text})",) + gammas[k + 1:])
+        yield f"2*({text})", entry.replace(gamma_invariants=gammas[:k] + (f"2*({text})",) + gammas[k + 1:])
 
 
 # Items 8 and 9: no check reads the exclusions.  "p nowhere" drops p's
