@@ -332,11 +332,12 @@ def decide_equivalence(
     different q are not equivalent: a "q" obstruction, no candidate tried.
     spectra is (spectral_data(r1), spectral_data(r2)), taken here when not
     given; a caller that decides many pairs passes it to compute each once.
-    kernels, when given, is passed to every intertwiner solve
-    (linalg.solve_homogeneous), so a caller that decides many pairs solves
-    each shared prefix of maps once: a self pair's candidate (1, 1) has the
-    maps u -> x u - u x of its centralizer.  It holds only kernels that
-    solve_homogeneous computed, so it changes no answer.
+    kernels, when given, is the tree of maps (linalg.Kernels) that every
+    intertwiner solve (linalg.solve_homogeneous) walks, so a caller that
+    decides many pairs solves each shared prefix of maps once: a self
+    pair's candidate (1, 1) has the maps u -> x u - u x of its centralizer.
+    It holds only kernels that solve_homogeneous computed, so it changes no
+    answer; without it each solve walks a fresh tree.
     The candidate scales are those under which the power traces of A11
     (alpha1) and A22 (alpha2) match.  A11 is checked, then A22: a block whose spectra
     differ is a "spectrum" obstruction, and a matched singular block raises

@@ -633,7 +633,8 @@ def verify_distinctness(reps: Mapping[str, GLqRep], *, kernels: Kernels | None =
     "spectrum" obstruction, or "q", with no candidate tried; only the pairs
     inside a class are decided.  A matched singular A11 raises
     DeterminantSingular at the leader comparison, as it would at the
-    leader's self pair.  kernels goes to every decision.
+    leader's self pair.  kernels, the tree of maps of linalg.Kernels, goes
+    to every decision.
     """
     ids = list(reps)
     spectra = {e: spectral_data(rep) for e, rep in reps.items()}
@@ -702,11 +703,12 @@ def verify_table(q: DeformationParameter, policy: Mapping[str, object] | None = 
 
     Distinctness and the determinant invariants reuse the representations,
     centralizers and quantum determinants that the battery computed.  One
-    kernels dict (linalg.solve_homogeneous) serves every centralizer and
-    intertwiner solve of this call and is dropped on return: each shared
-    prefix of maps is solved once, so a self pair's intertwiner space under
-    the scales (1, 1) is its entry's centralizer, and a G entry's solves
-    begin with its S entry's A11, A12 and A21.  A policy value applies only
+    tree of maps (linalg.Kernels), matched by the matrices themselves,
+    serves every centralizer and intertwiner solve of this call and is
+    dropped on return: each shared prefix of maps is solved once, so a self
+    pair's intertwiner space under the scales (1, 1) is its entry's
+    centralizer, and a G entry's solves begin with its S entry's A11, A12
+    and A21.  A policy value applies only
     to the entries that declare its name; a name that no entry declares
     raises ConstraintViolated.
     """

@@ -14,16 +14,16 @@ their basis that way, so subspace equality is structural equality of the
 bases; the inverse, the kernels and the closure under products use it too.
 Flattening is row-major: the matrix entry (i, j) sits at index i*n + j.  The
 rows of a map X -> sum_t a_t X b_t on flattened matrices are built sparse
-from its terms (a_t, b_t) in one place (_operator_rows).  One
-reduce-and-recombine loop finds every kernel: it reduces the first map's
-rows, and evaluates each later map on the kernel basis found so far.
-solve_rows takes maps as their rows, and solve_homogeneous takes Sylvester
-maps X -> L X - X R as the pairs (L, R); it builds the rows of the first
-one only, and evaluates each later one as L B - B R on Gaussian integers
-(_sylvester_system), with no row of it built.  A caller that makes many
-solves may pass solve_homogeneous one kernels dict, which keeps the basis
-after each prefix of maps, keyed by the maps' exact entries, so a prefix two
-solves share is solved once (_shared_kernel).  The algebra a set of
+from its terms (a_t, b_t) in one place (_operator_rows).  Both kernel
+solvers reduce the first map's rows, and cut the kernel basis found so far
+down by each later map evaluated on it (_cut_down).  solve_rows takes maps
+as their rows, and solve_homogeneous takes Sylvester maps X -> L X - X R as
+the pairs (L, R); it builds the rows of the first one only, and evaluates
+each later one as L B - B R on Gaussian integers (_sylvester_system), with
+no row of it built.  solve_homogeneous keeps the basis after each prefix of
+maps in a tree of maps (Kernels) whose children are matched by the matrices
+themselves; a caller that makes many solves may pass one, so a prefix two
+solves share is solved once.  The algebra a set of
 matrices generates is spun from 1 by a queue of words, each product reduced
 once (algebra_closure).  An identity among products
 that is only checked is tested by products_vanish, which sums
@@ -33,8 +33,7 @@ first nonzero entry, without building any product.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import partial
+from collections.abc import Iterable, Sequence
 from itertools import combinations_with_replacement
 from math import gcd, isqrt, lcm
 
@@ -503,11 +502,13 @@ def _operator_rows(terms: Terms, n: int) -> list[dict[int, Scalar]]:
     return rows
 
 
-# The kernels a caller shares between solves (solve_homogeneous).  A prefix
-# of maps (L1, R1, L2, R2, ...) not skipped, keyed by one tuple of the exact
-# (a, b, d) entries of each matrix, holds [its kernel basis, the Subspace it
-# spans once a solve has ended there, or None].  id(m) holds (m, the entries
-# of m), so each matrix is read once; m is kept, so no id is reused.
+# The kernels a caller shares between solves (solve_homogeneous): a tree of
+# maps.  The dict maps each matrix size n to its root node.  A node is a list
+# [the kernel basis after its prefix of maps not skipped (None at a root: the
+# whole space, not built), the Subspace it spans once a solve has ended there
+# or None, its children as (L, R, child node)].  A child is matched by its
+# matrices themselves, first by identity and then by equality; the tree keeps
+# them, so a fresh tree compares nothing.
 Kernels = dict
 
 
@@ -519,90 +520,59 @@ def solve_homogeneous(maps: Sequence[tuple[Mat, Mat]], *, kernels: Kernels | Non
     (L, 1) and (1, -R) and reduced; each later map is evaluated on the kernel
     basis found so far, L B - B R for each basis matrix B
     (_sylvester_system), so none of its rows is built.  Maps are read one at
-    a time, and none after the kernel is {0}.  With kernels, the basis after
-    each prefix of the maps not skipped is looked up there and stored when
-    computed (_shared_kernel).
+    a time, and none after the kernel is {0}.  The basis after each prefix of
+    the maps not skipped is a function of the prefix alone, so it is looked
+    up in the tree of kernels, the caller's or a fresh one, and added there
+    when computed; the node where the solve ends keeps its Subspace.
     """
     n = maps[0][0].n
-    one = Mat.identity(n)
-    maps = ((l, r) for l, r in maps if not (_is_scalar(l) and l == r))
-    if kernels is not None:
-        return _shared_kernel(maps, one, kernels)
-    first = next(maps, None)
-    rows = [] if first is None else _operator_rows([(first[0], one), (one, -first[1])], n)
-    return _common_kernel(rows, (partial(_sylvester_system, l, r) for l, r in maps), n * n)
-
-
-def _shared_kernel(maps: Iterator[tuple[Mat, Mat]], one: Mat, kernels: Kernels) -> Subspace:
-    """The common kernel of the Sylvester maps, each basis after a prefix read from kernels or stored there.
-
-    A basis is a function of its prefix alone: the first map's free basis,
-    cut down by each later map in turn as _common_kernel cuts it.  So a basis
-    stored by one solve is the one any other solve with that prefix computes,
-    and a prefix that holds its Subspace rebuilds nothing.  The key is the
-    exact entries, not Mat: Scalar's hash builds a Fraction.
-    """
-    n, key, entry = one.n, (), None
-    width = n * n
+    one, width = Mat.identity(n), n * n
+    node = (kernels if kernels is not None else {}).setdefault(n, [None, None, []])
     for l, r in maps:
-        key += (_entries(l, kernels), _entries(r, kernels))
-        hit = kernels.get(key)
-        if hit is None:
-            if entry is None:
+        if _is_scalar(l) and l == r:
+            continue
+        for cl, cr, child in node[2]:
+            if (cl is l or cl == l) and (cr is r or cr == r):
+                break
+        else:
+            basis = node[0]
+            if basis is None:
                 basis = _free_basis(_operator_rows([(l, one), (one, -r)], n), width)
             else:
-                basis = _cut_down(entry[0], _sylvester_system(l, r, entry[0]), width)
-            hit = kernels[key] = [basis, None]
-        entry = hit
-        if not entry[0]:
+                basis = _cut_down(basis, _sylvester_system(l, r, basis), width)
+            child = [basis, None, []]
+            node[2].append((l, r, child))
+        node = child
+        if not node[0]:
             break
-    if entry is None:
-        return Subspace(width, _free_basis([], width))
-    if entry[1] is None:
-        entry[1] = Subspace(width, entry[0])
-    return entry[1]
-
-
-def _entries(m: Mat, kernels: Kernels) -> tuple[int, ...]:
-    """The exact entries of m, row-major, as a, b, d of each: read once per matrix object and kept in kernels."""
-    hit = kernels.get(id(m))
-    if hit is None:
-        hit = kernels[id(m)] = (m, tuple([v for row in m.rows for x in row for v in (x.a, x.b, x.d)]))
-    return hit[1]
+    if node[1] is None:
+        node[1] = Subspace(width, _free_basis([], width) if node[0] is None else node[0])
+    return node[1]
 
 
 def solve_rows(maps: Iterable[list[dict[int, Scalar]]], width: int) -> Subspace:
     """The common kernel of linear maps, each given by its rows {column: entry}, width columns, zeros allowed.
 
-    Each later map meets the kernel basis through the product of its rows
-    with the transposed basis, summed by the loop of Mat.__mul__.
+    The first map's rows are reduced, and its kernel basis b_1..b_d read
+    off.  Each later map meets the basis through the product of its rows
+    with the transposed basis, summed by the loop of Mat.__mul__: row p of
+    that system is entry p of the map applied to b_1..b_d, so x = sum_k c_k
+    b_k solves the map iff c is in the system's kernel, which recombines the
+    basis (_cut_down).  The last basis spans the common kernel, which
+    Subspace reduces to the RREF basis one reduction of all the rows gives.
+    Once the kernel is {0} no later map is taken.
     """
     maps = iter(maps)
-    return _common_kernel(next(maps), (partial(_rows_times_basis, rows) for rows in maps), width)
+    basis = _free_basis(next(maps), width)
+    while basis and (rows := next(maps, None)) is not None:
+        basis = _cut_down(basis, _rows_times_basis(rows, basis), width)
+    return Subspace(width, basis)
 
 
 def _rows_times_basis(rows: list[Row], basis: list[Sequence[Scalar]]) -> list[Row]:
     """The products r . b_k of each nonzero row r with each basis vector b_k: a system in d = len(basis) unknowns."""
     return [{c: x for c, x in enumerate(r) if x.a or x.b}
             for r in _product_rows([row.items() for row in rows if row], list(zip(*basis)), len(basis))]
-
-
-def _common_kernel(rows: list[Row], later: Iterator[Callable[[list], list[Row]]], width: int) -> Subspace:
-    """The kernel of the map whose rows {column: entry} are given, cut down by each later map in turn.
-
-    The first map's rows are reduced, and its kernel basis b_1..b_d read
-    off.  Each later map is a function of the basis that gives its system:
-    row p is entry p of the map applied to b_1..b_d, so x = sum_k c_k b_k
-    solves the map iff c is in the system's kernel, which recombines the
-    basis by one product, unless the system is zero.  The last basis spans
-    the common kernel, which Subspace reduces to the RREF basis one
-    reduction of all the rows gives.  Once the kernel is {0} no later map is
-    taken.
-    """
-    basis = _free_basis(rows, width)
-    while basis and (system := next(later, None)) is not None:
-        basis = _cut_down(basis, system(basis), width)
-    return Subspace(width, basis)
 
 
 def _cut_down(basis: list[Sequence[Scalar]], system: list[Row], width: int) -> list[Sequence[Scalar]]:

@@ -410,11 +410,16 @@ EXCLUDED_Q = (ZERO, ONE, _new(-1, 0, 1), I, _new(0, -1, 1))
 
 
 class DeformationParameter(Record):
-    """A validated deformation parameter q with q^m != 1 for all m >= 1."""
+    """A validated deformation parameter q with q^m != 1 for all m >= 1.
+
+    q is coerced by as_scalar: a text off the scalar grammar raises
+    ParseError, and a value of any other type TypeError.
+    """
 
     __slots__ = ("q",)
 
-    def __init__(self, q: Scalar):
+    def __init__(self, q):
+        q = as_scalar(q)
         if q in EXCLUDED_Q:
             raise InvalidQ(f"q = {format_scalar(q)} is zero or a root of unity")
         self.q = q
@@ -427,6 +432,5 @@ class DeformationParameter(Record):
         return format_scalar(self.q)
 
 
-def validate_q(q) -> DeformationParameter:
-    """Validate q, rejecting 0 and the roots of unity of Q(i)."""
-    return DeformationParameter(as_scalar(q))
+# Validate q, rejecting 0 and the roots of unity of Q(i): the constructor itself.
+validate_q = DeformationParameter

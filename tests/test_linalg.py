@@ -534,9 +534,40 @@ _SHARED_KERNELS = {}  # kept across the examples of test_shared_kernels_give_the
 @settings(max_examples=60, deadline=None)
 @given(shared_prefix_solves())
 def test_shared_kernels_give_the_unshared_solve(solves):
-    """One kernels dict across every solve of the draw, and across the draws, gives each solve's own space."""
+    """One kernels dict across every solve of the draw, and across the draws, gives each solve's own space.
+
+    A shared and a fresh tree run the same code, so the last solve of each
+    draw is also checked against the dense reference kernel.
+    """
     for maps in solves:
         assert solve_homogeneous(maps, kernels=_SHARED_KERNELS) == solve_homogeneous(maps)
+    assert _canonical(solve_homogeneous(maps, kernels=_SHARED_KERNELS).basis) == dense_stacked_kernel(_terms(maps))
+
+
+def test_kernel_tree_keeps_each_size_apart():
+    """Solves of sizes 2 and 4 whose maps are all skipped share one dict and each give the whole space."""
+    kernels = {}
+    for n in (2, 4, 2):
+        c = Mat.identity(n).scale(Scalar(3, 1))
+        space = solve_homogeneous([(c, c), (Mat.zero(n), Mat.zero(n))], kernels=kernels)
+        assert space.dim == n * n and space == Subspace(n * n, Mat.identity(n * n).rows)
+
+
+def test_kernel_tree_matches_equal_matrices(monkeypatch):
+    """Two equal maps that are distinct objects are one child: the second solve reduces no first map."""
+    first = []
+    monkeypatch.setattr(linalg, "_operator_rows", lambda *args, op=linalg._operator_rows: first.append(1) or op(*args))
+
+    def maps():
+        return [(Mat.diag(1, 2, 2, 3), Mat.diag(2, 1, 3, 2)), (u(1, 2), u(1, 2))]
+
+    kernels = {}
+    one, two = maps(), maps()
+    assert one[0][0] is not two[0][0] and one == two
+    space = solve_homogeneous(one, kernels=kernels)
+    assert len(first) == 1
+    assert solve_homogeneous(two, kernels=kernels) is space and len(first) == 1
+    assert space == solve_homogeneous(two)
 
 
 operator_terms = st.sampled_from((2, 3, 4)).flatmap(map_terms)

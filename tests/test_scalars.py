@@ -14,6 +14,7 @@ from qact import (
     Scalar,
     as_scalar,
     format_scalar,
+    instantiate,
     parse_scalar,
     validate_q,
 )
@@ -283,6 +284,19 @@ def test_deformation_parameters_compare_by_value():
     assert DeformationParameter(2) == DeformationParameter(Scalar(2)) == validate_q("2")
     assert hash(DeformationParameter(2)) == hash(DeformationParameter(Scalar(2))) == hash(validate_q("2"))
     assert validate_q(2) != validate_q(3) and validate_q(2) != Scalar(2)
+
+
+def test_deformation_parameter_coerces_its_value():
+    """The constructor coerces q as validate_q does: the inverse, an entry built on it, and each refusal."""
+    q = DeformationParameter(2)
+    assert q.q.__class__ is Scalar and q.inv == Scalar(1, 0, 2)
+    assert instantiate("S1", q) == instantiate("S1", validate_q(2))
+    with pytest.raises(InvalidQ):
+        DeformationParameter(1)
+    with pytest.raises(ParseError):
+        DeformationParameter("abc")
+    with pytest.raises(TypeError):
+        DeformationParameter(2.5)
 
 
 def test_validate_q_rejects_exactly_the_roots_of_unity():

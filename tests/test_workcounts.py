@@ -31,8 +31,8 @@ from qact.catalog import ENTRY_ORDER
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counters of Scalar.__mul__, __sub__, inv and minus_product calls, of Mat.__mul__
-    and __add__ calls, of linalg.det calls, of power-trace evaluations, of
+    """Counters of Scalar.__mul__, __sub__, inv and minus_product calls, of Mat.__mul__,
+    __add__ and __eq__ calls, of linalg.det calls, of power-trace evaluations, of
     row products: linalg._product_rows, the loop of Mat.__mul__ and of the
     kernel solve's rows x basis products and recombinations, of Sylvester
     systems: linalg._sylvester_system, a later map L X - X R of
@@ -47,7 +47,7 @@ def counts(monkeypatch):
     row product, the Sylvester system, the zero test and the closure product,
     which sum each entry on plain ints; so each is counted under its own key.
     """
-    tally = {"mul": 0, "sub": 0, "inv": 0, "minus_product": 0, "mat_mul": 0, "mat_add": 0, "det": 0,
+    tally = {"mul": 0, "sub": 0, "inv": 0, "minus_product": 0, "mat_mul": 0, "mat_add": 0, "mat_eq": 0, "det": 0,
              "power_traces": 0, "row_products": 0, "sylvester": 0, "first": 0, "solve": 0, "vanish": 0, "closure": 0,
              "pins": 0}
 
@@ -60,7 +60,7 @@ def counts(monkeypatch):
 
     for name, key in (("__mul__", "mul"), ("__sub__", "sub"), ("inv", "inv"), ("minus_product", "minus_product")):
         monkeypatch.setattr(Scalar, name, counted(getattr(Scalar, name), key))
-    for name, key in (("__mul__", "mat_mul"), ("__add__", "mat_add")):
+    for name, key in (("__mul__", "mat_mul"), ("__add__", "mat_add"), ("__eq__", "mat_eq")):
         monkeypatch.setattr(Mat, name, counted(getattr(Mat, name), key))
     for owner, attr, key in ((linalg, "det", "det"), (linalg, "products_vanish", "vanish"),
                              (linalg, "solve_homogeneous", "solve"), (action_module, "_spectral_pin", "pins")):
@@ -132,6 +132,16 @@ def test_verify_table_work(q2, counts):
     assert counts["inv"] <= 698
 
 
+def test_verify_table_kernel_tree_comparisons(q2, counts):
+    default_model()
+    counts.update(dict.fromkeys(counts, 0))
+    assert verify_table(q2).ok
+    # Measured: 473 matrix comparisons.  453 match the maps of a solve
+    # against the children of its kernel tree's nodes, and 20 are the test
+    # L = R of a map whose L is scalar.
+    assert counts["mat_eq"] <= 497
+
+
 def test_no_kernel_is_shared_between_calls(q2, counts):
     """A second verify_table does the work of the first: its kernels dict dies with the call."""
     assert verify_table(q2).ok  # texts parsed and the Clifford model built, which later calls reuse
@@ -172,6 +182,9 @@ def test_dense_conjugate_decision_work(q2, counts):
     assert counts["row_products"] <= 1
     assert counts["sylvester"] == 3
     assert counts["vanish"] == 4
+    # Each solve walks a fresh kernel tree, which has no child to compare:
+    # a caller without a tree pays no matrix comparison for the sharing.
+    assert counts["mat_eq"] == 0
 
 
 def test_dense_conjugate_of_every_entry_work(q2, counts):
