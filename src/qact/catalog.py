@@ -602,9 +602,7 @@ def check_entry(
 
     atoms = default_model().atoms
     evaluated = [eval_gamma_expr(text, atoms) for text in entry.gamma_invariants]
-    inside = all(cent.contains_matrix(m) for m in evaluated)
-    spanned = Subspace.span_of([_E4] + evaluated) == cent
-    report.add("gamma_invariants", inside and spanned, f"{len(evaluated)} expressions")
+    report.add("gamma_invariants", Subspace.span_of([_E4] + evaluated) == cent, f"{len(evaluated)} expressions")
 
     counit = antipode_check(rep, action.starred)
     report.add("antipode", counit.ok, _first_bad(counit))

@@ -1,9 +1,10 @@
 """Command line interface: verification, computation, and JSON export.
 
-Every invocation writes exactly one JSON document to stdout; human
-diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure,
-2 malformed input or usage error.  Identical invocations produce
-byte-identical output.
+Every invocation writes exactly one JSON document to stdout, except
+`qact --help` and `qact <command> -h`, which print argparse's usage text
+and exit 0; human diagnostics go to stderr.  Exit codes: 0 success,
+1 verification failure, 2 malformed input or usage error.  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .scalars import (
     InvalidQ,
     ParseError,
     Scalar,
-    format_scalar,
     parse_scalar,
     validate_q,
 )
@@ -133,17 +133,16 @@ def _load_json(path: str) -> dict:
 
 
 def _invariants_doc(rep: GLqRep) -> dict:
-    """The centralizer basis, each matrix also as its coefficients on the units e_ij.
+    """The centralizer's own JSON, each basis matrix also as its coefficients on the units e_ij.
 
     The Clifford model's units are the standard matrix units (its selftest
-    checks units_are_standard), so the coefficient of e_ij is entry (i, j).
+    checks units_are_standard), so the coefficient of e_ij is entry (i, j):
+    the units are the encoded entries that are not "0".
     """
-    space = centralizer(list(rep.matrices()))
-    basis = []
-    for m in space.matrices():
-        units = {f"e{i}{j}": format_scalar(x) for i, row in enumerate(m.rows, 1) for j, x in enumerate(row, 1) if x}
-        basis.append({"matrix": m.to_json(), "units": units})
-    return {"ambient_dim": space.ambient_dim, "dim": space.dim, "basis": basis}
+    doc = centralizer(list(rep.matrices())).to_json()
+    doc["basis"] = [{"matrix": m, "units": {f"e{i}{j}": x for i, row in enumerate(m["rows"], 1)
+                                            for j, x in enumerate(row, 1) if x != "0"}} for m in doc["basis"]]
+    return doc
 
 
 def _decode_file(kind: str, path: str, decode):

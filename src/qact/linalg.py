@@ -85,12 +85,6 @@ class Mat:
             raise DimensionMismatch(f"unit indices ({i}, {j}) out of range for size {n}")
         return cls([[ONE if (r == i - 1 and c == j - 1) else ZERO for c in range(n)] for r in range(n)])
 
-    @classmethod
-    def from_flat(cls, n: int, vec: Sequence[Scalar]) -> "Mat":
-        if len(vec) != n * n:
-            raise DimensionMismatch("flattened length does not match dimension")
-        return cls([vec[i * n : (i + 1) * n] for i in range(n)])
-
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -438,21 +432,15 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
 
-    def reduce_vector(self, vector: Sequence[Scalar]) -> Row:
-        """Residual of a vector after eliminating all pivot coordinates, as its nonzero entries {column: entry}."""
-        if len(vector) != self.ambient_dim:
-            raise DimensionMismatch("vector length does not match ambient dimension")
-        return _reduce(self.echelon, {c: x for c, x in enumerate(vector) if x.a or x.b})
-
-    def contains_vector(self, vector: Sequence[Scalar]) -> bool:
-        return not self.reduce_vector(vector)
-
     def contains_matrix(self, m: Mat) -> bool:
-        return self.contains_vector(m.flatten())
+        """Whether m lies in the subspace: its flattened nonzero entries reduce to nothing by the basis rows."""
+        if m.n * m.n != self.ambient_dim:
+            raise DimensionMismatch(f"a {m.n}x{m.n} matrix is not in ambient dimension {self.ambient_dim}")
+        return not _reduce(self.echelon, {c: x for c, x in enumerate(m.flatten()) if x.a or x.b})
 
     def matrices(self) -> tuple[Mat, ...]:
         n = _matrix_side(self.ambient_dim)
-        return tuple(Mat.from_flat(n, v) for v in self.basis)
+        return tuple(Mat([v[i * n : (i + 1) * n] for i in range(n)]) for v in self.basis)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -525,6 +513,8 @@ def solve_homogeneous(maps: Sequence[tuple[Mat, Mat]], *, kernels: Kernels | Non
     up in the tree of kernels, the caller's or a fresh one, and added there
     when computed; the node where the solve ends keeps its Subspace.
     """
+    if not maps:
+        raise ValueError("solve_homogeneous needs at least one map")
     n = maps[0][0].n
     one, width = Mat.identity(n), n * n
     node = (kernels if kernels is not None else {}).setdefault(n, [None, None, []])
@@ -563,7 +553,9 @@ def solve_rows(maps: Iterable[list[dict[int, Scalar]]], width: int) -> Subspace:
     Once the kernel is {0} no later map is taken.
     """
     maps = iter(maps)
-    basis = _free_basis(next(maps), width)
+    if (rows := next(maps, None)) is None:
+        raise ValueError("solve_rows needs at least one map")
+    basis = _free_basis(rows, width)
     while basis and (rows := next(maps, None)) is not None:
         basis = _cut_down(basis, _rows_times_basis(rows, basis), width)
     return Subspace(width, basis)

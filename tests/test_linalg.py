@@ -156,6 +156,24 @@ def test_subspace_json_for_square_and_other_ambient_dims():
         Subspace(3, [[as_scalar(2), as_scalar(4), as_scalar(0)]]).to_json()
 
 
+def test_contains_matrix_checks_the_size():
+    s = Subspace.span_of([u(1, 2) + u(2, 3), E4])
+    assert s.contains_matrix(u(1, 2).scale(3) + u(2, 3).scale(3) - E4)
+    assert not s.contains_matrix(u(1, 2))
+    with pytest.raises(DimensionMismatch):
+        s.contains_matrix(Mat.identity(2))
+
+
+def test_empty_map_lists_raise_value_error():
+    with pytest.raises(ValueError, match="solve_homogeneous"):
+        solve_homogeneous([])
+    with pytest.raises(ValueError, match="solve_rows"):
+        linalg.solve_rows([], 16)
+    # Inside a generator, a StopIteration escaping solve_rows would surface as RuntimeError.
+    with pytest.raises(ValueError, match="solve_rows"):
+        list(linalg.solve_rows(maps, 16) for maps in [[]])
+
+
 small_mats = st.builds(
     Mat,
     st.lists(st.lists(st.integers(-3, 3).map(as_scalar), min_size=3, max_size=3), min_size=3, max_size=3),
