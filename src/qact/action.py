@@ -373,6 +373,22 @@ def decide_equivalence(
     representations, while a "spectrum" obstruction is a fact about the
     matrices and needs no action.  Raises Unsupported for a scale outside Q(i)
     when both spectra match.
+
+    The scales act column by column, as a diagonal G = diag(alpha1, alpha2)
+    in A' = u A u^-1 G, and no other G can occur.  The operators L_ij depend
+    only on the tensors sum_k A_ik (x) S_kj, so A' = A G with any G in GL_2,
+    and S' = G^-1 S, would give the same action; but A G is a GL_q
+    representation only for a diagonal G.  With g_kl the entries of G,
+    a' = g11 a + g21 b and b' = g12 a + g22 b, and ab = q ba turns the
+    relation a'b' = q b'a' into
+    (1 - q) [g11 g12 a^2 + g21 g22 b^2 + (1 + q) g21 g12 ba] = 0.
+    Here a is invertible, and b is nilpotent, as a b a^-1 = q b and q is not
+    a root of unity.  On the kernel of b, which is not {0}, b^2 and
+    ba = q^-1 ab vanish, so g11 g12 a^2 = 0 there, and g11 g12 = 0.  The
+    relation c'd' = q d'c' gives g21 g22 = 0 the same way, with d invertible
+    and c nilpotent.  As det G != 0, G is then diagonal or anti-diagonal, and
+    an anti-diagonal G makes A'11 = g21 b nilpotent, which a GL_q
+    representation rules out.
     """
     if r1.q != r2.q:
         return NotEquivalent(0, obstruction="q")

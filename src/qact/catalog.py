@@ -57,8 +57,6 @@ from .scalars import DeformationParameter, Scalar, as_scalar, format_scalar, sma
 class ConstraintViolated(ValueError):
     def __init__(self, param: str, value, reason: str):
         super().__init__(f"parameter {param} = {value}: {reason}")
-        self.param = param
-        self.value = value
 
 
 class UnknownEntry(KeyError):

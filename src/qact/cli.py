@@ -32,6 +32,7 @@ from .scalars import (
     InvalidQ,
     ParseError,
     Scalar,
+    int_from_digits,
     parse_scalar,
     validate_q,
 )
@@ -55,30 +56,28 @@ def _build_parser() -> _ArgParser:
     # SUPPRESS keeps a subcommand-level flag from clobbering one given
     # before the subcommand.
     common.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
+    entry_options = argparse.ArgumentParser(add_help=False)
+    entry_options.add_argument("--q")  # _parse_q gives 2 if not given; invariants --file refuses one
+    entry_options.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgParser)
 
-    p = sub.add_parser("verify-table", help="verify one entry or the whole table", parents=[common])
+    p = sub.add_parser("verify-table", help="verify one entry or the whole table", parents=[common, entry_options])
     p.add_argument("--entry", default=None)
-    p.add_argument("--q", default="2")
-    p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
 
-    p = sub.add_parser("show-entry", help="print the instantiated data of one entry", parents=[common])
+    p = sub.add_parser("show-entry", help="print the instantiated data of one entry", parents=[common, entry_options])
     p.add_argument("--entry", required=True)
-    p.add_argument("--q", default="2")
-    p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
 
     p = sub.add_parser("b-space", help="basis of {B : AB = qBA} for a matrix file", parents=[common])
     p.add_argument("--matrix", required=True)
-    p.add_argument("--q", default="2")
+    p.add_argument("--q")
 
     p = sub.add_parser("check-rep", help="relations, antipode, module algebra of a representation file", parents=[common])
     p.add_argument("--file", required=True)
 
-    p = sub.add_parser("invariants", help="invariant subspace of an entry or representation file", parents=[common])
+    p = sub.add_parser("invariants", help="invariant subspace of an entry or representation file",
+                       parents=[common, entry_options])
     p.add_argument("--file", default=None)
     p.add_argument("--entry", default=None)
-    p.add_argument("--q", default=None)  # 2 with --entry; a file holds its own q
-    p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
 
     p = sub.add_parser("equiv", help="decide equivalence of two representation files", parents=[common])
     p.add_argument("--file1", required=True)
@@ -86,10 +85,8 @@ def _build_parser() -> _ArgParser:
 
     sub.add_parser("clifford-selftest", help="validate the Clifford model", parents=[common])
 
-    p = sub.add_parser("export", help="write the representation JSON of an entry", parents=[common])
+    p = sub.add_parser("export", help="write the representation JSON of an entry", parents=[common, entry_options])
     p.add_argument("--entry", required=True)
-    p.add_argument("--q", default="2")
-    p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
     p.add_argument("--out", required=True)
 
     return parser
@@ -102,8 +99,8 @@ def _parse_option(option: str, text: str) -> Scalar:
         raise UsageError(f"{option}: {exc}", exc.position) from exc
 
 
-def _parse_q(text: str) -> DeformationParameter:
-    return validate_q(_parse_option("--q", text))
+def _parse_q(text: str | None) -> DeformationParameter:
+    return validate_q(_parse_option("--q", "2" if text is None else text))
 
 
 def _parse_params(items: list[str]) -> dict[str, Scalar]:
@@ -121,12 +118,12 @@ def _parse_params(items: list[str]) -> dict[str, Scalar]:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_int=int_from_digits)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON in {path}: {exc.msg}", exc.pos) from exc
-    except ValueError as exc:  # an int past the digit limit, or bytes that are not UTF-8
+    except ValueError as exc:  # bytes that are not UTF-8
         raise UsageError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError as exc:
         raise UsageError(f"invalid JSON in {path}: nested too deeply") from exc
@@ -184,11 +181,16 @@ def _cmd_verify_table(args) -> tuple[dict, int]:
     return table.to_json(), 0 if table.ok else 1
 
 
-def _cmd_show_entry(args) -> tuple[dict, int]:
+def _entry_rep(args) -> tuple[catalog.TableEntry, DeformationParameter, dict[str, Scalar], GLqRep]:
+    """The entry, q, resolved params and representation (relations verified) that --entry, --q and --param name."""
     q = _parse_q(args.q)
     entry = catalog.get_entry(args.entry)
     params = catalog.resolve_params(entry, q, _parse_params(args.param))
-    rep = require_representation(entry.representation(q, params))
+    return entry, q, params, require_representation(entry.representation(q, params))
+
+
+def _cmd_show_entry(args) -> tuple[dict, int]:
+    entry, q, params, rep = _entry_rep(args)
     doc = {
         "entry": entry.entry_id,
         "q": q.q.to_json(),
@@ -236,7 +238,7 @@ def _cmd_invariants(args) -> tuple[dict, int]:
             raise UsageError("invariants --file takes no --q or --param: the file gives q and the matrices")
         rep = _rep_from_file(args.file, require_valid=True)
     else:
-        q = _parse_q("2" if args.q is None else args.q)
+        q = _parse_q(args.q)
         rep = catalog.instantiate(args.entry, q, _parse_params(args.param))
     return _invariants_doc(rep), 0
 
@@ -253,9 +255,7 @@ def _cmd_clifford_selftest(args) -> tuple[dict, int]:
 
 
 def _cmd_export(args) -> tuple[dict, int]:
-    q = _parse_q(args.q)
-    entry = catalog.get_entry(args.entry)
-    rep = require_representation(entry.representation(q, catalog.resolve_params(entry, q, _parse_params(args.param))))
+    entry, _, _, rep = _entry_rep(args)
     text = json.dumps(rep.to_json(), indent=2) + "\n"  # before --out is opened, so a failure leaves no file
     try:
         with open(args.out, "w", encoding="utf-8") as handle:

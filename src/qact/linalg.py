@@ -153,6 +153,8 @@ class Mat:
         if not isinstance(data, dict):
             raise ParseError(f"{field} must be a JSON object")
         n, rows = data["n"], data["rows"]
+        if n.__class__ is not int:  # a float, or a bool, which is an int subclass
+            raise ParseError(f"{field}.n must be a JSON integer")
         if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
             raise ParseError(f"{field}.rows must be a JSON array of arrays")
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -636,9 +638,6 @@ def _free_basis(rows: Iterable[Row], width: int) -> list[list[Scalar]]:
 
 def centralizer(generators: Sequence[Mat], *, kernels: Kernels | None = None) -> Subspace:
     """RREF basis of {X : XG = GX for every generator G}; kernels is solve_homogeneous's."""
-    generators = list(generators)
-    if not generators:
-        raise ValueError("centralizer needs at least one generator")
     return solve_homogeneous([(g, g) for g in generators], kernels=kernels)
 
 

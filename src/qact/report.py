@@ -16,8 +16,8 @@ class Check:
 class Report:
     __slots__ = ("checks",)
 
-    def __init__(self, checks: list[Check] | None = None):
-        self.checks = [] if checks is None else checks
+    def __init__(self):
+        self.checks = []
 
     @property
     def ok(self) -> bool:

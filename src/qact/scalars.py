@@ -6,14 +6,13 @@ gcd(a, b, d) = 1, so equality is structural and nothing is ever rounded.
 The common-denominator layout keeps the hot loops of the linear algebra on
 plain Python ints, which is several times faster than a pair of Fractions.
 
-The operators +, -, * and == are one Python call deep: a Scalar operand is
+The operators +, * and == are one Python call deep: a Scalar operand is
 used as it is, and each result is reduced by one gcd(a, b, d) and allocated
-in place.
+in place.  x - y is x + (-y).
 """
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Callable
 from decimal import Decimal
 from fractions import Fraction
@@ -82,18 +81,7 @@ class Scalar:
             o = _coerce(o)
             if o is None:
                 return NotImplemented
-        d, d2 = self.d, o.d
-        if d == d2:
-            a, b = self.a - o.a, self.b - o.b
-        else:
-            a, b, d = self.a * d2 - o.a * d, self.b * d2 - o.b * d, d * d2
-        if d != 1:
-            g = gcd(a, b, d)
-            if g != 1:
-                a, b, d = a // g, b // g, d // g
-        s = _alloc(Scalar)
-        s.a, s.b, s.d = a, b, d
-        return s
+        return self + _new(-o.a, -o.b, o.d)
 
     def __rsub__(self, other):
         o = _coerce(other)
@@ -290,6 +278,11 @@ def _frac_text(num: int, den: int) -> str:
     return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
+def int_from_digits(text: str) -> int:
+    """The int of a signed run of decimal digits: int(Decimal(text)) is exact and, as _frac_text, has no digit limit."""
+    return int(Decimal(text))
+
+
 def parse_scalar(text: str) -> Scalar:
     s = text
     n = len(s)
@@ -339,10 +332,7 @@ def _parse_int(s: str, pos: int, end: int):
         pos += 1
     if pos == start:
         raise ParseError("expected digits", start)
-    try:
-        return int(s[start:pos]), pos
-    except ValueError:  # more digits than int() converts
-        raise ParseError(f"{pos - start} digits exceed the limit of {sys.get_int_max_str_digits()}", start) from None
+    return int_from_digits(s[start:pos]), pos
 
 
 def _quoted(value) -> str:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     act,
     dense_add,
+    dense_det,
     dense_map_rows,
     dense_mul,
     dense_scale,
@@ -669,6 +670,43 @@ def test_spectral_data_json(q2):
             "det": {"re": "0", "im": "1/2"},
         },
     }
+    # S1 at q = 2, cross-checked against traces of matrix powers and the dense determinant.
+    rep = instantiate("S1", q2)
+    doc = spectral_data(rep).to_json()
+    assert doc["A11"] == {"power_traces": [Scalar(p).to_json() for p in (8, 22, 74, 274)], "det": Scalar(8).to_json()}
+    assert doc["A22"]["det"] == Scalar(1, 0, 8).to_json()
+    for name, x in (("A11", rep.a11), ("A22", rep.a22)):
+        powers = [x, x * x, x * x * x, x * x * x * x]
+        assert doc[name] == {"power_traces": [trace(p).to_json() for p in powers], "det": dense_det(x).to_json()}
+
+
+def _times(rep: GLqRep, g) -> GLqRep:
+    """The blocks A'_ij = sum_k A_ik g_kj of A G, for a 2x2 matrix g of scalars."""
+    (a11, a12), (a21, a22) = rep.blocks
+    (g11, g12), (g21, g22) = g
+    return GLqRep(a11.scale(g11) + a12.scale(g21), a11.scale(g12) + a12.scale(g22),
+                  a21.scale(g11) + a22.scale(g21), a21.scale(g12) + a22.scale(g22), rep.q)
+
+
+_NOT_DIAGONAL = {
+    "upper": ((1, 1), (0, 1)),
+    "lower": ((1, 0), (1, 1)),
+    "dense": ((2, 1), (1, 1)),
+    "anti-diagonal": ((0, 1), (1, 0)),
+}
+
+
+@pytest.mark.parametrize("q_text", ["2", "3", "1+i"])
+def test_only_a_diagonal_g_keeps_the_relations(q_text):
+    # A G with S' = G^-1 S has the same action for any G in GL_2; as the
+    # decide_equivalence docstring shows, A G is a GL_q representation only
+    # for a diagonal G, so the scales alpha1, alpha2 act column by column.
+    q = validate_q(parse_scalar(q_text))
+    for eid in ENTRY_ORDER:
+        rep = instantiate(eid, q)
+        assert verify_glq_relations(_times(rep, ((2, 0), (0, Scalar(0, 1))))).ok, eid
+        for name, g in _NOT_DIAGONAL.items():
+            assert not verify_glq_relations(_times(rep, g)).ok, (eid, name)
 
 
 def test_spectral_determinants_match_elimination(q2, qc):

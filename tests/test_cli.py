@@ -3,6 +3,7 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -294,9 +295,6 @@ def _two_by_two(data):
     (lambda data: data["A11"]["rows"].pop(), "A11: matrix JSON has inconsistent dimensions",
      "matrix: matrix JSON has inconsistent dimensions"),
     (_two_by_two, "A11: representation matrices must be 4x4", "b-space takes 4x4 matrices"),
-    (lambda data: data.update(q={"re": "9" * 5000}), "q.re: 5000 digits", None),
-    (lambda data: data["A11"]["rows"][0].__setitem__(0, "7" * 5000), "A11.rows[0][0]: 5000 digits",
-     "matrix.rows[0][0]: 5000 digits"),
     (lambda data: data.update(q={"re": "2", "IM": "1"}), "q: unknown key 'IM'", None),
     (lambda data: data["A11"]["rows"][0].__setitem__(0, {"re": "4", "Im": "1"}), "A11.rows[0][0]: unknown key 'Im'",
      "matrix.rows[0][0]: unknown key 'Im'"),
@@ -305,9 +303,11 @@ def _two_by_two(data):
      "matrix.rows must be a JSON array of arrays"),
     (lambda data: data["A11"]["rows"].__setitem__(0, 7), "A11.rows must be a JSON array of arrays",
      "matrix.rows must be a JSON array of arrays"),
+    *((lambda data, n=n: data["A11"].update(n=n), "A11.n must be a JSON integer", "matrix.n must be a JSON integer")
+      for n in (4.0, "4", True, None)),
 ], ids=["q-text", "q-float", "q-digits", "q-zero", "entry-float", "entry-digits", "entry-fraction", "entry-string",
-        "no-rows", "three-rows", "2x2", "q-long-digits", "entry-long-digits", "q-unknown-key", "entry-unknown-key",
-        "matrix-array", "rows-number", "row-number"])
+        "no-rows", "three-rows", "2x2", "q-unknown-key", "entry-unknown-key", "matrix-array", "rows-number",
+        "row-number", "n-float", "n-string", "n-true", "n-null"])
 def test_malformed_representation_files_exit_2(capsys, tmp_path, mutate, names, matrix_names):
     assert main(["export", "--entry", "S1", "--out", str(tmp_path / "s1.json")]) == 0
     capsys.readouterr()
@@ -343,11 +343,16 @@ def test_long_q_output_and_export(capsys, tmp_path):
     code, out = run(capsys, "export", "--entry", "S1", "--q", q, "--out", str(rep_file))
     assert code == 0 and out.count("\n") == 1 and json.loads(out)["out"] == str(rep_file)
     assert json.loads(rep_file.read_text())["q"] == {"re": q, "im": "0"}
-    # Reading the file back hits the 4,300-digit input limit, which stays.
-    code, out = run(capsys, "check-rep", "--file", str(rep_file))
+    # Input has no digit limit either, so the file reads back.
+    code, doc = run_json(capsys, "check-rep", "--file", str(rep_file))
+    assert code == 0 and doc["ok"]
+    # A long entry that does not decode is quoted by its first 40 characters.
+    bad = tmp_path / "bad.json"
+    bad.write_text(rep_file.read_text().replace('"1' + "0" * 5998 + '"', '"1' + "0" * 5998 + 'x"', 1))
+    code, out = run(capsys, "check-rep", "--file", str(bad))
     doc = json.loads(out)
-    assert code == 2 and doc["error"].startswith(f"representation file {rep_file}: A11.rows[0][0]: 5999 digits")
-    assert len(out.encode()) < 512 and doc["error"].endswith("... (5999 characters)")
+    assert code == 2 and doc["error"].startswith(f"representation file {bad}: A11.rows[0][0]: unexpected trailing")
+    assert len(out.encode()) < 512 and doc["error"].endswith("... (6000 characters)")
 
 
 def test_export_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
@@ -360,19 +365,43 @@ def test_export_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_long_digit_arguments_and_json_ints_exit_2(capsys, tmp_path):
+def test_long_digit_arguments_and_json_ints_decode(capsys, tmp_path):
     digits = "7" * 5000
     code, doc = run_json(capsys, "verify-table", "--entry", "S1", "--q", digits)
-    assert code == 2 and doc["error"].startswith("--q: 5000 digits") and doc["position"] == 0
+    assert code == 0 and doc["q"] == {"re": digits, "im": "0"}
     code, doc = run_json(capsys, "verify-table", "--entry", "S1", "--param", f"alpha={digits}")
-    assert code == 2 and doc["error"].startswith("--param alpha: 5000 digits") and doc["position"] == 0
-    assert main(["export", "--entry", "S1", "--out", str(tmp_path / "s1.json")]) == 0
+    assert code == 0 and doc["entries"][0]["params"] == {"alpha": {"re": digits, "im": "0"}}
+    assert main(["export", "--entry", "S1", "--q", digits, "--out", str(tmp_path / "s1.json")]) == 0
     capsys.readouterr()
     text = (tmp_path / "s1.json").read_text()
-    bad = tmp_path / "bare-int.json"
-    bad.write_text(text.replace('"re": "2"', f'"re": {digits}', 1))
-    code, doc = run_json(capsys, "check-rep", "--file", str(bad))
-    assert code == 2 and f"invalid JSON in {bad}" in doc["error"] and "5000 digits" in doc["error"]
+    bare = tmp_path / "bare-int.json"
+    bare.write_text(text.replace(f'"re": "{digits}"', f'"re": {digits}', 1))  # q as a JSON integer
+    assert bare.read_text() != text
+    code, doc = run_json(capsys, "check-rep", "--file", str(bare))
+    assert code == 0 and doc["ok"]
+
+
+def long_q_round_trip(eid: str, q_text: str) -> list[dict]:
+    """The documents of export at q_text, then check-rep, invariants --file and equiv of the file with itself."""
+    with tempfile.TemporaryDirectory() as tmp:
+        rep = str(Path(tmp) / "rep.json")
+        docs = []
+        for argv in (("export", "--entry", eid, f"--q={q_text}", "--out", rep), ("check-rep", "--file", rep),
+                     ("invariants", "--file", rep), ("equiv", "--file1", rep, "--file2", rep)):
+            with redirect_stdout(io.StringIO()) as out:
+                assert main(list(argv)) == 0, argv
+            docs.append(json.loads(out.getvalue()))
+    return docs
+
+
+@settings(max_examples=4, deadline=None)
+@given(eid=st.sampled_from(ENTRY_ORDER), q=st.integers(10**4300, 10**6000 - 1), sign=st.sampled_from(["", "-"]))
+def test_long_q_files_read_back(eid, q, sign):
+    # Every file export writes, check-rep, invariants and equiv read: no
+    # digit limit on either side.
+    q_text = sign + str(Decimal(q))
+    _, checked, invariants, verdict = long_q_round_trip(eid, q_text)
+    assert checked["ok"] and invariants["dim"] >= 1 and verdict["equivalent"]
 
 
 def test_deeply_nested_json_exits_2(capsys, tmp_path):
@@ -583,8 +612,8 @@ _DEEP = "__deep__"
 # later examples' draws, which Hypothesis reports as a flaky strategy.
 _JUNK = st.sampled_from([None, True, 0.5, -3, [], {}, "abc", "1/0", "", [[]], {"n": 4}, _DEEP]).map(copy.deepcopy)
 _LONG = st.sampled_from(["9" * 4300, "7" * 4301, "-1/" + "3" * 5000, "2+" + "1" * 6000 + "i"])
-# Option values: "1" is no valid q.  A valid q of 4,300 digits makes show-entry
-# take 0.3 s, so the long q that decodes has 1,001.
+# Option values: "1" is no valid q.  Every long value decodes, as input has no
+# digit limit; a valid q of 4,300 digits makes show-entry take 0.3 s.
 _OPTION = st.sampled_from(["2", "-1/2", "-i", "1+i", "1", "abc", ""])
 _LONG_Q = st.sampled_from(["1" + "0" * 1000, "7" * 4301, "-1/" + "3" * 5000, "2+" + "1" * 6000 + "i"])
 

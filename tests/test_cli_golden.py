@@ -5,6 +5,8 @@ by tests/golden/equiv/; these records pin the other commands.  Each holds an
 argv, in which {dir} stands for the directory the case's files are written
 to, the exit code, and the SHA-256 of stdout with that directory written
 back as {dir}.  An export record also holds the SHA-256 of the file written.
+The last records pin `qact --help` and `qact <command> -h`, argparse's usage
+text as Python 3.11 prints it at 80 columns, so a change to the parser shows.
 The records were made once and nothing here rewrites them, so a record
 that differs is a change of output.
 """
@@ -22,6 +24,7 @@ from qact.scalars import parse_scalar, validate_q
 
 EXPECTED = Path(__file__).resolve().parent / "golden" / "cli" / "expected.json"
 Q_TEXTS = ("2", "3", "1+1i")
+COMMANDS = ("verify-table", "show-entry", "b-space", "check-rep", "invariants", "equiv", "clifford-selftest", "export")
 
 
 def _sha256(data: bytes) -> str:
@@ -39,7 +42,7 @@ def cli_cases() -> list[tuple[str, ...]]:
             cases += [("show-entry", "--entry", eid, "--q", q), ("verify-table", "--entry", eid, "--q", q),
                       ("invariants", "--entry", eid, "--q", q), ("export", "--entry", eid, "--q", q, "--out", out),
                       ("check-rep", "--file", out), ("invariants", "--file", out)]
-    return cases
+    return cases + [("--help",)] + [(command, "-h") for command in COMMANDS]
 
 
 def run_cases(directory: Path) -> list[dict]:
@@ -51,16 +54,20 @@ def run_cases(directory: Path) -> list[dict]:
     for argv in cli_cases():
         filled = [arg.replace("{dir}", str(directory)) for arg in argv]
         with redirect_stdout(io.StringIO()) as out:
-            code = main(filled)
+            try:
+                code = main(filled)
+            except SystemExit as exc:  # --help and -h
+                code = exc.code
         stdout = out.getvalue().replace(str(directory), "{dir}")
         record = {"argv": list(argv), "exit": code, "stdout_sha256": _sha256(stdout.encode("utf-8"))}
-        if argv[0] == "export":
+        if "--out" in argv:
             record["file_sha256"] = _sha256(Path(filled[-1]).read_bytes())
         records.append(record)
     return records
 
 
-def test_every_command_matches_its_golden_bytes(tmp_path):
+def test_every_command_matches_its_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage text to the terminal's width
     expected = json.loads(EXPECTED.read_text())
     got = run_cases(tmp_path)
     assert [r["argv"] for r in got] == [r["argv"] for r in expected]
