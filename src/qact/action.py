@@ -375,10 +375,20 @@ def decide_equivalence(
     when both spectra match.
 
     The scales act column by column, as a diagonal G = diag(alpha1, alpha2)
-    in A' = u A u^-1 G, and no other G can occur.  The operators L_ij depend
-    only on the tensors sum_k A_ik (x) S_kj, so A' = A G with any G in GL_2,
-    and S' = G^-1 S, would give the same action; but A G is a GL_q
-    representation only for a diagonal G.  With g_kl the entries of G,
+    in A' = u A u^-1 G, and no other G can occur.  An equivalence is an
+    automorphism v -> u v u^-1 of C(1,3) = M_4, which carries the operators
+    of A to those of u A u^-1, so it is enough that equal operators give
+    A' = A G.  The map v -> sum a v b determines sum a (x) b, so the four
+    L_ij are the blocks of T = sum_k c_k (x) r_k, where c_k = (A_1k; A_2k)
+    is block column k of M and r_k = (S_k1 S_k2) block row k of S = M^-1:
+    block ij of T is sum_k A_ik (x) S_kj.  M and S are invertible, so c_1,
+    c_2 are linearly independent, and so are r_1, r_2.  Then T determines
+    span{c_1, c_2}, the contractions of T by the functionals on the r side,
+    and equal operators give c'_k = sum_l c_l g_lk, that is A' = A G, with G
+    invertible as c'_1, c'_2 are independent too; contracting on the c side
+    then gives S' = G^-1 S.  Conversely A G with S' = G^-1 S gives the same
+    operators for any G in GL_2, but A G is a GL_q representation only for
+    a diagonal G.  With g_kl the entries of G,
     a' = g11 a + g21 b and b' = g12 a + g22 b, and ab = q ba turns the
     relation a'b' = q b'a' into
     (1 - q) [g11 g12 a^2 + g21 g22 b^2 + (1 + q) g21 g12 ba] = 0.

@@ -167,11 +167,17 @@ def _rep_from_file(path: str, require_valid: bool = False) -> GLqRep:
     return rep
 
 
-def _cmd_verify_table(args) -> tuple[dict, int]:
+def _entry_options(args) -> tuple[DeformationParameter, catalog.TableEntry | None, dict[str, Scalar]]:
+    """--q, the entry that --entry names (None without one) and --param, read and refused in that order."""
     q = _parse_q(args.q)
-    overrides = _parse_params(args.param)
-    if args.entry is not None:
-        check = catalog.check_entry(args.entry, q, overrides)
+    entry = None if args.entry is None else catalog.get_entry(args.entry)
+    return q, entry, _parse_params(args.param)
+
+
+def _cmd_verify_table(args) -> tuple[dict, int]:
+    q, entry, overrides = _entry_options(args)
+    if entry is not None:
+        check = catalog.check_entry(entry.entry_id, q, overrides)
         doc = {"q": q.q.to_json(), "entries": [check.to_json()], "ok": check.report.ok}
         return doc, 0 if check.report.ok else 1
     # Table-wide, --param values act as policy preferences: they apply only
@@ -183,9 +189,8 @@ def _cmd_verify_table(args) -> tuple[dict, int]:
 
 def _entry_rep(args) -> tuple[catalog.TableEntry, DeformationParameter, dict[str, Scalar], GLqRep]:
     """The entry, q, resolved params and representation (relations verified) that --entry, --q and --param name."""
-    q = _parse_q(args.q)
-    entry = catalog.get_entry(args.entry)
-    params = catalog.resolve_params(entry, q, _parse_params(args.param))
+    q, entry, overrides = _entry_options(args)
+    params = catalog.resolve_params(entry, q, overrides)
     return entry, q, params, require_representation(entry.representation(q, params))
 
 
@@ -238,8 +243,7 @@ def _cmd_invariants(args) -> tuple[dict, int]:
             raise UsageError("invariants --file takes no --q or --param: the file gives q and the matrices")
         rep = _rep_from_file(args.file, require_valid=True)
     else:
-        q = _parse_q(args.q)
-        rep = catalog.instantiate(args.entry, q, _parse_params(args.param))
+        rep = _entry_rep(args)[3]
     return _invariants_doc(rep), 0
 
 

@@ -185,7 +185,7 @@ def _a11_inverse(a11: Mat) -> Mat:
 def _with_determinant(x: GLqRep | RqRep, d: Mat) -> GLqRep:
     """x's A11, A12, A21 with A22 = A11^-1 (d + q A12 A21): det_q = d exactly; relations re-verified."""
     a11_inv = _a11_inverse(x.a11)
-    if det(d).is_zero:
+    if not det(d):
         raise DeterminantSingular("quantum determinant is singular")
     a22 = a11_inv * (d + (x.a12 * x.a21).scale(x.q.q))
     return require_representation(GLqRep(x.a11, x.a12, x.a21, a22, x.q))

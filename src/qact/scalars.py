@@ -166,10 +166,6 @@ class Scalar:
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
 
-    @property
-    def is_zero(self) -> bool:
-        return not (self.a or self.b)
-
     def __eq__(self, o) -> bool:
         if o.__class__ is not Scalar:
             o = _coerce(o)

@@ -60,7 +60,7 @@ from qact import (
 from qact import action as action_module
 from qact import linalg as linalg_module
 from qact import qrep as qrep_module
-from qact.action import SpectralData, spectral_data
+from qact.action import InnerAction, SpectralData, spectral_data
 from qact.catalog import ENTRY_ORDER
 from qact.qrep import GLQ_RELATIONS
 
@@ -500,7 +500,7 @@ def _table_and_traceless(q_text):
     reps = [(eid, instantiate(eid, q)) for eid in ENTRY_ORDER]
     qq = q.q
     reps.append(("S5 traceless", instantiate("S5", q, {"alpha": -(qq * qq + qq + 1)})))
-    assert trace(reps[-1][1].a11).is_zero
+    assert not trace(reps[-1][1].a11)
     return reps
 
 
@@ -707,6 +707,31 @@ def test_only_a_diagonal_g_keeps_the_relations(q_text):
         assert verify_glq_relations(_times(rep, ((2, 0), (0, Scalar(0, 1))))).ok, eid
         for name, g in _NOT_DIAGONAL.items():
             assert not verify_glq_relations(_times(rep, g)).ok, (eid, name)
+
+
+def _left_times(g, s):
+    """The blocks S'_kj = sum_l g_kl S_lj of G S, for a 2x2 matrix g of scalars."""
+    return tuple(tuple(s[0][j].scale(g[k][0]) + s[1][j].scale(g[k][1]) for j in (0, 1)) for k in (0, 1))
+
+
+def _inverse(g):
+    (g11, g12), (g21, g22) = (map(as_scalar, row) for row in g)
+    d = g11 * g22 - g12 * g21
+    return ((g22 / d, -g12 / d), (-g21 / d, g11 / d))
+
+
+@pytest.mark.parametrize("q_text", ["2", "3", "1+i"])
+def test_a_non_diagonal_g_keeps_the_operators(q_text):
+    # The converse of test_only_a_diagonal_g_keeps_the_relations: the
+    # operators L_ij of A G with S' = G^-1 S are those of A for every G in
+    # GL_2, as the decide_equivalence docstring uses, although A G breaks a
+    # relation when G is not diagonal.
+    q = validate_q(parse_scalar(q_text))
+    for eid in ENTRY_ORDER:
+        action = build_action(instantiate(eid, q))
+        for name, g in _NOT_DIAGONAL.items():
+            moved = InnerAction(_times(action.rep, g), _left_times(_inverse(g), action.starred))
+            assert moved.operators == action.operators, (eid, name)
 
 
 def test_spectral_determinants_match_elimination(q2, qc):

@@ -532,35 +532,56 @@ def _write_refusal_files(directory: Path) -> None:
         (directory / f"sqrt2-{k}.json").write_text(json.dumps(GLqRep(a11, zero, zero, Mat.identity(4), q).to_json()))
 
 
+# The entry commands read --q, then --entry, then --param: an unknown entry
+# is named before a malformed or repeated --param, and a bad --q before both.
+_ENTRY_COMMANDS = {"verify-table": (), "show-entry": (), "export": ("--out", "{dir}/out.json"), "invariants": ()}
+_BAD_PARAMS = {"param-syntax": ("--param", "x"), "param-value": ("--param", "alpha=1/x"),
+               "param-repeated": ("--param", "alpha=1", "--param", "alpha=2")}
+_ENTRY_ORDER_CASES = [
+    *(pytest.param((command, "--entry", "NOPE", *bad, *extra), "unknown table entry 'NOPE'", None,
+                   id=f"{command}-unknown-entry-before-{name}")
+      for command, extra in _ENTRY_COMMANDS.items() for name, bad in _BAD_PARAMS.items()),
+    *(pytest.param((command, "--q", "1", "--entry", "NOPE", "--param", "x", *extra),
+                   "q = 1 is zero or a root of unity", None, id=f"{command}-q-first")
+      for command, extra in _ENTRY_COMMANDS.items()),
+]
+
+
 # Each refusal that a command reaches: its argv ({dir} is where
 # _write_refusal_files wrote), and the exact error and position it prints.
 @pytest.mark.parametrize("argv, error, position", [
-    (("invariants",), "invariants needs exactly one of --file or --entry", None),
-    (("check-rep", "--file", "{dir}/bad.json"),
-     "invalid JSON in {dir}/bad.json: Expecting property name enclosed in double quotes", 1),
-    (("verify-table", "--q", "2x"), "--q: unexpected trailing characters (position 1)", 1),
-    (("verify-table", "--q", "\u0662", "--entry", "S1"), "--q: expected digits (position 0)", 0),
-    (("verify-table", "--entry", "S1", "--param", "alpha=1/\u00b2"), "--param alpha: expected digits (position 2)", 2),
-    (("verify-table", "--q", "\u00a02", "--entry", "S1"), "--q: expected digits (position 0)", 0),
-    (("verify-table", "--entry", "S1", "--param", "alpha=2\u3000"),
-     "--param alpha: unexpected trailing characters (position 1)", 1),
-    (("verify-table", "--entry", "NOPE"), "unknown table entry 'NOPE'", None),
-    (("show-entry", "--entry", "NOPE"), "unknown table entry 'NOPE'", None),
-    (("export", "--entry", "NOPE", "--out", "{dir}/out.json"), "unknown table entry 'NOPE'", None),
-    (("verify-table", "--q", "1"), "q = 1 is zero or a root of unity", None),
-    (("verify-table", "--entry", "S5", "--param", "alpha=2"), "parameter alpha = 2: excluded value for this entry",
-     None),
-    (("equiv", "--file1", "{dir}/sqrt2-1.json", "--file2", "{dir}/sqrt2-2.json"), "alpha^2 = 2 has no root in Q(i)",
-     None),
-    (("check-rep", "--file", "{dir}/list.json"),
-     "representation file {dir}/list.json: representation must be a JSON object", None),
-    (("check-rep", "--file", "{dir}/text.json"),
-     "representation file {dir}/text.json: representation must be a JSON object", None),
-    (("b-space", "--matrix", "{dir}/list.json"), "matrix file {dir}/list.json: matrix must be a JSON object", None),
-], ids=["usage", "usage-position", "q-scalar", "q-non-ascii-digit", "param-non-ascii-digit", "q-no-break-space",
-        "param-ideographic-space", "unknown-entry",
-        "show-unknown-entry", "export-unknown-entry", "invalid-q", "constraint", "unsupported", "document-array",
-        "document-string", "matrix-document-array"])
+    pytest.param(("invariants",), "invariants needs exactly one of --file or --entry", None, id="usage"),
+    pytest.param(("check-rep", "--file", "{dir}/bad.json"),
+                 "invalid JSON in {dir}/bad.json: Expecting property name enclosed in double quotes", 1,
+                 id="usage-position"),
+    pytest.param(("verify-table", "--q", "2x"), "--q: unexpected trailing characters (position 1)", 1, id="q-scalar"),
+    pytest.param(("verify-table", "--q", "\u0662", "--entry", "S1"), "--q: expected digits (position 0)", 0,
+                 id="q-non-ascii-digit"),
+    pytest.param(("verify-table", "--entry", "S1", "--param", "alpha=1/\u00b2"),
+                 "--param alpha: expected digits (position 2)", 2, id="param-non-ascii-digit"),
+    pytest.param(("verify-table", "--q", "\u00a02", "--entry", "S1"), "--q: expected digits (position 0)", 0,
+                 id="q-no-break-space"),
+    pytest.param(("verify-table", "--entry", "S1", "--param", "alpha=2\u3000"),
+                 "--param alpha: unexpected trailing characters (position 1)", 1, id="param-ideographic-space"),
+    pytest.param(("verify-table", "--entry", "NOPE"), "unknown table entry 'NOPE'", None, id="unknown-entry"),
+    pytest.param(("show-entry", "--entry", "NOPE"), "unknown table entry 'NOPE'", None, id="show-unknown-entry"),
+    pytest.param(("export", "--entry", "NOPE", "--out", "{dir}/out.json"), "unknown table entry 'NOPE'", None,
+                 id="export-unknown-entry"),
+    pytest.param(("verify-table", "--q", "1"), "q = 1 is zero or a root of unity", None, id="invalid-q"),
+    pytest.param(("verify-table", "--entry", "S5", "--param", "alpha=2"),
+                 "parameter alpha = 2: excluded value for this entry", None, id="constraint"),
+    pytest.param(("equiv", "--file1", "{dir}/sqrt2-1.json", "--file2", "{dir}/sqrt2-2.json"),
+                 "alpha^2 = 2 has no root in Q(i)", None, id="unsupported"),
+    pytest.param(("check-rep", "--file", "{dir}/list.json"),
+                 "representation file {dir}/list.json: representation must be a JSON object", None,
+                 id="document-array"),
+    pytest.param(("check-rep", "--file", "{dir}/text.json"),
+                 "representation file {dir}/text.json: representation must be a JSON object", None,
+                 id="document-string"),
+    pytest.param(("b-space", "--matrix", "{dir}/list.json"),
+                 "matrix file {dir}/list.json: matrix must be a JSON object", None, id="matrix-document-array"),
+    *_ENTRY_ORDER_CASES,
+])
 def test_error_documents(capsys, tmp_path, argv, error, position):
     _write_refusal_files(tmp_path)
     fill = lambda text: text.replace("{dir}", str(tmp_path))

@@ -302,7 +302,7 @@ def test_deformation_parameter_coerces_its_value():
 def test_validate_q_rejects_exactly_the_roots_of_unity():
     assert len(EXCLUDED_Q) == 5
     for s in EXCLUDED_Q:
-        assert s.is_zero or (s * s * s * s) == ONE
+        assert not s or (s * s * s * s) == ONE
 
 
 @given(st.integers(-30, 30), st.integers(1, 30))
