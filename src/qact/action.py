@@ -34,7 +34,11 @@ in every basis matrix of its support: otherwise the point has that zero row
 or column and is singular, so skipping it keeps the search complete and its
 first invertible point the same.  A witness u is checked as
 alpha u A - A' u = 0 on all four blocks (linalg.products_vanish), with no
-inverse: as det u != 0, that says alpha u A u^-1 = A'.
+inverse: as det u != 0, that says alpha u A u^-1 = A'.  The inverse itself
+is formed only where a witness is applied (EquivalenceWitness.apply), once
+per call: u and u^-1 are scaled to Gaussian integers once each, the scales'
+numerators are folded into u^-1, and each block is conjugated in one pass on
+plain ints, each entry normalized once.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .linalg import (
+    IntegerRows,
     Kernels,
     Mat,
     Subspace,
@@ -58,7 +63,7 @@ from .linalg import (
 )
 from .qrep import Blocks, DeterminantSingular, GLqRep, _relation_report, antipode, quantum_determinant
 from .report import Report
-from .scalars import ONE, ZERO, Record, Scalar, exact_sqrt
+from .scalars import ONE, ZERO, Record, Scalar, _alloc, as_scalar, exact_sqrt
 
 
 class Unsupported(ValueError):
@@ -165,15 +170,23 @@ class EquivalenceWitness:
         self.u, self.alpha1, self.alpha2, self.candidates_tried = u, alpha1, alpha2, candidates_tried
 
     def apply(self, rep: GLqRep) -> GLqRep:
+        """The representation A' = u A u^-1 diag(alpha1, alpha2): block ij is alpha_j u A_ij u^-1.
+
+        u^-1 is formed once (linalg.mat_inverse).  u and u^-1 are scaled once
+        each to Gaussian integers U and V over the lcm of their denominators,
+        and the numerator of alpha_j is folded into V as V_j.  Each block is
+        then one pass of _conjugate on plain ints, U A_ij V_j, normalized once
+        per entry.  Raises Singular for a singular u and DimensionMismatch for
+        a u that is not 4x4.
+        """
         uinv = mat_inverse(self.u)
-        conj = lambda x: self.u * x * uinv
-        return GLqRep(
-            conj(rep.a11).scale(self.alpha1),
-            conj(rep.a12).scale(self.alpha2),
-            conj(rep.a21).scale(self.alpha1),
-            conj(rep.a22).scale(self.alpha2),
-            rep.q,
-        )
+        self.u._same(rep.a11)
+        du, dv = (lcm(*(x.d for row in m.rows for x in row)) for m in (self.u, uinv))
+        left, right = integer_rows(self.u.rows, du), integer_rows(uinv.rows, dv)
+        v1, v2 = (([[(j, s.a * a - s.b * b, s.a * b + s.b * a) for j, a, b in row] for row in right], du * dv * s.d)
+                  for s in map(as_scalar, (self.alpha1, self.alpha2)))
+        return GLqRep(_conjugate(left, rep.a11, *v1), _conjugate(left, rep.a12, *v2),
+                      _conjugate(left, rep.a21, *v1), _conjugate(left, rep.a22, *v2), rep.q)
 
     def to_json(self) -> dict:
         return {
@@ -183,6 +196,42 @@ class EquivalenceWitness:
             "alpha2": self.alpha2.to_json(),
             "candidates_tried": self.candidates_tried,
         }
+
+
+def _conjugate(left: IntegerRows, x: Mat, right: IntegerRows, den: int) -> Mat:
+    """U X V / (den D) for X = D x, D the lcm of x's denominators, and U, V over den: one gcd per entry.
+
+    Each row of U X is summed on plain ints and then multiplied by V, and each
+    nonzero entry of U X V is normalized once; an entry that sums to zero is
+    the shared ZERO, and no other Scalar or Mat is made on the way.
+    """
+    n = x.n
+    d = lcm(*(e.d for row in x.rows for e in row))
+    rows = integer_rows(x.rows, d)
+    d *= den
+    out = []
+    for lrow in left:
+        re, im = [0] * n, [0] * n  # row of U X
+        for k, a, b in lrow:
+            for j, c, e in rows[k]:
+                re[j] += a * c - b * e
+                im[j] += a * e + b * c
+        ra, rb = [0] * n, [0] * n  # that row times V
+        for k, a, b in zip(range(n), re, im):
+            if a or b:
+                for j, c, e in right[k]:
+                    ra[j] += a * c - b * e
+                    rb[j] += a * e + b * c
+        row = [ZERO] * n
+        for j, a, b in zip(range(n), ra, rb):
+            if a or b:
+                g = gcd(a, b, d)
+                s = row[j] = _alloc(Scalar)
+                s.a, s.b, s.d = a // g, b // g, d // g
+        out.append(tuple(row))
+    m = _alloc(Mat)
+    m.n, m.rows = n, tuple(out)
+    return m
 
 
 class NotEquivalent(Record):

@@ -314,9 +314,10 @@ def _parse_term(s: str, pos: int, end: int):
     num, pos = _parse_int(s, pos, end)
     den = 1
     if pos < end and s[pos] == "/":
-        den, pos = _parse_int(s, pos + 1, end)
+        start = pos + 1
+        den, pos = _parse_int(s, start, end)
         if den <= 0:
-            raise ParseError("denominator must be positive", pos)
+            raise ParseError("denominator must be positive", start)
     if pos < end and s[pos] == "i":
         return Scalar(0, sign * num, den), True, pos + 1
     return Scalar(sign * num, 0, den), False, pos

@@ -30,12 +30,14 @@ from helpers import (
 )
 from qact import (
     DeterminantSingular,
+    DimensionMismatch,
     EquivalenceWitness,
     GLqRep,
     InnerAction,
     Mat,
     NotEquivalent,
     Scalar,
+    Singular,
     Subspace,
     Unsupported,
     action_fixed_points,
@@ -384,6 +386,32 @@ def test_witness_inverse_and_compose(q2, rng):
     assert inverse.apply(r1) == rep
     composite = EquivalenceWitness(w2.u * w1.u, w2.alpha1 * w1.alpha1, w2.alpha2 * w1.alpha2)
     assert composite.apply(rep) == r2
+
+
+@pytest.mark.parametrize("q_text", ["2", "3", "1+1i"])
+def test_apply_equals_the_two_product_conjugate(q_text):
+    """apply conjugates on Gaussian integers and gives exactly (u x u^-1) alpha_j, block by block."""
+    rng = random.Random(0xA991)
+    q = validate_q(parse_scalar(q_text))
+    for entry in ENTRY_ORDER:
+        rep = instantiate(entry, q)
+        uu = Mat.zero(4)
+        while not det(uu):  # mixed Gaussian-rational denominators
+            uu = random_dense_invertible(rng).scale(Scalar(2, 1, 3)) + Mat.diag(Scalar(1, 0, 5), 0, 0, Scalar(0, 1, 7))
+        alphas = Scalar(3, -2, 5), Scalar(-1, 4, 7)
+        uinv = mat_inverse(uu)
+        want = [(uu * x * uinv).scale(alpha) for x, alpha in zip(rep.matrices(), alphas * 2)]
+        moved = EquivalenceWitness(uu, *alphas).apply(rep)
+        assert list(moved.matrices()) == want and moved.q == rep.q, entry
+
+
+def test_apply_refuses_a_singular_or_misfit_u(q2):
+    rep = instantiate("S1", q2)
+    singular = Mat([[as_scalar(x) for x in row] for row in ((1, 2, 0, 1), (2, 4, 0, 2), (0, 1, 1, 0), (1, 0, 0, 1))])
+    with pytest.raises(Singular):
+        EquivalenceWitness(singular, as_scalar(2), as_scalar(3)).apply(rep)
+    with pytest.raises(DimensionMismatch, match="^sizes 3 and 4 differ$"):
+        EquivalenceWitness(Mat.identity(3), as_scalar(2), as_scalar(3)).apply(rep)
 
 
 def test_equivalence_relation_on_conjugate_family(q2, rng):

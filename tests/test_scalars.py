@@ -146,6 +146,14 @@ def test_parse_errors(bad):
     assert err.value.position >= 0
 
 
+@pytest.mark.parametrize("text, position", [("1/0", 2), ("1/0+2i", 2), ("3+1/00i", 4), (" 1/0 ", 3)])
+def test_zero_denominator_names_its_first_digit(text, position):
+    # As every other digit error, the position is the first character of the token.
+    with pytest.raises(ParseError) as err:
+        parse_scalar(text)
+    assert (str(err.value), err.value.position) == (f"denominator must be positive (position {position})", position)
+
+
 def test_only_ascii_whitespace_is_trimmed():
     from qact.scalars import scalar_from_json
 
