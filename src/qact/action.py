@@ -181,7 +181,7 @@ class EquivalenceWitness:
         """
         uinv = mat_inverse(self.u)
         self.u._same(rep.a11)
-        du, dv = (lcm(*(x.d for row in m.rows for x in row)) for m in (self.u, uinv))
+        du, dv = (lcm(*[x.d for row in m.rows for x in row]) for m in (self.u, uinv))
         left, right = integer_rows(self.u.rows, du), integer_rows(uinv.rows, dv)
         v1, v2 = (([[(j, s.a * a - s.b * b, s.a * b + s.b * a) for j, a, b in row] for row in right], du * dv * s.d)
                   for s in map(as_scalar, (self.alpha1, self.alpha2)))
@@ -206,7 +206,7 @@ def _conjugate(left: IntegerRows, x: Mat, right: IntegerRows, den: int) -> Mat:
     the shared ZERO, and no other Scalar or Mat is made on the way.
     """
     n = x.n
-    d = lcm(*(e.d for row in x.rows for e in row))
+    d = lcm(*[e.d for row in x.rows for e in row])
     rows = integer_rows(x.rows, d)
     d *= den
     out = []
