@@ -8,7 +8,10 @@ workload, every run's result line (the last stdout line of run.py) and each
 end-to-end metric's median and quartiles over those runs, with the git commit
 of the benchmarked checkout (suffixed -dirty when it has uncommitted changes,
 null outside git) and the SHA-256 of its src/ tree, so that two files can be
-compared knowing exactly which code each one measured.
+compared knowing exactly which code each one measured.  That hash leaves out
+bytecode caches, so a checkout that holds a .pyc file under src/ is refused
+(exit 1, naming the file): one side that imports cached bytecode reads a faster
+set-up than the other.  The runs themselves write no bytecode (python -B).
 
 With --parent, each workload runs --runs pairs of the parent checkout and this
 one, alternating which side of a pair runs first, and a second file
@@ -49,6 +52,11 @@ def src_sha256(checkout: Path) -> str:
     return digest.hexdigest()
 
 
+def cached_bytecode(checkout: Path) -> Path | None:
+    """The first .pyc file under the checkout's src/, in path order; None if there is none."""
+    return min((checkout / "src").rglob("*.pyc"), default=None)
+
+
 def git_commit(checkout: Path) -> str | None:
     """The full hash of HEAD, suffixed -dirty when tracked files differ from it; None outside git."""
     command = ["git", "-C", str(checkout), "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"]
@@ -58,7 +66,7 @@ def git_commit(checkout: Path) -> str | None:
 
 def run_workload(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run; returns its parsed result line, or raises RuntimeError if the run fails."""
-    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+    command = [sys.executable, "-B", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -137,6 +145,11 @@ def main(argv=None) -> int:
         parser.error("--runs must be at least 1")
     checkout = args.checkout.resolve()
     sides = [checkout] if args.parent is None else [checkout, args.parent.resolve()]
+    for side in sides:
+        cached = cached_bytecode(side)
+        if cached is not None:
+            print(f"bench: {cached} is cached bytecode under src/; delete it", file=sys.stderr)
+            return 1
     results = [{} for _ in sides]
     for workload in WORKLOADS:
         runs = [[] for _ in sides]

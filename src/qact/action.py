@@ -34,11 +34,12 @@ in every basis matrix of its support: otherwise the point has that zero row
 or column and is singular, so skipping it keeps the search complete and its
 first invertible point the same.  A witness u is checked as
 alpha u A - A' u = 0 on all four blocks (linalg.products_vanish), with no
-inverse: as det u != 0, that says alpha u A u^-1 = A'.  The inverse itself
-is formed only where a witness is applied (EquivalenceWitness.apply), once
-per call: u and u^-1 are scaled to Gaussian integers once each, the scales'
-numerators are folded into u^-1, and each block is conjugated in one pass on
-plain ints, each entry normalized once.
+inverse: as det u != 0, that says alpha u A u^-1 = A'.  Where a witness is
+applied (EquivalenceWitness.apply), u is scaled once to Gaussian integers U,
+and u^-1 = adj(U) / det U is taken by no elimination: adj U and det U are
+expanded from the 2x2 minors of U (_adjugate).  The scales' numerators and
+conj(det U) are folded into adj U, and each block is conjugated in one pass
+on plain ints, each entry normalized once.
 """
 
 from __future__ import annotations
@@ -172,19 +173,26 @@ class EquivalenceWitness:
     def apply(self, rep: GLqRep) -> GLqRep:
         """The representation A' = u A u^-1 diag(alpha1, alpha2): block ij is alpha_j u A_ij u^-1.
 
-        u^-1 is formed once (linalg.mat_inverse).  u and u^-1 are scaled once
-        each to Gaussian integers U and V over the lcm of their denominators,
-        and the numerator of alpha_j is folded into V as V_j.  Each block is
-        then one pass of _conjugate on plain ints, U A_ij V_j, normalized once
-        per entry.  Raises Singular for a singular u and DimensionMismatch for
-        a u that is not 4x4.
+        u is scaled once to Gaussian integers U over the lcm of its
+        denominators, and u A u^-1 = U A adj(U) / det U, with adj U and det U
+        from _adjugate: no elimination.  The numerator of alpha_j and
+        conj(det U) are folded into adj U as V_j, over |det U|^2 times the
+        denominator of alpha_j.  Each block is then one pass of _conjugate on
+        plain ints, U A_ij V_j, normalized once per entry.  Raises
+        DimensionMismatch for a u that is not 4x4 and Singular for a singular
+        u (linalg.mat_inverse, which states its rank).
         """
-        uinv = mat_inverse(self.u)
         self.u._same(rep.a11)
-        du, dv = (lcm(*[x.d for row in m.rows for x in row]) for m in (self.u, uinv))
-        left, right = integer_rows(self.u.rows, du), integer_rows(uinv.rows, dv)
-        v1, v2 = (([[(j, s.a * a - s.b * b, s.a * b + s.b * a) for j, a, b in row] for row in right], du * dv * s.d)
-                  for s in map(as_scalar, (self.alpha1, self.alpha2)))
+        du = lcm(*[x.d for row in self.u.rows for x in row])
+        dense = [[(x.a * (du // x.d), x.b * (du // x.d)) for x in row] for row in self.u.rows]
+        adj, (da, db) = _adjugate(dense)
+        if not (da or db):
+            mat_inverse(self.u)
+        left = [[(j, a, b) for j, (a, b) in enumerate(row) if a or b] for row in dense]
+        norm = da * da + db * db
+        v1, v2 = (([[(j, fa * a - fb * b, fa * b + fb * a) for j, a, b in row] for row in adj],
+                   norm * s.d) for s in map(as_scalar, (self.alpha1, self.alpha2))
+                  for fa, fb in [(s.a * da + s.b * db, s.b * da - s.a * db)])  # alpha_j's numerator times conj(det U)
         return GLqRep(_conjugate(left, rep.a11, *v1), _conjugate(left, rep.a12, *v2),
                       _conjugate(left, rep.a21, *v1), _conjugate(left, rep.a22, *v2), rep.q)
 
@@ -196,6 +204,42 @@ class EquivalenceWitness:
             "alpha2": self.alpha2.to_json(),
             "candidates_tried": self.candidates_tried,
         }
+
+
+_PAIRS = [(a, b) for a in range(4) for b in range(a + 1, 4)]  # the columns of minor k; minor 5 - k has the other two
+# C_ij = sum of sign * U[i^1][c] * (minor k of the other half's rows) over the (sign, c, k) of _COFACTORS[i][j].
+_COFACTORS = [[[((-1) ** (i + j + c + (j < c)), c, 5 - _PAIRS.index((min(j, c), max(j, c)))) for c in range(4) if c != j]
+               for j in range(4)] for i in range(4)]
+
+
+def _adjugate(u: list[list[tuple[int, int]]]) -> tuple[IntegerRows, tuple[int, int]]:
+    """adj U and det U for a 4x4 U of Gaussian integers (re, im), by Laplace expansion by complementary minors.
+
+    With top_k and bottom_k the 2x2 minors of rows 0-1 and 2-3 on columns
+    _PAIRS[k], det U = sum_k s_k top_k bottom_(5-k), s_k = (-1)^(a+b+1) for
+    _PAIRS[k] = (a, b); each cofactor C_ij is three terms along row i^1 times
+    minors of the other half (_COFACTORS), and terms at a zero entry of U are
+    skipped.  adj U is returned as its rows' nonzero entries, adj(U)_ji = C_ij.
+    """
+    halves = [[(p * r - q * t - v * e + w * f, p * t + q * r - v * f - w * e)
+               for a, b in _PAIRS for (p, q), (r, t), (v, w), (e, f) in [(x[a], y[b], x[b], y[a])]]
+              for x, y in (u[0:2], u[2:4])]
+    da = db = 0
+    for (a, b), (p, q), (r, t) in zip(_PAIRS, halves[0], reversed(halves[1])):
+        sign = 1 if (a + b) % 2 else -1
+        da, db = da + sign * (p * r - q * t), db + sign * (p * t + q * r)
+    adj = [[(0, 0)] * 4 for _ in range(4)]
+    for i, row in enumerate(_COFACTORS):
+        minors, other = halves[1 - i // 2], u[i ^ 1]
+        for j, terms in enumerate(row):
+            ca = cb = 0
+            for sign, c, k in terms:
+                a, b = other[c]
+                if a or b:
+                    m, n = minors[k]
+                    ca, cb = ca + sign * (a * m - b * n), cb + sign * (a * n + b * m)
+            adj[j][i] = ca, cb
+    return [[(i, a, b) for i, (a, b) in enumerate(row) if a or b] for row in adj], (da, db)
 
 
 def _conjugate(left: IntegerRows, x: Mat, right: IntegerRows, den: int) -> Mat:
@@ -265,7 +309,7 @@ def _power_traces(x: Mat) -> tuple[PowerTraces, Scalar]:
     tr(x^k) = P_k / D^k and det x are normalized once, and no Scalar or Mat is made on the way.
     """
     n = x.n
-    den = lcm(*(e.d for row in x.rows for e in row))
+    den = lcm(*[e.d for row in x.rows for e in row])
     rows = integer_rows(x.rows, den)
     re2, im2 = [], []  # the real and imaginary parts of X^2
     for row in rows:

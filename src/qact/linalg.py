@@ -135,7 +135,7 @@ class Mat:
         return all(_all_zero(r[i + 1 :]) for i, r in enumerate(self.rows))
 
     def flatten(self) -> tuple[Scalar, ...]:
-        return tuple(x for r in self.rows for x in r)
+        return tuple([x for r in self.rows for x in r])
 
     def _same(self, other: "Mat"):
         if self.n != other.n:
@@ -591,7 +591,7 @@ def _sylvester_system(l: Mat, r: Mat, basis: list[Sequence[Scalar]]) -> list[Row
     system = [{} for _ in range(nn)]
     for col, v in enumerate(basis):
         entries = [(p, x) for p, x in enumerate(v) if x.a or x.b]
-        bd = lcm(*(x.d for _, x in entries))
+        bd = lcm(*[x.d for _, x in entries])
         re, im = [0] * nn, [0] * nn
         for p, x in entries:
             c = bd // x.d

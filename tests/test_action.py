@@ -408,10 +408,56 @@ def test_apply_equals_the_two_product_conjugate(q_text):
 def test_apply_refuses_a_singular_or_misfit_u(q2):
     rep = instantiate("S1", q2)
     singular = Mat([[as_scalar(x) for x in row] for row in ((1, 2, 0, 1), (2, 4, 0, 2), (0, 1, 1, 0), (1, 0, 0, 1))])
-    with pytest.raises(Singular):
+    with pytest.raises(Singular, match="^matrix of size 4 has rank 3$"):
         EquivalenceWitness(singular, as_scalar(2), as_scalar(3)).apply(rep)
     with pytest.raises(DimensionMismatch, match="^sizes 3 and 4 differ$"):
         EquivalenceWitness(Mat.identity(3), as_scalar(2), as_scalar(3)).apply(rep)
+
+
+def _gaussian_mat(rng: random.Random, rows: int, cols: int) -> list[list[Scalar]]:
+    return [[Scalar(rng.randint(-3, 3), rng.randint(-2, 2) if rng.random() < 0.4 else 0) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _adjugate_cases() -> list[tuple[str, Mat]]:
+    """Seeded Gaussian-integer 4x4 matrices: dense, of each rank below 4, and with zero minors or columns."""
+    rng = random.Random(0xAD1)
+    cases = [(f"dense{k}", Mat(_gaussian_mat(rng, 4, 4))) for k in range(12)]
+    for rank in (3, 2, 1):
+        for k in range(3):
+            left, right = _gaussian_mat(rng, 4, rank), _gaussian_mat(rng, rank, 4)
+            product = [[sum((left[i][m] * right[m][j] for m in range(rank)), Scalar(0)) for j in range(4)]
+                       for i in range(4)]
+            cases.append((f"rank{rank}#{k}", Mat(product)))
+    cases.append(("rank0", Mat.zero(4)))
+    cases += [(name, Mat([[Scalar(int(c == p)) for c in range(4)] for p in perm]))
+              for name, perm in (("even permutation", (1, 0, 3, 2)), ("odd permutation", (1, 2, 3, 0)))]
+    m = _gaussian_mat(rng, 4, 4)
+    m[1][0], m[1][1] = m[0][0] * Scalar(2), m[0][1] * Scalar(2)  # the minor of rows 0-1 on columns 0, 1 is 0
+    cases.append(("zero top minor", Mat(m)))
+    m = _gaussian_mat(rng, 4, 4)
+    m[2][3] = m[3][3] = Scalar(0)  # column 3 is zero in rows 2-3
+    cases.append(("zero column in the bottom half", Mat(m)))
+    return cases
+
+
+@pytest.mark.parametrize("name,u", _adjugate_cases(), ids=[name for name, _ in _adjugate_cases()])
+def test_adjugate_by_complementary_minors(name, u):
+    adj, (da, db) = action_module._adjugate([[(x.a, x.b) for x in row] for row in u.rows])
+    d = Scalar(da, db)
+    assert d == dense_det(u)
+    rows = [[Scalar(0)] * 4 for _ in range(4)]
+    for i, row in enumerate(adj):
+        for j, a, b in row:
+            assert a or b
+            rows[i][j] = Scalar(a, b)
+    adj = Mat(rows)
+    assert u * adj == adj * u == Mat.identity(4).scale(d)
+    if name.startswith("rank"):
+        with pytest.raises(Singular, match=f"has rank {name[4]}$"):
+            mat_inverse(u)
+    elif d:
+        assert adj.scale(d.inv()) == mat_inverse(u)
 
 
 def test_equivalence_relation_on_conjugate_family(q2, rng):

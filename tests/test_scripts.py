@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -80,10 +81,16 @@ def test_verify_all_reports_a_failing_table_entry(capsys, monkeypatch):
     assert lines[-1] == "OVERALL: FAILURES above"
 
 
+def clean_checkout(where: Path) -> Path:
+    """A copy of this checkout's src/ with no bytecode cache, which bench.py refuses under src/."""
+    shutil.copytree(SCRIPTS.parent / "src", where / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return where
+
+
 def test_bench_writes_one_document_per_label(tmp_path, monkeypatch, capsys):
     bench = load_script("bench")
     monkeypatch.setattr(bench, "ROOT", tmp_path)
-    checkout = SCRIPTS.parent
+    checkout = clean_checkout(tmp_path / "checkout")
     calls = []
 
     def stub(root, workload, seed, seconds):
@@ -115,7 +122,7 @@ def test_bench_runs_alternating_pairs_against_a_parent(tmp_path, monkeypatch, ca
     monkeypatch.setattr(bench, "ROOT", tmp_path)
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
         {"name": "pass_s", "better": "lower"}, {"name": "ops_answered", "better": "higher"}]}))
-    checkout, parent = SCRIPTS.parent, tmp_path / "parent"
+    checkout, parent = clean_checkout(tmp_path / "checkout"), tmp_path / "parent"
     (parent / "src").mkdir(parents=True)
     calls = []
 
@@ -153,6 +160,28 @@ def test_bench_runs_alternating_pairs_against_a_parent(tmp_path, monkeypatch, ca
         "wins": 0, "losses": 0, "ties": 10, "median_gain": 0.0, "parent_iqr": 0.0, "gain": False}
     out = capsys.readouterr().out
     assert "witness pass_s: won 9, lost 1, tied 0" in out and "wrote BENCH_p-parent.json" in out
+
+
+@pytest.mark.parametrize("side", ["checkout", "parent"])
+def test_bench_refuses_a_checkout_with_bytecode_under_src(side, tmp_path, monkeypatch, capsys):
+    bench = load_script("bench")
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    checkout, parent = clean_checkout(tmp_path / "checkout"), clean_checkout(tmp_path / "parent")
+    cached = tmp_path / side / "src" / "qact" / "__pycache__" / "action.cpython-311.pyc"
+    cached.parent.mkdir()
+    cached.write_bytes(b"")
+
+    def stub(root, workload, seed, seconds):
+        raise AssertionError("a refused checkout is not run")
+
+    monkeypatch.setattr(bench, "run_workload", stub)
+    assert bench.main(["--label", "z", "--checkout", str(checkout), "--parent", str(parent)]) == 1
+    assert capsys.readouterr().err == f"bench: {cached} is cached bytecode under src/; delete it\n"
+    assert not list(tmp_path.glob("BENCH_*.json"))
+    cached.unlink()  # an empty __pycache__ is no bytecode
+    monkeypatch.setattr(bench, "run_workload", lambda root, workload, seed, seconds: {
+        "correct": True, "attempted": 1, "failed": 0, "metrics": {"pass_s": {"value": 0.5, "unit": "s"}}})
+    assert bench.main(["--label", "z", "--checkout", str(tmp_path / side)]) == 0
 
 
 SRC_LINES_FIXTURE = '''"""Module docstring,
