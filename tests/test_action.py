@@ -419,30 +419,34 @@ def _gaussian_mat(rng: random.Random, rows: int, cols: int) -> list[list[Scalar]
             for _ in range(rows)]
 
 
-def _adjugate_cases() -> list[tuple[str, Mat]]:
-    """Seeded Gaussian-integer 4x4 matrices: dense, of each rank below 4, and with zero minors or columns."""
+def _adjugate_cases() -> list:
+    """Seeded Gaussian-integer 4x4 matrices u and their ranks: dense, singular, and with a zero minor or column."""
     rng = random.Random(0xAD1)
-    cases = [(f"dense{k}", Mat(_gaussian_mat(rng, 4, 4))) for k in range(12)]
+    cases = [pytest.param(Mat(_gaussian_mat(rng, 4, 4)), 4, id=f"dense{k}") for k in range(12)]
     for rank in (3, 2, 1):
         for k in range(3):
             left, right = _gaussian_mat(rng, 4, rank), _gaussian_mat(rng, rank, 4)
             product = [[sum((left[i][m] * right[m][j] for m in range(rank)), Scalar(0)) for j in range(4)]
                        for i in range(4)]
-            cases.append((f"rank{rank}#{k}", Mat(product)))
-    cases.append(("rank0", Mat.zero(4)))
-    cases += [(name, Mat([[Scalar(int(c == p)) for c in range(4)] for p in perm]))
+            cases.append(pytest.param(Mat(product), rank, id=f"rank{rank}#{k}"))
+    cases.append(pytest.param(Mat.zero(4), 0, id="rank0"))
+    cases += [pytest.param(Mat([[Scalar(int(c == p)) for c in range(4)] for p in perm]), 4, id=name)
               for name, perm in (("even permutation", (1, 0, 3, 2)), ("odd permutation", (1, 2, 3, 0)))]
-    m = _gaussian_mat(rng, 4, 4)
-    m[1][0], m[1][1] = m[0][0] * Scalar(2), m[0][1] * Scalar(2)  # the minor of rows 0-1 on columns 0, 1 is 0
-    cases.append(("zero top minor", Mat(m)))
-    m = _gaussian_mat(rng, 4, 4)
-    m[2][3] = m[3][3] = Scalar(0)  # column 3 is zero in rows 2-3
-    cases.append(("zero column in the bottom half", Mat(m)))
+    for name in ("zero top minor", "zero column in the bottom half"):
+        m = Mat.zero(4)
+        while not det(m):
+            rows = _gaussian_mat(rng, 4, 4)
+            if name == "zero top minor":
+                rows[1][:2] = [x * Scalar(2) for x in rows[0][:2]]  # the minor of rows 0-1 on columns 0, 1 is 0
+            else:
+                rows[2][3] = rows[3][3] = Scalar(0)  # column 3 is zero in rows 2-3
+            m = Mat(rows)
+        cases.append(pytest.param(m, 4, id=name))
     return cases
 
 
-@pytest.mark.parametrize("name,u", _adjugate_cases(), ids=[name for name, _ in _adjugate_cases()])
-def test_adjugate_by_complementary_minors(name, u):
+@pytest.mark.parametrize("u,rank", _adjugate_cases())
+def test_adjugate_by_complementary_minors(u, rank):
     adj, (da, db) = action_module._adjugate([[(x.a, x.b) for x in row] for row in u.rows])
     d = Scalar(da, db)
     assert d == dense_det(u)
@@ -453,10 +457,10 @@ def test_adjugate_by_complementary_minors(name, u):
             rows[i][j] = Scalar(a, b)
     adj = Mat(rows)
     assert u * adj == adj * u == Mat.identity(4).scale(d)
-    if name.startswith("rank"):
-        with pytest.raises(Singular, match=f"has rank {name[4]}$"):
+    if rank < 4:
+        with pytest.raises(Singular, match=f"^matrix of size 4 has rank {rank}$"):
             mat_inverse(u)
-    elif d:
+    else:
         assert adj.scale(d.inv()) == mat_inverse(u)
 
 
