@@ -9,9 +9,10 @@ end-to-end metric's median and quartiles over those runs, with the git commit
 of the benchmarked checkout (suffixed -dirty when it has uncommitted changes,
 null outside git) and the SHA-256 of its src/ tree, so that two files can be
 compared knowing exactly which code each one measured.  That hash leaves out
-bytecode caches, so a checkout that holds a .pyc file under src/ is refused
-(exit 1, naming the file): one side that imports cached bytecode reads a faster
-set-up than the other.  The runs themselves write no bytecode (python -B).
+bytecode caches, so each run neither reads nor writes one: it runs with
+python -B and a fresh, empty pycache_prefix, and compiles every module it
+imports from source.  One side that imported cached bytecode would read a
+faster set-up than the other.
 
 With --parent, each workload runs --runs pairs of the parent checkout and this
 one, alternating which side of a pair runs first, and a second file
@@ -36,6 +37,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,11 +54,6 @@ def src_sha256(checkout: Path) -> str:
     return digest.hexdigest()
 
 
-def cached_bytecode(checkout: Path) -> Path | None:
-    """The first .pyc file under the checkout's src/, in path order; None if there is none."""
-    return min((checkout / "src").rglob("*.pyc"), default=None)
-
-
 def git_commit(checkout: Path) -> str | None:
     """The full hash of HEAD, suffixed -dirty when tracked files differ from it; None outside git."""
     command = ["git", "-C", str(checkout), "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"]
@@ -65,10 +62,14 @@ def git_commit(checkout: Path) -> str | None:
 
 
 def run_workload(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run; returns its parsed result line, or raises RuntimeError if the run fails."""
-    command = [sys.executable, "-B", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    """One perfbench run, with no bytecode read or written; returns its parsed result line.
+
+    Raises RuntimeError if the run fails.
+    """
+    with tempfile.TemporaryDirectory() as no_cache:
+        command = [sys.executable, "-B", "-X", f"pycache_prefix={no_cache}", "perfbench/run.py",
+                   "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+        done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{workload}: perfbench exited {done.returncode}: {done.stderr.strip()}")
@@ -145,11 +146,6 @@ def main(argv=None) -> int:
         parser.error("--runs must be at least 1")
     checkout = args.checkout.resolve()
     sides = [checkout] if args.parent is None else [checkout, args.parent.resolve()]
-    for side in sides:
-        cached = cached_bytecode(side)
-        if cached is not None:
-            print(f"bench: {cached} is cached bytecode under src/; delete it", file=sys.stderr)
-            return 1
     results = [{} for _ in sides]
     for workload in WORKLOADS:
         runs = [[] for _ in sides]

@@ -1,7 +1,7 @@
 import importlib.util
 import json
 import os
-import shutil
+import py_compile
 import subprocess
 import sys
 from pathlib import Path
@@ -81,16 +81,10 @@ def test_verify_all_reports_a_failing_table_entry(capsys, monkeypatch):
     assert lines[-1] == "OVERALL: FAILURES above"
 
 
-def clean_checkout(where: Path) -> Path:
-    """A copy of this checkout's src/ with no bytecode cache, which bench.py refuses under src/."""
-    shutil.copytree(SCRIPTS.parent / "src", where / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    return where
-
-
 def test_bench_writes_one_document_per_label(tmp_path, monkeypatch, capsys):
     bench = load_script("bench")
     monkeypatch.setattr(bench, "ROOT", tmp_path)
-    checkout = clean_checkout(tmp_path / "checkout")
+    checkout = SCRIPTS.parent
     calls = []
 
     def stub(root, workload, seed, seconds):
@@ -122,7 +116,7 @@ def test_bench_runs_alternating_pairs_against_a_parent(tmp_path, monkeypatch, ca
     monkeypatch.setattr(bench, "ROOT", tmp_path)
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
         {"name": "pass_s", "better": "lower"}, {"name": "ops_answered", "better": "higher"}]}))
-    checkout, parent = clean_checkout(tmp_path / "checkout"), tmp_path / "parent"
+    checkout, parent = SCRIPTS.parent, tmp_path / "parent"
     (parent / "src").mkdir(parents=True)
     calls = []
 
@@ -162,26 +156,23 @@ def test_bench_runs_alternating_pairs_against_a_parent(tmp_path, monkeypatch, ca
     assert "witness pass_s: won 9, lost 1, tied 0" in out and "wrote BENCH_p-parent.json" in out
 
 
-@pytest.mark.parametrize("side", ["checkout", "parent"])
-def test_bench_refuses_a_checkout_with_bytecode_under_src(side, tmp_path, monkeypatch, capsys):
+def test_bench_runs_read_no_bytecode_under_src(tmp_path):
     bench = load_script("bench")
-    monkeypatch.setattr(bench, "ROOT", tmp_path)
-    checkout, parent = clean_checkout(tmp_path / "checkout"), clean_checkout(tmp_path / "parent")
-    cached = tmp_path / side / "src" / "qact" / "__pycache__" / "action.cpython-311.pyc"
-    cached.parent.mkdir()
-    cached.write_bytes(b"")
-
-    def stub(root, workload, seed, seconds):
-        raise AssertionError("a refused checkout is not run")
-
-    monkeypatch.setattr(bench, "run_workload", stub)
-    assert bench.main(["--label", "z", "--checkout", str(checkout), "--parent", str(parent)]) == 1
-    assert capsys.readouterr().err == f"bench: {cached} is cached bytecode under src/; delete it\n"
-    assert not list(tmp_path.glob("BENCH_*.json"))
-    cached.unlink()  # an empty __pycache__ is no bytecode
-    monkeypatch.setattr(bench, "run_workload", lambda root, workload, seed, seconds: {
-        "correct": True, "attempted": 1, "failed": 0, "metrics": {"pass_s": {"value": 0.5, "unit": "s"}}})
-    assert bench.main(["--label", "z", "--checkout", str(tmp_path / side)]) == 0
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, sys\nsys.path.insert(0, 'src')\nimport probe\nprint(json.dumps({'value': probe.VALUE}))\n")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "probe.py").write_text("VALUE = 'source'\n")
+    (tmp_path / "stale.py").write_text("VALUE = 'cached'\n")
+    # Bytecode that Python trusts without checking it against probe.py.
+    cached = tmp_path / "src" / "__pycache__" / f"probe.{sys.implementation.cache_tag}.pyc"
+    py_compile.compile(str(tmp_path / "stale.py"), cfile=str(cached),
+                       invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH)
+    plain = subprocess.run([sys.executable, "-B", "perfbench/run.py"], cwd=tmp_path, capture_output=True, text=True)
+    assert json.loads(plain.stdout) == {"value": "cached"}  # -B alone still reads it
+    before = sorted((tmp_path / "src").rglob("*"))
+    assert bench.run_workload(tmp_path, "witness", 1, 0.5) == {"value": "source"}
+    assert sorted((tmp_path / "src").rglob("*")) == before
 
 
 SRC_LINES_FIXTURE = '''"""Module docstring,
