@@ -6,9 +6,10 @@ certificate, one after another with the same seed and run length, and writes
 BENCH_<label>.json to the root of this repository.  The file holds, for each
 workload, every run's result line (the last stdout line of run.py) and each
 end-to-end metric's median and quartiles over those runs, with the git commit
-of the benchmarked checkout (suffixed -dirty when it has uncommitted changes,
-null outside git) and the SHA-256 of its src/ tree, so that two files can be
-compared knowing exactly which code each one measured.  That hash leaves out
+of the benchmarked checkout (suffixed -dirty when a tracked file other than a
+BENCH_*.json has uncommitted changes, null outside git) and the SHA-256 of its
+src/ tree, so that two files can be compared knowing exactly which code each
+one measured.  That hash leaves out
 bytecode caches, so each run neither reads nor writes one: it runs with
 python -B and a fresh, empty pycache_prefix, and compiles every module it
 imports from source.  One side that imported cached bytecode would read a
@@ -55,10 +56,17 @@ def src_sha256(checkout: Path) -> str:
 
 
 def git_commit(checkout: Path) -> str | None:
-    """The full hash of HEAD, suffixed -dirty when tracked files differ from it; None outside git."""
-    command = ["git", "-C", str(checkout), "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"]
-    done = subprocess.run(command, capture_output=True, text=True)
-    return done.stdout.strip() if done.returncode == 0 else None
+    """The full hash of HEAD, suffixed -dirty when a tracked file differs from it; None outside git.
+
+    BENCH_*.json files do not count: bench.py rewrites them, and no run reads them.
+    """
+    git = ["git", "-C", str(checkout)]
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True)
+    if head.returncode != 0:
+        return None
+    changed = ["status", "--porcelain", "--untracked-files=no", "--", ".", ":(exclude)BENCH_*.json"]
+    status = subprocess.run(git + changed, capture_output=True, text=True)
+    return head.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
 
 
 def run_workload(checkout: Path, workload: str, seed: int, seconds: float) -> dict:

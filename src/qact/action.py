@@ -162,13 +162,14 @@ def action_fixed_points(action: InnerAction) -> Subspace:
 
 
 class EquivalenceWitness:
-    """Data (u, alpha1, alpha2) realizing the equivalence of two actions."""
+    """Data (u, alpha1, alpha2) realizing the equivalence of two actions; each scale is coerced by as_scalar."""
 
     __slots__ = ("u", "alpha1", "alpha2", "candidates_tried")
     equivalent = True
 
-    def __init__(self, u: Mat, alpha1: Scalar, alpha2: Scalar, candidates_tried: int = 0):
-        self.u, self.alpha1, self.alpha2, self.candidates_tried = u, alpha1, alpha2, candidates_tried
+    def __init__(self, u: Mat, alpha1: Scalar | int, alpha2: Scalar | int, candidates_tried: int = 0):
+        self.u, self.candidates_tried = u, candidates_tried
+        self.alpha1, self.alpha2 = as_scalar(alpha1), as_scalar(alpha2)
 
     def apply(self, rep: GLqRep) -> GLqRep:
         """The representation A' = u A u^-1 diag(alpha1, alpha2): block ij is alpha_j u A_ij u^-1.
@@ -191,7 +192,7 @@ class EquivalenceWitness:
         left = [[(j, a, b) for j, (a, b) in enumerate(row) if a or b] for row in dense]
         norm = da * da + db * db
         v1, v2 = (([[(j, fa * a - fb * b, fa * b + fb * a) for j, a, b in row] for row in adj],
-                   norm * s.d) for s in map(as_scalar, (self.alpha1, self.alpha2))
+                   norm * s.d) for s in (self.alpha1, self.alpha2)
                   for fa, fb in [(s.a * da + s.b * db, s.b * da - s.a * db)])  # alpha_j's numerator times conj(det U)
         return GLqRep(_conjugate(left, rep.a11, *v1), _conjugate(left, rep.a12, *v2),
                       _conjugate(left, rep.a21, *v1), _conjugate(left, rep.a22, *v2), rep.q)
@@ -250,8 +251,7 @@ def _conjugate(left: IntegerRows, x: Mat, right: IntegerRows, den: int) -> Mat:
     the shared ZERO, and no other Scalar or Mat is made on the way.
     """
     n = x.n
-    d = lcm(*[e.d for row in x.rows for e in row])
-    rows = integer_rows(x.rows, d)
+    rows, d = integer_rows(x.rows)
     d *= den
     out = []
     for lrow in left:
@@ -309,8 +309,7 @@ def _power_traces(x: Mat) -> tuple[PowerTraces, Scalar]:
     tr(x^k) = P_k / D^k and det x are normalized once, and no Scalar or Mat is made on the way.
     """
     n = x.n
-    den = lcm(*[e.d for row in x.rows for e in row])
-    rows = integer_rows(x.rows, den)
+    rows, den = integer_rows(x.rows)
     re2, im2 = [], []  # the real and imaginary parts of X^2
     for row in rows:
         re, im = [0] * n, [0] * n

@@ -219,9 +219,10 @@ def sparse_rows(m: Mat) -> SparseRows:
 IntegerRows = list[list[tuple[int, int, int]]]  # each row's nonzero entries (j, a, b), (a + b i)/den at column j
 
 
-def integer_rows(rows: Sequence[Sequence[Scalar]], den: int) -> IntegerRows:
-    """The rows as Gaussian integers over den, a multiple of every denominator: the nonzero (j, a, b) of each."""
-    return [[(j, x.a * (den // x.d), x.b * (den // x.d)) for j, x in enumerate(r) if x.a or x.b] for r in rows]
+def integer_rows(rows: Sequence[Sequence[Scalar]]) -> tuple[IntegerRows, int]:
+    """The rows as Gaussian integers over den, the lcm of their denominators: the nonzero (j, a, b) of each, and den."""
+    den = lcm(*[x.d for r in rows for x in r])
+    return [[(j, x.a * (den // x.d), x.b * (den // x.d)) for j, x in enumerate(r) if x.a or x.b] for r in rows], den
 
 
 def products_vanish(terms: Iterable[tuple[Scalar, SparseRows, SparseRows]]) -> bool:
@@ -505,22 +506,26 @@ Kernels = dict
 def solve_homogeneous(maps: Sequence[tuple[Mat, Mat]], *, kernels: Kernels | None = None) -> Subspace:
     """The X with L X = X R for every map (L, R), all of one size: the common kernel of the maps X -> L X - X R.
 
-    A map with L = R = c I is zero and is skipped; the map X -> L X - X R is
-    zero only then.  The first other map's rows are built from its terms
-    (L, 1) and (1, -R) and reduced; each later map is evaluated on the kernel
-    basis found so far, L B - B R for each basis matrix B
-    (_sylvester_system), so none of its rows is built.  Maps are read one at
-    a time, and none after the kernel is {0}.  The basis after each prefix of
+    A map whose L or R is not of the first L's size raises DimensionMismatch
+    before it is read.  A map with L = R = c I is zero and is skipped; the
+    map X -> L X - X R is zero only then.  The first other map's rows are
+    built from its terms (L, 1) and (1, -R) and reduced; each later map is
+    evaluated on the kernel basis found so far, L B - B R for each basis
+    matrix B (_sylvester_system), so none of its rows is built.  Maps are
+    read one at a time, and none after the kernel is {0}.  The basis after each prefix of
     the maps not skipped is a function of the prefix alone, so it is looked
     up in the tree of kernels, the caller's or a fresh one, and added there
     when computed; the node where the solve ends keeps its Subspace.
     """
     if not maps:
         raise ValueError("solve_homogeneous needs at least one map")
-    n = maps[0][0].n
+    first = maps[0][0]
+    n = first.n
     one, width = Mat.identity(n), n * n
     node = (kernels if kernels is not None else {}).setdefault(n, [None, None, []])
     for l, r in maps:
+        first._same(l)
+        first._same(r)
         if _is_scalar(l) and l == r:
             continue
         for cl, cr, child in node[2]:
@@ -586,8 +591,8 @@ def _sylvester_system(l: Mat, r: Mat, basis: list[Sequence[Scalar]]) -> list[Row
     normalized once.  No row of the map is built.
     """
     n, nn = l.n, l.n * l.n
-    den = lcm(*(x.d for row in l.rows + r.rows for x in row))
-    columns, r = integer_rows(list(zip(*l.rows)), den), integer_rows(r.rows, den)
+    rows, den = integer_rows([*zip(*l.rows), *r.rows])
+    columns, r = rows[:n], rows[n:]
     system = [{} for _ in range(nn)]
     for col, v in enumerate(basis):
         entries = [(p, x) for p, x in enumerate(v) if x.a or x.b]
@@ -656,11 +661,14 @@ def algebra_closure(generators: Sequence[Mat]) -> Subspace:
     Every other generator is c 1 + sum_h c_h h over h in G', so G V is in V.
     V holds 1 and G, and every word in G is g times a shorter word, so V
     holds every word; and V lies in the algebra, as each word does.  The
-    RREF basis is canonical.
+    RREF basis is canonical.  A generator of another size than the first
+    raises DimensionMismatch before any generator is read.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("algebra_closure needs at least one generator")
+    for g in generators:
+        generators[0]._same(g)
     n = generators[0].n
     echelon = {}
     _reduce_into(echelon, {k * (n + 1): ONE for k in range(n)})

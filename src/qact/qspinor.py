@@ -52,7 +52,7 @@ _FORM_A = {
     1: lambda q, alpha: Mat.diag(q * q, q, 1, 1),
     2: lambda q, alpha: Mat.diag(q * q, q, q, 1),
     3: lambda q, alpha: Mat.diag(q * q, q * q, q, 1),
-    4: lambda q, alpha: Mat.diag(q ** 3, q * q, q, 1),
+    4: lambda q, alpha: Mat.diag(q * q * q, q * q, q, 1),
     5: lambda q, alpha: Mat.diag(alpha, q * q, q, 1),
     6: lambda q, alpha: Mat.diag(q * q, q * q, q, 1) + Mat.unit(4, 1, 2),
     7: lambda q, alpha: Mat.diag(q * q, q, 1, 1) + Mat.unit(4, 3, 4),

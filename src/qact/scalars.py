@@ -8,7 +8,10 @@ plain Python ints, which is several times faster than a pair of Fractions.
 
 The operators +, * and == are one Python call deep: a Scalar operand is
 used as it is, and each result is reduced by one gcd(a, b, d) and allocated
-in place.  x - y is x + (-y).
+in place.  x - y is x + (-y).  The other operand of +, -, *, / and == is a
+Scalar or an int, and an int stands on the right: x + 1 is a Scalar, while
+1 + x, x * Fraction(1, 2) and x ** 2 raise TypeError.  So a sum of Scalars
+starts from ZERO, as in sum(xs, ZERO).
 """
 
 from __future__ import annotations
@@ -74,20 +77,12 @@ class Scalar:
         s.a, s.b, s.d = a, b, d
         return s
 
-    __radd__ = __add__
-
     def __sub__(self, o):
         if o.__class__ is not Scalar:
             o = _coerce(o)
             if o is None:
                 return NotImplemented
         return self + _new(-o.a, -o.b, o.d)
-
-    def __rsub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, o):
         if o.__class__ is not Scalar:
@@ -103,8 +98,6 @@ class Scalar:
         s = _alloc(Scalar)
         s.a, s.b, s.d = a, b, d
         return s
-
-    __rmul__ = __mul__
 
     def minus_product(self, y: "Scalar", f: "Scalar") -> "Scalar":
         """self - y*f for Scalars y and f, normalized once: the update of an elimination step."""
@@ -129,30 +122,8 @@ class Scalar:
             return NotImplemented
         return self * o.inv()
 
-    def __rtruediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
     def __neg__(self):
         return _new(-self.a, -self.b, self.d)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        base = self
-        if exponent < 0:
-            base = self.inv()
-            exponent = -exponent
-        result = None
-        while exponent:
-            if exponent & 1:
-                result = base if result is None else result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return ONE if result is None else result
 
     def inv(self) -> "Scalar":
         """Multiplicative inverse; exists iff the scalar is nonzero."""
@@ -174,8 +145,8 @@ class Scalar:
         return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
-        # A real scalar hashes as the int or Fraction it equals.
-        return hash((self.a, self.b, self.d)) if self.b else hash(Fraction(self.a, self.d))
+        # An integer hashes as the int it equals.
+        return hash(self.a) if self.d == 1 and not self.b else hash((self.a, self.b, self.d))
 
     def sort_key(self):
         """Total order on Q(i) by (re, im); used only for canonical output."""
@@ -206,8 +177,6 @@ def _coerce(x) -> Scalar | None:
         return x
     if isinstance(x, int):
         return _new(x, 0, 1)
-    if isinstance(x, Fraction):
-        return _new(x.numerator, 0, x.denominator)
     return None
 
 
@@ -217,7 +186,10 @@ I = _new(0, 1, 1)
 
 
 def as_scalar(x) -> Scalar:
-    """Coerce an int, Fraction, scalar string, or Scalar to a Scalar."""
+    """Coerce an int, a scalar text or a Scalar to a Scalar; any other value, a Fraction or a float, raises TypeError.
+
+    The right operand of Scalar's operators is coerced the same way, except that a text is no operand.
+    """
     s = _coerce(x)
     if s is not None:
         return s

@@ -414,6 +414,15 @@ def test_apply_refuses_a_singular_or_misfit_u(q2):
         EquivalenceWitness(Mat.identity(3), as_scalar(2), as_scalar(3)).apply(rep)
 
 
+def test_witness_takes_int_scales(q2):
+    """Int scales are Scalars from the constructor on: to_json and apply read them as Scalar(2) and Scalar(3)."""
+    rep, uu = instantiate("S5", q2), random_dense_invertible(random.Random(0x2B))
+    w, scalars = EquivalenceWitness(uu, 2, 3), EquivalenceWitness(uu, Scalar(2), Scalar(3))
+    assert w.to_json() == scalars.to_json() and w.to_json()["alpha1"] == {"re": "2", "im": "0"}
+    assert w.apply(rep) == scalars.apply(rep)
+    assert EquivalenceWitness(Mat.identity(4), 2, 3).to_json()["alpha2"] == {"re": "3", "im": "0"}
+
+
 def _gaussian_mat(rng: random.Random, rows: int, cols: int) -> list[list[Scalar]]:
     return [[Scalar(rng.randint(-3, 3), rng.randint(-2, 2) if rng.random() < 0.4 else 0) for _ in range(cols)]
             for _ in range(rows)]

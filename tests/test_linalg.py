@@ -98,7 +98,7 @@ def test_kernel_identity_and_zero():
 
 def test_kernel_of_spinor_operator(q2):
     q = q2.q
-    a = Mat.diag(q ** 3, q * q, q, 1)
+    a = Mat.diag(q * q * q, q * q, q, 1)
     # X -> A X - q X A as A (x) I - q I (x) A^T, and A^T = A.
     operator = dense_kron(a, E4) - dense_kron(E4, a).scale(q)
     assert Subspace(16, operator.rows).dim == 13
@@ -162,6 +162,15 @@ def test_contains_matrix_checks_the_size():
     assert not s.contains_matrix(u(1, 2))
     with pytest.raises(DimensionMismatch):
         s.contains_matrix(Mat.identity(2))
+
+
+def test_mixed_sizes_raise_dimension_mismatch():
+    """A 4x4 B with a 3x3 C in a solve, a centralizer or a closure: DimensionMismatch before C is read."""
+    b, c = Mat.diag(1, 2, 3, 4) + u(1, 2), Mat.diag(1, 2, 3) + u(2, 3, n=3)
+    for call in (lambda: solve_homogeneous([(b, b), (b, c)]), lambda: centralizer([b, c]),
+                 lambda: algebra_closure([b, c])):
+        with pytest.raises(DimensionMismatch, match="^sizes 4 and 3 differ$"):
+            call()
 
 
 def test_empty_map_lists_raise_value_error():

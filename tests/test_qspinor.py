@@ -53,7 +53,7 @@ def test_canonical_form_data(q2):
     assert [f.expected_dim for f in forms] == [3, 4, 3, 3, 2, 2, 2]
     assert forms[0].a == Mat.diag(q * q, q, 1, 1)
     assert forms[2].expected_basis == (u(1, 3), u(2, 3), u(3, 4))
-    assert forms[3].a == Mat.diag(q ** 3, q * q, q, 1)
+    assert forms[3].a == Mat.diag(q * q * q, q * q, q, 1)
     assert forms[3].expected_basis == (u(1, 2), u(2, 3), u(3, 4))
     assert forms[5].a == Mat.diag(q * q, q * q, q, 1) + u(1, 2)
     assert forms[5].expected_basis == (u(1, 3), u(3, 4))

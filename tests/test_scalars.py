@@ -69,7 +69,6 @@ def test_field_axioms(x, y, z):
 @given(nonzero_scalars)
 def test_multiplicative_inverse(x):
     assert x * x.inv() == ONE
-    assert x ** -1 == x.inv()
 
 
 @given(scalars)
@@ -88,31 +87,6 @@ def test_bulk_random_triples():
         assert x * (y + z) == x * y + x * z
         if x:
             assert x * x.inv() == ONE
-
-
-def test_powers():
-    q = Scalar(2)
-    assert q ** 0 == ONE
-    assert q ** 3 == Scalar(8)
-    assert q ** -2 == Scalar(1, 0, 4)
-    assert I ** 2 == Scalar(-1)
-
-
-@pytest.mark.parametrize("x", [Scalar(2), Scalar(-3, 1, 2), Scalar(1, -2, 3), I], ids=str)
-def test_powers_match_repeated_multiplication(x, monkeypatch):
-    expected = {0: ONE}
-    for e in range(1, 10):
-        expected[e] = expected[e - 1] * x
-        expected[-e] = expected[1 - e] * x.inv()
-    products = []
-    mul = Scalar.__mul__
-    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: products.append((a, b)) or mul(a, b))
-    for e in range(-6, 10):
-        products.clear()
-        assert x ** e == expected[e], e
-        # One squaring per bit after the first and one product per further
-        # set bit: no product by one, and no squaring past the last bit.
-        assert len(products) == max(abs(e).bit_length() + bin(abs(e)).count("1") - 2, 0), e
 
 
 def test_parse_examples():
@@ -282,7 +256,7 @@ def test_validate_q_accepts_and_rejects():
     assert validate_q(2).q == Scalar(2)
     assert validate_q(Scalar(1, 1)).q == Scalar(1, 1)
     assert validate_q(Scalar(0, 2)).q == Scalar(0, 2)  # 2i is no root of unity
-    assert validate_q(Fraction(1, 2)).q == Scalar(1, 0, 2)
+    assert validate_q(Scalar(1, 0, 2)).q == Scalar(1, 0, 2)
     for bad in (0, 1, -1, I, -I):
         with pytest.raises(InvalidQ):
             validate_q(bad)
@@ -317,7 +291,7 @@ def test_validate_q_rejects_exactly_the_roots_of_unity():
 def test_validate_q_accepts_generic_rationals(num, den):
     f = Fraction(num, den)
     if f != 0 and abs(f.numerator) != f.denominator:
-        assert validate_q(f).q == as_scalar(f)
+        assert validate_q(Scalar(num, 0, den)).q == Scalar(f.numerator, 0, f.denominator)
 
 
 def test_scalar_arith_dispatch():
@@ -330,15 +304,15 @@ def test_scalar_arith_dispatch():
 
 def test_int_and_fraction_coercion():
     assert Scalar(3) + 1 == Scalar(4)
-    assert 2 * Scalar(1, 1) == Scalar(2, 2)
+    assert Scalar(1, 1) * 2 == Scalar(2, 2)
     assert Scalar(1) / 2 == Scalar(1, 0, 2)
-    assert Scalar(1) + Fraction(1, 2) == Scalar(3, 0, 2)
-    assert 1 - Scalar(0, 1) == Scalar(1, -1)
+    assert Scalar(0, 1) - 1 == Scalar(-1, 1)
+    assert as_scalar(3) == Scalar(3) == 3 and as_scalar("1/2") == Scalar(1, 0, 2)
 
 
 def test_hash_agrees_with_equality():
     assert hash(Scalar(2)) == hash(2) and len({Scalar(2), 2}) == 1
-    assert hash(Scalar(-3, 0, 2)) == hash(Fraction(-3, 2)) and len({Scalar(-3, 0, 2), Fraction(-3, 2)}) == 1
+    assert hash(Scalar(-3, 0, 2)) == hash((-3, 0, 2)) and len({Scalar(-3, 0, 2), Scalar(-6, 0, 4)}) == 1
     assert hash(Scalar(1, 2, 3)) == hash((1, 2, 3))
 
 
@@ -395,16 +369,14 @@ def test_kernel_matches_fraction_reference(x, y, f):
     assert x == Scalar(x.a * 7, x.b * 7, x.d * 7)
 
 
-@given(wide_scalars, huge | st.fractions(max_denominator=2**40))
+@given(wide_scalars, huge)
 def test_int_and_fraction_operands_on_either_side(x, r):
+    # An int operand stands on the right; on the left it raises TypeError.
     px, pr = parts(x), parts(r)
     for got, want in (
         (x + r, ref_add(px, pr)),
-        (r + x, ref_add(px, pr)),
         (x - r, ref_sub(px, pr)),
-        (r - x, ref_sub(pr, px)),
         (x * r, ref_mul(px, pr)),
-        (r * x, ref_mul(px, pr)),
     ):
         assert isinstance(got, Scalar)
         assert_canonical(got)
@@ -412,7 +384,7 @@ def test_int_and_fraction_operands_on_either_side(x, r):
     assert (x == r) is (r == x) is (px == pr)
 
 
-@pytest.mark.parametrize("other", ["1", 1.5])
+@pytest.mark.parametrize("other", ["1", 1.5, Fraction(1, 2)])
 def test_str_and_float_operands_raise_type_error(other):
     x = Scalar(1, 2, 3)
     for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
@@ -420,3 +392,8 @@ def test_str_and_float_operands_raise_type_error(other):
             op(x, other)
         with pytest.raises(TypeError):
             op(other, x)
+    # An int is a scalar operand only on the right, a Fraction nowhere, and no Scalar has a power.
+    for form in (lambda: 1 + x, lambda: 2 * x, lambda: 1 - x, lambda: 1 / x, lambda: x ** 2,
+                 lambda: as_scalar(Fraction(1, 2))):
+        with pytest.raises(TypeError):
+            form()

@@ -156,6 +156,24 @@ def test_bench_runs_alternating_pairs_against_a_parent(tmp_path, monkeypatch, ca
     assert "witness pass_s: won 9, lost 1, tied 0" in out and "wrote BENCH_p-parent.json" in out
 
 
+def test_bench_commit_is_dirty_for_sources_and_not_for_its_documents(tmp_path):
+    """A rewritten committed BENCH file leaves the commit clean; an edited file under src/ makes it -dirty."""
+    bench = load_script("bench")
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+           "-c", "commit.gpgsign=false"]
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text("X = 1\n")
+    (tmp_path / "BENCH_a.json").write_text("{}\n")
+    for command in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "init"]):
+        subprocess.run(git + command, check=True, capture_output=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True, text=True).stdout.strip()
+    assert bench.git_commit(tmp_path) == head
+    (tmp_path / "BENCH_a.json").write_text('{"rewritten": true}\n')
+    assert bench.git_commit(tmp_path) == head
+    (tmp_path / "src" / "m.py").write_text("X = 2\n")
+    assert bench.git_commit(tmp_path) == f"{head}-dirty"
+
+
 def test_bench_runs_read_no_bytecode_under_src(tmp_path):
     bench = load_script("bench")
     (tmp_path / "perfbench").mkdir()
