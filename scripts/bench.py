@@ -9,11 +9,10 @@ end-to-end metric's median and quartiles over those runs, with the git commit
 of the benchmarked checkout (suffixed -dirty when a tracked file other than a
 BENCH_*.json has uncommitted changes, null outside git) and the SHA-256 of its
 src/ tree, so that two files can be compared knowing exactly which code each
-one measured.  That hash leaves out
-bytecode caches, so each run neither reads nor writes one: it runs with
-python -B and a fresh, empty pycache_prefix, and compiles every module it
-imports from source.  One side that imported cached bytecode would read a
-faster set-up than the other.
+one measured.  That hash leaves out bytecode caches, so each run neither
+reads nor writes one: it runs with python -B and a fresh, empty
+pycache_prefix, and compiles every module it imports from source.  One side
+that imported cached bytecode would read a faster set-up than the other.
 
 With --parent, each workload runs --runs pairs of the parent checkout and this
 one, alternating which side of a pair runs first, and a second file

@@ -512,10 +512,11 @@ def solve_homogeneous(maps: Sequence[tuple[Mat, Mat]], *, kernels: Kernels | Non
     built from its terms (L, 1) and (1, -R) and reduced; each later map is
     evaluated on the kernel basis found so far, L B - B R for each basis
     matrix B (_sylvester_system), so none of its rows is built.  Maps are
-    read one at a time, and none after the kernel is {0}.  The basis after each prefix of
-    the maps not skipped is a function of the prefix alone, so it is looked
-    up in the tree of kernels, the caller's or a fresh one, and added there
-    when computed; the node where the solve ends keeps its Subspace.
+    read one at a time, and none after the kernel is {0}.  The basis after
+    each prefix of the maps not skipped is a function of the prefix alone,
+    so it is looked up in the tree of kernels, the caller's or a fresh one,
+    and added there when computed; the node where the solve ends keeps its
+    Subspace.
     """
     if not maps:
         raise ValueError("solve_homogeneous needs at least one map")
